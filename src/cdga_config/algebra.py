@@ -8,19 +8,21 @@ impossible. The one commutativity failure that survives canonical storage
 is a nonzero square of an odd generator, which `check_cdga` reports with
 the offending pair as witness.
 
-Axiom verification is exhaustive over basis tuples and failures are report
-entries, never exceptions; cohomology is computed degree by degree with
-deterministic representatives.
+Axiom verification covers every basis tuple whose products can be
+nonzero, walking degree blocks on the raw product and differential tables
+(see `check_cdga`); failures are report entries, never exceptions.
+Cohomology is computed degree by degree with deterministic representatives.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
-from .linalg import ONE, ZERO, SparseMatrix, kernel_basis, row_space_basis
+from .linalg import ONE, ZERO, SparseMatrix, _accumulate, _combine, kernel_basis, row_space_basis
 
 Coeffs = dict[int, Fraction]
 
@@ -106,14 +108,7 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         self._check_parent(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            acc = out.get(i, ZERO) + c
-            if acc:
-                out[i] = acc
-            else:
-                out.pop(i, None)
-        return Element(self.parent, out)
+        return Element(self.parent, _accumulate(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -187,7 +182,8 @@ class DGAlgebra:
 
     `mult` entries are (i, j, k, c) meaning e_i * e_j = sum c e_k; only one
     of (i, j)/(j, i) is stored and the other order is derived with the
-    Koszul sign. `diff` entries are (i, j, c) meaning d e_i = sum c e_j.
+    Koszul sign. `diff` entries are (i, j, c) meaning d e_i = sum c e_j;
+    they are stored as one row per basis index, empty for cocycles.
     """
 
     def __init__(
@@ -255,7 +251,9 @@ class DGAlgebra:
                 )
             row = dtable.setdefault(i, {})
             row[j] = row.get(j, ZERO) + c
-        self._diff = {i: {j: c for j, c in row.items() if c} for i, row in dtable.items()}
+        self._diff = tuple(
+            {j: c for j, c in dtable.get(i, {}).items() if c} for i in range(n)
+        )
 
     # --- basic access ---------------------------------------------------
 
@@ -294,34 +292,34 @@ class DGAlgebra:
     def multiply(self, x: Element, y: Element) -> Element:
         if x.parent is not self or y.parent is not self:
             raise MixedParents("elements do not belong to this algebra")
+        return Element(self, self.multiply_coeffs(x.coeffs, y.coeffs))
+
+    def multiply_coeffs(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> Coeffs:
+        """Product of two coefficient dicts in basis coordinates."""
+        degs = self.basis.degrees
+        mult = self._mult
         out: Coeffs = {}
-        for i, a in x.coeffs.items():
-            for j, b in y.coeffs.items():
-                row = self.mult_basis(i, j)
-                if not row:
-                    continue
-                ab = a * b
-                for k, c in row.items():
-                    acc = out.get(k, ZERO) + ab * c
-                    if acc:
-                        out[k] = acc
-                    else:
-                        del out[k]
-        return Element(self, out)
+        for i, a in x.items():
+            for j, b in y.items():
+                if i <= j:
+                    row = mult.get((i, j))
+                    ab = a * b
+                else:
+                    row = mult.get((j, i))
+                    ab = a * b if (degs[i] * degs[j]) % 2 == 0 else -(a * b)
+                if row:
+                    _accumulate(out, ((k, ab * c) for k, c in row.items()))
+        return out
 
     def d_basis(self, i: int) -> Coeffs:
-        return dict(self._diff.get(i, {}))
+        return dict(self._diff[i])
 
     def d(self, x: Element) -> Element:
-        out: Coeffs = {}
-        for i, a in x.coeffs.items():
-            for j, c in self._diff.get(i, {}).items():
-                acc = out.get(j, ZERO) + a * c
-                if acc:
-                    out[j] = acc
-                else:
-                    del out[j]
-        return Element(self, out)
+        return Element(self, self.d_coeffs(x.coeffs))
+
+    def d_coeffs(self, x: Mapping[int, Fraction]) -> Coeffs:
+        """Differential of a coefficient dict in basis coordinates."""
+        return _combine(x, self._diff)
 
     def diff_block(self, k: int) -> SparseMatrix:
         """Matrix of d from degree k to degree k+1 in basis coordinates."""
@@ -330,7 +328,7 @@ class DGAlgebra:
         pos = {g: r for r, g in enumerate(tgt)}
         data = {}
         for c, i in enumerate(src):
-            for j, v in self._diff.get(i, {}).items():
+            for j, v in self._diff[i].items():
                 data[(pos[j], c)] = v
         return SparseMatrix(len(tgt), len(src), data)
 
@@ -343,9 +341,9 @@ class DGAlgebra:
 
     def diff_entries(self) -> list[tuple[int, int, Fraction]]:
         out = []
-        for i in sorted(self._diff):
-            for j in sorted(self._diff[i]):
-                out.append((i, j, self._diff[i][j]))
+        for i, row in enumerate(self._diff):
+            for j in sorted(row):
+                out.append((i, j, row[j]))
         return out
 
     def __repr__(self) -> str:
@@ -412,19 +410,51 @@ class AxiomReport:
 
 
 def check_cdga(a: DGAlgebra) -> AxiomReport:
-    """Exhaustive CDGA axiom check over all basis tuples.
+    """CDGA axiom check over every basis tuple whose terms can be nonzero.
 
     Verifies the unit, graded commutativity, associativity, d squared zero
-    and the Leibniz rule. Failures become report entries with a witness.
+    and the Leibniz rule; each failing axiom reports its first failing
+    tuple in lexicographic order as the witness. The checks run on the
+    table of basis products and the rows of d, without building elements.
+
+    Associativity and Leibniz iterate by degree block. A product landing
+    above the top basis degree is zero, because the constructor rejects
+    entries that do not add degrees, so both sides vanish on a triple of
+    total degree above the top, and on a Leibniz pair whose degrees sum
+    to the top or more (every term lies one degree higher). The basis is
+    sorted by degree, so once the leading indices are fixed, the next
+    indices of small enough degree form a prefix range. Inside the ranges
+    a tuple is also passed over when every term on both sides has a zero
+    factor (see the comments at each loop). No tuple that is passed over
+    can fail, so the report, witnesses included, is the one a sweep over
+    all basis tuples in lexicographic order gives.
     """
     labels = a.basis.labels
     degs = a.basis.degrees
     n = a.dim()
+    top = a.basis.max_degree()
     checks = []
+
+    # pair[i][j] = e_i * e_j with the Koszul sign applied (as `mult_basis`
+    # gives it, built from the stored entries only), and its transpose;
+    # the rows are shared with the algebra and never mutated here
+    empty: Coeffs = {}
+    pair = [[empty] * n for _ in range(n)]
+    for (i, j), row in a._mult.items():
+        pair[i][j] = row
+        if j != i:
+            odd = degs[i] * degs[j] % 2
+            pair[j][i] = {k: -c for k, c in row.items()} if odd else row
+    pair_t = [list(column) for column in zip(*pair)]
+    drows = a._diff
+
+    def upto(d: int) -> int:
+        """Number of basis indices of degree at most d (a prefix)."""
+        return bisect_right(degs, d)
 
     witness = None
     for i in range(n):
-        if a.mult_basis(a.unit, i) != {i: ONE}:
+        if pair[a.unit][i] != {i: ONE}:
             witness = f"1*{labels[i]} != {labels[i]}"
             break
     checks.append(AxiomCheck("unit", witness is None, witness))
@@ -433,52 +463,32 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     for i in range(n):
         for j in range(i, n):
             sign = (-1) ** (degs[i] * degs[j])
-            forward = a.mult_basis(i, j)
-            backward = a.mult_basis(j, i)
-            if forward != {k: sign * c for k, c in backward.items()}:
+            if pair[i][j] != {k: sign * c for k, c in pair[j][i].items()}:
                 witness = f"({labels[i]}, {labels[j]})"
                 break
         if witness:
             break
     checks.append(AxiomCheck("graded_commutativity", witness is None, witness))
 
-    # Precompute pair products once; the triple loop reuses them.
-    pair = [[a.mult_basis(i, j) for j in range(n)] for i in range(n)]
-
-    def _mul_coeffs_right(coeffs: Coeffs, k: int) -> Coeffs:
-        out: Coeffs = {}
-        for m, c in coeffs.items():
-            for t, v in pair[m][k].items():
-                acc = out.get(t, ZERO) + c * v
-                if acc:
-                    out[t] = acc
-                else:
-                    del out[t]
-        return out
-
-    def _mul_coeffs_left(i: int, coeffs: Coeffs) -> Coeffs:
-        out: Coeffs = {}
-        for m, c in coeffs.items():
-            for t, v in pair[i][m].items():
-                acc = out.get(t, ZERO) + c * v
-                if acc:
-                    out[t] = acc
-                else:
-                    del out[t]
-        return out
-
+    # (e_i e_j) e_k against e_i (e_j e_k). For k in its degree range, the
+    # left side can be nonzero only if e_m e_k != 0 for a term e_m of
+    # e_i e_j, and the right side only if e_j e_k != 0; at every other k
+    # both sides are zero, so only those partner indices are evaluated.
+    partners = [[k for k, row in enumerate(pair[m]) if row] for m in range(n)]
     witness = None
-    top = a.top_degree
     for i in range(n):
-        for j in range(n):
-            pij = pair[i][j]
-            dij = degs[i] + degs[j]
-            for k in range(n):
-                if top is not None and dij + degs[k] > top:
-                    continue
-                lhs = _mul_coeffs_right(pij, k) if pij else {}
-                rhs = _mul_coeffs_left(i, pair[j][k]) if pair[j][k] else {}
-                if lhs != rhs:
+        pi = pair[i]
+        for j in range(upto(top - degs[i])):
+            pij = pi[j]
+            pj = pair[j]
+            limit = upto(top - degs[i] - degs[j])
+            candidates = set(partners[j])
+            for m in pij:
+                candidates.update(partners[m])
+            for k in sorted(candidates):
+                if k >= limit:
+                    break
+                if _combine(pij, pair_t[k]) != _combine(pj[k], pi):
                     witness = f"({labels[i]}, {labels[j]}, {labels[k]})"
                     break
             if witness:
@@ -489,21 +499,24 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
 
     witness = None
     for i in range(n):
-        dd = a.d(a.d(a.basis_element(i)))
-        if not dd.is_zero():
-            witness = f"d²({labels[i]}) = {dd}"
+        dd = _combine(drows[i], drows)
+        if dd:
+            witness = f"d²({labels[i]}) = {Element(a, dd)}"
             break
     checks.append(AxiomCheck("d_squared", witness is None, witness))
 
+    # d(e_i e_j) against d(e_i) e_j + (-1)^|e_i| e_i d(e_j)
+    negated = [{t: -c for t, c in row.items()} for row in drows]
     witness = None
     for i in range(n):
-        ei = a.basis_element(i)
-        dei = a.d(ei)
-        for j in range(n):
-            ej = a.basis_element(j)
-            lhs = a.d(a.multiply(ei, ej))
-            rhs = a.multiply(dei, ej) + a.multiply(ei, a.d(ej)).scale((-1) ** degs[i])
-            if lhs != rhs:
+        di = drows[i]
+        pi = pair[i]
+        signed = negated if degs[i] % 2 else drows
+        for j in range(upto(top - 1 - degs[i])):
+            if not pi[j] and not di and not drows[j]:
+                continue
+            rhs = _combine(signed[j], pi, _combine(di, pair_t[j]))
+            if _combine(pi[j], drows) != rhs:
                 witness = f"({labels[i]}, {labels[j]})"
                 break
         if witness:
@@ -563,12 +576,7 @@ def cohomology(space) -> CohomologyReport:
     for i in range(len(basis)):
         dd_coeffs: Coeffs = {}
         for j, c in space.d_basis(i).items():
-            for k, v in space.d_basis(j).items():
-                acc = dd_coeffs.get(k, ZERO) + c * v
-                if acc:
-                    dd_coeffs[k] = acc
-                else:
-                    del dd_coeffs[k]
+            _accumulate(dd_coeffs, ((k, c * v) for k, v in space.d_basis(j).items()))
         if dd_coeffs:
             witness_terms = ", ".join(
                 f"{c}*{basis.labels[k]}" for k, c in sorted(dd_coeffs.items())

@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 from .algebra import DGAlgebra, Element, GradedBasis, check_cdga
 from .dgmodule import ModuleMap, suspend
-from .errors import AxiomFailure, NotAModuleMap, OddDimension, StructureError
+from .errors import AxiomFailure, MixedParents, NotAModuleMap, OddDimension, StructureError
+from .linalg import _combine
 from .poincare import PDAlgebra, shriek_map
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -242,26 +243,21 @@ def even_model(pd: PDAlgebra) -> EvenModel:
 
 def _verify_algebra_map(source: DGAlgebra, target: DGAlgebra, images: Sequence[Element]) -> None:
     """Check unit, multiplicativity and the cochain property on all basis
-    pairs of a map given by images of basis elements."""
+    pairs of a map given by images of basis elements, working on the raw
+    coefficient dicts."""
     if images[source.unit] != target.one():
         raise StructureError("map does not preserve the unit")
-
-    def apply(x: Element) -> Element:
-        out = target.zero()
-        for i, c in x.coeffs.items():
-            out = out + images[i].scale(c)
-        return out
+    if any(x.parent is not target for x in images):
+        raise MixedParents("images do not belong to the target algebra")
+    rows = [x.coeffs for x in images]
 
     n = source.dim()
     for i in range(n):
-        lhs = apply(source.d(source.basis_element(i)))
-        rhs = target.d(images[i])
-        if lhs != rhs:
+        if _combine(source.d_basis(i), rows) != target.d_coeffs(rows[i]):
             raise StructureError(f"map does not commute with d at {source.basis.labels[i]}")
     for i in range(n):
         for j in range(i, n):
-            prod = source.multiply(source.basis_element(i), source.basis_element(j))
-            if apply(prod) != target.multiply(images[i], images[j]):
+            if _combine(source.mult_basis(i, j), rows) != target.multiply_coeffs(rows[i], rows[j]):
                 raise StructureError(
                     f"map is not multiplicative at ({source.basis.labels[i]}, {source.basis.labels[j]})"
                 )

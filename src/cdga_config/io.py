@@ -62,6 +62,14 @@ def _require(data: dict, key: str, source: str):
     return data[key]
 
 
+def _integer(value, path: str, source: str) -> int:
+    """A JSON integer; `true` and `2.7` are not integers, so they are
+    rejected rather than coerced by `int()`."""
+    if type(value) is not int:
+        raise ParseError(f"{source}: {path} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, int, dict[int, Fraction], dict]:
     """Validate a parsed algebra document and build the DGAlgebra.
 
@@ -70,18 +78,19 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     if not isinstance(data, dict):
         raise ParseError(f"{source}: top level must be an object")
     name = data.get("name", "")
-    n = _require(data, "formal_dimension", source)
-    if not isinstance(n, int) or n < 0:
+    n = _integer(_require(data, "formal_dimension", source), "formal_dimension", source)
+    if n < 0:
         raise ParseError(f"{source}: formal_dimension must be a non-negative integer")
     basis_items = _require(data, "basis", source)
     if not isinstance(basis_items, list) or not basis_items:
         raise ParseError(f"{source}: basis must be a non-empty list")
     pairs = []
-    for item in basis_items:
+    for pos, item in enumerate(basis_items):
         try:
-            pairs.append((str(item["label"]), int(item["degree"])))
-        except (KeyError, TypeError, ValueError):
+            label, degree = str(item["label"]), item["degree"]
+        except (KeyError, TypeError):
             raise ParseError(f"{source}: each basis item needs a label and a degree") from None
+        pairs.append((label, _integer(degree, f"basis[{pos}].degree", source)))
     try:
         basis = GradedBasis.build(pairs)
     except StructureError as exc:
@@ -125,6 +134,8 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
         diff.append((src, dst, coeff))
 
     flags = data.get("flags", {})
+    if not isinstance(flags, dict):
+        raise ParseError(f"{source}: flags must be an object, got {json.dumps(flags)}")
     simply_connected = bool(flags.get("simply_connected", False))
 
     try:
@@ -349,8 +360,12 @@ def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Fraction
     target = build_cxi(pd, xi)
 
     gens = []
-    for item in _require(data, "generators", str(path)):
-        gens.append((str(item["label"]), int(item["degree"])))
+    for pos, item in enumerate(_require(data, "generators", str(path))):
+        try:
+            label, degree = str(item["label"]), item["degree"]
+        except (KeyError, TypeError):
+            raise ParseError(f"{path}: each generator needs a label and a degree") from None
+        gens.append((label, _integer(degree, f"generators[{pos}].degree", str(path))))
     gen_index = {label: g for g, (label, _) in enumerate(gens)}
 
     table = GeneratorTable(
@@ -364,7 +379,7 @@ def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Fraction
                           parameters)
             for label, _ in gens
         ),
-        degree_cap=int(_require(data, "degree_cap", str(path))),
+        degree_cap=_integer(_require(data, "degree_cap", str(path)), "degree_cap", str(path)),
         name=str(data.get("name", path.stem)),
     )
 

@@ -21,6 +21,41 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# The two sparse primitives below are private so that per-function tracing
+# of the public API does not wrap the innermost loops of the package.
+
+
+def _accumulate(out: dict, terms: Iterable[tuple[object, object]]) -> dict:
+    """Add (key, value) terms into the sparse dict `out` in place, dropping
+    keys whose value cancels to zero; returns `out`. Values may be any
+    exact ring elements, such as Fractions or solver polynomials."""
+    for key, value in terms:
+        old = out.get(key)
+        if old is None:
+            if value:
+                out[key] = value
+        else:
+            value = old + value
+            if value:
+                out[key] = value
+            else:
+                del out[key]
+    return out
+
+
+def _combine(coeffs: dict, rows, out: Optional[dict] = None) -> dict:
+    """sum of c * rows[m] over the entries m: c of `coeffs`, added into
+    `out` (a new dict by default): the image of a sparse vector under the
+    linear map whose basis images are `rows`."""
+    if out is None:
+        out = {}
+    for m, c in coeffs.items():
+        row = rows[m]
+        if row:
+            _accumulate(out, ((t, c * v) for t, v in row.items()))
+    return out
+
+
 def scalar_from_string(text: str) -> Fraction:
     """Parse an exact rational written as 'p' or 'p/q'."""
     try:

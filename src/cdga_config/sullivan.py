@@ -23,13 +23,13 @@ map exists at all, which is the Obstructed verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import Element
 from .errors import IncompatibleTables, StructureError
-from .linalg import ONE, ZERO, SparseMatrix, invert
+from .linalg import ONE, ZERO, SparseMatrix, _accumulate, invert
 from .products import TensorAlgebra
 from .twisted import TwistedModel, build_cxi
 
@@ -55,6 +55,13 @@ class Poly:
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
+    def _of(cls, terms: dict[tuple[int, ...], Fraction]) -> "Poly":
+        """Wrap a dict whose values are already known to be nonzero."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def const(cls, c) -> "Poly":
         c = Fraction(c)
         return cls({(): c} if c else {})
@@ -73,53 +80,45 @@ class Poly:
         return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            acc = out.get(k, ZERO) + v
-            if acc:
-                out[k] = acc
-            else:
-                del out[k]
-        return Poly(out)
+        return Poly._of(_accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Poly":
-        return Poly({k: -v for k, v in self.terms.items()})
+        return Poly._of({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
+            if not other:
+                return Poly()
+            return Poly._of({k: v * other for k, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         out: dict[tuple[int, ...], Fraction] = {}
         for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                acc = out.get(key, ZERO) + v1 * v2
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-        return Poly(out)
+            _accumulate(out, ((tuple(sorted(k1 + k2)), v1 * v2)
+                              for k2, v2 in other.terms.items()))
+        return Poly._of(out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly.const(other) * self
+            return self * other
         return NotImplemented
 
     def substitute(self, values: dict[int, Fraction]) -> "Poly":
-        out = Poly()
+        """Evaluate the variables that `values` assigns a rational to."""
+        out: dict[tuple[int, ...], Fraction] = {}
         for key, coeff in self.terms.items():
-            acc = Poly.const(coeff)
+            rest = []
             for v in key:
-                if v in values:
-                    acc = acc * values[v]
+                value = values.get(v)
+                if value is None:
+                    rest.append(v)
                 else:
-                    acc = acc * Poly.variable(v)
-            out = out + acc
-        return out
+                    coeff = coeff * value
+            _accumulate(out, ((tuple(rest), coeff),))
+        return Poly._of(out)
 
     def degree(self) -> int:
         return max((len(k) for k in self.terms), default=0)
@@ -190,12 +189,8 @@ class AffineSystem:
                     continue
                 rc, rconst, _ = row
                 factor = coeffs[v]
-                for w, c in rc.items():
-                    acc = coeffs.get(w, ZERO) - factor * c
-                    if acc:
-                        coeffs[w] = acc
-                    else:
-                        coeffs.pop(w, None)
+                negated = -factor
+                _accumulate(coeffs, ((w, negated * c) for w, c in rc.items()))
                 const -= factor * rconst
                 changed = True
                 break
@@ -231,18 +226,15 @@ class AffineSystem:
             return []
         pivot = min(coeffs)
         inv = ONE / coeffs[pivot]
-        coeffs = {v: c * inv for v, c in coeffs.items()}
-        const *= inv
+        if inv != 1:
+            coeffs = {v: c * inv for v, c in coeffs.items()}
+            const *= inv
         # eliminate the new pivot from existing rows
         for other_pivot, (rc, rconst, prov) in list(self.rows.items()):
             factor = rc.get(pivot)
             if factor:
-                for w, c in coeffs.items():
-                    acc = rc.get(w, ZERO) - factor * c
-                    if acc:
-                        rc[w] = acc
-                    else:
-                        rc.pop(w, None)
+                negated = -factor
+                _accumulate(rc, ((w, negated * c) for w, c in coeffs.items()))
                 rconst -= factor * const
                 self.rows[other_pivot] = (rc, rconst, prov)
         self.rows[pivot] = (coeffs, const, provenance)
@@ -256,7 +248,16 @@ class AffineSystem:
 class GeneratorTable:
     """A free extension of the tensor square by finitely many generators,
     truncated at `degree_cap`, together with an evaluation into a twisted
-    model."""
+    model.
+
+    `d` memoises D of each single monomial in `_d_memo`, because the
+    obstruction solver applies D to the same monomials of a table in every
+    solve the table takes part in. The memo belongs to the `base` and the
+    `differentials` tuple it was computed from (`_d_memo_source`) and is
+    emptied on the next use after either is reassigned, so a table can be
+    rebuilt by assigning a new `differentials` tuple; the dicts inside a
+    tuple are treated as immutable once assigned.
+    """
 
     base: TensorAlgebra
     gens: tuple[tuple[str, int], ...]
@@ -265,6 +266,9 @@ class GeneratorTable:
     evaluation: tuple[Element, ...]
     degree_cap: int
     name: str = ""
+    _d_memo: dict[Monomial, FreeElt] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _d_memo_source: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.differentials) != len(self.gens):
@@ -358,20 +362,13 @@ class GeneratorTable:
                 if merged is None:
                     continue
                 sign, gens = merged
-                sign *= (-1) ** (deg_g1 * degs[b2])
                 row = self.base.mult_basis(b1, b2)
                 if not row:
                     continue
                 coeff = c1 * c2
-                for k, cb in row.items():
-                    key = (k, gens)
-                    acc = out.get(key)
-                    term = coeff * (sign * cb)
-                    acc = term if acc is None else acc + term
-                    if acc:
-                        out[key] = acc
-                    else:
-                        out.pop(key, None)
+                if sign * (-1) ** (deg_g1 * degs[b2]) < 0:
+                    coeff = -coeff
+                _accumulate(out, (((k, gens), coeff * cb) for k, cb in row.items()))
         return out
 
     def product(self, *factors: FreeElt) -> FreeElt:
@@ -388,40 +385,39 @@ class GeneratorTable:
     def add(self, *elts: FreeElt) -> FreeElt:
         out: FreeElt = {}
         for e in elts:
-            for k, v in e.items():
-                acc = out.get(k)
-                acc = v if acc is None else acc + v
-                if acc:
-                    out[k] = acc
-                else:
-                    out.pop(k, None)
+            _accumulate(out, e.items())
         return out
 
     def d(self, x: FreeElt) -> FreeElt:
         """Differential extended as a derivation: base differential on the
         base, table differentials on the generators."""
         out: FreeElt = {}
-        degs = self.base.basis.degrees
-        for (b, gens), c in x.items():
-            for j, v in self.base.d_basis(b).items():
-                key = (j, gens)
-                acc = out.get(key, ZERO) + c * v
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
-            sign = (-1) ** degs[b]
-            for p, g in enumerate(gens):
-                left: FreeElt = {(b, gens[:p]): ONE}
-                right: FreeElt = {(self.base.unit, gens[p + 1:]): ONE}
-                term = self.mul(self.mul(left, self.differentials[g]), right)
-                s = sign * (-1) ** sum(self.gen_degree(h) for h in gens[:p])
-                for k, v in term.items():
-                    acc = out.get(k, ZERO) + c * (s * v)
-                    if acc:
-                        out[k] = acc
-                    else:
-                        out.pop(k, None)
+        for mono, c in x.items():
+            _accumulate(out, ((k, c * v) for k, v in self.monomial_d(mono).items()))
+        return out
+
+    def monomial_d(self, mono: Monomial) -> FreeElt:
+        """D of one monomial with coefficient 1, from the memo (see the
+        class docstring). The returned dict is shared: do not mutate it."""
+        if self._d_memo_source[0] is not self.base or \
+                self._d_memo_source[1] is not self.differentials:
+            self._d_memo = {}
+            self._d_memo_source = (self.base, self.differentials)
+        out = self._d_memo.get(mono)
+        if out is None:
+            out = self._d_memo[mono] = self._derive(mono)
+        return out
+
+    def _derive(self, mono: Monomial) -> FreeElt:
+        b, gens = mono
+        out: FreeElt = {(j, gens): v for j, v in self.base.d_basis(b).items()}
+        sign = (-1) ** self.base.basis.degrees[b]
+        for p, g in enumerate(gens):
+            left: FreeElt = {(b, gens[:p]): ONE}
+            right: FreeElt = {(self.base.unit, gens[p + 1:]): ONE}
+            term = self.mul(self.mul(left, self.differentials[g]), right)
+            s = sign * (-1) ** sum(self.gen_degree(h) for h in gens[:p])
+            _accumulate(out, ((k, s * v) for k, v in term.items()))
         return out
 
     def evaluate(self, x: FreeElt) -> Element:
@@ -589,14 +585,16 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
 
     var_names: dict[int, str] = {}
     psi_images: list[FreeElt] = []
-    gen_monomials: list[list[Monomial]] = []
+    monomials_by_degree: dict[int, list[tuple[Monomial, str]]] = {}
     next_var = 0
     for g in range(ngen):
-        monos = t2.monomials_of_degree(t1.gen_degree(g))
-        gen_monomials.append(monos)
+        degree = t1.gen_degree(g)
+        if degree not in monomials_by_degree:
+            monomials_by_degree[degree] = [
+                (mono, t2.monomial_str(mono)) for mono in t2.monomials_of_degree(degree)]
         image: FreeElt = {}
-        for mono in monos:
-            var_names[next_var] = f"psi({t1.gen_label(g)})[{t2.monomial_str(mono)}]"
+        for mono, text in monomials_by_degree[degree]:
+            var_names[next_var] = f"psi({t1.gen_label(g)})[{text}]"
             image[mono] = Poly.variable(next_var)
             next_var += 1
         psi_images.append(image)
@@ -609,7 +607,7 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
                 acc = t2.mul(acc, psi_images[g])
                 if not acc:
                     break
-            total = t2.add(total, acc)
+            _accumulate(total, acc.items())
         return total
 
     system = AffineSystem()
@@ -657,13 +655,11 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
     for g in order:
         label = t1.gen_label(g)
         trace.append(f"-- stage {label} (degree {t1.gen_degree(g)})")
-        lhs = psi_apply(t1.differentials[g])
-        rhs: FreeElt = {}
-        for mono in gen_monomials[g]:
-            image_d = t2.d({mono: ONE})
-            scaled = {k: psi_images[g][mono] * v for k, v in image_d.items()}
-            rhs = t2.add(rhs, scaled)
-        commutator = t2.add(lhs, {k: -v for k, v in rhs.items()})
+        # psi(D1 g) - D2(psi g), with psi g = sum of unknown * monomial
+        commutator = psi_apply(t1.differentials[g])
+        for mono, unknown in psi_images[g].items():
+            _accumulate(commutator, ((k, unknown * -v)
+                                     for k, v in t2.monomial_d(mono).items()))
         for mono in sorted(commutator, key=lambda m: (t2.monomial_degree(m), m[1], m[0])):
             prov = f"{label}: coefficient of {t2.monomial_str(mono)}"
             result = feed(commutator[mono], prov)

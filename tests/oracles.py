@@ -3,7 +3,9 @@
 Deliberately self-contained dense rational elimination: nothing here
 imports the package's linear algebra, so Betti numbers and ranks computed
 through this module cross-check the library's kernel/image path rather
-than restating it.
+than restating it. `naive_check_cdga` is the exception: it uses the
+package's `Element` arithmetic, one product at a time, to cross-check the
+table-driven loops of `check_cdga`.
 """
 
 from fractions import Fraction
@@ -79,3 +81,48 @@ def oracle_betti(space):
         rk_in = ranks.get(k - 1, 0)
         out.append(dim - rk_out - rk_in)
     return out
+
+
+def naive_check_cdga(algebra):
+    """The CDGA axiom report computed one `Element` product at a time.
+
+    Every basis tuple is visited in lexicographic order, with no degree
+    pruning and no shared tables, and the witness of the first failure is
+    formatted as `check_cdga` documents it; the two reports must agree.
+    """
+    from cdga_config.algebra import AxiomCheck, AxiomReport
+
+    labels = algebra.basis.labels
+    degs = algebra.basis.degrees
+    n = algebra.dim()
+    e = [algebra.basis_element(i) for i in range(n)]
+    one = algebra.one()
+
+    def first(axiom, tuples, failure):
+        for t in tuples:
+            witness = failure(*t)
+            if witness:
+                return AxiomCheck(axiom, False, witness)
+        return AxiomCheck(axiom, True, None)
+
+    checks = []
+    checks.append(first(
+        "unit", ((i,) for i in range(n)),
+        lambda i: f"1*{labels[i]} != {labels[i]}" if one * e[i] != e[i] else None))
+    checks.append(first(
+        "graded_commutativity", ((i, j) for i in range(n) for j in range(i, n)),
+        lambda i, j: f"({labels[i]}, {labels[j]})"
+        if e[i] * e[j] != (e[j] * e[i]).scale((-1) ** (degs[i] * degs[j])) else None))
+    checks.append(first(
+        "associativity", ((i, j, k) for i in range(n) for j in range(n) for k in range(n)),
+        lambda i, j, k: f"({labels[i]}, {labels[j]}, {labels[k]})"
+        if (e[i] * e[j]) * e[k] != e[i] * (e[j] * e[k]) else None))
+    checks.append(first(
+        "d_squared", ((i,) for i in range(n)),
+        lambda i: f"d²({labels[i]}) = {e[i].d().d()}" if not e[i].d().d().is_zero() else None))
+    checks.append(first(
+        "leibniz", ((i, j) for i in range(n) for j in range(n)),
+        lambda i, j: f"({labels[i]}, {labels[j]})"
+        if (e[i] * e[j]).d() != e[i].d() * e[j] + (e[i] * e[j].d()).scale((-1) ** degs[i])
+        else None))
+    return AxiomReport(tuple(checks))

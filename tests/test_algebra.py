@@ -175,3 +175,119 @@ def test_representatives_are_reduced_against_coboundaries(s3):
             assert cob.coeffs[pivot] == 1
             for rep in entry.representatives:
                 assert pivot not in rep.coeffs
+
+
+# --- pinned witnesses and the naive cross-check ------------------------------
+
+
+def _rebuild(alg, mult=None, diff=None):
+    return DGAlgebra(alg.basis, alg.unit,
+                     alg.mult_entries() if mult is None else mult,
+                     alg.diff_entries() if diff is None else diff,
+                     name=alg.name, top_degree=alg.top_degree)
+
+
+def _with_product(alg, left, right, target, coeff):
+    """`alg` with the stored constant of left*right on target replaced."""
+    ix = alg.basis.index
+    i, j, k = ix(left), ix(right), ix(target)
+    mult = [(a, b, c, F(coeff) if (a, b, c) == (i, j, k) else v)
+            for a, b, c, v in alg.mult_entries()]
+    return _rebuild(alg, mult=mult)
+
+
+def _with_extra_d(alg, source, target):
+    ix = alg.basis.index
+    return _rebuild(alg, diff=alg.diff_entries() + [(ix(source), ix(target), F(1))])
+
+
+def _witnesses(alg):
+    report = check_cdga(alg)
+    return {c.axiom: c.witness for c in report.failed()}
+
+
+def test_associativity_witness_pinned(cp2):
+    from cdga_config.products import product_pd
+
+    alg = product_pd(cp2, cp2).algebra
+    broken = _with_product(alg, "1⊗x", "1⊗x", "1⊗x^2", 2)
+    assert _witnesses(broken) == {"associativity": "(1⊗x, 1⊗x, x⊗1)"}
+
+
+def test_leibniz_witness_pinned(s2, s2xs3):
+    from cdga_config.cone import cone_model
+
+    alg = cone_model(s2).algebra
+    assert _witnesses(_with_product(alg, "S1", "1⊗x", "Sx", 2)) == {"leibniz": "(S1, 1⊗x)"}
+    alg = cone_model(s2xs3).algebra
+    assert _witnesses(_with_extra_d(alg, "1⊗x", "1⊗y")) == {"leibniz": "(1⊗x, 1⊗x)"}
+
+
+def test_d_squared_witness_pinned(s2, s2xs3):
+    from cdga_config.cone import cone_model
+
+    alg = cone_model(s2).algebra
+    assert _witnesses(_with_extra_d(alg, "1⊗x", "Sx")) == {"d_squared": "d²(S1) = Sx"}
+    alg = cone_model(s2xs3).algebra
+    assert _witnesses(_with_extra_d(alg, "1⊗y", "S1")) == {
+        "d_squared": "d²(1⊗y) = 1⊗xy + x⊗y - y⊗x - xy⊗1",
+        "leibniz": "(1⊗x, 1⊗y)",
+    }
+
+
+def _perturbations(alg, rng, count):
+    """`count` seeded single-entry perturbations that keep degrees valid:
+    a changed or removed structure constant, a new product entry, or a
+    changed or new differential entry."""
+    degs = alg.basis.degrees
+    n = alg.dim()
+    mult, diff = alg.mult_entries(), alg.diff_entries()
+    new_products = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(n)
+                    if degs[k] == degs[i] + degs[j]]
+    new_diffs = [(i, j) for i in range(n) for j in range(n) if degs[j] == degs[i] + 1]
+    out = []
+    while len(out) < count:
+        kind = rng.randrange(4)
+        delta = F(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+        if kind == 0 and mult:
+            m = list(mult)
+            at = rng.randrange(len(m))
+            i, j, k, c = m[at]
+            m[at] = (i, j, k, c + delta)
+            out.append(_rebuild(alg, mult=m))
+        elif kind == 1 and new_products:
+            i, j, k = rng.choice(new_products)
+            if any(e[:3] == (i, j, k) for e in mult):
+                continue
+            out.append(_rebuild(alg, mult=mult + [(i, j, k, delta)]))
+        elif kind == 2 and diff:
+            d = list(diff)
+            at = rng.randrange(len(d))
+            i, j, c = d[at]
+            d[at] = (i, j, c + delta)
+            out.append(_rebuild(alg, diff=d))
+        elif kind == 3 and new_diffs:
+            i, j = rng.choice(new_diffs)
+            out.append(_rebuild(alg, diff=diff + [(i, j, delta)]))
+    return out
+
+
+def test_check_cdga_matches_naive_oracle_on_perturbations():
+    from cdga_config.cone import cone_model
+    from cdga_config.products import product_pd
+
+    from oracles import naive_check_cdga
+
+    rng = random.Random(20151)
+    algebras = [product_pd(preset_pd(a), preset_pd(b)).algebra
+                for a, b in (("s2", "s3"), ("cp2", "cp2"), ("s2", "s2xs3"))]
+    algebras += [cone_model(preset_pd(p)).algebra for p in ("s2", "s3", "cp2")]
+    failing = set()
+    for alg in algebras:
+        assert check_cdga(alg) == naive_check_cdga(alg)
+        for broken in _perturbations(alg, rng, 12):
+            report = check_cdga(broken)
+            assert report == naive_check_cdga(broken), alg.name
+            failing.update(c.axiom for c in report.failed())
+    # the sample reaches every axiom the perturbations can break
+    assert failing >= {"associativity", "d_squared", "leibniz"}

@@ -95,6 +95,29 @@ def test_check_malformed_json_reports_position(tmp_path, capsys):
     assert "line 1" in err
 
 
+def _s2_document(**overrides):
+    data = json.loads(preset_path("s2").read_text(encoding="utf-8"))
+    data.update(overrides)
+    return data
+
+
+@pytest.mark.parametrize("overrides, path", [
+    ({"flags": []}, "flags must be an object, got []"),
+    ({"basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 2.7}]},
+     "basis[1].degree must be an integer, got 2.7"),
+    ({"basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": True}]},
+     "basis[1].degree must be an integer, got true"),
+    ({"formal_dimension": True}, "formal_dimension must be an integer, got true"),
+], ids=["flags-list", "degree-float", "degree-bool", "formal-dimension-bool"])
+def test_check_rejects_mistyped_fields_with_json_path(tmp_path, capsys, overrides, path):
+    doc = tmp_path / "mistyped.json"
+    doc.write_text(json.dumps(_s2_document(**overrides)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(doc))
+    assert code == 1
+    assert out == ""
+    assert err == f"parse error: {doc}: {path}\n"
+
+
 # --- diagonal ------------------------------------------------------------------
 
 

@@ -142,3 +142,41 @@ def test_even_model_quotient_matches_cone_cohomology(cp2):
     model = even_model(cp2)
     top = model.cone.algebra.basis.max_degree()
     assert model.betti(top) == cohomology(model.cone.algebra).betti_vector(top)
+
+
+@pytest.mark.parametrize("doubled, message", [
+    ("1⊗1", "map does not preserve the unit"),
+    ("x⊗y", "map is not multiplicative at (1⊗x, x⊗y)"),
+    ("y⊗y", "map is not multiplicative at (1⊗x, y⊗y)"),
+])
+def test_verify_algebra_map_pins_multiplicativity_error(s2xs3, doubled, message):
+    from cdga_config.cone import _verify_algebra_map
+    from cdga_config.errors import StructureError
+
+    cone = cone_model(s2xs3)
+    square = s2xs3.square
+    images = [cone.include_base(square.basis_element(t)) for t in range(square.dim())]
+    _verify_algebra_map(square, cone.algebra, images)
+    t = square.basis.index(doubled)
+    images[t] = images[t].scale(2)
+    with pytest.raises(StructureError) as info:
+        _verify_algebra_map(square, cone.algebra, images)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("doubled, message", [
+    ("xy⊗1", "map does not commute with d at S1"),
+    ("Sy", "map does not commute with d at Sy"),
+])
+def test_verify_algebra_map_pins_cochain_error(s2xs3, doubled, message):
+    from cdga_config.cone import _verify_algebra_map
+    from cdga_config.errors import StructureError
+
+    alg = cone_model(s2xs3).algebra
+    images = [alg.basis_element(i) for i in range(alg.dim())]
+    _verify_algebra_map(alg, alg, images)
+    t = alg.basis.index(doubled)
+    images[t] = images[t].scale(2)
+    with pytest.raises(StructureError) as info:
+        _verify_algebra_map(alg, alg, images)
+    assert str(info.value) == message

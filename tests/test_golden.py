@@ -1,0 +1,102 @@
+"""Committed `--json` reports of every command on every shipped preset.
+
+Each case runs `cli.main` in-process and compares its standard output byte
+for byte with `tests/golden/<case>.json`. One field is normalised first:
+reports embed the absolute path of the preset file in `"input"` (and in
+`"inputs"` for `product`), which depends on where the package is installed,
+so the preset data directory is replaced by `<presets>` in that text. The
+`product` cases also compare the written product file, and write it to a
+relative path inside a temporary directory so `"written_to"` is fixed.
+
+Regenerate after an intended output change with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from cdga_config.cli import main
+from cdga_config.presets import PRESET_NAMES, preset_path
+
+GOLDEN = Path(__file__).parent / "golden"
+PRESET_DIR = str(preset_path("point").parent)
+PRODUCT_OUT = "product.json"
+
+def _cases():
+    cases = []
+    for p in PRESET_NAMES:
+        # `point` has nothing of positive degree to suspend, so every command
+        # that builds the cone fails its check (exit 2) and prints no JSON
+        cone_status = 2 if p == "point" else 0
+        cases.append((f"check_{p}", ["check", p], 0))
+        for command in ("diagonal", "betti-fm2"):
+            cases.append((f"{command}_{p}", [command, p], cone_status))
+        cases.append((f"cxi_{p}", ["cxi", p, "--xi=0"], cone_status))
+        cases.append((f"product_{p}_s3", ["product", p, "s3", "--out", PRODUCT_OUT], 0))
+    cases += [
+        ("cxi_s2xs3_xi", ["cxi", "s2xs3", "--xi=3/2*(y(x)xy) - 2*(xy(x)y)"], 0),
+        ("cxi_s2xs3_x", ["cxi", "s2xs3", "--x=-5/3*y"], 0),
+        ("classify-example", ["classify-example", "--q=0,1,-1/2,7/3"], 0),
+    ]
+    return cases
+
+
+CASES = _cases()
+
+
+def _normalise(text: str) -> str:
+    return text.replace(PRESET_DIR, "<presets>")
+
+
+def _golden_files(name):
+    files = [GOLDEN / f"{name}.json"]
+    if name.startswith("product_"):
+        files.append(GOLDEN / f"{name}.out.json")
+    return files
+
+
+@pytest.mark.parametrize("name, argv, status", CASES, ids=[c[0] for c in CASES])
+def test_json_report_matches_golden(name, argv, status, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--json"]) == status
+    out = _normalise(capsys.readouterr().out)
+    files = _golden_files(name)
+    assert out == files[0].read_text(encoding="utf-8")
+    if len(files) > 1:
+        written = (tmp_path / PRODUCT_OUT).read_text(encoding="utf-8")
+        assert written == files[1].read_text(encoding="utf-8")
+
+
+def _write_goldens() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv, status in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            cwd = os.getcwd()
+            os.chdir(tmp)
+            try:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    got = main(argv + ["--json"])
+                if got != status:
+                    raise SystemExit(f"{name}: exit {got}, expected {status}")
+                files = _golden_files(name)
+                files[0].write_text(_normalise(buf.getvalue()), encoding="utf-8")
+                if len(files) > 1:
+                    files[1].write_text(Path(PRODUCT_OUT).read_text(encoding="utf-8"),
+                                        encoding="utf-8")
+            finally:
+                os.chdir(cwd)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden.py --write")
+    _write_goldens()

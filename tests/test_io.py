@@ -125,3 +125,21 @@ def test_parse_element_errors(s2xs3):
         parse_element(alg, "(unclosed")
     with pytest.raises(ExpressionParseError):
         parse_element(alg, "")
+
+
+@pytest.mark.parametrize("edit, path", [
+    (lambda d: d["generators"][2].update(degree=6.0), "generators[2].degree"),
+    (lambda d: d["generators"][0].update(degree=True), "generators[0].degree"),
+    (lambda d: d.update(degree_cap=8.5), "degree_cap"),
+], ids=["generator-float", "generator-bool", "cap-float"])
+def test_table_loader_rejects_non_integer_degrees(tmp_path, edit, path):
+    from cdga_config.io import load_table_file
+    from cdga_config.presets import table_preset_path
+
+    data = json.loads(table_preset_path().read_text(encoding="utf-8"))
+    edit(data)
+    doc = tmp_path / "table.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_table_file(doc, {"q": F(1), "r": F(0)})
+    assert f"{doc}: {path} must be an integer" in str(info.value)

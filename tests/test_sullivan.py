@@ -245,3 +245,36 @@ def test_poly_arithmetic():
     assert p.affine() is None
     assert (p.substitute({1: F(1)})).affine() == (F(2), {0: F(1)})
     assert not (p - p)
+
+
+# --- the per-table memo of D on monomials -----------------------------------------
+
+
+def test_solver_sees_reassigned_differentials():
+    t1 = s2xs3_table(1, 0)
+    t2 = s2xs3_table(3, 0)
+    assert isinstance(iso_obstruction(t1, t2), Obstructed)
+    t2.differentials = s2xs3_table(1, 0).differentials
+    assert isinstance(iso_obstruction(t1, t2), Exists)
+    t2.differentials = s2xs3_table(2, 0).differentials
+    result = iso_obstruction(t1, t2)
+    assert isinstance(result, Obstructed)
+    assert result == iso_obstruction(t1, s2xs3_table(2, 0))
+
+
+def test_d_follows_reassigned_differentials():
+    t = s2xs3_table(1, 0)
+    fresh = s2xs3_table(5, 0)
+    top = t.gen_elt(len(t.gens) - 1)
+    before = t.d(top)
+    t.differentials = fresh.differentials
+    assert t.d(top) == fresh.d(top) != before
+
+
+def test_classify_example_matches_fresh_pairwise_solves():
+    qs = [F(2), F(-1, 3), F(0)]
+    matrix = classify_example(qs)
+    for i, q in enumerate(qs):
+        for j, r in enumerate(qs):
+            fresh = iso_obstruction(s2xs3_table(q, 0), s2xs3_table(r, 0))
+            assert matrix[i][j] == fresh
