@@ -62,6 +62,14 @@ def _require(data: dict, key: str, source: str):
     return data[key]
 
 
+def _of_type(value, kind: type, path: str, source: str):
+    """A JSON object (`dict`) or array (`list`) at `path`, else a ParseError."""
+    if not isinstance(value, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ParseError(f"{source}: {path} must be {what}, got {json.dumps(value)}")
+    return value
+
+
 def _integer(value, path: str, source: str) -> int:
     """A JSON integer; `true` and `2.7` are not integers, so they are
     rejected rather than coerced by `int()`."""
@@ -136,7 +144,10 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     flags = data.get("flags", {})
     if not isinstance(flags, dict):
         raise ParseError(f"{source}: flags must be an object, got {json.dumps(flags)}")
-    simply_connected = bool(flags.get("simply_connected", False))
+    simply_connected = flags.get("simply_connected", False)
+    if type(simply_connected) is not bool:
+        raise ParseError(f"{source}: flags.simply_connected must be a boolean, "
+                         f"got {json.dumps(simply_connected)}")
 
     try:
         algebra = DGAlgebra(
@@ -348,55 +359,72 @@ def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Fraction
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
-    declared = data.get("parameters", [])
+    source = str(path)
+    if not isinstance(data, dict):
+        raise ParseError(f"{source}: top level must be an object")
+    declared = _of_type(data.get("parameters", []), list, "parameters", source)
+    for pos, name in enumerate(declared):
+        if type(name) is not str:
+            raise ParseError(f"{source}: parameters[{pos}] must be a string, got {json.dumps(name)}")
     parameters = dict(parameters or {})
     missing = [p for p in declared if p not in parameters]
     if missing:
-        raise ParseError(f"{path}: values required for parameters {missing}")
+        raise ParseError(f"{source}: values required for parameters {missing}")
 
-    pd = resolve_pd(str(_require(data, "algebra", str(path))), relative_to=path.parent)
+    pd = resolve_pd(str(_require(data, "algebra", source)), relative_to=path.parent)
     square = pd.square
-    xi = parse_element(square, str(_require(data, "xi", str(path))), parameters)
+    xi = parse_element(square, str(_require(data, "xi", source)), parameters)
     target = build_cxi(pd, xi)
 
     gens = []
-    for pos, item in enumerate(_require(data, "generators", str(path))):
+    for pos, item in enumerate(_require(data, "generators", source)):
         try:
             label, degree = str(item["label"]), item["degree"]
         except (KeyError, TypeError):
-            raise ParseError(f"{path}: each generator needs a label and a degree") from None
-        gens.append((label, _integer(degree, f"generators[{pos}].degree", str(path))))
+            raise ParseError(f"{source}: each generator needs a label and a degree") from None
+        gens.append((label, _integer(degree, f"generators[{pos}].degree", source)))
     gen_index = {label: g for g, (label, _) in enumerate(gens)}
+
+    values = _of_type(_require(data, "evaluation", source), dict, "evaluation", source)
+    evaluation = []
+    for label, _ in gens:
+        if label not in values:
+            raise ParseError(f"{source}: missing field evaluation[{json.dumps(label)}]")
+        evaluation.append(parse_element(target.algebra, str(values[label]), parameters))
 
     table = GeneratorTable(
         base=square,
         gens=tuple(gens),
         differentials=tuple({} for _ in gens),
         target=target,
-        evaluation=tuple(
-            parse_element(target.algebra,
-                          str(_require(data, "evaluation", str(path))[label]),
-                          parameters)
-            for label, _ in gens
-        ),
-        degree_cap=_integer(_require(data, "degree_cap", str(path)), "degree_cap", str(path)),
+        evaluation=tuple(evaluation),
+        degree_cap=_integer(_require(data, "degree_cap", source), "degree_cap", source),
         name=str(data.get("name", path.stem)),
     )
 
     differentials = []
-    table_diffs = _require(data, "differentials", str(path))
+    table_diffs = _of_type(_require(data, "differentials", source), dict, "differentials", source)
     for label, _ in gens:
-        terms = table_diffs.get(label, [])
+        at = f"differentials[{json.dumps(label)}]"
         total: dict = {}
-        for term in terms:
-            coeff = parse_coeff(str(term.get("coeff", "1")), parameters)
-            factors = [table.gen_elt(gen_index[g]) for g in term.get("gens", [])]
+        for pos, term in enumerate(_of_type(table_diffs.get(label, []), list, at, source)):
+            term = _of_type(term, dict, f"{at}[{pos}]", source)
+            try:
+                coeff = parse_coeff(str(term.get("coeff", "1")), parameters)
+            except ParseError as exc:
+                raise ParseError(f"{source}: {at}[{pos}].coeff: {exc}") from None
+            factors = []
+            for k, g in enumerate(_of_type(term.get("gens", []), list, f"{at}[{pos}].gens", source)):
+                if type(g) is not str or g not in gen_index:
+                    raise ParseError(f"{source}: {at}[{pos}].gens[{k}] is not a generator, "
+                                     f"got {json.dumps(g)}")
+                factors.append(table.gen_elt(gen_index[g]))
             base_label = str(term.get("base", "")).replace("(x)", TENSOR)
             if base_label:
                 try:
                     factors.append(table.base_elt(square.basis.index(base_label)))
                 except StructureError as exc:
-                    raise ParseError(f"{path}: {exc}") from None
+                    raise ParseError(f"{source}: {exc}") from None
             total = table.add(total, table.scale(table.product(*factors), coeff))
         differentials.append(total)
     table.differentials = tuple(differentials)

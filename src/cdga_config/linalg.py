@@ -56,18 +56,6 @@ def _combine(coeffs: dict, rows, out: Optional[dict] = None) -> dict:
     return out
 
 
-def scalar_from_string(text: str) -> Fraction:
-    """Parse an exact rational written as 'p' or 'p/q'."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact rational: {text!r}") from exc
-
-
-def scalar_to_string(value: Fraction) -> str:
-    return str(value)
-
-
 class SparseMatrix:
     """Immutable sparse rational matrix.
 

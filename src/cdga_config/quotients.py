@@ -194,7 +194,6 @@ def quotient_dga(
     vectors: Sequence[Element],
     *,
     name: str = "",
-    require_differential_ideal: bool = True,
     require_mult_ideal: bool = True,
 ) -> QuotientDGA:
     """Quotient of `ambient` by the span of homogeneous `vectors`.
@@ -208,9 +207,6 @@ def quotient_dga(
 
     if require_mult_ideal and not sub.closed_under_multiplication():
         raise StructureError("subspace is not closed under multiplication by the algebra")
-    if require_differential_ideal:
-        # d-closure already holds by Subcomplex construction; nothing more.
-        pass
 
     amb_basis = ambient.basis
     kept: list[int] = []

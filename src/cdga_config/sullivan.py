@@ -164,10 +164,13 @@ class InconsistentSystem(Exception):
 class AffineSystem:
     """Incrementally reduced affine system  sum coeffs . x = const.
 
-    Rows are kept in reduced echelon form keyed by pivot variable, so a
-    variable is determined exactly when its row has no other support.
-    Inserting an equation that reduces to 0 = c with c nonzero raises
-    InconsistentSystem; that is a proof of unsolvability.
+    Rows are keyed by pivot variable and kept fully reduced: each row holds
+    its pivot with coefficient 1, no other row's pivot and no determined
+    variable. So a variable is determined exactly when its row has no
+    other support, and reducing an equation subtracts each pivot row it
+    touches once, in any order. Inserting an equation that reduces to
+    0 = c with c nonzero raises InconsistentSystem; that is a proof of
+    unsolvability.
     """
 
     def __init__(self):
@@ -175,46 +178,40 @@ class AffineSystem:
         self.determined: dict[int, Fraction] = {}
 
     def _reduce(self, coeffs: dict[int, Fraction], const: Fraction):
-        coeffs = dict(coeffs)
-        for v in list(coeffs):
-            value = self.determined.get(v)
-            if value is not None:
-                const -= coeffs.pop(v) * value
-        changed = True
-        while changed:
-            changed = False
-            for v in sorted(coeffs):
-                row = self.rows.get(v)
-                if row is None:
-                    continue
-                rc, rconst, _ = row
-                factor = coeffs[v]
-                negated = -factor
-                _accumulate(coeffs, ((w, negated * c) for w, c in rc.items()))
-                const -= factor * rconst
-                changed = True
-                break
-        return coeffs, const
+        determined, rows = self.determined, self.rows
+        out: dict[int, Fraction] = {}
+        for v, c in coeffs.items():
+            value = determined.get(v)
+            if value is None:
+                out[v] = c
+            else:
+                const -= c * value
+        # a pivot row holds no other pivot, so subtracting it changes no
+        # other pivot's coefficient and removes its own
+        for v in [v for v in out if v in rows]:
+            rc, rconst, _ = rows[v]
+            factor = out[v]
+            negated = -factor
+            _accumulate(out, ((w, negated * c) for w, c in rc.items()))
+            const -= factor * rconst
+        return out, const
 
     def _promote_determined(self) -> list[tuple[int, Fraction]]:
         new = []
-        changed = True
-        while changed:
-            changed = False
+        while True:
+            fresh = [pivot for pivot, (coeffs, _, _) in self.rows.items() if len(coeffs) == 1]
+            if not fresh:
+                return new
+            for pivot in fresh:
+                const = self.rows.pop(pivot)[1]
+                self.determined[pivot] = const
+                new.append((pivot, const))
             for pivot, (coeffs, const, prov) in list(self.rows.items()):
-                others = {v: c for v, c in coeffs.items() if v != pivot}
-                if not others:
-                    del self.rows[pivot]
-                    self.determined[pivot] = const
-                    new.append((pivot, const))
-                    changed = True
-            if changed:
-                for pivot, (coeffs, const, prov) in list(self.rows.items()):
-                    for v in list(coeffs):
-                        if v != pivot and v in self.determined:
-                            const -= coeffs.pop(v) * self.determined[v]
-                    self.rows[pivot] = (coeffs, const, prov)
-        return new
+                for v in fresh:
+                    c = coeffs.pop(v, None)
+                    if c is not None:
+                        const -= c * self.determined[v]
+                self.rows[pivot] = (coeffs, const, prov)
 
     def add(self, coeffs: dict[int, Fraction], const: Fraction, provenance: str
             ) -> list[tuple[int, Fraction]]:
@@ -244,19 +241,47 @@ class AffineSystem:
 # --- generator tables --------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _Unknowns:
+    """The solver's unknowns for one table layout: `names[var]`, psi of
+    each generator as a sum of unknown * monomial, and the unknowns that
+    multiply the generator itself in its own image."""
+
+    names: dict[int, str]
+    images: list[FreeElt]
+    diagonal: frozenset[int]
+
+
+class _TableMemo:
+    """A table's memo; see `GeneratorTable`."""
+
+    __slots__ = ("d", "text", "unknowns", "psi_of_d", "minus_d_of_psi")
+
+    def __init__(self):
+        self.d: dict[Monomial, FreeElt] = {}
+        self.text: dict[Monomial, str] = {}
+        self.unknowns: Optional[_Unknowns] = None
+        self.psi_of_d: Optional[list[FreeElt]] = None
+        self.minus_d_of_psi: Optional[list[FreeElt]] = None
+
+
 @dataclass
 class GeneratorTable:
     """A free extension of the tensor square by finitely many generators,
     truncated at `degree_cap`, together with an evaluation into a twisted
     model.
 
-    `d` memoises D of each single monomial in `_d_memo`, because the
-    obstruction solver applies D to the same monomials of a table in every
-    solve the table takes part in. The memo belongs to the `base` and the
-    `differentials` tuple it was computed from (`_d_memo_source`) and is
-    emptied on the next use after either is reassigned, so a table can be
-    rebuilt by assigning a new `differentials` tuple; the dicts inside a
-    tuple are treated as immutable once assigned.
+    `_memo` holds what the obstruction solver derives from the table in
+    every solve it takes part in: D of each single monomial (`monomial_d`),
+    the text of each monomial (`monomial_str`), the layout of the unknowns
+    of psi (`_unknowns`), and the table's half of the commutator
+    psi(D1 g) - D2(psi g) for each generator g: psi(D g) when the table is
+    the source (`_psi_of_d`), -D(psi g) when it is the target
+    (`_minus_d_of_psi`). All of it depends only on `base`, `gens`,
+    `differentials` and `degree_cap`, and assigning any of these empties
+    the memo, so a table can be rebuilt by assigning a new `differentials`
+    tuple; the dicts inside a tuple are treated as immutable once
+    assigned. The memo is owned by the table and freed with it.
     """
 
     base: TensorAlgebra
@@ -266,9 +291,12 @@ class GeneratorTable:
     evaluation: tuple[Element, ...]
     degree_cap: int
     name: str = ""
-    _d_memo: dict[Monomial, FreeElt] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _d_memo_source: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _memo: "_TableMemo" = field(init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        object.__setattr__(self, name, value)
+        if name in ("base", "gens", "differentials", "degree_cap"):
+            object.__setattr__(self, "_memo", _TableMemo())
 
     def __post_init__(self):
         if len(self.differentials) != len(self.gens):
@@ -292,6 +320,10 @@ class GeneratorTable:
         return self.base.basis.degrees[b] + sum(self.gen_degree(g) for g in gens)
 
     def monomial_str(self, mono: Monomial) -> str:
+        """The monomial as text, from the memo (see the class docstring)."""
+        text = self._memo.text.get(mono)
+        if text is not None:
+            return text
         b, gens = mono
         parts = []
         i = 0
@@ -306,7 +338,8 @@ class GeneratorTable:
         if b != self.base.unit or not parts:
             base_label = self.base.basis.labels[b]
             parts.append(base_label if "*" not in base_label else f"({base_label})")
-        return "*".join(parts)
+        text = self._memo.text[mono] = "*".join(parts)
+        return text
 
     def element_str(self, elem: FreeElt) -> str:
         if not elem:
@@ -399,13 +432,10 @@ class GeneratorTable:
     def monomial_d(self, mono: Monomial) -> FreeElt:
         """D of one monomial with coefficient 1, from the memo (see the
         class docstring). The returned dict is shared: do not mutate it."""
-        if self._d_memo_source[0] is not self.base or \
-                self._d_memo_source[1] is not self.differentials:
-            self._d_memo = {}
-            self._d_memo_source = (self.base, self.differentials)
-        out = self._d_memo.get(mono)
+        memo = self._memo.d
+        out = memo.get(mono)
         if out is None:
-            out = self._d_memo[mono] = self._derive(mono)
+            out = memo[mono] = self._derive(mono)
         return out
 
     def _derive(self, mono: Monomial) -> FreeElt:
@@ -419,6 +449,68 @@ class GeneratorTable:
             s = sign * (-1) ** sum(self.gen_degree(h) for h in gens[:p])
             _accumulate(out, ((k, s * v) for k, v in term.items()))
         return out
+
+    def apply_images(self, x: FreeElt, images: Sequence[FreeElt], lift=None) -> FreeElt:
+        """Image of x under the multiplicative map that fixes the base and
+        sends generator g to images[g]; `lift`, when given, converts the
+        coefficients of x to the coefficient ring of the images."""
+        total: FreeElt = {}
+        for (b, gens), c in x.items():
+            acc: FreeElt = {(b, ()): c if lift is None else lift(c)}
+            for g in gens:
+                acc = self.mul(acc, images[g])
+                if not acc:
+                    break
+            _accumulate(total, acc.items())
+        return total
+
+    # -- the solver's memoised data (see the class docstring) ---------------
+
+    def _unknowns(self) -> "_Unknowns":
+        """One unknown per monomial of each generator's degree, numbered
+        by generator and then in `monomials_of_degree` order."""
+        memo = self._memo
+        if memo.unknowns is None:
+            names: dict[int, str] = {}
+            images: list[FreeElt] = []
+            diagonal: set[int] = set()
+            by_degree: dict[int, list[Monomial]] = {}
+            for g, (label, degree) in enumerate(self.gens):
+                if degree not in by_degree:
+                    by_degree[degree] = self.monomials_of_degree(degree)
+                image: FreeElt = {}
+                for mono in by_degree[degree]:
+                    var = len(names)
+                    names[var] = f"psi({label})[{self.monomial_str(mono)}]"
+                    image[mono] = Poly.variable(var)
+                    if mono == (self.base.unit, (g,)):
+                        diagonal.add(var)
+                images.append(image)
+            memo.unknowns = _Unknowns(names, images, frozenset(diagonal))
+        return memo.unknowns
+
+    def _psi_of_d(self) -> list[FreeElt]:
+        """psi(D g) for every generator g, with psi g in the unknowns."""
+        memo = self._memo
+        if memo.psi_of_d is None:
+            images = self._unknowns().images
+            memo.psi_of_d = [self.apply_images(dg, images, Poly.const)
+                             for dg in self.differentials]
+        return memo.psi_of_d
+
+    def _minus_d_of_psi(self) -> list[FreeElt]:
+        """-D(psi g) for every generator g, with psi g in the unknowns."""
+        memo = self._memo
+        if memo.minus_d_of_psi is None:
+            halves = []
+            for image in self._unknowns().images:
+                half: FreeElt = {}
+                for mono, unknown in image.items():
+                    _accumulate(half, ((k, unknown * -v)
+                                       for k, v in self.monomial_d(mono).items()))
+                halves.append(half)
+            memo.minus_d_of_psi = halves
+        return memo.minus_d_of_psi
 
     def evaluate(self, x: FreeElt) -> Element:
         """Extend the evaluation multiplicatively over monomials."""
@@ -573,42 +665,18 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
     if tuple(t1.differentials) == tuple(t2.differentials):
         identity = [{(t2.base.unit, (g,)): ONE} for g in range(ngen)]
         if _verify_witness(t1, t2, identity):
-            assignment = {}
-            images = {}
-            for g in range(ngen):
-                label = t1.gen_label(g)
-                for mono in t2.monomials_of_degree(t1.gen_degree(g)):
-                    name = f"psi({label})[{t2.monomial_str(mono)}]"
-                    assignment[name] = ONE if mono == (t2.base.unit, (g,)) else ZERO
-                images[label] = t2.element_str(identity[g])
+            unknowns = t2._unknowns()
+            assignment = {name: ONE if var in unknowns.diagonal else ZERO
+                          for var, name in unknowns.names.items()}
+            images = {t1.gen_label(g): t2.element_str(identity[g]) for g in range(ngen)}
             return Exists(assignment=assignment, generator_images=images)
 
-    var_names: dict[int, str] = {}
-    psi_images: list[FreeElt] = []
-    monomials_by_degree: dict[int, list[tuple[Monomial, str]]] = {}
-    next_var = 0
-    for g in range(ngen):
-        degree = t1.gen_degree(g)
-        if degree not in monomials_by_degree:
-            monomials_by_degree[degree] = [
-                (mono, t2.monomial_str(mono)) for mono in t2.monomials_of_degree(degree)]
-        image: FreeElt = {}
-        for mono, text in monomials_by_degree[degree]:
-            var_names[next_var] = f"psi({t1.gen_label(g)})[{text}]"
-            image[mono] = Poly.variable(next_var)
-            next_var += 1
-        psi_images.append(image)
-
-    def psi_apply(x: FreeElt) -> FreeElt:
-        total: FreeElt = {}
-        for (b, gens), c in x.items():
-            acc: FreeElt = {(b, ()): Poly.const(c)}
-            for g in gens:
-                acc = t2.mul(acc, psi_images[g])
-                if not acc:
-                    break
-            _accumulate(total, acc.items())
-        return total
+    # the layout of the unknowns depends only on the base, the generators
+    # and the cap, which `_compatible` requires to agree, so t1's half of
+    # the commutator and t2's half are in the same unknowns
+    unknowns = t2._unknowns()
+    var_names, psi_images = unknowns.names, unknowns.images
+    psi_of_d1, minus_d2_of_psi = t1._psi_of_d(), t2._minus_d_of_psi()
 
     system = AffineSystem()
     trace: list[str] = []
@@ -656,10 +724,7 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
         label = t1.gen_label(g)
         trace.append(f"-- stage {label} (degree {t1.gen_degree(g)})")
         # psi(D1 g) - D2(psi g), with psi g = sum of unknown * monomial
-        commutator = psi_apply(t1.differentials[g])
-        for mono, unknown in psi_images[g].items():
-            _accumulate(commutator, ((k, unknown * -v)
-                                     for k, v in t2.monomial_d(mono).items()))
+        commutator = _accumulate(dict(psi_of_d1[g]), minus_d2_of_psi[g].items())
         for mono in sorted(commutator, key=lambda m: (t2.monomial_degree(m), m[1], m[0])):
             prov = f"{label}: coefficient of {t2.monomial_str(mono)}"
             result = feed(commutator[mono], prov)
@@ -682,18 +747,10 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
     # assemble a concrete witness: free diagonal unknowns default to 1,
     # other free unknowns to 0, pivot rows then fix the rest
     assignment = dict(system.determined)
-    diagonal_vars = set()
-    for g in range(ngen):
-        for mono, poly in psi_images[g].items():
-            b, gens = mono
-            if b == t2.base.unit and gens == (g,):
-                (var,) = next(iter(poly.terms))
-                diagonal_vars.add(var)
-    pivot_vars = set(system.rows)
-    for var in range(next_var):
-        if var in assignment or var in pivot_vars:
+    for var in var_names:
+        if var in assignment or var in system.rows:
             continue
-        assignment[var] = ONE if var in diagonal_vars else ZERO
+        assignment[var] = ONE if var in unknowns.diagonal else ZERO
     for pivot, (coeffs, const, _) in sorted(system.rows.items(), reverse=True):
         value = const
         for v, c in coeffs.items():
@@ -726,20 +783,8 @@ def _verify_witness(t1: GeneratorTable, t2: GeneratorTable,
                     images: Sequence[FreeElt]) -> bool:
     """Substituted witness must satisfy psi D1 = D2 psi exactly on every
     generator and have an invertible linear part in each degree."""
-
-    def apply(x: FreeElt) -> FreeElt:
-        total: FreeElt = {}
-        for (b, gens), c in x.items():
-            acc: FreeElt = {(b, ()): c}
-            for g in gens:
-                acc = t2.mul(acc, images[g])
-                if not acc:
-                    break
-            total = t2.add(total, acc)
-        return total
-
     for g in range(len(t1.gens)):
-        lhs = apply(t1.differentials[g])
+        lhs = t2.apply_images(t1.differentials[g], images)
         rhs = t2.d(images[g])
         if t2.add(lhs, {k: -v for k, v in rhs.items()}):
             return False

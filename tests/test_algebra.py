@@ -196,9 +196,9 @@ def _with_product(alg, left, right, target, coeff):
     return _rebuild(alg, mult=mult)
 
 
-def _with_extra_d(alg, source, target):
+def _with_extra_d(alg, source, target, coeff=1):
     ix = alg.basis.index
-    return _rebuild(alg, diff=alg.diff_entries() + [(ix(source), ix(target), F(1))])
+    return _rebuild(alg, diff=alg.diff_entries() + [(ix(source), ix(target), F(coeff))])
 
 
 def _witnesses(alg):
@@ -291,3 +291,47 @@ def test_check_cdga_matches_naive_oracle_on_perturbations():
             failing.update(c.axiom for c in report.failed())
     # the sample reaches every axiom the perturbations can break
     assert failing >= {"associativity", "d_squared", "leibniz"}
+
+
+def _rescaled(alg):
+    """`alg` in the basis f_i = s_i e_i, with s_i cycling through 1, 1/3,
+    7, 1/2 and 5 off the unit, so that its structure constants (and d,
+    where there is one) have nontrivial denominators."""
+    cycle = (F(1), F(1, 3), F(7), F(1, 2), F(5))
+    scale = [F(1) if i == alg.unit else cycle[i % 5] for i in range(alg.dim())]
+    mult = [(i, j, k, scale[i] * scale[j] * c / scale[k]) for i, j, k, c in alg.mult_entries()]
+    diff = [(i, j, scale[i] * c / scale[j]) for i, j, c in alg.diff_entries()]
+    return _rebuild(alg, mult=mult, diff=diff)
+
+
+def test_check_cdga_matches_naive_oracle_on_rescaled_bases():
+    from cdga_config.cone import cone_model
+    from cdga_config.products import product_pd
+
+    from oracles import naive_check_cdga
+
+    rng = random.Random(31)
+    algebras = [product_pd(preset_pd(a), preset_pd(b)).algebra
+                for a, b in (("s2", "s3"), ("cp2", "s2"))]
+    cones = [cone_model(preset_pd(p)).algebra for p in ("s2", "s2xs3")]
+    failing = set()
+    for alg in map(_rescaled, algebras + cones):
+        assert any(c.denominator > 1 for *_, c in alg.mult_entries())
+        assert not alg.diff_entries() or any(c.denominator > 1 for *_, c in alg.diff_entries())
+        assert check_cdga(alg).all_pass
+        assert check_cdga(alg) == naive_check_cdga(alg)
+        for broken in _perturbations(alg, rng, 8):
+            report = check_cdga(broken)
+            assert report == naive_check_cdga(broken), alg.name
+            failing.update(c.axiom for c in report.failed())
+    assert failing >= {"associativity", "d_squared", "leibniz"}
+
+
+def test_d_squared_witness_keeps_fractional_coefficients(s2xs3):
+    from cdga_config.cone import cone_model
+
+    alg = cone_model(s2xs3).algebra
+    assert _witnesses(_with_extra_d(alg, "1⊗y", "S1", F(-5, 7))) == {
+        "d_squared": "d²(1⊗y) = -5/7*1⊗xy - 5/7*x⊗y + 5/7*y⊗x + 5/7*xy⊗1",
+        "leibniz": "(1⊗x, 1⊗y)",
+    }

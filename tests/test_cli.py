@@ -108,7 +108,10 @@ def _s2_document(**overrides):
     ({"basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": True}]},
      "basis[1].degree must be an integer, got true"),
     ({"formal_dimension": True}, "formal_dimension must be an integer, got true"),
-], ids=["flags-list", "degree-float", "degree-bool", "formal-dimension-bool"])
+    ({"flags": {"simply_connected": "false"}},
+     'flags.simply_connected must be a boolean, got "false"'),
+], ids=["flags-list", "degree-float", "degree-bool", "formal-dimension-bool",
+        "simply-connected-string"])
 def test_check_rejects_mistyped_fields_with_json_path(tmp_path, capsys, overrides, path):
     doc = tmp_path / "mistyped.json"
     doc.write_text(json.dumps(_s2_document(**overrides)), encoding="utf-8")

@@ -143,3 +143,42 @@ def test_table_loader_rejects_non_integer_degrees(tmp_path, edit, path):
     with pytest.raises(ParseError) as info:
         load_table_file(doc, {"q": F(1), "r": F(0)})
     assert f"{doc}: {path} must be an integer" in str(info.value)
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+def test_simply_connected_flag_must_be_boolean(value):
+    doc = minimal_doc(flags={"simply_connected": value})
+    with pytest.raises(ParseError) as info:
+        load_algebra_data(doc, "doc")
+    assert str(info.value) == (
+        f"doc: flags.simply_connected must be a boolean, got {json.dumps(value)}")
+
+
+def _edit_h_term(data, term):
+    data["differentials"]["h"][3] = term
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["evaluation"].pop("h"), 'missing field evaluation["h"]'),
+    (lambda d: _edit_h_term(d, "-q*(y(x)xy)"),
+     'differentials["h"][3] must be an object, got "-q*(y(x)xy)"'),
+    (lambda d: d["differentials"]["z5"][0].update(gens=["w"]),
+     'differentials["z5"][0].gens[0] is not a generator, got "w"'),
+    (lambda d: d.update(differentials=[]), "differentials must be an object, got []"),
+    (lambda d: d["differentials"]["z5"][0].update(gens=[["u"]]),
+     'differentials["z5"][0].gens[0] is not a generator, got ["u"]'),
+    (lambda d: d.update(parameters=["q", {"r": 1}]),
+     'parameters[1] must be a string, got {"r": 1}'),
+], ids=["evaluation-missing", "term-string", "unknown-generator", "differentials-list",
+        "generator-list", "parameter-object"])
+def test_table_loader_names_the_json_path(tmp_path, edit, message):
+    from cdga_config.io import load_table_file
+    from cdga_config.presets import table_preset_path
+
+    data = json.loads(table_preset_path().read_text(encoding="utf-8"))
+    edit(data)
+    doc = tmp_path / "table.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_table_file(doc, {"q": F(1), "r": F(0)})
+    assert str(info.value) == f"{doc}: {message}"

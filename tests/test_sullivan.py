@@ -278,3 +278,78 @@ def test_classify_example_matches_fresh_pairwise_solves():
         for j, r in enumerate(qs):
             fresh = iso_obstruction(s2xs3_table(q, 0), s2xs3_table(r, 0))
             assert matrix[i][j] == fresh
+
+
+def test_solver_sees_reassigned_source_differentials():
+    t1 = s2xs3_table(3, 0)
+    t2 = s2xs3_table(1, 0)
+    assert isinstance(iso_obstruction(t1, t2), Obstructed)
+    t1.differentials = s2xs3_table(1, 0).differentials
+    assert isinstance(iso_obstruction(t1, t2), Exists)
+    t1.differentials = s2xs3_table(2, 0).differentials
+    result = iso_obstruction(t1, t2)
+    assert isinstance(result, Obstructed)
+    assert result == iso_obstruction(s2xs3_table(2, 0), t2)
+
+
+def test_one_table_as_source_and_target():
+    t = s2xs3_table(F(3, 2), 0)
+    other = s2xs3_table(-4, 0)
+    # fill the table's memo in both roles first
+    assert iso_obstruction(t, other) == iso_obstruction(s2xs3_table(F(3, 2), 0), other)
+    assert iso_obstruction(other, t) == iso_obstruction(other, s2xs3_table(F(3, 2), 0))
+    result = iso_obstruction(t, t)
+    assert isinstance(result, Exists)
+    assert result == iso_obstruction(s2xs3_table(F(3, 2), 0), s2xs3_table(F(3, 2), 0))
+
+
+def test_solved_table_is_freed():
+    import gc
+    import weakref
+
+    t1, t2 = s2xs3_table(1, 0), s2xs3_table(2, 0)
+    assert isinstance(iso_obstruction(t1, t2), Obstructed)
+    assert isinstance(iso_obstruction(t2, t1), Obstructed)
+    refs = [weakref.ref(t1), weakref.ref(t2)]
+    del t1, t2
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+# --- the affine system ----------------------------------------------------------
+
+
+def test_affine_system_stays_fully_reduced():
+    from cdga_config.sullivan import AffineSystem
+
+    # equations with the solution x below, one of them redundant
+    x = [F(2), F(-1), F(3), F(1, 2), F(5), F(-2), F(1, 3)]
+    equations = [
+        {0: F(1), 1: F(2), 2: F(-1)},
+        {1: F(1), 3: F(1)},
+        {2: F(2), 3: F(-1), 4: F(1)},
+        {3: F(1, 2), 5: F(1)},
+        {5: F(1)},
+        {4: F(1), 6: F(3)},
+        {0: F(1), 1: F(2), 2: F(-1), 5: F(-3)},
+        {2: F(1), 0: F(1)},
+        {6: F(1)},
+    ]
+    system = AffineSystem()
+    newly = []
+    for coeffs in equations:
+        const = sum(c * x[v] for v, c in coeffs.items())
+        newly.append(system.add(coeffs, const, "pinned"))
+        pivots = set(system.rows)
+        for pivot, (row, _, _) in system.rows.items():
+            assert row[pivot] == 1
+            assert not (set(row) - {pivot}) & pivots
+            assert not set(row) & set(system.determined)
+    assert newly == [
+        [], [], [], [],
+        [(1, F(-1)), (3, F(1, 2)), (5, F(-2))],
+        [], [],
+        [(0, F(2)), (2, F(3)), (4, F(5)), (6, F(1, 3))],
+        [],
+    ]
+    assert system.determined == dict(enumerate(x)) and not system.rows
