@@ -23,7 +23,8 @@ from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
-from .linalg import ONE, ZERO, SparseMatrix, _accumulate, _combine, kernel_basis, row_space_basis
+from .linalg import (ONE, ZERO, SparseMatrix, _accumulate, _combine, _pivots, _reduce,
+                     kernel_basis, row_space_basis)
 
 Coeffs = dict[int, Fraction]
 
@@ -572,29 +573,16 @@ class CohomologyReport:
         return sum(e.betti for e in self.degrees.values())
 
 
-def _reduce_against(rows: list[list[Fraction]], vec: list[Fraction]) -> list[Fraction]:
-    """Canonical coset representative of vec modulo the rref row space."""
-    out = list(vec)
-    for row in rows:
-        p = next(i for i, v in enumerate(row) if v)
-        if out[p]:
-            coeff = out[p]
-            out = [a - coeff * b for a, b in zip(out, row)]
-    return out
-
-
-def cohomology(space) -> CohomologyReport:
+def cohomology(space: DGAlgebra) -> CohomologyReport:
     """Cohomology of a finite cochain complex with deterministic
     representatives, reduced against the coboundary basis.
 
-    `space` needs `.basis` and `.d_basis(i)`; algebras, cones and quotient
-    algebras all qualify. Raises NotAComplex when d squared is nonzero.
+    `space` is any DGAlgebra: algebras, cones and quotient algebras all
+    qualify. Raises NotAComplex when d squared is nonzero.
     """
     basis = space.basis
     for i in range(len(basis)):
-        dd_coeffs: Coeffs = {}
-        for j, c in space.d_basis(i).items():
-            _accumulate(dd_coeffs, ((k, c * v) for k, v in space.d_basis(j).items()))
+        dd_coeffs = space.d_coeffs(space.d_basis(i))
         if dd_coeffs:
             witness_terms = ", ".join(
                 f"{c}*{basis.labels[k]}" for k, c in sorted(dd_coeffs.items())
@@ -606,34 +594,20 @@ def cohomology(space) -> CohomologyReport:
     if not degrees:
         return CohomologyReport(space, report)
 
+    outgoing = space.diff_block(-1)
     for k in range(0, basis.max_degree() + 1):
+        incoming, outgoing = outgoing, space.diff_block(k)
         idx = basis.degree_indices(k)
         if not idx:
             report[k] = DegreeCohomology(0, (), ())
             continue
-        pos = {g: c for c, g in enumerate(idx)}
         dim = len(idx)
 
-        # coboundaries: images of the degree k-1 basis
-        images = []
-        for i in basis.degree_indices(k - 1):
-            row = [ZERO] * dim
-            for j, c in space.d_basis(i).items():
-                row[pos[j]] = c
-            if any(row):
-                images.append(row)
-        cob_rows = row_space_basis(images, dim)
-
-        # cocycles: kernel of the degree k block
-        tgt = basis.degree_indices(k + 1)
-        tpos = {g: r for r, g in enumerate(tgt)}
-        data = {}
-        for c, i in enumerate(idx):
-            for j, v in space.d_basis(i).items():
-                data[(tpos[j], c)] = v
-        kernel = kernel_basis(SparseMatrix(len(tgt), dim, data))
-
-        reduced = [_reduce_against(cob_rows, v) for v in kernel]
+        # coboundaries: the span of the columns of the incoming block;
+        # cocycles: the kernel of the outgoing one
+        cob_rows = row_space_basis(incoming.transpose().dense_rows(), dim)
+        pivots = _pivots(cob_rows)
+        reduced = [_reduce(cob_rows, pivots, v) for v in kernel_basis(outgoing)]
         rep_rows = row_space_basis([r for r in reduced if any(r)], dim)
 
         def to_element(vec: list[Fraction]) -> Element:
@@ -652,13 +626,6 @@ def betti_table(space, up_to: Optional[int] = None) -> list[int]:
     return cohomology(space).betti_vector(up_to)
 
 
-def cocycle_vectors(space, k: int) -> list[list[Fraction]]:
+def cocycle_vectors(space: DGAlgebra, k: int) -> list[list[Fraction]]:
     """Basis of the degree-k cocycles in degree-block coordinates."""
-    idx = space.basis.degree_indices(k)
-    tgt = space.basis.degree_indices(k + 1)
-    tpos = {g: r for r, g in enumerate(tgt)}
-    data = {}
-    for c, i in enumerate(idx):
-        for j, v in space.d_basis(i).items():
-            data[(tpos[j], c)] = v
-    return kernel_basis(SparseMatrix(len(tgt), len(idx), data))
+    return kernel_basis(space.diff_block(k))

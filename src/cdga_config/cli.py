@@ -87,6 +87,9 @@ def _load_checked(argument: str) -> tuple[PDAlgebra, dict]:
 
 
 class _CheckFailed(Exception):
+    """An input failed its axiom or duality check; `main` reports the
+    fragment with exit status 2."""
+
     def __init__(self, fragment: dict):
         self.fragment = fragment
 
@@ -118,24 +121,14 @@ def _axiom_lines(fragment: dict) -> list[str]:
 
 
 def cmd_check(args) -> int:
-    try:
-        pd, fragment = _load_checked(args.file)
-    except _CheckFailed as failed:
-        report = {"command": "check", "version": __version__, **failed.fragment, "ok": False}
-        _emit(report, _axiom_lines(failed.fragment) + ["result: FAIL"], args.json)
-        return EXIT_CHECK
+    pd, fragment = _load_checked(args.file)
     report = {"command": "check", "version": __version__, **fragment, "ok": True}
     _emit(report, _axiom_lines(fragment) + ["result: all checks pass"], args.json)
     return EXIT_OK
 
 
 def cmd_diagonal(args) -> int:
-    try:
-        pd, fragment = _load_checked(args.file)
-    except _CheckFailed as failed:
-        report = {"command": "diagonal", "version": __version__, **failed.fragment, "ok": False}
-        _emit(report, _axiom_lines(failed.fragment) + ["result: FAIL"], args.json)
-        return EXIT_CHECK
+    pd, fragment = _load_checked(args.file)
     diag = diagonal_class(pd)
     duals = pd.dual_basis
     cone = cone_model(pd)
@@ -162,12 +155,7 @@ def cmd_diagonal(args) -> int:
 
 
 def cmd_betti_fm2(args) -> int:
-    try:
-        pd, fragment = _load_checked(args.file)
-    except _CheckFailed as failed:
-        report = {"command": "betti-fm2", "version": __version__, **failed.fragment, "ok": False}
-        _emit(report, _axiom_lines(failed.fragment) + ["result: FAIL"], args.json)
-        return EXIT_CHECK
+    pd, fragment = _load_checked(args.file)
     cone = cone_model(pd)
     top = cone.algebra.basis.max_degree()
     cone_betti = cohomology(cone.algebra).betti_vector(top)
@@ -197,12 +185,7 @@ def cmd_betti_fm2(args) -> int:
 
 
 def cmd_cxi(args) -> int:
-    try:
-        pd, fragment = _load_checked(args.file)
-    except _CheckFailed as failed:
-        report = {"command": "cxi", "version": __version__, **failed.fragment, "ok": False}
-        _emit(report, _axiom_lines(failed.fragment) + ["result: FAIL"], args.json)
-        return EXIT_CHECK
+    pd, fragment = _load_checked(args.file)
     if args.xi is not None:
         xi = parse_element(pd.square, args.xi)
         model = build_cxi(pd, xi)
@@ -292,13 +275,8 @@ def cmd_classify_example(args) -> int:
 
 
 def cmd_product(args) -> int:
-    try:
-        pd_a, frag_a = _load_checked(args.file_a)
-        pd_b, frag_b = _load_checked(args.file_b)
-    except _CheckFailed as failed:
-        report = {"command": "product", "version": __version__, **failed.fragment, "ok": False}
-        _emit(report, _axiom_lines(failed.fragment) + ["result: FAIL"], args.json)
-        return EXIT_CHECK
+    pd_a, frag_a = _load_checked(args.file_a)
+    pd_b, frag_b = _load_checked(args.file_b)
     product = product_pd(pd_a, pd_b)
     correspondence = diagonal_correspondence(pd_a, pd_b)
     out_path = Path(args.out) if args.out else Path(
@@ -341,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="emit only the machine-readable JSON report")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled spot-checks (current commands verify "
-                             "exhaustively; accepted for a stable interface)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common],
@@ -393,6 +368,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else EXIT_PARSE
     try:
         return args.func(args)
+    except _CheckFailed as failed:
+        report = {"command": args.command, "version": __version__, **failed.fragment, "ok": False}
+        _emit(report, _axiom_lines(failed.fragment) + ["result: FAIL"], args.json)
+        return EXIT_CHECK
     except (ParseError, ExpressionParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

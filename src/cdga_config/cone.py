@@ -131,6 +131,8 @@ class MappingCone:
         self.ring_to_cone = tuple(ring_to_cone)
         self.susp_to_cone = tuple(susp_to_cone)
         self.pd = pd
+        # the truncation of this cone, filled by `twisted.truncate_cone`
+        self._truncation = None
 
     def include_base(self, x: Element) -> Element:
         """The inclusion R -> cone, r -> (r, 0)."""
@@ -172,11 +174,10 @@ def cone_model(pd: PDAlgebra) -> MappingCone:
 
     Runs the full CDGA axiom check on the result; valid Poincare duality
     input must always pass, so a failure is raised, not reported. The cone
-    is cached on the (immutable) duality structure.
+    is cached on the (immutable) duality structure, in `pd._cone_model`.
     """
-    cached = getattr(pd, "_cone_model", None)
-    if cached is not None:
-        return cached
+    if pd._cone_model is not None:
+        return pd._cone_model
     f = shriek_map(pd)
     labels = [f"S{l}" for l in pd.algebra.basis.labels]
     cone = MappingCone(f, labels, name=f"C({pd.algebra.name or 'A'})", pd=pd)

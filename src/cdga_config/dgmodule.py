@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .algebra import DGAlgebra, Element, GradedBasis
 from .errors import NotAModuleMap, StructureError
-from .linalg import ONE, ZERO
+from .linalg import ONE, _accumulate, _combine
 
 Coeffs = dict[int, Fraction]
 
@@ -52,14 +52,15 @@ class DGModule:
                     raise StructureError("module action violates degrees")
             if clean:
                 self._action[(r, m)] = clean
-        self._diff: dict[int, Coeffs] = {}
+        # one row per basis index, empty for cocycles
+        rows: list[Coeffs] = [{} for _ in degs]
         for i, row in diff.items():
             clean = {j: Fraction(c) for j, c in row.items() if c}
             for j in clean:
                 if degs[j] != degs[i] + 1:
                     raise StructureError("module differential does not raise degree by 1")
-            if clean:
-                self._diff[i] = clean
+            rows[i] = clean
+        self._diff: tuple[Coeffs, ...] = tuple(rows)
 
     def dim(self) -> int:
         return len(self.basis)
@@ -74,18 +75,10 @@ class DGModule:
         return Element(self, {})
 
     def d_basis(self, i: int) -> Coeffs:
-        return dict(self._diff.get(i, {}))
+        return dict(self._diff[i])
 
     def d(self, x: Element) -> Element:
-        out: Coeffs = {}
-        for i, a in x.coeffs.items():
-            for j, c in self._diff.get(i, {}).items():
-                acc = out.get(j, ZERO) + a * c
-                if acc:
-                    out[j] = acc
-                else:
-                    del out[j]
-        return Element(self, out)
+        return Element(self, _combine(x.coeffs, self._diff))
 
     def act_basis(self, r: int, m: int) -> Coeffs:
         return dict(self._action.get((r, m), {}))
@@ -97,15 +90,9 @@ class DGModule:
         for ri, a in r.coeffs.items():
             for mi, b in m.coeffs.items():
                 row = self._action.get((ri, mi))
-                if not row:
-                    continue
-                ab = a * b
-                for k, c in row.items():
-                    acc = out.get(k, ZERO) + ab * c
-                    if acc:
-                        out[k] = acc
-                    else:
-                        del out[k]
+                if row:
+                    ab = a * b
+                    _accumulate(out, ((k, ab * c) for k, c in row.items()))
         return Element(self, out)
 
     def verify(self) -> None:
@@ -190,7 +177,7 @@ def suspend(module: DGModule, k: int, label: Optional[Callable[[str], str]] = No
     for (r, m), row in module._action.items():
         sign = (-1) ** (k * ring.basis.degrees[r])
         action[(r, m)] = {t: sign * c for t, c in row.items()}
-    diff = {i: {j: dsign * c for j, c in row.items()} for i, row in module._diff.items()}
+    diff = {i: {j: dsign * c for j, c in row.items()} for i, row in enumerate(module._diff)}
     return DGModule(ring, basis, action, diff, name=f"s^{k}({module.name})")
 
 
@@ -221,10 +208,7 @@ class ModuleMap:
             self.verify()
 
     def apply(self, x: Element) -> Element:
-        out = self.target.zero()
-        for i, c in x.coeffs.items():
-            out = out + self.images[i].scale(c)
-        return out
+        return Element(self.target, _combine(x.coeffs, [img.coeffs for img in self.images]))
 
     def verify(self) -> None:
         src, tgt, ring = self.source, self.target, self.source.ring

@@ -404,6 +404,9 @@ def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Fraction
 
     differentials = []
     table_diffs = _of_type(_require(data, "differentials", source), dict, "differentials", source)
+    for label in table_diffs:
+        if label not in gen_index:
+            raise ParseError(f"{source}: differentials[{json.dumps(label)}] names no generator")
     for label, _ in gens:
         at = f"differentials[{json.dumps(label)}]"
         total: dict = {}

@@ -21,8 +21,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-# The two sparse primitives below are private so that per-function tracing
-# of the public API does not wrap the innermost loops of the package.
+# The helpers with a leading underscore (the sparse primitives below and the
+# rref reduction further down) are private so that per-function tracing of
+# the public API does not wrap the innermost loops of the package.
 
 
 def _accumulate(out: dict, terms: Iterable[tuple[object, object]]) -> dict:
@@ -145,13 +146,7 @@ class SparseMatrix:
         for (r, c), v in other._data.items():
             by_row.setdefault(r, []).append((c, v))
         for (r, k), v in self._data.items():
-            for c, w in by_row.get(k, ()):
-                key = (r, c)
-                acc = data.get(key, ZERO) + v * w
-                if acc:
-                    data[key] = acc
-                elif key in data:
-                    del data[key]
+            _accumulate(data, (((r, c), v * w) for c, w in by_row.get(k, ())))
         return SparseMatrix(self.rows, other.cols, data)
 
     def is_zero(self) -> bool:
@@ -284,6 +279,41 @@ def row_space_basis(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> 
     return rows[: len(pivots)]
 
 
+def _pivots(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Pivot column of each rref row: the position of its first nonzero
+    entry."""
+    return [next(c for c, v in enumerate(row) if v) for row in rows]
+
+
+def _reduce(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
+            vec: Sequence[Fraction]) -> list[Fraction]:
+    """Canonical representative of vec modulo the span of the rref `rows`
+    with the given pivots: the unique one that is zero at every pivot.
+    Each pivot column is zero in the other rows, so one pass suffices."""
+    out = list(vec)
+    for row, p in zip(rows, pivots):
+        coeff = out[p]
+        if coeff:
+            out = [a - coeff * b for a, b in zip(out, row)]
+    return out
+
+
+def _projection(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], dim: int
+                ) -> tuple[list[int], SparseMatrix]:
+    """The non-pivot coordinates of the rref `rows`, in increasing order,
+    and the matrix of `_reduce` read off at those coordinates: it vanishes
+    exactly on the row space and is the identity on the kept coordinates."""
+    pivot_set = set(pivots)
+    keep = [j for j in range(dim) if j not in pivot_set]
+    data = {}
+    for q, j in enumerate(keep):
+        data[(q, j)] = ONE
+        for row, p in zip(rows, pivots):
+            if row[j]:
+                data[(q, p)] = -row[j]
+    return keep, SparseMatrix(len(keep), dim, data)
+
+
 def quotient_data(
     subspace: Sequence[Sequence[Fraction]], ambient_dim: int
 ) -> tuple[list[list[Fraction]], SparseMatrix]:
@@ -295,27 +325,9 @@ def quotient_data(
     span and restricts to the identity on the representatives.
     """
     reduced = row_space_basis(subspace, ambient_dim)
-    pivots = []
-    for row in reduced:
-        for j, v in enumerate(row):
-            if v:
-                pivots.append(j)
-                break
-    pivot_set = set(pivots)
-    keep = [j for j in range(ambient_dim) if j not in pivot_set]
-    reps = []
-    for j in keep:
-        vec = [ZERO] * ambient_dim
-        vec[j] = ONE
-        reps.append(vec)
-    data = {}
-    for qi, j in enumerate(keep):
-        data[(qi, j)] = ONE
-        for i, p in enumerate(pivots):
-            coeff = reduced[i][j]
-            if coeff:
-                data[(qi, p)] = -coeff
-    return reps, SparseMatrix(len(keep), ambient_dim, data)
+    keep, projection = _projection(reduced, _pivots(reduced), ambient_dim)
+    reps = [[ONE if i == j else ZERO for i in range(ambient_dim)] for j in keep]
+    return reps, projection
 
 
 def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction], ambient_dim: int

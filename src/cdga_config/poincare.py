@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 from .algebra import DGAlgebra, Element
 from .dgmodule import DGModule, ModuleMap, module_via_algebra_map, suspend
 from .errors import PDFailure, StructureError
-from .linalg import ONE, ZERO, SparseMatrix, invert
+from .linalg import ONE, ZERO, SparseMatrix, _accumulate, invert, kernel_basis
 from .products import TensorAlgebra, tensor
 
 
@@ -38,6 +38,11 @@ class PDAlgebra:
         self.algebra = algebra
         self.n = n
         self.epsilon = {i: Fraction(c) for i, c in epsilon.items() if c}
+        # per degree k, the inverse of the degree k pairing matrix (None if
+        # singular), filled by `_pairing_inverse`
+        self._pairing_inverses: dict[int, Optional[SparseMatrix]] = {}
+        # the cone of the shriek map, filled by `cone.cone_model`
+        self._cone_model = None
 
     def epsilon_value(self, x: Element) -> Fraction:
         """Apply the orientation functional to the degree-n part of x."""
@@ -61,28 +66,40 @@ class PDAlgebra:
                 return Element(self.algebra, {i: ONE / v})
         raise PDFailure("NoOrientationClass")
 
+    def _pairing_matrix(self, k: int) -> SparseMatrix:
+        """eps(a_i . a_j) for a_i of degree k (rows) and a_j of degree n-k."""
+        alg = self.algebra
+        rows_idx = alg.basis.degree_indices(k)
+        cols_idx = alg.basis.degree_indices(self.n - k)
+        return SparseMatrix(
+            len(rows_idx),
+            len(cols_idx),
+            {
+                (r, c): v
+                for r, i in enumerate(rows_idx)
+                for c, j in enumerate(cols_idx)
+                if (v := self.pairing(alg.basis_element(i), alg.basis_element(j)))
+            },
+        )
+
+    def _pairing_inverse(self, k: int) -> Optional[SparseMatrix]:
+        """Inverse of the degree k pairing matrix, None if it is singular;
+        inverted once per degree."""
+        if k not in self._pairing_inverses:
+            self._pairing_inverses[k] = invert(self._pairing_matrix(k))
+        return self._pairing_inverses[k]
+
     @cached_property
     def dual_basis(self) -> tuple[Element, ...]:
         """a_i* per basis element, with eps(a_i . a_j*) = delta_ij."""
         alg = self.algebra
         duals: list[Optional[Element]] = [None] * alg.dim()
         for k in alg.basis.degrees_present():
-            rows_idx = alg.basis.degree_indices(k)
-            cols_idx = alg.basis.degree_indices(self.n - k)
-            pairing = SparseMatrix(
-                len(rows_idx),
-                len(cols_idx),
-                {
-                    (r, c): v
-                    for r, i in enumerate(rows_idx)
-                    for c, j in enumerate(cols_idx)
-                    if (v := self.pairing(alg.basis_element(i), alg.basis_element(j)))
-                },
-            )
-            inverse = invert(pairing)
+            inverse = self._pairing_inverse(k)
             if inverse is None:
                 raise PDFailure("DegenerateAt", k)
-            for r, i in enumerate(rows_idx):
+            cols_idx = alg.basis.degree_indices(self.n - k)
+            for r, i in enumerate(alg.basis.degree_indices(k)):
                 duals[i] = Element(
                     alg, {j: inverse.entry(c, r) for c, j in enumerate(cols_idx)}
                 )
@@ -141,20 +158,8 @@ def check_pd(
                 "DegenerateAt", k,
                 f"dim A^{k} = {len(rows_idx)} but dim A^{n - k} = {len(cols_idx)}",
             )
-        matrix = SparseMatrix(
-            len(rows_idx),
-            len(cols_idx),
-            {
-                (r, c): v
-                for r, i in enumerate(rows_idx)
-                for c, j in enumerate(cols_idx)
-                if (v := pd.pairing(algebra.basis_element(i), algebra.basis_element(j)))
-            },
-        )
-        if invert(matrix) is None:
-            from .linalg import kernel_basis
-
-            null = kernel_basis(matrix.transpose())
+        if pd._pairing_inverse(k) is None:
+            null = kernel_basis(pd._pairing_matrix(k).transpose())
             witness = None
             if null:
                 witness = str(
@@ -187,13 +192,8 @@ def diagonal_class(pd: PDAlgebra) -> DiagonalClass:
     coeffs: dict[int, Fraction] = {}
     for i in range(pd.algebra.dim()):
         sign = (-1) ** degs[i]
-        for j, c in pd.dual_basis[i].coeffs.items():
-            t = square.pair_index(i, j)
-            acc = coeffs.get(t, ZERO) + sign * c
-            if acc:
-                coeffs[t] = acc
-            else:
-                del coeffs[t]
+        _accumulate(coeffs, ((square.pair_index(i, j), sign * c)
+                             for j, c in pd.dual_basis[i].coeffs.items()))
     return DiagonalClass(Element(square, coeffs))
 
 

@@ -21,7 +21,7 @@ _cache: dict[str, PDAlgebra] = {}
 
 def preset_path(name: str) -> Path:
     base = name[:-5] if name.endswith(".json") else name
-    if base not in PRESET_NAMES and base != "s2xs3_table":
+    if base not in PRESET_NAMES:
         raise ParseError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     return Path(str(resources.files("cdga_config").joinpath("data", f"{base}.json")))
 

@@ -3,10 +3,11 @@ subcomplexes with their own cohomology.
 
 Every quotient in the pipeline (by the diagonal ideal, by the acyclic
 ideal of the even-dimensional model, by the top truncation, by the
-equivalence ideal) goes through `quotient_dga`. Representatives are the
-ambient basis vectors at the non-pivot coordinates of the per-degree rref,
-so quotient bases keep their ambient labels and all reports stay
-deterministic.
+equivalence ideal) goes through `quotient_dga`. The reduction modulo the
+per-degree rref rows and the projection built from it come from `linalg`.
+Representatives are the ambient basis vectors at the non-pivot coordinates
+of the per-degree rref, so quotient bases keep their ambient labels and
+all reports stay deterministic.
 """
 
 from __future__ import annotations
@@ -15,17 +16,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import DGAlgebra, Element, GradedBasis, cohomology
+from .algebra import Coeffs, DGAlgebra, Element, GradedBasis, cohomology
 from .errors import StructureError
-from .linalg import ONE, ZERO, SparseMatrix, betti_numbers, row_space_basis, solve
+from .linalg import ONE, ZERO, SparseMatrix, _pivots, _projection, _reduce, betti_numbers, row_space_basis
+
+
+def _by_degree(coeffs: Coeffs, degrees: Sequence[int]) -> dict[int, Coeffs]:
+    """The homogeneous components of a coefficient dict, keyed by degree."""
+    parts: dict[int, Coeffs] = {}
+    for i, c in coeffs.items():
+        parts.setdefault(degrees[i], {})[i] = c
+    return parts
 
 
 def homogeneous_parts(elem: Element) -> list[Element]:
     """Split an element into its homogeneous components, by degree."""
-    parts: dict[int, dict] = {}
-    degs = elem.parent.basis.degrees
-    for i, c in elem.coeffs.items():
-        parts.setdefault(degs[i], {})[i] = c
+    parts = _by_degree(elem.coeffs, elem.parent.basis.degrees)
     return [Element(elem.parent, parts[d]) for d in sorted(parts)]
 
 
@@ -33,27 +39,26 @@ class Subcomplex:
     """A graded subspace of an algebra's underlying complex, with the
     restricted differential.
 
-    Construction verifies d-closure by expressing each d-image in the
+    Construction verifies d-closure by reducing each d-image modulo the
     degree bases; `betti` then measures the subcomplex itself, so
     `is_acyclic` certifies acyclicity of differential ideals.
     """
 
-    def __init__(self, ambient, vectors: Sequence[Element]):
+    def __init__(self, ambient: DGAlgebra, vectors: Sequence[Element]):
         self.ambient = ambient
+        degrees = ambient.basis.degrees
         by_degree: dict[int, list[list[Fraction]]] = {}
         for v in vectors:
-            if v.is_zero():
-                continue
-            for part in homogeneous_parts(v):
-                k = part.degree()
+            for k, part in _by_degree(v.coeffs, degrees).items():
                 idx = ambient.basis.degree_indices(k)
-                by_degree.setdefault(k, []).append(part.vector(idx))
+                by_degree.setdefault(k, []).append([part.get(i, ZERO) for i in idx])
         self.bases: dict[int, list[list[Fraction]]] = {}
+        self._pivots: dict[int, list[int]] = {}
         for k, vecs in sorted(by_degree.items()):
-            dim = len(ambient.basis.degree_indices(k))
-            rows = row_space_basis(vecs, dim)
+            rows = row_space_basis(vecs, len(ambient.basis.degree_indices(k)))
             if rows:
                 self.bases[k] = rows
+                self._pivots[k] = _pivots(rows)
         self._diff_blocks: dict[int, SparseMatrix] = {}
         self._verify_closed()
 
@@ -64,29 +69,20 @@ class Subcomplex:
         return len(self.bases.get(k, ()))
 
     def _verify_closed(self):
+        """d of every basis row must reduce to zero modulo the degree k+1
+        rows; its coordinates there are its entries at their pivots."""
         for k, rows in self.bases.items():
-            idx = self.ambient.basis.degree_indices(k)
+            block = self.ambient.diff_block(k)
             target_rows = self.bases.get(k + 1, [])
-            tgt_idx = self.ambient.basis.degree_indices(k + 1)
+            target_pivots = self._pivots.get(k + 1, [])
             cols = []
             for row in rows:
-                img: dict[int, Fraction] = {}
-                for c, i in enumerate(idx):
-                    if row[c]:
-                        for j, v in self.ambient.d_basis(i).items():
-                            img[j] = img.get(j, ZERO) + row[c] * v
-                img_vec = [img.get(i, ZERO) for i in tgt_idx]
-                if any(img_vec):
-                    coeffs = solve(
-                        SparseMatrix.from_columns(target_rows, len(tgt_idx)), img_vec
+                image = block.apply(row)
+                if any(_reduce(target_rows, target_pivots, image)):
+                    raise StructureError(
+                        f"subspace is not closed under the differential in degree {k}"
                     )
-                    if coeffs is None:
-                        raise StructureError(
-                            f"subspace is not closed under the differential in degree {k}"
-                        )
-                    cols.append(coeffs)
-                else:
-                    cols.append([ZERO] * len(target_rows))
+                cols.append([image[p] for p in target_pivots])
             self._diff_blocks[k] = SparseMatrix.from_columns(cols, len(target_rows))
 
     def betti(self) -> dict[int, int]:
@@ -98,39 +94,30 @@ class Subcomplex:
     def is_acyclic(self) -> bool:
         return all(b == 0 for b in self.betti().values())
 
-    def contains(self, elem: Element) -> bool:
-        for part in homogeneous_parts(elem):
-            k = part.degree()
-            idx = self.ambient.basis.degree_indices(k)
-            rows = self.bases.get(k)
-            if not rows:
-                return False
-            vec = part.vector(idx)
-            if solve(SparseMatrix.from_columns(rows, len(idx)), vec) is None:
-                return False
-        return True
-
-    def reduce(self, elem: Element) -> Element:
-        """Canonical representative of elem modulo the subspace."""
-        out = dict(elem.coeffs)
-        for part in homogeneous_parts(elem):
-            k = part.degree()
+    def _reduce_coeffs(self, coeffs: Coeffs) -> Coeffs:
+        """Canonical representative of a coefficient dict modulo the
+        subspace, reduced degree by degree."""
+        out = dict(coeffs)
+        degrees = self.ambient.basis.degrees
+        for k in sorted({degrees[i] for i in coeffs}):
             rows = self.bases.get(k)
             if not rows:
                 continue
             idx = self.ambient.basis.degree_indices(k)
-            vec = [out.get(i, ZERO) for i in idx]
-            for row in rows:
-                p = next(c for c, v in enumerate(row) if v)
-                if vec[p]:
-                    coeff = vec[p]
-                    vec = [a - coeff * b for a, b in zip(vec, row)]
+            vec = _reduce(rows, self._pivots[k], [out.get(i, ZERO) for i in idx])
             for c, i in enumerate(idx):
                 if vec[c]:
                     out[i] = vec[c]
                 else:
                     out.pop(i, None)
-        return Element(elem.parent, out)
+        return out
+
+    def contains(self, elem: Element) -> bool:
+        return not self._reduce_coeffs(elem.coeffs)
+
+    def reduce(self, elem: Element) -> Element:
+        """Canonical representative of elem modulo the subspace."""
+        return Element(elem.parent, self._reduce_coeffs(elem.coeffs))
 
     def closed_under_multiplication(self) -> bool:
         """Whether multiplying by every ambient basis element stays inside."""
@@ -138,9 +125,9 @@ class Subcomplex:
         for k, rows in self.bases.items():
             idx = amb.basis.degree_indices(k)
             for row in rows:
-                gen = Element(amb, {i: v for i, v in zip(idx, row) if v})
+                gen = {i: v for i, v in zip(idx, row) if v}
                 for m in range(amb.dim()):
-                    if not self.contains(amb.multiply(amb.basis_element(m), gen)):
+                    if self._reduce_coeffs(amb.multiply_coeffs({m: ONE}, gen)):
                         return False
         return True
 
@@ -166,18 +153,15 @@ class QuotientDGA:
             raise StructureError("element does not live in the ambient algebra")
         out: dict[int, Fraction] = {}
         amb = self.ambient.basis
-        kept_pos = {g: q for q, g in enumerate(self.kept)}
-        for part in homogeneous_parts(elem):
-            k = part.degree()
-            idx = amb.degree_indices(k)
+        for k, part in sorted(_by_degree(elem.coeffs, amb.degrees).items()):
             block = self._proj_blocks.get(k)
             if block is None or block.rows == 0:
                 continue
-            res = block.apply(part.vector(idx))
-            kept_here = [g for g in self.kept if amb.degrees[g] == k]
-            for g, v in zip(kept_here, res):
+            res = block.apply([part.get(i, ZERO) for i in amb.degree_indices(k)])
+            # the kept indices of degree k are the quotient's degree-k basis
+            for q, v in zip(self.algebra.basis.degree_indices(k), res):
                 if v:
-                    out[kept_pos[g]] = v
+                    out[q] = v
         return Element(self.algebra, out)
 
     def lift(self, elem: Element) -> Element:
@@ -189,23 +173,19 @@ class QuotientDGA:
         return cohomology(self.algebra).betti_vector(up_to)
 
 
-def quotient_dga(
-    ambient: DGAlgebra,
-    vectors: Sequence[Element],
-    *,
-    name: str = "",
-    require_mult_ideal: bool = True,
-) -> QuotientDGA:
+def quotient_dga(ambient: DGAlgebra, vectors: Sequence[Element], *, name: str = "") -> QuotientDGA:
     """Quotient of `ambient` by the span of homogeneous `vectors`.
 
     The span must be a differential ideal for the quotient to carry a
     well-defined CDGA structure; both closure properties are verified
     explicitly (d of every spanning vector lands in the span, and so does
-    the product with every ambient basis element).
+    the product with every ambient basis element). The kept basis and the
+    projection blocks come from `linalg`'s quotient projection; products
+    and d of kept basis elements are reduced on the raw coefficient dicts.
     """
     sub = Subcomplex(ambient, vectors)
 
-    if require_mult_ideal and not sub.closed_under_multiplication():
+    if not sub.closed_under_multiplication():
         raise StructureError("subspace is not closed under multiplication by the algebra")
 
     amb_basis = ambient.basis
@@ -213,21 +193,9 @@ def quotient_dga(
     proj_blocks: dict[int, SparseMatrix] = {}
     for k in amb_basis.degrees_present():
         idx = amb_basis.degree_indices(k)
-        rows = sub.bases.get(k, [])
-        pivots = []
-        for row in rows:
-            pivots.append(next(c for c, v in enumerate(row) if v))
-        pivot_set = set(pivots)
-        keep_cols = [c for c in range(len(idx)) if c not in pivot_set]
+        keep_cols, proj_blocks[k] = _projection(
+            sub.bases.get(k, []), sub._pivots.get(k, []), len(idx))
         kept.extend(idx[c] for c in keep_cols)
-        data = {}
-        for q, c in enumerate(keep_cols):
-            data[(q, c)] = ONE
-            for i, p in enumerate(pivots):
-                coeff = rows[i][c]
-                if coeff:
-                    data[(q, p)] = -coeff
-        proj_blocks[k] = SparseMatrix(len(keep_cols), len(idx), data)
 
     # kept was filled degree by degree, so it is already in basis order
     if ambient.unit not in kept:
@@ -238,12 +206,11 @@ def quotient_dga(
     )
     kept_pos = {g: q for q, g in enumerate(kept)}
 
-    # Products and differential: lift representatives (they are ambient
-    # basis elements), operate in the ambient, reduce, re-express.
-    def reduce_to_quotient(elem: Element) -> dict[int, Fraction]:
-        reduced = sub.reduce(elem)
+    # Products and differential: the representatives are ambient basis
+    # elements, so operate in the ambient, reduce, re-express.
+    def reduce_to_quotient(coeffs: Coeffs) -> Coeffs:
         out = {}
-        for i, c in reduced.coeffs.items():
+        for i, c in sub._reduce_coeffs(coeffs).items():
             if i not in kept_pos:
                 raise StructureError("reduction left support on a pivot coordinate")
             out[kept_pos[i]] = c
@@ -251,16 +218,12 @@ def quotient_dga(
 
     mult_entries = []
     for qi, gi in enumerate(kept):
-        for qj, gj in enumerate(kept):
-            if qj < qi:
-                continue
-            prod = ambient.multiply(ambient.basis_element(gi), ambient.basis_element(gj))
-            for qk, c in reduce_to_quotient(prod).items():
+        for qj in range(qi, len(kept)):
+            for qk, c in reduce_to_quotient(ambient.mult_basis(gi, kept[qj])).items():
                 mult_entries.append((qi, qj, qk, c))
     diff_entries = []
     for qi, gi in enumerate(kept):
-        image = ambient.d(ambient.basis_element(gi))
-        for qj, c in reduce_to_quotient(image).items():
+        for qj, c in reduce_to_quotient(ambient.d_basis(gi)).items():
             diff_entries.append((qi, qj, c))
 
     top = None

@@ -29,9 +29,11 @@ from typing import Optional, Sequence, Union
 
 from .algebra import Element
 from .errors import IncompatibleTables, StructureError
+from .io import load_table_file
 from .linalg import ONE, ZERO, SparseMatrix, _accumulate, invert
+from .presets import table_preset_path
 from .products import TensorAlgebra
-from .twisted import TwistedModel, build_cxi
+from .twisted import TwistedModel
 
 Monomial = tuple[int, tuple[int, ...]]
 FreeElt = dict  # Monomial -> coefficient (Fraction, or Poly in the solver)
@@ -357,16 +359,11 @@ class GeneratorTable:
             parts.append(term)
         return " + ".join(parts).replace("+ -", "- ")
 
-    def base_elt(self, b: int, coeff=ONE) -> FreeElt:
-        return {(b, ()): coeff} if coeff else {}
+    def base_elt(self, b: int) -> FreeElt:
+        return {(b, ()): ONE}
 
-    def gen_elt(self, g: int, coeff=ONE) -> FreeElt:
-        return {(self.base.unit, (g,)): coeff} if coeff else {}
-
-    def from_base_element(self, x: Element) -> FreeElt:
-        if x.parent is not self.base:
-            raise StructureError("element does not live in the base")
-        return {(b, ()): c for b, c in x.coeffs.items()}
+    def gen_elt(self, g: int) -> FreeElt:
+        return {(self.base.unit, (g,)): ONE}
 
     def _merge_gens(self, g1: tuple[int, ...], g2: tuple[int, ...]):
         """Sort the concatenation with Koszul swap signs; None when an odd
@@ -808,71 +805,14 @@ def _verify_witness(t1: GeneratorTable, t2: GeneratorTable,
 
 def s2xs3_table(q, r) -> GeneratorTable:
     """Generator table for the twisted model with (S1)^2 = q(y(x)xy) + r(xy(x)y)
-    over the degree-five product preset.
+    over the degree-five product preset, loaded from the packaged table
+    document `s2xs3_table.json` with its parameters set to q and r.
 
-    Differentials are built as products through the free-algebra
-    arithmetic, so all reordering signs are mechanical. The top generator
-    kills u^2 plus the twisting class: its differential carries -q, -r so
-    that the evaluation is a cochain map onto the model where (S1)^2 = xi.
+    The top generator h kills u^2 plus the twisting class: its differential
+    carries -q, -r so that the evaluation is a cochain map onto the model
+    where (S1)^2 = xi.
     """
-    from .presets import preset_pd
-
-    q = Fraction(q)
-    r = Fraction(r)
-    pd = preset_pd("s2xs3")
-    square = pd.square
-    alg = pd.algebra
-    ix = lambda left, right: square.pair_index(alg.basis.index(left), alg.basis.index(right))
-
-    xi = Element(square, {ix("y", "xy"): q, ix("xy", "y"): r})
-    target = build_cxi(pd, xi)
-
-    gens = (("u", 4), ("z5", 5), ("z61", 6), ("z62", 6),
-            ("z71", 7), ("z72", 7), ("h", 7))
-    U, Z5, Z61, Z62, Z71, Z72, H = range(7)
-
-    table = GeneratorTable(
-        base=square,
-        gens=gens,
-        differentials=tuple({} for _ in gens),
-        target=target,
-        evaluation=(
-            target.algebra.element_from_label("S1"),
-            *(target.algebra.zero() for _ in range(6)),
-        ),
-        degree_cap=8,
-        name=f"table(q={q}, r={r})",
-    )
-
-    be = table.base_elt
-    ge = table.gen_elt
-    diag = table.from_base_element(
-        Element(square, {ix("1", "xy"): 1, ix("x", "y"): 1, ix("y", "x"): -1, ix("xy", "1"): -1})
-    )
-    one_x, x_one = be(ix("1", "x")), be(ix("x", "1"))
-    one_y, y_one = be(ix("1", "y")), be(ix("y", "1"))
-
-    differentials = [None] * 7
-    differentials[U] = diag
-    differentials[Z5] = table.add(table.mul(ge(U), one_x), table.scale(table.mul(ge(U), x_one), -1))
-    differentials[Z61] = table.add(table.mul(ge(U), one_y), table.scale(table.mul(ge(U), y_one), -1))
-    differentials[Z62] = table.add(table.mul(ge(Z5), one_x), table.mul(ge(Z5), x_one))
-    differentials[Z71] = table.add(table.mul(ge(Z62), one_x), table.scale(table.mul(ge(Z62), x_one), -1))
-    differentials[Z72] = table.add(
-        table.mul(ge(Z61), one_x),
-        table.mul(ge(Z5), y_one),
-        table.scale(table.mul(ge(Z5), one_y), -1),
-        table.scale(table.mul(ge(Z61), x_one), -1),
-    )
-    differentials[H] = table.add(
-        table.mul(ge(U), ge(U)),
-        table.scale(table.mul(ge(Z61), one_x), -2),
-        table.scale(table.mul(ge(Z61), x_one), -2),
-        be(ix("y", "xy"), -q),
-        be(ix("xy", "y"), -r),
-    )
-    table.differentials = tuple(differentials)
-    return table
+    return load_table_file(table_preset_path(), {"q": Fraction(q), "r": Fraction(r)})
 
 
 def classify_example(q_values: Sequence) -> list[list[ObstructionResult]]:

@@ -56,11 +56,11 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     and S omega).
 
     Verifies the span is an acyclic sub-dg-module and that the projection
-    preserves Betti numbers degreewise.
+    preserves Betti numbers degreewise. The result is cached on the cone,
+    in `cone._truncation`.
     """
-    cached = getattr(cone, "_truncation", None)
-    if cached is not None:
-        return cached
+    if cone._truncation is not None:
+        return cone._truncation
     pd = cone.pd
     if pd is None:
         raise StructureError("cone does not carry Poincare duality data")

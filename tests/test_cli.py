@@ -201,7 +201,14 @@ def test_cxi_with_nonzero_class(capsys):
 def test_usage_error_maps_to_parse_exit(capsys):
     assert main([]) == 1
     assert main(["cxi", "s2xs3"]) == 1  # --xi/--x required
+    assert main(["check", "s2", "--seed", "3"]) == 1  # no such flag
     capsys.readouterr()
+
+
+def test_table_document_is_not_a_preset(capsys):
+    code, _, err = run_cli(capsys, "check", "s2xs3_table")
+    assert code == 1
+    assert "unknown preset 's2xs3_table'" in err
 
 
 def test_help_exits_zero(capsys):

@@ -169,8 +169,10 @@ def _edit_h_term(data, term):
      'differentials["z5"][0].gens[0] is not a generator, got ["u"]'),
     (lambda d: d.update(parameters=["q", {"r": 1}]),
      'parameters[1] must be a string, got {"r": 1}'),
+    (lambda d: d["differentials"].update(hh=d["differentials"].pop("h")),
+     'differentials["hh"] names no generator'),
 ], ids=["evaluation-missing", "term-string", "unknown-generator", "differentials-list",
-        "generator-list", "parameter-object"])
+        "generator-list", "parameter-object", "unknown-differential-key"])
 def test_table_loader_names_the_json_path(tmp_path, edit, message):
     from cdga_config.io import load_table_file
     from cdga_config.presets import table_preset_path

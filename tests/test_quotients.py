@@ -1,11 +1,18 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from cdga_config.algebra import DGAlgebra, GradedBasis, cohomology
+from cdga_config.algebra import DGAlgebra, GradedBasis, cocycle_vectors, cohomology
+from cdga_config.cone import cone_model
 from cdga_config.errors import StructureError
 from cdga_config.poincare import diagonal_class
+from cdga_config.presets import PRESET_NAMES, preset_pd
+from cdga_config.products import product_pd
 from cdga_config.quotients import Subcomplex, homogeneous_parts, ideal_span, quotient_dga
+from cdga_config.twisted import equivalence_ideal, quotient_by_diagonal, truncate_cone
+
+import oracles
 
 
 def two_stage_algebra():
@@ -95,3 +102,89 @@ def test_quotient_product_well_defined(s2xs3):
         direct = q.algebra.multiply(a, q.algebra.basis_element(j))
         assert q.project(amb.multiply(lift_a, other)) == direct
         assert q.project(amb.multiply(shifted, other)) == direct
+
+
+# --- cross-checks against the solve-based oracle ---------------------------------
+
+
+def _oracle_probes(space, vectors, seed):
+    """Every basis element, every spanning vector, and seeded random
+    combinations of each (mixed degrees for the basis, one degree at a
+    time for the spanning vectors)."""
+    rng = random.Random(seed)
+    probes = [space.basis_element(i) for i in range(space.dim())] + list(vectors)
+    for _ in range(6):
+        picks = rng.sample(range(space.dim()), min(3, space.dim()))
+        probes.append(space.element({i: F(rng.randint(-3, 3), rng.randint(1, 3)) for i in picks}))
+    by_degree = {}
+    for v in vectors:
+        by_degree.setdefault(v.degree(), []).append(v)
+    for group in by_degree.values():
+        total = space.zero()
+        for v in group:
+            total = total + v.scale(F(rng.randint(-3, 3), rng.randint(1, 3)))
+        probes.append(total)
+    return probes
+
+
+def _check_against_oracle(space, vectors, sub, quotient=None, seed=0):
+    for elem in _oracle_probes(space, vectors, seed):
+        assert sub.contains(elem) == oracles.oracle_contains(space, vectors, elem), str(elem)
+        assert sub.reduce(elem).coeffs == oracles.oracle_reduce(space, vectors, elem), str(elem)
+        if quotient is not None:
+            projected = quotient.project(elem)
+            lifted = {quotient.kept[q]: c for q, c in projected.coeffs.items()}
+            assert lifted == oracles.oracle_reduce(space, vectors, elem), str(elem)
+    if quotient is not None:
+        assert list(quotient.kept) == oracles.oracle_kept(space, vectors)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_diagonal_ideal_matches_oracle(name):
+    pd = preset_pd(name)
+    square = pd.square
+    vectors = ideal_span(square, [diagonal_class(pd).element])
+    # the diagonal of the point is its unit, so that ideal has no quotient
+    quotient = quotient_by_diagonal(pd) if name != "point" else None
+    sub = quotient.subspace if quotient is not None else Subcomplex(square, vectors)
+    _check_against_oracle(square, vectors, sub, quotient, seed=name)
+
+
+@pytest.mark.parametrize("name", ["s3", "s5", "s2xs3", "s3xs4"])
+def test_truncation_ideal_matches_oracle(name):
+    pd = preset_pd(name)
+    cone = cone_model(pd)
+    alg = cone.algebra
+    vectors = [alg.basis_element(i) for i in range(alg.dim())
+               if alg.basis.degrees[i] >= 2 * pd.n - 1]
+    quotient = truncate_cone(cone).quotient
+    _check_against_oracle(alg, vectors, quotient.subspace, quotient, seed=name)
+
+
+def test_equivalence_ideal_matches_oracle(s2xs3):
+    ideal = equivalence_ideal(s2xs3)
+    cone = ideal.cone
+    vectors = (
+        [cone.include_base(s) for s in ideal.cocycle_complement]
+        + [cone.include_base(ds) for ds in ideal.complement_images if not ds.is_zero()]
+        + list(ideal.diagonal_multiples)
+        + list(ideal.positive_suspensions)
+    )
+    quotient = quotient_dga(cone.algebra, vectors)
+    _check_against_oracle(cone.algebra, vectors, ideal.subcomplex, quotient, seed="equivalence")
+
+
+@pytest.mark.parametrize("left, right", [("s2", "s3"), ("cp2", "s3")])
+def test_cocycles_and_cohomology_match_oracle(left, right):
+    # the cone of the product carries a nonzero differential
+    space = cone_model(product_pd(preset_pd(left), preset_pd(right))).algebra
+    report = cohomology(space)
+    for k in range(space.basis.max_degree() + 1):
+        idx = space.basis.degree_indices(k)
+        if not idx:
+            continue
+        assert cocycle_vectors(space, k) == oracles.oracle_cocycles(space, k), k
+        reps, cobs = oracles.oracle_cohomology(space, k)
+        entry = report.degrees[k]
+        assert [r.vector(idx) for r in entry.representatives] == reps, k
+        assert [c.vector(idx) for c in entry.coboundaries] == cobs, k

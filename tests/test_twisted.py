@@ -44,6 +44,13 @@ def test_truncation_dimensions(s3, s2xs3):
     assert truncate_cone(cone_model(s2xs3)).algebra.dim() == 18
 
 
+def test_cone_and_truncation_are_cached(s3):
+    cone = cone_model(s3)
+    assert cone_model(s3) is cone and s3._cone_model is cone
+    trunc = truncate_cone(cone)
+    assert truncate_cone(cone) is trunc and cone._truncation is trunc
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_truncation_preserves_betti(name):
     cone = cone_model(preset_pd(name))
