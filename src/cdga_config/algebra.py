@@ -18,15 +18,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
-from .linalg import (ONE, ZERO, SparseMatrix, _accumulate, _combine, _pivots, _reduce,
+from .linalg import (Scalar, SparseMatrix, _accumulate, _combine, _exact, _pivots, _reduce,
                      kernel_basis, row_space_basis)
 
-Coeffs = dict[int, Fraction]
+Coeffs = dict[int, Scalar]
 
 
 class GradedBasis:
@@ -88,9 +87,9 @@ class Element:
 
     __slots__ = ("parent", "coeffs")
 
-    def __init__(self, parent, coeffs: Mapping[int, Fraction]):
+    def __init__(self, parent, coeffs: Mapping[int, Scalar]):
         self.parent = parent
-        self.coeffs: Coeffs = {i: Fraction(c) for i, c in coeffs.items() if c}
+        self.coeffs: Coeffs = {i: _exact(c) for i, c in coeffs.items() if c}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -119,18 +118,18 @@ class Element:
         return Element(self.parent, {i: -c for i, c in self.coeffs.items()})
 
     def scale(self, c) -> "Element":
-        c = Fraction(c)
+        c = _exact(c)
         if not c:
             return Element(self.parent, {})
         return Element(self.parent, {i: c * v for i, v in self.coeffs.items()})
 
     def __rmul__(self, c):
-        if isinstance(c, (int, Fraction)):
+        if isinstance(c, Scalar):
             return self.scale(c)
         return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Scalar):
             return self.scale(other)
         self._check_parent(other)
         return self.parent.multiply(self, other)
@@ -148,10 +147,10 @@ class Element:
     def __hash__(self):
         return hash((id(self.parent), tuple(sorted(self.coeffs.items()))))
 
-    def vector(self, indices: Sequence[int]) -> list[Fraction]:
+    def vector(self, indices: Sequence[int]) -> list[Scalar]:
         """Coordinates along the given basis indices (zero elsewhere allowed
         only if the element is supported there)."""
-        return [self.coeffs.get(i, ZERO) for i in indices]
+        return [self.coeffs.get(i, 0) for i in indices]
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -192,8 +191,8 @@ class DGAlgebra:
         self,
         basis: GradedBasis,
         unit: int,
-        mult: Iterable[tuple[int, int, int, Fraction]],
-        diff: Iterable[tuple[int, int, Fraction]] = (),
+        mult: Iterable[tuple[int, int, int, Scalar]],
+        diff: Iterable[tuple[int, int, Scalar]] = (),
         *,
         name: str = "",
         top_degree: Optional[int] = None,
@@ -220,7 +219,7 @@ class DGAlgebra:
         degs = basis.degrees
         table: dict[tuple[int, int], Coeffs] = {}
         for i, j, k, c in mult:
-            c = Fraction(c)
+            c = _exact(c)
             if not c:
                 continue
             for idx in (i, j, k):
@@ -242,7 +241,7 @@ class DGAlgebra:
 
         dtable: dict[int, Coeffs] = {}
         for i, j, c in diff:
-            c = Fraction(c)
+            c = _exact(c)
             if not c:
                 continue
             if not (0 <= i < n and 0 <= j < n):
@@ -251,11 +250,8 @@ class DGAlgebra:
                 raise StructureError(
                     f"differential entry {basis.labels[i]} -> {basis.labels[j]} does not raise degree by 1"
                 )
-            row = dtable.setdefault(i, {})
-            row[j] = row.get(j, ZERO) + c
-        self._diff = tuple(
-            {j: c for j, c in dtable.get(i, {}).items() if c} for i in range(n)
-        )
+            _accumulate(dtable.setdefault(i, {}), ((j, c),))
+        self._diff = tuple(dtable.get(i, {}) for i in range(n))
 
     # --- basic access ---------------------------------------------------
 
@@ -266,18 +262,18 @@ class DGAlgebra:
         return Element(self, {})
 
     def one(self) -> Element:
-        return Element(self, {self.unit: ONE})
+        return Element(self, {self.unit: 1})
 
     def basis_element(self, i: int) -> Element:
-        return Element(self, {i: ONE})
+        return Element(self, {i: 1})
 
     def element_from_label(self, label: str) -> Element:
         return self.basis_element(self.basis.index(label))
 
-    def element(self, coeffs: Mapping[int, Fraction]) -> Element:
+    def element(self, coeffs: Mapping[int, Scalar]) -> Element:
         return Element(self, coeffs)
 
-    def from_label_coeffs(self, pairs: Mapping[str, Fraction]) -> Element:
+    def from_label_coeffs(self, pairs: Mapping[str, Scalar]) -> Element:
         return Element(self, {self.basis.index(l): c for l, c in pairs.items()})
 
     def mult_basis(self, i: int, j: int) -> Coeffs:
@@ -296,7 +292,7 @@ class DGAlgebra:
             raise MixedParents("elements do not belong to this algebra")
         return Element(self, self.multiply_coeffs(x.coeffs, y.coeffs))
 
-    def multiply_coeffs(self, x: Mapping[int, Fraction], y: Mapping[int, Fraction]) -> Coeffs:
+    def multiply_coeffs(self, x: Mapping[int, Scalar], y: Mapping[int, Scalar]) -> Coeffs:
         """Product of two coefficient dicts in basis coordinates."""
         degs = self.basis.degrees
         mult = self._mult
@@ -319,7 +315,7 @@ class DGAlgebra:
     def d(self, x: Element) -> Element:
         return Element(self, self.d_coeffs(x.coeffs))
 
-    def d_coeffs(self, x: Mapping[int, Fraction]) -> Coeffs:
+    def d_coeffs(self, x: Mapping[int, Scalar]) -> Coeffs:
         """Differential of a coefficient dict in basis coordinates."""
         return _combine(x, self._diff)
 
@@ -334,14 +330,14 @@ class DGAlgebra:
                 data[(pos[j], c)] = v
         return SparseMatrix(len(tgt), len(src), data)
 
-    def mult_entries(self) -> list[tuple[int, int, int, Fraction]]:
+    def mult_entries(self) -> list[tuple[int, int, int, Scalar]]:
         out = []
         for (i, j), row in sorted(self._mult.items()):
             for k in sorted(row):
                 out.append((i, j, k, row[k]))
         return out
 
-    def diff_entries(self) -> list[tuple[int, int, Fraction]]:
+    def diff_entries(self) -> list[tuple[int, int, Scalar]]:
         out = []
         for i, row in enumerate(self._diff):
             for j in sorted(row):
@@ -449,8 +445,11 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     checks = []
 
     def to_integers(rows):
-        """The rows times the lcm of all their denominators, and that lcm."""
+        """The rows times the lcm of all their denominators, and that lcm;
+        integral rows are returned as they are (no row is mutated)."""
         scale = lcm(*(c.denominator for row in rows for c in row.values()))
+        if scale == 1:
+            return rows, 1
         return [{k: c.numerator * (scale // c.denominator) for k, c in row.items()}
                 for row in rows], scale
 
@@ -610,7 +609,7 @@ def cohomology(space: DGAlgebra) -> CohomologyReport:
         reduced = [_reduce(cob_rows, pivots, v) for v in kernel_basis(outgoing)]
         rep_rows = row_space_basis([r for r in reduced if any(r)], dim)
 
-        def to_element(vec: list[Fraction]) -> Element:
+        def to_element(vec: list[Scalar]) -> Element:
             return Element(space, {idx[c]: v for c, v in enumerate(vec) if v})
 
         report[k] = DegreeCohomology(
@@ -626,6 +625,6 @@ def betti_table(space, up_to: Optional[int] = None) -> list[int]:
     return cohomology(space).betti_vector(up_to)
 
 
-def cocycle_vectors(space: DGAlgebra, k: int) -> list[list[Fraction]]:
+def cocycle_vectors(space: DGAlgebra, k: int) -> list[list[Scalar]]:
     """Basis of the degree-k cocycles in degree-block coordinates."""
     return kernel_basis(space.diff_block(k))

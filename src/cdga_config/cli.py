@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -35,7 +34,7 @@ from .errors import (
     PDFailure,
     WrongDegree,
 )
-from .io import load_algebra_file, parse_element, write_pd_file
+from .io import load_algebra_file, parse_coeff, parse_element, write_pd_file
 from .poincare import PDAlgebra, check_pd, diagonal_class
 from .presets import PRESET_NAMES, preset_path
 from .products import diagonal_correspondence, product_pd
@@ -233,9 +232,9 @@ def cmd_cxi(args) -> int:
 
 def cmd_classify_example(args) -> int:
     try:
-        values = [Fraction(part.strip()) for part in args.q.split(",") if part.strip()]
-    except ValueError:
-        raise ExpressionParseError(f"--q expects comma-separated rationals, got {args.q!r}")
+        values = [parse_coeff(part) for part in args.q.split(",") if part.strip()]
+    except ParseError as exc:
+        raise ExpressionParseError(f"--q expects comma-separated rationals, got {args.q!r}: {exc}") from None
     if not values:
         raise ExpressionParseError("--q expects at least one value")
     matrix = classify_example(values)
@@ -367,6 +366,11 @@ def main(argv=None) -> int:
         # and fold usage errors into the parse-error status
         return 0 if exc.code in (0, None) else EXIT_PARSE
     try:
+        # argparse hands an option written with the value "--" (as in
+        # `--xi=--`) an empty list instead; no option here takes a list
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                raise ParseError(f"--{name} expects a value, got '--'")
         return args.func(args)
     except _CheckFailed as failed:
         report = {"command": args.command, "version": __version__, **failed.fragment, "ok": False}

@@ -12,14 +12,13 @@ action, and the action axioms are re-verified on all basis tuples.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebra import DGAlgebra, Element, GradedBasis
 from .errors import NotAModuleMap, StructureError
-from .linalg import ONE, _accumulate, _combine
+from .linalg import Scalar, _accumulate, _combine, _exact
 
-Coeffs = dict[int, Fraction]
+Coeffs = dict[int, Scalar]
 
 
 class DGModule:
@@ -46,7 +45,7 @@ class DGModule:
         rdegs = ring.basis.degrees
         self._action: dict[tuple[int, int], Coeffs] = {}
         for (r, m), row in action.items():
-            clean = {k: Fraction(c) for k, c in row.items() if c}
+            clean = {k: _exact(c) for k, c in row.items() if c}
             for k, c in clean.items():
                 if degs[k] != rdegs[r] + degs[m]:
                     raise StructureError("module action violates degrees")
@@ -55,7 +54,7 @@ class DGModule:
         # one row per basis index, empty for cocycles
         rows: list[Coeffs] = [{} for _ in degs]
         for i, row in diff.items():
-            clean = {j: Fraction(c) for j, c in row.items() if c}
+            clean = {j: _exact(c) for j, c in row.items() if c}
             for j in clean:
                 if degs[j] != degs[i] + 1:
                     raise StructureError("module differential does not raise degree by 1")
@@ -69,7 +68,7 @@ class DGModule:
         return Element(self, coeffs)
 
     def basis_element(self, i: int) -> Element:
-        return Element(self, {i: ONE})
+        return Element(self, {i: 1})
 
     def zero(self) -> Element:
         return Element(self, {})
@@ -100,7 +99,7 @@ class DGModule:
         every basis tuple; raises StructureError on the first violation."""
         ring = self.ring
         for m in range(self.dim()):
-            if self.act_basis(ring.unit, m) != {m: ONE}:
+            if self.act_basis(ring.unit, m) != {m: 1}:
                 raise StructureError(f"unit does not act as identity on {self.basis.labels[m]}")
         n_r = ring.dim()
         for r1 in range(n_r):

@@ -1,10 +1,10 @@
 """File formats and the element-expression micro-grammar.
 
 Algebras are JSON documents: labeled graded basis, unit label, sparse
-products with exact rational string coefficients ("p" or "p/q", never
-floats), a sparse differential, an orientation functional on the top
-degree and a simply-connected flag. Omitted products are zero; products of
-the unit are implied by naming it and injected automatically.
+products with exact rational string coefficients ("p" or "p/q" with q
+nonzero, never floats), a sparse differential, an orientation functional
+on the top degree and a simply-connected flag. Omitted products are zero;
+products of the unit are implied by naming it and injected automatically.
 
 Element expressions use rational coefficients, '*', '+', '-', the tensor
 symbol (ASCII fallback: "(x)" inside a parenthesized label) and
@@ -15,30 +15,40 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional
 
 from .algebra import DGAlgebra, Element, GradedBasis
 from .errors import ExpressionParseError, ParseError, StructureError
-from .linalg import ONE
+from .linalg import Scalar, _divide, _exact
 from .poincare import PDAlgebra, check_pd
 
 TENSOR = "⊗"
 
-_NUMBER_RE = re.compile(r"^-?\d+(/\d+)?$")
+_NUMBER_RE = re.compile(r"^[-+]?\d+(/\d+)?$")
 
 
-def parse_coeff(text: str, parameters: Optional[Mapping[str, Fraction]] = None) -> Fraction:
-    """Exact rational coefficient: 'p', 'p/q', a declared parameter name,
-    or 'rational*parameter' with optional leading sign."""
+def _number(text: str) -> Scalar:
+    """The rational a `_NUMBER_RE` match spells; a zero denominator is a
+    ParseError."""
+    num, _, den = text.partition("/")
+    if not den:
+        return int(num)
+    if not int(den):
+        raise ParseError(f"zero denominator in {text!r}")
+    return _divide(int(num), int(den))
+
+
+def parse_coeff(text: str, parameters: Optional[Mapping[str, Scalar]] = None) -> Scalar:
+    """Exact rational coefficient: 'p', 'p/q' (q nonzero), a declared
+    parameter name, or 'rational*parameter' with optional leading sign."""
     text = text.strip().replace("−", "-")
     if _NUMBER_RE.match(text):
-        return Fraction(text)
+        return _number(text)
     parameters = parameters or {}
-    sign = ONE
+    sign = 1
     if text.startswith("-"):
-        sign = -ONE
+        sign = -1
         text = text[1:].strip()
     elif text.startswith("+"):
         text = text[1:].strip()
@@ -47,9 +57,9 @@ def parse_coeff(text: str, parameters: Optional[Mapping[str, Fraction]] = None) 
         num = num.strip()
         name = name.strip()
         if _NUMBER_RE.match(num) and name in parameters:
-            return sign * Fraction(num) * parameters[name]
+            return _exact(sign * _number(num) * parameters[name])
     elif text in parameters:
-        return sign * parameters[text]
+        return _exact(sign * parameters[text])
     raise ParseError(f"not an exact rational coefficient: {text!r}")
 
 
@@ -78,7 +88,7 @@ def _integer(value, path: str, source: str) -> int:
     return value
 
 
-def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, int, dict[int, Fraction], dict]:
+def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, int, dict[int, Scalar], dict]:
     """Validate a parsed algebra document and build the DGAlgebra.
 
     Returns (algebra, formal dimension, orientation coefficients, flags).
@@ -129,7 +139,7 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
             mult.append((left, right, target, coeff))
     # the unit multiplies as the identity; these rows are implied
     for i in range(len(basis)):
-        mult.append((unit, i, i, ONE))
+        mult.append((unit, i, i, 1))
 
     diff = []
     for entry in data.get("differential", []):
@@ -172,7 +182,7 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     return algebra, n, epsilon, {"simply_connected": simply_connected}
 
 
-def load_algebra_file(path: str | Path) -> tuple[DGAlgebra, int, dict[int, Fraction], dict]:
+def load_algebra_file(path: str | Path) -> tuple[DGAlgebra, int, dict[int, Scalar], dict]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -222,10 +232,14 @@ def dump_pd(pd: PDAlgebra) -> dict:
 
 
 def write_pd_file(pd: PDAlgebra, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(dump_pd(pd), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    path = Path(path)
+    try:
+        path.write_text(
+            json.dumps(dump_pd(pd), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 # --- element expressions -----------------------------------------------------
@@ -270,7 +284,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 def parse_element(algebra: DGAlgebra, text: str,
-                  parameters: Optional[Mapping[str, Fraction]] = None) -> Element:
+                  parameters: Optional[Mapping[str, Scalar]] = None) -> Element:
     """Parse an element expression against the algebra's basis labels.
 
     A bare number multiplies the unit (so "0" is the zero element); a
@@ -284,12 +298,12 @@ def parse_element(algebra: DGAlgebra, text: str,
     def is_scalar(word: str) -> bool:
         return bool(_NUMBER_RE.match(word)) or word in parameters
 
-    def scalar_value(word: str) -> Fraction:
-        return Fraction(word) if _NUMBER_RE.match(word) else parameters[word]
+    def scalar_value(word: str) -> Scalar:
+        return _number(word) if _NUMBER_RE.match(word) else parameters[word]
 
     total = algebra.zero()
     pos = 0
-    sign = ONE
+    sign = 1
     expect_term = True
     while pos < len(tokens):
         kind, value = tokens[pos]
@@ -303,7 +317,7 @@ def parse_element(algebra: DGAlgebra, text: str,
                 continue
             if kind != "word":
                 raise ExpressionParseError(f"unexpected {value!r}")
-            coeff = ONE
+            coeff = 1
             label = None
             if is_scalar(value):
                 coeff = scalar_value(value)
@@ -327,11 +341,11 @@ def parse_element(algebra: DGAlgebra, text: str,
                     ) from None
                 term = algebra.basis_element(idx).scale(sign * coeff)
             total = total + term
-            sign = ONE
+            sign = 1
             expect_term = False
             continue
         if kind in "+-":
-            sign = ONE if kind == "+" else -ONE
+            sign = 1 if kind == "+" else -1
             pos += 1
             expect_term = True
             continue
@@ -344,7 +358,7 @@ def parse_element(algebra: DGAlgebra, text: str,
 # --- generator table files ---------------------------------------------------
 
 
-def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Fraction]] = None):
+def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]] = None):
     """Load a generator table document; `parameters` must supply a rational
     for every name the file declares."""
     from .sullivan import GeneratorTable
@@ -366,7 +380,7 @@ def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Fraction
     for pos, name in enumerate(declared):
         if type(name) is not str:
             raise ParseError(f"{source}: parameters[{pos}] must be a string, got {json.dumps(name)}")
-    parameters = dict(parameters or {})
+    parameters = {name: _exact(value) for name, value in (parameters or {}).items()}
     missing = [p for p in declared if p not in parameters]
     if missing:
         raise ParseError(f"{source}: values required for parameters {missing}")

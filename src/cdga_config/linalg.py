@@ -2,9 +2,17 @@
 
 Everything downstream (cohomology, dual bases, quotients, the obstruction
 solver) reduces to the four operations here: reduced row echelon form,
-kernel bases, linear solves and quotient data. Matrices are tiny (well
-under 200 columns per degree), so plain rational Gaussian elimination is
-the right tool; no fraction-free tricks, no floats anywhere.
+kernel bases, linear solves and quotient data. Matrices are small (a few
+hundred columns per degree at most), so rational Gauss-Jordan elimination
+on dense rows is the tool; no floats anywhere.
+
+Every stored scalar is exact and canonical (`Scalar`): an `int` when it is
+integral and a `Fraction` only otherwise, never a `float` or a `bool`.
+Almost all structure constants are small integers, and native `int`
+arithmetic costs a fraction of `Fraction` arithmetic. `_exact` puts a
+value into this form, and every true division goes through a `Fraction`
+and is normalised back (`_divide`). `str` of a scalar is the same in both
+forms, so printed output does not depend on which one is stored.
 
 All functions are pure and deterministic: identical input produces
 identical pivots, kernel vectors and quotient representatives.
@@ -15,10 +23,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-Scalar = Fraction
+Scalar = int | Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def _exact(c) -> Scalar:
+    """c in canonical form: an int when it is integral, a Fraction
+    otherwise. Takes anything `Fraction` takes, so a bool becomes 0 or 1
+    and a float its exact binary value."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _divide(a: Scalar, b: Scalar) -> Scalar:
+    """a / b in canonical form; b must be nonzero."""
+    return _exact(Fraction(a) / b)
 
 
 # The helpers with a leading underscore (the sparse primitives below and the
@@ -29,18 +50,20 @@ ONE = Fraction(1)
 def _accumulate(out: dict, terms: Iterable[tuple[object, object]]) -> dict:
     """Add (key, value) terms into the sparse dict `out` in place, dropping
     keys whose value cancels to zero; returns `out`. Values may be any
-    exact ring elements, such as Fractions or solver polynomials."""
+    exact ring elements, such as scalars or solver polynomials; an
+    integral Fraction is stored as its int (see `Scalar`)."""
     for key, value in terms:
         old = out.get(key)
-        if old is None:
-            if value:
-                out[key] = value
-        else:
+        if old is not None:
             value = old + value
-            if value:
-                out[key] = value
-            else:
+            if not value:
                 del out[key]
+                continue
+        elif not value:
+            continue
+        if type(value) is Fraction and value.denominator == 1:
+            value = value.numerator
+        out[key] = value
     return out
 
 
@@ -60,29 +83,29 @@ def _combine(coeffs: dict, rows, out: Optional[dict] = None) -> dict:
 class SparseMatrix:
     """Immutable sparse rational matrix.
 
-    Entries are stored as a mapping (row, col) -> nonzero Fraction; zero
+    Entries are stored as a mapping (row, col) -> nonzero scalar; zero
     entries are never stored, and `entries()` lists positions in sorted
     order so two equal matrices have identical printed forms.
     """
 
     __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows: int, cols: int, data: dict[tuple[int, int], Fraction] | None = None):
+    def __init__(self, rows: int, cols: int, data: dict[tuple[int, int], Scalar] | None = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         self.rows = rows
         self.cols = cols
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], Scalar] = {}
         for (r, c), v in (data or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside a {rows}x{cols} matrix")
-            v = Fraction(v)
+            v = _exact(v)
             if v:
                 clean[(r, c)] = v
         self._data = clean
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]], cols: int | None = None) -> "SparseMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "SparseMatrix":
         nrows = len(rows)
         ncols = cols if cols is not None else (len(rows[0]) if rows else 0)
         data = {}
@@ -91,11 +114,11 @@ class SparseMatrix:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
                 if v:
-                    data[(i, j)] = Fraction(v)
+                    data[(i, j)] = v
         return cls(nrows, ncols, data)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Fraction | int]], rows: int | None = None) -> "SparseMatrix":
+    def from_columns(cls, columns: Sequence[Sequence[Scalar]], rows: int | None = None) -> "SparseMatrix":
         ncols = len(columns)
         nrows = rows if rows is not None else (len(columns[0]) if columns else 0)
         data = {}
@@ -104,36 +127,36 @@ class SparseMatrix:
                 raise ValueError("ragged columns")
             for i, v in enumerate(col):
                 if v:
-                    data[(i, j)] = Fraction(v)
+                    data[(i, j)] = v
         return cls(nrows, ncols, data)
 
     @classmethod
     def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): ONE for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    def entries(self) -> list[tuple[int, int, Fraction]]:
+    def entries(self) -> list[tuple[int, int, Scalar]]:
         return [(r, c, self._data[(r, c)]) for (r, c) in sorted(self._data)]
 
-    def entry(self, r: int, c: int) -> Fraction:
-        return self._data.get((r, c), ZERO)
+    def entry(self, r: int, c: int) -> Scalar:
+        return self._data.get((r, c), 0)
 
-    def dense_rows(self) -> list[list[Fraction]]:
-        out = [[ZERO] * self.cols for _ in range(self.rows)]
+    def dense_rows(self) -> list[list[Scalar]]:
+        out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self._data.items():
             out[r][c] = v
         return out
 
-    def column(self, j: int) -> list[Fraction]:
+    def column(self, j: int) -> list[Scalar]:
         return [self.entry(i, j) for i in range(self.rows)]
 
-    def apply(self, vector: Sequence[Fraction]) -> list[Fraction]:
+    def apply(self, vector: Sequence[Scalar]) -> list[Scalar]:
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
-        out = [ZERO] * self.rows
+        out = [0] * self.rows
         for (r, c), v in self._data.items():
             if vector[c]:
                 out[r] += v * vector[c]
-        return out
+        return [_exact(v) for v in out]
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self._data.items()})
@@ -141,8 +164,8 @@ class SparseMatrix:
     def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError("inner dimensions do not match")
-        data: dict[tuple[int, int], Fraction] = {}
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        data: dict[tuple[int, int], Scalar] = {}
+        by_row: dict[int, list[tuple[int, Scalar]]] = {}
         for (r, c), v in other._data.items():
             by_row.setdefault(r, []).append((c, v))
         for (r, k), v in self._data.items():
@@ -167,8 +190,9 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, {len(self._data)} entries)"
 
 
-def _rref_dense(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _rref_dense(rows: list[list[Scalar]], ncols: int) -> tuple[list[list[Scalar]], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot columns).
+    Rows of canonical scalars stay canonical."""
     pivots: list[int] = []
     pivot_row = 0
     for col in range(ncols):
@@ -180,14 +204,21 @@ def _rref_dense(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fract
         if sel is None:
             continue
         rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        inv = ONE / rows[pivot_row][col]
-        if inv != 1:
-            rows[pivot_row] = [v * inv for v in rows[pivot_row]]
+        pivot = rows[pivot_row][col]
+        if pivot != 1:
+            inv = _divide(1, pivot)
+            rows[pivot_row] = [_exact(v * inv) for v in rows[pivot_row]]
+        prow = rows[pivot_row]
+        # an int row minus an int multiple of an int row is an int row, and
+        # an int plus a non-integral Fraction is not integral, so a row can
+        # only turn non-canonical when the factor or the pivot row holds a
+        # Fraction
+        integral = all(type(v) is int for v in prow)
         for r in range(len(rows)):
             if r != pivot_row and rows[r][col]:
                 factor = rows[r][col]
-                prow = rows[pivot_row]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], prow)]
+                row = [a - factor * b for a, b in zip(rows[r], prow)]
+                rows[r] = row if integral and type(factor) is int else [_exact(v) for v in row]
         pivots.append(col)
         pivot_row += 1
         if pivot_row == len(rows):
@@ -208,7 +239,7 @@ def rank(m: SparseMatrix) -> int:
     return rref(m)[2]
 
 
-def kernel_basis(m: SparseMatrix) -> list[list[Fraction]]:
+def kernel_basis(m: SparseMatrix) -> list[list[Scalar]]:
     """Basis of the right kernel {v : m v = 0}, one vector per free column.
 
     Vector k for free column j has k[j] = 1 and k[p] = -R[i][j] for each
@@ -220,8 +251,8 @@ def kernel_basis(m: SparseMatrix) -> list[list[Fraction]]:
     free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
     for j in free:
-        vec = [ZERO] * m.cols
-        vec[j] = ONE
+        vec = [0] * m.cols
+        vec[j] = 1
         for i, p in enumerate(pivots):
             coeff = reduced.entry(i, j)
             if coeff:
@@ -230,18 +261,18 @@ def kernel_basis(m: SparseMatrix) -> list[list[Fraction]]:
     return basis
 
 
-def solve(m: SparseMatrix, b: Sequence[Fraction | int]) -> Optional[list[Fraction]]:
+def solve(m: SparseMatrix, b: Sequence[Scalar]) -> Optional[list[Scalar]]:
     """Some x with m x = b, free coordinates set to zero; None if b is not
     in the image of m."""
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match row count")
     rows = m.dense_rows()
     for i, v in enumerate(b):
-        rows[i].append(Fraction(v))
+        rows[i].append(_exact(v))
     rows, pivots = _rref_dense(rows, m.cols + 1)
     if m.cols in pivots:
         return None
-    x = [ZERO] * m.cols
+    x = [0] * m.cols
     for i, p in enumerate(pivots):
         x[p] = rows[i][m.cols]
     return x
@@ -254,7 +285,7 @@ def invert(m: SparseMatrix) -> Optional[SparseMatrix]:
     n = m.rows
     rows = m.dense_rows()
     for i in range(n):
-        rows[i].extend(ONE if j == i else ZERO for j in range(n))
+        rows[i].extend(1 if j == i else 0 for j in range(n))
     rows, pivots = _rref_dense(rows, 2 * n)
     if pivots[:n] != list(range(n)):
         return None
@@ -267,9 +298,9 @@ def invert(m: SparseMatrix) -> Optional[SparseMatrix]:
     return SparseMatrix(n, n, data)
 
 
-def row_space_basis(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> list[list[Fraction]]:
+def row_space_basis(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> list[list[Scalar]]:
     """Canonical (rref) basis of the span of the given vectors."""
-    rows = [list(map(Fraction, v)) for v in vectors]
+    rows = [list(map(_exact, v)) for v in vectors]
     for v in rows:
         if len(v) != ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
@@ -279,14 +310,14 @@ def row_space_basis(vectors: Iterable[Sequence[Fraction]], ambient_dim: int) -> 
     return rows[: len(pivots)]
 
 
-def _pivots(rows: Sequence[Sequence[Fraction]]) -> list[int]:
+def _pivots(rows: Sequence[Sequence[Scalar]]) -> list[int]:
     """Pivot column of each rref row: the position of its first nonzero
     entry."""
     return [next(c for c, v in enumerate(row) if v) for row in rows]
 
 
-def _reduce(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
-            vec: Sequence[Fraction]) -> list[Fraction]:
+def _reduce(rows: Sequence[Sequence[Scalar]], pivots: Sequence[int],
+            vec: Sequence[Scalar]) -> list[Scalar]:
     """Canonical representative of vec modulo the span of the rref `rows`
     with the given pivots: the unique one that is zero at every pivot.
     Each pivot column is zero in the other rows, so one pass suffices."""
@@ -295,10 +326,10 @@ def _reduce(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int],
         coeff = out[p]
         if coeff:
             out = [a - coeff * b for a, b in zip(out, row)]
-    return out
+    return [_exact(v) for v in out]
 
 
-def _projection(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], dim: int
+def _projection(rows: Sequence[Sequence[Scalar]], pivots: Sequence[int], dim: int
                 ) -> tuple[list[int], SparseMatrix]:
     """The non-pivot coordinates of the rref `rows`, in increasing order,
     and the matrix of `_reduce` read off at those coordinates: it vanishes
@@ -307,7 +338,7 @@ def _projection(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], dim: 
     keep = [j for j in range(dim) if j not in pivot_set]
     data = {}
     for q, j in enumerate(keep):
-        data[(q, j)] = ONE
+        data[(q, j)] = 1
         for row, p in zip(rows, pivots):
             if row[j]:
                 data[(q, p)] = -row[j]
@@ -315,8 +346,8 @@ def _projection(rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], dim: 
 
 
 def quotient_data(
-    subspace: Sequence[Sequence[Fraction]], ambient_dim: int
-) -> tuple[list[list[Fraction]], SparseMatrix]:
+    subspace: Sequence[Sequence[Scalar]], ambient_dim: int
+) -> tuple[list[list[Scalar]], SparseMatrix]:
     """Representatives and projection for ambient / span(subspace).
 
     Representatives are the standard basis vectors at the lexicographically
@@ -326,12 +357,12 @@ def quotient_data(
     """
     reduced = row_space_basis(subspace, ambient_dim)
     keep, projection = _projection(reduced, _pivots(reduced), ambient_dim)
-    reps = [[ONE if i == j else ZERO for i in range(ambient_dim)] for j in keep]
+    reps = [[1 if i == j else 0 for i in range(ambient_dim)] for j in keep]
     return reps, projection
 
 
-def in_span(vectors: Sequence[Sequence[Fraction]], target: Sequence[Fraction], ambient_dim: int
-            ) -> Optional[list[Fraction]]:
+def in_span(vectors: Sequence[Sequence[Scalar]], target: Sequence[Scalar], ambient_dim: int
+            ) -> Optional[list[Scalar]]:
     """Coefficients expressing target in the given vectors, or None."""
     m = SparseMatrix.from_columns(list(vectors), ambient_dim)
     return solve(m, list(target))

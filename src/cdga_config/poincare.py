@@ -14,14 +14,13 @@ suspension sign rules, never written down by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional
 
 from .algebra import DGAlgebra, Element
 from .dgmodule import DGModule, ModuleMap, module_via_algebra_map, suspend
 from .errors import PDFailure, StructureError
-from .linalg import ONE, ZERO, SparseMatrix, _accumulate, invert, kernel_basis
+from .linalg import Scalar, SparseMatrix, _accumulate, _divide, _exact, invert, kernel_basis
 from .products import TensorAlgebra, tensor
 
 
@@ -34,26 +33,26 @@ class PDAlgebra:
     block as one exact linear system.
     """
 
-    def __init__(self, algebra: DGAlgebra, n: int, epsilon: dict[int, Fraction]):
+    def __init__(self, algebra: DGAlgebra, n: int, epsilon: dict[int, Scalar]):
         self.algebra = algebra
         self.n = n
-        self.epsilon = {i: Fraction(c) for i, c in epsilon.items() if c}
+        self.epsilon = {i: _exact(c) for i, c in epsilon.items() if c}
         # per degree k, the inverse of the degree k pairing matrix (None if
         # singular), filled by `_pairing_inverse`
         self._pairing_inverses: dict[int, Optional[SparseMatrix]] = {}
         # the cone of the shriek map, filled by `cone.cone_model`
         self._cone_model = None
 
-    def epsilon_value(self, x: Element) -> Fraction:
+    def epsilon_value(self, x: Element) -> Scalar:
         """Apply the orientation functional to the degree-n part of x."""
-        total = ZERO
+        total = 0
         for i, c in x.coeffs.items():
             v = self.epsilon.get(i)
             if v:
                 total += c * v
-        return total
+        return _exact(total)
 
-    def pairing(self, x: Element, y: Element) -> Fraction:
+    def pairing(self, x: Element, y: Element) -> Scalar:
         return self.epsilon_value(self.algebra.multiply(x, y))
 
     @cached_property
@@ -63,7 +62,7 @@ class PDAlgebra:
         for i in self.algebra.basis.degree_indices(self.n):
             v = self.epsilon.get(i)
             if v:
-                return Element(self.algebra, {i: ONE / v})
+                return Element(self.algebra, {i: _divide(1, v)})
         raise PDFailure("NoOrientationClass")
 
     def _pairing_matrix(self, k: int) -> SparseMatrix:
@@ -115,7 +114,7 @@ class PDAlgebra:
 
 
 def check_pd(
-    algebra: DGAlgebra, n: int, epsilon: Mapping[int, Fraction] | Mapping[str, Fraction]
+    algebra: DGAlgebra, n: int, epsilon: Mapping[int, Scalar] | Mapping[str, Scalar]
 ) -> PDAlgebra:
     """Verify the Poincare duality axioms and return the verified structure.
 
@@ -123,12 +122,12 @@ def check_pd(
     pairing in every complementary pair of degrees: the pairing matrix must
     be square and invertible. Raises PDFailure with a witness otherwise.
     """
-    eps: dict[int, Fraction] = {}
+    eps: dict[int, Scalar] = {}
     for key, value in epsilon.items():
         idx = algebra.basis.index(key) if isinstance(key, str) else key
         if algebra.basis.degrees[idx] != n:
             raise StructureError("orientation functional supported outside degree n")
-        value = Fraction(value)
+        value = _exact(value)
         if value:
             eps[idx] = value
     pd = PDAlgebra(algebra, n, eps)
@@ -189,7 +188,7 @@ def diagonal_class(pd: PDAlgebra) -> DiagonalClass:
     """diag = sum_i (-1)^|a_i| a_i (x) a_i* in (A (x) A)^n."""
     square = pd.square
     degs = pd.algebra.basis.degrees
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, Scalar] = {}
     for i in range(pd.algebra.dim()):
         sign = (-1) ** degs[i]
         _accumulate(coeffs, ((square.pair_index(i, j), sign * c)

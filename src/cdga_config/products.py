@@ -13,12 +13,11 @@ list 1(x)top before top(x)1, matching the usual diagonal-class notation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .algebra import DGAlgebra, Element, GradedBasis
 from .errors import CorrespondenceFailure, StructureError
-from .linalg import ONE, ZERO
+from .linalg import Scalar, _divide
 
 TENSOR = "⊗"
 
@@ -145,7 +144,7 @@ def product_pd(c, b):
     for t in ta.basis.degree_indices(n):
         i, j = ta.factors_of(t)
         if c.algebra.basis.degrees[i] == c.n and b.algebra.basis.degrees[j] == b.n:
-            value = c.epsilon.get(i, ZERO) * b.epsilon.get(j, ZERO)
+            value = c.epsilon.get(i, 0) * b.epsilon.get(j, 0)
             if value:
                 epsilon[t] = value
     return check_pd(ta, n, epsilon)
@@ -160,7 +159,7 @@ class CorrespondenceReport:
     The sign is determined empirically per pair, never assumed.
     """
 
-    sign: Fraction
+    sign: Scalar
     shuffle_multiplicative: bool
     quotient_betti_factors: list[int]
     quotient_betti_product: list[int]
@@ -217,7 +216,7 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
                          name="square/(diag)")
         betti = q.betti(sq.basis.max_degree())
         return CorrespondenceReport(
-            sign=ONE,
+            sign=1,
             shuffle_multiplicative=True,
             quotient_betti_factors=betti,
             quotient_betti_product=list(betti),
@@ -241,9 +240,9 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
     sigma = shuffle_iso(cc_bb, aa)
     shuffled = sigma(tensor_of_diagonals)
 
-    sign: Optional[Fraction] = None
+    sign: Optional[Scalar] = None
     if shuffled.coeffs.keys() == diag_a.coeffs.keys():
-        ratios = {shuffled.coeffs[k] / diag_a.coeffs[k] for k in shuffled.coeffs}
+        ratios = {_divide(shuffled.coeffs[k], diag_a.coeffs[k]) for k in shuffled.coeffs}
         if len(ratios) == 1:
             sign = ratios.pop()
     if sign is None:

@@ -13,12 +13,11 @@ all reports stay deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import Coeffs, DGAlgebra, Element, GradedBasis, cohomology
 from .errors import StructureError
-from .linalg import ONE, ZERO, SparseMatrix, _pivots, _projection, _reduce, betti_numbers, row_space_basis
+from .linalg import Scalar, SparseMatrix, _pivots, _projection, _reduce, betti_numbers, row_space_basis
 
 
 def _by_degree(coeffs: Coeffs, degrees: Sequence[int]) -> dict[int, Coeffs]:
@@ -47,12 +46,12 @@ class Subcomplex:
     def __init__(self, ambient: DGAlgebra, vectors: Sequence[Element]):
         self.ambient = ambient
         degrees = ambient.basis.degrees
-        by_degree: dict[int, list[list[Fraction]]] = {}
+        by_degree: dict[int, list[list[Scalar]]] = {}
         for v in vectors:
             for k, part in _by_degree(v.coeffs, degrees).items():
                 idx = ambient.basis.degree_indices(k)
-                by_degree.setdefault(k, []).append([part.get(i, ZERO) for i in idx])
-        self.bases: dict[int, list[list[Fraction]]] = {}
+                by_degree.setdefault(k, []).append([part.get(i, 0) for i in idx])
+        self.bases: dict[int, list[list[Scalar]]] = {}
         self._pivots: dict[int, list[int]] = {}
         for k, vecs in sorted(by_degree.items()):
             rows = row_space_basis(vecs, len(ambient.basis.degree_indices(k)))
@@ -104,7 +103,7 @@ class Subcomplex:
             if not rows:
                 continue
             idx = self.ambient.basis.degree_indices(k)
-            vec = _reduce(rows, self._pivots[k], [out.get(i, ZERO) for i in idx])
+            vec = _reduce(rows, self._pivots[k], [out.get(i, 0) for i in idx])
             for c, i in enumerate(idx):
                 if vec[c]:
                     out[i] = vec[c]
@@ -127,7 +126,7 @@ class Subcomplex:
             for row in rows:
                 gen = {i: v for i, v in zip(idx, row) if v}
                 for m in range(amb.dim()):
-                    if self._reduce_coeffs(amb.multiply_coeffs({m: ONE}, gen)):
+                    if self._reduce_coeffs(amb.multiply_coeffs({m: 1}, gen)):
                         return False
         return True
 
@@ -151,13 +150,13 @@ class QuotientDGA:
     def project(self, elem: Element) -> Element:
         if elem.parent is not self.ambient:
             raise StructureError("element does not live in the ambient algebra")
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         amb = self.ambient.basis
         for k, part in sorted(_by_degree(elem.coeffs, amb.degrees).items()):
             block = self._proj_blocks.get(k)
             if block is None or block.rows == 0:
                 continue
-            res = block.apply([part.get(i, ZERO) for i in amb.degree_indices(k)])
+            res = block.apply([part.get(i, 0) for i in amb.degree_indices(k)])
             # the kept indices of degree k are the quotient's degree-k basis
             for q, v in zip(self.algebra.basis.degree_indices(k), res):
                 if v:

@@ -24,19 +24,18 @@ map exists at all, which is the Obstructed verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .algebra import Element
 from .errors import IncompatibleTables, StructureError
 from .io import load_table_file
-from .linalg import ONE, ZERO, SparseMatrix, _accumulate, invert
+from .linalg import Scalar, SparseMatrix, _accumulate, _divide, _exact, invert
 from .presets import table_preset_path
 from .products import TensorAlgebra
 from .twisted import TwistedModel
 
 Monomial = tuple[int, tuple[int, ...]]
-FreeElt = dict  # Monomial -> coefficient (Fraction, or Poly in the solver)
+FreeElt = dict  # Monomial -> coefficient (a Scalar, or a Poly in the solver)
 
 
 # --- polynomial coefficients for the solver ---------------------------------
@@ -53,24 +52,25 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[dict[tuple[int, ...], Fraction]] = None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
+    def __init__(self, terms: Optional[dict[tuple[int, ...], Scalar]] = None):
+        self.terms = {k: _exact(v) for k, v in (terms or {}).items() if v}
 
     @classmethod
-    def _of(cls, terms: dict[tuple[int, ...], Fraction]) -> "Poly":
-        """Wrap a dict whose values are already known to be nonzero."""
+    def _of(cls, terms: dict[tuple[int, ...], Scalar]) -> "Poly":
+        """Wrap a dict whose values are already known to be nonzero and
+        canonical."""
         poly = cls.__new__(cls)
         poly.terms = terms
         return poly
 
     @classmethod
     def const(cls, c) -> "Poly":
-        c = Fraction(c)
-        return cls({(): c} if c else {})
+        c = _exact(c)
+        return cls._of({(): c} if c else {})
 
     @classmethod
     def variable(cls, v: int) -> "Poly":
-        return cls({(v,): ONE})
+        return cls._of({(v,): 1})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -91,26 +91,26 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Scalar):
             if not other:
                 return Poly()
-            return Poly._of({k: v * other for k, v in self.terms.items()})
+            return Poly._of({k: _exact(v * other) for k, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for k1, v1 in self.terms.items():
             _accumulate(out, ((tuple(sorted(k1 + k2)), v1 * v2)
                               for k2, v2 in other.terms.items()))
         return Poly._of(out)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Scalar):
             return self * other
         return NotImplemented
 
-    def substitute(self, values: dict[int, Fraction]) -> "Poly":
+    def substitute(self, values: dict[int, Scalar]) -> "Poly":
         """Evaluate the variables that `values` assigns a rational to."""
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for key, coeff in self.terms.items():
             rest = []
             for v in key:
@@ -125,10 +125,10 @@ class Poly:
     def degree(self) -> int:
         return max((len(k) for k in self.terms), default=0)
 
-    def affine(self) -> Optional[tuple[Fraction, dict[int, Fraction]]]:
+    def affine(self) -> Optional[tuple[Scalar, dict[int, Scalar]]]:
         """(constant, linear coefficients), or None when degree >= 2."""
-        const = ZERO
-        linear: dict[int, Fraction] = {}
+        const = 0
+        linear: dict[int, Scalar] = {}
         for key, coeff in self.terms.items():
             if len(key) == 0:
                 const = coeff
@@ -157,7 +157,7 @@ class Poly:
 
 
 class InconsistentSystem(Exception):
-    def __init__(self, constant: Fraction, provenance: str):
+    def __init__(self, constant: Scalar, provenance: str):
         self.constant = constant
         self.provenance = provenance
         super().__init__(f"0 = {constant} ({provenance})")
@@ -176,12 +176,12 @@ class AffineSystem:
     """
 
     def __init__(self):
-        self.rows: dict[int, tuple[dict[int, Fraction], Fraction, str]] = {}
-        self.determined: dict[int, Fraction] = {}
+        self.rows: dict[int, tuple[dict[int, Scalar], Scalar, str]] = {}
+        self.determined: dict[int, Scalar] = {}
 
-    def _reduce(self, coeffs: dict[int, Fraction], const: Fraction):
+    def _reduce(self, coeffs: dict[int, Scalar], const: Scalar):
         determined, rows = self.determined, self.rows
-        out: dict[int, Fraction] = {}
+        out: dict[int, Scalar] = {}
         for v, c in coeffs.items():
             value = determined.get(v)
             if value is None:
@@ -196,9 +196,9 @@ class AffineSystem:
             negated = -factor
             _accumulate(out, ((w, negated * c) for w, c in rc.items()))
             const -= factor * rconst
-        return out, const
+        return out, _exact(const)
 
-    def _promote_determined(self) -> list[tuple[int, Fraction]]:
+    def _promote_determined(self) -> list[tuple[int, Scalar]]:
         new = []
         while True:
             fresh = [pivot for pivot, (coeffs, _, _) in self.rows.items() if len(coeffs) == 1]
@@ -213,10 +213,10 @@ class AffineSystem:
                     c = coeffs.pop(v, None)
                     if c is not None:
                         const -= c * self.determined[v]
-                self.rows[pivot] = (coeffs, const, prov)
+                self.rows[pivot] = (coeffs, _exact(const), prov)
 
-    def add(self, coeffs: dict[int, Fraction], const: Fraction, provenance: str
-            ) -> list[tuple[int, Fraction]]:
+    def add(self, coeffs: dict[int, Scalar], const: Scalar, provenance: str
+            ) -> list[tuple[int, Scalar]]:
         """Insert one equation; returns newly determined (var, value) pairs."""
         coeffs, const = self._reduce(coeffs, const)
         if not coeffs:
@@ -224,18 +224,19 @@ class AffineSystem:
                 raise InconsistentSystem(const, provenance)
             return []
         pivot = min(coeffs)
-        inv = ONE / coeffs[pivot]
-        if inv != 1:
-            coeffs = {v: c * inv for v, c in coeffs.items()}
-            const *= inv
+        p = coeffs[pivot]
+        if p != 1:
+            # a -1 pivot only flips signs; any other needs a true division
+            inv = -1 if p == -1 else _divide(1, p)
+            coeffs = {v: _exact(c * inv) for v, c in coeffs.items()}
+            const = _exact(const * inv)
         # eliminate the new pivot from existing rows
         for other_pivot, (rc, rconst, prov) in list(self.rows.items()):
             factor = rc.get(pivot)
             if factor:
                 negated = -factor
                 _accumulate(rc, ((w, negated * c) for w, c in coeffs.items()))
-                rconst -= factor * const
-                self.rows[other_pivot] = (rc, rconst, prov)
+                self.rows[other_pivot] = (rc, _exact(rconst - factor * const), prov)
         self.rows[pivot] = (coeffs, const, provenance)
         return self._promote_determined()
 
@@ -360,10 +361,10 @@ class GeneratorTable:
         return " + ".join(parts).replace("+ -", "- ")
 
     def base_elt(self, b: int) -> FreeElt:
-        return {(b, ()): ONE}
+        return {(b, ()): 1}
 
     def gen_elt(self, g: int) -> FreeElt:
-        return {(self.base.unit, (g,)): ONE}
+        return {(self.base.unit, (g,)): 1}
 
     def _merge_gens(self, g1: tuple[int, ...], g2: tuple[int, ...]):
         """Sort the concatenation with Koszul swap signs; None when an odd
@@ -402,15 +403,15 @@ class GeneratorTable:
         return out
 
     def product(self, *factors: FreeElt) -> FreeElt:
-        acc = {(self.base.unit, ()): ONE}
+        acc = {(self.base.unit, ()): 1}
         for f in factors:
             acc = self.mul(acc, f)
         return acc
 
-    def scale(self, x: FreeElt, c) -> FreeElt:
+    def scale(self, x: FreeElt, c: Scalar) -> FreeElt:
         if not c:
             return {}
-        return {k: c * v for k, v in x.items()}
+        return {k: _exact(c * v) for k, v in x.items()}
 
     def add(self, *elts: FreeElt) -> FreeElt:
         out: FreeElt = {}
@@ -440,8 +441,8 @@ class GeneratorTable:
         out: FreeElt = {(j, gens): v for j, v in self.base.d_basis(b).items()}
         sign = (-1) ** self.base.basis.degrees[b]
         for p, g in enumerate(gens):
-            left: FreeElt = {(b, gens[:p]): ONE}
-            right: FreeElt = {(self.base.unit, gens[p + 1:]): ONE}
+            left: FreeElt = {(b, gens[:p]): 1}
+            right: FreeElt = {(self.base.unit, gens[p + 1:]): 1}
             term = self.mul(self.mul(left, self.differentials[g]), right)
             s = sign * (-1) ** sum(self.gen_degree(h) for h in gens[:p])
             _accumulate(out, ((k, s * v) for k, v in term.items()))
@@ -608,7 +609,7 @@ def check_table(table: GeneratorTable) -> TableReport:
 @dataclass
 class Exists:
     verdict = "exists"
-    assignment: dict[str, Fraction]
+    assignment: dict[str, Scalar]
     generator_images: dict[str, str]
 
 
@@ -616,7 +617,7 @@ class Exists:
 class Obstructed:
     verdict = "obstructed"
     trace: list[str]
-    residual_constant: Fraction
+    residual_constant: Scalar
     at_generator: str
 
 
@@ -660,10 +661,10 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
     # identical differentials admit the identity; verify and return it
     # before any staging, so a residual nonlinearity cannot hide a witness
     if tuple(t1.differentials) == tuple(t2.differentials):
-        identity = [{(t2.base.unit, (g,)): ONE} for g in range(ngen)]
+        identity = [{(t2.base.unit, (g,)): 1} for g in range(ngen)]
         if _verify_witness(t1, t2, identity):
             unknowns = t2._unknowns()
-            assignment = {name: ONE if var in unknowns.diagonal else ZERO
+            assignment = {name: 1 if var in unknowns.diagonal else 0
                           for var, name in unknowns.names.items()}
             images = {t1.gen_label(g): t2.element_str(identity[g]) for g in range(ngen)}
             return Exists(assignment=assignment, generator_images=images)
@@ -747,14 +748,14 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
     for var in var_names:
         if var in assignment or var in system.rows:
             continue
-        assignment[var] = ONE if var in unknowns.diagonal else ZERO
+        assignment[var] = 1 if var in unknowns.diagonal else 0
     for pivot, (coeffs, const, _) in sorted(system.rows.items(), reverse=True):
         value = const
         for v, c in coeffs.items():
             if v == pivot:
                 continue
             value -= c * assignment[v]
-        assignment[pivot] = value
+        assignment[pivot] = _exact(value)
 
     numeric_images: list[FreeElt] = []
     for g in range(ngen):
@@ -762,7 +763,7 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
         for mono, poly in psi_images[g].items():
             value = poly.substitute(assignment)
             aff = value.affine()
-            coeff = aff[0] if aff else ZERO
+            coeff = aff[0] if aff else 0
             if coeff:
                 img[mono] = coeff
         numeric_images.append(img)
@@ -792,7 +793,7 @@ def _verify_witness(t1: GeneratorTable, t2: GeneratorTable,
         data = {}
         for col, g in enumerate(gens_here):
             for row, g2 in enumerate(gens_here):
-                coeff = images[g].get((t2.base.unit, (g2,)), ZERO)
+                coeff = images[g].get((t2.base.unit, (g2,)), 0)
                 if coeff:
                     data[(row, col)] = coeff
         if invert(SparseMatrix(len(gens_here), len(gens_here), data)) is None:
@@ -812,7 +813,7 @@ def s2xs3_table(q, r) -> GeneratorTable:
     carries -q, -r so that the evaluation is a cochain map onto the model
     where (S1)^2 = xi.
     """
-    return load_table_file(table_preset_path(), {"q": Fraction(q), "r": Fraction(r)})
+    return load_table_file(table_preset_path(), {"q": q, "r": r})
 
 
 def classify_example(q_values: Sequence) -> list[list[ObstructionResult]]:

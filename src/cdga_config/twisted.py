@@ -12,7 +12,6 @@ nonzero xi is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -33,7 +32,7 @@ from .errors import (
     StructureError,
     WrongDegree,
 )
-from .linalg import SparseMatrix, invert, quotient_data, row_space_basis, solve
+from .linalg import Scalar, SparseMatrix, invert, quotient_data, row_space_basis, solve
 from .poincare import PDAlgebra, diagonal_class
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -220,7 +219,7 @@ class PhiMap:
     def dimension(self) -> int:
         return len(self.domain_representatives)
 
-    def target_class_coordinates(self, elem: Element) -> list[Fraction]:
+    def target_class_coordinates(self, elem: Element) -> list[Scalar]:
         """Coordinates of a degree-(2n-2) cocycle's class in the quotient
         basis; independent route for checking images of the map."""
         coords = _class_coordinates(
@@ -230,7 +229,7 @@ class PhiMap:
 
 
 def _class_coordinates(space, k: int, vec_elem: Element,
-                       reps: Sequence[Element], cobs: Sequence[Element]) -> list[Fraction]:
+                       reps: Sequence[Element], cobs: Sequence[Element]) -> list[Scalar]:
     """Coordinates of a cocycle's class in the chosen representative basis,
     solved against representatives + coboundaries."""
     idx = space.basis.degree_indices(k)
@@ -451,7 +450,7 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
     idx_tgt = square.basis.degree_indices(want)
     diag = diagonal_class(pd).element
 
-    columns: list[list[Fraction]] = []
+    columns: list[list[Scalar]] = []
     column_meta: list[tuple[str, Element]] = []
     idx_mid = square.basis.degree_indices(n - 2)
     for vec in cocycle_vectors(square, n - 2):

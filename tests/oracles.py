@@ -129,25 +129,29 @@ def oracle_kept(space, vectors):
     return kept
 
 
-def oracle_cocycles(space, k):
-    """Kernel basis of the degree-k block in the documented order: one
-    vector per free column j, with 1 at j and minus the coefficients that
-    express column j in the pivot columns."""
-    dims, blocks = complex_blocks(space)
-    block = blocks[k]
-    columns = [[row[c] for row in block] for c in range(dims[k])]
-    pivots = [c for c in range(dims[k]) if dense_solve(columns[:c], columns[c]) is None]
+def dense_kernel_basis(rows, ncols):
+    """Kernel basis of a dense matrix in the documented order: one vector
+    per free column j, with 1 at j and minus the coefficients that express
+    column j in the pivot columns."""
+    columns = [[row[c] for row in rows] for c in range(ncols)]
+    pivots = [c for c in range(ncols) if dense_solve(columns[:c], columns[c]) is None]
     basis = []
-    for j in range(dims[k]):
+    for j in range(ncols):
         if j in pivots:
             continue
         x = dense_solve([columns[p] for p in pivots], columns[j])
-        vec = [Fraction(0)] * dims[k]
+        vec = [Fraction(0)] * ncols
         vec[j] = Fraction(1)
         for p, c in zip(pivots, x):
             vec[p] = -c
         basis.append(vec)
     return basis
+
+
+def oracle_cocycles(space, k):
+    """Kernel basis of the degree-k block (see `dense_kernel_basis`)."""
+    dims, blocks = complex_blocks(space)
+    return dense_kernel_basis(blocks[k], dims[k])
 
 
 def dense_rref_basis(vectors, dim):

@@ -1,4 +1,5 @@
 import json
+import runpy
 import subprocess
 import sys
 
@@ -119,6 +120,35 @@ def test_check_rejects_mistyped_fields_with_json_path(tmp_path, capsys, override
     assert code == 1
     assert out == ""
     assert err == f"parse error: {doc}: {path}\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["products"][0]["result"][0].update(coeff="1/0"),
+    lambda d: d.update(orientation={"xy": "1/0"}),
+], ids=["product", "orientation"])
+def test_check_zero_denominator_is_parse_error(tmp_path, capsys, edit):
+    data = json.loads(preset_path("s2xs3").read_text(encoding="utf-8"))
+    edit(data)
+    doc = tmp_path / "zero.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(doc))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"parse error: {doc}: ")
+    assert err.endswith("zero denominator in '1/0'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify-example", "--q", "0,1/0"],
+    ["cxi", "s2xs3", "--xi", "1/0*(y(x)xy)"],
+    ["cxi", "s2xs3", "--x", "1/0*y"],
+], ids=["q", "xi", "x"])
+def test_zero_denominator_in_a_flag_is_parse_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error: ")
+    assert "zero denominator in '1/0'" in err
 
 
 # --- diagonal ------------------------------------------------------------------
@@ -255,6 +285,15 @@ def test_product_s2_s3(tmp_path, capsys, monkeypatch):
     assert same_structure(preset_pd("s2xs3").algebra, pd.algebra, relabel)
 
 
+def test_product_unwritable_out_is_parse_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "dir" / "x.json"
+    code, out, err = run_cli(capsys, "product", "s2", "s3", "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"parse error: cannot write {out_path}: ")
+    assert not out_path.exists()
+
+
 def test_product_with_point_echoes_factor(tmp_path, capsys):
     out_path = tmp_path / "echo.json"
     code, out, _ = run_cli(capsys, "product", "s2", "point", "--out", str(out_path))
@@ -315,3 +354,11 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "all checks pass" in proc.stdout
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["cdga_config", "check", "s2"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("cdga_config", run_name="__main__")
+    assert info.value.code == 0
+    assert "all checks pass" in capsys.readouterr().out

@@ -82,6 +82,21 @@ def test_parse_coeff_forms():
         parse_coeff("unknown")
 
 
+def test_parse_coeff_is_canonical():
+    assert parse_coeff("4/2") == 2 and type(parse_coeff("4/2")) is int
+    assert type(parse_coeff("3/2*q", {"q": F(4)})) is int
+    assert type(parse_coeff("q", {"q": F(5)})) is int
+    assert parse_coeff("+3/1") == 3 and type(parse_coeff("+3/1")) is int
+    with pytest.raises(ParseError):
+        parse_coeff("--1")
+
+
+@pytest.mark.parametrize("text", ["1/0", "-0/0", "2/0*q", "−5/0"])
+def test_parse_coeff_zero_denominator_is_parse_error(text):
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_coeff(text, {"q": F(1)})
+
+
 # --- the element micro-grammar -------------------------------------------------
 
 
@@ -171,8 +186,10 @@ def _edit_h_term(data, term):
      'parameters[1] must be a string, got {"r": 1}'),
     (lambda d: d["differentials"].update(hh=d["differentials"].pop("h")),
      'differentials["hh"] names no generator'),
+    (lambda d: d["differentials"]["z5"][0].update(coeff="1/0"),
+     'differentials["z5"][0].coeff: zero denominator in \'1/0\''),
 ], ids=["evaluation-missing", "term-string", "unknown-generator", "differentials-list",
-        "generator-list", "parameter-object", "unknown-differential-key"])
+        "generator-list", "parameter-object", "unknown-differential-key", "zero-denominator"])
 def test_table_loader_names_the_json_path(tmp_path, edit, message):
     from cdga_config.io import load_table_file
     from cdga_config.presets import table_preset_path

@@ -15,7 +15,8 @@ from cdga_config.linalg import (
     solve,
 )
 
-from oracles import dense_rank
+from oracles import (dense_kernel_basis, dense_rank, dense_rref_basis, dense_solve,
+                     pivot_coordinates)
 
 
 def mat(rows):
@@ -191,3 +192,66 @@ def test_quotient_projection_properties(subspace):
         image = proj.apply(rep)
         assert image[q] == 1 and all(c == 0 for i, c in enumerate(image) if i != q)
     assert len(reps) == 4 - dense_rank(subspace or [[0, 0, 0, 0]])
+
+
+# --- mixed int and Fraction entries against the Fraction-only oracles --------
+
+mixed_entries = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+
+
+def mixed_rows(rows, cols):
+    return st.lists(st.lists(mixed_entries, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def mixed_systems(draw, max_dim=5):
+    rows = draw(st.integers(min_value=1, max_value=max_dim))
+    cols = draw(st.integers(min_value=1, max_value=max_dim))
+    return draw(mixed_rows(rows, cols)), draw(st.lists(mixed_entries, min_size=rows,
+                                                       max_size=rows))
+
+
+def canonical(values):
+    """Each value is an int, or a Fraction that is not integral."""
+    return all(type(v) is int or (type(v) is F and v.denominator != 1) for v in values)
+
+
+@settings(max_examples=80, deadline=None)
+@given(mixed_systems())
+def test_mixed_entries_agree_with_fraction_oracles(system):
+    data, b = system
+    m = SparseMatrix.from_rows(data)
+    assert canonical(v for _, _, v in m.entries())
+
+    reduced, pivots, rk = rref(m)
+    assert pivots == pivot_coordinates(data, m.cols) and rk == len(pivots)
+    assert reduced.dense_rows()[:rk] == dense_rref_basis(data, m.cols)
+    assert canonical(v for _, _, v in reduced.entries())
+
+    kernel = kernel_basis(m)
+    assert kernel == dense_kernel_basis(data, m.cols)
+    assert all(canonical(vec) for vec in kernel)
+
+    columns = [[row[c] for row in data] for c in range(m.cols)]
+    x = solve(m, b)
+    assert x == dense_solve(columns, b)
+    assert x is None or canonical(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: mixed_rows(n, n)))
+def test_mixed_inverse_agrees_with_fraction_oracle(data):
+    n = len(data)
+    inverse = invert(SparseMatrix.from_rows(data))
+    if dense_rank(data) < n:
+        assert inverse is None
+        return
+    columns = [[row[c] for row in data] for c in range(n)]
+    for j in range(n):
+        unit = [1 if i == j else 0 for i in range(n)]
+        assert inverse.column(j) == dense_solve(columns, unit)
+    assert canonical(v for _, _, v in inverse.entries())
