@@ -94,10 +94,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_homogeneous(self) -> bool:
-        degs = {self.parent.basis.degrees[i] for i in self.coeffs}
-        return len(degs) <= 1
-
     def degree(self) -> Optional[int]:
         """Degree of a homogeneous element; None for 0 or mixed terms."""
         degs = {self.parent.basis.degrees[i] for i in self.coeffs}
@@ -567,9 +563,6 @@ class CohomologyReport:
         if up_to is None:
             up_to = max(self.degrees) if self.degrees else 0
         return [self.betti(k) for k in range(up_to + 1)]
-
-    def total_rank(self) -> int:
-        return sum(e.betti for e in self.degrees.values())
 
 
 def cohomology(space: DGAlgebra) -> CohomologyReport:

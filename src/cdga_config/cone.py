@@ -140,12 +140,6 @@ class MappingCone:
             raise StructureError("element does not live in the ring")
         return Element(self.algebra, {self.ring_to_cone[i]: c for i, c in x.coeffs.items()})
 
-    def suspension_element(self, x: Element) -> Element:
-        """The element s(x) of the cone for x in the source module."""
-        if x.parent is not self.source:
-            raise StructureError("element does not live in the source module")
-        return Element(self.algebra, {self.susp_to_cone[b]: c for b, c in x.coeffs.items()})
-
     def delta_table(self) -> list[tuple[str, Element]]:
         """(suspension label, delta of it) for every suspension generator."""
         out = []

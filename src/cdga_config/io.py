@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
 from .algebra import DGAlgebra, Element, GradedBasis
 from .errors import ExpressionParseError, ParseError, StructureError
-from .linalg import Scalar, _divide, _exact
+from .linalg import Scalar, _accumulate, _divide, _exact
 from .poincare import PDAlgebra, check_pd
 
 TENSOR = "⊗"
@@ -39,13 +40,16 @@ def _number(text: str) -> Scalar:
     return _divide(int(num), int(den))
 
 
-def parse_coeff(text: str, parameters: Optional[Mapping[str, Scalar]] = None) -> Scalar:
-    """Exact rational coefficient: 'p', 'p/q' (q nonzero), a declared
-    parameter name, or 'rational*parameter' with optional leading sign."""
+_Coeff = tuple[Scalar, Optional[str]]
+
+
+def _coeff_term(text: str, names) -> _Coeff:
+    """(rational, parameter name or None) spelled by a coefficient: 'p',
+    'p/q' (q nonzero), a parameter name in `names`, or 'rational*name',
+    with an optional leading sign."""
     text = text.strip().replace("−", "-")
     if _NUMBER_RE.match(text):
-        return _number(text)
-    parameters = parameters or {}
+        return _number(text), None
     sign = 1
     if text.startswith("-"):
         sign = -1
@@ -56,11 +60,23 @@ def parse_coeff(text: str, parameters: Optional[Mapping[str, Scalar]] = None) ->
         num, _, name = text.partition("*")
         num = num.strip()
         name = name.strip()
-        if _NUMBER_RE.match(num) and name in parameters:
-            return _exact(sign * _number(num) * parameters[name])
-    elif text in parameters:
-        return _exact(sign * parameters[text])
+        if _NUMBER_RE.match(num) and name in names:
+            return _exact(sign * _number(num)), name
+    elif text in names:
+        return sign, text
     raise ParseError(f"not an exact rational coefficient: {text!r}")
+
+
+def _value(term: _Coeff, values: Mapping[str, Scalar]) -> Scalar:
+    factor, name = term
+    return factor if name is None else _exact(factor * values[name])
+
+
+def parse_coeff(text: str, parameters: Optional[Mapping[str, Scalar]] = None) -> Scalar:
+    """Exact rational coefficient: 'p', 'p/q' (q nonzero), a declared
+    parameter name, or 'rational*parameter' with optional leading sign."""
+    parameters = parameters or {}
+    return _value(_coeff_term(text, parameters), parameters)
 
 
 # --- algebra files -----------------------------------------------------------
@@ -78,6 +94,23 @@ def _of_type(value, kind: type, path: str, source: str):
         what = "an object" if kind is dict else "a list"
         raise ParseError(f"{source}: {path} must be {what}, got {json.dumps(value)}")
     return value
+
+
+def _string(value, path: str, source: str) -> str:
+    """A JSON string; a number or `true` is not coerced by `str()`."""
+    if type(value) is not str:
+        raise ParseError(f"{source}: {path} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def _coefficient(value, path: str, source: str, names=()) -> _Coeff:
+    """The coefficient string at `path` (see `_coeff_term`); a ParseError
+    names the path."""
+    text = _string(value, path, source)
+    try:
+        return _coeff_term(text, names)
+    except ParseError as exc:
+        raise ParseError(f"{source}: {path}: {exc}") from None
 
 
 def _integer(value, path: str, source: str) -> int:
@@ -121,7 +154,7 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
         raise ParseError(f"{source}: {exc}") from exc
 
     mult = []
-    for entry in data.get("products", []):
+    for pos, entry in enumerate(data.get("products", [])):
         try:
             left = basis.index(str(entry["left"]))
             right = basis.index(str(entry["right"]))
@@ -130,25 +163,27 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
             raise ParseError(f"{source}: malformed product entry") from None
         except StructureError as exc:
             raise ParseError(f"{source}: {exc}") from exc
-        for term in result:
+        for k, term in enumerate(result):
             try:
                 target = basis.index(str(term["label"]))
-                coeff = parse_coeff(str(term["coeff"]))
-            except (KeyError, TypeError, ParseError, StructureError) as exc:
+                text = term["coeff"]
+            except (KeyError, TypeError, StructureError) as exc:
                 raise ParseError(f"{source}: malformed product term: {exc}") from None
+            coeff, _ = _coefficient(text, f"products[{pos}].result[{k}].coeff", source)
             mult.append((left, right, target, coeff))
     # the unit multiplies as the identity; these rows are implied
     for i in range(len(basis)):
         mult.append((unit, i, i, 1))
 
     diff = []
-    for entry in data.get("differential", []):
+    for pos, entry in enumerate(data.get("differential", [])):
         try:
             src = basis.index(str(entry["from"]))
             dst = basis.index(str(entry["to"]))
-            coeff = parse_coeff(str(entry["coeff"]))
-        except (KeyError, TypeError, ParseError, StructureError) as exc:
+            text = entry["coeff"]
+        except (KeyError, TypeError, StructureError) as exc:
             raise ParseError(f"{source}: malformed differential entry: {exc}") from None
+        coeff, _ = _coefficient(text, f"differential[{pos}].coeff", source)
         diff.append((src, dst, coeff))
 
     flags = data.get("flags", {})
@@ -173,10 +208,10 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     epsilon = {}
     for label, coeff in orientation.items():
         try:
-            idx = basis.index(str(label))
-            epsilon[idx] = parse_coeff(str(coeff))
-        except (ParseError, StructureError) as exc:
+            idx = basis.index(label)
+        except StructureError as exc:
             raise ParseError(f"{source}: bad orientation entry: {exc}") from None
+        epsilon[idx], _ = _coefficient(coeff, f"orientation[{json.dumps(label)}]", source)
         if basis.degrees[idx] != n:
             raise ParseError(f"{source}: orientation entry {label!r} is not in degree {n}")
     return algebra, n, epsilon, {"simply_connected": simply_connected}
@@ -291,17 +326,23 @@ def parse_element(algebra: DGAlgebra, text: str,
     declared parameter name acts as a rational coefficient.
     """
     parameters = parameters or {}
+    return _element(algebra, _element_terms(text, parameters), parameters)
+
+
+_Term = tuple[_Coeff, Optional[str]]
+
+
+def _element_terms(text: str, names) -> list[_Term]:
+    """The terms of an element expression, each a coefficient (see
+    `_coeff_term`) and a basis label, or None for the unit."""
     tokens = _tokenize(text)
     if not tokens:
         raise ExpressionParseError("empty expression")
 
     def is_scalar(word: str) -> bool:
-        return bool(_NUMBER_RE.match(word)) or word in parameters
+        return bool(_NUMBER_RE.match(word)) or word in names
 
-    def scalar_value(word: str) -> Scalar:
-        return _number(word) if _NUMBER_RE.match(word) else parameters[word]
-
-    total = algebra.zero()
+    terms: list[_Term] = []
     pos = 0
     sign = 1
     expect_term = True
@@ -317,10 +358,10 @@ def parse_element(algebra: DGAlgebra, text: str,
                 continue
             if kind != "word":
                 raise ExpressionParseError(f"unexpected {value!r}")
-            coeff = 1
+            coeff = (sign, None)
             label = None
             if is_scalar(value):
-                coeff = scalar_value(value)
+                coeff = (sign * _number(value), None) if _NUMBER_RE.match(value) else (sign, value)
                 pos += 1
                 if pos < len(tokens) and tokens[pos][0] == "*":
                     pos += 1
@@ -330,17 +371,7 @@ def parse_element(algebra: DGAlgebra, text: str,
             else:
                 label = value
                 pos += 1
-            if label is None:
-                term = algebra.one().scale(sign * coeff)
-            else:
-                try:
-                    idx = algebra.basis.index(label)
-                except StructureError:
-                    raise ExpressionParseError(
-                        f"unknown basis label {label!r} in {algebra.name or 'the algebra'}"
-                    ) from None
-                term = algebra.basis_element(idx).scale(sign * coeff)
-            total = total + term
+            terms.append((coeff, label))
             sign = 1
             expect_term = False
             continue
@@ -352,17 +383,85 @@ def parse_element(algebra: DGAlgebra, text: str,
         raise ExpressionParseError(f"unexpected {value!r} after a term")
     if expect_term:
         raise ExpressionParseError("dangling operator at the end of the expression")
-    return total
+    return terms
+
+
+def _element(algebra: DGAlgebra, terms: list[_Term], values: Mapping[str, Scalar]) -> Element:
+    """The element with these terms, at the given parameter values."""
+    coeffs: dict[int, Scalar] = {}
+    for coeff, label in terms:
+        if label is None:
+            idx = algebra.unit
+        else:
+            try:
+                idx = algebra.basis.index(label)
+            except StructureError:
+                raise ExpressionParseError(
+                    f"unknown basis label {label!r} in {algebra.name or 'the algebra'}"
+                ) from None
+        _accumulate(coeffs, ((idx, _value(coeff, values)),))
+    return algebra.element(coeffs)
 
 
 # --- generator table files ---------------------------------------------------
 
 
-def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]] = None):
-    """Load a generator table document; `parameters` must supply a rational
-    for every name the file declares."""
+@dataclass(frozen=True)
+class TableDocument:
+    """A generator table document, read and checked once. `table(values)`
+    builds the table at values of the declared parameters.
+
+    A value is a rational or a `linalg.RationalFunction`. The evaluation
+    target C(xi) is a model over the rationals, so it is built, and the
+    evaluation with it, only when every value is a rational; otherwise the
+    table has no target.
+    """
+
+    source: str
+    parameters: list[str]
+    pd: PDAlgebra
+    xi: list[_Term]
+    gens: tuple[tuple[str, int], ...]
+    evaluation: list[list[_Term]]
+    # per generator: (coefficient, product of the term's factors) per term
+    differentials: list[list[tuple[_Coeff, dict]]]
+    degree_cap: int
+    name: str
+
+    def table(self, values: Mapping[str, Scalar]):
+        from .sullivan import GeneratorTable
+        from .twisted import build_cxi
+
+        missing = [p for p in self.parameters if p not in values]
+        if missing:
+            raise ParseError(f"{self.source}: values required for parameters {missing}")
+        values = {name: _exact(value) for name, value in values.items()}
+        target, evaluation = None, ()
+        if all(isinstance(values[p], Scalar) for p in self.parameters):
+            target = build_cxi(self.pd, _element(self.pd.square, self.xi, values))
+            evaluation = tuple(_element(target.algebra, terms, values)
+                               for terms in self.evaluation)
+        differentials = []
+        for terms in self.differentials:
+            total: dict = {}
+            for coeff, product in terms:
+                c = _value(coeff, values)
+                _accumulate(total, ((k, c * v) for k, v in product.items()))
+            differentials.append(total)
+        return GeneratorTable(
+            base=self.pd.square,
+            gens=self.gens,
+            differentials=tuple(differentials),
+            target=target,
+            evaluation=evaluation,
+            degree_cap=self.degree_cap,
+            name=self.name,
+        )
+
+
+def parse_table_file(path: str | Path) -> TableDocument:
+    """Read and check a generator table document (see `TableDocument`)."""
     from .sullivan import GeneratorTable
-    from .twisted import build_cxi
     from .presets import resolve_pd
 
     path = Path(path)
@@ -378,17 +477,11 @@ def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]]
         raise ParseError(f"{source}: top level must be an object")
     declared = _of_type(data.get("parameters", []), list, "parameters", source)
     for pos, name in enumerate(declared):
-        if type(name) is not str:
-            raise ParseError(f"{source}: parameters[{pos}] must be a string, got {json.dumps(name)}")
-    parameters = {name: _exact(value) for name, value in (parameters or {}).items()}
-    missing = [p for p in declared if p not in parameters]
-    if missing:
-        raise ParseError(f"{source}: values required for parameters {missing}")
+        _string(name, f"parameters[{pos}]", source)
 
     pd = resolve_pd(str(_require(data, "algebra", source)), relative_to=path.parent)
     square = pd.square
-    xi = parse_element(square, str(_require(data, "xi", source)), parameters)
-    target = build_cxi(pd, xi)
+    xi = _element_terms(str(_require(data, "xi", source)), declared)
 
     gens = []
     for pos, item in enumerate(_require(data, "generators", source)):
@@ -404,14 +497,15 @@ def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]]
     for label, _ in gens:
         if label not in values:
             raise ParseError(f"{source}: missing field evaluation[{json.dumps(label)}]")
-        evaluation.append(parse_element(target.algebra, str(values[label]), parameters))
+        evaluation.append(_element_terms(str(values[label]), declared))
 
+    # a table without differentials multiplies the terms' factors
     table = GeneratorTable(
         base=square,
         gens=tuple(gens),
         differentials=tuple({} for _ in gens),
-        target=target,
-        evaluation=tuple(evaluation),
+        target=None,
+        evaluation=(),
         degree_cap=_integer(_require(data, "degree_cap", source), "degree_cap", source),
         name=str(data.get("name", path.stem)),
     )
@@ -423,13 +517,10 @@ def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]]
             raise ParseError(f"{source}: differentials[{json.dumps(label)}] names no generator")
     for label, _ in gens:
         at = f"differentials[{json.dumps(label)}]"
-        total: dict = {}
+        terms = []
         for pos, term in enumerate(_of_type(table_diffs.get(label, []), list, at, source)):
             term = _of_type(term, dict, f"{at}[{pos}]", source)
-            try:
-                coeff = parse_coeff(str(term.get("coeff", "1")), parameters)
-            except ParseError as exc:
-                raise ParseError(f"{source}: {at}[{pos}].coeff: {exc}") from None
+            coeff = _coefficient(term.get("coeff", "1"), f"{at}[{pos}].coeff", source, declared)
             factors = []
             for k, g in enumerate(_of_type(term.get("gens", []), list, f"{at}[{pos}].gens", source)):
                 if type(g) is not str or g not in gen_index:
@@ -442,7 +533,13 @@ def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]]
                     factors.append(table.base_elt(square.basis.index(base_label)))
                 except StructureError as exc:
                     raise ParseError(f"{source}: {exc}") from None
-            total = table.add(total, table.scale(table.product(*factors), coeff))
-        differentials.append(total)
-    table.differentials = tuple(differentials)
-    return table
+            terms.append((coeff, table.product(*factors)))
+        differentials.append(terms)
+    return TableDocument(source, declared, pd, xi, table.gens, evaluation, differentials,
+                         table.degree_cap, table.name)
+
+
+def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]] = None):
+    """Load a generator table document; `parameters` must supply a value
+    for every name the file declares (see `TableDocument`)."""
+    return parse_table_file(path).table(parameters or {})

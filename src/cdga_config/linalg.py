@@ -8,6 +8,9 @@ on dense rows is the tool; no floats anywhere.
 
 Every stored scalar is exact and canonical (`Scalar`): an `int` when it is
 integral and a `Fraction` only otherwise, never a `float` or a `bool`.
+A computation over a whole family of inputs replaces some scalars with
+`RationalFunction`s in the family's parameters; the same code then runs
+over that field (see the end of this module).
 Almost all structure constants are small integers, and native `int`
 arithmetic costs a fraction of `Fraction` arithmetic. `_exact` puts a
 value into this form, and every true division goes through a `Fraction`
@@ -29,10 +32,13 @@ Scalar = int | Fraction
 def _exact(c) -> Scalar:
     """c in canonical form: an int when it is integral, a Fraction
     otherwise. Takes anything `Fraction` takes, so a bool becomes 0 or 1
-    and a float its exact binary value."""
+    and a float its exact binary value. A `RationalFunction` is canonical
+    by construction and is returned as it is."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if type(c) is RationalFunction:
+            return c
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
@@ -387,3 +393,291 @@ def betti_numbers(
         rk_in = ranks.get(k - 1, 0)
         out[k] = dim - rk_out - rk_in
     return out
+
+
+# --- polynomials and rational functions ----------------------------------------
+
+
+class Poly:
+    """Multivariate polynomial with integer variable ids and exact
+    coefficients (`Scalar`s, or `RationalFunction`s in a family's
+    parameters).
+
+    Keys are sorted tuples of variable ids (with repetition for powers);
+    the empty tuple is the constant term. The obstruction solver's unknowns
+    enter linearly and meet each other only through products of generator
+    images, and a family has one or two parameters, so only tiny degrees
+    ever occur.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Optional[dict[tuple[int, ...], Scalar]] = None):
+        self.terms = {k: _exact(v) for k, v in (terms or {}).items() if v}
+
+    @classmethod
+    def _of(cls, terms: dict[tuple[int, ...], Scalar]) -> "Poly":
+        """Wrap a dict whose values are already known to be nonzero and
+        canonical."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
+    def const(cls, c) -> "Poly":
+        c = _exact(c)
+        return cls._of({(): c} if c else {})
+
+    @classmethod
+    def variable(cls, v: int) -> "Poly":
+        return cls._of({(v,): 1})
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Poly) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(tuple(sorted(self.terms.items())))
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return Poly._of(_accumulate(dict(self.terms), other.terms.items()))
+
+    def __neg__(self) -> "Poly":
+        return Poly._of({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other: "Poly") -> "Poly":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, Poly):
+            out: dict[tuple[int, ...], Scalar] = {}
+            for k1, v1 in self.terms.items():
+                _accumulate(out, ((tuple(sorted(k1 + k2)), v1 * v2)
+                                  for k2, v2 in other.terms.items()))
+            return Poly._of(out)
+        if not isinstance(other, (int, Fraction, RationalFunction)):
+            return NotImplemented
+        if not other:
+            return Poly()
+        return Poly._of({k: _exact(v * other) for k, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        return self * other
+
+    def substitute(self, values: dict[int, Scalar]) -> "Poly":
+        """Evaluate the variables that `values` assigns a value to."""
+        out: dict[tuple[int, ...], Scalar] = {}
+        for key, coeff in self.terms.items():
+            rest = []
+            for v in key:
+                value = values.get(v)
+                if value is None:
+                    rest.append(v)
+                else:
+                    coeff = coeff * value
+            _accumulate(out, ((tuple(rest), coeff),))
+        return Poly._of(out)
+
+    def value_at(self, values: dict[int, Scalar]) -> Scalar:
+        """The value when `values` assigns every variable."""
+        total = 0
+        for key, coeff in self.terms.items():
+            for v in key:
+                coeff = coeff * values[v]
+            total += coeff
+        return _exact(total)
+
+    def affine(self) -> Optional[tuple[Scalar, dict[int, Scalar]]]:
+        """(constant, linear coefficients), or None when degree >= 2."""
+        const = 0
+        linear: dict[int, Scalar] = {}
+        for key, coeff in self.terms.items():
+            if len(key) == 0:
+                const = coeff
+            elif len(key) == 1:
+                linear[key[0]] = coeff
+            else:
+                return None
+        return const, linear
+
+    def quotient(self, divisor: "Poly") -> Optional["Poly"]:
+        """self / divisor when the nonzero `divisor` divides self exactly,
+        else None: long division on leading terms in the lexicographic
+        order with variable 0 largest, in which a key compares as its
+        negated ids."""
+        lead = max(divisor.terms, key=_lex)
+        lead_coeff = divisor.terms[lead]
+        rest = dict(self.terms)
+        out: dict[tuple[int, ...], Scalar] = {}
+        while rest:
+            key = max(rest, key=_lex)
+            factor = list(key)
+            for v in lead:
+                if v not in factor:
+                    return None
+                factor.remove(v)
+            factor = tuple(factor)
+            c = out[factor] = _divide(rest[key], lead_coeff)
+            _accumulate(rest, ((tuple(sorted(factor + k)), -c * v)
+                               for k, v in divisor.terms.items()))
+        return Poly._of(out)
+
+    def render(self, names: dict[int, str]) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms):
+            coeff = self.terms[key]
+            mono = "*".join(names.get(v, f"x{v}") for v in key)
+            if not key:
+                parts.append(str(coeff))
+            elif coeff == 1:
+                parts.append(mono)
+            elif coeff == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{coeff}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+def _lex(key: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-v for v in key)
+
+
+_ONE = Poly.const(1)
+
+
+class Parameters:
+    """The symbols of one computation over a family, numbered from 0, and
+    the guards that the computation's zero tests recorded.
+
+    A guard is a polynomial in the symbols: the numerator of a value that
+    was tested for zero (and, being a `RationalFunction`, found nonzero) or
+    divided by. At a point where no guard vanishes, the same computation
+    over the rationals takes every branch that the one over the symbols
+    took, so each of its values is the symbolic value evaluated there
+    (`value_at`). Guards are kept monic and without repeats, in the order
+    they were first recorded.
+    """
+
+    def __init__(self, names: Sequence[str]):
+        self.names = dict(enumerate(names))
+        self.guards: dict[Poly, None] = {}
+
+    def symbol(self, k: int) -> "RationalFunction":
+        return RationalFunction(Poly.variable(k), _ONE, self)
+
+    def record(self, poly: Poly) -> None:
+        lead = poly.terms[max(poly.terms, key=_lex)]
+        self.guards[poly if lead == 1 else poly * _divide(1, lead)] = None
+
+    def hold_at(self, point: dict[int, Scalar]) -> bool:
+        """Whether no guard vanishes at `point` (symbol id -> value)."""
+        return all(guard.value_at(point) for guard in self.guards)
+
+    def value_at(self, value, point: dict[int, Scalar]) -> Scalar:
+        """A scalar or rational function of these symbols at `point`."""
+        if type(value) is not RationalFunction:
+            return value
+        return _divide(value.num.value_at(point), value.den.value_at(point))
+
+
+class RationalFunction:
+    """A non-constant rational function num/den in the symbols of one
+    `Parameters`, exact like a `Scalar`, with a denominator whose leading
+    coefficient is 1.
+
+    Arithmetic with scalars and with rational functions of the same
+    `Parameters` gives a canonical value: a `Scalar` when the result is
+    constant, so a zero is always the int 0 and a `RationalFunction` is
+    never zero. Testing one for zero (`bool`) records its numerator as a
+    guard, and dividing by one records its numerator too. Comparing one
+    with a scalar gives False without a guard: the callers compare with
+    1 and -1 only to skip a multiplication by the value, which gives the
+    same result. Only an exact division cancels the denominator against
+    the numerator, so equal values can differ in form; they are never
+    hashed, and `==` tests the difference for zero.
+    """
+
+    __slots__ = ("num", "den", "params")
+
+    def __init__(self, num: Poly, den: Poly, params: Parameters):
+        self.num, self.den, self.params = num, den, params
+
+    def _new(self, num: Poly, den: Poly):
+        if not num:
+            return 0
+        quotient = num if den == _ONE else num.quotient(den)
+        if quotient is not None:
+            if set(quotient.terms) == {()}:
+                return quotient.terms[()]
+            return RationalFunction(quotient, _ONE, self.params)
+        lead = den.terms[max(den.terms, key=_lex)]
+        if lead != 1:
+            inv = _divide(1, lead)
+            num, den = num * inv, den * inv
+        return RationalFunction(num, den, self.params)
+
+    def __bool__(self) -> bool:
+        self.params.record(self.num)
+        return True
+
+    def __eq__(self, other) -> bool:
+        if type(other) is RationalFunction:
+            return not (self - other)
+        return False
+
+    __hash__ = None
+
+    def __neg__(self) -> "RationalFunction":
+        return RationalFunction(-self.num, self.den, self.params)
+
+    def __add__(self, other):
+        if type(other) is RationalFunction:
+            if self.den == other.den:
+                return self._new(self.num + other.num, self.den)
+            return self._new(self.num * other.den + other.num * self.den, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return self._new(self.num + self.den * other, self.den)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if type(other) is RationalFunction:
+            return self._new(self.num * other.num, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction(self.num * other, self.den, self.params) if other else 0
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is RationalFunction:
+            self.params.record(other.num)
+            return self._new(self.num * other.den, self.den * other.num)
+        if isinstance(other, (int, Fraction)):
+            return self * _divide(1, other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            self.params.record(self.num)
+            return self._new(self.den * other, self.num)
+        return NotImplemented
+
+    def __str__(self) -> str:
+        num = self.num.render(self.params.names)
+        if self.den == _ONE:
+            return num
+        return f"({num})/({self.den.render(self.params.names)})"
+
+    __repr__ = __str__

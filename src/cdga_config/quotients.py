@@ -64,9 +64,6 @@ class Subcomplex:
     def dims(self) -> dict[int, int]:
         return {k: len(rows) for k, rows in self.bases.items()}
 
-    def dim_in_degree(self, k: int) -> int:
-        return len(self.bases.get(k, ()))
-
     def _verify_closed(self):
         """d of every basis row must reduce to zero modulo the degree k+1
         rows; its coordinates there are its entries at their pivots."""

@@ -19,6 +19,10 @@ unknowns appear only through psi of decomposables; once earlier unknowns
 are pinned these become affine, and anything that stays nonlinear is
 returned honestly as Unresolved. An inconsistent equation proves no such
 map exists at all, which is the Obstructed verdict.
+
+The same solver runs on tables whose coefficients are rational functions
+of a family's parameters; `classify_example` decides its whole family that
+way and evaluates the verdict at each pair of values.
 """
 
 from __future__ import annotations
@@ -28,132 +32,18 @@ from typing import Optional, Sequence, Union
 
 from .algebra import Element
 from .errors import IncompatibleTables, StructureError
-from .io import load_table_file
-from .linalg import Scalar, SparseMatrix, _accumulate, _divide, _exact, invert
+from .io import parse_table_file
+from .linalg import (Parameters, Poly, Scalar, SparseMatrix, _accumulate, _divide, _exact,
+                     invert)
 from .presets import table_preset_path
 from .products import TensorAlgebra
 from .twisted import TwistedModel
 
 Monomial = tuple[int, tuple[int, ...]]
-FreeElt = dict  # Monomial -> coefficient (a Scalar, or a Poly in the solver)
+FreeElt = dict  # Monomial -> coefficient (a Scalar or RationalFunction, or a Poly in the solver)
 
 
-# --- polynomial coefficients for the solver ---------------------------------
-
-
-class Poly:
-    """Multivariate polynomial over the rationals with integer variable ids.
-
-    Keys are sorted tuples of variable ids (with repetition for powers);
-    the empty tuple is the constant term. Only tiny degrees ever occur:
-    unknowns enter linearly and meet each other only through products of
-    generator images.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Optional[dict[tuple[int, ...], Scalar]] = None):
-        self.terms = {k: _exact(v) for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def _of(cls, terms: dict[tuple[int, ...], Scalar]) -> "Poly":
-        """Wrap a dict whose values are already known to be nonzero and
-        canonical."""
-        poly = cls.__new__(cls)
-        poly.terms = terms
-        return poly
-
-    @classmethod
-    def const(cls, c) -> "Poly":
-        c = _exact(c)
-        return cls._of({(): c} if c else {})
-
-    @classmethod
-    def variable(cls, v: int) -> "Poly":
-        return cls._of({(v,): 1})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        return Poly._of(_accumulate(dict(self.terms), other.terms.items()))
-
-    def __neg__(self) -> "Poly":
-        return Poly._of({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Scalar):
-            if not other:
-                return Poly()
-            return Poly._of({k: _exact(v * other) for k, v in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        out: dict[tuple[int, ...], Scalar] = {}
-        for k1, v1 in self.terms.items():
-            _accumulate(out, ((tuple(sorted(k1 + k2)), v1 * v2)
-                              for k2, v2 in other.terms.items()))
-        return Poly._of(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, Scalar):
-            return self * other
-        return NotImplemented
-
-    def substitute(self, values: dict[int, Scalar]) -> "Poly":
-        """Evaluate the variables that `values` assigns a rational to."""
-        out: dict[tuple[int, ...], Scalar] = {}
-        for key, coeff in self.terms.items():
-            rest = []
-            for v in key:
-                value = values.get(v)
-                if value is None:
-                    rest.append(v)
-                else:
-                    coeff = coeff * value
-            _accumulate(out, ((tuple(rest), coeff),))
-        return Poly._of(out)
-
-    def degree(self) -> int:
-        return max((len(k) for k in self.terms), default=0)
-
-    def affine(self) -> Optional[tuple[Scalar, dict[int, Scalar]]]:
-        """(constant, linear coefficients), or None when degree >= 2."""
-        const = 0
-        linear: dict[int, Scalar] = {}
-        for key, coeff in self.terms.items():
-            if len(key) == 0:
-                const = coeff
-            elif len(key) == 1:
-                linear[key[0]] = coeff
-            else:
-                return None
-        return const, linear
-
-    def render(self, names: dict[int, str]) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            mono = "*".join(names.get(v, f"x{v}") for v in key)
-            if not key:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(mono)
-            elif coeff == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{coeff}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+# --- the affine system ------------------------------------------------------
 
 
 class InconsistentSystem(Exception):
@@ -198,22 +88,28 @@ class AffineSystem:
             const -= factor * rconst
         return out, _exact(const)
 
-    def _promote_determined(self) -> list[tuple[int, Scalar]]:
+    def _promote_determined(self, changed: list[int]) -> list[tuple[int, Scalar]]:
+        """Move the rows left with no other support into `determined` and
+        substitute them, round by round. Only a row that has just changed
+        can be such a row; `changed` lists those pivots in the order of
+        `rows`, and so does each round's list of rewritten rows."""
         new = []
-        while True:
-            fresh = [pivot for pivot, (coeffs, _, _) in self.rows.items() if len(coeffs) == 1]
-            if not fresh:
-                return new
+        fresh = [pivot for pivot in changed if len(self.rows[pivot][0]) == 1]
+        while fresh:
             for pivot in fresh:
                 const = self.rows.pop(pivot)[1]
                 self.determined[pivot] = const
                 new.append((pivot, const))
-            for pivot, (coeffs, const, prov) in list(self.rows.items()):
-                for v in fresh:
-                    c = coeffs.pop(v, None)
-                    if c is not None:
+            changed = []
+            for pivot, (coeffs, const, prov) in self.rows.items():
+                held = [(v, coeffs.pop(v)) for v in fresh if v in coeffs]
+                if held:
+                    for v, c in held:
                         const -= c * self.determined[v]
-                self.rows[pivot] = (coeffs, _exact(const), prov)
+                    self.rows[pivot] = (coeffs, _exact(const), prov)
+                    changed.append(pivot)
+            fresh = [pivot for pivot in changed if len(self.rows[pivot][0]) == 1]
+        return new
 
     def add(self, coeffs: dict[int, Scalar], const: Scalar, provenance: str
             ) -> list[tuple[int, Scalar]]:
@@ -231,14 +127,16 @@ class AffineSystem:
             coeffs = {v: _exact(c * inv) for v, c in coeffs.items()}
             const = _exact(const * inv)
         # eliminate the new pivot from existing rows
-        for other_pivot, (rc, rconst, prov) in list(self.rows.items()):
+        changed = []
+        for other_pivot, (rc, rconst, prov) in self.rows.items():
             factor = rc.get(pivot)
             if factor:
                 negated = -factor
                 _accumulate(rc, ((w, negated * c) for w, c in coeffs.items()))
                 self.rows[other_pivot] = (rc, _exact(rconst - factor * const), prov)
+                changed.append(other_pivot)
         self.rows[pivot] = (coeffs, const, provenance)
-        return self._promote_determined()
+        return self._promote_determined(changed + [pivot])
 
 
 # --- generator tables --------------------------------------------------------
@@ -642,6 +540,30 @@ def _compatible(t1: GeneratorTable, t2: GeneratorTable) -> None:
         raise IncompatibleTables("base algebras differ")
 
 
+def _render(trace: list[tuple], value=None) -> list[str]:
+    """The solver's trace as text. An entry is a tuple of strings and
+    values, kept apart until the end so that a trace over a family's
+    parameters can be rendered at each point; `value`, when given, maps
+    each value first."""
+    return ["".join(part if type(part) is str else str(part if value is None else value(part))
+                    for part in entry)
+            for entry in trace]
+
+
+@dataclass(frozen=True)
+class _Obstruction:
+    """An Obstructed verdict with its trace and constant not yet rendered."""
+
+    trace: list[tuple]
+    constant: object
+    at_generator: str
+
+    def rendered(self, value=None) -> Obstructed:
+        constant = self.constant if value is None else value(self.constant)
+        return Obstructed(trace=_render(self.trace, value), residual_constant=constant,
+                          at_generator=self.at_generator)
+
+
 def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult:
     """Decide whether some isomorphism psi with psi D1 = D2 psi fixes the
     base and sends t1 to t2.
@@ -655,6 +577,16 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
     no base-fixing map commutes with the differentials), Unresolved is the
     honest leftover.
     """
+    result = _staged_solve(t1, t2)
+    return result.rendered() if isinstance(result, _Obstruction) else result
+
+
+def _staged_solve(t1: GeneratorTable, t2: GeneratorTable
+                  ) -> Union[Exists, _Obstruction, Unresolved]:
+    """`iso_obstruction` with an Obstructed verdict left unrendered. The
+    tables' coefficients may be rational functions of one `Parameters`:
+    the same steps then decide the whole family at once (see
+    `classify_example`)."""
     _compatible(t1, t2)
     ngen = len(t1.gens)
 
@@ -677,10 +609,10 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
     psi_of_d1, minus_d2_of_psi = t1._psi_of_d(), t2._minus_d_of_psi()
 
     system = AffineSystem()
-    trace: list[str] = []
+    trace: list[tuple] = []
     pending: list[tuple[str, Poly]] = []
 
-    def feed(poly: Poly, provenance: str) -> Optional[Obstructed]:
+    def feed(poly: Poly, provenance: str) -> Optional[_Obstruction]:
         reduced = poly.substitute(system.determined)
         if not reduced:
             return None
@@ -692,14 +624,13 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
         try:
             newly = system.add(linear, -const, provenance)
         except InconsistentSystem as exc:
-            trace.append(f"inconsistent: 0 = {exc.constant}  [{provenance}]")
-            return Obstructed(trace=trace, residual_constant=exc.constant,
-                              at_generator=provenance.split(":", 1)[0])
+            trace.append(("inconsistent: 0 = ", exc.constant, f"  [{provenance}]"))
+            return _Obstruction(trace, exc.constant, provenance.split(":", 1)[0])
         for var, value in newly:
-            trace.append(f"{var_names[var]} = {value}")
+            trace.append((f"{var_names[var]} = ", value))
         return None
 
-    def retry_pending() -> Optional[Obstructed]:
+    def retry_pending() -> Optional[_Obstruction]:
         changed = True
         while changed:
             changed = False
@@ -720,7 +651,7 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
     order = sorted(range(ngen), key=lambda g: (t1.gen_degree(g), g))
     for g in order:
         label = t1.gen_label(g)
-        trace.append(f"-- stage {label} (degree {t1.gen_degree(g)})")
+        trace.append((f"-- stage {label} (degree {t1.gen_degree(g)})",))
         # psi(D1 g) - D2(psi g), with psi g = sum of unknown * monomial
         commutator = _accumulate(dict(psi_of_d1[g]), minus_d2_of_psi[g].items())
         for mono in sorted(commutator, key=lambda m: (t2.monomial_degree(m), m[1], m[0])):
@@ -740,7 +671,7 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
             f"{prov}: {poly.substitute(system.determined).render(var_names)} = 0"
             for prov, poly in pending
         ]
-        return Unresolved(trace=trace, residual=residual)
+        return Unresolved(trace=_render(trace), residual=residual)
 
     # assemble a concrete witness: free diagonal unknowns default to 1,
     # other free unknowns to 0, pivot rows then fix the rest
@@ -769,7 +700,7 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
         numeric_images.append(img)
 
     if not _verify_witness(t1, t2, numeric_images):
-        return Unresolved(trace=trace,
+        return Unresolved(trace=_render(trace),
                           residual=["candidate assignment failed re-verification"])
 
     named = {var_names[v]: value for v, value in sorted(assignment.items())}
@@ -813,17 +744,48 @@ def s2xs3_table(q, r) -> GeneratorTable:
     carries -q, -r so that the evaluation is a cochain map onto the model
     where (S1)^2 = xi.
     """
-    return load_table_file(table_preset_path(), {"q": q, "r": r})
+    return parse_table_file(table_preset_path()).table({"q": q, "r": r})
 
 
 def classify_example(q_values: Sequence) -> list[list[ObstructionResult]]:
     """Pairwise obstruction verdicts for the one-parameter family: the
-    diagonal must come out Exists and every off-diagonal pair Obstructed."""
-    tables = [s2xs3_table(q, 0) for q in q_values]
+    diagonal must come out Exists and every off-diagonal pair Obstructed.
+
+    The table document is parsed once, and each value's table is built
+    with its checked C(q,0) target. When there is an off-diagonal pair,
+    one solve runs with q kept symbolic (q1 in the first table, q2 in the
+    second, no target; see `linalg.Parameters`), and an off-diagonal pair
+    takes that verdict evaluated at (q_i, q_j) when it is Obstructed, no
+    guard it recorded vanishes there and its residual does not either.
+    Then each of the pair's zero tests comes out as in the symbolic solve,
+    so the evaluated verdict is the one `iso_obstruction` returns. Every
+    other pair, and every diagonal pair, gets `iso_obstruction` itself.
+    """
+    document = parse_table_file(table_preset_path())
+    tables = [document.table({"q": q, "r": 0}) for q in q_values]
+    family = None
+    if len(q_values) > 1:
+        params = Parameters(("q1", "q2"))
+        generic = _staged_solve(document.table({"q": params.symbol(0), "r": 0}),
+                                document.table({"q": params.symbol(1), "r": 0}))
+        if isinstance(generic, _Obstruction):
+            family = params, generic
     matrix = []
-    for t_row in tables:
+    for i, t_row in enumerate(tables):
         row = []
-        for t_col in tables:
-            row.append(iso_obstruction(t_row, t_col))
+        for j, t_col in enumerate(tables):
+            result = None
+            if family is not None and i != j:
+                result = _specialise(*family, {0: q_values[i], 1: q_values[j]})
+            row.append(result or iso_obstruction(t_row, t_col))
         matrix.append(row)
     return matrix
+
+
+def _specialise(params: Parameters, generic: _Obstruction, point: dict[int, Scalar]
+                ) -> Optional[Obstructed]:
+    """The symbolic Obstructed verdict at `point`, or None when a guard or
+    the residual vanishes there."""
+    if not params.hold_at(point) or not params.value_at(generic.constant, point):
+        return None
+    return generic.rendered(lambda value: params.value_at(value, point))

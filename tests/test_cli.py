@@ -122,6 +122,16 @@ def test_check_rejects_mistyped_fields_with_json_path(tmp_path, capsys, override
     assert err == f"parse error: {doc}: {path}\n"
 
 
+@pytest.mark.parametrize("value", [1, 1.0, True, None], ids=["int", "float", "true", "null"])
+def test_check_rejects_a_coefficient_that_is_not_a_string(tmp_path, capsys, value):
+    doc = tmp_path / "typed.json"
+    doc.write_text(json.dumps(_s2_document(orientation={"x": value})), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(doc))
+    assert code == 1
+    assert out == ""
+    assert err == f'parse error: {doc}: orientation["x"] must be a string, got {json.dumps(value)}\n'
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d["products"][0]["result"][0].update(coeff="1/0"),
     lambda d: d.update(orientation={"xy": "1/0"}),

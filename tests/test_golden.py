@@ -44,6 +44,7 @@ def _cases():
         ("cxi_s2xs3_xi", ["cxi", "s2xs3", "--xi=3/2*(y(x)xy) - 2*(xy(x)y)"], 0),
         ("cxi_s2xs3_x", ["cxi", "s2xs3", "--x=-5/3*y"], 0),
         ("classify-example", ["classify-example", "--q=0,1,-1/2,7/3"], 0),
+        ("classify-example_fractional", ["classify-example", "--q=2,-1/3,5/7"], 0),
     ]
     return cases
 

@@ -169,6 +169,60 @@ def test_simply_connected_flag_must_be_boolean(value):
         f"doc: flags.simply_connected must be a boolean, got {json.dumps(value)}")
 
 
+_COEFFICIENT_SLOTS = [
+    (lambda v: {"products": [{"left": "x", "right": "x", "result": [{"label": "x", "coeff": v}]}]},
+     "products[0].result[0].coeff"),
+    (lambda v: {"differential": [{"from": "1", "to": "x", "coeff": v}]}, "differential[0].coeff"),
+    (lambda v: {"orientation": {"x": v}}, 'orientation["x"]'),
+]
+
+
+@pytest.mark.parametrize("value", [1, 1.0, True, None], ids=["int", "float", "true", "null"])
+@pytest.mark.parametrize("slot, path", _COEFFICIENT_SLOTS,
+                         ids=["product", "differential", "orientation"])
+def test_coefficients_must_be_json_strings(slot, path, value):
+    with pytest.raises(ParseError) as info:
+        load_algebra_data(minimal_doc(**slot(value)), "doc")
+    assert str(info.value) == f"doc: {path} must be a string, got {json.dumps(value)}"
+
+
+def test_bad_coefficient_string_names_the_json_path():
+    with pytest.raises(ParseError) as info:
+        load_algebra_data(minimal_doc(orientation={"x": "2/x"}), "doc")
+    assert str(info.value) == "doc: orientation[\"x\"]: not an exact rational coefficient: '2/x'"
+
+
+@pytest.mark.parametrize("value", [1, 1.0, True, None], ids=["int", "float", "true", "null"])
+def test_table_coefficients_must_be_json_strings(tmp_path, value):
+    from cdga_config.io import load_table_file
+    from cdga_config.presets import table_preset_path
+
+    data = json.loads(table_preset_path().read_text(encoding="utf-8"))
+    data["differentials"]["z5"][1]["coeff"] = value
+    doc = tmp_path / "table.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_table_file(doc, {"q": F(1), "r": F(0)})
+    assert str(info.value) == (f'{doc}: differentials["z5"][1].coeff must be a string, '
+                               f"got {json.dumps(value)}")
+
+
+def test_a_symbolic_parameter_value_builds_a_table_without_target():
+    from cdga_config.io import parse_table_file
+    from cdga_config.linalg import Parameters
+    from cdga_config.presets import table_preset_path
+
+    document = parse_table_file(table_preset_path())
+    params = Parameters(("q",))
+    table = document.table({"q": params.symbol(0), "r": 0})
+    assert table.target is None and table.evaluation == ()
+    assert table.element_str(table.differentials[-1]) == (
+        f"-q*y{TENSOR}xy + u^2 - 2*z61*1{TENSOR}x - 2*z61*x{TENSOR}1")
+    with pytest.raises(ParseError) as info:
+        document.table({"q": 1})
+    assert str(info.value) == f"{table_preset_path()}: values required for parameters ['r']"
+
+
 def _edit_h_term(data, term):
     data["differentials"]["h"][3] = term
 

@@ -255,3 +255,49 @@ def test_mixed_inverse_agrees_with_fraction_oracle(data):
         unit = [1 if i == j else 0 for i in range(n)]
         assert inverse.column(j) == dense_solve(columns, unit)
     assert canonical(v for _, _, v in inverse.entries())
+
+
+# --- polynomials and rational functions in a family's parameters ---------------------
+
+
+def test_poly_quotient_is_exact_division():
+    from cdga_config.linalg import Poly
+
+    a, b = Poly.variable(0), Poly.variable(1)
+    assert (a * a - b * b).quotient(a - b) == a + b
+    assert (a * b * F(3, 2)).quotient(b * 3) == a * F(1, 2)
+    assert (a * a + b).quotient(a) is None
+    assert a.quotient(b) is None
+    assert Poly().quotient(a) == Poly()
+
+
+def test_rational_functions_are_canonical():
+    from cdga_config.linalg import Parameters, RationalFunction
+
+    params = Parameters(("a", "b"))
+    a, b = params.symbol(0), params.symbol(1)
+    # constant results are scalars, so zero is the int 0
+    assert a - a == 0 and type(a - a) is int
+    assert (a * b) / (b * a) == 1 and type((a * b) / (b * a)) is int
+    assert type((a + b) * F(1, 2) * 2 - b) is RationalFunction
+    assert str((a * b - b * b) / (a - b)) == "b"
+    assert str(a / (b * 2)) == "(1/2*a)/(b)"
+    assert params.value_at((a - b) / b, {0: 5, 1: 3}) == F(2, 3)
+    assert params.value_at(F(1, 2), {0: 5, 1: 3}) == F(1, 2)
+
+
+def test_rational_functions_record_zero_tests_and_divisors_as_guards():
+    from cdga_config.linalg import Parameters
+
+    params = Parameters(("a", "b"))
+    a, b = params.symbol(0), params.symbol(1)
+    # comparing with a scalar records nothing
+    assert a != 1 and a + b != 0
+    assert not params.guards
+    assert bool(a - b)
+    assert 1 / (a * 2 + 4) != a
+    # kept monic: 2a + 4 is recorded as 2 + a
+    assert [g.render(params.names) for g in params.guards] == [
+        "a - b", "2 + a", "-1/2 + 2*a + a*a"]
+    assert params.hold_at({0: 5, 1: 3})
+    assert not params.hold_at({0: 3, 1: 3}) and not params.hold_at({0: -2, 1: 3})

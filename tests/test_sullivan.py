@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdga_config.errors import IncompatibleTables
 from cdga_config.io import load_table_file
@@ -359,3 +361,105 @@ def test_affine_system_stays_fully_reduced():
         [],
     ]
     assert system.determined == dict(enumerate(x)) and not system.rows
+
+
+# --- the family decided in one symbolic solve -------------------------------------
+
+
+def _generic_solve():
+    from cdga_config.io import parse_table_file
+    from cdga_config.linalg import Parameters
+    from cdga_config.sullivan import _staged_solve
+
+    document = parse_table_file(table_preset_path())
+    params = Parameters(("q1", "q2"))
+    result = _staged_solve(document.table({"q": params.symbol(0), "r": 0}),
+                           document.table({"q": params.symbol(1), "r": 0}))
+    return params, result
+
+
+def test_generic_residual_is_q1_minus_q2_over_q2():
+    from cdga_config.linalg import RationalFunction
+
+    params, result = _generic_solve()
+    q1, q2 = params.symbol(0), params.symbol(1)
+    assert result.at_generator == "h"
+    assert type(result.constant) is RationalFunction
+    ratio = result.constant * q2 / (q1 - q2)
+    assert type(ratio) is not RationalFunction and ratio != 0
+    # the pairs that fall back to the numeric solve: q1 = 0, q2 = 0, q1 = q2
+    assert [guard.render(params.names) for guard in params.guards] == ["q1", "q2", "q1 - q2"]
+
+
+def _count_numeric_solves(monkeypatch):
+    import cdga_config.sullivan as sullivan
+
+    solved = []
+    original = sullivan.iso_obstruction
+    square = s2xs3_table(0, 0).base
+    y_xy = (square.basis.index(f"y{TENSOR}xy"), ())
+
+    def counting(t1, t2):
+        # q is minus the y(x)xy coefficient of D(h)
+        solved.append(tuple(-t.differentials[-1].get(y_xy, 0) for t in (t1, t2)))
+        return original(t1, t2)
+
+    monkeypatch.setattr(sullivan, "iso_obstruction", counting)
+    return solved
+
+
+def test_classify_example_solves_numerically_only_the_diagonal_and_fallbacks(monkeypatch):
+    solved = _count_numeric_solves(monkeypatch)
+    qs = [F(2), F(-1, 3), F(5, 7), F(-4)]
+    matrix = classify_example(qs)
+    assert solved == [(q, q) for q in qs]
+    assert [[r.verdict for r in row] for row in matrix] == [
+        ["exists" if i == j else "obstructed" for j in range(4)] for i in range(4)]
+
+    # q = 0 makes a guard vanish (the solve divides by q2, and tests q1 for
+    # zero), so every pair with a zero goes through the numeric solver
+    solved.clear()
+    qs = [F(3), F(0), F(-1, 2)]
+    classify_example(qs)
+    assert sorted(solved) == sorted([(q, q) for q in qs] + [(3, 0), (0, 3), (F(-1, 2), 0),
+                                                            (0, F(-1, 2))])
+
+
+def test_classify_example_parses_the_table_document_once(monkeypatch):
+    import cdga_config.sullivan as sullivan
+
+    calls = []
+    original = sullivan.parse_table_file
+    monkeypatch.setattr(sullivan, "parse_table_file",
+                        lambda path: calls.append(path) or original(path))
+    classify_example([1, 2, 3])
+    assert len(calls) == 1
+
+
+_family_values = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-2, 3)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_family_values, min_size=2, max_size=4))
+def test_classify_example_equals_fresh_pairwise_solves(qs):
+    matrix = classify_example(qs)
+    for i, q in enumerate(qs):
+        for j, r in enumerate(qs):
+            assert matrix[i][j] == iso_obstruction(s2xs3_table(q, 0), s2xs3_table(r, 0))
+
+
+def test_promotion_rewrites_only_rows_that_held_a_determined_variable():
+    from cdga_config.sullivan import AffineSystem
+
+    system = AffineSystem()
+    system.add({0: 1, 2: 1}, 1, "a")
+    system.add({1: 1, 3: 1}, 2, "b")
+    untouched = system.rows[1]
+    # eliminating x2 from row 0 determines x0; row 1 holds neither
+    # variable and is left as it was
+    assert system.add({2: 1}, 4, "c") == [(0, -3), (2, 4)]
+    assert system.rows[1] is untouched
+    assert list(system.rows) == [1]
