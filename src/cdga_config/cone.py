@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import DGAlgebra, Element, GradedBasis, check_cdga
+from .algebra import DGAlgebra, Element, GradedBasis, _canonical_pair, check_cdga
 from .dgmodule import ModuleMap, suspend
 from .errors import AxiomFailure, MixedParents, NotAModuleMap, OddDimension, StructureError
 from .linalg import _combine
@@ -41,9 +41,14 @@ class MappingCone:
         ring = f.source.ring
         if f.target.basis is not ring.basis:
             raise NotAModuleMap("cone target must be the ring itself")
-        for r in range(ring.dim()):
-            for m in range(ring.dim()):
-                if f.target.act_basis(r, m) != ring.mult_basis(r, m):
+        rdeg = ring.basis.degrees
+        for r, rows in enumerate(f.target._action):
+            for m, row in enumerate(rows):
+                # compared with the stored one-sided product row
+                key, sign = _canonical_pair(r, m, rdeg[r], rdeg[m])
+                if sign == -1:
+                    row = {k: -c for k, c in row.items()}
+                if row != ring._mult.get(key, {}):
                     raise NotAModuleMap("cone target must carry the multiplication action")
         source = f.source
         if suspension_labels is None:
@@ -69,7 +74,6 @@ class MappingCone:
             else:
                 susp_to_cone[idx] = pos
 
-        rdeg = ring.basis.degrees
         bdeg = source.basis.degrees  # unsuspended degrees: the |b| in rule (iii)
 
         mult = []
@@ -117,9 +121,8 @@ class MappingCone:
             raise StructureError(f"semi-trivial product is inconsistent: {exc}") from exc
 
         # delta squared is verified, never assumed
-        for i in range(algebra.dim()):
-            dd = algebra.d(algebra.d(algebra.basis_element(i)))
-            if not dd.is_zero():
+        for i, row in enumerate(algebra._diff):
+            if _combine(row, algebra._diff):
                 raise StructureError(
                     f"cone differential does not square to zero at {algebra.basis.labels[i]}"
                 )
@@ -147,10 +150,6 @@ class MappingCone:
             ci = self.susp_to_cone[b]
             out.append((self.algebra.basis.labels[ci], self.algebra.d(self.algebra.basis_element(ci))))
         return out
-
-    def act(self, r: Element, x: Element) -> Element:
-        """The R-module action on the cone, through the inclusion."""
-        return self.algebra.multiply(self.include_base(r), x)
 
     def __repr__(self) -> str:
         return f"MappingCone({self.algebra.name}, dim {self.algebra.dim()})"

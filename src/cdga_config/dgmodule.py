@@ -7,7 +7,9 @@ The sign conventions are the two rules everything else is derived from:
 
 Cone differentials and the module action on desuspended algebras are never
 entered by hand; they are produced by applying these rules to a plain
-action, and the action axioms are re-verified on all basis tuples.
+action. Every `ModuleMap` checks on construction that it commutes with d
+and with the action on all basis pairs, which is how each shriek map is
+verified; `DGModule.verify` checks the module axioms themselves on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 from .algebra import DGAlgebra, Element, GradedBasis
 from .errors import NotAModuleMap, StructureError
-from .linalg import Scalar, _accumulate, _combine, _exact
+from .linalg import Scalar, _combine, _exact
 
 Coeffs = dict[int, Scalar]
 
@@ -25,8 +27,10 @@ class DGModule:
     """Graded module over a DGAlgebra with a compatible differential.
 
     `action[(r, m)]` holds the coefficients of e_r . e_m in the module
-    basis. `verify()` checks unit action, associativity of the action over
-    all (r, r', m) triples and the module Leibniz rule on all (r, m) pairs.
+    basis; it is stored as `_action[r][m]`, so `_action[r]` gives the rows
+    of the map m -> e_r . m, as `_diff` gives those of d. `verify()`
+    checks unit action, associativity of the action over all (r, r', m)
+    triples and the module Leibniz rule on all (r, m) pairs.
     """
 
     def __init__(
@@ -43,14 +47,17 @@ class DGModule:
         self.name = name
         degs = basis.degrees
         rdegs = ring.basis.degrees
-        self._action: dict[tuple[int, int], Coeffs] = {}
+        # one row per (ring index, basis index); the zero action shares one
+        # empty row, which is never mutated
+        empty: Coeffs = {}
+        table: list[list[Coeffs]] = [[empty] * len(degs) for _ in rdegs]
         for (r, m), row in action.items():
             clean = {k: _exact(c) for k, c in row.items() if c}
             for k, c in clean.items():
                 if degs[k] != rdegs[r] + degs[m]:
                     raise StructureError("module action violates degrees")
-            if clean:
-                self._action[(r, m)] = clean
+            table[r][m] = clean
+        self._action: tuple[tuple[Coeffs, ...], ...] = tuple(map(tuple, table))
         # one row per basis index, empty for cocycles
         rows: list[Coeffs] = [{} for _ in degs]
         for i, row in diff.items():
@@ -67,66 +74,49 @@ class DGModule:
     def element(self, coeffs) -> Element:
         return Element(self, coeffs)
 
-    def basis_element(self, i: int) -> Element:
-        return Element(self, {i: 1})
-
     def zero(self) -> Element:
         return Element(self, {})
 
     def d_basis(self, i: int) -> Coeffs:
         return dict(self._diff[i])
 
-    def d(self, x: Element) -> Element:
-        return Element(self, _combine(x.coeffs, self._diff))
-
     def act_basis(self, r: int, m: int) -> Coeffs:
-        return dict(self._action.get((r, m), {}))
-
-    def act(self, r: Element, m: Element) -> Element:
-        if r.parent is not self.ring or m.parent is not self:
-            raise StructureError("action arguments live in the wrong spaces")
-        out: Coeffs = {}
-        for ri, a in r.coeffs.items():
-            for mi, b in m.coeffs.items():
-                row = self._action.get((ri, mi))
-                if row:
-                    ab = a * b
-                    _accumulate(out, ((k, ab * c) for k, c in row.items()))
-        return Element(self, out)
+        return dict(self._action[r][m])
 
     def verify(self) -> None:
         """Check unit, action associativity and the module Leibniz rule on
-        every basis tuple; raises StructureError on the first violation."""
+        every basis tuple, on the rows of the action, of the ring's product
+        and of both differentials; raises StructureError on the first
+        violation."""
         ring = self.ring
-        for m in range(self.dim()):
-            if self.act_basis(ring.unit, m) != {m: 1}:
-                raise StructureError(f"unit does not act as identity on {self.basis.labels[m]}")
-        n_r = ring.dim()
+        act = self._action
+        # act_t[m][r] = e_r . e_m: the action on e_m as a map of the ring
+        act_t = [list(column) for column in zip(*act)]
+        rlabels, labels = ring.basis.labels, self.basis.labels
+        n, n_r = self.dim(), ring.dim()
+        for m in range(n):
+            if act[ring.unit][m] != {m: 1}:
+                raise StructureError(f"unit does not act as identity on {labels[m]}")
         for r1 in range(n_r):
-            e1 = ring.basis_element(r1)
             for r2 in range(n_r):
-                prod = ring.multiply(e1, ring.basis_element(r2))
-                for m in range(self.dim()):
-                    em = self.basis_element(m)
-                    lhs = self.act(prod, em)
-                    rhs = self.act(e1, self.act(ring.basis_element(r2), em))
-                    if lhs != rhs:
+                prod = ring.mult_basis(r1, r2)
+                for m in range(n):
+                    if _combine(prod, act_t[m]) != _combine(act[r2][m], act[r1]):
                         raise StructureError(
                             "module action is not associative at "
-                            f"({ring.basis.labels[r1]}, {ring.basis.labels[r2]}, {self.basis.labels[m]})"
+                            f"({rlabels[r1]}, {rlabels[r2]}, {labels[m]})"
                         )
+        diff = self._diff
+        negated = [{t: -c for t, c in row.items()} for row in diff]
         for r in range(n_r):
-            er = ring.basis_element(r)
-            der = ring.d(er)
-            sign = (-1) ** ring.basis.degrees[r]
-            for m in range(self.dim()):
-                em = self.basis_element(m)
-                lhs = self.d(self.act(er, em))
-                rhs = self.act(der, em) + self.act(er, self.d(em)).scale(sign)
-                if lhs != rhs:
+            dr = ring.d_basis(r)
+            signed = negated if ring.basis.degrees[r] % 2 else diff
+            for m in range(n):
+                # d(e_r . e_m) against d(e_r) . e_m + (-1)^|e_r| e_r . d(e_m)
+                rhs = _combine(signed[m], act[r], _combine(dr, act_t[m]))
+                if _combine(act[r][m], diff) != rhs:
                     raise StructureError(
-                        "module Leibniz rule fails at "
-                        f"({ring.basis.labels[r]}, {self.basis.labels[m]})"
+                        f"module Leibniz rule fails at ({rlabels[r]}, {labels[m]})"
                     )
 
     def __repr__(self) -> str:
@@ -173,9 +163,11 @@ def suspend(module: DGModule, k: int, label: Optional[Callable[[str], str]] = No
     ring = module.ring
     dsign = (-1) ** k
     action = {}
-    for (r, m), row in module._action.items():
+    for r, rows in enumerate(module._action):
         sign = (-1) ** (k * ring.basis.degrees[r])
-        action[(r, m)] = {t: sign * c for t, c in row.items()}
+        for m, row in enumerate(rows):
+            if row:
+                action[(r, m)] = {t: sign * c for t, c in row.items()}
     diff = {i: {j: dsign * c for j, c in row.items()} for i, row in enumerate(module._diff)}
     return DGModule(ring, basis, action, diff, name=f"s^{k}({module.name})")
 
@@ -187,8 +179,7 @@ class ModuleMap:
     ring action on every (ring basis, source basis) pair.
     """
 
-    def __init__(self, source: DGModule, target: DGModule, images: Sequence[Element],
-                 *, verify: bool = True):
+    def __init__(self, source: DGModule, target: DGModule, images: Sequence[Element]):
         if source.ring is not target.ring:
             raise NotAModuleMap("source and target have different ground rings")
         if len(images) != source.dim():
@@ -203,25 +194,21 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.images = tuple(images)
-        if verify:
-            self.verify()
-
-    def apply(self, x: Element) -> Element:
-        return Element(self.target, _combine(x.coeffs, [img.coeffs for img in self.images]))
+        self.verify()
 
     def verify(self) -> None:
+        """Check f d = d f on every source basis element, then
+        f(e_r . e_i) = e_r . f(e_i) on every (ring, source) basis pair, on
+        the rows of the images, the actions and the differentials."""
         src, tgt, ring = self.source, self.target, self.source.ring
+        rows = [img.coeffs for img in self.images]
         for i in range(src.dim()):
-            lhs = self.apply(src.d(src.basis_element(i)))
-            rhs = tgt.d(self.images[i])
-            if lhs != rhs:
+            if _combine(src._diff[i], rows) != _combine(rows[i], tgt._diff):
                 raise NotAModuleMap(f"does not commute with d at {src.basis.labels[i]}")
         for r in range(ring.dim()):
-            er = ring.basis_element(r)
+            src_r, tgt_r = src._action[r], tgt._action[r]
             for i in range(src.dim()):
-                lhs = self.apply(src.act(er, src.basis_element(i)))
-                rhs = tgt.act(er, self.images[i])
-                if lhs != rhs:
+                if _combine(src_r[i], rows) != _combine(rows[i], tgt_r):
                     raise NotAModuleMap(
                         f"does not commute with the action at ({ring.basis.labels[r]}, {src.basis.labels[i]})"
                     )

@@ -138,16 +138,17 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     pairs = []
     for pos, item in enumerate(basis_items):
         try:
-            label, degree = str(item["label"]), item["degree"]
+            label, degree = item["label"], item["degree"]
         except (KeyError, TypeError):
             raise ParseError(f"{source}: each basis item needs a label and a degree") from None
-        pairs.append((label, _integer(degree, f"basis[{pos}].degree", source)))
+        pairs.append((_string(label, f"basis[{pos}].label", source),
+                      _integer(degree, f"basis[{pos}].degree", source)))
     try:
         basis = GradedBasis.build(pairs)
     except StructureError as exc:
         raise ParseError(f"{source}: {exc}") from exc
 
-    unit_label = str(_require(data, "unit", source))
+    unit_label = _string(_require(data, "unit", source), "unit", source)
     try:
         unit = basis.index(unit_label)
     except StructureError as exc:
@@ -156,8 +157,8 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     mult = []
     for pos, entry in enumerate(data.get("products", [])):
         try:
-            left = basis.index(str(entry["left"]))
-            right = basis.index(str(entry["right"]))
+            left = basis.index(_string(entry["left"], f"products[{pos}].left", source))
+            right = basis.index(_string(entry["right"], f"products[{pos}].right", source))
             result = entry["result"]
         except (KeyError, TypeError):
             raise ParseError(f"{source}: malformed product entry") from None
@@ -165,7 +166,8 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
             raise ParseError(f"{source}: {exc}") from exc
         for k, term in enumerate(result):
             try:
-                target = basis.index(str(term["label"]))
+                target = basis.index(_string(term["label"], f"products[{pos}].result[{k}].label",
+                                             source))
                 text = term["coeff"]
             except (KeyError, TypeError, StructureError) as exc:
                 raise ParseError(f"{source}: malformed product term: {exc}") from None
@@ -178,8 +180,8 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     diff = []
     for pos, entry in enumerate(data.get("differential", [])):
         try:
-            src = basis.index(str(entry["from"]))
-            dst = basis.index(str(entry["to"]))
+            src = basis.index(_string(entry["from"], f"differential[{pos}].from", source))
+            dst = basis.index(_string(entry["to"], f"differential[{pos}].to", source))
             text = entry["coeff"]
         except (KeyError, TypeError, StructureError) as exc:
             raise ParseError(f"{source}: malformed differential entry: {exc}") from None
@@ -479,25 +481,28 @@ def parse_table_file(path: str | Path) -> TableDocument:
     for pos, name in enumerate(declared):
         _string(name, f"parameters[{pos}]", source)
 
-    pd = resolve_pd(str(_require(data, "algebra", source)), relative_to=path.parent)
+    pd = resolve_pd(_string(_require(data, "algebra", source), "algebra", source),
+                    relative_to=path.parent)
     square = pd.square
-    xi = _element_terms(str(_require(data, "xi", source)), declared)
+    xi = _element_terms(_string(_require(data, "xi", source), "xi", source), declared)
 
     gens = []
     for pos, item in enumerate(_require(data, "generators", source)):
         try:
-            label, degree = str(item["label"]), item["degree"]
+            label, degree = item["label"], item["degree"]
         except (KeyError, TypeError):
             raise ParseError(f"{source}: each generator needs a label and a degree") from None
-        gens.append((label, _integer(degree, f"generators[{pos}].degree", source)))
+        gens.append((_string(label, f"generators[{pos}].label", source),
+                     _integer(degree, f"generators[{pos}].degree", source)))
     gen_index = {label: g for g, (label, _) in enumerate(gens)}
 
     values = _of_type(_require(data, "evaluation", source), dict, "evaluation", source)
     evaluation = []
     for label, _ in gens:
+        at = f"evaluation[{json.dumps(label)}]"
         if label not in values:
-            raise ParseError(f"{source}: missing field evaluation[{json.dumps(label)}]")
-        evaluation.append(_element_terms(str(values[label]), declared))
+            raise ParseError(f"{source}: missing field {at}")
+        evaluation.append(_element_terms(_string(values[label], at, source), declared))
 
     # a table without differentials multiplies the terms' factors
     table = GeneratorTable(
@@ -507,7 +512,7 @@ def parse_table_file(path: str | Path) -> TableDocument:
         target=None,
         evaluation=(),
         degree_cap=_integer(_require(data, "degree_cap", source), "degree_cap", source),
-        name=str(data.get("name", path.stem)),
+        name=_string(data.get("name", path.stem), "name", source),
     )
 
     differentials = []
@@ -527,7 +532,8 @@ def parse_table_file(path: str | Path) -> TableDocument:
                     raise ParseError(f"{source}: {at}[{pos}].gens[{k}] is not a generator, "
                                      f"got {json.dumps(g)}")
                 factors.append(table.gen_elt(gen_index[g]))
-            base_label = str(term.get("base", "")).replace("(x)", TENSOR)
+            base = _string(term.get("base", ""), f"{at}[{pos}].base", source)
+            base_label = base.replace("(x)", TENSOR)
             if base_label:
                 try:
                     factors.append(table.base_elt(square.basis.index(base_label)))

@@ -167,17 +167,6 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self._data.items()})
 
-    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions do not match")
-        data: dict[tuple[int, int], Scalar] = {}
-        by_row: dict[int, list[tuple[int, Scalar]]] = {}
-        for (r, c), v in other._data.items():
-            by_row.setdefault(r, []).append((c, v))
-        for (r, k), v in self._data.items():
-            _accumulate(data, (((r, c), v * w) for c, w in by_row.get(k, ())))
-        return SparseMatrix(self.rows, other.cols, data)
-
     def is_zero(self) -> bool:
         return not self._data
 
@@ -365,13 +354,6 @@ def quotient_data(
     keep, projection = _projection(reduced, _pivots(reduced), ambient_dim)
     reps = [[1 if i == j else 0 for i in range(ambient_dim)] for j in keep]
     return reps, projection
-
-
-def in_span(vectors: Sequence[Sequence[Scalar]], target: Sequence[Scalar], ambient_dim: int
-            ) -> Optional[list[Scalar]]:
-    """Coefficients expressing target in the given vectors, or None."""
-    m = SparseMatrix.from_columns(list(vectors), ambient_dim)
-    return solve(m, list(target))
 
 
 def betti_numbers(

@@ -215,7 +215,7 @@ def desuspended_module(pd: PDAlgebra) -> DGModule:
                    label=lambda l: f"s^-{pd.n}({l})")
 
 
-def shriek_map(pd: PDAlgebra, *, verify: bool = True) -> ModuleMap:
+def shriek_map(pd: PDAlgebra) -> ModuleMap:
     """The module map s^-n A -> A (x) A, s^-n a -> diag . (1 (x) a).
 
     Verification (cochain + action-compatible on all pairs) is part of the
@@ -234,6 +234,6 @@ def shriek_map(pd: PDAlgebra, *, verify: bool = True) -> ModuleMap:
         right = square.tensor_elements(one, pd.algebra.basis_element(a_idx))
         images.append(Element(target, square.multiply(diag, right).coeffs))
     try:
-        return ModuleMap(source, target, images, verify=verify)
+        return ModuleMap(source, target, images)
     except NotAModuleMap as exc:
         raise ModuleMapViolation(str(exc)) from exc

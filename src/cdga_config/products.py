@@ -17,7 +17,7 @@ from typing import Optional
 
 from .algebra import DGAlgebra, Element, GradedBasis
 from .errors import CorrespondenceFailure, StructureError
-from .linalg import Scalar, _divide
+from .linalg import Scalar, _combine, _divide
 
 TENSOR = "⊗"
 
@@ -169,32 +169,25 @@ class CorrespondenceReport:
         return self.quotient_betti_factors == self.quotient_betti_product
 
 
-def shuffle_iso(cc_bb: TensorAlgebra, aa: TensorAlgebra):
-    """Basis-level Koszul shuffle (C(x)C)(x)(B(x)B) -> (C(x)B)(x)(C(x)B),
+def _shuffle_rows(cc_bb: TensorAlgebra, aa: TensorAlgebra) -> list[dict[int, Scalar]]:
+    """Basis images of the Koszul shuffle (C(x)C)(x)(B(x)B) -> (C(x)B)(x)(C(x)B),
 
         (c1(x)c2)(x)(b1(x)b2) |-> (-1)^(|c2||b1|) (c1(x)b1)(x)(c2(x)b2),
 
-    returned as a function on elements."""
+    one coefficient row per basis index of the factor square."""
     cc: TensorAlgebra = cc_bb.left          # C (x) C
     bb: TensorAlgebra = cc_bb.right         # B (x) B
     a: TensorAlgebra = aa.left              # C (x) B
     cdeg = cc.left.basis.degrees
     bdeg = bb.left.basis.degrees
-
-    def apply(x: Element) -> Element:
-        if x.parent is not cc_bb:
-            raise StructureError("element does not live in the factor square")
-        out = {}
-        for t, coeff in x.coeffs.items():
-            p, q = cc_bb.factors_of(t)
-            c1, c2 = cc.factors_of(p)
-            b1, b2 = bb.factors_of(q)
-            sign = (-1) ** (cdeg[c2] * bdeg[b1])
-            target = aa.pair_index(a.pair_index(c1, b1), aa.right.pair_index(c2, b2))
-            out[target] = coeff * sign
-        return Element(aa, out)
-
-    return apply
+    rows = []
+    for t in range(cc_bb.dim()):
+        p, q = cc_bb.factors_of(t)
+        c1, c2 = cc.factors_of(p)
+        b1, b2 = bb.factors_of(q)
+        target = aa.pair_index(a.pair_index(c1, b1), aa.right.pair_index(c2, b2))
+        rows.append({target: (-1) ** (cdeg[c2] * bdeg[b1])})
+    return rows
 
 
 def diagonal_correspondence(c, b) -> CorrespondenceReport:
@@ -237,8 +230,8 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
     bb_elem = Element(bb, diag_b.coeffs)
     tensor_of_diagonals = cc_bb.tensor_elements(cc_elem, bb_elem)
 
-    sigma = shuffle_iso(cc_bb, aa)
-    shuffled = sigma(tensor_of_diagonals)
+    rows = _shuffle_rows(cc_bb, aa)
+    shuffled = Element(aa, _combine(tensor_of_diagonals.coeffs, rows))
 
     sign: Optional[Scalar] = None
     if shuffled.coeffs.keys() == diag_a.coeffs.keys():
@@ -252,11 +245,8 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
     multiplicative = True
     n = cc_bb.dim()
     for i in range(n):
-        ei = sigma(cc_bb.basis_element(i))
         for j in range(n):
-            lhs = sigma(cc_bb.multiply(cc_bb.basis_element(i), cc_bb.basis_element(j)))
-            rhs = aa.multiply(ei, sigma(cc_bb.basis_element(j)))
-            if lhs != rhs:
+            if _combine(cc_bb.mult_basis(i, j), rows) != aa.multiply_coeffs(rows[i], rows[j]):
                 multiplicative = False
                 break
         if not multiplicative:

@@ -28,12 +28,6 @@ def _by_degree(coeffs: Coeffs, degrees: Sequence[int]) -> dict[int, Coeffs]:
     return parts
 
 
-def homogeneous_parts(elem: Element) -> list[Element]:
-    """Split an element into its homogeneous components, by degree."""
-    parts = _by_degree(elem.coeffs, elem.parent.basis.degrees)
-    return [Element(elem.parent, parts[d]) for d in sorted(parts)]
-
-
 class Subcomplex:
     """A graded subspace of an algebra's underlying complex, with the
     restricted differential.

@@ -5,9 +5,11 @@ imports the package's linear algebra, so Betti numbers and ranks computed
 through this module cross-check the library's kernel/image path rather
 than restating it. The quotient and cohomology references find pivots
 and representatives by solving linear systems, not by reducing against
-rref rows as the package does. `naive_check_cdga` is the exception: it
-uses the package's `Element` arithmetic, one product at a time, to
-cross-check the table-driven loops of `check_cdga`.
+rref rows as the package does. `naive_check_cdga`,
+`naive_verify_module` and `naive_verify_module_map` are the exceptions:
+they use the package's `Element` arithmetic, one product at a time, to
+cross-check the row-based loops of `check_cdga`, `DGModule.verify` and
+`ModuleMap.verify`.
 """
 
 from fractions import Fraction
@@ -261,3 +263,93 @@ def naive_check_cdga(algebra):
         if (e[i] * e[j]).d() != e[i].d() * e[j] + (e[i] * e[j].d()).scale((-1) ** degs[i])
         else None))
     return AxiomReport(tuple(checks))
+
+
+def _module_act(module, r, m):
+    """r . m for elements r of the ring and m of the module, summed one
+    `act_basis` term at a time."""
+    from cdga_config.algebra import Element
+
+    out = Element(module, {})
+    for ri, a in r.coeffs.items():
+        for mi, b in m.coeffs.items():
+            out = out + Element(module, module.act_basis(ri, mi)).scale(a * b)
+    return out
+
+
+def _module_d(module, x):
+    """d x for an element of the module, one `d_basis` row at a time."""
+    from cdga_config.algebra import Element
+
+    out = Element(module, {})
+    for i, c in x.coeffs.items():
+        out = out + Element(module, module.d_basis(i)).scale(c)
+    return out
+
+
+def naive_verify_module(module):
+    """`DGModule.verify` computed one `Element` at a time: the unit on every
+    m, associativity on every (r1, r2, m) and the Leibniz rule on every
+    (r, m), in lexicographic order, raising the same first StructureError."""
+    from cdga_config.algebra import Element
+    from cdga_config.errors import StructureError
+
+    ring = module.ring
+    rlabels, mlabels = ring.basis.labels, module.basis.labels
+    e = [ring.basis_element(r) for r in range(ring.dim())]
+    em = [Element(module, {m: 1}) for m in range(module.dim())]
+    for m in range(module.dim()):
+        if _module_act(module, ring.one(), em[m]) != em[m]:
+            raise StructureError(f"unit does not act as identity on {mlabels[m]}")
+    for r1 in range(ring.dim()):
+        for r2 in range(ring.dim()):
+            for m in range(module.dim()):
+                lhs = _module_act(module, e[r1] * e[r2], em[m])
+                rhs = _module_act(module, e[r1], _module_act(module, e[r2], em[m]))
+                if lhs != rhs:
+                    raise StructureError(
+                        "module action is not associative at "
+                        f"({rlabels[r1]}, {rlabels[r2]}, {mlabels[m]})")
+    for r in range(ring.dim()):
+        sign = (-1) ** ring.basis.degrees[r]
+        for m in range(module.dim()):
+            lhs = _module_d(module, _module_act(module, e[r], em[m]))
+            rhs = (_module_act(module, e[r].d(), em[m])
+                   + _module_act(module, e[r], _module_d(module, em[m])).scale(sign))
+            if lhs != rhs:
+                raise StructureError(f"module Leibniz rule fails at ({rlabels[r]}, {mlabels[m]})")
+
+
+def naive_verify_module_map(source, target, images):
+    """`ModuleMap.verify` computed one `Element` at a time: d on every
+    source basis element, then the action on every (r, i), raising the same
+    first NotAModuleMap."""
+    from cdga_config.algebra import Element
+    from cdga_config.errors import NotAModuleMap
+
+    ring = source.ring
+    labels = source.basis.labels
+
+    def apply(x):
+        out = Element(target, {})
+        for i, c in x.coeffs.items():
+            out = out + images[i].scale(c)
+        return out
+
+    ei = [Element(source, {i: 1}) for i in range(source.dim())]
+    for i in range(source.dim()):
+        if apply(_module_d(source, ei[i])) != _module_d(target, images[i]):
+            raise NotAModuleMap(f"does not commute with d at {labels[i]}")
+    for r in range(ring.dim()):
+        er = ring.basis_element(r)
+        for i in range(source.dim()):
+            if apply(_module_act(source, er, ei[i])) != _module_act(target, er, images[i]):
+                raise NotAModuleMap(
+                    f"does not commute with the action at ({ring.basis.labels[r]}, {labels[i]})")
+
+
+def dense_matmul(a, b):
+    """The product of two SparseMatrix values as dense rational rows."""
+    left, right = a.dense_rows(), b.dense_rows()
+    return [[sum((Fraction(row[k]) * right[k][j] for k in range(len(right))), Fraction(0))
+             for j in range(b.cols)] for row in left]

@@ -132,6 +132,18 @@ def test_check_rejects_a_coefficient_that_is_not_a_string(tmp_path, capsys, valu
     assert err == f'parse error: {doc}: orientation["x"] must be a string, got {json.dumps(value)}\n'
 
 
+def test_check_rejects_a_numeric_label(tmp_path, capsys):
+    # the s2 document with its unit's label given as the JSON number 1
+    data = _s2_document(unit=1)
+    data["basis"][0]["label"] = 1
+    doc = tmp_path / "numeric.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(doc))
+    assert code == 1
+    assert out == ""
+    assert err == f"parse error: {doc}: basis[0].label must be a string, got 1\n"
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d["products"][0]["result"][0].update(coeff="1/0"),
     lambda d: d.update(orientation={"xy": "1/0"}),

@@ -255,3 +255,45 @@ def test_table_loader_names_the_json_path(tmp_path, edit, message):
     with pytest.raises(ParseError) as info:
         load_table_file(doc, {"q": F(1), "r": F(0)})
     assert str(info.value) == f"{doc}: {message}"
+
+
+_LABEL_SLOTS = [
+    ({"basis": [{"label": 1, "degree": 0}, {"label": "x", "degree": 2}]}, "basis[0].label", 1),
+    ({"unit": 1}, "unit", 1),
+    ({"products": [{"left": 2, "right": "x", "result": []}]}, "products[0].left", 2),
+    ({"products": [{"left": "x", "right": None, "result": []}]}, "products[0].right", None),
+    ({"products": [{"left": "x", "right": "x", "result": [{"label": True, "coeff": "1"}]}]},
+     "products[0].result[0].label", True),
+    ({"differential": [{"from": 1.0, "to": "x", "coeff": "1"}]}, "differential[0].from", 1.0),
+    ({"differential": [{"from": "1", "to": ["x"], "coeff": "1"}]}, "differential[0].to", ["x"]),
+]
+
+
+@pytest.mark.parametrize("overrides, path, value", _LABEL_SLOTS,
+                         ids=["basis-label", "unit", "product-left", "product-right",
+                              "product-result-label", "differential-from", "differential-to"])
+def test_labels_must_be_json_strings(overrides, path, value):
+    with pytest.raises(ParseError) as info:
+        load_algebra_data(minimal_doc(**overrides), "doc")
+    assert str(info.value) == f"doc: {path} must be a string, got {json.dumps(value)}"
+
+
+@pytest.mark.parametrize("edit, path, value", [
+    (lambda d: d.update(algebra=5), "algebra", 5),
+    (lambda d: d.update(xi=0), "xi", 0),
+    (lambda d: d["generators"][0].update(label=4), "generators[0].label", 4),
+    (lambda d: d["evaluation"].update(h=0), 'evaluation["h"]', 0),
+    (lambda d: d["differentials"]["z5"][0].update(base=True), 'differentials["z5"][0].base', True),
+    (lambda d: d.update(name=7), "name", 7),
+], ids=["algebra", "xi", "generator-label", "evaluation", "base", "name"])
+def test_table_labels_and_expressions_must_be_json_strings(tmp_path, edit, path, value):
+    from cdga_config.io import load_table_file
+    from cdga_config.presets import table_preset_path
+
+    data = json.loads(table_preset_path().read_text(encoding="utf-8"))
+    edit(data)
+    doc = tmp_path / "table.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_table_file(doc, {"q": F(1), "r": F(0)})
+    assert str(info.value) == f"{doc}: {path} must be a string, got {json.dumps(value)}"

@@ -9,7 +9,7 @@ from cdga_config.errors import StructureError
 from cdga_config.poincare import diagonal_class
 from cdga_config.presets import PRESET_NAMES, preset_pd
 from cdga_config.products import product_pd
-from cdga_config.quotients import Subcomplex, homogeneous_parts, ideal_span, quotient_dga
+from cdga_config.quotients import Subcomplex, ideal_span, quotient_dga
 from cdga_config.twisted import equivalence_ideal, quotient_by_diagonal, truncate_cone
 
 import oracles
@@ -20,14 +20,6 @@ def two_stage_algebra():
     basis = GradedBasis(["1", "a", "b"], [0, 3, 4])
     return DGAlgebra(basis, 0, [(0, i, i, 1) for i in range(3)],
                      diff=[(1, 2, 1)], name="two-stage")
-
-
-def test_homogeneous_parts(s2xs3):
-    alg = s2xs3.algebra
-    elem = alg.element_from_label("x") + alg.element_from_label("y").scale(2)
-    parts = homogeneous_parts(elem)
-    assert [p.degree() for p in parts] == [2, 3]
-    assert parts[0] == alg.element_from_label("x")
 
 
 def test_subcomplex_rejects_non_closed_span():
