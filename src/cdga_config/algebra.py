@@ -423,6 +423,23 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     can fail, so the report, witnesses included, is the one a sweep over
     all basis tuples in lexicographic order gives.
 
+    Three more kinds of tuple are passed over because they cannot fail:
+
+    - Graded commutativity. Products are stored once per unordered pair,
+      so for i < j the table entry for (e_j, e_i) is the one for
+      (e_i, e_j) times the Koszul sign, and the comparison is an
+      identity. Only a pair (e_i, e_i) with |e_i| odd can fail, and it
+      fails exactly when e_i^2 != 0; only those squares are compared.
+    - Associativity, once the unit check has passed. Then 1*e_i = e_i
+      for every i, and e_i*1 = 1*e_i as well: both come from the one
+      stored entry of the pair, with sign +1 because the unit has degree
+      0. A triple with the unit in any position then has both sides equal
+      to e_j e_k, e_i e_k or e_i e_j, so no such triple is evaluated. If
+      the unit check fails, every triple in range is evaluated.
+    - Leibniz, once the unit check has passed and d(1) = 0. A pair with a
+      unit factor then has both sides equal to d(e_j) or d(e_i), so it is
+      not evaluated. Otherwise every pair in range is evaluated.
+
     The checks run on integer tables: every structure constant is
     multiplied by the lcm D of their denominators, and every entry of d by
     the lcm E of theirs. Each axiom is homogeneous in these tables: the
@@ -474,14 +491,15 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
             break
     checks.append(AxiomCheck("unit", witness is None, witness))
 
+    # with the unit row verified, tuples with a unit factor cannot fail;
+    # -1 matches no index, so nothing is passed over when it was not
+    proven_unit = a.unit if witness is None else -1
+
+    # pair[j][i] is +-pair[i][j] by construction: only odd squares can fail
     witness = None
     for i in range(n):
-        for j in range(i, n):
-            sign = (-1) ** (degs[i] * degs[j])
-            if pair[i][j] != {k: sign * c for k, c in pair[j][i].items()}:
-                witness = f"({labels[i]}, {labels[j]})"
-                break
-        if witness:
+        if degs[i] % 2 and pair[i][i]:
+            witness = f"({labels[i]}, {labels[i]})"
             break
     checks.append(AxiomCheck("graded_commutativity", witness is None, witness))
 
@@ -492,14 +510,19 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     partners = [[k for k, row in enumerate(pair[m]) if row] for m in range(n)]
     witness = None
     for i in range(n):
+        if i == proven_unit:
+            continue
         pi = pair[i]
         for j in range(upto(top - degs[i])):
+            if j == proven_unit:
+                continue
             pij = pi[j]
             pj = pair[j]
             limit = upto(top - degs[i] - degs[j])
             candidates = set(partners[j])
             for m in pij:
                 candidates.update(partners[m])
+            candidates.discard(proven_unit)
             for k in sorted(candidates):
                 if k >= limit:
                     break
@@ -521,13 +544,17 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
 
     # d(e_i e_j) against d(e_i) e_j + (-1)^|e_i| e_i d(e_j)
     negated = [{t: -c for t, c in row.items()} for row in drows]
+    # unit pairs are passed over only if d(1) = 0 as well
+    skip = -1 if drows[a.unit] else proven_unit
     witness = None
     for i in range(n):
+        if i == skip:
+            continue
         di = drows[i]
         pi = pair[i]
         signed = negated if degs[i] % 2 else drows
         for j in range(upto(top - 1 - degs[i])):
-            if not pi[j] and not di and not drows[j]:
+            if j == skip or not pi[j] and not di and not drows[j]:
                 continue
             rhs = _combine(signed[j], pi, _combine(di, pair_t[j]))
             if _combine(pi[j], drows) != rhs:

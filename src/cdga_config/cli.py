@@ -11,13 +11,15 @@ FILE is a path to an algebra document or the name of a shipped preset
 (point, s2, s3, s4, s5, cp2, s2xs3, s3xs4). Reports are deterministic:
 identical inputs produce byte-identical output; --json emits only the
 machine-readable mirror. Exit statuses: 0 success, 1 parse error,
-2 mathematical check failure, 3 precondition violation.
+2 mathematical check failure, 3 precondition violation; a closed stdout
+(its reader exited first) also ends with 1, without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_CHECK = 2
 EXIT_PRECONDITION = 3
+EXIT_CLOSED_STDOUT = 1
 
 
 def _resolve_path(argument: str) -> Path:
@@ -231,12 +234,16 @@ def cmd_cxi(args) -> int:
 
 
 def cmd_classify_example(args) -> int:
+    if not args.q.strip():
+        raise ExpressionParseError("--q expects at least one value")
+    parts = args.q.split(",")
+    for position, part in enumerate(parts, 1):
+        if not part.strip():
+            raise ExpressionParseError(f"--q item {position} of {len(parts)} is empty in {args.q!r}")
     try:
-        values = [parse_coeff(part) for part in args.q.split(",") if part.strip()]
+        values = [parse_coeff(part) for part in parts]
     except ParseError as exc:
         raise ExpressionParseError(f"--q expects comma-separated rationals, got {args.q!r}: {exc}") from None
-    if not values:
-        raise ExpressionParseError("--q expects at least one value")
     matrix = classify_example(values)
     verdicts = [[r.verdict for r in row] for row in matrix]
     trace_pair = None
@@ -358,6 +365,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        status = _run(argv)
+        # flush here, so that a reader that has gone away shows up below
+        # rather than in the flush at interpreter exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader of stdout exited first; point stdout at devnull so
+        # that the flush at exit cannot fail again and print a message
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -39,10 +39,17 @@ from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
 @dataclass
 class TruncatedCone:
-    """The cone modulo everything of degree >= 2n-1, with its projection."""
+    """The cone modulo everything of degree >= 2n-1, with its projection.
+
+    `base_rows[t]` holds the coefficients, in the truncation's basis, of
+    the image of the tensor-square basis element e_t under the inclusion
+    into the cone followed by the projection. They do not depend on xi,
+    so every C(xi) built on this truncation shares them.
+    """
 
     cone: MappingCone
     quotient: QuotientDGA
+    base_rows: tuple[dict[int, Scalar], ...]
 
     @property
     def algebra(self) -> DGAlgebra:
@@ -76,7 +83,10 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     top = alg.basis.max_degree()
     if cohomology(alg).betti_vector(top) != cohomology(quotient.algebra).betti_vector(top):
         raise StructureError("truncation does not preserve cohomology")
-    trunc = TruncatedCone(cone, quotient)
+    ring = cone.ring
+    base_rows = tuple(quotient.project(cone.include_base(ring.basis_element(t))).coeffs
+                      for t in range(ring.dim()))
+    trunc = TruncatedCone(cone, quotient, base_rows)
     cone._truncation = trunc
     return trunc
 
@@ -170,10 +180,7 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     if not report.all_pass:
         raise AxiomFailure(report)
 
-    base_images = tuple(
-        Element(twisted, quotient.project(cone.include_base(square.basis_element(t))).coeffs)
-        for t in range(square.dim())
-    )
+    base_images = tuple(Element(twisted, row) for row in trunc.base_rows)
     _verify_algebra_map(square, twisted, base_images)
 
     return TwistedModel(

@@ -335,3 +335,111 @@ def test_d_squared_witness_keeps_fractional_coefficients(s2xs3):
         "d_squared": "d²(1⊗y) = -5/7*1⊗xy - 5/7*x⊗y + 5/7*y⊗x + 5/7*xy⊗1",
         "leibniz": "(1⊗x, 1⊗y)",
     }
+
+
+# --- the tuples check_cdga passes over once the unit row is proven -----------
+
+
+def _cxi_algebra():
+    from cdga_config.twisted import build_cxi
+
+    pd = preset_pd("s2xs3")
+    xi = pd.square.from_label_coeffs({"y⊗xy": F(1), "xy⊗y": F(-1, 2)})
+    return build_cxi(pd, xi).algebra
+
+
+def _unit_breaking(alg, rng, count):
+    """`count` seeded perturbations of the unit row: a changed constant of
+    1*e_i on e_i, or a new term of 1*e_i on another basis element of the
+    same degree. The unit check fails on each, so every sweep of
+    `check_cdga` runs in full."""
+    u = alg.unit
+    degs = alg.basis.degrees
+    n = alg.dim()
+    mult = alg.mult_entries()
+    out = []
+    while len(out) < count:
+        i = rng.randrange(n)
+        delta = F(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+        others = [k for k in range(n) if degs[k] == degs[i] and k != i]
+        if others and rng.randrange(2):
+            out.append(_rebuild(alg, mult=mult + [(u, i, rng.choice(others), delta)]))
+        else:
+            out.append(_rebuild(alg, mult=[
+                (a, b, c, v + delta if {a, b} == {u, i} and c == i else v)
+                for a, b, c, v in mult]))
+    return out
+
+
+def _dual_numbers():
+    """Q[e]/(e^2) in degree 0 times a degree-2 class x with x^2 = 0, with
+    the unit stored at index 1 rather than 0."""
+    basis = GradedBasis(["e", "1", "x"], [0, 0, 2])
+    mult = [(1, 1, 1, 1), (0, 1, 0, 1), (1, 2, 2, 1)]
+    return DGAlgebra(basis, 1, mult, name="dual", top_degree=2)
+
+
+def test_check_cdga_matches_naive_oracle_on_cxi_perturbations():
+    from oracles import naive_check_cdga
+
+    alg = _cxi_algebra()
+    rng = random.Random(8080)
+    assert check_cdga(alg).all_pass
+    failing = set()
+    for broken in _perturbations(alg, rng, 30):
+        report = check_cdga(broken)
+        assert report == naive_check_cdga(broken)
+        failing.update(c.axiom for c in report.failed())
+    assert failing >= {"associativity", "d_squared", "leibniz"}
+
+
+def test_check_cdga_matches_naive_oracle_when_the_unit_fails():
+    from cdga_config.cone import cone_model
+
+    from oracles import naive_check_cdga
+
+    rng = random.Random(1505)
+    algebras = [preset_pd("cp2").algebra, cone_model(preset_pd("s2")).algebra,
+                _cxi_algebra(), _dual_numbers()]
+    failing = set()
+    for alg in algebras:
+        assert check_cdga(alg) == naive_check_cdga(alg)
+        for broken in _unit_breaking(alg, rng, 8):
+            report = check_cdga(broken)
+            assert report == naive_check_cdga(broken), alg.name
+            assert not report.checks[0].ok
+            failing.update(c.axiom for c in report.failed())
+    assert failing >= {"unit", "associativity", "leibniz"}
+
+
+def test_check_cdga_matches_naive_oracle_with_unit_off_index_zero():
+    from oracles import naive_check_cdga
+
+    alg = _dual_numbers()
+    assert check_cdga(alg).all_pass
+    rng = random.Random(62)
+    for broken in _perturbations(alg, rng, 20):
+        assert check_cdga(broken) == naive_check_cdga(broken)
+
+
+def test_leibniz_sweeps_unit_pairs_when_d_of_the_unit_is_nonzero():
+    # the exterior algebra on a, b with d(1) = a: the unit row is right,
+    # but d(1*1) = a differs from d(1)*1 + 1*d(1) = 2a
+    from oracles import naive_check_cdga
+
+    basis = GradedBasis(["1", "a", "b", "ab"], [0, 1, 1, 2])
+    mult = [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (1, 2, 3, 1)]
+    alg = DGAlgebra(basis, 0, mult, [(0, 1, 1)], name="ext", top_degree=2)
+    assert _witnesses(alg) == {"leibniz": "(1, 1)"}
+    assert check_cdga(alg) == naive_check_cdga(alg)
+
+
+def test_graded_commutativity_witness_is_the_first_odd_square():
+    # a*b = z is consistent with b*a = -z; only the square b^2 = z can fail
+    from oracles import naive_check_cdga
+
+    basis = GradedBasis(["1", "a", "b", "z"], [0, 3, 3, 6])
+    mult = [(0, i, i, 1) for i in range(4)] + [(1, 2, 3, 1), (2, 2, 3, F(1, 2))]
+    alg = DGAlgebra(basis, 0, mult, name="odd", top_degree=6)
+    assert _witnesses(alg) == {"graded_commutativity": "(b, b)"}
+    assert check_cdga(alg) == naive_check_cdga(alg)

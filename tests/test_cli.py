@@ -286,6 +286,20 @@ def test_classify_example_text_mentions_q_equals_r(capsys):
     assert "forces q = r" in out
 
 
+@pytest.mark.parametrize("q, message", [
+    ("1,,2", "--q item 2 of 3 is empty in '1,,2'"),
+    ("1,2,", "--q item 3 of 3 is empty in '1,2,'"),
+    (",", "--q item 1 of 2 is empty in ','"),
+    ("", "--q expects at least one value"),
+    (" ", "--q expects at least one value"),
+], ids=["inner", "trailing", "only-comma", "empty", "blank"])
+def test_classify_example_rejects_empty_q_items(capsys, q, message):
+    code, out, err = run_cli(capsys, "classify-example", f"--q={q}")
+    assert code == 1
+    assert out == ""
+    assert err == f"parse error: {message}\n"
+
+
 # --- product -----------------------------------------------------------------------
 
 
@@ -376,6 +390,22 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "all checks pass" in proc.stdout
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("cdga_config", ["check", "s2"]),
+    ("cdga_config.cli", ["classify-example", "--q=0,1", "--json"]),
+], ids=["check", "classify-example"])
+def test_closed_stdout_exits_one_without_a_traceback(module, argv):
+    # the reader of stdout goes away before the command writes anything
+    proc = subprocess.Popen([sys.executable, "-m", module, *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait() == 1
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
 
 
 def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
