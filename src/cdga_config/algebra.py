@@ -1,12 +1,13 @@
 """Finite-dimensional graded-commutative algebras with differential.
 
 An algebra is given by a labeled graded basis, sparse multiplication
-structure constants and a sparse degree +1 differential. Structure
-constants are stored one-sided (i <= j) with the Koszul sign applied on
-lookup; this halves storage and makes inconsistent duplicate entries
-impossible. The one commutativity failure that survives canonical storage
-is a nonzero square of an odd generator, which `check_cdga` reports with
-the offending pair as witness.
+structure constants and a sparse degree +1 differential. The constructor
+folds the given constants into one entry per unordered pair, which makes
+inconsistent duplicate entries impossible, and then stores the product of
+every ordered pair with the Koszul sign applied, so no reader decides a
+sign again. The one commutativity failure that survives this is a nonzero
+square of an odd generator, which `check_cdga` reports with the offending
+pair as witness.
 
 Axiom verification covers every basis tuple whose products can be
 nonzero, walking degree blocks on the raw product and differential tables
@@ -177,10 +178,13 @@ def _canonical_pair(i: int, j: int, deg_i: int, deg_j: int) -> tuple[tuple[int, 
 class DGAlgebra:
     """Graded-commutative algebra with a degree +1 differential.
 
-    `mult` entries are (i, j, k, c) meaning e_i * e_j = sum c e_k; only one
-    of (i, j)/(j, i) is stored and the other order is derived with the
-    Koszul sign. `diff` entries are (i, j, c) meaning d e_i = sum c e_j;
-    they are stored as one row per basis index, empty for cocycles.
+    `mult` entries are (i, j, k, c) meaning e_i * e_j = sum c e_k; an
+    entry may be given for either order, and the other order is derived
+    with the Koszul sign. The products are stored as `_mult[i][j]`, the
+    coefficients of e_i * e_j with that sign applied. `diff` entries are
+    (i, j, c) meaning d e_i = sum c e_j; they are stored as one row per
+    basis index, empty for cocycles. Rows of both tables are shared and
+    never mutated.
     """
 
     def __init__(
@@ -233,7 +237,15 @@ class DGAlgebra:
                     f"inconsistent duplicate product entry for ({basis.labels[i]}, {basis.labels[j]})"
                 )
             row[k] = value
-        self._mult = {key: row for key, row in table.items() if any(row.values())}
+        # (j, i) shares the (i, j) row unless both degrees are odd, and
+        # zero products share one empty row
+        empty: Coeffs = {}
+        rows = [[empty] * n for _ in range(n)]
+        for (i, j), row in table.items():
+            rows[i][j] = row
+            if j != i:
+                rows[j][i] = {k: -c for k, c in row.items()} if degs[i] * degs[j] % 2 else row
+        self._mult: tuple[tuple[Coeffs, ...], ...] = tuple(map(tuple, rows))
 
         dtable: dict[int, Coeffs] = {}
         for i, j, c in diff:
@@ -272,17 +284,6 @@ class DGAlgebra:
     def from_label_coeffs(self, pairs: Mapping[str, Scalar]) -> Element:
         return Element(self, {self.basis.index(l): c for l, c in pairs.items()})
 
-    def mult_basis(self, i: int, j: int) -> Coeffs:
-        """Structure constants of e_i * e_j with the Koszul sign applied."""
-        degs = self.basis.degrees
-        key, sign = _canonical_pair(i, j, degs[i], degs[j])
-        row = self._mult.get(key)
-        if not row:
-            return {}
-        if sign == 1:
-            return dict(row)
-        return {k: -c for k, c in row.items()}
-
     def multiply(self, x: Element, y: Element) -> Element:
         if x.parent is not self or y.parent is not self:
             raise MixedParents("elements do not belong to this algebra")
@@ -290,18 +291,14 @@ class DGAlgebra:
 
     def multiply_coeffs(self, x: Mapping[int, Scalar], y: Mapping[int, Scalar]) -> Coeffs:
         """Product of two coefficient dicts in basis coordinates."""
-        degs = self.basis.degrees
         mult = self._mult
         out: Coeffs = {}
         for i, a in x.items():
+            rows = mult[i]
             for j, b in y.items():
-                if i <= j:
-                    row = mult.get((i, j))
-                    ab = a * b
-                else:
-                    row = mult.get((j, i))
-                    ab = a * b if (degs[i] * degs[j]) % 2 == 0 else -(a * b)
+                row = rows[j]
                 if row:
+                    ab = a * b
                     _accumulate(out, ((k, ab * c) for k, c in row.items()))
         return out
 
@@ -327,10 +324,13 @@ class DGAlgebra:
         return SparseMatrix(len(tgt), len(src), data)
 
     def mult_entries(self) -> list[tuple[int, int, int, Scalar]]:
+        """The products e_i * e_j with i <= j, in sorted order."""
         out = []
-        for (i, j), row in sorted(self._mult.items()):
-            for k in sorted(row):
-                out.append((i, j, k, row[k]))
+        for i, rows in enumerate(self._mult):
+            for j in range(i, len(rows)):
+                row = rows[j]
+                for k in sorted(row):
+                    out.append((i, j, k, row[k]))
         return out
 
     def diff_entries(self) -> list[tuple[int, int, Scalar]]:
@@ -362,8 +362,8 @@ def same_structure(a: DGAlgebra, b: DGAlgebra, relabel: Optional[dict[str, str]]
         return False
     for i in range(a.dim()):
         for j in range(i, a.dim()):
-            left = {mapping[k]: c for k, c in a.mult_basis(i, j).items()}
-            if left != b.mult_basis(mapping[i], mapping[j]):
+            left = {mapping[k]: c for k, c in a._mult[i][j].items()}
+            if left != b._mult[mapping[i]][mapping[j]]:
                 return False
         left_d = {mapping[k]: c for k, c in a.d_basis(i).items()}
         if left_d != b.d_basis(mapping[i]):
@@ -425,31 +425,32 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
 
     Three more kinds of tuple are passed over because they cannot fail:
 
-    - Graded commutativity. Products are stored once per unordered pair,
-      so for i < j the table entry for (e_j, e_i) is the one for
-      (e_i, e_j) times the Koszul sign, and the comparison is an
-      identity. Only a pair (e_i, e_i) with |e_i| odd can fail, and it
-      fails exactly when e_i^2 != 0; only those squares are compared.
+    - Graded commutativity. The constructor derives the product of
+      (e_j, e_i) from the one of (e_i, e_j) with the Koszul sign, so for
+      i < j the comparison is an identity. Only a pair (e_i, e_i) with
+      |e_i| odd can fail, and it fails exactly when e_i^2 != 0; only those
+      squares are compared.
     - Associativity, once the unit check has passed. Then 1*e_i = e_i
-      for every i, and e_i*1 = 1*e_i as well: both come from the one
-      stored entry of the pair, with sign +1 because the unit has degree
-      0. A triple with the unit in any position then has both sides equal
-      to e_j e_k, e_i e_k or e_i e_j, so no such triple is evaluated. If
-      the unit check fails, every triple in range is evaluated.
+      for every i, and e_i*1 = 1*e_i as well: the constructor derives one
+      from the other with sign +1, because the unit has degree 0. A triple
+      with the unit in any position then has both sides equal to e_j e_k,
+      e_i e_k or e_i e_j, so no such triple is evaluated. If the unit
+      check fails, every triple in range is evaluated.
     - Leibniz, once the unit check has passed and d(1) = 0. A pair with a
       unit factor then has both sides equal to d(e_j) or d(e_i), so it is
       not evaluated. Otherwise every pair in range is evaluated.
 
     The checks run on integer tables: every structure constant is
     multiplied by the lcm D of their denominators, and every entry of d by
-    the lcm E of theirs. Each axiom is homogeneous in these tables: the
-    unit and graded commutativity are linear in the products (the unit row
-    is compared with D), associativity is of degree 2 in the products, d
-    squared of degree 2 in d, and the Leibniz rule of degree 1 in each. So
-    both sides of each comparison are the rational ones times the same
-    nonzero factor, and every verdict and witness tuple is the rational
-    sweep's. The d squared witness prints the element recomputed from the
-    unscaled rows.
+    the lcm E of theirs; when D = 1 the product table is the algebra's own
+    `_mult`, read without a copy. Each axiom is homogeneous in these
+    tables: the unit and graded commutativity are linear in the products
+    (the unit row is compared with D), associativity is of degree 2 in the
+    products, d squared of degree 2 in d, and the Leibniz rule of degree 1
+    in each. So both sides of each comparison are the rational ones times
+    the same nonzero factor, and every verdict and witness tuple is the
+    rational sweep's. The d squared witness prints the element recomputed
+    from the unscaled rows.
     """
     labels = a.basis.labels
     degs = a.basis.degrees
@@ -466,17 +467,10 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
         return [{k: c.numerator * (scale // c.denominator) for k, c in row.items()}
                 for row in rows], scale
 
-    # pair[i][j] = D * e_i * e_j with the Koszul sign applied (as
-    # `mult_basis` gives it, built from the stored entries only), and its
+    # pair[i][j] = D * e_i * e_j with the Koszul sign applied, and its
     # transpose
-    mult_rows, unit_scale = to_integers(list(a._mult.values()))
-    empty: Coeffs = {}
-    pair = [[empty] * n for _ in range(n)]
-    for (i, j), row in zip(a._mult, mult_rows):
-        pair[i][j] = row
-        if j != i:
-            odd = degs[i] * degs[j] % 2
-            pair[j][i] = {k: -c for k, c in row.items()} if odd else row
+    flat, unit_scale = to_integers([row for rows in a._mult for row in rows])
+    pair = a._mult if unit_scale == 1 else [flat[i:i + n] for i in range(0, n * n, n)]
     pair_t = [list(column) for column in zip(*pair)]
     drows, _ = to_integers(a._diff)
 

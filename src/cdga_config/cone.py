@@ -10,10 +10,10 @@ with differential delta(a, sb) = (d a + f(b), -s db) and the product
     (iv)  sb . sb' = 0
 
 Rule (iii) is supplied twice: once directly and once derived from (ii)
-plus graded commutativity. The two derivations are stored into the same
-one-sided table, so any disagreement aborts construction; the sign
-convention is settled by internal consistency, never by a single
-hand-written exponent.
+plus graded commutativity. The algebra constructor folds the two
+derivations into one entry per unordered pair, so any disagreement aborts
+construction; the sign convention is settled by internal consistency,
+never by a single hand-written exponent.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import DGAlgebra, Element, GradedBasis, _canonical_pair, check_cdga
+from .algebra import DGAlgebra, Element, GradedBasis, check_cdga
 from .dgmodule import ModuleMap, suspend
 from .errors import AxiomFailure, MixedParents, NotAModuleMap, OddDimension, StructureError
 from .linalg import _combine
@@ -41,15 +41,9 @@ class MappingCone:
         ring = f.source.ring
         if f.target.basis is not ring.basis:
             raise NotAModuleMap("cone target must be the ring itself")
+        if f.target._action != ring._mult:
+            raise NotAModuleMap("cone target must carry the multiplication action")
         rdeg = ring.basis.degrees
-        for r, rows in enumerate(f.target._action):
-            for m, row in enumerate(rows):
-                # compared with the stored one-sided product row
-                key, sign = _canonical_pair(r, m, rdeg[r], rdeg[m])
-                if sign == -1:
-                    row = {k: -c for k, c in row.items()}
-                if row != ring._mult.get(key, {}):
-                    raise NotAModuleMap("cone target must carry the multiplication action")
         source = f.source
         if suspension_labels is None:
             suspension_labels = [f"s({l})" for l in source.basis.labels]
@@ -80,7 +74,7 @@ class MappingCone:
         for i in range(ring.dim()):
             ci = ring_to_cone[i]
             for j in range(i, ring.dim()):
-                for k, c in ring.mult_basis(i, j).items():
+                for k, c in ring._mult[i][j].items():
                     mult.append((ci, ring_to_cone[j], ring_to_cone[k], c))
         for r in range(ring.dim()):
             cr = ring_to_cone[r]
@@ -249,9 +243,9 @@ def _verify_algebra_map(source: DGAlgebra, target: DGAlgebra, images: Sequence[E
     for i in range(n):
         if _combine(source.d_basis(i), rows) != target.d_coeffs(rows[i]):
             raise StructureError(f"map does not commute with d at {source.basis.labels[i]}")
-    for i in range(n):
+    for i, products in enumerate(source._mult):
         for j in range(i, n):
-            if _combine(source.mult_basis(i, j), rows) != target.multiply_coeffs(rows[i], rows[j]):
+            if _combine(products[j], rows) != target.multiply_coeffs(rows[i], rows[j]):
                 raise StructureError(
                     f"map is not multiplicative at ({source.basis.labels[i]}, {source.basis.labels[j]})"
                 )

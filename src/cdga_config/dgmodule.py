@@ -28,9 +28,11 @@ class DGModule:
 
     `action[(r, m)]` holds the coefficients of e_r . e_m in the module
     basis; it is stored as `_action[r][m]`, so `_action[r]` gives the rows
-    of the map m -> e_r . m, as `_diff` gives those of d. `verify()`
-    checks unit action, associativity of the action over all (r, r', m)
-    triples and the module Leibniz rule on all (r, m) pairs.
+    of the map m -> e_r . m, as `_diff` gives those of d. This is the
+    layout of the ring's product table `_mult`, so the ring acting on
+    itself has `_action == ring._mult`. `verify()` checks unit action,
+    associativity of the action over all (r, r', m) triples and the module
+    Leibniz rule on all (r, m) pairs.
     """
 
     def __init__(
@@ -97,9 +99,8 @@ class DGModule:
         for m in range(n):
             if act[ring.unit][m] != {m: 1}:
                 raise StructureError(f"unit does not act as identity on {labels[m]}")
-        for r1 in range(n_r):
-            for r2 in range(n_r):
-                prod = ring.mult_basis(r1, r2)
+        for r1, products in enumerate(ring._mult):
+            for r2, prod in enumerate(products):
                 for m in range(n):
                     if _combine(prod, act_t[m]) != _combine(act[r2][m], act[r1]):
                         raise StructureError(
@@ -125,30 +126,10 @@ class DGModule:
 
 def ring_as_module(ring: DGAlgebra) -> DGModule:
     """The algebra as a module over itself via multiplication."""
-    action = {}
-    for r in range(ring.dim()):
-        for m in range(ring.dim()):
-            row = ring.mult_basis(r, m)
-            if row:
-                action[(r, m)] = row
-    diff = {i: ring.d_basis(i) for i in range(ring.dim()) if ring.d_basis(i)}
+    action = {(r, m): row for r, products in enumerate(ring._mult)
+              for m, row in enumerate(products) if row}
+    diff = {i: row for i, row in enumerate(ring._diff) if row}
     return DGModule(ring, ring.basis, action, diff, name=ring.name)
-
-
-def module_via_algebra_map(ring: DGAlgebra, target: DGAlgebra,
-                           image_of_basis: Callable[[int], Element],
-                           *, name: str = "") -> DGModule:
-    """`target` as a module over `ring` through an algebra map on basis
-    elements: e_r . m = image(e_r) * m computed in `target`."""
-    action = {}
-    for r in range(ring.dim()):
-        img = image_of_basis(r)
-        for m in range(target.dim()):
-            prod = target.multiply(img, target.basis_element(m))
-            if not prod.is_zero():
-                action[(r, m)] = dict(prod.coeffs)
-    diff = {i: target.d_basis(i) for i in range(target.dim()) if target.d_basis(i)}
-    return DGModule(ring, target.basis, action, diff, name=name or target.name)
 
 
 def suspend(module: DGModule, k: int, label: Optional[Callable[[str], str]] = None) -> DGModule:

@@ -18,9 +18,9 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .algebra import DGAlgebra, Element
-from .dgmodule import DGModule, ModuleMap, module_via_algebra_map, suspend
+from .dgmodule import DGModule, ModuleMap, suspend
 from .errors import PDFailure, StructureError
-from .linalg import Scalar, SparseMatrix, _accumulate, _divide, _exact, invert, kernel_basis
+from .linalg import Scalar, SparseMatrix, _accumulate, _combine, _divide, _exact, invert, kernel_basis
 from .products import TensorAlgebra, tensor
 
 
@@ -197,16 +197,20 @@ def diagonal_class(pd: PDAlgebra) -> DiagonalClass:
 
 
 def algebra_as_square_module(pd: PDAlgebra) -> DGModule:
-    """A as a module over A (x) A through the multiplication map."""
-    square = pd.square
-
-    def image(t: int) -> Element:
+    """A as a module over A (x) A through the multiplication map:
+    (e_i (x) e_j) . e_m = e_i e_j e_m."""
+    square, alg = pd.square, pd.algebra
+    # columns[m][k] = e_k e_m
+    columns = list(zip(*alg._mult))
+    action = {}
+    for t in range(square.dim()):
         i, j = square.factors_of(t)
-        return pd.algebra.multiply(
-            pd.algebra.basis_element(i), pd.algebra.basis_element(j)
-        )
-
-    return module_via_algebra_map(square, pd.algebra, image, name=f"{pd.algebra.name or 'A'} as module")
+        for m, column in enumerate(columns):
+            row = _combine(alg._mult[i][j], column)
+            if row:
+                action[(t, m)] = row
+    diff = {i: row for i, row in enumerate(alg._diff) if row}
+    return DGModule(square, alg.basis, action, diff, name=f"{alg.name or 'A'} as module")
 
 
 def desuspended_module(pd: PDAlgebra) -> DGModule:

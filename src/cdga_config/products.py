@@ -61,10 +61,10 @@ class TensorAlgebra(DGAlgebra):
                 if t2 < t1:
                     continue
                 sign = (-1) ** (ldeg[i2] * rdeg[j])
-                lrow = left.mult_basis(i, i2)
+                lrow = left._mult[i][i2]
                 if not lrow:
                     continue
-                rrow = right.mult_basis(j, j2)
+                rrow = right._mult[j][j2]
                 if not rrow:
                     continue
                 for k, a in lrow.items():
@@ -246,7 +246,7 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
     n = cc_bb.dim()
     for i in range(n):
         for j in range(n):
-            if _combine(cc_bb.mult_basis(i, j), rows) != aa.multiply_coeffs(rows[i], rows[j]):
+            if _combine(cc_bb._mult[i][j], rows) != aa.multiply_coeffs(rows[i], rows[j]):
                 multiplicative = False
                 break
         if not multiplicative:

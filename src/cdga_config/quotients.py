@@ -209,7 +209,7 @@ def quotient_dga(ambient: DGAlgebra, vectors: Sequence[Element], *, name: str = 
     mult_entries = []
     for qi, gi in enumerate(kept):
         for qj in range(qi, len(kept)):
-            for qk, c in reduce_to_quotient(ambient.mult_basis(gi, kept[qj])).items():
+            for qk, c in reduce_to_quotient(ambient._mult[gi][kept[qj]]).items():
                 mult_entries.append((qi, qj, qk, c))
     diff_entries = []
     for qi, gi in enumerate(kept):

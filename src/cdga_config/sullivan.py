@@ -291,7 +291,7 @@ class GeneratorTable:
                 if merged is None:
                     continue
                 sign, gens = merged
-                row = self.base.mult_basis(b1, b2)
+                row = self.base._mult[b1][b2]
                 if not row:
                     continue
                 coeff = c1 * c2
@@ -413,9 +413,11 @@ class GeneratorTable:
         if self.target is None:
             raise StructureError("table has no evaluation target")
         model = self.target
+        if model.cone.ring is not self.base:
+            raise StructureError("table base is not the ring of its evaluation target")
         total = model.algebra.zero()
         for (b, gens), c in x.items():
-            acc = model.project_from_square(self.base.basis_element(b))
+            acc = model.base_images[b]
             for g in gens:
                 acc = model.algebra.multiply(acc, self.evaluation[g])
                 if acc.is_zero():

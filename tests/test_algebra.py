@@ -9,6 +9,7 @@ from cdga_config.algebra import (
     GradedBasis,
     check_cdga,
     cohomology,
+    same_structure,
 )
 from cdga_config.errors import MixedParents, NotAComplex, StructureError
 from cdga_config.presets import PRESET_NAMES, preset_pd
@@ -443,3 +444,47 @@ def test_graded_commutativity_witness_is_the_first_odd_square():
     alg = DGAlgebra(basis, 0, mult, name="odd", top_degree=6)
     assert _witnesses(alg) == {"graded_commutativity": "(b, b)"}
     assert check_cdga(alg) == naive_check_cdga(alg)
+
+
+# --- the signed product table against its input -----------------------------
+
+
+def _table_sample():
+    """Presets, a cone, a C(xi), a tensor square with odd*odd products and
+    that square with fractional constants."""
+    from cdga_config.cone import cone_model
+
+    square = preset_pd("s3xs4").square
+    return ([preset_pd(name).algebra for name in PRESET_NAMES]
+            + [cone_model(preset_pd("s2xs3")).algebra, _cxi_algebra(), square, _rescaled(square)])
+
+
+def test_product_table_is_the_koszul_signed_upper_half():
+    odd_pairs = 0
+    for alg in _table_sample():
+        degs = alg.basis.degrees
+        upper = {}
+        for i, j, k, c in alg.mult_entries():
+            upper.setdefault((i, j), {})[k] = c
+        for i in range(alg.dim()):
+            for j in range(i, alg.dim()):
+                row = upper.get((i, j), {})
+                sign = (-1) ** (degs[i] * degs[j])
+                odd_pairs += bool(row) and sign == -1 and i != j
+                assert alg._mult[i][j] == row
+                assert alg._mult[j][i] == {k: sign * c for k, c in row.items()}, (alg.name, i, j)
+        assert same_structure(DGAlgebra(alg.basis, alg.unit, alg.mult_entries(), alg.diff_entries()), alg)
+        # the same constants given in the other order build the same table
+        swapped = [(j, i, k, (-1) ** (degs[i] * degs[j]) * c) for i, j, k, c in alg.mult_entries()]
+        assert _rebuild(alg, mult=swapped)._mult == alg._mult, alg.name
+    assert odd_pairs
+
+
+def test_odd_product_given_as_j_i_is_stored_sign_flipped_at_i_j():
+    basis = GradedBasis(["1", "a", "b", "ab"], [0, 1, 1, 2])
+    alg = DGAlgebra(basis, 0, [(0, i, i, 1) for i in range(4)] + [(2, 1, 3, F(1, 2))])
+    assert alg._mult[2][1] == {3: F(1, 2)}
+    assert alg._mult[1][2] == {3: F(-1, 2)}
+    assert alg.mult_entries()[-1] == (1, 2, 3, F(-1, 2))
+    assert (alg.basis_element(1) * alg.basis_element(2)).coeffs == {3: F(-1, 2)}
+    assert check_cdga(alg).all_pass

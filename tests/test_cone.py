@@ -1,9 +1,9 @@
 import pytest
 
-from cdga_config.algebra import Element, check_cdga, cohomology
+from cdga_config.algebra import Element, GradedBasis, check_cdga, cohomology
 from cdga_config.cone import cone_model, even_model, mapping_cone, top_ideal_generators
-from cdga_config.dgmodule import ModuleMap, ring_as_module
-from cdga_config.errors import OddDimension
+from cdga_config.dgmodule import DGModule, ModuleMap, ring_as_module
+from cdga_config.errors import NotAModuleMap, OddDimension
 from cdga_config.poincare import desuspended_module
 from cdga_config.presets import preset_pd
 from cdga_config.quotients import ideal_span, quotient_dga
@@ -28,6 +28,42 @@ def test_zero_map_cone_is_direct_sum(s3):
         for b2 in range(source.dim()):
             sb2 = alg.basis_element(cone.susp_to_cone[b2])
             assert (sb * sb2).is_zero()
+
+
+def zero_map_into_square(pd, basis, changed=None):
+    """The zero map from s^-n A into the square acting on itself, rebuilt on
+    `basis`; `changed` = (r, m, row), given by labels, replaces e_r . e_m."""
+    square = pd.square
+    ring = ring_as_module(square)
+    n = square.dim()
+    action = {(r, m): ring.act_basis(r, m) for r in range(n) for m in range(n)}
+    if changed:
+        r, m, row = changed
+        index = square.basis.index
+        action[(index(r), index(m))] = {index(k): c for k, c in row.items()}
+    target = DGModule(square, basis, action, {i: ring.d_basis(i) for i in range(n)})
+    source = desuspended_module(pd)
+    return ModuleMap(source, target, [target.zero() for _ in range(source.dim())])
+
+
+@pytest.mark.parametrize("changed", [
+    ("y⊗1", "1⊗y", {"y⊗y": -1}),  # the Koszul sign of an odd product flipped
+    ("1⊗y", "y⊗1", {"y⊗y": 1}),
+    ("1⊗1", "y⊗y", {"y⊗y": 2}),  # the unit acting by 2
+])
+def test_cone_target_must_carry_the_multiplication_action(s3, changed):
+    mapping_cone(zero_map_into_square(s3, s3.square.basis))
+    with pytest.raises(NotAModuleMap) as info:
+        mapping_cone(zero_map_into_square(s3, s3.square.basis, changed))
+    assert str(info.value) == "cone target must carry the multiplication action"
+
+
+def test_cone_target_must_be_the_ring_itself(s3):
+    basis = s3.square.basis
+    copy = GradedBasis(basis.labels, basis.degrees)
+    with pytest.raises(NotAModuleMap) as info:
+        mapping_cone(zero_map_into_square(s3, copy))
+    assert str(info.value) == "cone target must be the ring itself"
 
 
 def test_cone_s3_shape(s3):

@@ -25,8 +25,9 @@ def assert_canonical(values, where):
 
 
 def algebra_scalars(a):
-    for row in a._mult.values():
-        yield from row.values()
+    for rows in a._mult:
+        for row in rows:
+            yield from row.values()
     for row in a._diff:
         yield from row.values()
 

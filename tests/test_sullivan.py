@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdga_config.errors import IncompatibleTables
+from cdga_config.errors import IncompatibleTables, StructureError
 from cdga_config.io import load_table_file
 from cdga_config.presets import table_preset_path
 from cdga_config.sullivan import (
@@ -42,6 +42,17 @@ def test_evaluation_is_cochain_on_u():
     m_du = t.evaluate(t.differentials[0])
     delta_m_u = t.target.algebra.d(t.evaluation[0])
     assert m_du == delta_m_u
+
+
+def test_evaluate_sends_base_elements_to_their_projections(s3xs4):
+    t = s2xs3_table(F(1, 2), 3)
+    model = t.target
+    for b in range(t.base.dim()):
+        image = model.project_from_square(t.base.basis_element(b))
+        assert t.evaluate({(b, ()): F(2, 3)}) == image.scale(F(2, 3))
+    t.base = s3xs4.square
+    with pytest.raises(StructureError, match="table base is not the ring"):
+        t.evaluate({(0, ()): 1})
 
 
 @pytest.mark.parametrize("q,r", [(0, 0), (1, 0), (0, 1), (3, -2), (5, 0)])
