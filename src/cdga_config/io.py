@@ -128,7 +128,7 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     """
     if not isinstance(data, dict):
         raise ParseError(f"{source}: top level must be an object")
-    name = data.get("name", "")
+    name = _string(data.get("name", ""), "name", source)
     n = _integer(_require(data, "formal_dimension", source), "formal_dimension", source)
     if n < 0:
         raise ParseError(f"{source}: formal_dimension must be a non-negative integer")

@@ -195,7 +195,8 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
     the product, and that the two quotient models agree degreewise.
 
     Raises CorrespondenceFailure when the shuffled element is not a
-    rational multiple of the product diagonal.
+    rational multiple of the product diagonal, and StructureError when the
+    shuffle is not a signed permutation of the basis.
     """
     from .poincare import diagonal_class
     from .quotients import ideal_span, quotient_dga
@@ -231,6 +232,13 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
     tensor_of_diagonals = cc_bb.tensor_elements(cc_elem, bb_elem)
 
     rows = _shuffle_rows(cc_bb, aa)
+    # each row must be one entry of 1 or -1, e_t -> eps_t f_sigma(t), with
+    # sigma a bijection onto the basis of the product square
+    sigma = [t for row in rows for t in row]
+    eps = [v for row in rows for v in row.values()]
+    if (any(len(row) != 1 for row in rows) or sorted(sigma) != list(range(aa.dim()))
+            or set(eps) - {1, -1}):
+        raise StructureError("the shuffle is not a signed permutation of the basis")
     shuffled = Element(aa, _combine(tensor_of_diagonals.coeffs, rows))
 
     sign: Optional[Scalar] = None
@@ -241,16 +249,15 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
     if sign is None:
         raise CorrespondenceFailure(str(shuffled), str(diag_a))
 
-    # the shuffle must be an algebra isomorphism on basis pairs
-    multiplicative = True
+    # The shuffle sends e_t to eps_t f_sigma(t), so it is multiplicative
+    # exactly when eps_i eps_j eps_k c = (f_sigma(i) f_sigma(j))_sigma(k) for
+    # every term c e_k of every e_i e_j (each sign squares to 1): the
+    # relabelled product row against the one it must equal.
     n = cc_bb.dim()
-    for i in range(n):
-        for j in range(n):
-            if _combine(cc_bb._mult[i][j], rows) != aa.multiply_coeffs(rows[i], rows[j]):
-                multiplicative = False
-                break
-        if not multiplicative:
-            break
+    multiplicative = all(
+        {sigma[k]: eps[i] * eps[j] * eps[k] * c for k, c in cc_bb._mult[i][j].items()}
+        == aa._mult[sigma[i]][sigma[j]]
+        for i in range(n) for j in range(n))
 
     q_factors = quotient_dga(
         cc_bb, ideal_span(cc_bb, [tensor_of_diagonals]), name="factor-square/(diag)")

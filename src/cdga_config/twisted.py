@@ -507,11 +507,9 @@ def _quotients_by_ideal_match(pd: PDAlgebra, ideal: EquivalenceIdeal,
     for twist in (xi, xi2):
         model = build_cxi(pd, twist)
         projected = []
-        for k, rows in ideal.subcomplex.bases.items():
-            idx = ideal.cone.algebra.basis.degree_indices(k)
-            for row in rows:
-                amb = Element(ideal.cone.algebra, {i: c for i, c in zip(idx, row) if c})
-                image = model.project_from_cone(amb)
+        for k in ideal.subcomplex.bases:
+            for gen in ideal.subcomplex._generators(k):
+                image = model.project_from_cone(Element(ideal.cone.algebra, gen))
                 if not image.is_zero():
                     projected.append(image)
         results.append(quotient_dga(model.algebra, projected,

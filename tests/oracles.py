@@ -6,10 +6,11 @@ through this module cross-check the library's kernel/image path rather
 than restating it. The quotient and cohomology references find pivots
 and representatives by solving linear systems, not by reducing against
 rref rows as the package does. `naive_check_cdga`,
-`naive_verify_module` and `naive_verify_module_map` are the exceptions:
-they use the package's `Element` arithmetic, one product at a time, to
-cross-check the row-based loops of `check_cdga`, `DGModule.verify` and
-`ModuleMap.verify`.
+`naive_verify_module`, `naive_verify_module_map` and
+`oracle_shuffle_multiplicative` are the exceptions: they use the
+package's `Element` arithmetic, one product at a time, to cross-check the
+row-based loops of `check_cdga`, `DGModule.verify` and `ModuleMap.verify`
+and the signed-permutation test of `diagonal_correspondence`.
 """
 
 from fractions import Fraction
@@ -346,6 +347,26 @@ def naive_verify_module_map(source, target, images):
             if apply(_module_act(source, er, ei[i])) != _module_act(target, er, images[i]):
                 raise NotAModuleMap(
                     f"does not commute with the action at ({ring.basis.labels[r]}, {labels[i]})")
+
+
+def oracle_shuffle_multiplicative(source, target, rows):
+    """Whether the linear map with basis images `rows` (coefficient dicts
+    in `target`) satisfies f(e_i e_j) = f(e_i) f(e_j) on every pair of
+    basis elements of `source`, one `Element` product at a time. It
+    assumes nothing about the shape of the images."""
+    from cdga_config.algebra import Element
+
+    images = [Element(target, row) for row in rows]
+
+    def apply(x):
+        out = Element(target, {})
+        for t, c in x.coeffs.items():
+            out = out + images[t].scale(c)
+        return out
+
+    e = [source.basis_element(i) for i in range(source.dim())]
+    return all(apply(x * y) == fx * fy
+               for x, fx in zip(e, images) for y, fy in zip(e, images))
 
 
 def dense_matmul(a, b):

@@ -111,8 +111,9 @@ def _s2_document(**overrides):
     ({"formal_dimension": True}, "formal_dimension must be an integer, got true"),
     ({"flags": {"simply_connected": "false"}},
      'flags.simply_connected must be a boolean, got "false"'),
+    ({"name": 5}, "name must be a string, got 5"),
 ], ids=["flags-list", "degree-float", "degree-bool", "formal-dimension-bool",
-        "simply-connected-string"])
+        "simply-connected-string", "name-int"])
 def test_check_rejects_mistyped_fields_with_json_path(tmp_path, capsys, overrides, path):
     doc = tmp_path / "mistyped.json"
     doc.write_text(json.dumps(_s2_document(**overrides)), encoding="utf-8")

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,12 @@ def test_load_minimal_document():
     assert n == 2 and algebra.dim() == 2
     assert flags == {"simply_connected": True}
     assert epsilon == {algebra.basis.index("x"): F(1)}
+
+
+@pytest.mark.parametrize("name", [5, None, True, ["tiny"]], ids=["int", "null", "true", "list"])
+def test_name_that_is_not_a_string_rejected(name):
+    with pytest.raises(ParseError, match=re.escape(f"doc.json: name must be a string, got {json.dumps(name)}")):
+        load_algebra_data(minimal_doc(name=name), "doc.json")
 
 
 def test_float_coefficients_rejected():

@@ -2,10 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from cdga_config import products
 from cdga_config.algebra import check_cdga, same_structure
+from cdga_config.errors import StructureError
 from cdga_config.poincare import dual_basis
 from cdga_config.presets import preset_pd
 from cdga_config.products import diagonal_correspondence, product_pd, tensor
+
+import oracles
 
 TENSOR = "⊗"
 
@@ -127,12 +131,65 @@ def test_correspondence_point_trivial(s2):
     assert report.betti_agree
 
 
-@pytest.mark.parametrize(
-    "left,right",
-    [(a, b) for i, a in enumerate(PAIR_PRESETS) for b in PAIR_PRESETS[i:]],
-)
+PRESET_PAIRS = [(a, b) for i, a in enumerate(PAIR_PRESETS) for b in PAIR_PRESETS[i:]]
+
+
+@pytest.mark.parametrize("left,right", PRESET_PAIRS)
 def test_correspondence_all_preset_pairs(left, right):
     report = diagonal_correspondence(preset_pd(left), preset_pd(right))
     assert report.betti_agree
     assert report.shuffle_multiplicative
     assert report.sign in (F(1), F(-1))
+
+
+def _record_shuffle(monkeypatch, edit=None):
+    """Rebind `products._shuffle_rows` so that it hands out its rows after
+    `edit(source, rows)` and records the source, target and rows it gave."""
+    seen = {}
+    original = products._shuffle_rows
+
+    def recording(cc_bb, aa):
+        rows = original(cc_bb, aa)
+        if edit is not None:
+            edit(cc_bb, rows)
+        seen.update(source=cc_bb, target=aa, rows=rows)
+        return rows
+
+    monkeypatch.setattr(products, "_shuffle_rows", recording)
+    return seen
+
+
+@pytest.mark.parametrize("left,right", PRESET_PAIRS)
+def test_shuffle_check_matches_oracle(monkeypatch, left, right):
+    seen = _record_shuffle(monkeypatch)
+    report = diagonal_correspondence(preset_pd(left), preset_pd(right))
+    assert report.shuffle_multiplicative
+    assert oracles.oracle_shuffle_multiplicative(seen["source"], seen["target"], seen["rows"])
+
+
+def _flip_unit(source, rows):
+    # the unit has degree 0, so the diagonals never meet it and only the
+    # product check can notice the flip: f(1 * 1) = -f(1) != f(1) f(1)
+    rows[source.unit] = {t: -c for t, c in rows[source.unit].items()}
+
+
+def test_shuffle_check_rejects_a_flipped_sign(monkeypatch, s2, s3):
+    seen = _record_shuffle(monkeypatch, _flip_unit)
+    report = diagonal_correspondence(s2, s3)
+    assert not report.shuffle_multiplicative
+    assert not oracles.oracle_shuffle_multiplicative(seen["source"], seen["target"], seen["rows"])
+
+
+def _duplicate_target(source, rows):
+    rows[source.unit] = dict(rows[source.unit + 1])
+
+
+def _double_unit(source, rows):
+    rows[source.unit] = {t: 2 * c for t, c in rows[source.unit].items()}
+
+
+@pytest.mark.parametrize("edit", [_duplicate_target, _double_unit], ids=["duplicate", "double"])
+def test_shuffle_check_rejects_a_map_that_is_not_a_signed_permutation(monkeypatch, s2, s3, edit):
+    _record_shuffle(monkeypatch, edit)
+    with pytest.raises(StructureError, match="not a signed permutation"):
+        diagonal_correspondence(s2, s3)

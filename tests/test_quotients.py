@@ -166,6 +166,27 @@ def test_equivalence_ideal_matches_oracle(s2xs3):
     _check_against_oracle(cone.algebra, vectors, ideal.subcomplex, quotient, seed="equivalence")
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_random_subspaces_of_a_cone_match_oracle(seed):
+    # seeded random homogeneous vectors in positive degrees of the cone of
+    # s2 (x) s3, closed under d (d^2 = 0, so adding each d(v) suffices); the
+    # ideal they generate is then a proper differential ideal
+    space = cone_model(product_pd(preset_pd("s2"), preset_pd("s3"))).algebra
+    rng = random.Random(seed)
+    degrees = [k for k in space.basis.degrees_present() if k > 0]
+    generators = []
+    for _ in range(3):
+        idx = space.basis.degree_indices(rng.choice(degrees))
+        picks = rng.sample(idx, min(2, len(idx)))
+        v = space.element({i: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                           for i in picks})
+        generators += [v, v.d()] if not v.d().is_zero() else [v]
+    _check_against_oracle(space, generators, Subcomplex(space, generators), seed=seed)
+    vectors = ideal_span(space, generators)
+    quotient = quotient_dga(space, vectors)
+    _check_against_oracle(space, vectors, quotient.subspace, quotient, seed=seed)
+
+
 @pytest.mark.parametrize("left, right", [("s2", "s3"), ("cp2", "s3")])
 def test_cocycles_and_cohomology_match_oracle(left, right):
     # the cone of the product carries a nonzero differential

@@ -66,8 +66,8 @@ def test_preset_constructions_store_canonical_scalars(name):
     assert_canonical(algebra_scalars(trunc.algebra), "truncation")
     for rows in trunc.quotient.subspace.bases.values():
         assert_canonical((v for row in rows for v in row), "truncated subspace")
-    for block in trunc.quotient._proj_blocks.values():
-        assert_canonical(matrix_scalars(block), "projection")
+    for row in trunc.quotient._images:
+        assert_canonical(row.values(), "projection")
 
 
 def test_twisted_model_at_a_fractional_twist_stores_canonical_scalars():
