@@ -35,6 +35,7 @@ from .errors import (
     ParseError,
     PDFailure,
     WrongDegree,
+    ZeroFormalDimension,
 )
 from .io import load_algebra_file, parse_coeff, parse_element, write_pd_file
 from .poincare import PDAlgebra, check_pd, diagonal_class
@@ -402,7 +403,8 @@ def _run(argv) -> int:
     except (ParseError, ExpressionParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OddDimension, EvenDimensionNonzeroXi, WrongDegree, NotACocycle) as exc:
+    except (OddDimension, EvenDimensionNonzeroXi, WrongDegree, NotACocycle,
+            ZeroFormalDimension) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except CdgaError as exc:

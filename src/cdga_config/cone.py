@@ -9,11 +9,13 @@ with differential delta(a, sb) = (d a + f(b), -s db) and the product
     (iii) sb . a   = (-1)^(|b||a|) s(a . b)
     (iv)  sb . sb' = 0
 
-Rule (iii) is supplied twice: once directly and once derived from (ii)
-plus graded commutativity. The algebra constructor folds the two
-derivations into one entry per unordered pair, so any disagreement aborts
-construction; the sign convention is settled by internal consistency,
-never by a single hand-written exponent.
+Rule (ii) is the action of the suspension `suspend(B, 1)`, so its sign
+comes from the suspension sign rule of `dgmodule`; rule (iii) is derived
+here by hand from the action of B. Each is graded commutativity applied to
+the other, and the algebra constructor folds both into one entry per
+unordered pair, so a disagreement aborts construction: every cone
+cross-checks the suspension sign rule against an independent derivation,
+never trusting a single hand-written exponent.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from typing import Optional, Sequence
 
 from .algebra import DGAlgebra, Element, GradedBasis, check_cdga
 from .dgmodule import ModuleMap, suspend
-from .errors import AxiomFailure, MixedParents, NotAModuleMap, OddDimension, StructureError
+from .errors import (AxiomFailure, MixedParents, NotAModuleMap, OddDimension, StructureError,
+                     ZeroFormalDimension)
 from .linalg import _combine
 from .poincare import PDAlgebra, shriek_map
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
@@ -50,7 +53,7 @@ class MappingCone:
         if len(suspension_labels) != source.dim():
             raise StructureError("one suspension label per source basis element")
 
-        susp = suspend(source, 1, label=None)
+        susp = suspend(source, 1)
         sdegs = susp.basis.degrees
 
         items = [(ring.basis.labels[i], ring.basis.degrees[i], ("r", i)) for i in range(ring.dim())]
@@ -76,31 +79,23 @@ class MappingCone:
             for j in range(i, ring.dim()):
                 for k, c in ring._mult[i][j].items():
                     mult.append((ci, ring_to_cone[j], ring_to_cone[k], c))
-        for r in range(ring.dim()):
+        for r, (rows, srows) in enumerate(zip(source._action, susp._action)):
             cr = ring_to_cone[r]
-            sign_ii = (-1) ** rdeg[r]
-            for b in range(source.dim()):
-                row = source.act_basis(r, b)
-                if not row:
-                    continue
-                cb = susp_to_cone[b]
-                sign_iii = (-1) ** (bdeg[b] * rdeg[r])
-                for t, c in row.items():
-                    # rule (ii) and rule (iii); the constructor folds both
-                    # into one canonical entry and aborts on disagreement
-                    mult.append((cr, cb, susp_to_cone[t], sign_ii * c))
-                    mult.append((cb, cr, susp_to_cone[t], sign_iii * c))
+            for b, row in enumerate(rows):
+                if row:
+                    cb = susp_to_cone[b]
+                    sign_iii = (-1) ** (bdeg[b] * rdeg[r])
+                    # rule (ii) from the suspension, rule (iii) by hand
+                    mult += ((cr, cb, susp_to_cone[t], c) for t, c in srows[b].items())
+                    mult += ((cb, cr, susp_to_cone[t], sign_iii * c) for t, c in row.items())
 
         diff = []
-        for i in range(ring.dim()):
-            for j, c in ring.d_basis(i).items():
-                diff.append((ring_to_cone[i], ring_to_cone[j], c))
-        for b in range(source.dim()):
+        for i, row in enumerate(ring._diff):
+            diff += ((ring_to_cone[i], ring_to_cone[j], c) for j, c in row.items())
+        for b, row in enumerate(susp._diff):
             cb = susp_to_cone[b]
-            for j, c in f.images[b].coeffs.items():
-                diff.append((cb, ring_to_cone[j], c))
-            for t, c in susp.d_basis(b).items():
-                diff.append((cb, susp_to_cone[t], c))
+            diff += ((cb, ring_to_cone[j], c) for j, c in f.images[b].coeffs.items())
+            diff += ((cb, susp_to_cone[t], c) for t, c in row.items())
 
         try:
             algebra = DGAlgebra(
@@ -162,9 +157,13 @@ def cone_model(pd: PDAlgebra) -> MappingCone:
     Runs the full CDGA axiom check on the result; valid Poincare duality
     input must always pass, so a failure is raised, not reported. The cone
     is cached on the (immutable) duality structure, in `pd._cone_model`.
+    Formal dimension 0 has no cone: its S1 would sit in degree -1.
     """
     if pd._cone_model is not None:
         return pd._cone_model
+    if pd.n == 0:
+        unit = pd.algebra.basis.labels[pd.algebra.unit]
+        raise ZeroFormalDimension(f"formal dimension 0: the cone would put S{unit} in degree -1")
     f = shriek_map(pd)
     labels = [f"S{l}" for l in pd.algebra.basis.labels]
     cone = MappingCone(f, labels, name=f"C({pd.algebra.name or 'A'})", pd=pd)

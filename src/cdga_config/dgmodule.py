@@ -7,40 +7,50 @@ The sign conventions are the two rules everything else is derived from:
 
 Cone differentials and the module action on desuspended algebras are never
 entered by hand; they are produced by applying these rules to a plain
-action. Every `ModuleMap` checks on construction that it commutes with d
-and with the action on all basis pairs, which is how each shriek map is
+action. A module keeps the rows it is given: the ring acting on itself
+shares the ring's product table, and a suspension shares every row whose
+sign is +1. Every `ModuleMap` checks on construction that it commutes with
+d and with the action on all basis pairs, which is how each shriek map is
 verified; `DGModule.verify` checks the module axioms themselves on demand.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .algebra import DGAlgebra, Element, GradedBasis
 from .errors import NotAModuleMap, StructureError
-from .linalg import Scalar, _combine, _exact
+from .linalg import Scalar, _combine
 
 Coeffs = dict[int, Scalar]
+
+
+def _negated(rows: Sequence[Coeffs]) -> tuple[Coeffs, ...]:
+    """The rows with every coefficient negated; empty rows are shared."""
+    return tuple({t: -c for t, c in row.items()} if row else row for row in rows)
 
 
 class DGModule:
     """Graded module over a DGAlgebra with a compatible differential.
 
-    `action[(r, m)]` holds the coefficients of e_r . e_m in the module
-    basis; it is stored as `_action[r][m]`, so `_action[r]` gives the rows
-    of the map m -> e_r . m, as `_diff` gives those of d. This is the
-    layout of the ring's product table `_mult`, so the ring acting on
-    itself has `_action == ring._mult`. `verify()` checks unit action,
-    associativity of the action over all (r, r', m) triples and the module
-    Leibniz rule on all (r, m) pairs.
+    `action[r][m]` is the row of e_r . e_m in the module basis and
+    `diff[i]` the row of d e_i: the layout of the ring's product table
+    `_mult`, so `_action[r]` gives the rows of m -> e_r . m. The rows are
+    stored as given, never copied or re-cleaned, and must never be mutated.
+    The constructor checks the shape of both tables and every entry: a
+    nonzero canonical scalar (see `linalg`) at an index of the
+    degree the rule asks for. `verify()` checks unit action, associativity
+    of the action over all (r, r', m) triples and the module Leibniz rule
+    on all (r, m) pairs.
     """
 
     def __init__(
         self,
         ring: DGAlgebra,
         basis: GradedBasis,
-        action: dict[tuple[int, int], Coeffs],
-        diff: dict[int, Coeffs],
+        action: Sequence[Sequence[Coeffs]],
+        diff: Sequence[Coeffs],
         *,
         name: str = "",
     ):
@@ -48,27 +58,28 @@ class DGModule:
         self.basis = basis
         self.name = name
         degs = basis.degrees
+        n = len(degs)
         rdegs = ring.basis.degrees
-        # one row per (ring index, basis index); the zero action shares one
-        # empty row, which is never mutated
-        empty: Coeffs = {}
-        table: list[list[Coeffs]] = [[empty] * len(degs) for _ in rdegs]
-        for (r, m), row in action.items():
-            clean = {k: _exact(c) for k, c in row.items() if c}
-            for k, c in clean.items():
-                if degs[k] != rdegs[r] + degs[m]:
-                    raise StructureError("module action violates degrees")
-            table[r][m] = clean
-        self._action: tuple[tuple[Coeffs, ...], ...] = tuple(map(tuple, table))
-        # one row per basis index, empty for cocycles
-        rows: list[Coeffs] = [{} for _ in degs]
-        for i, row in diff.items():
-            clean = {j: _exact(c) for j, c in row.items() if c}
-            for j in clean:
-                if degs[j] != degs[i] + 1:
-                    raise StructureError("module differential does not raise degree by 1")
-            rows[i] = clean
-        self._diff: tuple[Coeffs, ...] = tuple(rows)
+        if len(action) != len(rdegs) or any(len(rows) != n for rows in action) or len(diff) != n:
+            raise StructureError("module action and differential tables have the wrong shape")
+        for r, rows in enumerate(action):
+            for m, row in enumerate(rows):
+                if row:
+                    self._check_row(row, rdegs[r] + degs[m], "module action violates degrees")
+        for i, row in enumerate(diff):
+            if row:
+                self._check_row(row, degs[i] + 1,
+                                "module differential does not raise degree by 1")
+        self._action: tuple[tuple[Coeffs, ...], ...] = tuple(map(tuple, action))
+        self._diff: tuple[Coeffs, ...] = tuple(diff)
+
+    def _check_row(self, row: Coeffs, degree: int, message: str) -> None:
+        degs = self.basis.degrees
+        for k, c in row.items():
+            if not (type(c) is int or type(c) is Fraction and c.denominator != 1) or not c:
+                raise StructureError(f"module row entry {c!r} is not a nonzero canonical scalar")
+            if not 0 <= k < len(degs) or degs[k] != degree:
+                raise StructureError(message)
 
     def dim(self) -> int:
         return len(self.basis)
@@ -108,7 +119,7 @@ class DGModule:
                             f"({rlabels[r1]}, {rlabels[r2]}, {labels[m]})"
                         )
         diff = self._diff
-        negated = [{t: -c for t, c in row.items()} for row in diff]
+        negated = _negated(diff)
         for r in range(n_r):
             dr = ring.d_basis(r)
             signed = negated if ring.basis.degrees[r] % 2 else diff
@@ -125,16 +136,15 @@ class DGModule:
 
 
 def ring_as_module(ring: DGAlgebra) -> DGModule:
-    """The algebra as a module over itself via multiplication."""
-    action = {(r, m): row for r, products in enumerate(ring._mult)
-              for m, row in enumerate(products) if row}
-    diff = {i: row for i, row in enumerate(ring._diff) if row}
-    return DGModule(ring, ring.basis, action, diff, name=ring.name)
+    """The algebra as a module over itself via multiplication; the module's
+    tables are the ring's own rows."""
+    return DGModule(ring, ring.basis, ring._mult, ring._diff, name=ring.name)
 
 
 def suspend(module: DGModule, k: int, label: Optional[Callable[[str], str]] = None) -> DGModule:
     """k-th suspension: degrees drop by k, the action picks up (-1)^(k|r|)
-    and the differential picks up (-1)^k."""
+    and the differential picks up (-1)^k. Only the rows whose sign is -1
+    are new; the others are the module's own."""
     if label is None:
         label = lambda l: f"s^{k}({l})" if k != 1 else f"s({l})"
     degs = [d - k for d in module.basis.degrees]
@@ -142,14 +152,9 @@ def suspend(module: DGModule, k: int, label: Optional[Callable[[str], str]] = No
         raise StructureError("suspension would create negative degrees")
     basis = GradedBasis([label(l) for l in module.basis.labels], degs)
     ring = module.ring
-    dsign = (-1) ** k
-    action = {}
-    for r, rows in enumerate(module._action):
-        sign = (-1) ** (k * ring.basis.degrees[r])
-        for m, row in enumerate(rows):
-            if row:
-                action[(r, m)] = {t: sign * c for t, c in row.items()}
-    diff = {i: {j: dsign * c for j, c in row.items()} for i, row in enumerate(module._diff)}
+    action = [_negated(rows) if k * ring.basis.degrees[r] % 2 else rows
+              for r, rows in enumerate(module._action)]
+    diff = _negated(module._diff) if k % 2 else module._diff
     return DGModule(ring, basis, action, diff, name=f"s^{k}({module.name})")
 
 

@@ -71,6 +71,11 @@ class OddDimension(CdgaError):
     """The even-dimensional pipeline was invoked with odd formal dimension."""
 
 
+class ZeroFormalDimension(CdgaError):
+    """A cone model was requested in formal dimension 0, where the
+    suspended unit would sit in degree -1."""
+
+
 class EvenDimensionNonzeroXi(CdgaError):
     """A nonzero twisting class was requested in even formal dimension,
     where the square of the suspended unit is forced to vanish."""

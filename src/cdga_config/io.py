@@ -155,7 +155,7 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
         raise ParseError(f"{source}: {exc}") from exc
 
     mult = []
-    for pos, entry in enumerate(data.get("products", [])):
+    for pos, entry in enumerate(_of_type(data.get("products", []), list, "products", source)):
         try:
             left = basis.index(_string(entry["left"], f"products[{pos}].left", source))
             right = basis.index(_string(entry["right"], f"products[{pos}].right", source))
@@ -164,7 +164,7 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
             raise ParseError(f"{source}: malformed product entry") from None
         except StructureError as exc:
             raise ParseError(f"{source}: {exc}") from exc
-        for k, term in enumerate(result):
+        for k, term in enumerate(_of_type(result, list, f"products[{pos}].result", source)):
             try:
                 target = basis.index(_string(term["label"], f"products[{pos}].result[{k}].label",
                                              source))
@@ -178,7 +178,8 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
         mult.append((unit, i, i, 1))
 
     diff = []
-    for pos, entry in enumerate(data.get("differential", [])):
+    for pos, entry in enumerate(_of_type(data.get("differential", []), list, "differential",
+                                         source)):
         try:
             src = basis.index(_string(entry["from"], f"differential[{pos}].from", source))
             dst = basis.index(_string(entry["to"], f"differential[{pos}].to", source))
@@ -487,7 +488,8 @@ def parse_table_file(path: str | Path) -> TableDocument:
     xi = _element_terms(_string(_require(data, "xi", source), "xi", source), declared)
 
     gens = []
-    for pos, item in enumerate(_require(data, "generators", source)):
+    for pos, item in enumerate(_of_type(_require(data, "generators", source), list,
+                                        "generators", source)):
         try:
             label, degree = item["label"], item["degree"]
         except (KeyError, TypeError):

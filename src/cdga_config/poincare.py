@@ -18,8 +18,8 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .algebra import DGAlgebra, Element
-from .dgmodule import DGModule, ModuleMap, suspend
-from .errors import PDFailure, StructureError
+from .dgmodule import DGModule, ModuleMap, ring_as_module, suspend
+from .errors import ModuleMapViolation, NotAModuleMap, PDFailure, StructureError
 from .linalg import Scalar, SparseMatrix, _accumulate, _combine, _divide, _exact, invert, kernel_basis
 from .products import TensorAlgebra, tensor
 
@@ -202,15 +202,9 @@ def algebra_as_square_module(pd: PDAlgebra) -> DGModule:
     square, alg = pd.square, pd.algebra
     # columns[m][k] = e_k e_m
     columns = list(zip(*alg._mult))
-    action = {}
-    for t in range(square.dim()):
-        i, j = square.factors_of(t)
-        for m, column in enumerate(columns):
-            row = _combine(alg._mult[i][j], column)
-            if row:
-                action[(t, m)] = row
-    diff = {i: row for i, row in enumerate(alg._diff) if row}
-    return DGModule(square, alg.basis, action, diff, name=f"{alg.name or 'A'} as module")
+    action = [[_combine(alg._mult[i][j], column) for column in columns]
+              for i, j in map(square.factors_of, range(square.dim()))]
+    return DGModule(square, alg.basis, action, alg._diff, name=f"{alg.name or 'A'} as module")
 
 
 def desuspended_module(pd: PDAlgebra) -> DGModule:
@@ -222,21 +216,17 @@ def desuspended_module(pd: PDAlgebra) -> DGModule:
 def shriek_map(pd: PDAlgebra) -> ModuleMap:
     """The module map s^-n A -> A (x) A, s^-n a -> diag . (1 (x) a).
 
-    Verification (cochain + action-compatible on all pairs) is part of the
-    construction; a failure indicates a sign-convention bug upstream.
+    The images are read off the square's product table. Verification
+    (cochain + action-compatible on all pairs) is part of the construction;
+    a failure indicates a sign-convention bug upstream.
     """
-    from .dgmodule import ring_as_module
-    from .errors import ModuleMapViolation, NotAModuleMap
-
     square = pd.square
     source = desuspended_module(pd)
     target = ring_as_module(square)
-    diag = diagonal_class(pd).element
-    one = pd.algebra.one()
-    images = []
-    for a_idx in range(pd.algebra.dim()):
-        right = square.tensor_elements(one, pd.algebra.basis_element(a_idx))
-        images.append(Element(target, square.multiply(diag, right).coeffs))
+    diag = diagonal_class(pd).element.coeffs
+    unit = pd.algebra.unit
+    images = [Element(target, square.multiply_coeffs(diag, {square.pair_index(unit, a): 1}))
+              for a in range(pd.algebra.dim())]
     try:
         return ModuleMap(source, target, images)
     except NotAModuleMap as exc:

@@ -55,28 +55,29 @@ class TensorAlgebra(DGAlgebra):
         if left.top_degree is not None and right.top_degree is not None:
             top = left.top_degree + right.top_degree
 
+        # only pairs whose factor products are both nonzero contribute
+        index = self._pair_index
+        lpairs = [(i, i2, row) for i, rows in enumerate(left._mult)
+                  for i2, row in enumerate(rows) if row]
+        rpairs = [(j, j2, row) for j, rows in enumerate(right._mult)
+                  for j2, row in enumerate(rows) if row]
         mult = []
-        for t1, (i, j) in enumerate(pairs):
-            for t2, (i2, j2) in enumerate(pairs):
+        for i, i2, lrow in lpairs:
+            for j, j2, rrow in rpairs:
+                t1, t2 = index[(i, j)], index[(i2, j2)]
                 if t2 < t1:
                     continue
                 sign = (-1) ** (ldeg[i2] * rdeg[j])
-                lrow = left._mult[i][i2]
-                if not lrow:
-                    continue
-                rrow = right._mult[j][j2]
-                if not rrow:
-                    continue
                 for k, a in lrow.items():
                     for l, b in rrow.items():
-                        mult.append((t1, t2, self._pair_index[(k, l)], sign * a * b))
+                        mult.append((t1, t2, index[(k, l)], sign * a * b))
 
         diff = []
         for t, (i, j) in enumerate(pairs):
-            for k, c in left.d_basis(i).items():
+            for k, c in left._diff[i].items():
                 diff.append((t, self._pair_index[(k, j)], c))
             sign = (-1) ** ldeg[i]
-            for l, c in right.d_basis(j).items():
+            for l, c in right._diff[j].items():
                 diff.append((t, self._pair_index[(i, l)], sign * c))
 
         super().__init__(

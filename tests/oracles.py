@@ -11,6 +11,9 @@ rref rows as the package does. `naive_check_cdga`,
 package's `Element` arithmetic, one product at a time, to cross-check the
 row-based loops of `check_cdga`, `DGModule.verify` and `ModuleMap.verify`
 and the signed-permutation test of `diagonal_correspondence`.
+`naive_tensor_mult` restates the tensor product's Koszul rule over every
+pair of product basis elements, against the sparse loop of
+`TensorAlgebra`.
 """
 
 from fractions import Fraction
@@ -367,6 +370,24 @@ def oracle_shuffle_multiplicative(source, target, rows):
     e = [source.basis_element(i) for i in range(source.dim())]
     return all(apply(x * y) == fx * fy
                for x, fx in zip(e, images) for y, fy in zip(e, images))
+
+
+def naive_tensor_mult(t):
+    """The product entries (t1, t2, k, c) of a `TensorAlgebra` with
+    t1 <= t2, by visiting every such pair of its basis and applying
+    (a (x) b) . (a' (x) b') = (-1)^(|a'| |b|) a a' (x) b b'."""
+    left, right = t.left, t.right
+    ldeg, rdeg = left.basis.degrees, right.basis.degrees
+    pairs = [t.factors_of(x) for x in range(t.dim())]
+    mult = []
+    for t1, (i, j) in enumerate(pairs):
+        for t2 in range(t1, len(pairs)):
+            i2, j2 = pairs[t2]
+            sign = (-1) ** (ldeg[i2] * rdeg[j])
+            for k, a in left._mult[i][i2].items():
+                for l, b in right._mult[j][j2].items():
+                    mult.append((t1, t2, t.pair_index(k, l), sign * a * b))
+    return mult
 
 
 def dense_matmul(a, b):

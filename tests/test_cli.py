@@ -112,8 +112,13 @@ def _s2_document(**overrides):
     ({"flags": {"simply_connected": "false"}},
      'flags.simply_connected must be a boolean, got "false"'),
     ({"name": 5}, "name must be a string, got 5"),
+    ({"products": 5}, "products must be a list, got 5"),
+    ({"differential": None}, "differential must be a list, got null"),
+    ({"products": [{"left": "x", "right": "1", "result": 7}]},
+     "products[0].result must be a list, got 7"),
 ], ids=["flags-list", "degree-float", "degree-bool", "formal-dimension-bool",
-        "simply-connected-string", "name-int"])
+        "simply-connected-string", "name-int", "products-int", "differential-null",
+        "result-int"])
 def test_check_rejects_mistyped_fields_with_json_path(tmp_path, capsys, overrides, path):
     doc = tmp_path / "mistyped.json"
     doc.write_text(json.dumps(_s2_document(**overrides)), encoding="utf-8")
@@ -237,6 +242,15 @@ def test_cxi_even_with_nonzero_twist_is_precondition_error(capsys):
     code, _, err = run_cli(capsys, "cxi", "s2", "--xi", "(x(x)x)")
     assert code == 3
     assert "forced to vanish" in err
+
+
+@pytest.mark.parametrize("argv", [["diagonal", "point"], ["betti-fm2", "point"],
+                                  ["cxi", "point", "--xi=0"]])
+def test_cone_of_formal_dimension_zero_is_precondition_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == "precondition violated: formal dimension 0: the cone would put S1 in degree -1\n"
 
 
 def test_cxi_bad_expression(capsys):

@@ -3,7 +3,7 @@ import pytest
 from cdga_config.algebra import Element, GradedBasis, check_cdga, cohomology
 from cdga_config.cone import cone_model, even_model, mapping_cone, top_ideal_generators
 from cdga_config.dgmodule import DGModule, ModuleMap, ring_as_module
-from cdga_config.errors import NotAModuleMap, OddDimension
+from cdga_config.errors import NotAModuleMap, OddDimension, StructureError
 from cdga_config.poincare import desuspended_module
 from cdga_config.presets import preset_pd
 from cdga_config.quotients import ideal_span, quotient_dga
@@ -36,12 +36,12 @@ def zero_map_into_square(pd, basis, changed=None):
     square = pd.square
     ring = ring_as_module(square)
     n = square.dim()
-    action = {(r, m): ring.act_basis(r, m) for r in range(n) for m in range(n)}
+    action = [[ring.act_basis(r, m) for m in range(n)] for r in range(n)]
     if changed:
         r, m, row = changed
         index = square.basis.index
-        action[(index(r), index(m))] = {index(k): c for k, c in row.items()}
-    target = DGModule(square, basis, action, {i: ring.d_basis(i) for i in range(n)})
+        action[index(r)][index(m)] = {index(k): c for k, c in row.items()}
+    target = DGModule(square, basis, action, [ring.d_basis(i) for i in range(n)])
     source = desuspended_module(pd)
     return ModuleMap(source, target, [target.zero() for _ in range(source.dim())])
 
@@ -88,6 +88,29 @@ def test_cone_s2xs3_delta_table_expected_values(s2xs3):
     }
     assert cohomology(cone.algebra).betti_vector(10) == [1, 0, 2, 2, 1, 3, 1, 1, 1, 0, 0]
     assert oracle_betti(cone.algebra) == [1, 0, 2, 2, 1, 3, 1, 1, 1, 0, 0]
+
+
+def test_cone_rejects_a_suspension_with_a_flipped_action_sign(monkeypatch, s2xs3):
+    # rule (ii) comes from the suspension, rule (iii) is derived by hand:
+    # one flipped sign in the suspension's action makes the two disagree
+    from cdga_config import cone
+    from cdga_config.poincare import check_pd
+
+    real_suspend = cone.suspend
+
+    def flipped(module, k, label=None):
+        susp = real_suspend(module, k, label)
+        r, b = susp.ring.basis.index("1⊗y"), susp.basis.index("s(s^-5(1))")
+        action = [list(rows) for rows in susp._action]
+        action[r][b] = {t: -c for t, c in action[r][b].items()}
+        return DGModule(susp.ring, susp.basis, action, susp._diff, name=susp.name)
+
+    monkeypatch.setattr(cone, "suspend", flipped)
+    fresh = check_pd(s2xs3.algebra, s2xs3.n, s2xs3.epsilon)
+    with pytest.raises(StructureError) as info:
+        cone_model(fresh)
+    assert str(info.value) == ("semi-trivial product is inconsistent: "
+                               "inconsistent duplicate product entry for (S1, 1⊗y)")
 
 
 @pytest.mark.parametrize("name", PRESETS)

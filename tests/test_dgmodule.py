@@ -14,29 +14,34 @@ from fractions import Fraction
 import pytest
 
 from cdga_config.algebra import DGAlgebra, GradedBasis
-from cdga_config.cone import MappingCone
-from cdga_config.dgmodule import DGModule, ModuleMap, ring_as_module
+from cdga_config.cone import MappingCone, cone_model
+from cdga_config.dgmodule import DGModule, ModuleMap, ring_as_module, suspend
 from cdga_config.errors import NotAModuleMap, StructureError
+from cdga_config.linalg import _exact
 from cdga_config.poincare import algebra_as_square_module, check_pd, desuspended_module, shriek_map
-from cdga_config.presets import preset_pd
+from cdga_config.presets import PRESET_NAMES, preset_pd
 
 from oracles import naive_verify_module, naive_verify_module_map
 
 
 def tables(module):
-    """The action and differential of a module as constructor input."""
-    action = {}
-    for r in range(module.ring.dim()):
-        for m in range(module.dim()):
-            row = module.act_basis(r, m)
-            if row:
-                action[(r, m)] = row
-    diff = {i: module.d_basis(i) for i in range(module.dim())}
+    """The action and differential of a module as constructor input: one
+    row per (ring, module) basis pair and one per module basis element."""
+    action = [[module.act_basis(r, m) for m in range(module.dim())]
+              for r in range(module.ring.dim())]
+    diff = [module.d_basis(i) for i in range(module.dim())]
     return action, diff
 
 
 def rebuilt(module, action, diff):
-    return DGModule(module.ring, module.basis, action, diff, name=module.name)
+    """The module with the edited tables; an edit may cancel an entry or
+    leave an integral Fraction, so entries are cleaned first, as the
+    constructor requires."""
+    def clean(row):
+        return {k: _exact(c) for k, c in row.items() if c}
+
+    return DGModule(module.ring, module.basis, [[clean(row) for row in rows] for rows in action],
+                    [clean(row) for row in diff], name=module.name)
 
 
 def small_ring():
@@ -62,13 +67,68 @@ def failure(check, *args):
     return None
 
 
+# --- the tables a module is given ----------------------------------------------
+
+
+def _algebras():
+    """Every preset algebra and one cone."""
+    return [preset_pd(name).algebra for name in PRESET_NAMES] + [cone_model(preset_pd("s3")).algebra]
+
+
+@pytest.mark.parametrize("algebra", _algebras(), ids=[*PRESET_NAMES, "cone-s3"])
+def test_ring_as_module_shares_the_ring_rows(algebra):
+    module = ring_as_module(algebra)
+    n = algebra.dim()
+    assert all(module._action[r][m] is algebra._mult[r][m] for r in range(n) for m in range(n))
+    assert all(module._diff[i] is algebra._diff[i] for i in range(n))
+
+
+def test_suspension_shares_the_rows_whose_sign_is_one():
+    module = desuspended_module(preset_pd("s2xs3"))
+    rdegs = module.ring.basis.degrees
+    pairs = [(r, m) for r in range(module.ring.dim()) for m in range(module.dim())]
+    for k in (-2, 2, 1):
+        susp = suspend(module, k)
+        shared = {(r, m) for r, m in pairs if susp._action[r][m] is module._action[r][m]}
+        assert shared == {(r, m) for r, m in pairs if k * rdegs[r] % 2 == 0 or not module._action[r][m]}
+        assert all((susp._diff[i] is row) == (k % 2 == 0 or not row)
+                   for i, row in enumerate(module._diff))
+        assert all(susp.act_basis(r, m) == {t: (-1) ** (k * rdegs[r]) * c
+                                            for t, c in module.act_basis(r, m).items()}
+                   for r, m in pairs)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda action, diff: action.pop(), "module action and differential tables have the wrong shape"),
+    (lambda action, diff: action[1].pop(), "module action and differential tables have the wrong shape"),
+    (lambda action, diff: diff.append({}), "module action and differential tables have the wrong shape"),
+    (lambda action, diff: action[1].__setitem__(1, {2: 0}),
+     "module row entry 0 is not a nonzero canonical scalar"),
+    (lambda action, diff: action[0].__setitem__(2, {2: Fraction(2, 1)}),
+     "module row entry Fraction(2, 1) is not a nonzero canonical scalar"),
+    (lambda action, diff: diff.__setitem__(1, {2: True}),
+     "module row entry True is not a nonzero canonical scalar"),
+    (lambda action, diff: action[1].__setitem__(1, {1: 1}), "module action violates degrees"),
+    (lambda action, diff: diff.__setitem__(0, {2: 1}),
+     "module differential does not raise degree by 1"),
+], ids=["ring-rows", "module-rows", "differential-rows", "zero", "integral-fraction", "bool",
+        "action-degree", "differential-degree"])
+def test_constructor_checks_every_entry(edit, message):
+    module = ring_as_module(small_ring())
+    action, diff = tables(module)
+    edit(action, diff)
+    with pytest.raises(StructureError) as exc:
+        DGModule(module.ring, module.basis, action, diff)
+    assert str(exc.value) == message
+
+
 # --- DGModule.verify -----------------------------------------------------------
 
 
 def test_module_witness_on_a_hand_built_ring():
     module = ring_as_module(small_ring())
     action, diff = tables(module)
-    action[(1, 1)] = {2: 1}
+    action[1][1] = {2: 1}
     with pytest.raises(StructureError) as exc:
         rebuilt(module, action, diff).verify()
     assert str(exc.value) == "module action is not associative at (a, a, 1)"
@@ -83,7 +143,7 @@ def test_module_witness_at_the_unit(s2xs3_module):
     module = s2xs3_module
     action, diff = tables(module)
     m = module.basis.index("s^-5(x)")
-    action[(module.ring.unit, m)] = {m: 2}
+    action[module.ring.unit][m] = {m: 2}
     with pytest.raises(StructureError) as exc:
         rebuilt(module, action, diff).verify()
     assert str(exc.value) == "unit does not act as identity on s^-5(x)"
@@ -92,8 +152,8 @@ def test_module_witness_at_the_unit(s2xs3_module):
 def test_module_witness_at_associativity(s2xs3_module):
     module = s2xs3_module
     action, diff = tables(module)
-    key = (module.ring.basis.index("x⊗1"), module.basis.index("s^-5(1)"))
-    action[key] = {k: 2 * c for k, c in action[key].items()}
+    r, m = module.ring.basis.index("x⊗1"), module.basis.index("s^-5(1)")
+    action[r][m] = {k: 2 * c for k, c in action[r][m].items()}
     with pytest.raises(StructureError) as exc:
         rebuilt(module, action, diff).verify()
     assert str(exc.value) == "module action is not associative at (1⊗y, x⊗1, s^-5(1))"
@@ -157,14 +217,14 @@ def perturbed_module(seed):
         if rng.random() < 0.7:
             r, m = rng.randrange(len(rdegs)), rng.randrange(len(degs))
             slots = module.basis.degree_indices(rdegs[r] + degs[m])
-            table, key = action, (r, m)
+            table, key = action[r], m
         else:
             m = rng.randrange(len(degs))
             slots = module.basis.degree_indices(degs[m] + 1)
             table, key = diff, m
         if slots:
             break
-    row = dict(table.get(key, {}))
+    row = dict(table[key])
     k = rng.choice(slots)
     row[k] = row.get(k, 0) + rng.choice(CHANGES)
     table[key] = row

@@ -1,14 +1,15 @@
-"""Fuzzing of the input boundary: whatever coefficient or expression a user
-supplies, `cli.main` ends with one of the documented exit statuses
-(0 success, 1 parse error, 2 failed check, 3 precondition) and never lets
-an exception escape. Calls run in-process; no subprocess per example."""
+"""Fuzzing of the input boundary: whatever coefficient, expression or
+document structure a user supplies, `cli.main` ends with one of the
+documented exit statuses (0 success, 1 parse error, 2 failed check,
+3 precondition) and never lets an exception escape. Calls run in-process;
+no subprocess per example."""
 
 import contextlib
 import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdga_config.cli import main
@@ -87,3 +88,58 @@ def test_flag_expressions_end_in_a_documented_status(flag, text):
     else:
         argv = ["cxi", "s2xs3", f"{flag}={text}"]
     assert run_quietly(argv) in STATUSES
+
+
+# --- the structure of algebra documents ------------------------------------------
+
+# the shipped presets have no differential entry, so this one carries both a
+# product and a differential entry
+WITH_DIFFERENTIAL = {
+    "name": "l3",
+    "formal_dimension": 3,
+    "basis": [{"label": "1", "degree": 0}, {"label": "a", "degree": 1},
+              {"label": "b", "degree": 2}, {"label": "ab", "degree": 3}],
+    "unit": "1",
+    "products": [{"left": "a", "right": "b", "result": [{"label": "ab", "coeff": "1"}]}],
+    "differential": [{"from": "a", "to": "b", "coeff": "1"}],
+    "orientation": {"ab": "1"},
+    "flags": {"simply_connected": False},
+}
+STRUCTURED = {"s2xs3": DOCUMENTS["s2xs3"], "l3": WITH_DIFFERENTIAL}
+
+# (owner, field): a top-level field, or a field of the first product or
+# differential entry
+FIELDS = ([(None, key) for key in WITH_DIFFERENTIAL]
+          + [("products", key) for key in ("left", "right", "result")]
+          + [("differential", key) for key in ("from", "to", "coeff")])
+DROP = object()
+replacements = st.one_of(
+    st.just(DROP), st.none(), st.booleans(), st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2)), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(STRUCTURED)), field=st.sampled_from(FIELDS),
+       value=replacements)
+@example(name="s2xs3", field=(None, "products"), value=5)
+@example(name="l3", field=(None, "differential"), value=None)
+@example(name="l3", field=("products", "result"), value=7)
+def test_mutated_structure_ends_in_a_documented_status(workdir, name, field, value):
+    doc = json.loads(json.dumps(STRUCTURED[name]))
+    owner, key = field
+    if owner is not None:
+        assume(doc[owner])
+        target = doc[owner][0]
+    else:
+        target = doc
+    if value is DROP:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    path = workdir / f"structure-{name}.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    assert run_quietly(["check", str(path)]) in STATUSES

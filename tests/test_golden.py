@@ -32,9 +32,10 @@ PRODUCT_OUT = "product.json"
 def _cases():
     cases = []
     for p in PRESET_NAMES:
-        # `point` has nothing of positive degree to suspend, so every command
-        # that builds the cone fails its check (exit 2) and prints no JSON
-        cone_status = 2 if p == "point" else 0
+        # `point` has formal dimension 0, where the cone would put S1 in
+        # degree -1, so every command that builds the cone fails that
+        # precondition (exit 3) and prints no JSON
+        cone_status = 3 if p == "point" else 0
         cases.append((f"check_{p}", ["check", p], 0))
         for command in ("diagonal", "betti-fm2"):
             cases.append((f"{command}_{p}", [command, p], cone_status))

@@ -193,6 +193,35 @@ def test_coefficients_must_be_json_strings(slot, path, value):
     assert str(info.value) == f"doc: {path} must be a string, got {json.dumps(value)}"
 
 
+_LIST_SLOTS = [
+    (lambda v: {"products": v}, "products"),
+    (lambda v: {"differential": v}, "differential"),
+    (lambda v: {"products": [{"left": "x", "right": "1", "result": v}]}, "products[0].result"),
+]
+
+
+@pytest.mark.parametrize("value", [5, None, "x", {"x": 1}], ids=["int", "null", "string", "object"])
+@pytest.mark.parametrize("slot, path", _LIST_SLOTS, ids=["products", "differential", "result"])
+def test_algebra_lists_must_be_json_arrays(slot, path, value):
+    with pytest.raises(ParseError) as info:
+        load_algebra_data(minimal_doc(**slot(value)), "doc")
+    assert str(info.value) == f"doc: {path} must be a list, got {json.dumps(value)}"
+
+
+@pytest.mark.parametrize("value", [5, None], ids=["int", "null"])
+def test_table_generators_must_be_a_json_array(tmp_path, value):
+    from cdga_config.io import load_table_file
+    from cdga_config.presets import table_preset_path
+
+    data = json.loads(table_preset_path().read_text(encoding="utf-8"))
+    data["generators"] = value
+    doc = tmp_path / "table.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_table_file(doc, {"q": F(1), "r": F(0)})
+    assert str(info.value) == f"{doc}: generators must be a list, got {json.dumps(value)}"
+
+
 def test_bad_coefficient_string_names_the_json_path():
     with pytest.raises(ParseError) as info:
         load_algebra_data(minimal_doc(orientation={"x": "2/x"}), "doc")

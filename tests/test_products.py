@@ -3,10 +3,10 @@ from fractions import Fraction as F
 import pytest
 
 from cdga_config import products
-from cdga_config.algebra import check_cdga, same_structure
+from cdga_config.algebra import DGAlgebra, check_cdga, same_structure
 from cdga_config.errors import StructureError
 from cdga_config.poincare import dual_basis
-from cdga_config.presets import preset_pd
+from cdga_config.presets import PRESET_NAMES, preset_pd
 from cdga_config.products import diagonal_correspondence, product_pd, tensor
 
 import oracles
@@ -23,6 +23,21 @@ def test_tensor_with_unit_factor(point=None):
     # isomorphic copy of the left factor with relabeled basis
     relabel = {"1": f"1{TENSOR}1", "x": f"x{TENSOR}1"}
     assert same_structure(s2.algebra, t, relabel)
+
+
+def _squared():
+    """Every preset, and two products of ladder size, s2xs3 (x) cp2 and
+    s2xs3 (x) s3xs4, whose squares have dimension 144 and 256."""
+    return [pytest.param(name, id=name) for name in PRESET_NAMES] + [
+        pytest.param(spec, id="-".join(spec)) for spec in (("s2xs3", "cp2"), ("s2xs3", "s3xs4"))]
+
+
+@pytest.mark.parametrize("spec", _squared())
+def test_tensor_squares_match_the_all_pairs_loop(spec):
+    pd = preset_pd(spec) if isinstance(spec, str) else product_pd(*map(preset_pd, spec))
+    t = tensor(pd.algebra, pd.algebra)
+    reference = DGAlgebra(t.basis, t.unit, oracles.naive_tensor_mult(t))
+    assert t.mult_entries() == reference.mult_entries()
 
 
 def test_tensor_koszul_signs(s3):
