@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -459,13 +460,26 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     checks = []
 
     def to_integers(rows):
-        """The rows times the lcm of all their denominators, and that lcm;
-        integral rows are returned as they are (no row is mutated)."""
-        scale = lcm(*(c.denominator for row in rows for c in row.values()))
+        """The rows times the lcm of the denominators of their `Fraction`
+        entries, and that lcm; integral rows are returned as they are. Each
+        distinct row object is scaled once, so rows shared in `rows` stay
+        shared, and empty rows are kept; no row is mutated."""
+        scale = lcm(*(c.denominator for row in rows if row for c in row.values()
+                      if type(c) is Fraction))
         if scale == 1:
             return rows, 1
-        return [{k: c.numerator * (scale // c.denominator) for k, c in row.items()}
-                for row in rows], scale
+        scaled: dict[int, dict] = {}
+        out = []
+        for row in rows:
+            if row:
+                copy = scaled.get(id(row))
+                if copy is None:
+                    copy = scaled[id(row)] = {
+                        k: c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+                        for k, c in row.items()}
+                row = copy
+            out.append(row)
+        return out, scale
 
     # pair[i][j] = D * e_i * e_j with the Koszul sign applied, and its
     # transpose

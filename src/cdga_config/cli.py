@@ -274,9 +274,8 @@ def cmd_classify_example(args) -> int:
         lines.append(f"trace for q={values[i]} vs q={values[j]}:")
         for entry in result.trace:
             lines.append(f"  {entry}")
-        lines.append(
-            f"the final constraint forces q = r; here q - r = {values[i] - values[j]} != 0"
-        )
+        lines.append(f"residual at q={values[i]} vs q={values[j]}: stage {result.at_generator} "
+                     f"ends in 0 = {result.residual_constant}, so no isomorphism exists")
     _emit(report, lines, args.json)
     return EXIT_OK
 

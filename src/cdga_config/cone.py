@@ -123,8 +123,10 @@ class MappingCone:
         self.ring_to_cone = tuple(ring_to_cone)
         self.susp_to_cone = tuple(susp_to_cone)
         self.pd = pd
-        # the truncation of this cone, filled by `twisted.truncate_cone`
+        # the truncation of this cone, filled by `twisted.truncate_cone`,
+        # and its equivalence ideal, filled by `twisted.equivalence_ideal`
         self._truncation = None
+        self._equivalence_ideal = None
 
     def include_base(self, x: Element) -> Element:
         """The inclusion R -> cone, r -> (r, 0)."""

@@ -424,12 +424,12 @@ class TableDocument:
     parameters: list[str]
     pd: PDAlgebra
     xi: list[_Term]
-    gens: tuple[tuple[str, int], ...]
     evaluation: list[list[_Term]]
     # per generator: (coefficient, product of the term's factors) per term
     differentials: list[list[tuple[_Coeff, dict]]]
-    degree_cap: int
-    name: str
+    # the generators, cap and name with no differentials and no target;
+    # every table built shares its layout (`GeneratorTable.share_layout`)
+    blank: GeneratorTable
 
     def table(self, values: Mapping[str, Scalar]):
         from .sullivan import GeneratorTable
@@ -451,15 +451,18 @@ class TableDocument:
                 c = _value(coeff, values)
                 _accumulate(total, ((k, c * v) for k, v in product.items()))
             differentials.append(total)
-        return GeneratorTable(
-            base=self.pd.square,
-            gens=self.gens,
+        blank = self.blank
+        table = GeneratorTable(
+            base=blank.base,
+            gens=blank.gens,
             differentials=tuple(differentials),
             target=target,
             evaluation=evaluation,
-            degree_cap=self.degree_cap,
-            name=self.name,
+            degree_cap=blank.degree_cap,
+            name=blank.name,
         )
+        table.share_layout(blank)
+        return table
 
 
 def parse_table_file(path: str | Path) -> TableDocument:
@@ -543,8 +546,7 @@ def parse_table_file(path: str | Path) -> TableDocument:
                     raise ParseError(f"{source}: {exc}") from None
             terms.append((coeff, table.product(*factors)))
         differentials.append(terms)
-    return TableDocument(source, declared, pd, xi, table.gens, evaluation, differentials,
-                         table.degree_cap, table.name)
+    return TableDocument(source, declared, pd, xi, evaluation, differentials, table)
 
 
 def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]] = None):

@@ -539,9 +539,9 @@ class Parameters:
     was tested for zero (and, being a `RationalFunction`, found nonzero) or
     divided by. At a point where no guard vanishes, the same computation
     over the rationals takes every branch that the one over the symbols
-    took, so each of its values is the symbolic value evaluated there
-    (`value_at`). Guards are kept monic and without repeats, in the order
-    they were first recorded.
+    took, so each of its values is the symbolic value evaluated there: its
+    numerator's value over its denominator's. Guards are kept monic and
+    without repeats, in the order they were first recorded.
     """
 
     def __init__(self, names: Sequence[str]):
@@ -554,16 +554,6 @@ class Parameters:
     def record(self, poly: Poly) -> None:
         lead = poly.terms[max(poly.terms, key=_lex)]
         self.guards[poly if lead == 1 else poly * _divide(1, lead)] = None
-
-    def hold_at(self, point: dict[int, Scalar]) -> bool:
-        """Whether no guard vanishes at `point` (symbol id -> value)."""
-        return all(guard.value_at(point) for guard in self.guards)
-
-    def value_at(self, value, point: dict[int, Scalar]) -> Scalar:
-        """A scalar or rational function of these symbols at `point`."""
-        if type(value) is not RationalFunction:
-            return value
-        return _divide(value.num.value_at(point), value.den.value_at(point))
 
 
 class RationalFunction:

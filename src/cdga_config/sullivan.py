@@ -32,9 +32,9 @@ from typing import Optional, Sequence, Union
 
 from .algebra import Element
 from .errors import IncompatibleTables, StructureError
-from .io import parse_table_file
-from .linalg import (Parameters, Poly, Scalar, SparseMatrix, _accumulate, _divide, _exact,
-                     invert)
+from .io import TableDocument, parse_table_file
+from .linalg import (Parameters, Poly, RationalFunction, Scalar, SparseMatrix, _accumulate,
+                     _divide, _exact, invert)
 from .presets import table_preset_path
 from .products import TensorAlgebra
 from .twisted import TwistedModel
@@ -153,15 +153,25 @@ class _Unknowns:
     diagonal: frozenset[int]
 
 
+class _Layout:
+    """The part of a table's memo that depends only on its base, generators
+    and cap; see `GeneratorTable`."""
+
+    __slots__ = ("text", "unknowns")
+
+    def __init__(self):
+        self.text: dict[Monomial, str] = {}
+        self.unknowns: Optional[_Unknowns] = None
+
+
 class _TableMemo:
     """A table's memo; see `GeneratorTable`."""
 
-    __slots__ = ("d", "text", "unknowns", "psi_of_d", "minus_d_of_psi")
+    __slots__ = ("layout", "d", "psi_of_d", "minus_d_of_psi")
 
-    def __init__(self):
+    def __init__(self, layout: _Layout):
+        self.layout = layout
         self.d: dict[Monomial, FreeElt] = {}
-        self.text: dict[Monomial, str] = {}
-        self.unknowns: Optional[_Unknowns] = None
         self.psi_of_d: Optional[list[FreeElt]] = None
         self.minus_d_of_psi: Optional[list[FreeElt]] = None
 
@@ -179,10 +189,14 @@ class GeneratorTable:
     psi(D1 g) - D2(psi g) for each generator g: psi(D g) when the table is
     the source (`_psi_of_d`), -D(psi g) when it is the target
     (`_minus_d_of_psi`). All of it depends only on `base`, `gens`,
-    `differentials` and `degree_cap`, and assigning any of these empties
-    the memo, so a table can be rebuilt by assigning a new `differentials`
-    tuple; the dicts inside a tuple are treated as immutable once
-    assigned. The memo is owned by the table and freed with it.
+    `differentials` and `degree_cap`. Assigning `differentials` empties
+    the memo but keeps its layout (`_memo.layout`: the monomial text and
+    the unknowns), which depends on the other three alone; assigning any
+    of those empties the layout too. So a table can be rebuilt by assigning
+    a new `differentials` tuple; the dicts inside a tuple are treated as
+    immutable once assigned. The memo is owned by the table and freed with
+    it; tables with one base, generator list and cap can share one layout
+    (`share_layout`).
     """
 
     base: TensorAlgebra
@@ -196,8 +210,10 @@ class GeneratorTable:
 
     def __setattr__(self, name, value):
         object.__setattr__(self, name, value)
-        if name in ("base", "gens", "differentials", "degree_cap"):
-            object.__setattr__(self, "_memo", _TableMemo())
+        if name in ("base", "gens", "degree_cap"):
+            object.__setattr__(self, "_memo", _TableMemo(_Layout()))
+        elif name == "differentials":
+            object.__setattr__(self, "_memo", _TableMemo(self._memo.layout))
 
     def __post_init__(self):
         if len(self.differentials) != len(self.gens):
@@ -207,6 +223,14 @@ class GeneratorTable:
         for label, degree in self.gens:
             if degree <= 0:
                 raise StructureError(f"generator {label} must have positive degree")
+
+    def share_layout(self, other: "GeneratorTable") -> None:
+        """Read and fill `other`'s layout (the monomial text and the unknowns)
+        from now on, so that it is built once for both tables."""
+        if (self.base is not other.base or self.gens != other.gens
+                or self.degree_cap != other.degree_cap):
+            raise StructureError("only tables with one base, generator list and cap share a layout")
+        self._memo.layout = other._memo.layout
 
     # -- monomial helpers ---------------------------------------------------
 
@@ -222,7 +246,8 @@ class GeneratorTable:
 
     def monomial_str(self, mono: Monomial) -> str:
         """The monomial as text, from the memo (see the class docstring)."""
-        text = self._memo.text.get(mono)
+        layout_text = self._memo.layout.text
+        text = layout_text.get(mono)
         if text is not None:
             return text
         b, gens = mono
@@ -239,7 +264,7 @@ class GeneratorTable:
         if b != self.base.unit or not parts:
             base_label = self.base.basis.labels[b]
             parts.append(base_label if "*" not in base_label else f"({base_label})")
-        text = self._memo.text[mono] = "*".join(parts)
+        text = layout_text[mono] = "*".join(parts)
         return text
 
     def element_str(self, elem: FreeElt) -> str:
@@ -365,8 +390,8 @@ class GeneratorTable:
     def _unknowns(self) -> "_Unknowns":
         """One unknown per monomial of each generator's degree, numbered
         by generator and then in `monomials_of_degree` order."""
-        memo = self._memo
-        if memo.unknowns is None:
+        layout = self._memo.layout
+        if layout.unknowns is None:
             names: dict[int, str] = {}
             images: list[FreeElt] = []
             diagonal: set[int] = set()
@@ -382,8 +407,8 @@ class GeneratorTable:
                     if mono == (self.base.unit, (g,)):
                         diagonal.add(var)
                 images.append(image)
-            memo.unknowns = _Unknowns(names, images, frozenset(diagonal))
-        return memo.unknowns
+            layout.unknowns = _Unknowns(names, images, frozenset(diagonal))
+        return layout.unknowns
 
     def _psi_of_d(self) -> list[FreeElt]:
         """psi(D g) for every generator g, with psi g in the unknowns."""
@@ -542,14 +567,11 @@ def _compatible(t1: GeneratorTable, t2: GeneratorTable) -> None:
         raise IncompatibleTables("base algebras differ")
 
 
-def _render(trace: list[tuple], value=None) -> list[str]:
+def _render(trace: list[tuple]) -> list[str]:
     """The solver's trace as text. An entry is a tuple of strings and
     values, kept apart until the end so that a trace over a family's
-    parameters can be rendered at each point; `value`, when given, maps
-    each value first."""
-    return ["".join(part if type(part) is str else str(part if value is None else value(part))
-                    for part in entry)
-            for entry in trace]
+    parameters can be rendered at each point (see `_FamilyVerdict`)."""
+    return ["".join(map(str, entry)) for entry in trace]
 
 
 @dataclass(frozen=True)
@@ -560,10 +582,25 @@ class _Obstruction:
     constant: object
     at_generator: str
 
-    def rendered(self, value=None) -> Obstructed:
-        constant = self.constant if value is None else value(self.constant)
-        return Obstructed(trace=_render(self.trace, value), residual_constant=constant,
+    def rendered(self) -> Obstructed:
+        return Obstructed(trace=_render(self.trace), residual_constant=self.constant,
                           at_generator=self.at_generator)
+
+
+@dataclass(frozen=True)
+class _Witness:
+    """An Exists verdict with psi of each generator of `table` not yet
+    rendered."""
+
+    table: GeneratorTable
+    assignment: dict[str, object]
+    images: list[FreeElt]
+
+    def rendered(self) -> Exists:
+        table = self.table
+        return Exists(assignment=self.assignment,
+                      generator_images={table.gen_label(g): table.element_str(image)
+                                        for g, image in enumerate(self.images)})
 
 
 def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult:
@@ -580,14 +617,14 @@ def iso_obstruction(t1: GeneratorTable, t2: GeneratorTable) -> ObstructionResult
     honest leftover.
     """
     result = _staged_solve(t1, t2)
-    return result.rendered() if isinstance(result, _Obstruction) else result
+    return result if isinstance(result, Unresolved) else result.rendered()
 
 
 def _staged_solve(t1: GeneratorTable, t2: GeneratorTable
-                  ) -> Union[Exists, _Obstruction, Unresolved]:
-    """`iso_obstruction` with an Obstructed verdict left unrendered. The
-    tables' coefficients may be rational functions of one `Parameters`:
-    the same steps then decide the whole family at once (see
+                  ) -> Union[_Witness, _Obstruction, Unresolved]:
+    """`iso_obstruction` with an Exists or Obstructed verdict left
+    unrendered. The tables' coefficients may be rational functions of one
+    `Parameters`: the same steps then decide the whole family at once (see
     `classify_example`)."""
     _compatible(t1, t2)
     ngen = len(t1.gens)
@@ -600,8 +637,7 @@ def _staged_solve(t1: GeneratorTable, t2: GeneratorTable
             unknowns = t2._unknowns()
             assignment = {name: 1 if var in unknowns.diagonal else 0
                           for var, name in unknowns.names.items()}
-            images = {t1.gen_label(g): t2.element_str(identity[g]) for g in range(ngen)}
-            return Exists(assignment=assignment, generator_images=images)
+            return _Witness(t2, assignment, identity)
 
     # the layout of the unknowns depends only on the base, the generators
     # and the cap, which `_compatible` requires to agree, so t1's half of
@@ -706,8 +742,7 @@ def _staged_solve(t1: GeneratorTable, t2: GeneratorTable
                           residual=["candidate assignment failed re-verification"])
 
     named = {var_names[v]: value for v, value in sorted(assignment.items())}
-    images = {t1.gen_label(g): t2.element_str(numeric_images[g]) for g in range(ngen)}
-    return Exists(assignment=named, generator_images=images)
+    return _Witness(t2, named, numeric_images)
 
 
 def _verify_witness(t1: GeneratorTable, t2: GeneratorTable,
@@ -754,40 +789,121 @@ def classify_example(q_values: Sequence) -> list[list[ObstructionResult]]:
     diagonal must come out Exists and every off-diagonal pair Obstructed.
 
     The table document is parsed once, and each value's table is built
-    with its checked C(q,0) target. When there is an off-diagonal pair,
-    one solve runs with q kept symbolic (q1 in the first table, q2 in the
-    second, no target; see `linalg.Parameters`), and an off-diagonal pair
-    takes that verdict evaluated at (q_i, q_j) when it is Obstructed, no
-    guard it recorded vanishes there and its residual does not either.
-    Then each of the pair's zero tests comes out as in the symbolic solve,
-    so the evaluated verdict is the one `iso_obstruction` returns. Every
-    other pair, and every diagonal pair, gets `iso_obstruction` itself.
+    with its checked C(q,0) target. Two solves then run with q kept
+    symbolic (no target; see `linalg.Parameters`): the table in q1 against
+    itself, whose verdict serves the diagonal pairs, and the table in q1
+    against the table in q2, whose verdict serves the off-diagonal pairs.
+    The two have their own symbols, so their guards stay apart. A pair
+    takes its family's verdict evaluated at (q_i) or (q_i, q_j) when no
+    guard of that family vanishes there and, for an Obstructed verdict,
+    the residual does not either (`_FamilyVerdict`). Then each of the
+    pair's zero tests comes out as in the symbolic solve, so the evaluated
+    verdict is the one `iso_obstruction` returns. Every other pair gets
+    `iso_obstruction` itself: on `s2xs3_table.json` that is each pair with
+    a zero, (0, 0) included, and each off-diagonal pair of equal values.
     """
     document = parse_table_file(table_preset_path())
     tables = [document.table({"q": q, "r": 0}) for q in q_values]
-    family = None
-    if len(q_values) > 1:
-        params = Parameters(("q1", "q2"))
-        generic = _staged_solve(document.table({"q": params.symbol(0), "r": 0}),
-                                document.table({"q": params.symbol(1), "r": 0}))
-        if isinstance(generic, _Obstruction):
-            family = params, generic
+    diagonal = _family_verdict(document, ("q1",))
+    off_diagonal = _family_verdict(document, ("q1", "q2")) if len(q_values) > 1 else None
     matrix = []
-    for i, t_row in enumerate(tables):
+    for i, (q, t_row) in enumerate(zip(q_values, tables)):
         row = []
-        for j, t_col in enumerate(tables):
-            result = None
-            if family is not None and i != j:
-                result = _specialise(*family, {0: q_values[i], 1: q_values[j]})
+        for j, (r, t_col) in enumerate(zip(q_values, tables)):
+            family, point = (diagonal, {0: q}) if i == j else (off_diagonal, {0: q, 1: r})
+            result = None if family is None else family.at(point)
             row.append(result or iso_obstruction(t_row, t_col))
         matrix.append(row)
     return matrix
 
 
-def _specialise(params: Parameters, generic: _Obstruction, point: dict[int, Scalar]
-                ) -> Optional[Obstructed]:
-    """The symbolic Obstructed verdict at `point`, or None when a guard or
-    the residual vanishes there."""
-    if not params.hold_at(point) or not params.value_at(generic.constant, point):
-        return None
-    return generic.rendered(lambda value: params.value_at(value, point))
+def _family_verdict(document: TableDocument, names: tuple[str, ...]
+                    ) -> Optional[_FamilyVerdict]:
+    """One solve of the document's table with q symbolic and r = 0: q1 in
+    the first table, and q2 in the second when `names` has two symbols,
+    else the first table again. None when the verdict is Unresolved."""
+    params = Parameters(names)
+    tables = [document.table({"q": params.symbol(k), "r": 0}) for k in range(len(names))]
+    verdict = _staged_solve(tables[0], tables[-1])
+    return None if isinstance(verdict, Unresolved) else _FamilyVerdict(params, verdict)
+
+
+class _FamilyVerdict:
+    """An Exists or Obstructed verdict of `_staged_solve` over the symbols
+    of one `Parameters`, prepared once to be evaluated at many points.
+
+    At a point where no guard vanishes, the numeric solve takes every
+    branch that the symbolic one took, so its verdict is this one with
+    each value evaluated there. An Obstructed verdict also needs its
+    residual constant to be nonzero there; where it vanishes, the numeric
+    solve goes on past that equation. The text that holds no rational
+    function is rendered here, once; at each point, each distinct guard,
+    numerator and denominator is evaluated once.
+    """
+
+    def __init__(self, params: Parameters, verdict: Union[_Witness, _Obstruction]):
+        # the guards come first, so `at` stops at the first one that vanishes
+        self._polys: dict[Poly, int] = {guard: k for k, guard in enumerate(params.guards)}
+        self._guards = len(self._polys)
+        self._slots: dict[tuple[int, int], None] = {}
+        self._verdict = verdict
+        if isinstance(verdict, _Obstruction):
+            self._constant = self._slot(verdict.constant)
+            self._trace = [self._text(entry) for entry in verdict.trace]
+        else:
+            self._assignment = {name: self._slot(v) for name, v in verdict.assignment.items()}
+            self._images = [
+                {mono: self._slot(c) for mono, c in image.items()}
+                if any(type(c) is RationalFunction for c in image.values())
+                else verdict.table.element_str(image)
+                for image in verdict.images]
+
+    def _slot(self, value):
+        """A scalar as it is; a rational function as the positions of its
+        numerator and denominator among the polynomials `at` evaluates."""
+        if type(value) is not RationalFunction:
+            return value
+        polys = self._polys
+        slot = polys.setdefault(value.num, len(polys)), polys.setdefault(value.den, len(polys))
+        self._slots[slot] = None
+        return slot
+
+    def _text(self, entry: tuple):
+        """A trace entry as text, or as a list of text and slots when it
+        holds a rational function."""
+        if any(type(part) is RationalFunction for part in entry):
+            return [self._slot(part) if type(part) is RationalFunction else str(part)
+                    for part in entry]
+        return "".join(map(str, entry))
+
+    def at(self, point: dict[int, Scalar]) -> Optional[ObstructionResult]:
+        """The verdict at `point` (symbol id -> value), or None when the
+        point needs a solve of its own."""
+        evaluated = []
+        for k, poly in enumerate(self._polys):
+            value = poly.value_at(point)
+            if k < self._guards and not value:
+                return None
+            evaluated.append(value)
+
+        quotients = {slot: _divide(evaluated[slot[0]], evaluated[slot[1]]) for slot in self._slots}
+
+        def value(slot):
+            return quotients[slot] if type(slot) is tuple else slot
+
+        verdict = self._verdict
+        if isinstance(verdict, _Obstruction):
+            constant = value(self._constant)
+            if not constant:
+                return None
+            trace = [entry if type(entry) is str
+                     else "".join(part if type(part) is str else str(value(part)) for part in entry)
+                     for entry in self._trace]
+            return Obstructed(trace=trace, residual_constant=constant,
+                              at_generator=verdict.at_generator)
+        table = verdict.table
+        images = {table.gen_label(g): image if type(image) is str
+                  else table.element_str({mono: value(c) for mono, c in image.items()})
+                  for g, image in enumerate(self._images)}
+        return Exists(assignment={name: value(slot) for name, slot in self._assignment.items()},
+                      generator_images=images)

@@ -356,12 +356,16 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
     S is the rref-pivot complement of the cocycles in (A (x) A)^(2n-3),
     deterministic by construction; the ideal is verified closed under the
     differential and under multiplication by the whole cone, and acyclic.
+    It depends only on the duality algebra, so it is cached on the cone,
+    in `cone._equivalence_ideal`.
     """
     if pd.n % 2 == 0:
         raise OddDimension(f"formal dimension {pd.n} is even")
     if not pd.algebra.simply_connected:
         raise StructureError("the equivalence ideal requires a 1-connected algebra")
     cone = cone_model(pd)
+    if cone._equivalence_ideal is not None:
+        return cone._equivalence_ideal
     square = pd.square
     alg = cone.algebra
     n = pd.n
@@ -400,7 +404,7 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
         raise StructureError("equivalence ideal is not closed under multiplication")
     if not sub.is_acyclic():
         raise StructureError("equivalence ideal is not acyclic")
-    return EquivalenceIdeal(
+    cone._equivalence_ideal = EquivalenceIdeal(
         cone=cone,
         subcomplex=sub,
         cocycle_complement=complement,
@@ -408,6 +412,7 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
         diagonal_multiples=tuple(cone.include_base(m) for m in diagonal_multiples),
         positive_suspensions=tuple(positive_suspensions),
     )
+    return cone._equivalence_ideal
 
 
 # --- deciding equivalence of twists -----------------------------------------

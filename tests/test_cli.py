@@ -295,10 +295,16 @@ def test_classify_example_pair(capsys):
     assert "psi(u)[u] = 1" in trace
 
 
-def test_classify_example_text_mentions_q_equals_r(capsys):
-    code, out, _ = run_cli(capsys, "classify-example", "--q", "0,1")
+def test_classify_example_text_prints_the_residual(capsys):
+    code, out, _ = run_cli(capsys, "classify-example", "--q", "0,1,3/2")
     assert code == 0
-    assert "forces q = r" in out
+    # the first obstructed pair is (0, 1), with the solver's residual there
+    assert out.splitlines()[-2:] == [
+        "  inconsistent: 0 = -1  [h: coefficient of u^2]",
+        "residual at q=0 vs q=1: stage h ends in 0 = -1, so no isomorphism exists"]
+    code, out, _ = run_cli(capsys, "classify-example", "--q", "3/2,1")
+    assert out.splitlines()[-1] == (
+        "residual at q=3/2 vs q=1: stage h ends in 0 = 1/2, so no isomorphism exists")
 
 
 @pytest.mark.parametrize("q, message", [

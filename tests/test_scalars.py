@@ -102,7 +102,7 @@ def test_table_memo_and_solver_results_store_canonical_scalars():
     memo = table._memo
     for elem in memo.d.values():
         assert_canonical(elem.values(), "memoised D")
-    for halves in (memo.unknowns.images, memo.psi_of_d, memo.minus_d_of_psi):
+    for halves in (memo.layout.unknowns.images, memo.psi_of_d, memo.minus_d_of_psi):
         for elem in halves:
             assert_canonical(elem.values(), "memoised commutator half")
 

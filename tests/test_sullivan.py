@@ -335,6 +335,26 @@ def test_solved_table_is_freed():
     assert [ref() for ref in refs] == [None, None]
 
 
+def test_tables_of_one_document_share_their_layout():
+    from cdga_config.io import parse_table_file
+
+    document = parse_table_file(table_preset_path())
+    t1, t2 = document.table({"q": 1, "r": 0}), document.table({"q": F(2, 3), "r": 5})
+    assert t1._memo.layout is t2._memo.layout is document.blank._memo.layout
+    unknowns = t1._unknowns()
+    assert t2._unknowns() is unknowns and t1._memo.d is not t2._memo.d
+    # new differentials keep the layout; a new cap or generator list does not
+    t1.differentials = t2.differentials
+    assert t1._unknowns() is unknowns
+    t1.degree_cap = t1.degree_cap
+    assert t1._memo.layout is not t2._memo.layout
+    assert t1._unknowns().names == unknowns.names
+    short = GeneratorTable(base=t1.base, gens=t1.gens[:-1], differentials=t1.differentials[:-1],
+                           target=None, evaluation=(), degree_cap=t1.degree_cap)
+    with pytest.raises(StructureError):
+        short.share_layout(t1)
+
+
 # --- the affine system ----------------------------------------------------------
 
 
@@ -419,21 +439,85 @@ def _count_numeric_solves(monkeypatch):
     return solved
 
 
-def test_classify_example_solves_numerically_only_the_diagonal_and_fallbacks(monkeypatch):
+def _count_family_solves(monkeypatch):
+    import cdga_config.sullivan as sullivan
+    from cdga_config.linalg import RationalFunction
+
+    runs = []
+    original = sullivan._staged_solve
+
+    def spying(t1, t2):
+        symbols = [{c.params for d in t.differentials for c in d.values()
+                    if type(c) is RationalFunction} for t in (t1, t2)]
+        if any(symbols):
+            # the symbols of each table, and whether it is one table
+            params, = symbols[0] | symbols[1]
+            runs.append((tuple(params.names.values()), t1 is t2))
+        return original(t1, t2)
+
+    monkeypatch.setattr(sullivan, "_staged_solve", spying)
+    return runs
+
+
+def test_classify_example_solves_numerically_only_the_fallbacks(monkeypatch):
     solved = _count_numeric_solves(monkeypatch)
+    family_runs = _count_family_solves(monkeypatch)
     qs = [F(2), F(-1, 3), F(5, 7), F(-4)]
     matrix = classify_example(qs)
-    assert solved == [(q, q) for q in qs]
+    assert solved == []
     assert [[r.verdict for r in row] for row in matrix] == [
         ["exists" if i == j else "obstructed" for j in range(4)] for i in range(4)]
+    # each diagonal pair gets an Exists of its own
+    assert len({id(matrix[i][i].assignment) for i in range(4)}) == 4
+    # the diagonal: the table in q1 against itself; the rest: q1 against q2
+    assert family_runs == [(("q1",), True), (("q1", "q2"), False)]
 
-    # q = 0 makes a guard vanish (the solve divides by q2, and tests q1 for
-    # zero), so every pair with a zero goes through the numeric solver
+    # q = 0 makes a guard vanish (the diagonal solve tests q1 for zero; the
+    # other divides by q2 and tests q1 for zero), so exactly the pairs with
+    # a zero go through the numeric solver, (0, 0) included
     solved.clear()
+    family_runs.clear()
     qs = [F(3), F(0), F(-1, 2)]
     classify_example(qs)
-    assert sorted(solved) == sorted([(q, q) for q in qs] + [(3, 0), (0, 3), (F(-1, 2), 0),
-                                                            (0, F(-1, 2))])
+    assert sorted(solved) == sorted([(0, 0), (3, 0), (0, 3), (F(-1, 2), 0), (0, F(-1, 2))])
+    assert family_runs == [(("q1",), True), (("q1", "q2"), False)]
+
+
+def _scaled_class_table(s2xs3, scale):
+    """One generator w of degree 1 with D(w) = scale * (x(x)1): psi(w) must
+    be (scale1 / scale2) * w, so a solve over symbolic scales gives an
+    Exists verdict whose assignment and image are rational functions."""
+    square = s2xs3.square
+    table = GeneratorTable(base=square, gens=(("w", 1),), differentials=({},), target=None,
+                           evaluation=(), degree_cap=4, name="scaled")
+    x_1 = table.base_elt(square.basis.index(f"x{TENSOR}1"))
+    table.differentials = (table.scale(x_1, scale),)
+    return table
+
+
+def test_family_verdict_evaluates_a_symbolic_witness(s2xs3):
+    from cdga_config.linalg import Parameters, RationalFunction
+    from cdga_config.sullivan import _FamilyVerdict, _staged_solve
+
+    params = Parameters(("s1", "s2"))
+    generic = _staged_solve(_scaled_class_table(s2xs3, params.symbol(0)),
+                            _scaled_class_table(s2xs3, params.symbol(1)))
+    assert [type(v) for v in generic.assignment.values()] == [RationalFunction]
+    # s1 - s2 from comparing the differentials: where they agree, the
+    # numeric solve takes the identity path
+    assert [guard.render(params.names) for guard in params.guards] == ["s1", "s2", "s1 - s2"]
+    family = _FamilyVerdict(params, generic)
+    values = [F(3), F(-1, 2), F(1), F(0), F(-1), F(5, 3)]
+    for a in values:
+        for b in values:
+            fresh = iso_obstruction(_scaled_class_table(s2xs3, a), _scaled_class_table(s2xs3, b))
+            at = family.at({0: a, 1: b})
+            if a and b and a != b:
+                assert at == fresh and isinstance(at, Exists)
+            else:
+                assert at is None
+    assert family.at({0: F(3), 1: F(1)}).generator_images == {"w": "3*w"}
+    assert family.at({0: F(1), 1: F(-1)}).generator_images == {"w": "-w"}
 
 
 def test_classify_example_parses_the_table_document_once(monkeypatch):

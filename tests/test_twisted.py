@@ -260,6 +260,24 @@ def test_equivalence_ideal_acyclic_and_closed(name):
     assert ideal.cocycle_complement == ()
 
 
+def test_equivalence_ideal_is_cached_on_the_cone(monkeypatch):
+    from cdga_config.io import dump_pd, load_algebra_data
+    from cdga_config.poincare import check_pd
+    from cdga_config.quotients import Subcomplex
+
+    # a fresh copy of the preset, so no earlier test has filled the cache
+    algebra, n, epsilon, _ = load_algebra_data(dump_pd(preset_pd("s2xs3")), "s2xs3")
+    pd = check_pd(algebra, n, epsilon)
+    checks = []
+    original = Subcomplex.closed_under_multiplication
+    monkeypatch.setattr(Subcomplex, "closed_under_multiplication",
+                        lambda sub: checks.append(sub) or original(sub))
+    ideal = equivalence_ideal(pd)
+    assert len(checks) == 1 and cone_model(pd)._equivalence_ideal is ideal
+    assert equivalence_ideal(pd) is ideal
+    assert len(checks) == 1
+
+
 # --- deciding equivalence --------------------------------------------------------------
 
 
