@@ -176,6 +176,35 @@ def _canonical_pair(i: int, j: int, deg_i: int, deg_j: int) -> tuple[tuple[int, 
     return (j, i), (-1) ** (deg_i * deg_j)
 
 
+def _fold_products(basis: GradedBasis, mult: Iterable[tuple[int, int, int, Scalar]]
+                   ) -> dict[tuple[int, int], Coeffs]:
+    """Checked product entries (i, j, k, c), one row per unordered pair
+    (i <= j) with the Koszul sign applied; zero constants are dropped."""
+    n = len(basis)
+    degs = basis.degrees
+    table: dict[tuple[int, int], Coeffs] = {}
+    for i, j, k, c in mult:
+        c = _exact(c)
+        if not c:
+            continue
+        for idx in (i, j, k):
+            if not (0 <= idx < n):
+                raise StructureError(f"mult index {idx} out of range")
+        if degs[k] != degs[i] + degs[j]:
+            raise StructureError(
+                f"product entry {basis.labels[i]}*{basis.labels[j]} -> {basis.labels[k]} violates degrees"
+            )
+        key, sign = _canonical_pair(i, j, degs[i], degs[j])
+        row = table.setdefault(key, {})
+        value = sign * c
+        if k in row and row[k] != value:
+            raise StructureError(
+                f"inconsistent duplicate product entry for ({basis.labels[i]}, {basis.labels[j]})"
+            )
+        row[k] = value
+    return table
+
+
 class DGAlgebra:
     """Graded-commutative algebra with a degree +1 differential.
 
@@ -218,26 +247,7 @@ class DGAlgebra:
         self.simply_connected = simply_connected
 
         degs = basis.degrees
-        table: dict[tuple[int, int], Coeffs] = {}
-        for i, j, k, c in mult:
-            c = _exact(c)
-            if not c:
-                continue
-            for idx in (i, j, k):
-                if not (0 <= idx < n):
-                    raise StructureError(f"mult index {idx} out of range")
-            if degs[k] != degs[i] + degs[j]:
-                raise StructureError(
-                    f"product entry {basis.labels[i]}*{basis.labels[j]} -> {basis.labels[k]} violates degrees"
-                )
-            key, sign = _canonical_pair(i, j, degs[i], degs[j])
-            row = table.setdefault(key, {})
-            value = sign * c
-            if k in row and row[k] != value:
-                raise StructureError(
-                    f"inconsistent duplicate product entry for ({basis.labels[i]}, {basis.labels[j]})"
-                )
-            row[k] = value
+        table = _fold_products(basis, mult)
         # (j, i) shares the (i, j) row unless both degrees are odd, and
         # zero products share one empty row
         empty: Coeffs = {}
@@ -261,6 +271,26 @@ class DGAlgebra:
                 )
             _accumulate(dtable.setdefault(i, {}), ((j, c),))
         self._diff = tuple(dtable.get(i, {}) for i in range(n))
+
+    def with_square(self, i: int, coeffs: Mapping[int, Scalar], *, name: str) -> "DGAlgebra":
+        """This algebra with e_i * e_i = sum c e_k, where e_i * e_i is zero
+        here. The basis, the unit, the rows of d and every other product
+        row are this algebra's own objects; the new row is checked as the
+        entries constructor checks an entry."""
+        n = len(self.basis)
+        if not (0 <= i < n):
+            raise StructureError(f"mult index {i} out of range")
+        if self._mult[i][i]:
+            label = self.basis.labels[i]
+            raise StructureError(f"the product {label}*{label} is already nonzero")
+        row = _fold_products(self.basis, ((i, i, k, c) for k, c in coeffs.items())).get((i, i), {})
+        derived = DGAlgebra.__new__(DGAlgebra)
+        derived.basis, derived.unit, derived._diff = self.basis, self.unit, self._diff
+        derived.name, derived.top_degree = name, self.top_degree
+        derived.simply_connected = self.simply_connected
+        rows = self._mult[i]
+        derived._mult = self._mult[:i] + (rows[:i] + (row,) + rows[i + 1:],) + self._mult[i + 1:]
+        return derived
 
     # --- basic access ---------------------------------------------------
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -220,17 +220,33 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     return algebra, n, epsilon, {"simply_connected": simply_connected}
 
 
-def load_algebra_file(path: str | Path) -> tuple[DGAlgebra, int, dict[int, Scalar], dict]:
-    path = Path(path)
+def _read_json(path: Path):
+    """The JSON document in the file at `path`. A key repeated within one
+    object is a parse error, not a silent last-wins."""
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ParseError(f"{path}: repeated key {json.dumps(key)}")
+                seen.add(key)
+        return obj
+
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return load_algebra_data(data, str(path))
+
+
+def load_algebra_file(path: str | Path) -> tuple[DGAlgebra, int, dict[int, Scalar], dict]:
+    path = Path(path)
+    return load_algebra_data(_read_json(path), str(path))
 
 
 def load_pd_file(path: str | Path) -> PDAlgebra:
@@ -417,7 +433,14 @@ class TableDocument:
     A value is a rational or a `linalg.RationalFunction`. The evaluation
     target C(xi) is a model over the rationals, so it is built, and the
     evaluation with it, only when every value is a rational; otherwise the
-    table has no target.
+    table has no target. Nothing built at values is kept: each call
+    builds, and checks, its own table and target.
+
+    `family_verdicts` is the one memo: `sullivan.classify_example` keeps
+    there, by the names of its symbols, the verdicts of its two solves
+    with the parameters symbolic, ("q1",) and ("q1", "q2"). They depend on
+    the document alone, so whoever holds the document (`presets.preset_table`
+    for the packaged one) solves each once.
     """
 
     source: str
@@ -430,6 +453,7 @@ class TableDocument:
     # the generators, cap and name with no differentials and no target;
     # every table built shares its layout (`GeneratorTable.share_layout`)
     blank: GeneratorTable
+    family_verdicts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def table(self, values: Mapping[str, Scalar]):
         from .sullivan import GeneratorTable
@@ -471,13 +495,7 @@ def parse_table_file(path: str | Path) -> TableDocument:
     from .presets import resolve_pd
 
     path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-
+    data = _read_json(path)
     source = str(path)
     if not isinstance(data, dict):
         raise ParseError(f"{source}: top level must be an object")

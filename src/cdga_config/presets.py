@@ -1,22 +1,32 @@
 """Built-in example algebras, loaded from the packaged JSON files.
 
-Verified duality structures are cached per preset name, so derived data
-(tensor squares, cones, truncations) are shared within a process.
+What is cached per process, in `_cache`: the verified duality structure of
+each preset, by name, and the packaged generator table document, parsed
+once, under a key that no preset name reaches. Data derived from a
+preset's algebra hang off it and are shared with it: the tensor square,
+the cone, its truncation and the equivalence ideal. The table document
+keeps the two family verdicts of `sullivan.classify_example`, which
+depend on the document alone. Nothing that depends on a value is cached:
+each twist, each C(xi) and each table at given parameter values is built
+and checked afresh. `_cache.clear()` drops all of it together.
 """
 
 from __future__ import annotations
 
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from .errors import ParseError
-from .io import load_algebra_file
+from .io import TableDocument, load_algebra_file, parse_table_file
 from .poincare import PDAlgebra, check_pd
 
 PRESET_NAMES = ("point", "s2", "s3", "s4", "s5", "cp2", "s2xs3", "s3xs4")
 
-_cache: dict[str, PDAlgebra] = {}
+# a tuple, so that no preset name (a string) looks the document up
+_TABLE_KEY = ("table", "s2xs3_table")
+
+_cache: dict[Union[str, tuple[str, str]], Union[PDAlgebra, TableDocument]] = {}
 
 
 def preset_path(name: str) -> Path:
@@ -28,6 +38,15 @@ def preset_path(name: str) -> Path:
 
 def table_preset_path() -> Path:
     return Path(str(resources.files("cdga_config").joinpath("data", "s2xs3_table.json")))
+
+
+def preset_table() -> TableDocument:
+    """The packaged table document `s2xs3_table.json`, parsed once per
+    process; it refers to the cached s2xs3 preset."""
+    document = _cache.get(_TABLE_KEY)
+    if document is None:
+        document = _cache[_TABLE_KEY] = parse_table_file(table_preset_path())
+    return document
 
 
 def preset_pd(name: str) -> PDAlgebra:

@@ -32,10 +32,10 @@ from typing import Optional, Sequence, Union
 
 from .algebra import Element
 from .errors import IncompatibleTables, StructureError
-from .io import TableDocument, parse_table_file
+from .io import TableDocument
 from .linalg import (Parameters, Poly, RationalFunction, Scalar, SparseMatrix, _accumulate,
                      _divide, _exact, invert)
-from .presets import table_preset_path
+from .presets import preset_table
 from .products import TensorAlgebra
 from .twisted import TwistedModel
 
@@ -774,35 +774,41 @@ def _verify_witness(t1: GeneratorTable, t2: GeneratorTable,
 
 def s2xs3_table(q, r) -> GeneratorTable:
     """Generator table for the twisted model with (S1)^2 = q(y(x)xy) + r(xy(x)y)
-    over the degree-five product preset, loaded from the packaged table
-    document `s2xs3_table.json` with its parameters set to q and r.
+    over the degree-five product preset: the packaged table document
+    `s2xs3_table.json` (`presets.preset_table`, parsed once per process)
+    with its parameters set to q and r. The table and its target C(q, r)
+    are built and checked on every call.
 
     The top generator h kills u^2 plus the twisting class: its differential
     carries -q, -r so that the evaluation is a cochain map onto the model
     where (S1)^2 = xi.
     """
-    return parse_table_file(table_preset_path()).table({"q": q, "r": r})
+    return preset_table().table({"q": q, "r": r})
 
 
 def classify_example(q_values: Sequence) -> list[list[ObstructionResult]]:
     """Pairwise obstruction verdicts for the one-parameter family: the
     diagonal must come out Exists and every off-diagonal pair Obstructed.
 
-    The table document is parsed once, and each value's table is built
-    with its checked C(q,0) target. Two solves then run with q kept
-    symbolic (no target; see `linalg.Parameters`): the table in q1 against
-    itself, whose verdict serves the diagonal pairs, and the table in q1
-    against the table in q2, whose verdict serves the off-diagonal pairs.
-    The two have their own symbols, so their guards stay apart. A pair
-    takes its family's verdict evaluated at (q_i) or (q_i, q_j) when no
-    guard of that family vanishes there and, for an Obstructed verdict,
-    the residual does not either (`_FamilyVerdict`). Then each of the
-    pair's zero tests comes out as in the symbolic solve, so the evaluated
-    verdict is the one `iso_obstruction` returns. Every other pair gets
-    `iso_obstruction` itself: on `s2xs3_table.json` that is each pair with
-    a zero, (0, 0) included, and each off-diagonal pair of equal values.
+    Each value's table is built, on every call, with its checked C(q,0)
+    target. Two solves run with q kept symbolic (no target; see
+    `linalg.Parameters`): the table in q1 against itself, whose verdict
+    serves the diagonal pairs, and the table in q1 against the table in
+    q2, whose verdict serves the off-diagonal pairs. The two have their
+    own symbols, so their guards stay apart. Both verdicts depend on the
+    table document alone, so they are kept with it
+    (`TableDocument.family_verdicts`): the document comes from
+    `presets.preset_table`, and only the first call in a process parses it
+    and runs the two solves. A pair takes its family's verdict evaluated
+    at (q_i) or (q_i, q_j) when no guard of that family vanishes there
+    and, for an Obstructed verdict, the residual does not either
+    (`_FamilyVerdict`). Then each of the pair's zero tests comes out as in
+    the symbolic solve, so the evaluated verdict is the one
+    `iso_obstruction` returns. Every other pair gets `iso_obstruction`
+    itself: on `s2xs3_table.json` that is each pair with a zero, (0, 0)
+    included, and each off-diagonal pair of equal values.
     """
-    document = parse_table_file(table_preset_path())
+    document = preset_table()
     tables = [document.table({"q": q, "r": 0}) for q in q_values]
     diagonal = _family_verdict(document, ("q1",))
     off_diagonal = _family_verdict(document, ("q1", "q2")) if len(q_values) > 1 else None
@@ -821,11 +827,15 @@ def _family_verdict(document: TableDocument, names: tuple[str, ...]
                     ) -> Optional[_FamilyVerdict]:
     """One solve of the document's table with q symbolic and r = 0: q1 in
     the first table, and q2 in the second when `names` has two symbols,
-    else the first table again. None when the verdict is Unresolved."""
-    params = Parameters(names)
-    tables = [document.table({"q": params.symbol(k), "r": 0}) for k in range(len(names))]
-    verdict = _staged_solve(tables[0], tables[-1])
-    return None if isinstance(verdict, Unresolved) else _FamilyVerdict(params, verdict)
+    else the first table again. None when the verdict is Unresolved. The
+    verdict is kept in the document's memo, so each runs once."""
+    memo = document.family_verdicts
+    if names not in memo:
+        params = Parameters(names)
+        tables = [document.table({"q": params.symbol(k), "r": 0}) for k in range(len(names))]
+        verdict = _staged_solve(tables[0], tables[-1])
+        memo[names] = None if isinstance(verdict, Unresolved) else _FamilyVerdict(params, verdict)
+    return memo[names]
 
 
 class _FamilyVerdict:

@@ -136,7 +136,9 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     square of the odd-degree element S1 vanishes by graded commutativity),
     then the degree of xi is validated. The result passes the exhaustive
     CDGA axiom check, which is run here, and the map from the tensor square
-    is verified to be a CDGA morphism.
+    is verified to be a CDGA morphism. Only the (S1, S1) product depends on
+    xi: the model shares the truncation's basis, d and every other product
+    row (`DGAlgebra.with_square`), and both checks run on every C(xi).
     """
     square = pd.square
     if xi.parent is not square:
@@ -164,16 +166,10 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
 
     xi_projected = quotient.project(cone.include_base(xi))
 
-    mult = semi.mult_entries()
-    for k, c in xi_projected.coeffs.items():
-        mult.append((s1_index, s1_index, k, c))
-    twisted = DGAlgebra(
-        semi.basis,
-        semi.unit,
-        mult,
-        semi.diff_entries(),
+    twisted = semi.with_square(
+        s1_index,
+        xi_projected.coeffs,
         name=f"C(xi) over {pd.algebra.name or 'A'}" if not xi.is_zero() else f"C(0) over {pd.algebra.name or 'A'}",
-        top_degree=semi.top_degree,
     )
 
     report = check_cdga(twisted)

@@ -488,3 +488,34 @@ def test_odd_product_given_as_j_i_is_stored_sign_flipped_at_i_j():
     assert alg.mult_entries()[-1] == (1, 2, 3, F(-1, 2))
     assert (alg.basis_element(1) * alg.basis_element(2)).coeffs == {3: F(-1, 2)}
     assert check_cdga(alg).all_pass
+
+
+# --- one product row set on an algebra's table ---------------------------------
+
+
+def test_with_square_checks_its_row_as_the_entries_constructor_does():
+    sphere = truncated_poly_sphere()
+    for bad in ({1: 1}, {5: 1}):
+        with pytest.raises(StructureError) as entries:
+            DGAlgebra(sphere.basis, 0, sphere.mult_entries() + [(1, 1, k, c) for k, c in bad.items()])
+        with pytest.raises(StructureError) as derived:
+            sphere.with_square(1, bad, name="bad")
+        assert str(derived.value) == str(entries.value)
+    with pytest.raises(StructureError, match="mult index 2 out of range"):
+        sphere.with_square(2, {}, name="bad")
+
+
+def test_with_square_stores_canonical_nonzero_scalars():
+    basis = GradedBasis(["1", "y", "z"], [0, 2, 4])
+    a = DGAlgebra(basis, 0, [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1)], top_degree=4)
+    b = a.with_square(1, {2: F(6, 3), 0: 0}, name="b")
+    assert b._mult[1][1] == {2: 2} and type(b._mult[1][1][2]) is int
+    assert b.name == "b" and b.top_degree == 4 and check_cdga(b).all_pass
+    assert a._mult[1][1] == {}
+
+
+def test_with_square_refuses_to_replace_a_nonzero_row(cp2):
+    x = cp2.algebra.basis.index("x")
+    assert cp2.algebra._mult[x][x]
+    with pytest.raises(StructureError, match="the product x\\*x is already nonzero"):
+        cp2.algebra.with_square(x, {}, name="bad")

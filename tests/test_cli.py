@@ -272,6 +272,20 @@ def test_usage_error_maps_to_parse_exit(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("first, repeated, key", [
+    ('"formal_dimension": 2', '"formal_dimension": 2, "formal_dimension": 3', "formal_dimension"),
+    ('"orientation": {"x": "1"}', '"orientation": {"x": "1", "x": "2"}', "x"),
+], ids=["top-level", "orientation"])
+def test_check_rejects_a_repeated_key(tmp_path, capsys, first, repeated, key):
+    text = json.dumps(_s2_document())
+    assert first in text
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace(first, repeated), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 1 and out == ""
+    assert err.strip() == f"parse error: {path}: repeated key {json.dumps(key)}"
+
+
 def test_table_document_is_not_a_preset(capsys):
     code, _, err = run_cli(capsys, "check", "s2xs3_table")
     assert code == 1

@@ -121,14 +121,35 @@ replacements = st.one_of(
 )
 
 
+# stands for the mutated object in the document text until it is written out
+PLACEHOLDER = "\x00mutated object"
+
+
+def with_repeated_field(doc, owner, key, value) -> str:
+    """The document as JSON text, where the object that holds the field
+    writes it a second time, with `value`, after all its fields."""
+    target = doc if owner is None else doc[owner][0]
+    pairs = [*target.items(), (key, value)]
+    text = "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v, ensure_ascii=False)}"
+                           for k, v in pairs) + "}"
+    if owner is None:
+        return text
+    doc[owner][0] = PLACEHOLDER
+    return json.dumps(doc, ensure_ascii=False).replace(json.dumps(PLACEHOLDER), text)
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(name=st.sampled_from(sorted(STRUCTURED)), field=st.sampled_from(FIELDS),
-       value=replacements)
-@example(name="s2xs3", field=(None, "products"), value=5)
-@example(name="l3", field=(None, "differential"), value=None)
-@example(name="l3", field=("products", "result"), value=7)
-def test_mutated_structure_ends_in_a_documented_status(workdir, name, field, value):
+       value=replacements, repeat=st.booleans())
+@example(name="s2xs3", field=(None, "products"), value=5, repeat=False)
+@example(name="l3", field=(None, "differential"), value=None, repeat=False)
+@example(name="l3", field=("products", "result"), value=7, repeat=False)
+@example(name="l3", field=(None, "formal_dimension"), value=4, repeat=True)
+@example(name="s2xs3", field=("products", "left"), value="x", repeat=True)
+def test_mutated_structure_ends_in_a_documented_status(workdir, name, field, value, repeat):
+    """The field is replaced, dropped, or, with `repeat`, written a second
+    time after the original: a repeated key is always a parse error."""
     doc = json.loads(json.dumps(STRUCTURED[name]))
     owner, key = field
     if owner is not None:
@@ -136,10 +157,15 @@ def test_mutated_structure_ends_in_a_documented_status(workdir, name, field, val
         target = doc[owner][0]
     else:
         target = doc
+    path = workdir / f"structure-{name}.json"
+    if repeat:
+        assume(value is not DROP and key in target)
+        path.write_text(with_repeated_field(doc, owner, key, value), encoding="utf-8")
+        assert run_quietly(["check", str(path)]) == 1
+        return
     if value is DROP:
         target.pop(key, None)
     else:
         target[key] = value
-    path = workdir / f"structure-{name}.json"
     path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
     assert run_quietly(["check", str(path)]) in STATUSES

@@ -333,3 +333,21 @@ def test_table_labels_and_expressions_must_be_json_strings(tmp_path, edit, path,
     with pytest.raises(ParseError) as info:
         load_table_file(doc, {"q": F(1), "r": F(0)})
     assert str(info.value) == f"{doc}: {path} must be a string, got {json.dumps(value)}"
+
+
+@pytest.mark.parametrize("first, repeated, key", [
+    ('"degree_cap": 8', '"degree_cap": 8, "degree_cap": 9', "degree_cap"),
+    ('"label": "u", "degree": 4', '"label": "u", "degree": 4, "label": "w"', "label"),
+], ids=["top-level", "generator"])
+def test_table_loader_rejects_a_repeated_key(tmp_path, first, repeated, key):
+    from cdga_config.io import load_table_file
+    from cdga_config.presets import table_preset_path
+
+    text = json.dumps(json.loads(table_preset_path().read_text(encoding="utf-8")))
+    assert first in text
+    doc = tmp_path / "table.json"
+    doc.write_text(text.replace(first, repeated, 1), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        load_table_file(doc, {"q": F(1), "r": F(0)})
+    assert str(info.value) == f"{doc}: repeated key {json.dumps(key)}"
+

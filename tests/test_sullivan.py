@@ -459,7 +459,30 @@ def _count_family_solves(monkeypatch):
     return runs
 
 
-def test_classify_example_solves_numerically_only_the_fallbacks(monkeypatch):
+@pytest.fixture
+def cold_presets():
+    """An empty preset cache for one test; the session's presets come back
+    after it, so fixtures built before the test stay the cached ones."""
+    from cdga_config import presets
+
+    saved = dict(presets._cache)
+    presets._cache.clear()
+    yield
+    presets._cache.clear()
+    presets._cache.update(saved)
+
+
+def _count_parses(monkeypatch):
+    from cdga_config import presets
+
+    calls = []
+    original = presets.parse_table_file
+    monkeypatch.setattr(presets, "parse_table_file",
+                        lambda path: calls.append(path) or original(path))
+    return calls
+
+
+def test_classify_example_solves_numerically_only_the_fallbacks(monkeypatch, cold_presets):
     solved = _count_numeric_solves(monkeypatch)
     family_runs = _count_family_solves(monkeypatch)
     qs = [F(2), F(-1, 3), F(5, 7), F(-4)]
@@ -469,18 +492,20 @@ def test_classify_example_solves_numerically_only_the_fallbacks(monkeypatch):
         ["exists" if i == j else "obstructed" for j in range(4)] for i in range(4)]
     # each diagonal pair gets an Exists of its own
     assert len({id(matrix[i][i].assignment) for i in range(4)}) == 4
-    # the diagonal: the table in q1 against itself; the rest: q1 against q2
+    # a cold call solves the diagonal (the table in q1 against itself) and
+    # the rest (q1 against q2)
     assert family_runs == [(("q1",), True), (("q1", "q2"), False)]
 
     # q = 0 makes a guard vanish (the diagonal solve tests q1 for zero; the
     # other divides by q2 and tests q1 for zero), so exactly the pairs with
-    # a zero go through the numeric solver, (0, 0) included
+    # a zero go through the numeric solver, (0, 0) included; a warm call
+    # runs no family solve
     solved.clear()
     family_runs.clear()
     qs = [F(3), F(0), F(-1, 2)]
     classify_example(qs)
     assert sorted(solved) == sorted([(0, 0), (3, 0), (0, 3), (F(-1, 2), 0), (0, F(-1, 2))])
-    assert family_runs == [(("q1",), True), (("q1", "q2"), False)]
+    assert family_runs == []
 
 
 def _scaled_class_table(s2xs3, scale):
@@ -520,15 +545,71 @@ def test_family_verdict_evaluates_a_symbolic_witness(s2xs3):
     assert family.at({0: F(1), 1: F(-1)}).generator_images == {"w": "-w"}
 
 
-def test_classify_example_parses_the_table_document_once(monkeypatch):
-    import cdga_config.sullivan as sullivan
-
-    calls = []
-    original = sullivan.parse_table_file
-    monkeypatch.setattr(sullivan, "parse_table_file",
-                        lambda path: calls.append(path) or original(path))
+def test_classify_example_parses_the_table_document_once(monkeypatch, cold_presets):
+    calls = _count_parses(monkeypatch)
     classify_example([1, 2, 3])
     assert len(calls) == 1
+    # warm: neither a second call nor a single table parses it again
+    classify_example([4, 5])
+    s2xs3_table(1, 0)
+    assert len(calls) == 1
+
+
+# --- what the process keeps of the table document ---------------------------------
+
+
+def test_the_table_document_is_not_a_preset_after_classify_example(cold_presets, capsys):
+    from cdga_config.cli import main
+    from cdga_config.errors import ParseError
+    from cdga_config.presets import preset_pd
+
+    classify_example([1, 2])
+    with pytest.raises(ParseError, match="unknown preset 's2xs3_table'"):
+        preset_pd("s2xs3_table")
+    assert main(["check", "s2xs3_table"]) == 1
+    assert "unknown preset 's2xs3_table'" in capsys.readouterr().err
+
+
+def test_the_document_memo_holds_the_two_family_verdicts_only(cold_presets):
+    from cdga_config.presets import preset_table
+
+    for qs in ([F(1), F(2)], [F(-1, 3), F(0), F(5)], [F(7), F(2, 9)]):
+        classify_example(qs)
+    assert list(preset_table().family_verdicts) == [("q1",), ("q1", "q2")]
+
+
+def test_a_warm_classify_example_solves_no_family_and_shares_no_result(monkeypatch,
+                                                                       cold_presets):
+    qs = [F(2), F(-1, 3), F(0), F(5, 7)]
+    first = classify_example(qs)
+    parses = _count_parses(monkeypatch)
+    family_runs = _count_family_solves(monkeypatch)
+    second = classify_example(qs)
+    assert parses == [] and family_runs == []
+    for i, q in enumerate(qs):
+        for j, r in enumerate(qs):
+            assert second[i][j] == iso_obstruction(s2xs3_table(q, 0), s2xs3_table(r, 0))
+    # every Exists of the second call holds dicts of its own
+    exists = [[cell for row in matrix for cell in row if isinstance(cell, Exists)]
+              for matrix in (first, second)]
+    assert len(exists[1]) == len(qs)
+    for attr in ("assignment", "generator_images"):
+        ids = [{id(getattr(cell, attr)) for cell in cells} for cells in exists]
+        assert ids[0].isdisjoint(ids[1])
+
+
+def test_clearing_the_preset_cache_parses_and_solves_again(monkeypatch, cold_presets):
+    from cdga_config import presets
+
+    classify_example([F(1), F(2)])
+    document = presets.preset_table()
+    parses = _count_parses(monkeypatch)
+    family_runs = _count_family_solves(monkeypatch)
+    presets._cache.clear()
+    classify_example([F(1), F(2)])
+    assert len(parses) == 1
+    assert family_runs == [(("q1",), True), (("q1", "q2"), False)]
+    assert presets.preset_table() is not document
 
 
 _family_values = st.one_of(

@@ -37,6 +37,16 @@ def random_xi(pd, rng):
     return square.element({i: F(rng.randint(-4, 4)) for i in idx})
 
 
+def odd_pd(name):
+    """An odd preset, or "s2*s5", the product of two presets, whose degree
+    2n - 2 is not empty either."""
+    if name == "s2*s5":
+        from cdga_config.products import product_pd
+
+        return product_pd(preset_pd("s2"), preset_pd("s5"))
+    return preset_pd(name)
+
+
 # --- truncation ----------------------------------------------------------------
 
 
@@ -50,6 +60,36 @@ def test_cone_and_truncation_are_cached(s3):
     assert cone_model(s3) is cone and s3._cone_model is cone
     trunc = truncate_cone(cone)
     assert truncate_cone(cone) is trunc and cone._truncation is trunc
+
+
+@pytest.mark.parametrize("name", ODD + ["s2*s5"])
+@pytest.mark.parametrize("scale", [0, 3, F(-2, 7)], ids=["zero", "integral", "fractional"])
+def test_cxi_shares_every_row_of_the_truncation_but_the_square_of_s1(name, scale):
+    from cdga_config.algebra import DGAlgebra
+
+    pd = odd_pd(name)
+    square = pd.square
+    idx = square.basis.degree_indices(2 * pd.n - 2)
+    xi = square.element({k: scale * (p + 1) for p, k in enumerate(idx)})
+    model = build_cxi(pd, xi)
+    semi, s1 = model.truncation.algebra, model.s1_index
+    square_row = model.truncation.project(model.cone.include_base(xi)).coeffs
+    # the table as the entries constructor builds it from the truncation's
+    entries = semi.mult_entries() + [(s1, s1, k, c) for k, c in square_row.items()]
+    built = DGAlgebra(semi.basis, semi.unit, entries, semi.diff_entries(),
+                      top_degree=semi.top_degree)
+
+    def listed(rows):
+        return [list(row.items()) for row in rows]
+
+    twisted = model.algebra
+    assert [listed(rows) for rows in twisted._mult] == [listed(rows) for rows in built._mult]
+    assert listed(twisted._diff) == listed(built._diff)
+    assert twisted._mult[s1][s1] == square_row and bool(square_row) == bool(xi.coeffs)
+    for i, rows in enumerate(twisted._mult):
+        for j, row in enumerate(rows):
+            assert (row is semi._mult[i][j]) is ((i, j) != (s1, s1))
+    assert twisted.basis is semi.basis and twisted._diff is semi._diff
 
 
 @pytest.mark.parametrize("name", ALL)
