@@ -471,17 +471,24 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
       unit factor then has both sides equal to d(e_j) or d(e_i), so it is
       not evaluated. Otherwise every pair in range is evaluated.
 
-    The checks run on integer tables: every structure constant is
-    multiplied by the lcm D of their denominators, and every entry of d by
-    the lcm E of theirs; when D = 1 the product table is the algebra's own
-    `_mult`, read without a copy. Each axiom is homogeneous in these
+    The checks run on scaled tables: every structure constant is
+    multiplied by the lcm D of the denominators of the `Fraction`
+    constants, and every entry of d by the lcm E of the denominators of
+    its `Fraction` entries; when D = 1 the product table is the algebra's
+    own `_mult`, read without a copy. Each axiom is homogeneous in these
     tables: the unit and graded commutativity are linear in the products
     (the unit row is compared with D), associativity is of degree 2 in the
     products, d squared of degree 2 in d, and the Leibniz rule of degree 1
-    in each. So both sides of each comparison are the rational ones times
+    in each. So both sides of each comparison are the unscaled ones times
     the same nonzero factor, and every verdict and witness tuple is the
-    rational sweep's. The d squared witness prints the element recomputed
+    unscaled sweep's. The d squared witness prints the element recomputed
     from the unscaled rows.
+
+    Entries may be symbolic: a `linalg.RationalFunction` is multiplied by
+    D like an int, and the sweep runs over the field of rational
+    functions, where a comparison passes only if it holds identically in
+    the symbols (`twisted.GenericModel` checks a whole family this way).
+    With only `Scalar` entries every scaled constant is an integer.
     """
     labels = a.basis.labels
     degs = a.basis.degrees
@@ -491,9 +498,10 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
 
     def to_integers(rows):
         """The rows times the lcm of the denominators of their `Fraction`
-        entries, and that lcm; integral rows are returned as they are. Each
-        distinct row object is scaled once, so rows shared in `rows` stay
-        shared, and empty rows are kept; no row is mutated."""
+        entries, and that lcm; rows without a `Fraction` entry are returned
+        as they are. Each distinct row object is scaled once, so rows
+        shared in `rows` stay shared, and empty rows are kept; no row is
+        mutated."""
         scale = lcm(*(c.denominator for row in rows if row for c in row.values()
                       if type(c) is Fraction))
         if scale == 1:
@@ -505,7 +513,7 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
                 copy = scaled.get(id(row))
                 if copy is None:
                     copy = scaled[id(row)] = {
-                        k: c * scale if type(c) is int else c.numerator * (scale // c.denominator)
+                        k: c.numerator * (scale // c.denominator) if type(c) is Fraction else c * scale
                         for k, c in row.items()}
                 row = copy
             out.append(row)

@@ -646,6 +646,11 @@ class RationalFunction:
             return self._new(self.den * other, self.num)
         return NotImplemented
 
+    def value_at(self, values: dict[int, Scalar]) -> Scalar:
+        """The value when `values` assigns every symbol, at a point where
+        the denominator does not vanish."""
+        return _divide(self.num.value_at(values), self.den.value_at(values))
+
     def __str__(self) -> str:
         num = self.num.render(self.params.names)
         if self.den == _ONE:

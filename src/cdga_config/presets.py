@@ -4,11 +4,16 @@ What is cached per process, in `_cache`: the verified duality structure of
 each preset, by name, and the packaged generator table document, parsed
 once, under a key that no preset name reaches. Data derived from a
 preset's algebra hang off it and are shared with it: the tensor square,
-the cone, its truncation and the equivalence ideal. The table document
-keeps the two family verdicts of `sullivan.classify_example`, which
-depend on the document alone. Nothing that depends on a value is cached:
-each twist, each C(xi) and each table at given parameter values is built
-and checked afresh. `_cache.clear()` drops all of it together.
+the cone, its truncation with the generic model C(Xi) (every twist at
+once, `twisted.GenericModel`) and the equivalence ideal. The table
+document keeps the two family verdicts of `sullivan.classify_example`,
+which depend on the document alone. Nothing that depends on a value is
+cached: each twist, each C(xi) and each table at given parameter values
+is built afresh. `check_cdga` and the check of the map from the tensor
+square run once per truncation, on C(Xi); each C(xi) gets the entry
+checks of `DGAlgebra.with_square` and an exact check that it is C(Xi) at
+xi (`twisted.build_cxi`), or the full checks of its own when it is not.
+`_cache.clear()` drops all of it together.
 """
 
 from __future__ import annotations
@@ -62,13 +67,16 @@ def preset_pd(name: str) -> PDAlgebra:
 def resolve_pd(argument: str, relative_to: Optional[Path] = None) -> PDAlgebra:
     """A file path if one exists on disk, otherwise a preset name.
 
-    Files are verified on every load; presets are verified once and cached.
+    Without `relative_to` (a path given to the command line) the path is
+    taken as it is, so a relative one is read from the current directory.
+    With it (a name given inside a document) the path is read against
+    `relative_to`, the document's directory, and never against the
+    current directory, so a document means the same wherever it is read
+    from. Files are verified on every load; presets are verified once and
+    cached.
     """
-    candidates = [Path(argument)]
-    if relative_to is not None:
-        candidates.append(relative_to / argument)
-    for candidate in candidates:
-        if candidate.is_file():
-            algebra, n, epsilon, _ = load_algebra_file(candidate)
-            return check_pd(algebra, n, epsilon)
+    candidate = Path(argument) if relative_to is None else relative_to / argument
+    if candidate.is_file():
+        algebra, n, epsilon, _ = load_algebra_file(candidate)
+        return check_pd(algebra, n, epsilon)
     return preset_pd(argument)

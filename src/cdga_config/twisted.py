@@ -32,9 +32,48 @@ from .errors import (
     StructureError,
     WrongDegree,
 )
-from .linalg import Scalar, SparseMatrix, invert, quotient_data, row_space_basis, solve
+from .linalg import (Parameters, RationalFunction, Scalar, SparseMatrix, _accumulate, _combine,
+                     invert, quotient_data, row_space_basis, solve)
 from .poincare import PDAlgebra, diagonal_class
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
+
+
+@dataclass(frozen=True)
+class GenericModel:
+    """C(Xi), the whole family C(xi) as one model: the truncation with
+    (S1)^2 = sum_t X_t * base_rows[t], with one symbol X_t (of a
+    `linalg.Parameters`) for each basis element e_t of (A (x) A)^(2n-2),
+    so that C(xi) is this model at X_t = xi_t. In even formal dimension
+    the family is {0}: there are no symbols, and the model is C(0).
+
+    `axioms` is the report of `check_cdga` on it. `verified` says that
+    the report passed and that the map from the tensor square given by
+    `base_rows` passed `_verify_algebra_map` into it.
+    """
+
+    algebra: DGAlgebra
+    s1_index: int
+    symbols: tuple[int, ...]
+    axioms: AxiomReport
+    verified: bool
+
+    def covers(self, model: DGAlgebra, xi: Element) -> bool:
+        """Whether `model` is this model at X_t = xi_t, compared exactly:
+        it has the same basis, unit and rows of d, every product row but
+        (S1, S1) is equal to this model's (the same object when both come
+        from `with_square` on the truncation), and its (S1, S1) row is the
+        generic row evaluated at xi."""
+        generic, s1 = self.algebra, self.s1_index
+        point = {k: xi.coeffs.get(t, 0) for k, t in enumerate(self.symbols)}
+        evaluated = _accumulate({}, ((k, c.value_at(point) if type(c) is RationalFunction else c)
+                                     for k, c in generic._mult[s1][s1].items()))
+        rows, generic_rows = model._mult[s1], generic._mult[s1]
+        return (model.basis is generic.basis and model.unit == generic.unit
+                and model._diff == generic._diff
+                and model._mult[:s1] == generic._mult[:s1]
+                and model._mult[s1 + 1:] == generic._mult[s1 + 1:]
+                and rows[:s1] == generic_rows[:s1] and rows[s1 + 1:] == generic_rows[s1 + 1:]
+                and rows[s1] == evaluated)
 
 
 @dataclass
@@ -45,11 +84,15 @@ class TruncatedCone:
     the image of the tensor-square basis element e_t under the inclusion
     into the cone followed by the projection. They do not depend on xi,
     so every C(xi) built on this truncation shares them.
+
+    `generic` is C(Xi), built and checked once per truncation; every
+    C(xi) that is an instance of it takes its report (see `build_cxi`).
     """
 
     cone: MappingCone
     quotient: QuotientDGA
     base_rows: tuple[dict[int, Scalar], ...]
+    generic: GenericModel
 
     @property
     def algebra(self) -> DGAlgebra:
@@ -62,7 +105,8 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     and S omega).
 
     Verifies the span is an acyclic sub-dg-module and that the projection
-    preserves Betti numbers degreewise. The result is cached on the cone,
+    preserves Betti numbers degreewise, then builds and checks the generic
+    model C(Xi) on it (`GenericModel`). The result is cached on the cone,
     in `cone._truncation`.
     """
     if cone._truncation is not None:
@@ -86,9 +130,34 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     ring = cone.ring
     base_rows = tuple(quotient.project(cone.include_base(ring.basis_element(t))).coeffs
                       for t in range(ring.dim()))
-    trunc = TruncatedCone(cone, quotient, base_rows)
+    trunc = TruncatedCone(cone, quotient, base_rows, _generic_model(cone, quotient, base_rows))
     cone._truncation = trunc
     return trunc
+
+
+def _generic_model(cone: MappingCone, quotient: QuotientDGA,
+                   base_rows: tuple[dict[int, Scalar], ...]) -> GenericModel:
+    """C(Xi) on the truncation `quotient`, with its checks run (see
+    `GenericModel`)."""
+    pd = cone.pd
+    square = pd.square
+    try:
+        s1_index = quotient.kept.index(cone.susp_to_cone[pd.algebra.unit])
+    except ValueError:
+        raise StructureError("the suspended unit was truncated away") from None
+    symbols = square.basis.degree_indices(2 * pd.n - 2) if pd.n % 2 else ()
+    params = Parameters([f"X[{square.basis.labels[t]}]" for t in symbols])
+    row = _combine({t: params.symbol(k) for k, t in enumerate(symbols)}, base_rows)
+    generic = quotient.algebra.with_square(s1_index, row,
+                                           name=f"C(Xi) over {pd.algebra.name or 'A'}")
+    axioms = check_cdga(generic)
+    verified = axioms.all_pass
+    if verified:
+        try:
+            _verify_algebra_map(square, generic, tuple(Element(generic, r) for r in base_rows))
+        except StructureError:
+            verified = False
+    return GenericModel(generic, s1_index, symbols, axioms, verified)
 
 
 @dataclass
@@ -134,11 +203,33 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
 
     Order of checks: a nonzero xi in even dimension is rejected first (the
     square of the odd-degree element S1 vanishes by graded commutativity),
-    then the degree of xi is validated. The result passes the exhaustive
-    CDGA axiom check, which is run here, and the map from the tensor square
-    is verified to be a CDGA morphism. Only the (S1, S1) product depends on
-    xi: the model shares the truncation's basis, d and every other product
-    row (`DGAlgebra.with_square`), and both checks run on every C(xi).
+    then the degree of xi is validated. Only the (S1, S1) product depends
+    on xi: the model shares the truncation's basis, d and every other
+    product row (`DGAlgebra.with_square`, which checks each entry of the
+    new row).
+
+    The result is a CDGA and the map from the tensor square is a CDGA
+    morphism. Both are proved once for the whole family, on the generic
+    model C(Xi) of the truncation (`GenericModel`), and per xi by an exact
+    instance check (`GenericModel.covers`). When C(Xi) failed a check or
+    the model is not an instance of it, `check_cdga` and
+    `_verify_algebra_map` run on this model itself, so a failure raises
+    the same `AxiomFailure` or `StructureError`, witness included, as
+    when every C(xi) was checked on its own.
+
+    Why an instance needs no check of its own. Let ev: Q[X] -> Q send X_t
+    to xi_t. The entries of C(Xi) are rationals and, in the (S1, S1) row,
+    polynomials of degree 1 in the X_t; the instance check shows that the
+    tables of C(xi) are ev of those of C(Xi), entry by entry (a missing
+    entry is 0). Every comparison that `check_cdga` and
+    `_verify_algebra_map` make, over all basis tuples, sets two sparse
+    vectors side by side, each a sum of products of table entries times
+    integers; there is no division. ev is a ring homomorphism, so each
+    side computed on C(xi) is ev of the same side computed on C(Xi). Both
+    checks passed on C(Xi), so each pair of sides is equal in Q[X], and
+    hence at xi. The tuples `check_cdga` passes over cannot fail on any
+    algebra, so every comparison of the sweep over all tuples holds on
+    C(xi), and its report is C(Xi)'s, every axiom passing.
     """
     square = pd.square
     if xi.parent is not square:
@@ -156,28 +247,25 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     cone = cone_model(pd)
     trunc = truncate_cone(cone)
     quotient = trunc.quotient
-    semi = quotient.algebra
-
-    s1_ambient = cone.susp_to_cone[pd.algebra.unit]
-    try:
-        s1_index = quotient.kept.index(s1_ambient)
-    except ValueError:
-        raise StructureError("the suspended unit was truncated away") from None
+    generic = trunc.generic
+    s1_index = generic.s1_index
 
     xi_projected = quotient.project(cone.include_base(xi))
 
-    twisted = semi.with_square(
+    twisted = quotient.algebra.with_square(
         s1_index,
         xi_projected.coeffs,
         name=f"C(xi) over {pd.algebra.name or 'A'}" if not xi.is_zero() else f"C(0) over {pd.algebra.name or 'A'}",
     )
-
-    report = check_cdga(twisted)
-    if not report.all_pass:
-        raise AxiomFailure(report)
-
     base_images = tuple(Element(twisted, row) for row in trunc.base_rows)
-    _verify_algebra_map(square, twisted, base_images)
+
+    if generic.verified and generic.covers(twisted, xi):
+        report = generic.axioms
+    else:
+        report = check_cdga(twisted)
+        if not report.all_pass:
+            raise AxiomFailure(report)
+        _verify_algebra_map(square, twisted, base_images)
 
     return TwistedModel(
         pd=pd,

@@ -338,6 +338,32 @@ def test_d_squared_witness_keeps_fractional_coefficients(s2xs3):
     }
 
 
+def test_check_cdga_scales_symbolic_entries_with_the_fractions():
+    """The generic model C(Xi) over s2xs3, whose (S1, S1) row holds
+    rational functions, in a rescaled basis: its table mixes them with
+    Fractions, so the lcm of the Fraction denominators multiplies both.
+    The report still agrees with the naive one on the model and on seeded
+    perturbations of it."""
+    from cdga_config.cone import cone_model
+    from cdga_config.linalg import RationalFunction
+    from cdga_config.twisted import truncate_cone
+
+    from oracles import naive_check_cdga
+
+    alg = _rescaled(truncate_cone(cone_model(preset_pd("s2xs3"))).generic.algebra)
+    constants = [c for *_, c in alg.mult_entries()]
+    assert any(type(c) is RationalFunction for c in constants)
+    assert any(type(c) is F for c in constants)
+    assert check_cdga(alg).all_pass and check_cdga(alg) == naive_check_cdga(alg)
+    rng = random.Random(77)
+    failing = set()
+    for broken in _perturbations(alg, rng, 12):
+        report = check_cdga(broken)
+        assert report == naive_check_cdga(broken)
+        failing.update(c.axiom for c in report.failed())
+    assert failing
+
+
 # --- the tuples check_cdga passes over once the unit row is proven -----------
 
 

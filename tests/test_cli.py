@@ -321,6 +321,33 @@ def test_classify_example_text_prints_the_residual(capsys):
         "residual at q=3/2 vs q=1: stage h ends in 0 = 1/2, so no isomorphism exists")
 
 
+def test_table_document_ignores_a_file_named_like_its_algebra(tmp_path, monkeypatch, capsys):
+    """The packaged table document names its algebra "s2xs3". A file of
+    that name in the current directory must not replace the preset, while
+    the command line's own file argument is still read from there."""
+    import shutil
+
+    from cdga_config import presets
+
+    elsewhere = tmp_path / "elsewhere"
+    decoy = tmp_path / "decoy"
+    elsewhere.mkdir()
+    decoy.mkdir()
+    shutil.copy(preset_path("s3"), decoy / "s2xs3")
+    outputs = []
+    for where in (decoy, elsewhere):
+        monkeypatch.chdir(where)
+        monkeypatch.setattr(presets, "_cache", {})
+        code, out, err = run_cli(capsys, "classify-example", "--q=1,2", "--json")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["matrix"] == [["exists", "obstructed"], ["obstructed", "exists"]]
+    monkeypatch.chdir(decoy)
+    code, out, _ = run_cli(capsys, "check", "s2xs3", "--json")
+    assert code == 0 and json.loads(out)["formal_dimension"] == 3
+
+
 @pytest.mark.parametrize("q, message", [
     ("1,,2", "--q item 2 of 3 is empty in '1,,2'"),
     ("1,2,", "--q item 3 of 3 is empty in '1,2,'"),

@@ -150,6 +150,22 @@ def test_verdict_symmetry():
         assert forward == backward
 
 
+def test_swapping_the_tables_transposes_the_verdict_matrix():
+    """Entry (i, j) of `matrix(firsts, seconds)` is the verdict with the
+    table of firsts[i] given first. The two lists differ, and each holds a
+    zero and a repeated value."""
+    rows = [0, 1, F(-1, 2), 1, 0]
+    columns = [2, 0, 1, F(-1, 2)]
+
+    def matrix(firsts, seconds):
+        return [[iso_obstruction(s2xs3_table(a, 0), s2xs3_table(b, 0)).verdict for b in seconds]
+                for a in firsts]
+
+    forward = matrix(rows, columns)
+    assert matrix(columns, rows) == [list(column) for column in zip(*forward)]
+    assert forward == [["exists" if a == b else "obstructed" for b in columns] for a in rows]
+
+
 def test_exists_witness_reverified_against_differentials():
     # substitute the returned assignment back through an independent
     # recomputation of psi(D1 g) - D2(psi g)

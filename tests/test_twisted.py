@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdga_config.algebra import cohomology
 from cdga_config.cone import cone_model
@@ -137,6 +140,140 @@ def test_cqr_family_passes_axioms(s2xs3):
         model = build_cxi(s2xs3, xi)
         assert model.axioms.all_pass
         assert str(model.algebra.basis.labels[model.s1_index]) == "S1"
+
+
+# --- the generic model C(Xi): one check for the whole family ------------------
+
+@functools.cache
+def _shared_pd(name):
+    """`odd_pd(name)`, built once per test session, so that later draws
+    reuse its truncation and generic model as a preset's do."""
+    return odd_pd(name)
+
+
+def _fresh_s2xs3():
+    """A copy of the s2xs3 preset with no cone, truncation or generic
+    model cached on it."""
+    from cdga_config.io import dump_pd, load_algebra_data
+    from cdga_config.poincare import check_pd
+
+    algebra, n, epsilon, _ = load_algebra_data(dump_pd(preset_pd("s2xs3")), "s2xs3")
+    return check_pd(algebra, n, epsilon)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+_COEFFICIENTS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(
+        lambda q: q.denominator != 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["s2xs3", "s2*s5"]), data=st.data())
+def test_build_cxi_family_report_is_the_numeric_report(name, data):
+    from cdga_config.algebra import check_cdga
+    from cdga_config.cone import _verify_algebra_map
+
+    pd = _shared_pd(name)
+    square = pd.square
+    xi = square.element({t: data.draw(_COEFFICIENTS)
+                         for t in square.basis.degree_indices(2 * pd.n - 2)})
+    model = build_cxi(pd, xi)
+    generic = truncate_cone(model.cone).generic
+    assert generic.symbols and generic.verified and generic.covers(model.algebra, xi)
+    assert model.axioms == check_cdga(model.algebra)
+    _verify_algebra_map(square, model.algebra, model.base_images)
+
+
+def test_check_cdga_runs_once_per_truncation(monkeypatch):
+    import cdga_config.twisted as twisted
+
+    pd = _fresh_s2xs3()
+    checks = _count_calls(monkeypatch, twisted, "check_cdga")
+    maps = _count_calls(monkeypatch, twisted, "_verify_algebra_map")
+    square = pd.square
+    for q, r in [(1, 0), (F(-2, 3), 5), (0, 0), (7, F(1, 2))]:
+        model = build_cxi(pd, square.from_label_coeffs({"y⊗xy": q, "xy⊗y": r}))
+        assert model.axioms.all_pass
+        assert len(checks) == len(maps) == 1
+    assert checks[0][0] is truncate_cone(cone_model(pd)).generic.algebra
+
+
+def test_a_broken_shared_row_fails_the_family_and_keeps_the_numeric_witness(monkeypatch):
+    import cdga_config.twisted as twisted
+    from cdga_config.algebra import check_cdga
+    from cdga_config.errors import AxiomFailure
+
+    pd = _fresh_s2xs3()
+    original = twisted.quotient_dga
+
+    def flipped(algebra, vectors, *, name):
+        quotient = original(algebra, vectors, name=name)
+        table = quotient.algebra._mult
+        unit = quotient.algebra.unit
+        row = next(table[i][j] for i in range(len(table)) for j in range(i, len(table))
+                   if unit not in (i, j) and table[i][j])
+        k = next(iter(row))
+        row[k] = -row[k]
+        return quotient
+
+    monkeypatch.setattr(twisted, "quotient_dga", flipped)
+    xi = pd.square.from_label_coeffs({"y⊗xy": F(3, 2), "xy⊗y": -1})
+    with pytest.raises(AxiomFailure) as caught:
+        build_cxi(pd, xi)
+    trunc = truncate_cone(cone_model(pd))
+    assert not trunc.generic.verified and not trunc.generic.axioms.all_pass
+    square_row = trunc.quotient.project(trunc.cone.include_base(xi)).coeffs
+    numeric = check_cdga(trunc.algebra.with_square(trunc.generic.s1_index, square_row, name="C"))
+    assert not numeric.all_pass and caught.value.report == numeric
+
+
+def test_a_tampered_instance_row_gets_the_numeric_check(monkeypatch):
+    import cdga_config.twisted as twisted
+    from cdga_config.algebra import DGAlgebra, check_cdga
+
+    pd = _fresh_s2xs3()
+    trunc = truncate_cone(cone_model(pd))
+    checks = _count_calls(monkeypatch, twisted, "check_cdga")
+    original = DGAlgebra.with_square
+
+    def tampered(self, i, coeffs, *, name):
+        k = next(iter(trunc.base_rows[pd.square.basis.index("y⊗xy")]))
+        return original(self, i, {**coeffs, k: coeffs.get(k, 0) + 1}, name=name)
+
+    monkeypatch.setattr(DGAlgebra, "with_square", tampered)
+    xi = pd.square.from_label_coeffs({"y⊗xy": F(-1, 3)})
+    model = build_cxi(pd, xi)
+    assert not trunc.generic.covers(model.algebra, xi)
+    assert [args[0] for args in checks] == [model.algebra]
+    assert model.axioms == check_cdga(model.algebra) and model.axioms.all_pass
+
+
+def test_check_cdga_reports_a_symbolic_failure_that_vanishes_at_a_point():
+    """x in degree 1 with x*x = c*y, c = (X - 2)/3: graded commutativity
+    fails as an identity in X, and holds at X = 2, where c vanishes."""
+    from cdga_config.algebra import DGAlgebra, GradedBasis, check_cdga
+    from cdga_config.linalg import Parameters, RationalFunction
+
+    params = Parameters(["X"])
+    c = (params.symbol(0) - 2) * F(1, 3)
+    assert type(c) is RationalFunction and c.value_at({0: 2}) == 0
+    basis = GradedBasis(["1", "x", "y"], [0, 1, 2])
+
+    def algebra(square):
+        mult = [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (1, 1, 2, square)]
+        return DGAlgebra(basis, 0, mult, [(1, 2, F(1, 2))], top_degree=2)
+
+    symbolic = check_cdga(algebra(c))
+    assert [(a.axiom, a.witness) for a in symbolic.failed()] == [("graded_commutativity", "(x, x)")]
+    assert check_cdga(algebra(c.value_at({0: 2}))).all_pass
+    assert not check_cdga(algebra(c.value_at({0: 5}))).all_pass
 
 
 @pytest.mark.parametrize("name", ODD)
@@ -301,13 +438,9 @@ def test_equivalence_ideal_acyclic_and_closed(name):
 
 
 def test_equivalence_ideal_is_cached_on_the_cone(monkeypatch):
-    from cdga_config.io import dump_pd, load_algebra_data
-    from cdga_config.poincare import check_pd
     from cdga_config.quotients import Subcomplex
 
-    # a fresh copy of the preset, so no earlier test has filled the cache
-    algebra, n, epsilon, _ = load_algebra_data(dump_pd(preset_pd("s2xs3")), "s2xs3")
-    pd = check_pd(algebra, n, epsilon)
+    pd = _fresh_s2xs3()
     checks = []
     original = Subcomplex.closed_under_multiplication
     monkeypatch.setattr(Subcomplex, "closed_under_multiplication",
