@@ -16,11 +16,13 @@ from typing import Optional, Sequence
 
 from .algebra import (
     AxiomReport,
+    Coeffs,
     DGAlgebra,
     Element,
     check_cdga,
     cohomology,
     cocycle_vectors,
+    same_structure,
 )
 from .cone import MappingCone, _verify_algebra_map, cone_model
 from .errors import (
@@ -32,8 +34,8 @@ from .errors import (
     StructureError,
     WrongDegree,
 )
-from .linalg import (Parameters, RationalFunction, Scalar, SparseMatrix, _accumulate, _combine,
-                     invert, quotient_data, row_space_basis, solve)
+from .linalg import (Parameters, RationalFunction, ReducedSystem, Scalar, SparseMatrix,
+                     _accumulate, _combine, invert, quotient_data, row_space_basis, solve)
 from .poincare import PDAlgebra, diagonal_class
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -64,16 +66,20 @@ class GenericModel:
         from `with_square` on the truncation), and its (S1, S1) row is the
         generic row evaluated at xi."""
         generic, s1 = self.algebra, self.s1_index
-        point = {k: xi.coeffs.get(t, 0) for k, t in enumerate(self.symbols)}
-        evaluated = _accumulate({}, ((k, c.value_at(point) if type(c) is RationalFunction else c)
-                                     for k, c in generic._mult[s1][s1].items()))
         rows, generic_rows = model._mult[s1], generic._mult[s1]
         return (model.basis is generic.basis and model.unit == generic.unit
                 and model._diff == generic._diff
                 and model._mult[:s1] == generic._mult[:s1]
                 and model._mult[s1 + 1:] == generic._mult[s1 + 1:]
                 and rows[:s1] == generic_rows[:s1] and rows[s1 + 1:] == generic_rows[s1 + 1:]
-                and rows[s1] == evaluated)
+                and rows[s1] == self.at(generic_rows[s1], xi))
+
+    def at(self, row: Coeffs, xi: Element) -> Coeffs:
+        """`row`, a row of this model or of a quotient built from it, at
+        X_t = xi_t."""
+        point = {k: xi.coeffs.get(t, 0) for k, t in enumerate(self.symbols)}
+        return _accumulate({}, ((k, c.value_at(point) if type(c) is RationalFunction else c)
+                                for k, c in row.items()))
 
 
 @dataclass
@@ -184,15 +190,6 @@ class TwistedModel:
     def s1_square(self) -> Element:
         s1 = self.s1()
         return self.algebra.multiply(s1, s1)
-
-    def project_from_square(self, x: Element) -> Element:
-        """Image of an element of A (x) A in the twisted model."""
-        projected = self.truncation.project(self.cone.include_base(x))
-        return Element(self.algebra, projected.coeffs)
-
-    def project_from_cone(self, x: Element) -> Element:
-        projected = self.truncation.project(x)
-        return Element(self.algebra, projected.coeffs)
 
     def betti(self, up_to: Optional[int] = None) -> list[int]:
         return cohomology(self.algebra).betti_vector(up_to)
@@ -441,7 +438,8 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
     deterministic by construction; the ideal is verified closed under the
     differential and under multiplication by the whole cone, and acyclic.
     It depends only on the duality algebra, so it is cached on the cone,
-    in `cone._equivalence_ideal`.
+    in `cone._equivalence_ideal`. Its preconditions, odd formal dimension
+    and a 1-connected algebra, are checked before anything is built.
     """
     if pd.n % 2 == 0:
         raise OddDimension(f"formal dimension {pd.n} is even")
@@ -525,15 +523,87 @@ class NotDecidedHere:
     reason: str
 
 
+@dataclass(frozen=True)
+class EquivalenceSystem:
+    """What deciding two twists needs that does not depend on them, built
+    once per cone and cached in `cone._equivalence_system`.
+
+    `system` is the reduced form of the matrix [z . diag | d e_i] over
+    (A (x) A)^(2n-2), with one column per cocycle z of degree n-2 and one
+    per basis element e_i of degree 2n-3. `columns` names, per column, the
+    part of the witness its coefficient scales ("diag" for w, "exact" for
+    eta) and the element it scales. `generators` are the rref rows of the
+    equivalence ideal I projected into the truncation, the zero ones
+    dropped. `quotient` is C(Xi)/I, the quotient of the truncation's
+    generic model by them. It is None when C(Xi) is not verified or its
+    quotient failed a check; every comparison then takes the per-xi route
+    (`_quotients_by_ideal_match`).
+    """
+
+    ideal: EquivalenceIdeal
+    truncation: TruncatedCone
+    diagonal: Element
+    system: ReducedSystem
+    columns: tuple[tuple[str, Element], ...]
+    generators: tuple[Coeffs, ...]
+    quotient: Optional[QuotientDGA]
+
+
+def _equivalence_system(pd: PDAlgebra) -> EquivalenceSystem:
+    """The `EquivalenceSystem` of `pd`, built on the first call for its
+    cone. `equivalence_ideal` checks the preconditions first."""
+    ideal = equivalence_ideal(pd)
+    cone = ideal.cone
+    if cone._equivalence_system is not None:
+        return cone._equivalence_system
+    square = pd.square
+    n = pd.n
+    idx_tgt = square.basis.degree_indices(2 * n - 2)
+    diag = diagonal_class(pd).element
+
+    matrix_columns: list[list[Scalar]] = []
+    columns: list[tuple[str, Element]] = []
+    idx_mid = square.basis.degree_indices(n - 2)
+    for vec in cocycle_vectors(square, n - 2):
+        z = Element(square, {i: c for i, c in zip(idx_mid, vec) if c})
+        matrix_columns.append(square.multiply(z, diag).vector(idx_tgt))
+        columns.append(("diag", z))
+    for i in square.basis.degree_indices(2 * n - 3):
+        matrix_columns.append(square.d(square.basis_element(i)).vector(idx_tgt))
+        columns.append(("exact", square.basis_element(i)))
+    system = ReducedSystem(SparseMatrix.from_columns(matrix_columns, len(idx_tgt)))
+
+    trunc = truncate_cone(cone)
+    sub = ideal.subcomplex
+    projected = (trunc.quotient.project(Element(cone.algebra, gen)).coeffs
+                 for k in sub.bases for gen in sub._generators(k))
+    generators = tuple(g for g in projected if g)
+    generic = trunc.generic
+    quotient = None
+    if generic.verified:
+        try:
+            quotient = _ideal_quotient(generic.algebra, generators)
+        except StructureError:
+            pass
+    cone._equivalence_system = EquivalenceSystem(ideal, trunc, diag, system, tuple(columns),
+                                                 generators, quotient)
+    return cone._equivalence_system
+
+
 def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
     """Decide whether [xi] = [xi2] in H^(2n-2)(A (x) A)/(diagonal classes).
 
     Returns an EquivalentWitness with the decomposition when they agree,
-    NotDecidedHere otherwise.
+    NotDecidedHere otherwise. After the twists, the preconditions of
+    `equivalence_ideal` are checked (odd formal dimension, a 1-connected
+    algebra), before any solve, so every pair of twists on one algebra
+    meets the same checks. The system and C(Xi)/I are kept on the cone
+    (`EquivalenceSystem`); a decision reduces xi - xi2 against the system,
+    verifies the decomposition, and compares two rows of C(Xi)/I evaluated
+    at xi and at xi2 (`_quotients_by_ideal_match`).
     """
     square = pd.square
-    n = pd.n
-    want = 2 * n - 2
+    want = 2 * pd.n - 2
     for name, elem in (("xi", xi), ("xi2", xi2)):
         if elem.parent is not square:
             raise StructureError(f"{name} must live in the tensor square")
@@ -542,25 +612,9 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
         if not square.d(elem).is_zero():
             raise NotACocycle(f"d({name}) != 0")
 
+    equivalence = _equivalence_system(pd)
     difference = xi - xi2
-    idx_tgt = square.basis.degree_indices(want)
-    diag = diagonal_class(pd).element
-
-    columns: list[list[Scalar]] = []
-    column_meta: list[tuple[str, Element]] = []
-    idx_mid = square.basis.degree_indices(n - 2)
-    for vec in cocycle_vectors(square, n - 2):
-        z = Element(square, {i: c for i, c in zip(idx_mid, vec) if c})
-        product = square.multiply(z, diag)
-        columns.append(product.vector(idx_tgt))
-        column_meta.append(("diag", z))
-    idx_pre = square.basis.degree_indices(want - 1)
-    for i in idx_pre:
-        image = square.d(square.basis_element(i))
-        columns.append(image.vector(idx_tgt))
-        column_meta.append(("exact", square.basis_element(i)))
-
-    coeffs = solve(SparseMatrix.from_columns(columns, len(idx_tgt)), difference.vector(idx_tgt))
+    coeffs = equivalence.system.solve(difference.vector(square.basis.degree_indices(want)))
     if coeffs is None:
         return NotDecidedHere(
             "the twists define different classes modulo the diagonal ideal"
@@ -568,39 +622,79 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
 
     w = square.zero()
     eta = square.zero()
-    for c, (kind, elem) in zip(coeffs, column_meta):
+    for c, (kind, elem) in zip(coeffs, equivalence.columns):
         if not c:
             continue
         if kind == "diag":
             w = w + elem.scale(c)
         else:
             eta = eta + elem.scale(c)
-    if square.multiply(w, diag) + square.d(eta) != difference:
+    if square.multiply(w, equivalence.diagonal) + square.d(eta) != difference:
         raise StructureError("decomposition verification failed")
 
-    ideal = equivalence_ideal(pd)
+    ideal = equivalence.ideal
     in_ideal = ideal.contains(ideal.cone.include_base(difference))
 
-    iso = _quotients_by_ideal_match(pd, ideal, xi, xi2)
+    iso = _quotients_by_ideal_match(pd, equivalence, xi, xi2)
     return EquivalentWitness(w=w, eta=eta, difference_in_ideal=in_ideal,
                              quotients_isomorphic=iso)
 
 
-def _quotients_by_ideal_match(pd: PDAlgebra, ideal: EquivalenceIdeal,
-                              xi: Element, xi2: Element) -> bool:
-    """Compare C(xi)/I and C(xi2)/I by structure constants on the shared
-    basis induced by the common truncation."""
-    from .algebra import same_structure
+def _ideal_quotient(model: DGAlgebra, generators: Sequence[Coeffs]) -> QuotientDGA:
+    """`model`, C(Xi) or a C(xi) on the truncation, modulo the span of
+    the projected generators of I, closure under d and multiplication
+    checked by `quotient_dga`."""
+    return quotient_dga(model, [Element(model, g) for g in generators], name=f"{model.name}/I")
 
-    results = []
-    for twist in (xi, xi2):
-        model = build_cxi(pd, twist)
-        projected = []
-        for k in ideal.subcomplex.bases:
-            for gen in ideal.subcomplex._generators(k):
-                image = model.project_from_cone(Element(ideal.cone.algebra, gen))
-                if not image.is_zero():
-                    projected.append(image)
-        results.append(quotient_dga(model.algebra, projected,
-                                    name=f"{model.algebra.name}/I").algebra)
-    return same_structure(results[0], results[1])
+
+def _quotients_by_ideal_match(pd: PDAlgebra, equivalence: EquivalenceSystem,
+                              xi: Element, xi2: Element) -> bool:
+    """Whether C(xi)/I and C(xi2)/I have the same structure constants on
+    the basis they share: the truncation's basis modulo the generators of
+    I projected into it.
+
+    Both quotients are instances of C(Xi)/I, formed once per cone by
+    `_ideal_quotient` on the generic model C(Xi), over rational functions
+    in the X_t. The residue rows of I are rational, so forming the
+    quotient only adds and multiplies table entries and never divides by
+    a symbolic value. Let ev send X_t to xi_t, a ring homomorphism. If the
+    tables of C(xi) are ev of those of C(Xi), then each residue, product
+    row and d row that `quotient_dga` computes on C(xi) is ev of the one
+    it computed on C(Xi). The closure residues on C(Xi) were identically
+    zero, so they vanish at xi: C(xi)/I is well defined, with C(Xi)/I's
+    basis and the tables of C(Xi)/I evaluated at xi. Only the (S1, S1)
+    row of C(Xi) holds symbols, and of all the quotient's rows only the
+    (S1, S1) row reads it; every other row of C(xi)/I is C(Xi)/I's own
+    rational row. So the two quotients have the same structure constants
+    exactly when C(Xi)/I's (S1, S1) row takes the same value at xi and at
+    xi2.
+
+    The premise is checked exactly per xi, as in `GenericModel.covers`:
+    C(xi) is the truncation with (S1)^2 the projection of xi, and that
+    row must equal C(Xi)'s (S1, S1) row at xi. When C(Xi) is not verified,
+    its quotient failed a check, or either instance check fails, both
+    quotients are formed per xi, by `_ideal_quotient` on `build_cxi`, and
+    compared with `same_structure`.
+    """
+    if equivalence.quotient is not None:
+        rows = [_quotient_square_at(equivalence, twist) for twist in (xi, xi2)]
+        if None not in rows:
+            return rows[0] == rows[1]
+    quotients = [_ideal_quotient(build_cxi(pd, twist).algebra, equivalence.generators).algebra
+                 for twist in (xi, xi2)]
+    return same_structure(quotients[0], quotients[1])
+
+
+def _quotient_square_at(equivalence: EquivalenceSystem, xi: Element) -> Optional[Coeffs]:
+    """The (S1, S1) row of C(xi)/I, as C(Xi)/I's row at xi, or None when
+    C(xi) is not C(Xi) at xi."""
+    trunc = equivalence.truncation
+    generic = trunc.generic
+    s1 = generic.s1_index
+    square_row = trunc.quotient.project(trunc.cone.include_base(xi)).coeffs
+    if square_row != generic.at(generic.algebra._mult[s1][s1], xi):
+        return None
+    quotient = equivalence.quotient
+    # S1 is kept: no vector spanning I has an S1 coordinate
+    q1 = quotient.kept.index(s1)
+    return generic.at(quotient.algebra._mult[q1][q1], xi)

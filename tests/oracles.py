@@ -13,7 +13,10 @@ row-based loops of `check_cdga`, `DGModule.verify` and `ModuleMap.verify`
 and the signed-permutation test of `diagonal_correspondence`.
 `naive_tensor_mult` restates the tensor product's Koszul rule over every
 pair of product basis elements, against the sparse loop of
-`TensorAlgebra`.
+`TensorAlgebra`. `oracle_decide_xi_equivalence` and
+`oracle_quotients_match` keep the per-twist route of deciding two twists:
+they set up the system afresh and solve it with `dense_solve`, and form
+each C(xi)/I with the package's `build_cxi` and `quotient_dga`.
 """
 
 from fractions import Fraction
@@ -395,3 +398,58 @@ def dense_matmul(a, b):
     left, right = a.dense_rows(), b.dense_rows()
     return [[sum((Fraction(row[k]) * right[k][j] for k in range(len(right))), Fraction(0))
              for j in range(b.cols)] for row in left]
+
+
+def oracle_quotients_match(pd, xi, xi2):
+    """Whether C(xi)/I and C(xi2)/I have the same structure constants,
+    each quotient formed on its own C(xi) by `quotient_dga`."""
+    from cdga_config.algebra import Element, same_structure
+    from cdga_config.quotients import quotient_dga
+    from cdga_config.twisted import build_cxi, equivalence_ideal
+
+    ideal = equivalence_ideal(pd)
+    quotients = []
+    for twist in (xi, xi2):
+        model = build_cxi(pd, twist)
+        projected = []
+        for k in ideal.subcomplex.bases:
+            for gen in ideal.subcomplex._generators(k):
+                image = model.truncation.project(Element(ideal.cone.algebra, gen))
+                if not image.is_zero():
+                    projected.append(Element(model.algebra, image.coeffs))
+        quotients.append(quotient_dga(model.algebra, projected,
+                                      name=f"{model.algebra.name}/I").algebra)
+    return same_structure(quotients[0], quotients[1])
+
+
+def oracle_decide_xi_equivalence(pd, xi, xi2):
+    """(w, eta, difference_in_ideal, quotients_isomorphic) with
+    xi - xi2 = w . diag + d(eta), or None when the difference is not of
+    that form. The system [z . diag | d e_i] is built for this pair, with
+    the package's cocycle basis so that w is written in the same z."""
+    from cdga_config.algebra import Element, cocycle_vectors
+    from cdga_config.poincare import diagonal_class
+    from cdga_config.twisted import equivalence_ideal
+
+    square, n = pd.square, pd.n
+    idx_tgt = square.basis.degree_indices(2 * n - 2)
+    diag = diagonal_class(pd).element
+    columns, parts = [], []
+    idx_mid = square.basis.degree_indices(n - 2)
+    for vec in cocycle_vectors(square, n - 2):
+        z = Element(square, {i: c for i, c in zip(idx_mid, vec) if c})
+        columns.append(square.multiply(z, diag).vector(idx_tgt))
+        parts.append(("w", z))
+    for i in square.basis.degree_indices(2 * n - 3):
+        columns.append(square.d(square.basis_element(i)).vector(idx_tgt))
+        parts.append(("eta", square.basis_element(i)))
+    difference = xi - xi2
+    x = dense_solve(columns, difference.vector(idx_tgt))
+    if x is None:
+        return None
+    found = {"w": square.zero(), "eta": square.zero()}
+    for c, (part, elem) in zip(x, parts):
+        found[part] = found[part] + elem.scale(c)
+    ideal = equivalence_ideal(pd)
+    return (found["w"], found["eta"], ideal.contains(ideal.cone.include_base(difference)),
+            oracle_quotients_match(pd, xi, xi2))

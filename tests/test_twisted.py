@@ -28,7 +28,8 @@ from cdga_config.twisted import (
     truncate_cone,
 )
 
-from oracles import dense_matmul, oracle_betti
+from oracles import (dense_matmul, oracle_betti, oracle_decide_xi_equivalence,
+                     oracle_quotients_match)
 
 ODD = ["s3", "s5", "s2xs3", "s3xs4"]
 ALL = ["s2", "s3", "s4", "s5", "cp2", "s2xs3", "s3xs4"]
@@ -113,7 +114,8 @@ def test_build_cxi_random_twists_pass_axioms(name):
     for _ in range(10):
         model = build_cxi(pd, random_xi(pd, rng))
         assert model.axioms.all_pass
-        assert model.s1_square() == model.project_from_square(model.xi)
+        assert model.s1_square().coeffs == model.truncation.project(
+            model.cone.include_base(model.xi)).coeffs
 
 
 def test_build_cxi_even_rejects_nonzero(s2):
@@ -375,9 +377,9 @@ def test_c_of_x_scales_to_cq0(s2xs3):
     direct = build_cxi(
         s2xs3, s2xs3.square.from_label_coeffs({"y⊗xy": q})
     )
-    assert model.s1_square() == model.project_from_square(
+    assert model.s1_square().coeffs == model.truncation.project(model.cone.include_base(
         s2xs3.square.from_label_coeffs({"y⊗xy": q})
-    )
+    )).coeffs
     assert same_structure(model.algebra, direct.algebra)
 
 
@@ -488,6 +490,141 @@ def test_decide_distinct_classes_not_decided(s2xs3):
     xi = square.from_label_coeffs({"y⊗xy": F(1)})
     xi2 = square.from_label_coeffs({"y⊗xy": F(2)})
     assert isinstance(decide_xi_equivalence(s2xs3, xi, xi2), NotDecidedHere)
+
+
+@pytest.mark.parametrize("name", ["s2", "cp2"])
+def test_decide_checks_odd_dimension_before_any_solve(name):
+    """Even formal dimension gives OddDimension for every pair of twists,
+    a pair whose classes differ included."""
+    pd = preset_pd(name)
+    square = pd.square
+    e = square.basis_element(square.basis.degree_indices(2 * pd.n - 2)[0])
+    for xi, xi2 in ((e, square.zero()), (square.zero(), e), (square.zero(), square.zero())):
+        with pytest.raises(OddDimension):
+            decide_xi_equivalence(pd, xi, xi2)
+
+
+@st.composite
+def _twist_pairs(draw):
+    """A pair of twists on s2xs3 and whether it was drawn to differ in
+    class: equal, differing by w . diag + d(eta), or differing by a
+    nonzero multiple of y(x)xy; xi is sometimes 0, and the order of the
+    pair is sometimes swapped."""
+    pd = preset_pd("s2xs3")
+    square = pd.square
+    xi = square.zero() if draw(st.booleans()) else square.from_label_coeffs(
+        {"y⊗xy": draw(_COEFFICIENTS), "xy⊗y": draw(_COEFFICIENTS)})
+    kind = draw(st.sampled_from(["equal", "diagonal", "different"]))
+    if kind == "equal":
+        xi2 = xi
+    elif kind == "diagonal":
+        w = square.element({t: draw(_COEFFICIENTS)
+                            for t in square.basis.degree_indices(pd.n - 2)})
+        eta = square.element({t: draw(_COEFFICIENTS)
+                              for t in square.basis.degree_indices(2 * pd.n - 3)})
+        xi2 = xi + square.multiply(w, __diag(pd)) + square.d(eta)
+    else:
+        t = draw(_COEFFICIENTS.filter(bool))
+        xi2 = xi + square.from_label_coeffs({"y⊗xy": t})
+    if draw(st.booleans()):
+        xi, xi2 = xi2, xi
+    return xi, xi2, kind == "different"
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=_twist_pairs())
+def test_decisions_equal_the_per_twist_route(pair):
+    """Each decision, certificate included, is the one of the per-twist
+    route that solves its own system and forms both C(xi)/I afresh; on a
+    pair of different classes the quotient comparison is that route's too."""
+    from cdga_config.twisted import _equivalence_system, _quotients_by_ideal_match
+
+    pd = preset_pd("s2xs3")
+    xi, xi2, different = pair
+    got = decide_xi_equivalence(pd, xi, xi2)
+    want = oracle_decide_xi_equivalence(pd, xi, xi2)
+    if want is None:
+        assert isinstance(got, NotDecidedHere) and different
+        match = _quotients_by_ideal_match(pd, _equivalence_system(pd), xi, xi2)
+        assert match is oracle_quotients_match(pd, xi, xi2) is False
+    else:
+        assert isinstance(got, EquivalentWitness) and not different
+        assert (got.w, got.eta, got.difference_in_ideal, got.quotients_isomorphic) == want
+        assert got.difference_in_ideal and got.quotients_isomorphic
+
+
+def _count_calls_by_name(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    return calls
+
+
+_EQUIVALENT_PAIRS = [((1, 2), (F(5, 2), F(7, 2))), ((F(-2, 3), 0), (F(1, 3), 1)),
+                     ((0, 0), (3, 3)), ((4, F(1, 5)), (4, F(1, 5)))]
+
+
+def _decisions_match_the_per_twist_route(monkeypatch, pd):
+    """Decide each pair of `_EQUIVALENT_PAIRS` on `pd` and compare it with
+    the per-twist route; returns how many times each decision formed a
+    quotient and built a C(xi)."""
+    import cdga_config.twisted as twisted
+
+    square = pd.square
+    quotients = _count_calls_by_name(monkeypatch, twisted, "quotient_dga")
+    models = _count_calls_by_name(monkeypatch, twisted, "build_cxi")
+    counts = []
+    for (q, r), (q2, r2) in _EQUIVALENT_PAIRS:
+        xi = square.from_label_coeffs({"y⊗xy": q, "xy⊗y": r})
+        xi2 = square.from_label_coeffs({"y⊗xy": q2, "xy⊗y": r2})
+        before = len(quotients), len(models)
+        got = decide_xi_equivalence(pd, xi, xi2)
+        counts.append((len(quotients) - before[0], len(models) - before[1]))
+        want = oracle_decide_xi_equivalence(pd, xi, xi2)
+        assert (got.w, got.eta, got.difference_in_ideal, got.quotients_isomorphic) == want
+    return counts
+
+
+def test_a_warm_decision_forms_no_quotient_and_builds_no_cxi(monkeypatch):
+    from cdga_config.twisted import _equivalence_system
+
+    pd = _fresh_s2xs3()
+    system = _equivalence_system(pd)
+    assert cone_model(pd)._equivalence_system is system and system.quotient is not None
+    assert _decisions_match_the_per_twist_route(monkeypatch, pd) == [(0, 0)] * len(_EQUIVALENT_PAIRS)
+    assert _equivalence_system(pd) is system
+
+
+def test_an_unverified_generic_model_sends_each_decision_to_the_per_twist_quotients(monkeypatch):
+    import dataclasses
+
+    from cdga_config.twisted import _equivalence_system
+
+    pd = _fresh_s2xs3()
+    trunc = truncate_cone(cone_model(pd))
+    trunc.generic = dataclasses.replace(trunc.generic, verified=False)
+    assert _equivalence_system(pd).quotient is None
+    assert _decisions_match_the_per_twist_route(monkeypatch, pd) == [(2, 2)] * len(_EQUIVALENT_PAIRS)
+
+
+def test_a_failing_instance_check_sends_the_decision_to_the_per_twist_quotients(monkeypatch):
+    """C(Xi) with (S1)^2 = 2 sum_t X_t e_t: its quotient passes, but no
+    C(xi) with a nonzero (S1)^2 is an instance of it."""
+    import dataclasses
+
+    from cdga_config.twisted import _equivalence_system
+
+    pd = _fresh_s2xs3()
+    trunc = truncate_cone(cone_model(pd))
+    generic = trunc.generic
+    s1 = generic.s1_index
+    doubled = {k: 2 * c for k, c in generic.algebra._mult[s1][s1].items()}
+    trunc.generic = dataclasses.replace(generic, algebra=trunc.algebra.with_square(
+        s1, doubled, name=generic.algebra.name))
+    assert _equivalence_system(pd).quotient is not None
+    # every pair holds a twist with a nonzero (S1)^2
+    assert _decisions_match_the_per_twist_route(monkeypatch, pd) == [(2, 2)] * len(_EQUIVALENT_PAIRS)
 
 
 def test_decide_rejects_wrong_degree(s2xs3):
