@@ -124,11 +124,9 @@ class MappingCone:
         self.susp_to_cone = tuple(susp_to_cone)
         self.pd = pd
         # the truncation of this cone, filled by `twisted.truncate_cone`,
-        # its equivalence ideal, filled by `twisted.equivalence_ideal`, and
-        # what deciding twists needs beside it (`twisted.EquivalenceSystem`)
+        # and its equivalence ideal, filled by `twisted.equivalence_ideal`
         self._truncation = None
         self._equivalence_ideal = None
-        self._equivalence_system = None
 
     def include_base(self, x: Element) -> Element:
         """The inclusion R -> cone, r -> (r, 0)."""

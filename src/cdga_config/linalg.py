@@ -273,43 +273,6 @@ def solve(m: SparseMatrix, b: Sequence[Scalar]) -> Optional[list[Scalar]]:
     return x
 
 
-class ReducedSystem:
-    """m x = b for one fixed m and many right-hand sides b.
-
-    Keeps the pivot columns of R = rref(m) and, as sparse rows, a row
-    transform E with E m = R: the right part of the rref of [m | 1] taken
-    over m's columns only. E is invertible, so b lies in the image of m
-    exactly when (E b)_i = 0 for every row i at or past the rank. Then
-    (E b)_i = R_i x for any solution x, whatever E is, so the x with
-    x[pivot_i] = (E b)_i and every free coordinate zero is the solution
-    `solve(m, b)` returns: the rref of [m | b] is unique, and its last
-    column holds these values above the rank.
-    """
-
-    __slots__ = ("rows", "cols", "pivots", "_transform")
-
-    def __init__(self, m: SparseMatrix):
-        rows = m.dense_rows()
-        for i, row in enumerate(rows):
-            row.extend(1 if j == i else 0 for j in range(m.rows))
-        rows, pivots = _rref_dense(rows, m.cols)
-        self.rows, self.cols, self.pivots = m.rows, m.cols, tuple(pivots)
-        self._transform = tuple({j: v for j, v in enumerate(row[m.cols:]) if v} for row in rows)
-
-    def solve(self, b: Sequence[Scalar]) -> Optional[list[Scalar]]:
-        """The x that `solve(m, b)` returns, or None if b is not in the
-        image of m."""
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length does not match row count")
-        reduced = [_exact(sum(v * b[j] for j, v in row.items())) for row in self._transform]
-        if any(reduced[len(self.pivots):]):
-            return None
-        x = [0] * self.cols
-        for i, p in enumerate(self.pivots):
-            x[p] = reduced[i]
-        return x
-
-
 def invert(m: SparseMatrix) -> Optional[SparseMatrix]:
     """Inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:

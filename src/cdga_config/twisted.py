@@ -11,7 +11,7 @@ nonzero xi is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -34,8 +34,8 @@ from .errors import (
     StructureError,
     WrongDegree,
 )
-from .linalg import (Parameters, RationalFunction, ReducedSystem, Scalar, SparseMatrix,
-                     _accumulate, _combine, invert, quotient_data, row_space_basis, solve)
+from .linalg import (Parameters, RationalFunction, Scalar, SparseMatrix, _accumulate, _combine,
+                     invert, quotient_data, row_space_basis, solve)
 from .poincare import PDAlgebra, diagonal_class
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -423,6 +423,9 @@ class EquivalenceIdeal:
     complement_images: tuple[Element, ...]    # d(S)
     diagonal_multiples: tuple[Element, ...]   # (a (x) b) diag for positive a (x) b
     positive_suspensions: tuple[Element, ...] # S a for a of positive degree
+    # what deciding twists needs beside the ideal, filled by `_equivalence_system`
+    system: Optional[EquivalenceSystem] = field(default=None, init=False, repr=False,
+                                                compare=False)
 
     def contains(self, elem: Element) -> bool:
         return self.subcomplex.contains(elem)
@@ -525,25 +528,23 @@ class NotDecidedHere:
 
 @dataclass(frozen=True)
 class EquivalenceSystem:
-    """What deciding two twists needs that does not depend on them, built
-    once per cone and cached in `cone._equivalence_system`.
+    """What deciding two twists needs beside the equivalence ideal and
+    does not depend on them, built once per cone and cached in the
+    ideal's `system` field.
 
-    `system` is the reduced form of the matrix [z . diag | d e_i] over
-    (A (x) A)^(2n-2), with one column per cocycle z of degree n-2 and one
-    per basis element e_i of degree 2n-3. `columns` names, per column, the
-    part of the witness its coefficient scales ("diag" for w, "exact" for
-    eta) and the element it scales. `generators` are the rref rows of the
-    equivalence ideal I projected into the truncation, the zero ones
-    dropped. `quotient` is C(Xi)/I, the quotient of the truncation's
-    generic model by them. It is None when C(Xi) is not verified or its
-    quotient failed a check; every comparison then takes the per-xi route
+    `matrix` is [z . diag | d e_i] over (A (x) A)^(2n-2), with one column
+    per cocycle z of degree n-2 and one per basis element e_i of degree
+    2n-3. `columns` names, per column, the part of the witness its
+    coefficient scales ("diag" for w, "exact" for eta) and the element it
+    scales. `generators` are the rref rows of the equivalence ideal I
+    projected into the truncation, the zero ones dropped. `quotient` is
+    C(Xi)/I, the quotient of the truncation's generic model by them. It
+    is None when C(Xi) is not verified or its quotient failed a check;
+    every comparison then takes the per-xi route
     (`_quotients_by_ideal_match`).
     """
 
-    ideal: EquivalenceIdeal
-    truncation: TruncatedCone
-    diagonal: Element
-    system: ReducedSystem
+    matrix: SparseMatrix
     columns: tuple[tuple[str, Element], ...]
     generators: tuple[Coeffs, ...]
     quotient: Optional[QuotientDGA]
@@ -553,9 +554,8 @@ def _equivalence_system(pd: PDAlgebra) -> EquivalenceSystem:
     """The `EquivalenceSystem` of `pd`, built on the first call for its
     cone. `equivalence_ideal` checks the preconditions first."""
     ideal = equivalence_ideal(pd)
-    cone = ideal.cone
-    if cone._equivalence_system is not None:
-        return cone._equivalence_system
+    if ideal.system is not None:
+        return ideal.system
     square = pd.square
     n = pd.n
     idx_tgt = square.basis.degree_indices(2 * n - 2)
@@ -571,11 +571,10 @@ def _equivalence_system(pd: PDAlgebra) -> EquivalenceSystem:
     for i in square.basis.degree_indices(2 * n - 3):
         matrix_columns.append(square.d(square.basis_element(i)).vector(idx_tgt))
         columns.append(("exact", square.basis_element(i)))
-    system = ReducedSystem(SparseMatrix.from_columns(matrix_columns, len(idx_tgt)))
 
-    trunc = truncate_cone(cone)
+    trunc = truncate_cone(ideal.cone)
     sub = ideal.subcomplex
-    projected = (trunc.quotient.project(Element(cone.algebra, gen)).coeffs
+    projected = (trunc.quotient.project(Element(ideal.cone.algebra, gen)).coeffs
                  for k in sub.bases for gen in sub._generators(k))
     generators = tuple(g for g in projected if g)
     generic = trunc.generic
@@ -585,9 +584,9 @@ def _equivalence_system(pd: PDAlgebra) -> EquivalenceSystem:
             quotient = _ideal_quotient(generic.algebra, generators)
         except StructureError:
             pass
-    cone._equivalence_system = EquivalenceSystem(ideal, trunc, diag, system, tuple(columns),
-                                                 generators, quotient)
-    return cone._equivalence_system
+    ideal.system = EquivalenceSystem(SparseMatrix.from_columns(matrix_columns, len(idx_tgt)),
+                                     tuple(columns), generators, quotient)
+    return ideal.system
 
 
 def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
@@ -597,10 +596,10 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
     NotDecidedHere otherwise. After the twists, the preconditions of
     `equivalence_ideal` are checked (odd formal dimension, a 1-connected
     algebra), before any solve, so every pair of twists on one algebra
-    meets the same checks. The system and C(Xi)/I are kept on the cone
-    (`EquivalenceSystem`); a decision reduces xi - xi2 against the system,
-    verifies the decomposition, and compares two rows of C(Xi)/I evaluated
-    at xi and at xi2 (`_quotients_by_ideal_match`).
+    meets the same checks. The system's matrix and C(Xi)/I are kept
+    beside the ideal (`EquivalenceSystem`); a decision solves the matrix
+    for xi - xi2, verifies the decomposition, and compares two rows of
+    C(Xi)/I evaluated at xi and at xi2 (`_quotients_by_ideal_match`).
     """
     square = pd.square
     want = 2 * pd.n - 2
@@ -614,7 +613,7 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
 
     equivalence = _equivalence_system(pd)
     difference = xi - xi2
-    coeffs = equivalence.system.solve(difference.vector(square.basis.degree_indices(want)))
+    coeffs = solve(equivalence.matrix, difference.vector(square.basis.degree_indices(want)))
     if coeffs is None:
         return NotDecidedHere(
             "the twists define different classes modulo the diagonal ideal"
@@ -629,10 +628,10 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
             w = w + elem.scale(c)
         else:
             eta = eta + elem.scale(c)
-    if square.multiply(w, equivalence.diagonal) + square.d(eta) != difference:
+    if square.multiply(w, diagonal_class(pd).element) + square.d(eta) != difference:
         raise StructureError("decomposition verification failed")
 
-    ideal = equivalence.ideal
+    ideal = equivalence_ideal(pd)
     in_ideal = ideal.contains(ideal.cone.include_base(difference))
 
     iso = _quotients_by_ideal_match(pd, equivalence, xi, xi2)
@@ -677,7 +676,7 @@ def _quotients_by_ideal_match(pd: PDAlgebra, equivalence: EquivalenceSystem,
     compared with `same_structure`.
     """
     if equivalence.quotient is not None:
-        rows = [_quotient_square_at(equivalence, twist) for twist in (xi, xi2)]
+        rows = [_quotient_square_at(pd, equivalence.quotient, twist) for twist in (xi, xi2)]
         if None not in rows:
             return rows[0] == rows[1]
     quotients = [_ideal_quotient(build_cxi(pd, twist).algebra, equivalence.generators).algebra
@@ -685,16 +684,15 @@ def _quotients_by_ideal_match(pd: PDAlgebra, equivalence: EquivalenceSystem,
     return same_structure(quotients[0], quotients[1])
 
 
-def _quotient_square_at(equivalence: EquivalenceSystem, xi: Element) -> Optional[Coeffs]:
-    """The (S1, S1) row of C(xi)/I, as C(Xi)/I's row at xi, or None when
-    C(xi) is not C(Xi) at xi."""
-    trunc = equivalence.truncation
+def _quotient_square_at(pd: PDAlgebra, quotient: QuotientDGA, xi: Element) -> Optional[Coeffs]:
+    """The (S1, S1) row of C(xi)/I, as the row of `quotient`, C(Xi)/I, at
+    xi, or None when C(xi) is not C(Xi) at xi."""
+    trunc = truncate_cone(cone_model(pd))
     generic = trunc.generic
     s1 = generic.s1_index
     square_row = trunc.quotient.project(trunc.cone.include_base(xi)).coeffs
     if square_row != generic.at(generic.algebra._mult[s1][s1], xi):
         return None
-    quotient = equivalence.quotient
     # S1 is kept: no vector spanning I has an S1 coordinate
     q1 = quotient.kept.index(s1)
     return generic.at(quotient.algebra._mult[q1][q1], xi)

@@ -1,11 +1,9 @@
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdga_config.linalg import (
-    ReducedSystem,
     SparseMatrix,
     betti_numbers,
     invert,
@@ -235,24 +233,6 @@ def test_mixed_entries_agree_with_fraction_oracles(system):
     x = solve(m, b)
     assert x == dense_solve(columns, b)
     assert x is None or canonical(x)
-
-
-@settings(max_examples=80, deadline=None)
-@given(mixed_systems(), st.lists(mixed_entries, min_size=5, max_size=5))
-def test_reduced_system_gives_the_solution_of_solve(system, coeffs):
-    """One reduction of m serves every right-hand side, and returns the
-    very x of `solve`: the same values, each of the same type."""
-    data, b = system
-    m = SparseMatrix.from_rows(data)
-    reduced = ReducedSystem(m)
-    consistent = m.apply(coeffs[: m.cols])
-    for rhs in (b, consistent, [0] * m.rows):
-        x, want = reduced.solve(rhs), solve(m, rhs)
-        assert x == want
-        assert x is None or [type(v) for v in x] == [type(v) for v in want]
-    assert reduced.solve(consistent) is not None
-    with pytest.raises(ValueError):
-        reduced.solve(b + [0])
 
 
 @settings(max_examples=80, deadline=None)

@@ -166,7 +166,8 @@ def _fresh_s2xs3():
 def _count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
     return calls
 
 
@@ -553,14 +554,6 @@ def test_decisions_equal_the_per_twist_route(pair):
         assert got.difference_in_ideal and got.quotients_isomorphic
 
 
-def _count_calls_by_name(monkeypatch, module, name):
-    calls = []
-    original = getattr(module, name)
-    monkeypatch.setattr(module, name,
-                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
-    return calls
-
-
 _EQUIVALENT_PAIRS = [((1, 2), (F(5, 2), F(7, 2))), ((F(-2, 3), 0), (F(1, 3), 1)),
                      ((0, 0), (3, 3)), ((4, F(1, 5)), (4, F(1, 5)))]
 
@@ -572,8 +565,8 @@ def _decisions_match_the_per_twist_route(monkeypatch, pd):
     import cdga_config.twisted as twisted
 
     square = pd.square
-    quotients = _count_calls_by_name(monkeypatch, twisted, "quotient_dga")
-    models = _count_calls_by_name(monkeypatch, twisted, "build_cxi")
+    quotients = _count_calls(monkeypatch, twisted, "quotient_dga")
+    models = _count_calls(monkeypatch, twisted, "build_cxi")
     counts = []
     for (q, r), (q2, r2) in _EQUIVALENT_PAIRS:
         xi = square.from_label_coeffs({"y⊗xy": q, "xy⊗y": r})
@@ -591,7 +584,7 @@ def test_a_warm_decision_forms_no_quotient_and_builds_no_cxi(monkeypatch):
 
     pd = _fresh_s2xs3()
     system = _equivalence_system(pd)
-    assert cone_model(pd)._equivalence_system is system and system.quotient is not None
+    assert equivalence_ideal(pd).system is system and system.quotient is not None
     assert _decisions_match_the_per_twist_route(monkeypatch, pd) == [(0, 0)] * len(_EQUIVALENT_PAIRS)
     assert _equivalence_system(pd) is system
 
