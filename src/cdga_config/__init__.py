@@ -18,7 +18,6 @@ from .algebra import (
     DGAlgebra,
     Element,
     GradedBasis,
-    betti_table,
     check_cdga,
     cohomology,
 )

@@ -306,9 +306,6 @@ class DGAlgebra:
     def basis_element(self, i: int) -> Element:
         return Element(self, {i: 1})
 
-    def element_from_label(self, label: str) -> Element:
-        return self.basis_element(self.basis.index(label))
-
     def element(self, coeffs: Mapping[int, Scalar]) -> Element:
         return Element(self, coeffs)
 
@@ -487,7 +484,7 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     Entries may be symbolic: a `linalg.RationalFunction` is multiplied by
     D like an int, and the sweep runs over the field of rational
     functions, where a comparison passes only if it holds identically in
-    the symbols (`twisted.GenericModel` checks a whole family this way).
+    the symbols (`twisted.TruncatedCone` checks a whole family this way).
     With only `Scalar` entries every scaled constant is an integer.
     """
     labels = a.basis.labels
@@ -684,11 +681,6 @@ def cohomology(space: DGAlgebra) -> CohomologyReport:
             coboundaries=tuple(to_element(v) for v in cob_rows),
         )
     return CohomologyReport(space, report)
-
-
-def betti_table(space, up_to: Optional[int] = None) -> list[int]:
-    """Betti numbers of the complex underlying `space` as a flat list."""
-    return cohomology(space).betti_vector(up_to)
 
 
 def cocycle_vectors(space: DGAlgebra, k: int) -> list[list[Scalar]]:

@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 from .algebra import DGAlgebra, Element, GradedBasis
 from .errors import ExpressionParseError, ParseError, StructureError
 from .linalg import Scalar, _accumulate, _divide, _exact
-from .poincare import PDAlgebra, check_pd
+from .poincare import PDAlgebra
 
 TENSOR = "⊗"
 
@@ -247,11 +247,6 @@ def _read_json(path: Path):
 def load_algebra_file(path: str | Path) -> tuple[DGAlgebra, int, dict[int, Scalar], dict]:
     path = Path(path)
     return load_algebra_data(_read_json(path), str(path))
-
-
-def load_pd_file(path: str | Path) -> PDAlgebra:
-    algebra, n, epsilon, _ = load_algebra_file(path)
-    return check_pd(algebra, n, epsilon)
 
 
 def dump_pd(pd: PDAlgebra) -> dict:

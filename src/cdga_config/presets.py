@@ -5,14 +5,15 @@ each preset, by name, and the packaged generator table document, parsed
 once, under a key that no preset name reaches. Data derived from a
 preset's algebra hang off it and are shared with it: the tensor square,
 the cone, its truncation with the generic model C(Xi) (every twist at
-once, `twisted.GenericModel`) and the equivalence ideal. The table
+once, `twisted.TruncatedCone`) and the equivalence ideal. The table
 document keeps the two family verdicts of `sullivan.classify_example`,
 which depend on the document alone. Nothing that depends on a value is
 cached: each twist, each C(xi) and each table at given parameter values
 is built afresh. `check_cdga` and the check of the map from the tensor
 square run once per truncation, on C(Xi); each C(xi) gets the entry
 checks of `DGAlgebra.with_square` and an exact check that it is C(Xi) at
-xi (`twisted.build_cxi`), or the full checks of its own when it is not.
+xi (`twisted.TruncatedCone.instance`), or the full checks of its own when
+it is not.
 `_cache.clear()` drops all of it together.
 """
 

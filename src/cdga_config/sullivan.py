@@ -176,7 +176,7 @@ class _TableMemo:
         self.minus_d_of_psi: Optional[list[FreeElt]] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class GeneratorTable:
     """A free extension of the tensor square by finitely many generators,
     truncated at `degree_cap`, together with an evaluation into a twisted
@@ -189,14 +189,11 @@ class GeneratorTable:
     psi(D1 g) - D2(psi g) for each generator g: psi(D g) when the table is
     the source (`_psi_of_d`), -D(psi g) when it is the target
     (`_minus_d_of_psi`). All of it depends only on `base`, `gens`,
-    `differentials` and `degree_cap`. Assigning `differentials` empties
-    the memo but keeps its layout (`_memo.layout`: the monomial text and
-    the unknowns), which depends on the other three alone; assigning any
-    of those empties the layout too. So a table can be rebuilt by assigning
-    a new `differentials` tuple; the dicts inside a tuple are treated as
-    immutable once assigned. The memo is owned by the table and freed with
-    it; tables with one base, generator list and cap can share one layout
-    (`share_layout`).
+    `differentials` and `degree_cap`; its layout (`_memo.layout`: the
+    monomial text and the unknowns) depends on all but `differentials`.
+    The dicts inside `differentials` are treated as immutable. The memo is
+    owned by the table and freed with it; tables with one base, generator
+    list and cap can share one layout (`share_layout`).
     """
 
     base: TensorAlgebra
@@ -208,14 +205,8 @@ class GeneratorTable:
     name: str = ""
     _memo: "_TableMemo" = field(init=False, repr=False, compare=False)
 
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
-        if name in ("base", "gens", "degree_cap"):
-            object.__setattr__(self, "_memo", _TableMemo(_Layout()))
-        elif name == "differentials":
-            object.__setattr__(self, "_memo", _TableMemo(self._memo.layout))
-
     def __post_init__(self):
+        object.__setattr__(self, "_memo", _TableMemo(_Layout()))
         if len(self.differentials) != len(self.gens):
             raise StructureError("one differential per generator is required")
         if self.target is not None and len(self.evaluation) != len(self.gens):

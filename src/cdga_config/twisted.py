@@ -40,69 +40,67 @@ from .poincare import PDAlgebra, diagonal_class
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
 
-@dataclass(frozen=True)
-class GenericModel:
-    """C(Xi), the whole family C(xi) as one model: the truncation with
-    (S1)^2 = sum_t X_t * base_rows[t], with one symbol X_t (of a
-    `linalg.Parameters`) for each basis element e_t of (A (x) A)^(2n-2),
-    so that C(xi) is this model at X_t = xi_t. In even formal dimension
-    the family is {0}: there are no symbols, and the model is C(0).
-
-    `axioms` is the report of `check_cdga` on it. `verified` says that
-    the report passed and that the map from the tensor square given by
-    `base_rows` passed `_verify_algebra_map` into it.
-    """
-
-    algebra: DGAlgebra
-    s1_index: int
-    symbols: tuple[int, ...]
-    axioms: AxiomReport
-    verified: bool
-
-    def covers(self, model: DGAlgebra, xi: Element) -> bool:
-        """Whether `model` is this model at X_t = xi_t, compared exactly:
-        it has the same basis, unit and rows of d, every product row but
-        (S1, S1) is equal to this model's (the same object when both come
-        from `with_square` on the truncation), and its (S1, S1) row is the
-        generic row evaluated at xi."""
-        generic, s1 = self.algebra, self.s1_index
-        rows, generic_rows = model._mult[s1], generic._mult[s1]
-        return (model.basis is generic.basis and model.unit == generic.unit
-                and model._diff == generic._diff
-                and model._mult[:s1] == generic._mult[:s1]
-                and model._mult[s1 + 1:] == generic._mult[s1 + 1:]
-                and rows[:s1] == generic_rows[:s1] and rows[s1 + 1:] == generic_rows[s1 + 1:]
-                and rows[s1] == self.at(generic_rows[s1], xi))
-
-    def at(self, row: Coeffs, xi: Element) -> Coeffs:
-        """`row`, a row of this model or of a quotient built from it, at
-        X_t = xi_t."""
-        point = {k: xi.coeffs.get(t, 0) for k, t in enumerate(self.symbols)}
-        return _accumulate({}, ((k, c.value_at(point) if type(c) is RationalFunction else c)
-                                for k, c in row.items()))
-
-
 @dataclass
 class TruncatedCone:
-    """The cone modulo everything of degree >= 2n-1, with its projection.
+    """The cone modulo everything of degree >= 2n-1, with its projection,
+    and C(Xi), the whole family C(xi) as one model on it.
 
     `base_rows[t]` holds the coefficients, in the truncation's basis, of
     the image of the tensor-square basis element e_t under the inclusion
     into the cone followed by the projection. They do not depend on xi,
     so every C(xi) built on this truncation shares them.
 
-    `generic` is C(Xi), built and checked once per truncation; every
-    C(xi) that is an instance of it takes its report (see `build_cxi`).
+    `generic` is C(Xi): the truncation with (S1)^2 = sum_t X_t *
+    base_rows[t], S1 the basis element `s1_index`, with one symbol X_t
+    (of a `linalg.Parameters`) for each basis element e_t of
+    (A (x) A)^(2n-2), listed in `symbols`, so that C(xi) is this model at
+    X_t = xi_t. In even formal dimension the family is {0}: there are no
+    symbols, and the model is C(0). `axioms` is the report of
+    `check_cdga` on it. `verified` says that the report passed and that
+    the map from the tensor square given by `base_rows` passed
+    `_verify_algebra_map` into it. Every C(xi) that is an instance of it
+    takes its report (see `instance` and `build_cxi`).
     """
 
     cone: MappingCone
     quotient: QuotientDGA
     base_rows: tuple[dict[int, Scalar], ...]
-    generic: GenericModel
+    generic: DGAlgebra
+    s1_index: int
+    symbols: tuple[int, ...]
+    axioms: AxiomReport
+    verified: bool
 
     @property
     def algebra(self) -> DGAlgebra:
         return self.quotient.algebra
+
+    def instance(self, xi: Element) -> tuple[DGAlgebra, bool]:
+        """C(xi), the truncation with (S1)^2 the projection of xi, built on
+        the truncation's shared rows (`DGAlgebra.with_square`), and whether
+        it is the verified C(Xi) at X_t = xi_t. That is compared exactly:
+        C(xi) has C(Xi)'s basis, unit and rows of d, every product row but
+        (S1, S1) is equal to C(Xi)'s (the same object, as both come from
+        `with_square` on the truncation), and its (S1, S1) row is C(Xi)'s
+        evaluated at xi."""
+        name = f"C({'0' if xi.is_zero() else 'xi'}) over {self.cone.pd.algebra.name or 'A'}"
+        generic, s1 = self.generic, self.s1_index
+        model = self.algebra.with_square(
+            s1, self.quotient.project(self.cone.include_base(xi)).coeffs, name=name)
+        rows, generic_rows = model._mult[s1], generic._mult[s1]
+        return model, (self.verified and model.basis is generic.basis
+                       and model.unit == generic.unit and model._diff == generic._diff
+                       and model._mult[:s1] == generic._mult[:s1]
+                       and model._mult[s1 + 1:] == generic._mult[s1 + 1:]
+                       and rows[:s1] == generic_rows[:s1] and rows[s1 + 1:] == generic_rows[s1 + 1:]
+                       and rows[s1] == self.at(generic_rows[s1], xi))
+
+    def at(self, row: Coeffs, xi: Element) -> Coeffs:
+        """`row`, a row of C(Xi) or of a quotient built from it, at
+        X_t = xi_t."""
+        point = {k: xi.coeffs.get(t, 0) for k, t in enumerate(self.symbols)}
+        return _accumulate({}, ((k, c.value_at(point) if type(c) is RationalFunction else c)
+                                for k, c in row.items()))
 
 
 def truncate_cone(cone: MappingCone) -> TruncatedCone:
@@ -111,9 +109,9 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     and S omega).
 
     Verifies the span is an acyclic sub-dg-module and that the projection
-    preserves Betti numbers degreewise, then builds and checks the generic
-    model C(Xi) on it (`GenericModel`). The result is cached on the cone,
-    in `cone._truncation`.
+    preserves Betti numbers degreewise, then builds and checks C(Xi) on it
+    (see `TruncatedCone`). The result is cached on the cone, in
+    `cone._truncation`.
     """
     if cone._truncation is not None:
         return cone._truncation
@@ -136,21 +134,11 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     ring = cone.ring
     base_rows = tuple(quotient.project(cone.include_base(ring.basis_element(t))).coeffs
                       for t in range(ring.dim()))
-    trunc = TruncatedCone(cone, quotient, base_rows, _generic_model(cone, quotient, base_rows))
-    cone._truncation = trunc
-    return trunc
-
-
-def _generic_model(cone: MappingCone, quotient: QuotientDGA,
-                   base_rows: tuple[dict[int, Scalar], ...]) -> GenericModel:
-    """C(Xi) on the truncation `quotient`, with its checks run (see
-    `GenericModel`)."""
-    pd = cone.pd
-    square = pd.square
     try:
         s1_index = quotient.kept.index(cone.susp_to_cone[pd.algebra.unit])
     except ValueError:
         raise StructureError("the suspended unit was truncated away") from None
+    square = pd.square
     symbols = square.basis.degree_indices(2 * pd.n - 2) if pd.n % 2 else ()
     params = Parameters([f"X[{square.basis.labels[t]}]" for t in symbols])
     row = _combine({t: params.symbol(k) for k, t in enumerate(symbols)}, base_rows)
@@ -163,7 +151,9 @@ def _generic_model(cone: MappingCone, quotient: QuotientDGA,
             _verify_algebra_map(square, generic, tuple(Element(generic, r) for r in base_rows))
         except StructureError:
             verified = False
-    return GenericModel(generic, s1_index, symbols, axioms, verified)
+    trunc = TruncatedCone(cone, quotient, base_rows, generic, s1_index, symbols, axioms, verified)
+    cone._truncation = trunc
+    return trunc
 
 
 @dataclass
@@ -207,8 +197,8 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
 
     The result is a CDGA and the map from the tensor square is a CDGA
     morphism. Both are proved once for the whole family, on the generic
-    model C(Xi) of the truncation (`GenericModel`), and per xi by an exact
-    instance check (`GenericModel.covers`). When C(Xi) failed a check or
+    model C(Xi) of the truncation (`TruncatedCone`), and per xi by an exact
+    instance check (`TruncatedCone.instance`). When C(Xi) failed a check or
     the model is not an instance of it, `check_cdga` and
     `_verify_algebra_map` run on this model itself, so a failure raises
     the same `AxiomFailure` or `StructureError`, witness included, as
@@ -243,21 +233,11 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
 
     cone = cone_model(pd)
     trunc = truncate_cone(cone)
-    quotient = trunc.quotient
-    generic = trunc.generic
-    s1_index = generic.s1_index
-
-    xi_projected = quotient.project(cone.include_base(xi))
-
-    twisted = quotient.algebra.with_square(
-        s1_index,
-        xi_projected.coeffs,
-        name=f"C(xi) over {pd.algebra.name or 'A'}" if not xi.is_zero() else f"C(0) over {pd.algebra.name or 'A'}",
-    )
+    twisted, covered = trunc.instance(xi)
     base_images = tuple(Element(twisted, row) for row in trunc.base_rows)
 
-    if generic.verified and generic.covers(twisted, xi):
-        report = generic.axioms
+    if covered:
+        report = trunc.axioms
     else:
         report = check_cdga(twisted)
         if not report.all_pass:
@@ -269,8 +249,8 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
         xi=xi,
         algebra=twisted,
         cone=cone,
-        truncation=quotient,
-        s1_index=s1_index,
+        truncation=trunc.quotient,
+        s1_index=trunc.s1_index,
         base_images=base_images,
         axioms=report,
     )
@@ -577,11 +557,10 @@ def _equivalence_system(pd: PDAlgebra) -> EquivalenceSystem:
     projected = (trunc.quotient.project(Element(ideal.cone.algebra, gen)).coeffs
                  for k in sub.bases for gen in sub._generators(k))
     generators = tuple(g for g in projected if g)
-    generic = trunc.generic
     quotient = None
-    if generic.verified:
+    if trunc.verified:
         try:
-            quotient = _ideal_quotient(generic.algebra, generators)
+            quotient = _ideal_quotient(trunc.generic, generators)
         except StructureError:
             pass
     ideal.system = EquivalenceSystem(SparseMatrix.from_columns(matrix_columns, len(idx_tgt)),
@@ -668,9 +647,8 @@ def _quotients_by_ideal_match(pd: PDAlgebra, equivalence: EquivalenceSystem,
     exactly when C(Xi)/I's (S1, S1) row takes the same value at xi and at
     xi2.
 
-    The premise is checked exactly per xi, as in `GenericModel.covers`:
-    C(xi) is the truncation with (S1)^2 the projection of xi, and that
-    row must equal C(Xi)'s (S1, S1) row at xi. When C(Xi) is not verified,
+    The premise is checked exactly per xi, by the instance check of
+    `build_cxi`, `TruncatedCone.instance`. When C(Xi) is not verified,
     its quotient failed a check, or either instance check fails, both
     quotients are formed per xi, by `_ideal_quotient` on `build_cxi`, and
     compared with `same_structure`.
@@ -688,11 +666,8 @@ def _quotient_square_at(pd: PDAlgebra, quotient: QuotientDGA, xi: Element) -> Op
     """The (S1, S1) row of C(xi)/I, as the row of `quotient`, C(Xi)/I, at
     xi, or None when C(xi) is not C(Xi) at xi."""
     trunc = truncate_cone(cone_model(pd))
-    generic = trunc.generic
-    s1 = generic.s1_index
-    square_row = trunc.quotient.project(trunc.cone.include_base(xi)).coeffs
-    if square_row != generic.at(generic.algebra._mult[s1][s1], xi):
+    if not trunc.instance(xi)[1]:
         return None
     # S1 is kept: no vector spanning I has an S1 coordinate
-    q1 = quotient.kept.index(s1)
-    return generic.at(quotient.algebra._mult[q1][q1], xi)
+    q1 = quotient.kept.index(trunc.s1_index)
+    return trunc.at(quotient.algebra._mult[q1][q1], xi)

@@ -157,7 +157,7 @@ def test_criterion_7_equivalence_ideal(capsys):
     assert isinstance(witness, EquivalentWitness)
     diag = diagonal_class(pd).element
     assert square.multiply(witness.w, diag) + square.d(witness.eta) == xi - xi2
-    y_one = square.tensor_elements(pd.algebra.element_from_label("y"), pd.algebra.one())
+    y_one = square.tensor_elements(pd.algebra.from_label_coeffs({"y": 1}), pd.algebra.one())
     assert xi - xi2 == square.multiply(y_one, diag)
     assert witness.difference_in_ideal and witness.quotients_isomorphic
     with capsys.disabled():

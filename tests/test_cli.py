@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from cdga_config.cli import main
-from cdga_config.io import dump_pd, load_algebra_data, load_algebra_file, load_pd_file
+from cdga_config.io import dump_pd, load_algebra_data, load_algebra_file
 from cdga_config.poincare import check_pd
 from cdga_config.presets import PRESET_NAMES, preset_path
 
@@ -370,7 +370,8 @@ def test_product_s2_s3(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "product", "s2", "s3", "--out", str(out_path))
     assert code == 0
     assert "AGREE" in out
-    pd = load_pd_file(out_path)
+    algebra, n, epsilon, _ = load_algebra_file(out_path)
+    pd = check_pd(algebra, n, epsilon)
     assert pd.n == 5
     # the written file parses into the s2xs3 structure up to labels
     from cdga_config.algebra import same_structure

@@ -121,20 +121,20 @@ def test_parse_element_unicode_and_ascii_tensor(s2xs3):
 def test_parse_element_bare_and_zero(s2xs3):
     alg = s2xs3.algebra
     assert parse_element(alg, "0").is_zero()
-    assert parse_element(alg, "y") == alg.element_from_label("y")
+    assert parse_element(alg, "y") == alg.from_label_coeffs({"y": 1})
     assert parse_element(alg, "3") == alg.one().scale(3)
-    assert parse_element(alg, "x + y - x") == alg.element_from_label("y")
-    assert parse_element(alg, "1/2*y") == alg.element_from_label("y").scale(F(1, 2))
+    assert parse_element(alg, "x + y - x") == alg.from_label_coeffs({"y": 1})
+    assert parse_element(alg, "1/2*y") == alg.from_label_coeffs({"y": 1}).scale(F(1, 2))
 
 
 def test_parse_element_unicode_minus(s2xs3):
     alg = s2xs3.algebra
-    assert parse_element(alg, "−y") == alg.element_from_label("y").scale(-1)
+    assert parse_element(alg, "−y") == alg.from_label_coeffs({"y": 1}).scale(-1)
 
 
 def test_parse_element_coefficient_without_star(s2xs3):
     alg = s2xs3.algebra
-    assert parse_element(alg, "2(y)") == alg.element_from_label("y").scale(2)
+    assert parse_element(alg, "2(y)") == alg.from_label_coeffs({"y": 1}).scale(2)
 
 
 def test_parse_element_errors(s2xs3):

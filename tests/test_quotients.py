@@ -25,15 +25,15 @@ def two_stage_algebra():
 def test_subcomplex_rejects_non_closed_span():
     alg = two_stage_algebra()
     with pytest.raises(StructureError):
-        Subcomplex(alg, [alg.element_from_label("a")])
+        Subcomplex(alg, [alg.from_label_coeffs({"a": 1})])
 
 
 def test_subcomplex_acyclic_two_stage():
     alg = two_stage_algebra()
-    sub = Subcomplex(alg, [alg.element_from_label("a"), alg.element_from_label("b")])
+    sub = Subcomplex(alg, [alg.from_label_coeffs({"a": 1}), alg.from_label_coeffs({"b": 1})])
     assert sub.dims() == {3: 1, 4: 1}
     assert sub.is_acyclic()
-    assert sub.contains(alg.element_from_label("b").scale(F(7, 2)))
+    assert sub.contains(alg.from_label_coeffs({"b": 1}).scale(F(7, 2)))
     assert not sub.contains(alg.one())
 
 

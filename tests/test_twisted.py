@@ -188,8 +188,9 @@ def test_build_cxi_family_report_is_the_numeric_report(name, data):
     xi = square.element({t: data.draw(_COEFFICIENTS)
                          for t in square.basis.degree_indices(2 * pd.n - 2)})
     model = build_cxi(pd, xi)
-    generic = truncate_cone(model.cone).generic
-    assert generic.symbols and generic.verified and generic.covers(model.algebra, xi)
+    trunc = truncate_cone(model.cone)
+    instance, covered = trunc.instance(xi)
+    assert trunc.symbols and trunc.verified and covered and instance._mult == model.algebra._mult
     assert model.axioms == check_cdga(model.algebra)
     _verify_algebra_map(square, model.algebra, model.base_images)
 
@@ -205,7 +206,7 @@ def test_check_cdga_runs_once_per_truncation(monkeypatch):
         model = build_cxi(pd, square.from_label_coeffs({"y⊗xy": q, "xy⊗y": r}))
         assert model.axioms.all_pass
         assert len(checks) == len(maps) == 1
-    assert checks[0][0] is truncate_cone(cone_model(pd)).generic.algebra
+    assert checks[0][0] is truncate_cone(cone_model(pd)).generic
 
 
 def test_a_broken_shared_row_fails_the_family_and_keeps_the_numeric_witness(monkeypatch):
@@ -231,9 +232,9 @@ def test_a_broken_shared_row_fails_the_family_and_keeps_the_numeric_witness(monk
     with pytest.raises(AxiomFailure) as caught:
         build_cxi(pd, xi)
     trunc = truncate_cone(cone_model(pd))
-    assert not trunc.generic.verified and not trunc.generic.axioms.all_pass
+    assert not trunc.verified and not trunc.axioms.all_pass
     square_row = trunc.quotient.project(trunc.cone.include_base(xi)).coeffs
-    numeric = check_cdga(trunc.algebra.with_square(trunc.generic.s1_index, square_row, name="C"))
+    numeric = check_cdga(trunc.algebra.with_square(trunc.s1_index, square_row, name="C"))
     assert not numeric.all_pass and caught.value.report == numeric
 
 
@@ -253,7 +254,7 @@ def test_a_tampered_instance_row_gets_the_numeric_check(monkeypatch):
     monkeypatch.setattr(DGAlgebra, "with_square", tampered)
     xi = pd.square.from_label_coeffs({"y⊗xy": F(-1, 3)})
     model = build_cxi(pd, xi)
-    assert not trunc.generic.covers(model.algebra, xi)
+    assert not trunc.instance(xi)[1]
     assert [args[0] for args in checks] == [model.algebra]
     assert model.axioms == check_cdga(model.algebra) and model.axioms.all_pass
 
@@ -374,7 +375,7 @@ def test_c_of_x_scales_to_cq0(s2xs3):
     from cdga_config.algebra import same_structure
 
     q = F(3)
-    model = c_of_x(s2xs3, s2xs3.algebra.element_from_label("y").scale(q))
+    model = c_of_x(s2xs3, s2xs3.algebra.from_label_coeffs({"y": 1}).scale(q))
     direct = build_cxi(
         s2xs3, s2xs3.square.from_label_coeffs({"y⊗xy": q})
     )
@@ -392,7 +393,7 @@ def test_c_of_x_s3xs4_passes_axioms(s3xs4):
 
 def test_c_of_x_rejects_wrong_degree(s2xs3):
     with pytest.raises(WrongDegree):
-        c_of_x(s2xs3, s2xs3.algebra.element_from_label("x"))
+        c_of_x(s2xs3, s2xs3.algebra.from_label_coeffs({"x": 1}))
 
 
 def test_c_of_x_rejects_non_cocycle():
@@ -411,9 +412,9 @@ def test_c_of_x_rejects_non_cocycle():
     stub = Stub()
     stub.algebra = algebra
     stub.square = tensor(algebra, algebra)
-    stub.omega = algebra.element_from_label("b")
+    stub.omega = algebra.from_label_coeffs({"b": 1})
     with pytest.raises(NotACocycle):
-        c_of_x(stub, algebra.element_from_label("a"))
+        c_of_x(stub, algebra.from_label_coeffs({"a": 1}))
 
 
 # --- the equivalence ideal -----------------------------------------------------------
@@ -425,7 +426,7 @@ def test_equivalence_ideal_s3(s3):
     assert ideal.cocycle_complement == ()
     cone = ideal.cone
     y_y = cone.include_base(s3.square.from_label_coeffs({"y⊗y": F(1)}))
-    s_y = cone.algebra.element_from_label("Sy")
+    s_y = cone.algebra.from_label_coeffs({"Sy": 1})
     assert ideal.contains(y_y)
     assert ideal.contains(s_y)
     assert ideal.subcomplex.is_acyclic()
@@ -474,7 +475,7 @@ def test_decide_diagonal_pair_s2xs3(s2xs3):
     diag_mult = square.multiply(witness.w, __diag(s2xs3))
     assert diag_mult + square.d(witness.eta) == xi - xi2
     # the difference is exactly (y (x) 1) . diag
-    y_one = square.tensor_elements(s2xs3.algebra.element_from_label("y"), s2xs3.algebra.one())
+    y_one = square.tensor_elements(s2xs3.algebra.from_label_coeffs({"y": 1}), s2xs3.algebra.one())
     assert xi - xi2 == square.multiply(y_one, __diag(s2xs3))
     assert witness.difference_in_ideal
     assert witness.quotients_isomorphic
@@ -589,14 +590,33 @@ def test_a_warm_decision_forms_no_quotient_and_builds_no_cxi(monkeypatch):
     assert _equivalence_system(pd) is system
 
 
-def test_an_unverified_generic_model_sends_each_decision_to_the_per_twist_quotients(monkeypatch):
-    import dataclasses
+def test_both_routes_take_one_instance_check_per_twist(monkeypatch):
+    import cdga_config.twisted as twisted
+    from cdga_config.twisted import TruncatedCone, _equivalence_system
 
+    pd = _fresh_s2xs3()
+    square = pd.square
+    instances = _count_calls(monkeypatch, TruncatedCone, "instance")
+    twist = lambda q, r: square.from_label_coeffs({"y⊗xy": q, "xy⊗y": r})
+    for k, (q, r) in enumerate([(1, 0), (F(-2, 3), 5), (0, 0)], start=1):
+        build_cxi(pd, twist(q, r))
+        assert len(instances) == k
+    _equivalence_system(pd)
+    models = _count_calls(monkeypatch, twisted, "build_cxi")
+    for (q, r), (q2, r2) in _EQUIVALENT_PAIRS:
+        xi, xi2 = twist(q, r), twist(q2, r2)
+        before = len(instances)
+        decide_xi_equivalence(pd, xi, xi2)
+        assert [args[1] for args in instances[before:]] == [xi, xi2]
+    assert models == []
+
+
+def test_an_unverified_generic_model_sends_each_decision_to_the_per_twist_quotients(monkeypatch):
     from cdga_config.twisted import _equivalence_system
 
     pd = _fresh_s2xs3()
     trunc = truncate_cone(cone_model(pd))
-    trunc.generic = dataclasses.replace(trunc.generic, verified=False)
+    trunc.verified = False
     assert _equivalence_system(pd).quotient is None
     assert _decisions_match_the_per_twist_route(monkeypatch, pd) == [(2, 2)] * len(_EQUIVALENT_PAIRS)
 
@@ -604,17 +624,13 @@ def test_an_unverified_generic_model_sends_each_decision_to_the_per_twist_quotie
 def test_a_failing_instance_check_sends_the_decision_to_the_per_twist_quotients(monkeypatch):
     """C(Xi) with (S1)^2 = 2 sum_t X_t e_t: its quotient passes, but no
     C(xi) with a nonzero (S1)^2 is an instance of it."""
-    import dataclasses
-
     from cdga_config.twisted import _equivalence_system
 
     pd = _fresh_s2xs3()
     trunc = truncate_cone(cone_model(pd))
-    generic = trunc.generic
-    s1 = generic.s1_index
-    doubled = {k: 2 * c for k, c in generic.algebra._mult[s1][s1].items()}
-    trunc.generic = dataclasses.replace(generic, algebra=trunc.algebra.with_square(
-        s1, doubled, name=generic.algebra.name))
+    s1 = trunc.s1_index
+    doubled = {k: 2 * c for k, c in trunc.generic._mult[s1][s1].items()}
+    trunc.generic = trunc.algebra.with_square(s1, doubled, name=trunc.generic.name)
     assert _equivalence_system(pd).quotient is not None
     # every pair holds a twist with a nonzero (S1)^2
     assert _decisions_match_the_per_twist_route(monkeypatch, pd) == [(2, 2)] * len(_EQUIVALENT_PAIRS)
