@@ -24,7 +24,7 @@ from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
-from .linalg import (Scalar, SparseMatrix, _accumulate, _combine, _exact, _pivots, _reduce,
+from .linalg import (Scalar, SparseMatrix, _accumulate, _combine, _exact, _residues,
                      kernel_basis, row_space_basis)
 
 Coeffs = dict[int, Scalar]
@@ -668,8 +668,13 @@ def cohomology(space: DGAlgebra) -> CohomologyReport:
         # coboundaries: the span of the columns of the incoming block;
         # cocycles: the kernel of the outgoing one
         cob_rows = row_space_basis(incoming.transpose().dense_rows(), dim)
-        pivots = _pivots(cob_rows)
-        reduced = [_reduce(cob_rows, pivots, v) for v in kernel_basis(outgoing)]
+        residues = _residues(cob_rows, range(dim))
+        reduced = []
+        for v in kernel_basis(outgoing):
+            # the off-pivot part plus each pivot entry times its residue
+            rep = _combine({p: v[p] for p in residues if v[p]}, residues,
+                           {c: x for c, x in enumerate(v) if x and c not in residues})
+            reduced.append([rep.get(c, 0) for c in range(dim)])
         rep_rows = row_space_basis([r for r in reduced if any(r)], dim)
 
         def to_element(vec: list[Scalar]) -> Element:

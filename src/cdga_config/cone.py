@@ -37,6 +37,13 @@ class MappingCone:
 
     `algebra` is the cone itself; `ring_to_cone[i]` and `susp_to_cone[b]`
     locate the R-part and the suspended part inside the cone basis.
+
+    Two caches hang off the cone: `_truncation`, the `TruncatedCone` that
+    `twisted.truncate_cone` builds, and `_equivalence_ideal`, the
+    `EquivalenceIdeal` that `twisted.equivalence_ideal` builds. Both are
+    frozen. The ideal is the one owner of what deciding twists needs: the
+    system matrix, I's generators projected into the truncation and
+    C(Xi)/I, with the truncation they were formed on.
     """
 
     def __init__(self, f: ModuleMap, suspension_labels: Optional[Sequence[str]] = None,

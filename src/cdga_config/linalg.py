@@ -305,39 +305,18 @@ def row_space_basis(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> li
     return rows[: len(pivots)]
 
 
-def _pivots(rows: Sequence[Sequence[Scalar]]) -> list[int]:
-    """Pivot column of each rref row: the position of its first nonzero
-    entry."""
-    return [next(c for c, v in enumerate(row) if v) for row in rows]
-
-
-def _reduce(rows: Sequence[Sequence[Scalar]], pivots: Sequence[int],
-            vec: Sequence[Scalar]) -> list[Scalar]:
-    """Canonical representative of vec modulo the span of the rref `rows`
-    with the given pivots: the unique one that is zero at every pivot.
-    Each pivot column is zero in the other rows, so one pass suffices."""
-    out = list(vec)
-    for row, p in zip(rows, pivots):
-        coeff = out[p]
-        if coeff:
-            out = [a - coeff * b for a, b in zip(out, row)]
-    return [_exact(v) for v in out]
-
-
-def _projection(rows: Sequence[Sequence[Scalar]], pivots: Sequence[int], dim: int
-                ) -> tuple[list[int], SparseMatrix]:
-    """The non-pivot coordinates of the rref `rows`, in increasing order,
-    and the matrix of `_reduce` read off at those coordinates: it vanishes
-    exactly on the row space and is the identity on the kept coordinates."""
-    pivot_set = set(pivots)
-    keep = [j for j in range(dim) if j not in pivot_set]
-    data = {}
-    for q, j in enumerate(keep):
-        data[(q, j)] = 1
-        for row, p in zip(rows, pivots):
-            if row[j]:
-                data[(q, p)] = -row[j]
-    return keep, SparseMatrix(len(keep), dim, data)
+def _residues(rows: Sequence[Sequence[Scalar]], keys: Sequence) -> dict:
+    """The residue table of the rref `rows`, whose columns are named by
+    `keys`: each pivot's key maps to minus the rest of its row. That is
+    the canonical representative of the pivot's basis vector modulo the
+    row space, the unique one that is zero at every pivot, as every other
+    pivot column of an rref row is zero. Every other key is its own
+    representative."""
+    out = {}
+    for row in rows:
+        p = next(c for c, v in enumerate(row) if v)
+        out[keys[p]] = {keys[c]: -v for c, v in enumerate(row) if v and c != p}
+    return out
 
 
 def quotient_data(
@@ -350,10 +329,15 @@ def quotient_data(
     is reproducible. The projection matrix vanishes exactly on the subspace
     span and restricts to the identity on the representatives.
     """
-    reduced = row_space_basis(subspace, ambient_dim)
-    keep, projection = _projection(reduced, _pivots(reduced), ambient_dim)
+    residues = _residues(row_space_basis(subspace, ambient_dim), range(ambient_dim))
+    keep = [j for j in range(ambient_dim) if j not in residues]
+    position = {j: q for q, j in enumerate(keep)}
+    data = {(q, j): 1 for q, j in enumerate(keep)}
+    for p, residue in residues.items():
+        for j, v in residue.items():
+            data[(position[j], p)] = v
     reps = [[1 if i == j else 0 for i in range(ambient_dim)] for j in keep]
-    return reps, projection
+    return reps, SparseMatrix(len(keep), ambient_dim, data)
 
 
 def betti_numbers(

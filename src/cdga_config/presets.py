@@ -5,7 +5,9 @@ each preset, by name, and the packaged generator table document, parsed
 once, under a key that no preset name reaches. Data derived from a
 preset's algebra hang off it and are shared with it: the tensor square,
 the cone, its truncation with the generic model C(Xi) (every twist at
-once, `twisted.TruncatedCone`) and the equivalence ideal. The table
+once, `twisted.TruncatedCone`) and the equivalence ideal, the one owner
+of the system matrix, the projected generators and C(Xi)/I
+(`twisted.EquivalenceIdeal`). The table
 document keeps the two family verdicts of `sullivan.classify_example`,
 which depend on the document alone. Nothing that depends on a value is
 cached: each twist, each C(xi) and each table at given parameter values

@@ -201,15 +201,13 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
     """
     from .poincare import diagonal_class
     from .quotients import ideal_span, quotient_dga
+    from .twisted import quotient_by_diagonal
 
     if _is_unit_algebra(c.algebra) or _is_unit_algebra(b.algebra):
         # a unit factor makes the shuffle the identity; both quotient
         # models are literally the quotient of the surviving factor
         survivor = b if _is_unit_algebra(c.algebra) else c
-        sq = survivor.square
-        q = quotient_dga(sq, ideal_span(sq, [diagonal_class(survivor).element]),
-                         name="square/(diag)")
-        betti = q.betti(sq.basis.max_degree())
+        betti = quotient_by_diagonal(survivor).betti(survivor.square.basis.max_degree())
         return CorrespondenceReport(
             sign=1,
             shuffle_multiplicative=True,
@@ -262,8 +260,7 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
 
     q_factors = quotient_dga(
         cc_bb, ideal_span(cc_bb, [tensor_of_diagonals]), name="factor-square/(diag)")
-    q_product = quotient_dga(
-        aa, ideal_span(aa, [diag_a]), name="product-square/(diag)")
+    q_product = quotient_by_diagonal(a)
     top = aa.basis.max_degree()
     return CorrespondenceReport(
         sign=sign,

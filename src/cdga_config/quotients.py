@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .algebra import Coeffs, DGAlgebra, Element, GradedBasis, cohomology
 from .errors import StructureError
-from .linalg import Scalar, SparseMatrix, _combine, _pivots, betti_numbers, row_space_basis
+from .linalg import Scalar, SparseMatrix, _combine, _residues, betti_numbers, row_space_basis
 
 
 def _by_degree(coeffs: Coeffs, degrees: Sequence[int]) -> dict[int, Coeffs]:
@@ -59,12 +59,10 @@ class Subcomplex:
             rows = row_space_basis(vecs, len(idx))
             if rows:
                 self.bases[k] = rows
-                self._pivots[k] = _pivots(rows)
-                # every other pivot column of an rref row is zero, so a
-                # pivot's residue lies on the non-pivot coordinates
-                for row, p in zip(rows, self._pivots[k]):
-                    pivot = idx[p]
-                    self._residue[pivot] = {i: -v for i, v in zip(idx, row) if v and i != pivot}
+                residues = _residues(rows, idx)
+                self._pivots[k] = list(residues)
+                for pivot, residue in residues.items():
+                    self._residue[pivot] = residue
         self._diff_blocks: dict[int, SparseMatrix] = {}
         self._verify_closed()
 
@@ -81,8 +79,7 @@ class Subcomplex:
         degree k+1 rows are then its entries at their pivots."""
         amb = self.ambient
         for k in self.bases:
-            target = amb.basis.degree_indices(k + 1)
-            target = [target[p] for p in self._pivots.get(k + 1, [])]
+            target = self._pivots.get(k + 1, [])
             cols = []
             for gen in self._generators(k):
                 image = amb.d_coeffs(gen)

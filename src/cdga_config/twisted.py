@@ -11,7 +11,7 @@ nonzero xi is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -40,7 +40,7 @@ from .poincare import PDAlgebra, diagonal_class
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruncatedCone:
     """The cone modulo everything of degree >= 2n-1, with its projection,
     and C(Xi), the whole family C(xi) as one model on it.
@@ -392,10 +392,23 @@ def c_of_x(pd: PDAlgebra, x: Element) -> TwistedModel:
 # --- the equivalence ideal --------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivalenceIdeal:
-    """The acyclic differential ideal S + dS + (diag)^(>n) + S(A^+) inside
-    the cone, used to compare twisted models."""
+    """The acyclic differential ideal I = S + dS + (diag)^(>n) + S(A^+)
+    inside the cone, and everything else deciding two twists needs. None
+    of it depends on the twists; `equivalence_ideal` builds it all at once.
+
+    `truncation` is the cone's truncation, with C(Xi), that the rest is
+    formed on. `matrix` is [z . diag | d e_i] over (A (x) A)^(2n-2), with
+    one column per cocycle z of degree n-2 and one per basis element e_i
+    of degree 2n-3. `columns` names, per column, the part of the witness
+    its coefficient scales ("diag" for w, "exact" for eta) and the element
+    it scales. `generators` are the rref rows of I projected into the
+    truncation, the zero ones dropped. `quotient` is C(Xi)/I, the quotient
+    of the truncation's generic model by them. It is None when C(Xi) is
+    not verified or its quotient failed a check; every comparison then
+    takes the per-xi route (`_quotients_by_ideal_match`).
+    """
 
     cone: MappingCone
     subcomplex: Subcomplex
@@ -403,9 +416,11 @@ class EquivalenceIdeal:
     complement_images: tuple[Element, ...]    # d(S)
     diagonal_multiples: tuple[Element, ...]   # (a (x) b) diag for positive a (x) b
     positive_suspensions: tuple[Element, ...] # S a for a of positive degree
-    # what deciding twists needs beside the ideal, filled by `_equivalence_system`
-    system: Optional[EquivalenceSystem] = field(default=None, init=False, repr=False,
-                                                compare=False)
+    truncation: TruncatedCone
+    matrix: SparseMatrix
+    columns: tuple[tuple[str, Element], ...]
+    generators: tuple[Coeffs, ...]
+    quotient: Optional[QuotientDGA]
 
     def contains(self, elem: Element) -> bool:
         return self.subcomplex.contains(elem)
@@ -415,7 +430,8 @@ class EquivalenceIdeal:
 
 
 def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
-    """Construct and verify the equivalence ideal.
+    """Construct and verify the equivalence ideal, with the system matrix,
+    the projected generators and C(Xi)/I (see `EquivalenceIdeal`).
 
     S is the rref-pivot complement of the cocycles in (A (x) A)^(2n-3),
     deterministic by construction; the ideal is verified closed under the
@@ -469,6 +485,29 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
         raise StructureError("equivalence ideal is not closed under multiplication")
     if not sub.is_acyclic():
         raise StructureError("equivalence ideal is not acyclic")
+
+    idx_tgt = square.basis.degree_indices(2 * n - 2)
+    matrix_columns: list[list[Scalar]] = []
+    columns: list[tuple[str, Element]] = []
+    idx_mid = square.basis.degree_indices(n - 2)
+    for vec in cocycle_vectors(square, n - 2):
+        z = Element(square, {i: c for i, c in zip(idx_mid, vec) if c})
+        matrix_columns.append(square.multiply(z, diag).vector(idx_tgt))
+        columns.append(("diag", z))
+    for i in idx_s:
+        matrix_columns.append(square.d(square.basis_element(i)).vector(idx_tgt))
+        columns.append(("exact", square.basis_element(i)))
+
+    trunc = truncate_cone(cone)
+    projected = (trunc.quotient.project(Element(alg, gen)).coeffs
+                 for k in sub.bases for gen in sub._generators(k))
+    generators = tuple(g for g in projected if g)
+    quotient = None
+    if trunc.verified:
+        try:
+            quotient = _ideal_quotient(trunc.generic, generators)
+        except StructureError:
+            pass
     cone._equivalence_ideal = EquivalenceIdeal(
         cone=cone,
         subcomplex=sub,
@@ -476,6 +515,11 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
         complement_images=complement_images,
         diagonal_multiples=tuple(cone.include_base(m) for m in diagonal_multiples),
         positive_suspensions=tuple(positive_suspensions),
+        truncation=trunc,
+        matrix=SparseMatrix.from_columns(matrix_columns, len(idx_tgt)),
+        columns=tuple(columns),
+        generators=generators,
+        quotient=quotient,
     )
     return cone._equivalence_ideal
 
@@ -506,68 +550,6 @@ class NotDecidedHere:
     reason: str
 
 
-@dataclass(frozen=True)
-class EquivalenceSystem:
-    """What deciding two twists needs beside the equivalence ideal and
-    does not depend on them, built once per cone and cached in the
-    ideal's `system` field.
-
-    `matrix` is [z . diag | d e_i] over (A (x) A)^(2n-2), with one column
-    per cocycle z of degree n-2 and one per basis element e_i of degree
-    2n-3. `columns` names, per column, the part of the witness its
-    coefficient scales ("diag" for w, "exact" for eta) and the element it
-    scales. `generators` are the rref rows of the equivalence ideal I
-    projected into the truncation, the zero ones dropped. `quotient` is
-    C(Xi)/I, the quotient of the truncation's generic model by them. It
-    is None when C(Xi) is not verified or its quotient failed a check;
-    every comparison then takes the per-xi route
-    (`_quotients_by_ideal_match`).
-    """
-
-    matrix: SparseMatrix
-    columns: tuple[tuple[str, Element], ...]
-    generators: tuple[Coeffs, ...]
-    quotient: Optional[QuotientDGA]
-
-
-def _equivalence_system(pd: PDAlgebra) -> EquivalenceSystem:
-    """The `EquivalenceSystem` of `pd`, built on the first call for its
-    cone. `equivalence_ideal` checks the preconditions first."""
-    ideal = equivalence_ideal(pd)
-    if ideal.system is not None:
-        return ideal.system
-    square = pd.square
-    n = pd.n
-    idx_tgt = square.basis.degree_indices(2 * n - 2)
-    diag = diagonal_class(pd).element
-
-    matrix_columns: list[list[Scalar]] = []
-    columns: list[tuple[str, Element]] = []
-    idx_mid = square.basis.degree_indices(n - 2)
-    for vec in cocycle_vectors(square, n - 2):
-        z = Element(square, {i: c for i, c in zip(idx_mid, vec) if c})
-        matrix_columns.append(square.multiply(z, diag).vector(idx_tgt))
-        columns.append(("diag", z))
-    for i in square.basis.degree_indices(2 * n - 3):
-        matrix_columns.append(square.d(square.basis_element(i)).vector(idx_tgt))
-        columns.append(("exact", square.basis_element(i)))
-
-    trunc = truncate_cone(ideal.cone)
-    sub = ideal.subcomplex
-    projected = (trunc.quotient.project(Element(ideal.cone.algebra, gen)).coeffs
-                 for k in sub.bases for gen in sub._generators(k))
-    generators = tuple(g for g in projected if g)
-    quotient = None
-    if trunc.verified:
-        try:
-            quotient = _ideal_quotient(trunc.generic, generators)
-        except StructureError:
-            pass
-    ideal.system = EquivalenceSystem(SparseMatrix.from_columns(matrix_columns, len(idx_tgt)),
-                                     tuple(columns), generators, quotient)
-    return ideal.system
-
-
 def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
     """Decide whether [xi] = [xi2] in H^(2n-2)(A (x) A)/(diagonal classes).
 
@@ -575,10 +557,11 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
     NotDecidedHere otherwise. After the twists, the preconditions of
     `equivalence_ideal` are checked (odd formal dimension, a 1-connected
     algebra), before any solve, so every pair of twists on one algebra
-    meets the same checks. The system's matrix and C(Xi)/I are kept
-    beside the ideal (`EquivalenceSystem`); a decision solves the matrix
-    for xi - xi2, verifies the decomposition, and compares two rows of
-    C(Xi)/I evaluated at xi and at xi2 (`_quotients_by_ideal_match`).
+    meets the same checks. The ideal, fetched once, owns the system's
+    matrix, the projected generators and C(Xi)/I (`EquivalenceIdeal`); a
+    decision solves the matrix for xi - xi2, verifies the decomposition,
+    and compares two rows of C(Xi)/I evaluated at xi and at xi2
+    (`_quotients_by_ideal_match`).
     """
     square = pd.square
     want = 2 * pd.n - 2
@@ -590,9 +573,9 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
         if not square.d(elem).is_zero():
             raise NotACocycle(f"d({name}) != 0")
 
-    equivalence = _equivalence_system(pd)
+    ideal = equivalence_ideal(pd)
     difference = xi - xi2
-    coeffs = solve(equivalence.matrix, difference.vector(square.basis.degree_indices(want)))
+    coeffs = solve(ideal.matrix, difference.vector(square.basis.degree_indices(want)))
     if coeffs is None:
         return NotDecidedHere(
             "the twists define different classes modulo the diagonal ideal"
@@ -600,7 +583,7 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
 
     w = square.zero()
     eta = square.zero()
-    for c, (kind, elem) in zip(coeffs, equivalence.columns):
+    for c, (kind, elem) in zip(coeffs, ideal.columns):
         if not c:
             continue
         if kind == "diag":
@@ -610,10 +593,8 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
     if square.multiply(w, diagonal_class(pd).element) + square.d(eta) != difference:
         raise StructureError("decomposition verification failed")
 
-    ideal = equivalence_ideal(pd)
     in_ideal = ideal.contains(ideal.cone.include_base(difference))
-
-    iso = _quotients_by_ideal_match(pd, equivalence, xi, xi2)
+    iso = _quotients_by_ideal_match(pd, ideal, xi, xi2)
     return EquivalentWitness(w=w, eta=eta, difference_in_ideal=in_ideal,
                              quotients_isomorphic=iso)
 
@@ -625,7 +606,7 @@ def _ideal_quotient(model: DGAlgebra, generators: Sequence[Coeffs]) -> QuotientD
     return quotient_dga(model, [Element(model, g) for g in generators], name=f"{model.name}/I")
 
 
-def _quotients_by_ideal_match(pd: PDAlgebra, equivalence: EquivalenceSystem,
+def _quotients_by_ideal_match(pd: PDAlgebra, ideal: EquivalenceIdeal,
                               xi: Element, xi2: Element) -> bool:
     """Whether C(xi)/I and C(xi2)/I have the same structure constants on
     the basis they share: the truncation's basis modulo the generators of
@@ -648,24 +629,26 @@ def _quotients_by_ideal_match(pd: PDAlgebra, equivalence: EquivalenceSystem,
     xi2.
 
     The premise is checked exactly per xi, by the instance check of
-    `build_cxi`, `TruncatedCone.instance`. When C(Xi) is not verified,
+    `build_cxi`, `TruncatedCone.instance`, on the truncation that C(Xi)/I
+    was formed on (`ideal.truncation`). When C(Xi) is not verified,
     its quotient failed a check, or either instance check fails, both
     quotients are formed per xi, by `_ideal_quotient` on `build_cxi`, and
     compared with `same_structure`.
     """
-    if equivalence.quotient is not None:
-        rows = [_quotient_square_at(pd, equivalence.quotient, twist) for twist in (xi, xi2)]
+    if ideal.quotient is not None:
+        rows = [_quotient_square_at(ideal, twist) for twist in (xi, xi2)]
         if None not in rows:
             return rows[0] == rows[1]
-    quotients = [_ideal_quotient(build_cxi(pd, twist).algebra, equivalence.generators).algebra
+    quotients = [_ideal_quotient(build_cxi(pd, twist).algebra, ideal.generators).algebra
                  for twist in (xi, xi2)]
     return same_structure(quotients[0], quotients[1])
 
 
-def _quotient_square_at(pd: PDAlgebra, quotient: QuotientDGA, xi: Element) -> Optional[Coeffs]:
-    """The (S1, S1) row of C(xi)/I, as the row of `quotient`, C(Xi)/I, at
-    xi, or None when C(xi) is not C(Xi) at xi."""
-    trunc = truncate_cone(cone_model(pd))
+def _quotient_square_at(ideal: EquivalenceIdeal, xi: Element) -> Optional[Coeffs]:
+    """The (S1, S1) row of C(xi)/I, as the row of the ideal's C(Xi)/I at
+    xi, or None when C(xi) is not, at xi, the C(Xi) that C(Xi)/I was
+    formed on."""
+    trunc, quotient = ideal.truncation, ideal.quotient
     if not trunc.instance(xi)[1]:
         return None
     # S1 is kept: no vector spanning I has an S1 coordinate

@@ -76,6 +76,36 @@ def test_json_report_matches_golden(name, argv, status, capsys, tmp_path, monkey
         assert written == files[1].read_text(encoding="utf-8")
 
 
+CXI_CASES = [case for case in CASES if case[0].startswith("cxi_")]
+
+
+@pytest.mark.parametrize("name, argv, status", CXI_CASES, ids=[c[0] for c in CXI_CASES])
+def test_cxi_report_is_golden_when_the_generic_model_fails(name, argv, status, capsys,
+                                                           tmp_path, monkeypatch):
+    """With C(Xi) reported failing, `build_cxi` takes its fallback: each
+    C(xi) gets `check_cdga` and the map check of its own, and the report
+    of `cli.main` is still the golden one."""
+    import cdga_config.twisted as twisted
+    from cdga_config import presets
+    from cdga_config.algebra import AxiomCheck, AxiomReport
+
+    monkeypatch.setattr(presets, "_cache", {})
+    real = twisted.check_cdga
+    checked = []
+
+    def check_cdga(algebra):
+        if algebra.name.startswith("C(Xi) "):
+            return AxiomReport((AxiomCheck("associativity", False, "forced"),))
+        checked.append(algebra.name.split(" over ")[0])
+        return real(algebra)
+
+    monkeypatch.setattr(twisted, "check_cdga", check_cdga)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--json"]) == status
+    assert _normalise(capsys.readouterr().out) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    assert checked == ([] if status else ["C(0)" if "--xi=0" in argv else "C(xi)"])
+
+
 def _write_goldens() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, status in CASES:

@@ -1,5 +1,6 @@
 import functools
 import random
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
 
 import pytest
@@ -450,9 +451,10 @@ def test_equivalence_ideal_is_cached_on_the_cone(monkeypatch):
     monkeypatch.setattr(Subcomplex, "closed_under_multiplication",
                         lambda sub: checks.append(sub) or original(sub))
     ideal = equivalence_ideal(pd)
-    assert len(checks) == 1 and cone_model(pd)._equivalence_ideal is ideal
+    first = len(checks)
+    assert first and cone_model(pd)._equivalence_ideal is ideal
     assert equivalence_ideal(pd) is ideal
-    assert len(checks) == 1
+    assert len(checks) == first
 
 
 # --- deciding equivalence --------------------------------------------------------------
@@ -539,7 +541,7 @@ def test_decisions_equal_the_per_twist_route(pair):
     """Each decision, certificate included, is the one of the per-twist
     route that solves its own system and forms both C(xi)/I afresh; on a
     pair of different classes the quotient comparison is that route's too."""
-    from cdga_config.twisted import _equivalence_system, _quotients_by_ideal_match
+    from cdga_config.twisted import _quotients_by_ideal_match
 
     pd = preset_pd("s2xs3")
     xi, xi2, different = pair
@@ -547,7 +549,7 @@ def test_decisions_equal_the_per_twist_route(pair):
     want = oracle_decide_xi_equivalence(pd, xi, xi2)
     if want is None:
         assert isinstance(got, NotDecidedHere) and different
-        match = _quotients_by_ideal_match(pd, _equivalence_system(pd), xi, xi2)
+        match = _quotients_by_ideal_match(pd, equivalence_ideal(pd), xi, xi2)
         assert match is oracle_quotients_match(pd, xi, xi2) is False
     else:
         assert isinstance(got, EquivalentWitness) and not different
@@ -581,18 +583,16 @@ def _decisions_match_the_per_twist_route(monkeypatch, pd):
 
 
 def test_a_warm_decision_forms_no_quotient_and_builds_no_cxi(monkeypatch):
-    from cdga_config.twisted import _equivalence_system
-
     pd = _fresh_s2xs3()
-    system = _equivalence_system(pd)
-    assert equivalence_ideal(pd).system is system and system.quotient is not None
+    ideal = equivalence_ideal(pd)
+    assert ideal.quotient is not None and ideal.truncation is truncate_cone(cone_model(pd))
     assert _decisions_match_the_per_twist_route(monkeypatch, pd) == [(0, 0)] * len(_EQUIVALENT_PAIRS)
-    assert _equivalence_system(pd) is system
+    assert equivalence_ideal(pd) is ideal
 
 
 def test_both_routes_take_one_instance_check_per_twist(monkeypatch):
     import cdga_config.twisted as twisted
-    from cdga_config.twisted import TruncatedCone, _equivalence_system
+    from cdga_config.twisted import TruncatedCone
 
     pd = _fresh_s2xs3()
     square = pd.square
@@ -601,7 +601,7 @@ def test_both_routes_take_one_instance_check_per_twist(monkeypatch):
     for k, (q, r) in enumerate([(1, 0), (F(-2, 3), 5), (0, 0)], start=1):
         build_cxi(pd, twist(q, r))
         assert len(instances) == k
-    _equivalence_system(pd)
+    equivalence_ideal(pd)
     models = _count_calls(monkeypatch, twisted, "build_cxi")
     for (q, r), (q2, r2) in _EQUIVALENT_PAIRS:
         xi, xi2 = twist(q, r), twist(q2, r2)
@@ -612,28 +612,55 @@ def test_both_routes_take_one_instance_check_per_twist(monkeypatch):
 
 
 def test_an_unverified_generic_model_sends_each_decision_to_the_per_twist_quotients(monkeypatch):
-    from cdga_config.twisted import _equivalence_system
-
     pd = _fresh_s2xs3()
-    trunc = truncate_cone(cone_model(pd))
-    trunc.verified = False
-    assert _equivalence_system(pd).quotient is None
+    cone = cone_model(pd)
+    cone._truncation = replace(truncate_cone(cone), verified=False)
+    assert equivalence_ideal(pd).quotient is None
     assert _decisions_match_the_per_twist_route(monkeypatch, pd) == [(2, 2)] * len(_EQUIVALENT_PAIRS)
+
+
+def _doubled(trunc):
+    """`trunc` with C(Xi) replaced by the truncation with
+    (S1)^2 = 2 sum_t X_t e_t."""
+    s1 = trunc.s1_index
+    doubled = {k: 2 * c for k, c in trunc.generic._mult[s1][s1].items()}
+    return replace(trunc, generic=trunc.algebra.with_square(s1, doubled, name=trunc.generic.name))
 
 
 def test_a_failing_instance_check_sends_the_decision_to_the_per_twist_quotients(monkeypatch):
     """C(Xi) with (S1)^2 = 2 sum_t X_t e_t: its quotient passes, but no
     C(xi) with a nonzero (S1)^2 is an instance of it."""
-    from cdga_config.twisted import _equivalence_system
-
     pd = _fresh_s2xs3()
-    trunc = truncate_cone(cone_model(pd))
-    s1 = trunc.s1_index
-    doubled = {k: 2 * c for k, c in trunc.generic._mult[s1][s1].items()}
-    trunc.generic = trunc.algebra.with_square(s1, doubled, name=trunc.generic.name)
-    assert _equivalence_system(pd).quotient is not None
+    cone = cone_model(pd)
+    cone._truncation = _doubled(truncate_cone(cone))
+    assert equivalence_ideal(pd).quotient is not None
     # every pair holds a twist with a nonzero (S1)^2
     assert _decisions_match_the_per_twist_route(monkeypatch, pd) == [(2, 2)] * len(_EQUIVALENT_PAIRS)
+
+
+def test_later_decisions_keep_the_truncation_the_ideal_was_formed_on(monkeypatch):
+    """A truncation stored on the cone after the first decision does not
+    reach the next ones: the ideal owns the C(Xi) that C(Xi)/I was formed
+    on, so each twist is still an instance of it."""
+    pd = _fresh_s2xs3()
+    square = pd.square
+    decide_xi_equivalence(pd, square.from_label_coeffs({"y⊗xy": 5, "xy⊗y": -2}),
+                          square.from_label_coeffs({"y⊗xy": 6, "xy⊗y": -1}))
+    cone = cone_model(pd)
+    cone._truncation = _doubled(truncate_cone(cone))
+    assert equivalence_ideal(pd).truncation is not cone._truncation
+    assert _decisions_match_the_per_twist_route(monkeypatch, pd) == [(0, 0)] * len(_EQUIVALENT_PAIRS)
+
+
+def test_the_truncation_and_the_equivalence_ideal_are_frozen(s2xs3):
+    ideal = equivalence_ideal(s2xs3)
+    with pytest.raises(FrozenInstanceError):
+        ideal.truncation.verified = False
+    with pytest.raises(FrozenInstanceError):
+        ideal.truncation.generic = ideal.truncation.algebra
+    with pytest.raises(FrozenInstanceError):
+        ideal.quotient = None
+    assert ideal.truncation.verified and ideal.quotient is not None
 
 
 def test_decide_rejects_wrong_degree(s2xs3):
