@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
@@ -468,24 +466,10 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
       unit factor then has both sides equal to d(e_j) or d(e_i), so it is
       not evaluated. Otherwise every pair in range is evaluated.
 
-    The checks run on scaled tables: every structure constant is
-    multiplied by the lcm D of the denominators of the `Fraction`
-    constants, and every entry of d by the lcm E of the denominators of
-    its `Fraction` entries; when D = 1 the product table is the algebra's
-    own `_mult`, read without a copy. Each axiom is homogeneous in these
-    tables: the unit and graded commutativity are linear in the products
-    (the unit row is compared with D), associativity is of degree 2 in the
-    products, d squared of degree 2 in d, and the Leibniz rule of degree 1
-    in each. So both sides of each comparison are the unscaled ones times
-    the same nonzero factor, and every verdict and witness tuple is the
-    unscaled sweep's. The d squared witness prints the element recomputed
-    from the unscaled rows.
-
-    Entries may be symbolic: a `linalg.RationalFunction` is multiplied by
-    D like an int, and the sweep runs over the field of rational
-    functions, where a comparison passes only if it holds identically in
-    the symbols (`twisted.TruncatedCone` checks a whole family this way).
-    With only `Scalar` entries every scaled constant is an integer.
+    Entries may be symbolic: with a `linalg.RationalFunction` entry the
+    sweep runs over the field of rational functions, where a comparison
+    passes only if it holds identically in the symbols
+    (`twisted.TruncatedCone` checks a whole family this way).
     """
     labels = a.basis.labels
     degs = a.basis.degrees
@@ -493,35 +477,10 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     top = a.basis.max_degree()
     checks = []
 
-    def to_integers(rows):
-        """The rows times the lcm of the denominators of their `Fraction`
-        entries, and that lcm; rows without a `Fraction` entry are returned
-        as they are. Each distinct row object is scaled once, so rows
-        shared in `rows` stay shared, and empty rows are kept; no row is
-        mutated."""
-        scale = lcm(*(c.denominator for row in rows if row for c in row.values()
-                      if type(c) is Fraction))
-        if scale == 1:
-            return rows, 1
-        scaled: dict[int, dict] = {}
-        out = []
-        for row in rows:
-            if row:
-                copy = scaled.get(id(row))
-                if copy is None:
-                    copy = scaled[id(row)] = {
-                        k: c.numerator * (scale // c.denominator) if type(c) is Fraction else c * scale
-                        for k, c in row.items()}
-                row = copy
-            out.append(row)
-        return out, scale
-
-    # pair[i][j] = D * e_i * e_j with the Koszul sign applied, and its
-    # transpose
-    flat, unit_scale = to_integers([row for rows in a._mult for row in rows])
-    pair = a._mult if unit_scale == 1 else [flat[i:i + n] for i in range(0, n * n, n)]
+    # pair[i][j] = e_i * e_j with the Koszul sign applied, and its transpose
+    pair = a._mult
     pair_t = [list(column) for column in zip(*pair)]
-    drows, _ = to_integers(a._diff)
+    drows = a._diff
 
     def upto(d: int) -> int:
         """Number of basis indices of degree at most d (a prefix)."""
@@ -529,7 +488,7 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
 
     witness = None
     for i in range(n):
-        if pair[a.unit][i] != {i: unit_scale}:
+        if pair[a.unit][i] != {i: 1}:
             witness = f"1*{labels[i]} != {labels[i]}"
             break
     checks.append(AxiomCheck("unit", witness is None, witness))
@@ -580,8 +539,8 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
 
     witness = None
     for i in range(n):
-        if _combine(drows[i], drows):
-            witness = f"d²({labels[i]}) = {Element(a, _combine(a._diff[i], a._diff))}"
+        if dd := _combine(drows[i], drows):
+            witness = f"d²({labels[i]}) = {Element(a, dd)}"
             break
     checks.append(AxiomCheck("d_squared", witness is None, witness))
 

@@ -72,8 +72,10 @@ class OddDimension(CdgaError):
 
 
 class ZeroFormalDimension(CdgaError):
-    """A cone model was requested in formal dimension 0, where the
-    suspended unit would sit in degree -1."""
+    """A construction that needs formal dimension at least 1 was requested
+    in formal dimension 0: a cone model, where the suspended unit would sit
+    in degree -1, or the quotient of the square by the diagonal class,
+    which is then the unit."""
 
 
 class EvenDimensionNonzeroXi(CdgaError):

@@ -332,15 +332,12 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-def parse_element(algebra: DGAlgebra, text: str,
-                  parameters: Optional[Mapping[str, Scalar]] = None) -> Element:
+def parse_element(algebra: DGAlgebra, text: str) -> Element:
     """Parse an element expression against the algebra's basis labels.
 
-    A bare number multiplies the unit (so "0" is the zero element); a
-    declared parameter name acts as a rational coefficient.
+    A bare number multiplies the unit (so "0" is the zero element).
     """
-    parameters = parameters or {}
-    return _element(algebra, _element_terms(text, parameters), parameters)
+    return _element(algebra, _element_terms(text, ()), {})
 
 
 _Term = tuple[_Coeff, Optional[str]]

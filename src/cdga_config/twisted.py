@@ -33,6 +33,7 @@ from .errors import (
     PhiNotBijective,
     StructureError,
     WrongDegree,
+    ZeroFormalDimension,
 )
 from .linalg import (Parameters, RationalFunction, Scalar, SparseMatrix, _accumulate, _combine,
                      invert, quotient_data, row_space_basis, solve)
@@ -258,8 +259,14 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
 
 def quotient_by_diagonal(pd: PDAlgebra) -> QuotientDGA:
     """The quotient of the tensor square by the ideal generated by the
-    diagonal class, with well-definedness of the induced product checked."""
+    diagonal class, with well-definedness of the induced product checked.
+    In formal dimension 0 the diagonal class is the unit of the square, so
+    the quotient would be zero; that is a `ZeroFormalDimension`."""
     square = pd.square
+    if pd.n == 0:
+        unit = square.basis.labels[square.unit]
+        raise ZeroFormalDimension(f"formal dimension 0: the diagonal class is the unit {unit}, "
+                                  "so the quotient by it would be zero")
     diag = diagonal_class(pd).element
     return quotient_dga(
         square, ideal_span(square, [diag]), name=f"{square.name}/(diag)"

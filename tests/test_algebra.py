@@ -338,12 +338,12 @@ def test_d_squared_witness_keeps_fractional_coefficients(s2xs3):
     }
 
 
-def test_check_cdga_scales_symbolic_entries_with_the_fractions():
+def test_check_cdga_sweeps_mixed_symbolic_and_fractional_entries():
     """The generic model C(Xi) over s2xs3, whose (S1, S1) row holds
     rational functions, in a rescaled basis: its table mixes them with
-    Fractions, so the lcm of the Fraction denominators multiplies both.
-    The report still agrees with the naive one on the model and on seeded
-    perturbations of it."""
+    Fractions, and the sweep runs on that table as it is. The report
+    agrees with the naive one on the model and on seeded perturbations
+    of it."""
     from cdga_config.cone import cone_model
     from cdga_config.linalg import RationalFunction
     from cdga_config.twisted import truncate_cone

@@ -253,6 +253,17 @@ def test_cone_of_formal_dimension_zero_is_precondition_error(capsys, argv):
     assert err == "precondition violated: formal dimension 0: the cone would put S1 in degree -1\n"
 
 
+def test_product_of_two_points_is_precondition_error(tmp_path, capsys):
+    """The diagonal class of `point` is the unit of its square, so the
+    quotient the correspondence compares would be zero."""
+    out_path = tmp_path / "pp.json"
+    code, out, err = run_cli(capsys, "product", "point", "point", "--out", str(out_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("precondition violated: formal dimension 0")
+    assert not out_path.exists()
+
+
 def test_cxi_bad_expression(capsys):
     code, _, err = run_cli(capsys, "cxi", "s2xs3", "--xi", "y*(")
     assert code == 1

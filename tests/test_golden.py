@@ -4,7 +4,8 @@ Each case runs `cli.main` in-process and compares its standard output byte
 for byte with `tests/golden/<case>.json`. One field is normalised first:
 reports embed the absolute path of the preset file in `"input"` (and in
 `"inputs"` for `product`), which depends on where the package is installed,
-so the preset data directory is replaced by `<presets>` in that text. The
+so the preset data directory is replaced by `<presets>` in that text, and
+the directory of the test fixtures (`tests/data/`) by `<data>`. The
 `product` cases also compare the written product file, and write it to a
 relative path inside a temporary directory so `"written_to"` is fixed.
 
@@ -27,6 +28,11 @@ from cdga_config.presets import PRESET_NAMES, preset_path
 
 GOLDEN = Path(__file__).parent / "golden"
 PRESET_DIR = str(preset_path("point").parent)
+DATA = Path(__file__).parent / "data"
+# s2xs3 with x*y = 2/3 xy and orientation 5/2, so its tables hold fractions;
+# the second file adds d(x) = 5/7 y, which breaks the Leibniz rule at (x, x)
+FRACTIONAL = str(DATA / "s2xs3_fractional.json")
+FRACTIONAL_LEIBNIZ = str(DATA / "s2xs3_fractional_leibniz.json")
 PRODUCT_OUT = "product.json"
 
 def _cases():
@@ -46,6 +52,14 @@ def _cases():
         ("cxi_s2xs3_x", ["cxi", "s2xs3", "--x=-5/3*y"], 0),
         ("classify-example", ["classify-example", "--q=0,1,-1/2,7/3"], 0),
         ("classify-example_fractional", ["classify-example", "--q=2,-1/3,5/7"], 0),
+        ("check_s2xs3_fractional", ["check", FRACTIONAL], 0),
+        ("diagonal_s2xs3_fractional", ["diagonal", FRACTIONAL], 0),
+        ("betti-fm2_s2xs3_fractional", ["betti-fm2", FRACTIONAL], 0),
+        ("cxi_s2xs3_fractional", ["cxi", FRACTIONAL, "--xi=0"], 0),
+        ("cxi_s2xs3_fractional_xi",
+         ["cxi", FRACTIONAL, "--xi=-3/4*(y(x)xy) + 2/9*(xy(x)y)"], 0),
+        ("cxi_s2xs3_fractional_x", ["cxi", FRACTIONAL, "--x=7/5*y"], 0),
+        ("check_s2xs3_fractional_leibniz", ["check", FRACTIONAL_LEIBNIZ], 2),
     ]
     return cases
 
@@ -54,7 +68,7 @@ CASES = _cases()
 
 
 def _normalise(text: str) -> str:
-    return text.replace(PRESET_DIR, "<presets>")
+    return text.replace(PRESET_DIR, "<presets>").replace(str(DATA), "<data>")
 
 
 def _golden_files(name):
