@@ -13,6 +13,7 @@ parenthesized labels, e.g.  "1*(y(x)xy) - 2*(xy(x)y)".
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
@@ -72,11 +73,10 @@ def _value(term: _Coeff, values: Mapping[str, Scalar]) -> Scalar:
     return factor if name is None else _exact(factor * values[name])
 
 
-def parse_coeff(text: str, parameters: Optional[Mapping[str, Scalar]] = None) -> Scalar:
-    """Exact rational coefficient: 'p', 'p/q' (q nonzero), a declared
-    parameter name, or 'rational*parameter' with optional leading sign."""
-    parameters = parameters or {}
-    return _value(_coeff_term(text, parameters), parameters)
+def parse_coeff(text: str) -> Scalar:
+    """Exact rational coefficient: 'p' or 'p/q' (q nonzero), with an
+    optional leading sign."""
+    return _coeff_term(text, ())[0]
 
 
 # --- algebra files -----------------------------------------------------------
@@ -442,13 +442,12 @@ class TableDocument:
     evaluation: list[list[_Term]]
     # per generator: (coefficient, product of the term's factors) per term
     differentials: list[list[tuple[_Coeff, dict]]]
-    # the generators, cap and name with no differentials and no target;
-    # every table built shares its layout (`GeneratorTable.share_layout`)
+    # the generators, cap and name with no differentials and no target:
+    # the template `table` copies, each copy with caches of its own
     blank: GeneratorTable
     family_verdicts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def table(self, values: Mapping[str, Scalar]):
-        from .sullivan import GeneratorTable
         from .twisted import build_cxi
 
         missing = [p for p in self.parameters if p not in values]
@@ -467,18 +466,8 @@ class TableDocument:
                 c = _value(coeff, values)
                 _accumulate(total, ((k, c * v) for k, v in product.items()))
             differentials.append(total)
-        blank = self.blank
-        table = GeneratorTable(
-            base=blank.base,
-            gens=blank.gens,
-            differentials=tuple(differentials),
-            target=target,
-            evaluation=evaluation,
-            degree_cap=blank.degree_cap,
-            name=blank.name,
-        )
-        table.share_layout(blank)
-        return table
+        return dataclasses.replace(self.blank, differentials=tuple(differentials),
+                                   target=target, evaluation=evaluation)
 
 
 def parse_table_file(path: str | Path) -> TableDocument:
@@ -500,6 +489,7 @@ def parse_table_file(path: str | Path) -> TableDocument:
     square = pd.square
     xi = _element_terms(_string(_require(data, "xi", source), "xi", source), declared)
 
+    cap = _integer(_require(data, "degree_cap", source), "degree_cap", source)
     gens = []
     for pos, item in enumerate(_of_type(_require(data, "generators", source), list,
                                         "generators", source)):
@@ -507,8 +497,11 @@ def parse_table_file(path: str | Path) -> TableDocument:
             label, degree = item["label"], item["degree"]
         except (KeyError, TypeError):
             raise ParseError(f"{source}: each generator needs a label and a degree") from None
-        gens.append((_string(label, f"generators[{pos}].label", source),
-                     _integer(degree, f"generators[{pos}].degree", source)))
+        at = f"generators[{pos}].degree"
+        degree = _integer(degree, at, source)
+        if not 0 < degree <= cap:
+            raise ParseError(f"{source}: {at} must lie in 1..degree_cap = {cap}, got {degree}")
+        gens.append((_string(label, f"generators[{pos}].label", source), degree))
     gen_index = {label: g for g, (label, _) in enumerate(gens)}
 
     values = _of_type(_require(data, "evaluation", source), dict, "evaluation", source)
@@ -526,7 +519,7 @@ def parse_table_file(path: str | Path) -> TableDocument:
         differentials=tuple({} for _ in gens),
         target=None,
         evaluation=(),
-        degree_cap=_integer(_require(data, "degree_cap", source), "degree_cap", source),
+        degree_cap=cap,
         name=_string(data.get("name", path.stem), "name", source),
     )
 
@@ -535,7 +528,7 @@ def parse_table_file(path: str | Path) -> TableDocument:
     for label in table_diffs:
         if label not in gen_index:
             raise ParseError(f"{source}: differentials[{json.dumps(label)}] names no generator")
-    for label, _ in gens:
+    for label, degree in gens:
         at = f"differentials[{json.dumps(label)}]"
         terms = []
         for pos, term in enumerate(_of_type(table_diffs.get(label, []), list, at, source)):
@@ -554,6 +547,11 @@ def parse_table_file(path: str | Path) -> TableDocument:
                     factors.append(table.base_elt(square.basis.index(base_label)))
                 except StructureError as exc:
                     raise ParseError(f"{source}: {exc}") from None
+            # each factor is a single monomial
+            term_degree = sum(table.monomial_degree(mono) for factor in factors for mono in factor)
+            if term_degree != degree + 1:
+                raise ParseError(f"{source}: {at}[{pos}] has degree {term_degree}, "
+                                 f"not |{label}| + 1 = {degree + 1}")
             terms.append((coeff, table.product(*factors)))
         differentials.append(terms)
     return TableDocument(source, declared, pd, xi, evaluation, differentials, table)

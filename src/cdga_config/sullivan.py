@@ -28,6 +28,7 @@ way and evaluates the verdict at each pair of values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .algebra import Element
@@ -144,36 +145,14 @@ class AffineSystem:
 
 @dataclass(frozen=True)
 class _Unknowns:
-    """The solver's unknowns for one table layout: `names[var]`, psi of
-    each generator as a sum of unknown * monomial, and the unknowns that
-    multiply the generator itself in its own image."""
+    """The solver's unknowns for one base, generator list and cap:
+    `names[var]`, psi of each generator as a sum of unknown * monomial,
+    and the unknowns that multiply the generator itself in its own
+    image."""
 
     names: dict[int, str]
     images: list[FreeElt]
     diagonal: frozenset[int]
-
-
-class _Layout:
-    """The part of a table's memo that depends only on its base, generators
-    and cap; see `GeneratorTable`."""
-
-    __slots__ = ("text", "unknowns")
-
-    def __init__(self):
-        self.text: dict[Monomial, str] = {}
-        self.unknowns: Optional[_Unknowns] = None
-
-
-class _TableMemo:
-    """A table's memo; see `GeneratorTable`."""
-
-    __slots__ = ("layout", "d", "psi_of_d", "minus_d_of_psi")
-
-    def __init__(self, layout: _Layout):
-        self.layout = layout
-        self.d: dict[Monomial, FreeElt] = {}
-        self.psi_of_d: Optional[list[FreeElt]] = None
-        self.minus_d_of_psi: Optional[list[FreeElt]] = None
 
 
 @dataclass(frozen=True)
@@ -182,18 +161,17 @@ class GeneratorTable:
     truncated at `degree_cap`, together with an evaluation into a twisted
     model.
 
-    `_memo` holds what the obstruction solver derives from the table in
-    every solve it takes part in: D of each single monomial (`monomial_d`),
-    the text of each monomial (`monomial_str`), the layout of the unknowns
-    of psi (`_unknowns`), and the table's half of the commutator
-    psi(D1 g) - D2(psi g) for each generator g: psi(D g) when the table is
-    the source (`_psi_of_d`), -D(psi g) when it is the target
-    (`_minus_d_of_psi`). All of it depends only on `base`, `gens`,
-    `differentials` and `degree_cap`; its layout (`_memo.layout`: the
-    monomial text and the unknowns) depends on all but `differentials`.
-    The dicts inside `differentials` are treated as immutable. The memo is
-    owned by the table and freed with it; tables with one base, generator
-    list and cap can share one layout (`share_layout`).
+    The table keeps what the obstruction solver derives from it in every
+    solve it takes part in: D of each single monomial (`_d`, read through
+    `monomial_d`), the text of each monomial (`_text`, read through
+    `monomial_str`), the unknowns of psi (`_unknowns`), and the table's
+    half of the commutator psi(D1 g) - D2(psi g) for each generator g:
+    psi(D g) when the table is the source (`_psi_of_d`), -D(psi g) when it
+    is the target (`_minus_d_of_psi`). All of it depends only on `base`,
+    `gens`, `differentials` and `degree_cap`, which a frozen table never
+    changes; the dicts inside `differentials` are treated as immutable.
+    The caches belong to the table and are freed with it; a copy made with
+    `dataclasses.replace` starts with empty ones.
     """
 
     base: TensorAlgebra
@@ -203,10 +181,12 @@ class GeneratorTable:
     evaluation: tuple[Element, ...]
     degree_cap: int
     name: str = ""
-    _memo: "_TableMemo" = field(init=False, repr=False, compare=False)
+    _d: dict[Monomial, FreeElt] = field(default_factory=dict, init=False, repr=False,
+                                        compare=False)
+    _text: dict[Monomial, str] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_memo", _TableMemo(_Layout()))
         if len(self.differentials) != len(self.gens):
             raise StructureError("one differential per generator is required")
         if self.target is not None and len(self.evaluation) != len(self.gens):
@@ -214,14 +194,6 @@ class GeneratorTable:
         for label, degree in self.gens:
             if degree <= 0:
                 raise StructureError(f"generator {label} must have positive degree")
-
-    def share_layout(self, other: "GeneratorTable") -> None:
-        """Read and fill `other`'s layout (the monomial text and the unknowns)
-        from now on, so that it is built once for both tables."""
-        if (self.base is not other.base or self.gens != other.gens
-                or self.degree_cap != other.degree_cap):
-            raise StructureError("only tables with one base, generator list and cap share a layout")
-        self._memo.layout = other._memo.layout
 
     # -- monomial helpers ---------------------------------------------------
 
@@ -236,9 +208,8 @@ class GeneratorTable:
         return self.base.basis.degrees[b] + sum(self.gen_degree(g) for g in gens)
 
     def monomial_str(self, mono: Monomial) -> str:
-        """The monomial as text, from the memo (see the class docstring)."""
-        layout_text = self._memo.layout.text
-        text = layout_text.get(mono)
+        """The monomial as text, cached in `_text`."""
+        text = self._text.get(mono)
         if text is not None:
             return text
         b, gens = mono
@@ -255,7 +226,7 @@ class GeneratorTable:
         if b != self.base.unit or not parts:
             base_label = self.base.basis.labels[b]
             parts.append(base_label if "*" not in base_label else f"({base_label})")
-        text = layout_text[mono] = "*".join(parts)
+        text = self._text[mono] = "*".join(parts)
         return text
 
     def element_str(self, elem: FreeElt) -> str:
@@ -322,17 +293,6 @@ class GeneratorTable:
             acc = self.mul(acc, f)
         return acc
 
-    def scale(self, x: FreeElt, c: Scalar) -> FreeElt:
-        if not c:
-            return {}
-        return {k: _exact(c * v) for k, v in x.items()}
-
-    def add(self, *elts: FreeElt) -> FreeElt:
-        out: FreeElt = {}
-        for e in elts:
-            _accumulate(out, e.items())
-        return out
-
     def d(self, x: FreeElt) -> FreeElt:
         """Differential extended as a derivation: base differential on the
         base, table differentials on the generators."""
@@ -342,12 +302,11 @@ class GeneratorTable:
         return out
 
     def monomial_d(self, mono: Monomial) -> FreeElt:
-        """D of one monomial with coefficient 1, from the memo (see the
-        class docstring). The returned dict is shared: do not mutate it."""
-        memo = self._memo.d
-        out = memo.get(mono)
+        """D of one monomial with coefficient 1, cached in `_d`. The
+        returned dict is shared: do not mutate it."""
+        out = self._d.get(mono)
         if out is None:
-            out = memo[mono] = self._derive(mono)
+            out = self._d[mono] = self._derive(mono)
         return out
 
     def _derive(self, mono: Monomial) -> FreeElt:
@@ -376,53 +335,46 @@ class GeneratorTable:
             _accumulate(total, acc.items())
         return total
 
-    # -- the solver's memoised data (see the class docstring) ---------------
+    # -- the solver's cached data (see the class docstring) ------------------
 
-    def _unknowns(self) -> "_Unknowns":
+    @cached_property
+    def _unknowns(self) -> _Unknowns:
         """One unknown per monomial of each generator's degree, numbered
-        by generator and then in `monomials_of_degree` order."""
-        layout = self._memo.layout
-        if layout.unknowns is None:
-            names: dict[int, str] = {}
-            images: list[FreeElt] = []
-            diagonal: set[int] = set()
-            by_degree: dict[int, list[Monomial]] = {}
-            for g, (label, degree) in enumerate(self.gens):
-                if degree not in by_degree:
-                    by_degree[degree] = self.monomials_of_degree(degree)
-                image: FreeElt = {}
-                for mono in by_degree[degree]:
-                    var = len(names)
-                    names[var] = f"psi({label})[{self.monomial_str(mono)}]"
-                    image[mono] = Poly.variable(var)
-                    if mono == (self.base.unit, (g,)):
-                        diagonal.add(var)
-                images.append(image)
-            layout.unknowns = _Unknowns(names, images, frozenset(diagonal))
-        return layout.unknowns
+        by generator and then in `monomials_of_degree` order, so tables
+        with one base, generator list and cap have equal unknowns."""
+        names: dict[int, str] = {}
+        images: list[FreeElt] = []
+        diagonal: set[int] = set()
+        by_degree: dict[int, list[Monomial]] = {}
+        for g, (label, degree) in enumerate(self.gens):
+            if degree not in by_degree:
+                by_degree[degree] = self.monomials_of_degree(degree)
+            image: FreeElt = {}
+            for mono in by_degree[degree]:
+                var = len(names)
+                names[var] = f"psi({label})[{self.monomial_str(mono)}]"
+                image[mono] = Poly.variable(var)
+                if mono == (self.base.unit, (g,)):
+                    diagonal.add(var)
+            images.append(image)
+        return _Unknowns(names, images, frozenset(diagonal))
 
+    @cached_property
     def _psi_of_d(self) -> list[FreeElt]:
         """psi(D g) for every generator g, with psi g in the unknowns."""
-        memo = self._memo
-        if memo.psi_of_d is None:
-            images = self._unknowns().images
-            memo.psi_of_d = [self.apply_images(dg, images, Poly.const)
-                             for dg in self.differentials]
-        return memo.psi_of_d
+        images = self._unknowns.images
+        return [self.apply_images(dg, images, Poly.const) for dg in self.differentials]
 
+    @cached_property
     def _minus_d_of_psi(self) -> list[FreeElt]:
         """-D(psi g) for every generator g, with psi g in the unknowns."""
-        memo = self._memo
-        if memo.minus_d_of_psi is None:
-            halves = []
-            for image in self._unknowns().images:
-                half: FreeElt = {}
-                for mono, unknown in image.items():
-                    _accumulate(half, ((k, unknown * -v)
-                                       for k, v in self.monomial_d(mono).items()))
-                halves.append(half)
-            memo.minus_d_of_psi = halves
-        return memo.minus_d_of_psi
+        halves = []
+        for image in self._unknowns.images:
+            half: FreeElt = {}
+            for mono, unknown in image.items():
+                _accumulate(half, ((k, unknown * -v) for k, v in self.monomial_d(mono).items()))
+            halves.append(half)
+        return halves
 
     def evaluate(self, x: FreeElt) -> Element:
         """Extend the evaluation multiplicatively over monomials."""
@@ -625,17 +577,17 @@ def _staged_solve(t1: GeneratorTable, t2: GeneratorTable
     if tuple(t1.differentials) == tuple(t2.differentials):
         identity = [{(t2.base.unit, (g,)): 1} for g in range(ngen)]
         if _verify_witness(t1, t2, identity):
-            unknowns = t2._unknowns()
+            unknowns = t2._unknowns
             assignment = {name: 1 if var in unknowns.diagonal else 0
                           for var, name in unknowns.names.items()}
             return _Witness(t2, assignment, identity)
 
-    # the layout of the unknowns depends only on the base, the generators
-    # and the cap, which `_compatible` requires to agree, so t1's half of
-    # the commutator and t2's half are in the same unknowns
-    unknowns = t2._unknowns()
+    # the unknowns depend only on the base, the generators and the cap,
+    # which `_compatible` requires to agree, so t1's half of the
+    # commutator and t2's half are in the same unknowns
+    unknowns = t2._unknowns
     var_names, psi_images = unknowns.names, unknowns.images
-    psi_of_d1, minus_d2_of_psi = t1._psi_of_d(), t2._minus_d_of_psi()
+    psi_of_d1, minus_d2_of_psi = t1._psi_of_d, t2._minus_d_of_psi
 
     system = AffineSystem()
     trace: list[tuple] = []
@@ -743,7 +695,7 @@ def _verify_witness(t1: GeneratorTable, t2: GeneratorTable,
     for g in range(len(t1.gens)):
         lhs = t2.apply_images(t1.differentials[g], images)
         rhs = t2.d(images[g])
-        if t2.add(lhs, {k: -v for k, v in rhs.items()}):
+        if lhs != rhs:
             return False
 
     degrees = sorted({d for _, d in t1.gens})

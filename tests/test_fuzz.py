@@ -169,3 +169,56 @@ def test_mutated_structure_ends_in_a_documented_status(workdir, name, field, val
         target[key] = value
     path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
     assert run_quietly(["check", str(path)]) in STATUSES
+
+
+# --- basis items and orientation keys ----------------------------------------------
+
+COMMANDS = [["check"], ["diagonal"], ["betti-fm2"], ["cxi", "--xi=0"]]
+
+
+def run_on_document(workdir, doc, command) -> int:
+    path = workdir / "basis-edit.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    return run_quietly([command[0], str(path), *command[1:]])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(PRESET_NAMES), command=st.sampled_from(COMMANDS),
+       item=st.integers(0, 15), key=st.sampled_from(["label", "degree", None]),
+       value=replacements)
+@example(name="s2xs3", command=["check"], item=1, key="label", value=DROP)
+@example(name="s2", command=["diagonal"], item=1, key="degree", value="2")
+@example(name="cp2", command=["betti-fm2"], item=2, key=None, value="x")
+@example(name="s3", command=["cxi", "--xi=0"], item=0, key=None, value=DROP)
+def test_mutated_basis_items_end_in_a_documented_status(workdir, name, command, item, key,
+                                                        value):
+    """A basis item (`item`, modulo the basis size) gets its label or
+    degree replaced or dropped (`key`), or is itself replaced or dropped
+    (`key` None)."""
+    doc = json.loads(json.dumps(DOCUMENTS[name]))
+    basis = doc["basis"]
+    pos = item % len(basis)
+    if key is None and value is DROP:
+        del basis[pos]
+    elif key is None:
+        basis[pos] = value
+    elif value is DROP:
+        del basis[pos][key]
+    else:
+        basis[pos][key] = value
+    assert run_on_document(workdir, doc, command) in STATUSES
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(PRESET_NAMES), command=st.sampled_from(COMMANDS), data=st.data())
+def test_renamed_orientation_keys_end_in_a_documented_status(workdir, name, command, data):
+    """One orientation key is renamed to another basis label or to
+    arbitrary text; the new key may collide with an existing one."""
+    doc = json.loads(json.dumps(DOCUMENTS[name]))
+    labels = [item["label"] for item in doc["basis"]]
+    old = data.draw(st.sampled_from(sorted(doc["orientation"])))
+    new = data.draw(st.one_of(st.sampled_from(labels), st.text(max_size=3)))
+    doc["orientation"] = {new if k == old else k: v for k, v in doc["orientation"].items()}
+    assert run_on_document(workdir, doc, command) in STATUSES

@@ -77,22 +77,31 @@ def test_duplicate_labels_rejected():
         load_algebra_data(doc)
 
 
+def _table_coeff(text, values):
+    """A coefficient through the table-document grammar, with parameters."""
+    from cdga_config.io import _coeff_term, _value
+
+    return _value(_coeff_term(text, values), values)
+
+
 def test_parse_coeff_forms():
     assert parse_coeff("3/4") == F(3, 4)
     assert parse_coeff("-2") == F(-2)
-    assert parse_coeff("q", {"q": F(5)}) == F(5)
-    assert parse_coeff("-q", {"q": F(5)}) == F(-5)
-    assert parse_coeff("3/2*q", {"q": F(4)}) == F(6)
+    assert _table_coeff("q", {"q": F(5)}) == F(5)
+    assert _table_coeff("-q", {"q": F(5)}) == F(-5)
+    assert _table_coeff("3/2*q", {"q": F(4)}) == F(6)
     with pytest.raises(ParseError):
         parse_coeff("1.5")
     with pytest.raises(ParseError):
         parse_coeff("unknown")
+    with pytest.raises(ParseError):
+        parse_coeff("q")
 
 
 def test_parse_coeff_is_canonical():
     assert parse_coeff("4/2") == 2 and type(parse_coeff("4/2")) is int
-    assert type(parse_coeff("3/2*q", {"q": F(4)})) is int
-    assert type(parse_coeff("q", {"q": F(5)})) is int
+    assert type(_table_coeff("3/2*q", {"q": F(4)})) is int
+    assert type(_table_coeff("q", {"q": F(5)})) is int
     assert parse_coeff("+3/1") == 3 and type(parse_coeff("+3/1")) is int
     with pytest.raises(ParseError):
         parse_coeff("--1")
@@ -101,7 +110,7 @@ def test_parse_coeff_is_canonical():
 @pytest.mark.parametrize("text", ["1/0", "-0/0", "2/0*q", "−5/0"])
 def test_parse_coeff_zero_denominator_is_parse_error(text):
     with pytest.raises(ParseError, match="zero denominator"):
-        parse_coeff(text, {"q": F(1)})
+        _table_coeff(text, {"q": F(1)})
 
 
 # --- the element micro-grammar -------------------------------------------------
@@ -278,8 +287,15 @@ def _edit_h_term(data, term):
      'differentials["hh"] names no generator'),
     (lambda d: d["differentials"]["z5"][0].update(coeff="1/0"),
      'differentials["z5"][0].coeff: zero denominator in \'1/0\''),
+    (lambda d: d["generators"][1].update(degree=0),
+     "generators[1].degree must lie in 1..degree_cap = 8, got 0"),
+    (lambda d: d.update(degree_cap=6),
+     "generators[4].degree must lie in 1..degree_cap = 6, got 7"),
+    (lambda d: d["differentials"]["z5"].append({"coeff": "1", "base": "1(x)x"}),
+     'differentials["z5"][2] has degree 2, not |z5| + 1 = 6'),
 ], ids=["evaluation-missing", "term-string", "unknown-generator", "differentials-list",
-        "generator-list", "parameter-object", "unknown-differential-key", "zero-denominator"])
+        "generator-list", "parameter-object", "unknown-differential-key", "zero-denominator",
+        "generator-degree-zero", "generator-above-cap", "term-degree"])
 def test_table_loader_names_the_json_path(tmp_path, edit, message):
     from cdga_config.io import load_table_file
     from cdga_config.presets import table_preset_path

@@ -99,10 +99,9 @@ def test_table_memo_and_solver_results_store_canonical_scalars():
         assert isinstance(other, Obstructed)
         assert_canonical([other.residual_constant], "residual constant")
 
-    memo = table._memo
-    for elem in memo.d.values():
+    for elem in table._d.values():
         assert_canonical(elem.values(), "memoised D")
-    for halves in (memo.layout.unknowns.images, memo.psi_of_d, memo.minus_d_of_psi):
+    for halves in (table._unknowns.images, table._psi_of_d, table._minus_d_of_psi):
         for elem in halves:
             assert_canonical(elem.values(), "memoised commutator half")
 
