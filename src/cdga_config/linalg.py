@@ -44,8 +44,13 @@ def _exact(c) -> Scalar:
 
 
 def _divide(a: Scalar, b: Scalar) -> Scalar:
-    """a / b in canonical form; b must be nonzero."""
-    return _exact(Fraction(a) / b)
+    """a / b in canonical form; b must be nonzero. Two scalars are divided
+    as one integer numerator over one integer denominator; a
+    `RationalFunction` b divides through its own arithmetic."""
+    if type(b) is RationalFunction:
+        return _exact(Fraction(a) / b)
+    num, den = a.numerator * b.denominator, a.denominator * b.numerator
+    return num // den if not num % den else Fraction(num, den)
 
 
 # The helpers with a leading underscore (the sparse primitives below and the
@@ -447,13 +452,17 @@ class Poly:
         return Poly._of(out)
 
     def value_at(self, values: dict[int, Scalar]) -> Scalar:
-        """The value when `values` assigns every variable."""
-        total = 0
+        """The value when `values` assigns every variable a scalar, for a
+        polynomial with scalar coefficients: summed over the integers as
+        one numerator over one denominator, and divided once."""
+        num, den = 0, 1
         for key, coeff in self.terms.items():
+            n, d = coeff.numerator, coeff.denominator
             for v in key:
-                coeff = coeff * values[v]
-            total += coeff
-        return _exact(total)
+                value = values[v]
+                n, d = n * value.numerator, d * value.denominator
+            num, den = num * d + n * den, den * d
+        return _divide(num, den)
 
     def affine(self) -> Optional[tuple[Scalar, dict[int, Scalar]]]:
         """(constant, linear coefficients), or None when degree >= 2."""

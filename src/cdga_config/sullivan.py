@@ -789,9 +789,16 @@ class _FamilyVerdict:
     branch that the symbolic one took, so its verdict is this one with
     each value evaluated there. An Obstructed verdict also needs its
     residual constant to be nonzero there; where it vanishes, the numeric
-    solve goes on past that equation. The text that holds no rational
-    function is rendered here, once; at each point, each distinct guard,
-    numerator and denominator is evaluated once.
+    solve goes on past that equation.
+
+    The result's containers (the trace, or the assignment and the
+    generator images) are rendered here, once, with every part that holds
+    no rational function in place; a part that holds one is a slot: the
+    positions of its numerator and denominator among the polynomials `at`
+    evaluates. At each point, `at` evaluates every guard, then each
+    distinct numerator and denominator once, copies the prebuilt
+    containers and fills in the slots, so every result has containers of
+    its own.
     """
 
     def __init__(self, params: Parameters, verdict: Union[_Witness, _Obstruction]):
@@ -802,14 +809,26 @@ class _FamilyVerdict:
         self._verdict = verdict
         if isinstance(verdict, _Obstruction):
             self._constant = self._slot(verdict.constant)
-            self._trace = [self._text(entry) for entry in verdict.trace]
+            self._trace = _render(verdict.trace)
+            self._trace_slots = [(k, [self._slot(part) if type(part) is RationalFunction
+                                      else str(part) for part in entry])
+                                 for k, entry in enumerate(verdict.trace)
+                                 if any(type(part) is RationalFunction for part in entry)]
         else:
-            self._assignment = {name: self._slot(v) for name, v in verdict.assignment.items()}
-            self._images = [
-                {mono: self._slot(c) for mono, c in image.items()}
-                if any(type(c) is RationalFunction for c in image.values())
-                else verdict.table.element_str(image)
-                for image in verdict.images]
+            table = verdict.table
+            self._assignment = {name: None if type(v) is RationalFunction else v
+                                for name, v in verdict.assignment.items()}
+            self._assignment_slots = [(name, self._slot(v)) for name, v in verdict.assignment.items()
+                                      if type(v) is RationalFunction]
+            self._images, self._image_slots = {}, []
+            for g, image in enumerate(verdict.images):
+                label = table.gen_label(g)
+                if any(type(c) is RationalFunction for c in image.values()):
+                    self._images[label] = None
+                    self._image_slots.append(
+                        (label, {mono: self._slot(c) for mono, c in image.items()}))
+                else:
+                    self._images[label] = table.element_str(image)
 
     def _slot(self, value):
         """A scalar as it is; a rational function as the positions of its
@@ -820,14 +839,6 @@ class _FamilyVerdict:
         slot = polys.setdefault(value.num, len(polys)), polys.setdefault(value.den, len(polys))
         self._slots[slot] = None
         return slot
-
-    def _text(self, entry: tuple):
-        """A trace entry as text, or as a list of text and slots when it
-        holds a rational function."""
-        if any(type(part) is RationalFunction for part in entry):
-            return [self._slot(part) if type(part) is RationalFunction else str(part)
-                    for part in entry]
-        return "".join(map(str, entry))
 
     def at(self, point: dict[int, Scalar]) -> Optional[ObstructionResult]:
         """The verdict at `point` (symbol id -> value), or None when the
@@ -849,14 +860,16 @@ class _FamilyVerdict:
             constant = value(self._constant)
             if not constant:
                 return None
-            trace = [entry if type(entry) is str
-                     else "".join(part if type(part) is str else str(value(part)) for part in entry)
-                     for entry in self._trace]
+            trace = list(self._trace)
+            for k, parts in self._trace_slots:
+                trace[k] = "".join(part if type(part) is str else str(quotients[part])
+                                   for part in parts)
             return Obstructed(trace=trace, residual_constant=constant,
                               at_generator=verdict.at_generator)
-        table = verdict.table
-        images = {table.gen_label(g): image if type(image) is str
-                  else table.element_str({mono: value(c) for mono, c in image.items()})
-                  for g, image in enumerate(self._images)}
-        return Exists(assignment={name: value(slot) for name, slot in self._assignment.items()},
-                      generator_images=images)
+        assignment = dict(self._assignment)
+        for name, slot in self._assignment_slots:
+            assignment[name] = quotients[slot]
+        images = dict(self._images)
+        for label, image in self._image_slots:
+            images[label] = verdict.table.element_str({mono: value(c) for mono, c in image.items()})
+        return Exists(assignment=assignment, generator_images=images)

@@ -61,6 +61,11 @@ class TruncatedCone:
     the map from the tensor square given by `base_rows` passed
     `_verify_algebra_map` into it. Every C(xi) that is an instance of it
     takes its report (see `instance` and `build_cxi`).
+
+    `betti` is the truncation's Betti vector in degrees 0 to the cone's
+    top degree, computed once by `truncate_cone` for its check that the
+    projection preserves Betti numbers. Every C(xi), verified or not,
+    takes its Betti numbers from it (see `TwistedModel.betti`).
     """
 
     cone: MappingCone
@@ -71,6 +76,7 @@ class TruncatedCone:
     symbols: tuple[int, ...]
     axioms: AxiomReport
     verified: bool
+    betti: tuple[int, ...]
 
     @property
     def algebra(self) -> DGAlgebra:
@@ -130,7 +136,9 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     if not quotient.subspace.is_acyclic():
         raise StructureError("the truncated part is not acyclic")
     top = alg.basis.max_degree()
-    if cohomology(alg).betti_vector(top) != cohomology(quotient.algebra).betti_vector(top):
+    cone_betti = cohomology(alg).betti_vector(top)
+    betti = cohomology(quotient.algebra).betti_vector(top)
+    if betti != cone_betti:
         raise StructureError("truncation does not preserve cohomology")
     ring = cone.ring
     base_rows = tuple(quotient.project(cone.include_base(ring.basis_element(t))).coeffs
@@ -152,7 +160,8 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
             _verify_algebra_map(square, generic, tuple(Element(generic, r) for r in base_rows))
         except StructureError:
             verified = False
-    trunc = TruncatedCone(cone, quotient, base_rows, generic, s1_index, symbols, axioms, verified)
+    trunc = TruncatedCone(cone, quotient, base_rows, generic, s1_index, symbols, axioms, verified,
+                          tuple(betti))
     cone._truncation = trunc
     return trunc
 
@@ -164,6 +173,8 @@ class TwistedModel:
     `algebra` carries the twisted product; `base_images` realise the map
     from the tensor square (projection on the algebra part, zero on the
     suspension), verified multiplicative at construction.
+    `truncation_betti` is the truncation's Betti vector
+    (`TruncatedCone.betti`), which is this model's (see `betti`).
     """
 
     pd: PDAlgebra
@@ -174,6 +185,7 @@ class TwistedModel:
     s1_index: int
     base_images: tuple[Element, ...]
     axioms: AxiomReport
+    truncation_betti: tuple[int, ...]
 
     def s1(self) -> Element:
         return self.algebra.basis_element(self.s1_index)
@@ -183,7 +195,26 @@ class TwistedModel:
         return self.algebra.multiply(s1, s1)
 
     def betti(self, up_to: Optional[int] = None) -> list[int]:
-        return cohomology(self.algebra).betti_vector(up_to)
+        """The Betti numbers of `algebra` in degrees 0 to `up_to` (by
+        default its top degree), as `cohomology(algebra).betti_vector`
+        gives them, read from the truncation's vector.
+
+        Why they are the truncation's. `build_cxi` makes `algebra` by
+        `DGAlgebra.with_square` on the truncation, so its basis and its
+        rows of d are the truncation's own objects; only the (S1, S1)
+        product differs. `cohomology` reads the degrees of the basis and
+        the rows of d, and no product: its d^2 test and every block it
+        reduces are the truncation's, so each Betti number is. d^2 = 0
+        held there, in the two `cohomology` calls of `truncate_cone`, and
+        `check_cdga` tested it again on C(Xi), which shares these rows.
+        The truncation's vector reaches the cone's top degree, which no
+        basis element of the truncation exceeds; above it every Betti
+        number is 0.
+        """
+        if up_to is None:
+            up_to = self.algebra.basis.max_degree()
+        kept = self.truncation_betti
+        return [kept[k] if k < len(kept) else 0 for k in range(up_to + 1)]
 
 
 def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
@@ -229,7 +260,7 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
             )
         if xi.degree() != 2 * pd.n - 2:
             raise WrongDegree(
-                f"xi must be homogeneous of degree {2 * pd.n - 2}, got {xi.degree()}"
+                f"xi must be homogeneous of degree {2 * pd.n - 2}, got {_degrees_found(xi)}"
             )
 
     cone = cone_model(pd)
@@ -254,7 +285,17 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
         s1_index=trunc.s1_index,
         base_images=base_images,
         axioms=report,
+        truncation_betti=trunc.betti,
     )
+
+
+def _degrees_found(elem: Element) -> str:
+    """The degree of a nonzero element, or the degrees of its terms when
+    it is not homogeneous, for a `WrongDegree` message."""
+    degrees = sorted({elem.parent.basis.degrees[i] for i in elem.coeffs})
+    if len(degrees) == 1:
+        return str(degrees[0])
+    return f"terms of degrees {', '.join(map(str, degrees[:-1]))} and {degrees[-1]}"
 
 
 def quotient_by_diagonal(pd: PDAlgebra) -> QuotientDGA:
@@ -389,7 +430,7 @@ def c_of_x(pd: PDAlgebra, x: Element) -> TwistedModel:
     if x.parent is not pd.algebra:
         raise StructureError("the class representative must live in A")
     if not x.is_zero() and x.degree() != pd.n - 2:
-        raise WrongDegree(f"expected degree {pd.n - 2}, got {x.degree()}")
+        raise WrongDegree(f"expected degree {pd.n - 2}, got {_degrees_found(x)}")
     if not pd.algebra.d(x).is_zero():
         raise NotACocycle(f"d({x}) = {pd.algebra.d(x)}")
     xi = pd.square.tensor_elements(x, pd.omega)

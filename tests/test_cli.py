@@ -264,6 +264,17 @@ def test_product_of_two_points_is_precondition_error(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--x=x + y"], "expected degree 3, got terms of degrees 2 and 3"),
+    (["--xi=1*(y(x)xy) + (x(x)x)"], "xi must be homogeneous of degree 8, got terms of degrees 4 and 8"),
+], ids=["x", "xi"])
+def test_cxi_inhomogeneous_input_names_the_degrees_found(capsys, argv, message):
+    code, out, err = run_cli(capsys, "cxi", "s2xs3", *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"precondition violated: {message}\n"
+
+
 def test_cxi_bad_expression(capsys):
     code, _, err = run_cli(capsys, "cxi", "s2xs3", "--xi", "y*(")
     assert code == 1

@@ -297,3 +297,24 @@ def test_rational_functions_record_zero_tests_and_divisors_as_guards():
 
     assert hold_at({0: 5, 1: 3})
     assert not hold_at({0: 3, 1: 3}) and not hold_at({0: -2, 1: 3})
+
+
+_poly_keys = st.lists(st.integers(min_value=0, max_value=2), max_size=3).map(
+    lambda key: tuple(sorted(key)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(_poly_keys, mixed_entries, max_size=4),
+       st.lists(mixed_entries, min_size=3, max_size=3), mixed_entries, mixed_entries)
+def test_value_at_and_divide_agree_with_fraction_arithmetic(terms, point, a, b):
+    from math import prod
+
+    from cdga_config.linalg import Poly, _divide
+
+    poly = Poly(terms)
+    values = dict(enumerate(point))
+    value = poly.value_at(values)
+    assert value == sum(F(c) * prod(F(values[v]) for v in key) for key, c in terms.items())
+    assert canonical([value])
+    if b:
+        assert _divide(a, b) == F(a) / F(b) and canonical([_divide(a, b)])

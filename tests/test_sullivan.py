@@ -613,6 +613,28 @@ def test_a_warm_classify_example_solves_no_family_and_shares_no_result(monkeypat
         assert ids[0].isdisjoint(ids[1])
 
 
+def test_classify_example_cells_hold_containers_of_their_own():
+    qs = [F(2), F(-1, 3), F(0), F(5, 7)]
+    matrix = classify_example(qs)
+    cells = [cell for row in matrix for cell in row]
+    for attr in ("assignment", "generator_images", "trace"):
+        held = [id(getattr(cell, attr)) for cell in cells if hasattr(cell, attr)]
+        assert held and len(set(held)) == len(held), attr
+    expected = classify_example(qs)
+    # a family Exists and a family Obstructed, mutated in place
+    exists, obstructed = matrix[1][1], matrix[1][3]
+    assert isinstance(exists, Exists) and isinstance(obstructed, Obstructed)
+    exists.assignment.clear()
+    exists.generator_images["mutated"] = "mutated"
+    obstructed.trace[0] = "mutated"
+    obstructed.trace.append("mutated")
+    for i, row in enumerate(matrix):
+        for j, cell in enumerate(row):
+            if (i, j) not in ((1, 1), (1, 3)):
+                assert cell == expected[i][j], (i, j)
+    assert classify_example(qs) == expected
+
+
 def test_clearing_the_preset_cache_parses_and_solves_again(monkeypatch, cold_presets):
     from cdga_config import presets
 

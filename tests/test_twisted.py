@@ -291,6 +291,86 @@ def test_cxi_cohomology_independent_of_twist(name):
         assert build_cxi(pd, random_xi(pd, rng)).betti(top) == reference
 
 
+def _fractional_s2xs3():
+    from pathlib import Path
+
+    from cdga_config.io import load_algebra_file
+    from cdga_config.poincare import check_pd
+
+    algebra, n, epsilon, _ = load_algebra_file(Path(__file__).parent / "data" / "s2xs3_fractional.json")
+    return check_pd(algebra, n, epsilon)
+
+
+def _betti_inputs(name):
+    """(duality algebra, whether its truncation is stored unverified)."""
+    if name == "s2xs3*s2":
+        from cdga_config.products import product_pd
+
+        return product_pd(preset_pd("s2xs3"), preset_pd("s2")), False
+    if name == "fractional":
+        return _fractional_s2xs3(), False
+    if name == "unverified":
+        pd = _fresh_s2xs3()
+        cone = cone_model(pd)
+        cone._truncation = replace(truncate_cone(cone), verified=False)
+        return pd, True
+    return preset_pd(name), False
+
+
+@pytest.mark.parametrize("name", ["s3", "s5", "s3xs4", "s2xs3", "fractional", "s2xs3*s2",
+                                  "unverified"])
+def test_cxi_betti_equals_a_fresh_cohomology(name):
+    """C(xi) takes its Betti numbers from the truncation's kept vector:
+    it has the truncation's basis and rows of d, and they agree with a
+    cohomology computed afresh on C(xi) itself, in every degree."""
+    pd, unverified = _betti_inputs(name)
+    trunc = truncate_cone(cone_model(pd))
+    assert trunc.verified is not unverified
+    rng = random.Random(17)
+    twists = [pd.square.zero(), random_xi(pd, rng), random_xi(pd, rng)]
+    models = [build_cxi(pd, xi) for xi in twists]
+    if pd.n % 2:
+        models.append(c_of_x(pd, pd.algebra.zero()))
+    for model in models:
+        assert model.algebra.basis is trunc.algebra.basis
+        assert model.algebra._diff is trunc.algebra._diff
+        assert model.truncation_betti is trunc.betti
+        fresh = cohomology(model.algebra)
+        top = model.algebra.basis.max_degree()
+        for k in [None, *range(top + 2)]:
+            assert model.betti(k) == fresh.betti_vector(k), (name, k)
+
+
+def test_cxi_betti_computes_no_cohomology_and_the_truncation_computes_two(monkeypatch):
+    import sys
+
+    import cdga_config.algebra as algebra
+
+    calls = []
+    original = algebra.cohomology
+
+    def counting(space):
+        calls.append(space)
+        return original(space)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("cdga_config")]:
+        if getattr(module, "cohomology", None) is original:
+            monkeypatch.setattr(module, "cohomology", counting)
+    pd = _fresh_s2xs3()
+    cone = cone_model(pd)
+    calls.clear()
+    trunc = truncate_cone(cone)
+    # the preservation check: the cone's cohomology, then the truncation's
+    assert calls == [cone.algebra, trunc.algebra]
+    top = cone.algebra.basis.max_degree()
+    c_of_x(pd, pd.algebra.from_label_coeffs({"y": F(1, 2)})).betti(top)
+    calls.clear()
+    for t in (F(-3), F(2, 7), 5):
+        model = c_of_x(pd, pd.algebra.from_label_coeffs({"y": t}))
+        assert model.betti(top) == list(trunc.betti)
+    assert calls == []
+
+
 @pytest.mark.parametrize("name", ALL)
 def test_c0_matches_quotient_by_diagonal(name):
     pd = preset_pd(name)
