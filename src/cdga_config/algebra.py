@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
-from .linalg import (Scalar, SparseMatrix, _accumulate, _combine, _exact, _residues,
-                     kernel_basis, row_space_basis)
+from .linalg import (RationalFunction, Scalar, SparseMatrix, _accumulate, _combine, _exact,
+                     _residues, kernel_basis, row_space_basis)
 
 Coeffs = dict[int, Scalar]
 
@@ -155,6 +155,10 @@ class Element:
         for i in sorted(self.coeffs):
             c = self.coeffs[i]
             label = self.parent.basis.labels[i]
+            if type(c) is RationalFunction:
+                # a coefficient over a family's parameters has no sign
+                parts.append(f"{'+ ' if parts else ''}({c})*{label}")
+                continue
             mag = -c if c < 0 else c
             body = label if mag == 1 else f"{mag}*{label}"
             if not parts:

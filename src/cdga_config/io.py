@@ -17,13 +17,17 @@ import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .algebra import DGAlgebra, Element, GradedBasis
-from .errors import ExpressionParseError, ParseError, StructureError
-from .linalg import Scalar, _accumulate, _divide, _exact
+from .cone import cone_model
+from .errors import (EvenDimensionNonzeroXi, ExpressionParseError, ParseError, StructureError,
+                     WrongDegree)
+from .linalg import _ONE, Parameters, RationalFunction, Scalar, _accumulate, _divide, _exact
 from .poincare import PDAlgebra
+from .twisted import _family_cxi, build_cxi, truncate_cone
 
 TENSOR = "⊗"
 
@@ -66,11 +70,6 @@ def _coeff_term(text: str, names) -> _Coeff:
     elif text in names:
         return sign, text
     raise ParseError(f"not an exact rational coefficient: {text!r}")
-
-
-def _value(term: _Coeff, values: Mapping[str, Scalar]) -> Scalar:
-    factor, name = term
-    return factor if name is None else _exact(factor * values[name])
 
 
 def parse_coeff(text: str) -> Scalar:
@@ -337,7 +336,7 @@ def parse_element(algebra: DGAlgebra, text: str) -> Element:
 
     A bare number multiplies the unit (so "0" is the zero element).
     """
-    return _element(algebra, _element_terms(text, ()), {})
+    return algebra.element(_at_values(_resolve(algebra, _element_terms(text, ())), {}))
 
 
 _Term = tuple[_Coeff, Optional[str]]
@@ -397,9 +396,35 @@ def _element_terms(text: str, names) -> list[_Term]:
     return terms
 
 
-def _element(algebra: DGAlgebra, terms: list[_Term], values: Mapping[str, Scalar]) -> Element:
-    """The element with these terms, at the given parameter values."""
-    coeffs: dict[int, Scalar] = {}
+# A value linear in a document's parameters: the coefficient dict of each
+# parameter under its name, and the constant part under None.
+_Linear = dict[Optional[str], dict]
+
+
+def _linear(terms: Iterable[tuple[_Coeff, dict]]) -> _Linear:
+    """The sum of coefficient * dict over the terms, kept apart by the
+    coefficients' parameters."""
+    out: _Linear = {}
+    for (factor, name), coeffs in terms:
+        _accumulate(out.setdefault(name, {}), ((k, factor * c) for k, c in coeffs.items()))
+    return out
+
+
+def _at_values(linear: _Linear, values: Mapping[str, object]) -> dict:
+    """A new dict: what `linear` is at the parameter values, its constant
+    part plus each parameter's dict times the value."""
+    total = dict(linear.get(None, ()))
+    for name, coeffs in linear.items():
+        if name is not None:
+            value = values[name]
+            _accumulate(total, ((k, value * c) for k, c in coeffs.items()))
+    return total
+
+
+def _resolve(algebra: DGAlgebra, terms: list[_Term]) -> _Linear:
+    """The element with these terms, its labels looked up in the
+    algebra's basis (None is the unit)."""
+    resolved = []
     for coeff, label in terms:
         if label is None:
             idx = algebra.unit
@@ -410,8 +435,8 @@ def _element(algebra: DGAlgebra, terms: list[_Term], values: Mapping[str, Scalar
                 raise ExpressionParseError(
                     f"unknown basis label {label!r} in {algebra.name or 'the algebra'}"
                 ) from None
-        _accumulate(coeffs, ((idx, _value(coeff, values)),))
-    return algebra.element(coeffs)
+        resolved.append((coeff, {idx: 1}))
+    return _linear(resolved)
 
 
 # --- generator table files ---------------------------------------------------
@@ -425,8 +450,29 @@ class TableDocument:
     A value is a rational or a `linalg.RationalFunction`. The evaluation
     target C(xi) is a model over the rationals, so it is built, and the
     evaluation with it, only when every value is a rational; otherwise the
-    table has no target. Nothing built at values is kept: each call
-    builds, and checks, its own table and target.
+    table has no target. What does not depend on the values is done once,
+    by `parse_table_file`: xi, each evaluation element and each
+    differential is kept as its constant part and one coefficient dict
+    per parameter (the constant terms of a differential summed, the labels
+    of xi and of the evaluation looked up in the tensor square and in the
+    truncation that every C(xi) shares). Nothing built at values is kept:
+    each call builds its own table, with dicts and caches of its own, and
+    its own C(xi) target, checked by `twisted.build_cxi`.
+
+    `symbolic` is the table with each parameter a symbol of one
+    `linalg.Parameters`. Its target C(xi(q, r)) is built on the
+    truncation's shared rows (`twisted._family_cxi`). `report` is
+    `sullivan.check_table` of it, run once, when first asked for. For a
+    table that `table` built at rational values, `check_table` compares
+    the table exactly with `symbolic` at those values and, when they agree
+    and `report` passed, returns `report`. Why that report is the table's:
+    both checks of `check_table` compare sums of products of table
+    entries; there is no division. Evaluation at a point is a ring
+    homomorphism of Q[q, r] (the symbolic entries are polynomials, or
+    there is no `symbolic`), so each side computed on the table is the
+    symbolic side evaluated there, and an identity that held
+    symbolically holds at every point. Guards do not matter here: a zero
+    test only drops an entry that is already zero.
 
     `family_verdicts` is the one memo: `sullivan.classify_example` keeps
     there, by the names of its symbols, the verdicts of its two solves
@@ -438,40 +484,70 @@ class TableDocument:
     source: str
     parameters: list[str]
     pd: PDAlgebra
-    xi: list[_Term]
-    evaluation: list[list[_Term]]
-    # per generator: (coefficient, product of the term's factors) per term
-    differentials: list[list[tuple[_Coeff, dict]]]
+    xi: _Linear
+    # per generator, in the basis of the truncation
+    evaluation: tuple[_Linear, ...]
+    # per generator, in the free algebra's monomials
+    differentials: tuple[_Linear, ...]
     # the generators, cap and name with no differentials and no target:
     # the template `table` copies, each copy with caches of its own
     blank: GeneratorTable
     family_verdicts: dict = field(default_factory=dict, compare=False, repr=False)
 
     def table(self, values: Mapping[str, Scalar]):
-        from .twisted import build_cxi
-
         missing = [p for p in self.parameters if p not in values]
         if missing:
             raise ParseError(f"{self.source}: values required for parameters {missing}")
         values = {name: _exact(value) for name, value in values.items()}
-        target, evaluation = None, ()
-        if all(isinstance(values[p], Scalar) for p in self.parameters):
-            target = build_cxi(self.pd, _element(self.pd.square, self.xi, values))
-            evaluation = tuple(_element(target.algebra, terms, values)
-                               for terms in self.evaluation)
-        differentials = []
-        for terms in self.differentials:
-            total: dict = {}
-            for coeff, product in terms:
-                c = _value(coeff, values)
-                _accumulate(total, ((k, c * v) for k, v in product.items()))
-            differentials.append(total)
-        return dataclasses.replace(self.blank, differentials=tuple(differentials),
-                                   target=target, evaluation=evaluation)
+        if not all(isinstance(values[p], Scalar) for p in self.parameters):
+            return self._build(values, None)
+        xi = self.pd.square.element(_at_values(self.xi, values))
+        table = self._build(values, build_cxi(self.pd, xi))
+        # the one place that sets it (see `GeneratorTable._built_from`)
+        object.__setattr__(table, "_built_from", (self, values))
+        return table
+
+    def _build(self, values: Mapping[str, object], target) -> GeneratorTable:
+        """The table at `values`, evaluating into `target` (none when it
+        is None)."""
+        evaluation = () if target is None else tuple(
+            target.algebra.element(_at_values(image, values)) for image in self.evaluation)
+        return dataclasses.replace(
+            self.blank, differentials=tuple(_at_values(d, values) for d in self.differentials),
+            target=target, evaluation=evaluation)
+
+    @cached_property
+    def symbolic(self) -> Optional[GeneratorTable]:
+        """The table with each parameter a symbol, or None when xi over
+        the symbols fails `build_cxi`'s preconditions (a term whose
+        coefficient vanishes at some values may have the wrong degree) or
+        an entry has a non-constant denominator."""
+        params = Parameters(self.parameters)
+        values = {name: params.symbol(k) for k, name in enumerate(self.parameters)}
+        try:
+            target = _family_cxi(self.pd, self.pd.square.element(_at_values(self.xi, values)))
+        except (EvenDimensionNonzeroXi, WrongDegree):
+            return None
+        table = self._build(values, target)
+        s1 = target.s1_index
+        rows = (*table.differentials, *(image.coeffs for image in table.evaluation),
+                target.algebra._mult[s1][s1])
+        if any(type(c) is RationalFunction and c.den != _ONE for row in rows for c in row.values()):
+            return None
+        return table
+
+    @cached_property
+    def report(self) -> Optional[TableReport]:
+        """`sullivan.check_table` of `symbolic`, or None without one."""
+        from .sullivan import check_table
+
+        return None if self.symbolic is None else check_table(self.symbolic)
 
 
 def parse_table_file(path: str | Path) -> TableDocument:
-    """Read and check a generator table document (see `TableDocument`)."""
+    """Read and check a generator table document (see `TableDocument`).
+    The evaluation's labels are looked up in the truncation of the
+    algebra's cone, which this builds (`twisted.truncate_cone`)."""
     from .sullivan import GeneratorTable
     from .presets import resolve_pd
 
@@ -553,8 +629,12 @@ def parse_table_file(path: str | Path) -> TableDocument:
                 raise ParseError(f"{source}: {at}[{pos}] has degree {term_degree}, "
                                  f"not |{label}| + 1 = {degree + 1}")
             terms.append((coeff, table.product(*factors)))
-        differentials.append(terms)
-    return TableDocument(source, declared, pd, xi, evaluation, differentials, table)
+        differentials.append(_linear(terms))
+    # every C(xi) has the truncation's basis (`twisted.TruncatedCone.twist`)
+    target = truncate_cone(cone_model(pd)).algebra
+    return TableDocument(source, declared, pd, _resolve(square, xi),
+                         tuple(_resolve(target, terms) for terms in evaluation),
+                         tuple(differentials), table)
 
 
 def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]] = None):

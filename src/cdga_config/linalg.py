@@ -651,3 +651,10 @@ class RationalFunction:
         return f"({num})/({self.den.render(self.params.names)})"
 
     __repr__ = __str__
+
+
+def _at_point(row: dict, point: dict[int, Scalar]) -> dict:
+    """A new dict: `row` with each `RationalFunction` value evaluated at
+    `point` (symbol id -> value), the values that vanish there dropped."""
+    return _accumulate({}, ((k, c.value_at(point) if type(c) is RationalFunction else c)
+                            for k, c in row.items()))

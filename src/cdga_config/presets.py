@@ -9,9 +9,12 @@ once, `twisted.TruncatedCone`) and the equivalence ideal, the one owner
 of the system matrix, the projected generators and C(Xi)/I
 (`twisted.EquivalenceIdeal`). The table
 document keeps the two family verdicts of `sullivan.classify_example`,
-which depend on the document alone. Nothing that depends on a value is
-cached: each twist, each C(xi) and each table at given parameter values
-is built afresh. `check_cdga` and the check of the map from the tensor
+which depend on the document alone, and its table over the parameters
+with that table's `check_table` report (`io.TableDocument.symbolic` and
+`.report`): each table at given values that is an exact instance of it
+takes that report. Nothing that depends on a value is cached: each
+twist, each C(xi) and each table at given parameter values is built
+afresh. `check_cdga` and the check of the map from the tensor
 square run once per truncation, on C(Xi); each C(xi) gets the entry
 checks of `DGAlgebra.with_square` and an exact check that it is C(Xi) at
 xi (`twisted.TruncatedCone.instance`), or the full checks of its own when

@@ -35,10 +35,10 @@ from .algebra import Element
 from .errors import IncompatibleTables, StructureError
 from .io import TableDocument
 from .linalg import (Parameters, Poly, RationalFunction, Scalar, SparseMatrix, _accumulate,
-                     _divide, _exact, invert)
+                     _at_point, _divide, _exact, invert)
 from .presets import preset_table
 from .products import TensorAlgebra
-from .twisted import TwistedModel
+from .twisted import TwistedModel, _same_but_square
 
 Monomial = tuple[int, tuple[int, ...]]
 FreeElt = dict  # Monomial -> coefficient (a Scalar or RationalFunction, or a Poly in the solver)
@@ -185,6 +185,12 @@ class GeneratorTable:
                                         compare=False)
     _text: dict[Monomial, str] = field(default_factory=dict, init=False, repr=False,
                                        compare=False)
+    # the document and the rational values that `TableDocument.table`
+    # built this table at, set there and nowhere else; `check_table` may
+    # take the document's report for the table (`_document_report`). A
+    # copy made with `dataclasses.replace` was built by no document.
+    _built_from: Optional[tuple[TableDocument, dict[str, Scalar]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.differentials) != len(self.gens):
@@ -453,7 +459,24 @@ class TableReport:
 
 def check_table(table: GeneratorTable) -> TableReport:
     """Verify D squared zero and the evaluation cochain identity on every
-    generator; failures become report entries with expanded witnesses."""
+    generator; failures become report entries with expanded witnesses.
+
+    A table that `TableDocument.table` built at rational values is
+    first compared exactly with the document's table over its parameters
+    (`TableDocument.symbolic`), evaluated at the table's values
+    (`_document_report`). When the two agree and the document's report,
+    `check_table` of that symbolic table run once, passed, the table
+    gets that report. Why it is the table's: both checks compare sums of
+    products of table entries; there is no division. Evaluation at a
+    point is a ring homomorphism, so a symbolic identity holds at every
+    point. Guards do not matter here: a zero test only drops an entry
+    that is already zero. Every other table (the symbolic report failed,
+    the table differs from the symbolic one at its values, or it was
+    built by no document) is swept generator by generator here.
+    """
+    report = _document_report(table)
+    if report is not None:
+        return report
     checks = []
     for g in range(len(table.gens)):
         dd = table.d(table.differentials[g])
@@ -469,6 +492,38 @@ def check_table(table: GeneratorTable) -> TableReport:
                 ev_wit = f"m(D{table.gen_label(g)}) - d(m {table.gen_label(g)}) = {diff}"
         checks.append(TableCheck(table.gen_label(g), d2_ok, d2_wit, ev_ok, ev_wit))
     return TableReport(tuple(checks))
+
+
+def _document_report(table: GeneratorTable) -> Optional[TableReport]:
+    """The report of the document that built `table`, when it passed and
+    `table` is the document's symbolic table at the table's values; else
+    None. Compared exactly: the base, the generators and the target's
+    cone; each differential and each evaluation element with the symbolic
+    one evaluated there; the target's basis, unit, rows of d and every
+    product row but (S1, S1) with the symbolic target's, which are the
+    truncation's own objects (`twisted._same_but_square`); its (S1, S1)
+    row with the symbolic row evaluated there; and the images of the base
+    elements, with every element's parent, as `evaluate` reads them."""
+    if table._built_from is None:
+        return None
+    document, values = table._built_from
+    symbolic = document.symbolic
+    if symbolic is None or not document.report.all_pass:
+        return None
+    point = {k: values[name] for k, name in enumerate(document.parameters)}
+    target, model = table.target, symbolic.target
+    algebra, generic, s1 = target.algebra, model.algebra, model.s1_index
+    images = target.base_images
+    if (table.base is symbolic.base and table.gens == symbolic.gens and target.cone is model.cone
+            and _same_but_square(algebra, generic, s1)
+            and algebra._mult[s1][s1] == _at_point(generic._mult[s1][s1], point)
+            and all(image.parent is algebra for image in images + table.evaluation)
+            and [image.coeffs for image in images] == [image.coeffs for image in model.base_images]
+            and [image.coeffs for image in table.evaluation]
+            == [_at_point(image.coeffs, point) for image in symbolic.evaluation]
+            and table.differentials == tuple(_at_point(d, point) for d in symbolic.differentials)):
+        return document.report
+    return None
 
 
 # --- the staged obstruction solver ---------------------------------------------
@@ -720,7 +775,10 @@ def s2xs3_table(q, r) -> GeneratorTable:
     over the degree-five product preset: the packaged table document
     `s2xs3_table.json` (`presets.preset_table`, parsed once per process)
     with its parameters set to q and r. The table and its target C(q, r)
-    are built and checked on every call.
+    are built on every call, C(q, r) checked by `twisted.build_cxi`.
+    `check_table` gives the table the document's report, `check_table`
+    of the table over q and r, run once per process, after an exact check
+    that the table is that one at (q, r).
 
     The top generator h kills u^2 plus the twisting class: its differential
     carries -q, -r so that the evaluation is a cochain map onto the model

@@ -35,8 +35,8 @@ from .errors import (
     WrongDegree,
     ZeroFormalDimension,
 )
-from .linalg import (Parameters, RationalFunction, Scalar, SparseMatrix, _accumulate, _combine,
-                     invert, quotient_data, row_space_basis, solve)
+from .linalg import (Parameters, Scalar, SparseMatrix, _at_point, _combine, invert,
+                     quotient_data, row_space_basis, solve)
 from .poincare import PDAlgebra, diagonal_class
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -84,30 +84,51 @@ class TruncatedCone:
 
     def instance(self, xi: Element) -> tuple[DGAlgebra, bool]:
         """C(xi), the truncation with (S1)^2 the projection of xi, built on
-        the truncation's shared rows (`DGAlgebra.with_square`), and whether
-        it is the verified C(Xi) at X_t = xi_t. That is compared exactly:
-        C(xi) has C(Xi)'s basis, unit and rows of d, every product row but
-        (S1, S1) is equal to C(Xi)'s (the same object, as both come from
-        `with_square` on the truncation), and its (S1, S1) row is C(Xi)'s
-        evaluated at xi."""
+        the truncation's shared rows (`twist`), and whether it is the
+        verified C(Xi) at X_t = xi_t. That is compared exactly: C(xi) has
+        C(Xi)'s basis, unit and rows of d, every product row but (S1, S1)
+        is equal to C(Xi)'s (the same object, as both come from
+        `with_square` on the truncation; `_same_but_square`), and its
+        (S1, S1) row is C(Xi)'s evaluated at xi."""
+        model, generic, s1 = self.twist(xi), self.generic, self.s1_index
+        return model, (self.verified and _same_but_square(model, generic, s1)
+                       and model._mult[s1][s1] == self.at(generic._mult[s1][s1], xi))
+
+    def twist(self, xi: Element) -> DGAlgebra:
+        """The truncation with (S1)^2 the projection of xi
+        (`DGAlgebra.with_square`), unchecked beyond the entries of that
+        row. xi's coefficients may be rational functions of one
+        `Parameters`."""
         name = f"C({'0' if xi.is_zero() else 'xi'}) over {self.cone.pd.algebra.name or 'A'}"
-        generic, s1 = self.generic, self.s1_index
-        model = self.algebra.with_square(
-            s1, self.quotient.project(self.cone.include_base(xi)).coeffs, name=name)
-        rows, generic_rows = model._mult[s1], generic._mult[s1]
-        return model, (self.verified and model.basis is generic.basis
-                       and model.unit == generic.unit and model._diff == generic._diff
-                       and model._mult[:s1] == generic._mult[:s1]
-                       and model._mult[s1 + 1:] == generic._mult[s1 + 1:]
-                       and rows[:s1] == generic_rows[:s1] and rows[s1 + 1:] == generic_rows[s1 + 1:]
-                       and rows[s1] == self.at(generic_rows[s1], xi))
+        return self.algebra.with_square(
+            self.s1_index, self.quotient.project(self.cone.include_base(xi)).coeffs, name=name)
+
+    def model(self, xi: Element, algebra: DGAlgebra, axioms: AxiomReport) -> TwistedModel:
+        """The `TwistedModel` of `algebra`, a `twist` of xi, with the map
+        from the tensor square given by `base_rows` and the report
+        `axioms`."""
+        return TwistedModel(pd=self.cone.pd, xi=xi, algebra=algebra, cone=self.cone,
+                            truncation=self.quotient, s1_index=self.s1_index,
+                            base_images=tuple(Element(algebra, row) for row in self.base_rows),
+                            axioms=axioms, truncation_betti=self.betti)
 
     def at(self, row: Coeffs, xi: Element) -> Coeffs:
         """`row`, a row of C(Xi) or of a quotient built from it, at
         X_t = xi_t."""
-        point = {k: xi.coeffs.get(t, 0) for k, t in enumerate(self.symbols)}
-        return _accumulate({}, ((k, c.value_at(point) if type(c) is RationalFunction else c)
-                                for k, c in row.items()))
+        return _at_point(row, {k: xi.coeffs.get(t, 0) for k, t in enumerate(self.symbols)})
+
+
+def _same_but_square(model: DGAlgebra, generic: DGAlgebra, s1: int) -> bool:
+    """Whether `model` has `generic`'s basis, unit, rows of d and every
+    product row but (s1, s1), compared as objects first: each is the
+    same object when both algebras come from `with_square` on one
+    algebra."""
+    rows, generic_rows = model._mult[s1], generic._mult[s1]
+    return (model.basis is generic.basis and model.unit == generic.unit
+            and model._diff == generic._diff
+            and model._mult[:s1] == generic._mult[:s1]
+            and model._mult[s1 + 1:] == generic._mult[s1 + 1:]
+            and rows[:s1] == generic_rows[:s1] and rows[s1 + 1:] == generic_rows[s1 + 1:])
 
 
 def truncate_cone(cone: MappingCone) -> TruncatedCone:
@@ -250,8 +271,36 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     algebra, so every comparison of the sweep over all tuples holds on
     C(xi), and its report is C(Xi)'s, every axiom passing.
     """
-    square = pd.square
-    if xi.parent is not square:
+    _check_twist(pd, xi)
+    trunc = truncate_cone(cone_model(pd))
+    twisted, covered = trunc.instance(xi)
+    if covered:
+        return trunc.model(xi, twisted, trunc.axioms)
+    report = check_cdga(twisted)
+    if not report.all_pass:
+        raise AxiomFailure(report)
+    model = trunc.model(xi, twisted, report)
+    _verify_algebra_map(pd.square, twisted, model.base_images)
+    return model
+
+
+def _family_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
+    """C(xi) for a twist whose coefficients are rational functions of the
+    symbols of one `linalg.Parameters`: the whole family C(xi(p)) as one
+    model, built on the truncation's shared rows (`TruncatedCone.twist`).
+    It meets `build_cxi`'s preconditions, and its report is that of
+    `check_cdga` on it, run here over the parameters; the map from the
+    tensor square is not checked. `io.TableDocument.symbolic` evaluates
+    its generator table into it."""
+    _check_twist(pd, xi)
+    trunc = truncate_cone(cone_model(pd))
+    twisted = trunc.twist(xi)
+    return trunc.model(xi, twisted, check_cdga(twisted))
+
+
+def _check_twist(pd: PDAlgebra, xi: Element) -> None:
+    """`build_cxi`'s preconditions on xi, in its order."""
+    if xi.parent is not pd.square:
         raise StructureError("xi must live in the tensor square")
     if not xi.is_zero():
         if pd.n % 2 == 0:
@@ -262,31 +311,6 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
             raise WrongDegree(
                 f"xi must be homogeneous of degree {2 * pd.n - 2}, got {_degrees_found(xi)}"
             )
-
-    cone = cone_model(pd)
-    trunc = truncate_cone(cone)
-    twisted, covered = trunc.instance(xi)
-    base_images = tuple(Element(twisted, row) for row in trunc.base_rows)
-
-    if covered:
-        report = trunc.axioms
-    else:
-        report = check_cdga(twisted)
-        if not report.all_pass:
-            raise AxiomFailure(report)
-        _verify_algebra_map(square, twisted, base_images)
-
-    return TwistedModel(
-        pd=pd,
-        xi=xi,
-        algebra=twisted,
-        cone=cone,
-        truncation=trunc.quotient,
-        s1_index=trunc.s1_index,
-        base_images=base_images,
-        axioms=report,
-        truncation_betti=trunc.betti,
-    )
 
 
 def _degrees_found(elem: Element) -> str:
@@ -617,7 +641,8 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
         if elem.parent is not square:
             raise StructureError(f"{name} must live in the tensor square")
         if not elem.is_zero() and elem.degree() != want:
-            raise WrongDegree(f"{name} must be homogeneous of degree {want}")
+            raise WrongDegree(f"{name} must be homogeneous of degree {want}, "
+                              f"got {_degrees_found(elem)}")
         if not square.d(elem).is_zero():
             raise NotACocycle(f"d({name}) != 0")
 

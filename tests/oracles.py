@@ -13,7 +13,9 @@ row-based loops of `check_cdga`, `DGModule.verify` and `ModuleMap.verify`
 and the signed-permutation test of `diagonal_correspondence`.
 `naive_tensor_mult` restates the tensor product's Koszul rule over every
 pair of product basis elements, against the sparse loop of
-`TensorAlgebra`. `oracle_decide_xi_equivalence` and
+`TensorAlgebra`. `oracle_check_table` keeps the per-value sweep of
+`check_table`, run on every table, against the symbolic report that
+`check_table` gives a table document's instances. `oracle_decide_xi_equivalence` and
 `oracle_quotients_match` keep the per-twist route of deciding two twists:
 they set up the system afresh and solve it with `dense_solve`, and form
 each C(xi)/I with the package's `build_cxi` and `quotient_dga`.
@@ -453,3 +455,25 @@ def oracle_decide_xi_equivalence(pd, xi, xi2):
     ideal = equivalence_ideal(pd)
     return (found["w"], found["eta"], ideal.contains(ideal.cone.include_base(difference)),
             oracle_quotients_match(pd, xi, xi2))
+
+
+def oracle_check_table(table):
+    """D squared zero and the evaluation cochain identity on every
+    generator of this table, computed on its own entries at its values,
+    with the witnesses `check_table` formats."""
+    from cdga_config.sullivan import TableCheck, TableReport
+
+    checks = []
+    for g in range(len(table.gens)):
+        label = table.gen_label(g)
+        dd = table.d(table.differentials[g])
+        ev_ok, ev_wit = True, None
+        if table.target is not None:
+            diff = table.evaluate(table.differentials[g]) - \
+                table.target.algebra.d(table.evaluation[g])
+            ev_ok = diff.is_zero()
+            if not ev_ok:
+                ev_wit = f"m(D{label}) - d(m {label}) = {diff}"
+        checks.append(TableCheck(label, not dd, table.element_str(dd) if dd else None,
+                                 ev_ok, ev_wit))
+    return TableReport(tuple(checks))

@@ -79,9 +79,9 @@ def test_duplicate_labels_rejected():
 
 def _table_coeff(text, values):
     """A coefficient through the table-document grammar, with parameters."""
-    from cdga_config.io import _coeff_term, _value
+    from cdga_config.io import _at_values, _coeff_term, _linear
 
-    return _value(_coeff_term(text, values), values)
+    return _at_values(_linear([(_coeff_term(text, values), {0: 1})]), values).get(0, 0)
 
 
 def test_parse_coeff_forms():

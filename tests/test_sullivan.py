@@ -1,14 +1,16 @@
 import dataclasses
+import json
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdga_config.errors import IncompatibleTables, StructureError
+from cdga_config.cone import cone_model
+from cdga_config.errors import CdgaError, IncompatibleTables, StructureError
 from cdga_config.io import load_table_file
 from cdga_config.linalg import _accumulate
-from cdga_config.presets import table_preset_path
+from cdga_config.presets import preset_pd, preset_table, table_preset_path
 from cdga_config.sullivan import (
     Exists,
     GeneratorTable,
@@ -19,6 +21,8 @@ from cdga_config.sullivan import (
     iso_obstruction,
     s2xs3_table,
 )
+
+from oracles import oracle_check_table
 
 TENSOR = "⊗"
 
@@ -104,6 +108,188 @@ def test_table_differentials_are_pinned():
         "h": f"-2*y{TENSOR}xy + 3*xy{TENSOR}y + u^2 - 2*z61*1{TENSOR}x - 2*z61*x{TENSOR}1",
     }
     assert check_table(t).all_pass
+
+
+# --- each document checked once, its instances compared exactly -------------------
+
+
+_table_values = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-7, 3)]),
+    st.fractions(min_value=-9, max_value=9, max_denominator=11),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_table_values, _table_values)
+def test_check_table_equals_the_per_value_sweep(q, r):
+    table = s2xs3_table(q, r)
+    report = check_table(table)
+    assert report is preset_table().report
+    assert report == oracle_check_table(s2xs3_table(q, r))
+
+
+def test_a_changed_copy_is_swept_on_its_own():
+    t = s2xs3_table(F(2, 3), 0)
+    square = t.base
+    yy = square.basis.index(f"y{TENSOR}y")
+    corrupted = dict(t.differentials[-1])
+    corrupted[(yy, ())] = F(5)
+    copy = dataclasses.replace(t, differentials=t.differentials[:-1] + (corrupted,))
+    report = check_table(copy)
+    assert report == oracle_check_table(copy)
+    assert [c.ok for c in report.checks] == [True] * 6 + [False]
+    assert report.checks[-1].cochain_witness == oracle_check_table(copy).checks[-1].cochain_witness
+
+
+def _change_differential(table):
+    table.differentials[-1][(table.base.basis.index(f"y{TENSOR}y"), ())] = F(5)
+
+
+def _change_evaluation(table):
+    table.evaluation[0].coeffs[table.target.s1_index] = 2
+
+
+def _change_parent(table):
+    table.evaluation[0].parent = preset_table().symbolic.target.algebra
+
+
+def _change_square(table):
+    s1 = table.target.s1_index
+    row = table.target.algebra._mult[s1][s1]
+    row[next(iter(row))] += 1
+
+
+def _change_product_row(table):
+    # the product of S1 with the image of 1(x)x, which m(D z5) reads
+    algebra, s1 = table.target.algebra, table.target.s1_index
+    k, = table.target.base_images[table.base.basis.index(f"1{TENSOR}x")].coeffs
+    rows = list(algebra._mult[k])
+    assert rows[s1]
+    rows[s1] = {j: 2 * c for j, c in rows[s1].items()}
+    algebra._mult = algebra._mult[:k] + (tuple(rows),) + algebra._mult[k + 1:]
+
+
+def _change_d(table):
+    algebra, s1 = table.target.algebra, table.target.s1_index
+    assert algebra._diff[s1]
+    algebra._diff = algebra._diff[:s1] + ({},) + algebra._diff[s1 + 1:]
+
+
+def _change_base_image(table):
+    images = list(table.target.base_images)
+    b = table.base.basis.index(f"1{TENSOR}xy")
+    images[b] = images[b].scale(2)
+    table.target.base_images = tuple(images)
+
+
+def _change_cone(table):
+    table.target.cone = cone_model(preset_pd("s3xs4"))
+
+
+def _change_base(table):
+    object.__setattr__(table, "base", preset_pd("s3xs4").square)
+
+
+def _change_generator(table):
+    object.__setattr__(table, "gens", table.gens[:-1] + (("hh", 7),))
+
+
+def _outcome(check, table):
+    try:
+        return check(table)
+    except CdgaError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("change", [
+    _change_differential, _change_evaluation, _change_parent, _change_square,
+    _change_product_row, _change_d, _change_base_image, _change_cone, _change_base,
+    _change_generator,
+], ids=["differential", "evaluation", "parent", "square", "product-row", "d", "base-image",
+        "cone", "base", "generator"])
+def test_a_table_changed_in_place_is_swept_on_its_own(change):
+    table = s2xs3_table(3, F(1, 2))
+    change(table)
+    outcome = _outcome(check_table, table)
+    assert outcome == _outcome(oracle_check_table, table)
+    assert outcome != preset_table().report
+
+
+def _table_document(tmp_path, **changes):
+    from cdga_config.io import parse_table_file
+
+    data = json.loads(table_preset_path().read_text(encoding="utf-8"))
+    data.update(changes)
+    doc = tmp_path / "table.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    return parse_table_file(doc)
+
+
+def test_a_document_whose_symbolic_report_fails_sweeps_each_table(tmp_path):
+    # with xi free of q, the evaluation is a cochain map only where q = 0
+    document = _table_document(tmp_path, xi="r*(xy(x)y)")
+    assert not document.report.all_pass
+    assert document.report.checks[-1].cochain_witness == f"m(Dh) - d(m h) = (-q)*y{TENSOR}xy"
+    for q, passes in ((0, True), (1, False), (F(-3, 4), False)):
+        table = document.table({"q": q, "r": 0})
+        report = check_table(table)
+        assert report.all_pass is passes
+        assert report == oracle_check_table(table)
+    assert check_table(document.table({"q": 1, "r": 0})).checks[-1].cochain_witness == (
+        f"m(Dh) - d(m h) = -y{TENSOR}xy")
+
+
+def test_a_document_without_a_symbolic_twist_sweeps_each_table(tmp_path):
+    # r's term has the wrong degree: only tables with r = 0 have a target
+    document = _table_document(tmp_path, xi="q*(y(x)xy) + r*(x(x)x)")
+    table = document.table({"q": 2, "r": 0})
+    assert document.symbolic is None and document.report is None
+    assert check_table(table) == oracle_check_table(table) and check_table(table).all_pass
+
+
+def _count_sweeps(monkeypatch):
+    """The tables `GeneratorTable.d` runs on, once per call: the sweep of
+    `check_table` calls it once per generator."""
+    swept = []
+    original = GeneratorTable.d
+    monkeypatch.setattr(GeneratorTable, "d", lambda self, x: swept.append(self) or original(self, x))
+    return swept
+
+
+def test_a_warm_job_sweeps_no_table_and_each_document_once(monkeypatch, cold_presets):
+    swept = _count_sweeps(monkeypatch)
+    # the first check of a table sweeps the document's symbolic table, once
+    assert check_table(s2xs3_table(3, 0)).all_pass
+    document = preset_table()
+    assert swept == [document.symbolic] * len(document.symbolic.gens)
+    classify_example([F(5), F(-1, 2)])
+    swept.clear()
+    # a warm job of the `twist-family` benchmark: its classification and
+    # its table check sweep nothing, and no solve derives a differential
+    derived = []
+    original = GeneratorTable._derive
+    monkeypatch.setattr(GeneratorTable, "_derive",
+                        lambda self, mono: derived.append(mono) or original(self, mono))
+    qs = [F(2), F(-1, 3), F(5, 7), F(4), F(-9, 2), F(1, 8)]
+    classify_example(qs)
+    assert check_table(s2xs3_table(qs[2], 0)) is document.report
+    assert swept == [] and derived == []
+    # a copy built by no document is swept
+    copy = dataclasses.replace(s2xs3_table(qs[2], 0))
+    assert check_table(copy) == document.report
+    assert swept == [copy] * len(copy.gens)
+
+
+def test_classify_example_builds_each_value_s_target(monkeypatch):
+    import cdga_config.io as io
+
+    built = []
+    original = io.build_cxi
+    monkeypatch.setattr(io, "build_cxi", lambda pd, xi: built.append(xi) or original(pd, xi))
+    qs = [F(2), F(0), F(-1, 3)]
+    classify_example(qs)
+    square = preset_pd("s2xs3").square
+    assert built == [square.from_label_coeffs({f"y{TENSOR}xy": q}) for q in qs]
 
 
 # --- the obstruction solver -----------------------------------------------------

@@ -2,6 +2,7 @@ import functools
 import random
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -750,3 +751,50 @@ def test_decide_rejects_wrong_degree(s2xs3):
             s2xs3.square.from_label_coeffs({"x⊗y": F(1)}),
             s2xs3.square.zero(),
         )
+
+
+@pytest.mark.parametrize("position", ["xi", "xi2"])
+def test_decide_names_the_degrees_found(s2xs3, position):
+    # a WrongDegree, which the command line reports with exit status 3
+    square = s2xs3.square
+    bad = square.from_label_coeffs({"y⊗xy": 1, "x⊗x": 1})
+    good = square.from_label_coeffs({"y⊗xy": 1})
+    pair = (bad, good) if position == "xi" else (good, bad)
+    with pytest.raises(WrongDegree) as info:
+        decide_xi_equivalence(s2xs3, *pair)
+    assert str(info.value) == (
+        f"{position} must be homogeneous of degree 8, got terms of degrees 4 and 8")
+    assert type(info.value) is WrongDegree
+
+
+# --- a fixture with d != 0: the fattened sphere E(5, 2) -----------------------------
+
+E5_2 = str(Path(__file__).parent / "data" / "e5_2.json")
+
+
+def test_fattened_sphere_passes_check():
+    from cdga_config.cli import main
+
+    assert main(["check", E5_2]) == 0
+
+
+def _fm2_betti(pd):
+    """The Betti vectors of the cone, of the quotient by the diagonal and
+    of C(0), up to the cone's top degree."""
+    cone = cone_model(pd)
+    top = cone.algebra.basis.max_degree()
+    return (cohomology(cone.algebra).betti_vector(top), quotient_by_diagonal(pd).betti(top),
+            build_cxi(pd, pd.square.zero()).betti(top))
+
+
+@pytest.mark.parametrize("factor", [None, "s2"], ids=["alone", "times-s2"])
+def test_fattened_sphere_has_the_invariants_of_s5(factor):
+    from cdga_config.presets import resolve_pd
+    from cdga_config.products import product_pd
+
+    fattened, sphere = resolve_pd(E5_2), preset_pd("s5")
+    assert fattened.algebra.diff_entries()
+    if factor is not None:
+        fattened = product_pd(fattened, preset_pd(factor))
+        sphere = product_pd(sphere, preset_pd(factor))
+    assert _fm2_betti(fattened) == _fm2_betti(sphere)
