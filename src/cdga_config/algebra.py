@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
 from .linalg import (RationalFunction, Scalar, SparseMatrix, _accumulate, _combine, _exact,
-                     _residues, kernel_basis, row_space_basis)
+                     _negated, _residues, kernel_basis, row_space_basis)
 
 Coeffs = dict[int, Scalar]
 
@@ -433,6 +433,99 @@ class AxiomReport:
         return out
 
 
+def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, covered_r, covered_m):
+    """The first failing tuple of each action axiom of a ring on a module.
+
+    The ring has products `rows[i][j]` = e_i e_j (as `DGAlgebra._mult`),
+    rows of d `rdiff`, degrees `rdegs` and unit index `unit`; the module has
+    action rows `act[r][m]` = e_r . e_m, rows of d `diff` and degrees
+    `degs`. Both bases are sorted by degree. Returns the first failure in
+    lexicographic order, or None, of
+
+    - the unit: m with 1 . e_m != e_m;
+    - associativity: (r1, r2, m) with (e_r1 e_r2) . e_m != e_r1 . (e_r2 . e_m);
+    - d squared: m with d d e_m != 0;
+    - the Leibniz rule: (r, m) with
+      d(e_r . e_m) != d(e_r) . e_m + (-1)^|e_r| e_r . d(e_m).
+
+    A ring acting on itself has `act` = `rows` and `diff` = `rdiff`.
+
+    Associativity and Leibniz pass over tuples whose two sides are equal,
+    so each first failure is the one a sweep over all tuples finds. Both
+    sides are zero:
+
+    - above the module's top degree, where both constructors allow no
+      entry: on a triple whose degrees sum above it, and on a Leibniz pair
+      whose degrees sum to it or more (every term lies one degree higher).
+      The bases are sorted by degree, so once the leading indices are
+      fixed, the next indices of small enough degree form a prefix range;
+      r2's range leaves room for the module's lowest degree;
+    - at m with e_r2 . e_m = 0 and e_t . e_m = 0 for every term e_t of
+      e_r1 e_r2: only these partner indices m are evaluated;
+    - on a Leibniz pair with e_r . e_m = 0, d e_r = 0 and d e_m = 0.
+
+    Both sides are equal on a tuple with a unit factor once the unit row
+    passed. The caller passes the unit as `covered_r` only if the ring's
+    unit row is {r: 1} for every r, and as `covered_m` only if the module
+    is the ring itself; else as -1, which matches no index. With the
+    module's unit check passed as well, a triple with the unit as r1 or r2
+    has both sides e_r2 . e_m or e_r1 . e_m (e_r1 * 1 = 1 * e_r1: the
+    algebra constructor derives one from the other with sign +1), and one
+    ending in the unit has both sides e_r1 e_r2. A Leibniz pair with a
+    unit factor has both sides d(e_m) or d(e_r) only if d(1) = 0 as well.
+    """
+    n = len(degs)
+    top, low = (degs[-1], degs[0]) if degs else (0, 0)
+    unit_failure = next((m for m in range(n) if act[unit][m] != {m: 1}), None)
+    if unit_failure is not None:
+        covered_r = covered_m = -1
+    # act_t[m][r] = e_r . e_m: the action on e_m as a map of the ring
+    act_t = [list(column) for column in zip(*act)]
+    # partners[t]: the module indices m with e_t . e_m != 0
+    partners = [[m for m, row in enumerate(act_rows) if row] for act_rows in act]
+
+    def associativity():
+        for r1, products in enumerate(rows):
+            if r1 == covered_r:
+                continue
+            act1 = act[r1]
+            # bisect_right(degs, d) is the number of indices of degree at most d
+            for r2 in range(bisect_right(rdegs, top - rdegs[r1] - low)):
+                if r2 == covered_r:
+                    continue
+                prod, act2 = products[r2], act[r2]
+                limit = bisect_right(degs, top - rdegs[r1] - rdegs[r2])
+                candidates = set(partners[r2])
+                for t in prod:
+                    candidates.update(partners[t])
+                candidates.discard(covered_m)
+                for m in sorted(candidates):
+                    if m >= limit:
+                        break
+                    if _combine(prod, act_t[m]) != _combine(act2[m], act1):
+                        return r1, r2, m
+        return None
+
+    def leibniz():
+        skip_r, skip_m = (-1, -1) if rdiff[unit] else (covered_r, covered_m)
+        negated = _negated(diff)
+        for r, act_r in enumerate(act):
+            if r == skip_r:
+                continue
+            dr = rdiff[r]
+            signed = negated if rdegs[r] % 2 else diff
+            for m in range(bisect_right(degs, top - 1 - rdegs[r])):
+                if m == skip_m or not act_r[m] and not dr and not diff[m]:
+                    continue
+                # d(e_r . e_m) against d(e_r) . e_m + (-1)^|e_r| e_r . d(e_m)
+                if _combine(act_r[m], diff) != _combine(signed[m], act_r, _combine(dr, act_t[m])):
+                    return r, m
+        return None
+
+    d_squared = next((m for m in range(n) if _combine(diff[m], diff)), None)
+    return unit_failure, associativity(), d_squared, leibniz()
+
+
 def check_cdga(a: DGAlgebra) -> AxiomReport:
     """CDGA axiom check over every basis tuple whose terms can be nonzero.
 
@@ -441,136 +534,38 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     tuple in lexicographic order as the witness. The checks run on the
     table of basis products and the rows of d, without building elements.
 
-    Associativity and Leibniz iterate by degree block. A product landing
-    above the top basis degree is zero, because the constructor rejects
-    entries that do not add degrees, so both sides vanish on a triple of
-    total degree above the top, and on a Leibniz pair whose degrees sum
-    to the top or more (every term lies one degree higher). The basis is
-    sorted by degree, so once the leading indices are fixed, the next
-    indices of small enough degree form a prefix range. Inside the ranges
-    a tuple is also passed over when every term on both sides has a zero
-    factor (see the comments at each loop). No tuple that is passed over
-    can fail, so the report, witnesses included, is the one a sweep over
-    all basis tuples in lexicographic order gives.
-
-    Three more kinds of tuple are passed over because they cannot fail:
-
-    - Graded commutativity. The constructor derives the product of
-      (e_j, e_i) from the one of (e_i, e_j) with the Koszul sign, so for
-      i < j the comparison is an identity. Only a pair (e_i, e_i) with
-      |e_i| odd can fail, and it fails exactly when e_i^2 != 0; only those
-      squares are compared.
-    - Associativity, once the unit check has passed. Then 1*e_i = e_i
-      for every i, and e_i*1 = 1*e_i as well: the constructor derives one
-      from the other with sign +1, because the unit has degree 0. A triple
-      with the unit in any position then has both sides equal to e_j e_k,
-      e_i e_k or e_i e_j, so no such triple is evaluated. If the unit
-      check fails, every triple in range is evaluated.
-    - Leibniz, once the unit check has passed and d(1) = 0. A pair with a
-      unit factor then has both sides equal to d(e_j) or d(e_i), so it is
-      not evaluated. Otherwise every pair in range is evaluated.
+    All but graded commutativity are the axioms of A as a dg-module over
+    itself, checked by `_action_sweep` on A's own tables with the unit
+    covering every position; its docstring gives the argument for the
+    tuples it passes over. Graded commutativity needs no sweep: the
+    constructor derives the product of (e_j, e_i) from the one of
+    (e_i, e_j) with the Koszul sign, so for i < j the comparison is an
+    identity. Only a pair (e_i, e_i) with |e_i| odd can fail, and it fails
+    exactly when e_i^2 != 0; only those squares are compared.
 
     Entries may be symbolic: with a `linalg.RationalFunction` entry the
     sweep runs over the field of rational functions, where a comparison
     passes only if it holds identically in the symbols
     (`twisted.TruncatedCone` checks a whole family this way).
     """
-    labels = a.basis.labels
-    degs = a.basis.degrees
-    n = a.dim()
-    top = a.basis.max_degree()
-    checks = []
+    labels, degs, pair, drows = a.basis.labels, a.basis.degrees, a._mult, a._diff
+    unit, assoc, dd, leibniz = _action_sweep(pair, pair, drows, drows, degs, degs,
+                                             a.unit, a.unit, a.unit)
 
-    # pair[i][j] = e_i * e_j with the Koszul sign applied, and its transpose
-    pair = a._mult
-    pair_t = [list(column) for column in zip(*pair)]
-    drows = a._diff
-
-    def upto(d: int) -> int:
-        """Number of basis indices of degree at most d (a prefix)."""
-        return bisect_right(degs, d)
-
-    witness = None
-    for i in range(n):
-        if pair[a.unit][i] != {i: 1}:
-            witness = f"1*{labels[i]} != {labels[i]}"
-            break
-    checks.append(AxiomCheck("unit", witness is None, witness))
-
-    # with the unit row verified, tuples with a unit factor cannot fail;
-    # -1 matches no index, so nothing is passed over when it was not
-    proven_unit = a.unit if witness is None else -1
+    def witness(index_tuple):
+        return None if index_tuple is None else f"({', '.join(labels[i] for i in index_tuple)})"
 
     # pair[j][i] is +-pair[i][j] by construction: only odd squares can fail
-    witness = None
-    for i in range(n):
-        if degs[i] % 2 and pair[i][i]:
-            witness = f"({labels[i]}, {labels[i]})"
-            break
-    checks.append(AxiomCheck("graded_commutativity", witness is None, witness))
-
-    # (e_i e_j) e_k against e_i (e_j e_k). For k in its degree range, the
-    # left side can be nonzero only if e_m e_k != 0 for a term e_m of
-    # e_i e_j, and the right side only if e_j e_k != 0; at every other k
-    # both sides are zero, so only those partner indices are evaluated.
-    partners = [[k for k, row in enumerate(pair[m]) if row] for m in range(n)]
-    witness = None
-    for i in range(n):
-        if i == proven_unit:
-            continue
-        pi = pair[i]
-        for j in range(upto(top - degs[i])):
-            if j == proven_unit:
-                continue
-            pij = pi[j]
-            pj = pair[j]
-            limit = upto(top - degs[i] - degs[j])
-            candidates = set(partners[j])
-            for m in pij:
-                candidates.update(partners[m])
-            candidates.discard(proven_unit)
-            for k in sorted(candidates):
-                if k >= limit:
-                    break
-                if _combine(pij, pair_t[k]) != _combine(pj[k], pi):
-                    witness = f"({labels[i]}, {labels[j]}, {labels[k]})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("associativity", witness is None, witness))
-
-    witness = None
-    for i in range(n):
-        if dd := _combine(drows[i], drows):
-            witness = f"d²({labels[i]}) = {Element(a, dd)}"
-            break
-    checks.append(AxiomCheck("d_squared", witness is None, witness))
-
-    # d(e_i e_j) against d(e_i) e_j + (-1)^|e_i| e_i d(e_j)
-    negated = [{t: -c for t, c in row.items()} for row in drows]
-    # unit pairs are passed over only if d(1) = 0 as well
-    skip = -1 if drows[a.unit] else proven_unit
-    witness = None
-    for i in range(n):
-        if i == skip:
-            continue
-        di = drows[i]
-        pi = pair[i]
-        signed = negated if degs[i] % 2 else drows
-        for j in range(upto(top - 1 - degs[i])):
-            if j == skip or not pi[j] and not di and not drows[j]:
-                continue
-            rhs = _combine(signed[j], pi, _combine(di, pair_t[j]))
-            if _combine(pi[j], drows) != rhs:
-                witness = f"({labels[i]}, {labels[j]})"
-                break
-        if witness:
-            break
-    checks.append(AxiomCheck("leibniz", witness is None, witness))
-
-    return AxiomReport(tuple(checks))
+    odd_square = next((i for i, d in enumerate(degs) if d % 2 and pair[i][i]), None)
+    checks = (
+        ("unit", None if unit is None else f"1*{labels[unit]} != {labels[unit]}"),
+        ("graded_commutativity", witness(None if odd_square is None else (odd_square,) * 2)),
+        ("associativity", witness(assoc)),
+        ("d_squared",
+         None if dd is None else f"d²({labels[dd]}) = {Element(a, _combine(drows[dd], drows))}"),
+        ("leibniz", witness(leibniz)),
+    )
+    return AxiomReport(tuple(AxiomCheck(axiom, w is None, w) for axiom, w in checks))
 
 
 # --- cohomology ------------------------------------------------------------

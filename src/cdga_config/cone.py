@@ -27,7 +27,7 @@ from .algebra import DGAlgebra, Element, GradedBasis, check_cdga
 from .dgmodule import ModuleMap, suspend
 from .errors import (AxiomFailure, MixedParents, NotAModuleMap, OddDimension, StructureError,
                      ZeroFormalDimension)
-from .linalg import _combine
+from .linalg import _combine, _first_uncommuting
 from .poincare import PDAlgebra, shriek_map
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -247,12 +247,11 @@ def _verify_algebra_map(source: DGAlgebra, target: DGAlgebra, images: Sequence[E
         raise MixedParents("images do not belong to the target algebra")
     rows = [x.coeffs for x in images]
 
-    n = source.dim()
-    for i in range(n):
-        if _combine(source.d_basis(i), rows) != target.d_coeffs(rows[i]):
-            raise StructureError(f"map does not commute with d at {source.basis.labels[i]}")
+    i = _first_uncommuting(source._diff, target._diff, rows)
+    if i is not None:
+        raise StructureError(f"map does not commute with d at {source.basis.labels[i]}")
     for i, products in enumerate(source._mult):
-        for j in range(i, n):
+        for j in range(i, len(products)):
             if _combine(products[j], rows) != target.multiply_coeffs(rows[i], rows[j]):
                 raise StructureError(
                     f"map is not multiplicative at ({source.basis.labels[i]}, {source.basis.labels[j]})"

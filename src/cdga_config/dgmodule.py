@@ -11,7 +11,8 @@ action. A module keeps the rows it is given: the ring acting on itself
 shares the ring's product table, and a suspension shares every row whose
 sign is +1. Every `ModuleMap` checks on construction that it commutes with
 d and with the action on all basis pairs, which is how each shriek map is
-verified; `DGModule.verify` checks the module axioms themselves on demand.
+verified; `DGModule.verify` checks the module axioms themselves on demand,
+with `check_cdga`'s sweep (`algebra._action_sweep`).
 """
 
 from __future__ import annotations
@@ -19,16 +20,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .algebra import DGAlgebra, Element, GradedBasis
+from .algebra import DGAlgebra, Element, GradedBasis, _action_sweep
 from .errors import NotAModuleMap, StructureError
-from .linalg import Scalar, _combine
+from .linalg import Scalar, _first_uncommuting, _negated
 
 Coeffs = dict[int, Scalar]
-
-
-def _negated(rows: Sequence[Coeffs]) -> tuple[Coeffs, ...]:
-    """The rows with every coefficient negated; empty rows are shared."""
-    return tuple({t: -c for t, c in row.items()} if row else row for row in rows)
 
 
 class DGModule:
@@ -41,8 +37,8 @@ class DGModule:
     The constructor checks the shape of both tables and every entry: a
     nonzero canonical scalar (see `linalg`) at an index of the
     degree the rule asks for. `verify()` checks unit action, associativity
-    of the action over all (r, r', m) triples and the module Leibniz rule
-    on all (r, m) pairs.
+    of the action on (r, r', m) triples, the module Leibniz rule on (r, m)
+    pairs and d squared zero, passing over only tuples that cannot fail.
     """
 
     def __init__(
@@ -97,39 +93,30 @@ class DGModule:
         return dict(self._action[r][m])
 
     def verify(self) -> None:
-        """Check unit, action associativity and the module Leibniz rule on
-        every basis tuple, on the rows of the action, of the ring's product
-        and of both differentials; raises StructureError on the first
-        violation."""
+        """Check the unit, associativity of the action, the module Leibniz
+        rule and d squared zero with `check_cdga`'s sweep
+        (`algebra._action_sweep`); raises StructureError at the first
+        failing tuple of the first failing axiom, in that order."""
         ring = self.ring
-        act = self._action
-        # act_t[m][r] = e_r . e_m: the action on e_m as a map of the ring
-        act_t = [list(column) for column in zip(*act)]
+        act, diff, unit = self._action, self._diff, ring.unit
+        rows = ring._mult
+        covered_r = unit if all(row == {r: 1} for r, row in enumerate(rows[unit])) else -1
+        covered_m = unit if act == rows and diff == ring._diff else -1
+        unit_failure, assoc, dd, leibniz = _action_sweep(
+            rows, act, ring._diff, diff, ring.basis.degrees, self.basis.degrees,
+            unit, covered_r, covered_m)
         rlabels, labels = ring.basis.labels, self.basis.labels
-        n, n_r = self.dim(), ring.dim()
-        for m in range(n):
-            if act[ring.unit][m] != {m: 1}:
-                raise StructureError(f"unit does not act as identity on {labels[m]}")
-        for r1, products in enumerate(ring._mult):
-            for r2, prod in enumerate(products):
-                for m in range(n):
-                    if _combine(prod, act_t[m]) != _combine(act[r2][m], act[r1]):
-                        raise StructureError(
-                            "module action is not associative at "
-                            f"({rlabels[r1]}, {rlabels[r2]}, {labels[m]})"
-                        )
-        diff = self._diff
-        negated = _negated(diff)
-        for r in range(n_r):
-            dr = ring.d_basis(r)
-            signed = negated if ring.basis.degrees[r] % 2 else diff
-            for m in range(n):
-                # d(e_r . e_m) against d(e_r) . e_m + (-1)^|e_r| e_r . d(e_m)
-                rhs = _combine(signed[m], act[r], _combine(dr, act_t[m]))
-                if _combine(act[r][m], diff) != rhs:
-                    raise StructureError(
-                        f"module Leibniz rule fails at ({rlabels[r]}, {labels[m]})"
-                    )
+        if unit_failure is not None:
+            raise StructureError(f"unit does not act as identity on {labels[unit_failure]}")
+        if assoc:
+            r1, r2, m = assoc
+            raise StructureError(
+                f"module action is not associative at ({rlabels[r1]}, {rlabels[r2]}, {labels[m]})")
+        if leibniz:
+            r, m = leibniz
+            raise StructureError(f"module Leibniz rule fails at ({rlabels[r]}, {labels[m]})")
+        if dd is not None:
+            raise StructureError(f"module differential does not square to zero at {labels[dd]}")
 
     def __repr__(self) -> str:
         return f"DGModule({self.name or '?'}, dim {self.dim()} over {self.ring.name or '?'})"
@@ -185,16 +172,15 @@ class ModuleMap:
     def verify(self) -> None:
         """Check f d = d f on every source basis element, then
         f(e_r . e_i) = e_r . f(e_i) on every (ring, source) basis pair, on
-        the rows of the images, the actions and the differentials."""
+        the rows of the images, the actions and the differentials; raises
+        NotAModuleMap at the first failure, in that order."""
         src, tgt, ring = self.source, self.target, self.source.ring
         rows = [img.coeffs for img in self.images]
-        for i in range(src.dim()):
-            if _combine(src._diff[i], rows) != _combine(rows[i], tgt._diff):
-                raise NotAModuleMap(f"does not commute with d at {src.basis.labels[i]}")
-        for r in range(ring.dim()):
-            src_r, tgt_r = src._action[r], tgt._action[r]
-            for i in range(src.dim()):
-                if _combine(src_r[i], rows) != _combine(rows[i], tgt_r):
-                    raise NotAModuleMap(
-                        f"does not commute with the action at ({ring.basis.labels[r]}, {src.basis.labels[i]})"
-                    )
+        i = _first_uncommuting(src._diff, tgt._diff, rows)
+        if i is not None:
+            raise NotAModuleMap(f"does not commute with d at {src.basis.labels[i]}")
+        for r, (src_r, tgt_r) in enumerate(zip(src._action, tgt._action)):
+            i = _first_uncommuting(src_r, tgt_r, rows)
+            if i is not None:
+                raise NotAModuleMap("does not commute with the action at "
+                                    f"({ring.basis.labels[r]}, {src.basis.labels[i]})")

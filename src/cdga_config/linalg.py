@@ -91,6 +91,21 @@ def _combine(coeffs: dict, rows, out: Optional[dict] = None) -> dict:
     return out
 
 
+def _negated(rows) -> tuple[dict, ...]:
+    """The rows with every coefficient negated; empty rows are shared."""
+    return tuple({t: -c for t, c in row.items()} if row else row for row in rows)
+
+
+def _first_uncommuting(src_op, tgt_op, rows) -> Optional[int]:
+    """The first i with f(src_op(e_i)) != tgt_op(f(e_i)), where f is the
+    linear map with basis images `rows` and each operator is given by its
+    rows; None if f intertwines the two operators."""
+    for i, row in enumerate(src_op):
+        if _combine(row, rows) != _combine(rows[i], tgt_op):
+            return i
+    return None
+
+
 class SparseMatrix:
     """Immutable sparse rational matrix.
 

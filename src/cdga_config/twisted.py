@@ -105,12 +105,11 @@ class TruncatedCone:
 
     def model(self, xi: Element, algebra: DGAlgebra, axioms: AxiomReport) -> TwistedModel:
         """The `TwistedModel` of `algebra`, a `twist` of xi, with the map
-        from the tensor square given by `base_rows` and the report
-        `axioms`."""
+        from the tensor square given by the shared `base_rows` and the
+        report `axioms`."""
         return TwistedModel(pd=self.cone.pd, xi=xi, algebra=algebra, cone=self.cone,
                             truncation=self.quotient, s1_index=self.s1_index,
-                            base_images=tuple(Element(algebra, row) for row in self.base_rows),
-                            axioms=axioms, truncation_betti=self.betti)
+                            base_rows=self.base_rows, axioms=axioms, truncation_betti=self.betti)
 
     def at(self, row: Coeffs, xi: Element) -> Coeffs:
         """`row`, a row of C(Xi) or of a quotient built from it, at
@@ -191,9 +190,10 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
 class TwistedModel:
     """The truncation with the product twisted so that (S1)^2 = xi.
 
-    `algebra` carries the twisted product; `base_images` realise the map
-    from the tensor square (projection on the algebra part, zero on the
-    suspension), verified multiplicative at construction.
+    `algebra` carries the twisted product; `base_rows`, the truncation's
+    shared tuple, realise the map from the tensor square (projection on
+    the algebra part, zero on the suspension), verified multiplicative at
+    construction.
     `truncation_betti` is the truncation's Betti vector
     (`TruncatedCone.betti`), which is this model's (see `betti`).
     """
@@ -204,7 +204,7 @@ class TwistedModel:
     cone: MappingCone
     truncation: QuotientDGA
     s1_index: int
-    base_images: tuple[Element, ...]
+    base_rows: tuple[dict[int, Scalar], ...]
     axioms: AxiomReport
     truncation_betti: tuple[int, ...]
 
@@ -279,9 +279,8 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     report = check_cdga(twisted)
     if not report.all_pass:
         raise AxiomFailure(report)
-    model = trunc.model(xi, twisted, report)
-    _verify_algebra_map(pd.square, twisted, model.base_images)
-    return model
+    _verify_algebra_map(pd.square, twisted, tuple(Element(twisted, r) for r in trunc.base_rows))
+    return trunc.model(xi, twisted, report)
 
 
 def _family_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:

@@ -298,8 +298,9 @@ def _module_d(module, x):
 
 def naive_verify_module(module):
     """`DGModule.verify` computed one `Element` at a time: the unit on every
-    m, associativity on every (r1, r2, m) and the Leibniz rule on every
-    (r, m), in lexicographic order, raising the same first StructureError."""
+    m, associativity on every (r1, r2, m), the Leibniz rule on every (r, m)
+    and d squared on every m, in lexicographic order, raising the same
+    first StructureError."""
     from cdga_config.algebra import Element
     from cdga_config.errors import StructureError
 
@@ -327,6 +328,9 @@ def naive_verify_module(module):
                    + _module_act(module, e[r], _module_d(module, em[m])).scale(sign))
             if lhs != rhs:
                 raise StructureError(f"module Leibniz rule fails at ({rlabels[r]}, {mlabels[m]})")
+    for m in range(module.dim()):
+        if not _module_d(module, _module_d(module, em[m])).is_zero():
+            raise StructureError(f"module differential does not square to zero at {mlabels[m]}")
 
 
 def naive_verify_module_map(source, target, images):

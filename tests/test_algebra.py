@@ -273,6 +273,32 @@ def _perturbations(alg, rng, count):
     return out
 
 
+def _module_failures(alg):
+    """The message `ring_as_module(alg).verify()` raises (or None), and the
+    one its shared sweep with `check_cdga` predicts from `check_cdga`'s
+    witnesses: the first failing one of the unit, associativity, Leibniz
+    and d squared, in that order."""
+    from cdga_config.dgmodule import ring_as_module
+
+    try:
+        ring_as_module(alg).verify()
+        raised = None
+    except StructureError as exc:
+        raised = str(exc)
+    witnesses = _witnesses(alg)
+    expected = None
+    if "unit" in witnesses:
+        expected = f"unit does not act as identity on {witnesses['unit'].split(' != ')[1]}"
+    elif "associativity" in witnesses:
+        expected = f"module action is not associative at {witnesses['associativity']}"
+    elif "leibniz" in witnesses:
+        expected = f"module Leibniz rule fails at {witnesses['leibniz']}"
+    elif "d_squared" in witnesses:
+        label = witnesses["d_squared"][len("d²("):].split(") = ")[0]
+        expected = f"module differential does not square to zero at {label}"
+    return raised, expected
+
+
 def test_check_cdga_matches_naive_oracle_on_perturbations():
     from cdga_config.cone import cone_model
     from cdga_config.products import product_pd
@@ -289,6 +315,9 @@ def test_check_cdga_matches_naive_oracle_on_perturbations():
         for broken in _perturbations(alg, rng, 12):
             report = check_cdga(broken)
             assert report == naive_check_cdga(broken), alg.name
+            # A as a module over itself fails `verify` at the same tuple
+            raised, expected = _module_failures(broken)
+            assert raised == expected, alg.name
             failing.update(c.axiom for c in report.failed())
     # the sample reaches every axiom the perturbations can break
     assert failing >= {"associativity", "d_squared", "leibniz"}

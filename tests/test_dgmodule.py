@@ -20,6 +20,7 @@ from cdga_config.errors import NotAModuleMap, StructureError
 from cdga_config.linalg import _exact
 from cdga_config.poincare import algebra_as_square_module, check_pd, desuspended_module, shriek_map
 from cdga_config.presets import PRESET_NAMES, preset_pd
+from cdga_config.products import product_pd
 
 from oracles import naive_verify_module, naive_verify_module_map
 
@@ -168,6 +169,17 @@ def test_module_witness_at_leibniz(s2xs3_module):
     assert str(exc.value) == "module Leibniz rule fails at (1⊗x, s^-5(1))"
 
 
+def test_module_differential_must_square_to_zero():
+    # a, b, c in degrees 0, 1, 2 over the point, with d a = b and d b = c:
+    # the unit and the Leibniz rule hold, d d a = c does not vanish
+    ring = preset_pd("point").algebra
+    basis = GradedBasis(["a", "b", "c"], [0, 1, 2])
+    module = DGModule(ring, basis, [[{0: 1}, {1: 1}, {2: 1}]], [{1: 1}, {2: 1}, {}])
+    message = ("StructureError", "module differential does not square to zero at a")
+    assert failure(module.verify) == message
+    assert failure(naive_verify_module, module) == message
+
+
 # --- ModuleMap.verify and the cone's delta squared ----------------------------
 
 
@@ -207,10 +219,15 @@ CHANGES = [1, -1, 2, Fraction(1, 2)]
 
 def perturbed_module(seed):
     """A preset module (or the module over `small_pd`) with one action entry
-    or one differential entry changed in a degree the constructor accepts."""
+    or one differential entry changed in a degree the constructor accepts.
+    From seed 24 on, the module is s2xs3 x s2 over its square, a ring of
+    dimension 64."""
     rng = random.Random(seed)
-    pd = small_pd() if seed % 6 == 5 else preset_pd(rng.choice(MODULE_PRESETS))
-    module = rng.choice([desuspended_module, algebra_as_square_module])(pd)
+    if seed >= 24:
+        module = algebra_as_square_module(product_pd(preset_pd("s2xs3"), preset_pd("s2")))
+    else:
+        pd = small_pd() if seed % 6 == 5 else preset_pd(rng.choice(MODULE_PRESETS))
+        module = rng.choice([desuspended_module, algebra_as_square_module])(pd)
     action, diff = tables(module)
     rdegs, degs = module.ring.basis.degrees, module.basis.degrees
     while True:
@@ -246,7 +263,7 @@ def perturbed_map(seed):
     return f.source, f.target, images
 
 
-@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("seed", range(30))
 def test_module_verify_agrees_with_the_reference(seed):
     module = perturbed_module(seed)
     assert failure(module.verify) == failure(naive_verify_module, module)

@@ -33,6 +33,10 @@ DATA = Path(__file__).parent / "data"
 # the second file adds d(x) = 5/7 y, which breaks the Leibniz rule at (x, x)
 FRACTIONAL = str(DATA / "s2xs3_fractional.json")
 FRACTIONAL_LEIBNIZ = str(DATA / "s2xs3_fractional_leibniz.json")
+# the fattened sphere E(5, 2), with d(u) = v and d(w) = t; the second file
+# flips the sign of v*w, which breaks the Leibniz rule at (u, w)
+E5_2 = str(DATA / "e5_2.json")
+E5_2_LEIBNIZ = str(DATA / "e5_2_leibniz.json")
 PRODUCT_OUT = "product.json"
 
 def _cases():
@@ -60,6 +64,12 @@ def _cases():
          ["cxi", FRACTIONAL, "--xi=-3/4*(y(x)xy) + 2/9*(xy(x)y)"], 0),
         ("cxi_s2xs3_fractional_x", ["cxi", FRACTIONAL, "--x=7/5*y"], 0),
         ("check_s2xs3_fractional_leibniz", ["check", FRACTIONAL_LEIBNIZ], 2),
+        ("check_e5_2", ["check", E5_2], 0),
+        ("diagonal_e5_2", ["diagonal", E5_2], 0),
+        ("betti-fm2_e5_2", ["betti-fm2", E5_2], 0),
+        ("cxi_e5_2", ["cxi", E5_2, "--xi=0"], 0),
+        ("check_e5_2_leibniz", ["check", E5_2_LEIBNIZ], 2),
+        ("product_e5_2_s2", ["product", E5_2, "s2", "--out", PRODUCT_OUT], 0),
     ]
     return cases
 

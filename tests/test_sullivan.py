@@ -162,7 +162,7 @@ def _change_square(table):
 def _change_product_row(table):
     # the product of S1 with the image of 1(x)x, which m(D z5) reads
     algebra, s1 = table.target.algebra, table.target.s1_index
-    k, = table.target.base_images[table.base.basis.index(f"1{TENSOR}x")].coeffs
+    k, = table.target.base_rows[table.base.basis.index(f"1{TENSOR}x")]
     rows = list(algebra._mult[k])
     assert rows[s1]
     rows[s1] = {j: 2 * c for j, c in rows[s1].items()}
@@ -176,10 +176,11 @@ def _change_d(table):
 
 
 def _change_base_image(table):
-    images = list(table.target.base_images)
+    # on a copy of the target: its rows are the truncation's shared tuple
+    rows = list(table.target.base_rows)
     b = table.base.basis.index(f"1{TENSOR}xy")
-    images[b] = images[b].scale(2)
-    table.target.base_images = tuple(images)
+    rows[b] = {k: 2 * c for k, c in rows[b].items()}
+    object.__setattr__(table, "target", dataclasses.replace(table.target, base_rows=tuple(rows)))
 
 
 def _change_cone(table):

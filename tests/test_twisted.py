@@ -194,7 +194,8 @@ def test_build_cxi_family_report_is_the_numeric_report(name, data):
     instance, covered = trunc.instance(xi)
     assert trunc.symbols and trunc.verified and covered and instance._mult == model.algebra._mult
     assert model.axioms == check_cdga(model.algebra)
-    _verify_algebra_map(square, model.algebra, model.base_images)
+    _verify_algebra_map(square, model.algebra,
+                        tuple(model.algebra.element(row) for row in model.base_rows))
 
 
 def test_check_cdga_runs_once_per_truncation(monkeypatch):
