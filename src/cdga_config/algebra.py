@@ -23,7 +23,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
 from .linalg import (RationalFunction, Scalar, SparseMatrix, _accumulate, _combine, _exact,
-                     _negated, _residues, kernel_basis, row_space_basis)
+                     _first_not_squaring_to_zero, _negated, _residues, kernel_basis,
+                     row_space_basis)
 
 Coeffs = dict[int, Scalar]
 
@@ -522,8 +523,7 @@ def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, covered_r, covered_
                     return r, m
         return None
 
-    d_squared = next((m for m in range(n) if _combine(diff[m], diff)), None)
-    return unit_failure, associativity(), d_squared, leibniz()
+    return unit_failure, associativity(), _first_not_squaring_to_zero(diff), leibniz()
 
 
 def check_cdga(a: DGAlgebra) -> AxiomReport:
@@ -601,13 +601,11 @@ def cohomology(space: DGAlgebra) -> CohomologyReport:
     qualify. Raises NotAComplex when d squared is nonzero.
     """
     basis = space.basis
-    for i in range(len(basis)):
-        dd_coeffs = space.d_coeffs(space.d_basis(i))
-        if dd_coeffs:
-            witness_terms = ", ".join(
-                f"{c}*{basis.labels[k]}" for k, c in sorted(dd_coeffs.items())
-            )
-            raise NotAComplex(basis.degrees[i], (basis.labels[i], witness_terms))
+    i = _first_not_squaring_to_zero(space._diff)
+    if i is not None:
+        dd_coeffs = space.d_coeffs(space._diff[i])
+        witness_terms = ", ".join(f"{c}*{basis.labels[k]}" for k, c in sorted(dd_coeffs.items()))
+        raise NotAComplex(basis.degrees[i], (basis.labels[i], witness_terms))
 
     degrees = basis.degrees_present()
     report: dict[int, DegreeCohomology] = {}

@@ -21,10 +21,11 @@ import argparse
 import json
 import os
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from . import __version__
-from .algebra import check_cdga, cohomology
+from .algebra import Element, check_cdga, cohomology
 from .cone import cone_model
 from .errors import (
     CdgaError,
@@ -200,13 +201,10 @@ def cmd_cxi(args) -> int:
     alg = model.algebra
     top = alg.basis.max_degree()
     betti = model.betti(top)
-    s1_label = alg.basis.labels[model.s1_index]
-    products = []
-    for i in range(alg.dim()):
-        for j in range(i, alg.dim()):
-            value = alg.multiply(alg.basis_element(i), alg.basis_element(j))
-            if not value.is_zero():
-                products.append((alg.basis.labels[i], alg.basis.labels[j], str(value)))
+    labels = alg.basis.labels
+    s1_label = labels[model.trunc.s1_index]
+    products = [(labels[i], labels[j], str(Element(alg, {k: c for _, _, k, c in entries})))
+                for (i, j), entries in groupby(alg.mult_entries(), key=lambda e: e[:2])]
     report = {
         "command": "cxi",
         "version": __version__,

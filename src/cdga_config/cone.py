@@ -27,7 +27,7 @@ from .algebra import DGAlgebra, Element, GradedBasis, check_cdga
 from .dgmodule import ModuleMap, suspend
 from .errors import (AxiomFailure, MixedParents, NotAModuleMap, OddDimension, StructureError,
                      ZeroFormalDimension)
-from .linalg import _combine, _first_uncommuting
+from .linalg import _combine, _first_not_squaring_to_zero, _first_uncommuting
 from .poincare import PDAlgebra, shriek_map
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -117,11 +117,11 @@ class MappingCone:
             raise StructureError(f"semi-trivial product is inconsistent: {exc}") from exc
 
         # delta squared is verified, never assumed
-        for i, row in enumerate(algebra._diff):
-            if _combine(row, algebra._diff):
-                raise StructureError(
-                    f"cone differential does not square to zero at {algebra.basis.labels[i]}"
-                )
+        i = _first_not_squaring_to_zero(algebra._diff)
+        if i is not None:
+            raise StructureError(
+                f"cone differential does not square to zero at {algebra.basis.labels[i]}"
+            )
 
         self.algebra = algebra
         self.ring = ring

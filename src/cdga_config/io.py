@@ -27,9 +27,8 @@ from .errors import (EvenDimensionNonzeroXi, ExpressionParseError, ParseError, S
                      WrongDegree)
 from .linalg import _ONE, Parameters, RationalFunction, Scalar, _accumulate, _divide, _exact
 from .poincare import PDAlgebra
-from .twisted import _family_cxi, build_cxi, truncate_cone
-
-TENSOR = "⊗"
+from .products import TENSOR
+from .twisted import build_cxi, truncate_cone
 
 _NUMBER_RE = re.compile(r"^[-+]?\d+(/\d+)?$")
 
@@ -460,8 +459,10 @@ class TableDocument:
     its own C(xi) target, checked by `twisted.build_cxi`.
 
     `symbolic` is the table with each parameter a symbol of one
-    `linalg.Parameters`. Its target C(xi(q, r)) is built on the
-    truncation's shared rows (`twisted._family_cxi`). `report` is
+    `linalg.Parameters`. Its target C(xi(q, r)) is built by
+    `twisted.build_cxi`, as an instance of the truncation's C(Xi) that
+    takes C(Xi)'s report (or, when C(Xi) is not verified, with the full
+    checks run over the parameters). `report` is
     `sullivan.check_table` of it, run once, when first asked for. For a
     table that `table` built at rational values, `check_table` compares
     the table exactly with `symbolic` at those values and, when they agree
@@ -525,11 +526,11 @@ class TableDocument:
         params = Parameters(self.parameters)
         values = {name: params.symbol(k) for k, name in enumerate(self.parameters)}
         try:
-            target = _family_cxi(self.pd, self.pd.square.element(_at_values(self.xi, values)))
+            target = build_cxi(self.pd, self.pd.square.element(_at_values(self.xi, values)))
         except (EvenDimensionNonzeroXi, WrongDegree):
             return None
         table = self._build(values, target)
-        s1 = target.s1_index
+        s1 = target.trunc.s1_index
         rows = (*table.differentials, *(image.coeffs for image in table.evaluation),
                 target.algebra._mult[s1][s1])
         if any(type(c) is RationalFunction and c.den != _ONE for row in rows for c in row.values()):

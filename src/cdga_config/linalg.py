@@ -24,6 +24,7 @@ identical pivots, kernel vectors and quotient representatives.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 Scalar = int | Fraction
@@ -94,6 +95,12 @@ def _combine(coeffs: dict, rows, out: Optional[dict] = None) -> dict:
 def _negated(rows) -> tuple[dict, ...]:
     """The rows with every coefficient negated; empty rows are shared."""
     return tuple({t: -c for t, c in row.items()} if row else row for row in rows)
+
+
+def _first_not_squaring_to_zero(diff) -> Optional[int]:
+    """The first i with d(d e_i) != 0, where d is given by its rows
+    `diff`; None if d squares to zero."""
+    return next((i for i, row in enumerate(diff) if _combine(row, diff)), None)
 
 
 def _first_uncommuting(src_op, tgt_op, rows) -> Optional[int]:
@@ -656,8 +663,18 @@ class RationalFunction:
 
     def value_at(self, values: dict[int, Scalar]) -> Scalar:
         """The value when `values` assigns every symbol, at a point where
-        the denominator does not vanish."""
-        return _divide(self.num.value_at(values), self.den.value_at(values))
+        the denominator does not vanish. A value may itself be a
+        `RationalFunction` (of another `Parameters`): the numerator and
+        the denominator are then evaluated by ring arithmetic and divided
+        once, and that division records its guard as any division by a
+        `RationalFunction` does."""
+        if all(type(v) is not RationalFunction for v in values.values()):
+            return _divide(self.num.value_at(values), self.den.value_at(values))
+        num, den = (_exact(sum(c * prod(values[v] for v in key) for key, c in poly.terms.items()))
+                    for poly in (self.num, self.den))
+        if type(num) is RationalFunction or type(den) is RationalFunction:
+            return num / den
+        return _divide(num, den)
 
     def __str__(self) -> str:
         num = self.num.render(self.params.names)

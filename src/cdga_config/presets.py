@@ -15,10 +15,11 @@ with that table's `check_table` report (`io.TableDocument.symbolic` and
 takes that report. Nothing that depends on a value is cached: each
 twist, each C(xi) and each table at given parameter values is built
 afresh. `check_cdga` and the check of the map from the tensor
-square run once per truncation, on C(Xi); each C(xi) gets the entry
-checks of `DGAlgebra.with_square` and an exact check that it is C(Xi) at
-xi (`twisted.TruncatedCone.instance`), or the full checks of its own when
-it is not.
+square run once per truncation, on C(Xi); each C(xi), the document's
+C(xi(q, r)) over its parameters included, is built by `twisted.build_cxi`
+and gets the entry checks of `DGAlgebra.with_square` and an exact check
+that it is C(Xi) at xi (`twisted.TruncatedCone.instance`), or the full
+checks of its own when it is not.
 `_cache.clear()` drops all of it together.
 """
 

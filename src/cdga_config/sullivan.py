@@ -387,11 +387,11 @@ class GeneratorTable:
         if self.target is None:
             raise StructureError("table has no evaluation target")
         model = self.target
-        if model.cone.ring is not self.base:
+        if model.trunc.cone.ring is not self.base:
             raise StructureError("table base is not the ring of its evaluation target")
         total = model.algebra.zero()
         for (b, gens), c in x.items():
-            acc = Element(model.algebra, model.base_rows[b])
+            acc = Element(model.algebra, model.trunc.base_rows[b])
             for g in gens:
                 acc = model.algebra.multiply(acc, self.evaluation[g])
                 if acc.is_zero():
@@ -498,13 +498,13 @@ def _document_report(table: GeneratorTable) -> Optional[TableReport]:
     """The report of the document that built `table`, when it passed and
     `table` is the document's symbolic table at the table's values; else
     None. Compared exactly: the base, the generators and the target's
-    cone; each differential and each evaluation element with the symbolic
-    one evaluated there; the target's basis, unit, rows of d and every
-    product row but (S1, S1) with the symbolic target's, which are the
-    truncation's own objects (`twisted._same_but_square`); its (S1, S1)
-    row with the symbolic row evaluated there; the rows of the base
-    elements' images, which `evaluate` reads in the target's algebra;
-    and the parent of every evaluation element."""
+    truncation, the same object, which owns the cone and the rows of the
+    base elements' images that `evaluate` reads; each differential and
+    each evaluation element with the symbolic one evaluated there; the
+    target's basis, unit, rows of d and every product row but (S1, S1)
+    with the symbolic target's, which are the truncation's own objects
+    (`twisted._same_but_square`); its (S1, S1) row with the symbolic row
+    evaluated there; and the parent of every evaluation element."""
     if table._built_from is None:
         return None
     document, values = table._built_from
@@ -513,12 +513,11 @@ def _document_report(table: GeneratorTable) -> Optional[TableReport]:
         return None
     point = {k: values[name] for k, name in enumerate(document.parameters)}
     target, model = table.target, symbolic.target
-    algebra, generic, s1 = target.algebra, model.algebra, model.s1_index
-    if (table.base is symbolic.base and table.gens == symbolic.gens and target.cone is model.cone
+    algebra, generic, s1 = target.algebra, model.algebra, model.trunc.s1_index
+    if (table.base is symbolic.base and table.gens == symbolic.gens and target.trunc is model.trunc
             and _same_but_square(algebra, generic, s1)
             and algebra._mult[s1][s1] == _at_point(generic._mult[s1][s1], point)
             and all(image.parent is algebra for image in table.evaluation)
-            and target.base_rows == model.base_rows
             and [image.coeffs for image in table.evaluation]
             == [_at_point(image.coeffs, point) for image in symbolic.evaluation]
             and table.differentials == tuple(_at_point(d, point) for d in symbolic.differentials)):

@@ -66,6 +66,10 @@ class TruncatedCone:
     top degree, computed once by `truncate_cone` for its check that the
     projection preserves Betti numbers. Every C(xi), verified or not,
     takes its Betti numbers from it (see `TwistedModel.betti`).
+
+    This is the one owner of everything a C(xi) shares with its
+    truncation: a `TwistedModel` keeps only its truncation, its twist,
+    its algebra and its report, and reads the rest from here.
     """
 
     cone: MappingCone
@@ -83,33 +87,21 @@ class TruncatedCone:
         return self.quotient.algebra
 
     def instance(self, xi: Element) -> tuple[DGAlgebra, bool]:
-        """C(xi), the truncation with (S1)^2 the projection of xi, built on
-        the truncation's shared rows (`twist`), and whether it is the
-        verified C(Xi) at X_t = xi_t. That is compared exactly: C(xi) has
-        C(Xi)'s basis, unit and rows of d, every product row but (S1, S1)
-        is equal to C(Xi)'s (the same object, as both come from
-        `with_square` on the truncation; `_same_but_square`), and its
-        (S1, S1) row is C(Xi)'s evaluated at xi."""
-        model, generic, s1 = self.twist(xi), self.generic, self.s1_index
+        """C(xi), the truncation with (S1)^2 the projection of xi
+        (`DGAlgebra.with_square`, unchecked beyond the entries of that
+        row), and whether it is the verified C(Xi) at X_t = xi_t. xi's
+        coefficients are rationals, or rational functions of one
+        `Parameters`. The comparison is exact: C(xi) has C(Xi)'s basis,
+        unit and rows of d, every product row but (S1, S1) is equal to
+        C(Xi)'s (the same object, as both come from `with_square` on the
+        truncation; `_same_but_square`), and its (S1, S1) row is C(Xi)'s
+        evaluated at xi."""
+        name = f"C({'0' if xi.is_zero() else 'xi'}) over {self.cone.pd.algebra.name or 'A'}"
+        generic, s1 = self.generic, self.s1_index
+        model = self.algebra.with_square(
+            s1, self.quotient.project(self.cone.include_base(xi)).coeffs, name=name)
         return model, (self.verified and _same_but_square(model, generic, s1)
                        and model._mult[s1][s1] == self.at(generic._mult[s1][s1], xi))
-
-    def twist(self, xi: Element) -> DGAlgebra:
-        """The truncation with (S1)^2 the projection of xi
-        (`DGAlgebra.with_square`), unchecked beyond the entries of that
-        row. xi's coefficients may be rational functions of one
-        `Parameters`."""
-        name = f"C({'0' if xi.is_zero() else 'xi'}) over {self.cone.pd.algebra.name or 'A'}"
-        return self.algebra.with_square(
-            self.s1_index, self.quotient.project(self.cone.include_base(xi)).coeffs, name=name)
-
-    def model(self, xi: Element, algebra: DGAlgebra, axioms: AxiomReport) -> TwistedModel:
-        """The `TwistedModel` of `algebra`, a `twist` of xi, with the map
-        from the tensor square given by the shared `base_rows` and the
-        report `axioms`."""
-        return TwistedModel(pd=self.cone.pd, xi=xi, algebra=algebra, cone=self.cone,
-                            truncation=self.quotient, s1_index=self.s1_index,
-                            base_rows=self.base_rows, axioms=axioms, truncation_betti=self.betti)
 
     def at(self, row: Coeffs, xi: Element) -> Coeffs:
         """`row`, a row of C(Xi) or of a quotient built from it, at
@@ -188,28 +180,25 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
 
 @dataclass
 class TwistedModel:
-    """The truncation with the product twisted so that (S1)^2 = xi.
+    """The truncation `trunc` with the product twisted so that
+    (S1)^2 = xi, and the report `axioms` that `build_cxi` gave it.
 
-    `algebra` carries the twisted product; `base_rows`, the truncation's
-    shared tuple, realise the map from the tensor square (projection on
-    the algebra part, zero on the suspension), verified multiplicative at
-    construction.
-    `truncation_betti` is the truncation's Betti vector
-    (`TruncatedCone.betti`), which is this model's (see `betti`).
+    `algebra` carries the twisted product. Everything C(xi) shares with
+    its truncation is read from `trunc`, its one owner: the duality
+    algebra and the cone, the index of S1, and the shared `base_rows`
+    that realise the map from the tensor square (projection on the
+    algebra part, zero on the suspension), verified multiplicative by
+    `build_cxi`; and the Betti vector, which is this model's (see
+    `betti`).
     """
 
-    pd: PDAlgebra
+    trunc: TruncatedCone
     xi: Element
     algebra: DGAlgebra
-    cone: MappingCone
-    truncation: QuotientDGA
-    s1_index: int
-    base_rows: tuple[dict[int, Scalar], ...]
     axioms: AxiomReport
-    truncation_betti: tuple[int, ...]
 
     def s1(self) -> Element:
-        return self.algebra.basis_element(self.s1_index)
+        return self.algebra.basis_element(self.trunc.s1_index)
 
     def s1_square(self) -> Element:
         s1 = self.s1()
@@ -234,13 +223,16 @@ class TwistedModel:
         """
         if up_to is None:
             up_to = self.algebra.basis.max_degree()
-        kept = self.truncation_betti
+        kept = self.trunc.betti
         return [kept[k] if k < len(kept) else 0 for k in range(up_to + 1)]
 
 
 def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     """The twisted model with (S1)^2 = xi, xi in (A (x) A)^(2n-2).
 
+    The coefficients of xi are rationals, or rational functions of the
+    symbols of one `linalg.Parameters`: then the model is the whole family
+    C(xi(p)) at once (`io.TableDocument.symbolic` builds its target so).
     Order of checks: a nonzero xi in even dimension is rejected first (the
     square of the odd-degree element S1 vanishes by graded commutativity),
     then the degree of xi is validated. Only the (S1, S1) product depends
@@ -253,9 +245,10 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     model C(Xi) of the truncation (`TruncatedCone`), and per xi by an exact
     instance check (`TruncatedCone.instance`). When C(Xi) failed a check or
     the model is not an instance of it, `check_cdga` and
-    `_verify_algebra_map` run on this model itself, so a failure raises
-    the same `AxiomFailure` or `StructureError`, witness included, as
-    when every C(xi) was checked on its own.
+    `_verify_algebra_map` run on this model itself, over the parameters
+    for a family, so a failure raises the same `AxiomFailure` or
+    `StructureError`, witness included, as when every C(xi) was checked
+    on its own.
 
     Why an instance needs no check of its own. Let ev: Q[X] -> Q send X_t
     to xi_t. The entries of C(Xi) are rationals and, in the (S1, S1) row,
@@ -265,7 +258,9 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     `_verify_algebra_map` make, over all basis tuples, sets two sparse
     vectors side by side, each a sum of products of table entries times
     integers; there is no division. ev is a ring homomorphism, so each
-    side computed on C(xi) is ev of the same side computed on C(Xi). Both
+    side computed on C(xi) is ev of the same side computed on C(Xi). For
+    a family, ev may send X_t to xi_t(q, r) in Q[q, r] (or its field of
+    fractions), and it is still a ring homomorphism. Both
     checks passed on C(Xi), so each pair of sides is equal in Q[X], and
     hence at xi. The tuples `check_cdga` passes over cannot fail on any
     algebra, so every comparison of the sweep over all tuples holds on
@@ -275,26 +270,12 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     trunc = truncate_cone(cone_model(pd))
     twisted, covered = trunc.instance(xi)
     if covered:
-        return trunc.model(xi, twisted, trunc.axioms)
+        return TwistedModel(trunc, xi, twisted, trunc.axioms)
     report = check_cdga(twisted)
     if not report.all_pass:
         raise AxiomFailure(report)
     _verify_algebra_map(pd.square, twisted, tuple(Element(twisted, r) for r in trunc.base_rows))
-    return trunc.model(xi, twisted, report)
-
-
-def _family_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
-    """C(xi) for a twist whose coefficients are rational functions of the
-    symbols of one `linalg.Parameters`: the whole family C(xi(p)) as one
-    model, built on the truncation's shared rows (`TruncatedCone.twist`).
-    It meets `build_cxi`'s preconditions, and its report is that of
-    `check_cdga` on it, run here over the parameters; the map from the
-    tensor square is not checked. `io.TableDocument.symbolic` evaluates
-    its generator table into it."""
-    _check_twist(pd, xi)
-    trunc = truncate_cone(cone_model(pd))
-    twisted = trunc.twist(xi)
-    return trunc.model(xi, twisted, check_cdga(twisted))
+    return TwistedModel(trunc, xi, twisted, report)
 
 
 def _check_twist(pd: PDAlgebra, xi: Element) -> None:
@@ -481,7 +462,6 @@ class EquivalenceIdeal:
     takes the per-xi route (`_quotients_by_ideal_match`).
     """
 
-    cone: MappingCone
     subcomplex: Subcomplex
     cocycle_complement: tuple[Element, ...]   # S, inside (A (x) A)^(2n-3)
     complement_images: tuple[Element, ...]    # d(S)
@@ -580,7 +560,6 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
         except StructureError:
             pass
     cone._equivalence_ideal = EquivalenceIdeal(
-        cone=cone,
         subcomplex=sub,
         cocycle_complement=complement,
         complement_images=complement_images,
@@ -665,7 +644,7 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
     if square.multiply(w, diagonal_class(pd).element) + square.d(eta) != difference:
         raise StructureError("decomposition verification failed")
 
-    in_ideal = ideal.contains(ideal.cone.include_base(difference))
+    in_ideal = ideal.contains(ideal.truncation.cone.include_base(difference))
     iso = _quotients_by_ideal_match(pd, ideal, xi, xi2)
     return EquivalentWitness(w=w, eta=eta, difference_in_ideal=in_ideal,
                              quotients_isomorphic=iso)

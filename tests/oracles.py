@@ -420,7 +420,7 @@ def oracle_quotients_match(pd, xi, xi2):
         projected = []
         for k in ideal.subcomplex.bases:
             for gen in ideal.subcomplex._generators(k):
-                image = model.truncation.project(Element(ideal.cone.algebra, gen))
+                image = model.trunc.quotient.project(Element(ideal.truncation.cone.algebra, gen))
                 if not image.is_zero():
                     projected.append(Element(model.algebra, image.coeffs))
         quotients.append(quotient_dga(model.algebra, projected,
@@ -457,7 +457,8 @@ def oracle_decide_xi_equivalence(pd, xi, xi2):
     for c, (part, elem) in zip(x, parts):
         found[part] = found[part] + elem.scale(c)
     ideal = equivalence_ideal(pd)
-    return (found["w"], found["eta"], ideal.contains(ideal.cone.include_base(difference)),
+    return (found["w"], found["eta"],
+            ideal.contains(ideal.truncation.cone.include_base(difference)),
             oracle_quotients_match(pd, xi, xi2))
 
 

@@ -155,7 +155,7 @@ def test_truncation_ideal_matches_oracle(name):
 
 def test_equivalence_ideal_matches_oracle(s2xs3):
     ideal = equivalence_ideal(s2xs3)
-    cone = ideal.cone
+    cone = ideal.truncation.cone
     vectors = (
         [cone.include_base(s) for s in ideal.cocycle_complement]
         + [cone.include_base(ds) for ds in ideal.complement_images if not ds.is_zero()]

@@ -76,7 +76,7 @@ def test_twisted_model_at_a_fractional_twist_stores_canonical_scalars():
     model = build_cxi(pd, xi)
     assert_canonical(algebra_scalars(model.algebra), "C(xi)")
     assert_canonical(element_scalars([model.xi, model.s1_square()]), "C(xi) elements")
-    assert_canonical((c for row in model.base_rows for c in row.values()), "C(xi) base rows")
+    assert_canonical((c for row in model.trunc.base_rows for c in row.values()), "C(xi) base rows")
     assert model.s1_square().coeffs == {model.algebra.basis.index("y⊗xy"): F(1, 2),
                                         model.algebra.basis.index("xy⊗y"): F(-3, 7)}
 

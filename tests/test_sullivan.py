@@ -54,7 +54,7 @@ def test_evaluate_sends_base_elements_to_their_projections(s3xs4):
     t = s2xs3_table(F(1, 2), 3)
     model = t.target
     for b in range(t.base.dim()):
-        image = model.truncation.project(model.cone.include_base(t.base.basis_element(b)))
+        image = model.trunc.quotient.project(model.trunc.cone.include_base(t.base.basis_element(b)))
         assert t.evaluate({(b, ()): F(2, 3)}).coeffs == image.scale(F(2, 3)).coeffs
     t = dataclasses.replace(t, base=s3xs4.square)
     with pytest.raises(StructureError, match="table base is not the ring"):
@@ -146,7 +146,7 @@ def _change_differential(table):
 
 
 def _change_evaluation(table):
-    table.evaluation[0].coeffs[table.target.s1_index] = 2
+    table.evaluation[0].coeffs[table.target.trunc.s1_index] = 2
 
 
 def _change_parent(table):
@@ -154,15 +154,15 @@ def _change_parent(table):
 
 
 def _change_square(table):
-    s1 = table.target.s1_index
+    s1 = table.target.trunc.s1_index
     row = table.target.algebra._mult[s1][s1]
     row[next(iter(row))] += 1
 
 
 def _change_product_row(table):
     # the product of S1 with the image of 1(x)x, which m(D z5) reads
-    algebra, s1 = table.target.algebra, table.target.s1_index
-    k, = table.target.base_rows[table.base.basis.index(f"1{TENSOR}x")]
+    algebra, s1 = table.target.algebra, table.target.trunc.s1_index
+    k, = table.target.trunc.base_rows[table.base.basis.index(f"1{TENSOR}x")]
     rows = list(algebra._mult[k])
     assert rows[s1]
     rows[s1] = {j: 2 * c for j, c in rows[s1].items()}
@@ -170,21 +170,22 @@ def _change_product_row(table):
 
 
 def _change_d(table):
-    algebra, s1 = table.target.algebra, table.target.s1_index
+    algebra, s1 = table.target.algebra, table.target.trunc.s1_index
     assert algebra._diff[s1]
     algebra._diff = algebra._diff[:s1] + ({},) + algebra._diff[s1 + 1:]
 
 
 def _change_base_image(table):
-    # on a copy of the target: its rows are the truncation's shared tuple
-    rows = list(table.target.base_rows)
+    # on a copy of the target's truncation: its rows are shared by every C(xi)
+    rows = list(table.target.trunc.base_rows)
     b = table.base.basis.index(f"1{TENSOR}xy")
     rows[b] = {k: 2 * c for k, c in rows[b].items()}
-    object.__setattr__(table, "target", dataclasses.replace(table.target, base_rows=tuple(rows)))
+    table.target.trunc = dataclasses.replace(table.target.trunc, base_rows=tuple(rows))
 
 
 def _change_cone(table):
-    table.target.cone = cone_model(preset_pd("s3xs4"))
+    table.target.trunc = dataclasses.replace(table.target.trunc,
+                                             cone=cone_model(preset_pd("s3xs4")))
 
 
 def _change_base(table):
@@ -246,6 +247,30 @@ def test_a_document_without_a_symbolic_twist_sweeps_each_table(tmp_path):
     table = document.table({"q": 2, "r": 0})
     assert document.symbolic is None and document.report is None
     assert check_table(table) == oracle_check_table(table) and check_table(table).all_pass
+
+
+def test_the_symbolic_table_of_an_unverified_family_gets_the_full_checks(monkeypatch,
+                                                                          cold_presets):
+    import cdga_config.twisted as twisted
+    from cdga_config.io import parse_table_file
+    from cdga_config.linalg import RationalFunction
+    from cdga_config.twisted import truncate_cone
+
+    cone = cone_model(preset_pd("s2xs3"))
+    cone._truncation = dataclasses.replace(truncate_cone(cone), verified=False)
+    checks = []
+    original = twisted.check_cdga
+    monkeypatch.setattr(twisted, "check_cdga", lambda a: checks.append(a) or original(a))
+    document = parse_table_file(table_preset_path())
+    target = document.symbolic.target
+    assert checks == [target.algebra] and target.axioms.all_pass
+    # the checks ran over q and r: (S1)^2 = q*y(x)xy + r*xy(x)y
+    square = target.algebra._mult[target.trunc.s1_index][target.trunc.s1_index]
+    assert sorted(str(c) for c in square.values()) == ["q", "r"]
+    assert all(type(c) is RationalFunction for c in square.values())
+    for q in (0, 3, F(-2, 5)):
+        table = document.table({"q": q, "r": 0})
+        assert check_table(table) == oracle_check_table(table)
 
 
 def _count_sweeps(monkeypatch):

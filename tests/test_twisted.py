@@ -78,8 +78,8 @@ def test_cxi_shares_every_row_of_the_truncation_but_the_square_of_s1(name, scale
     idx = square.basis.degree_indices(2 * pd.n - 2)
     xi = square.element({k: scale * (p + 1) for p, k in enumerate(idx)})
     model = build_cxi(pd, xi)
-    semi, s1 = model.truncation.algebra, model.s1_index
-    square_row = model.truncation.project(model.cone.include_base(xi)).coeffs
+    semi, s1 = model.trunc.quotient.algebra, model.trunc.s1_index
+    square_row = model.trunc.quotient.project(model.trunc.cone.include_base(xi)).coeffs
     # the table as the entries constructor builds it from the truncation's
     entries = semi.mult_entries() + [(s1, s1, k, c) for k, c in square_row.items()]
     built = DGAlgebra(semi.basis, semi.unit, entries, semi.diff_entries(),
@@ -116,8 +116,8 @@ def test_build_cxi_random_twists_pass_axioms(name):
     for _ in range(10):
         model = build_cxi(pd, random_xi(pd, rng))
         assert model.axioms.all_pass
-        assert model.s1_square().coeffs == model.truncation.project(
-            model.cone.include_base(model.xi)).coeffs
+        assert model.s1_square().coeffs == model.trunc.quotient.project(
+            model.trunc.cone.include_base(model.xi)).coeffs
 
 
 def test_build_cxi_even_rejects_nonzero(s2):
@@ -143,7 +143,7 @@ def test_cqr_family_passes_axioms(s2xs3):
         xi = square.from_label_coeffs({"y⊗xy": F(q), "xy⊗y": F(r)})
         model = build_cxi(s2xs3, xi)
         assert model.axioms.all_pass
-        assert str(model.algebra.basis.labels[model.s1_index]) == "S1"
+        assert str(model.algebra.basis.labels[model.trunc.s1_index]) == "S1"
 
 
 # --- the generic model C(Xi): one check for the whole family ------------------
@@ -190,12 +190,12 @@ def test_build_cxi_family_report_is_the_numeric_report(name, data):
     xi = square.element({t: data.draw(_COEFFICIENTS)
                          for t in square.basis.degree_indices(2 * pd.n - 2)})
     model = build_cxi(pd, xi)
-    trunc = truncate_cone(model.cone)
+    trunc = truncate_cone(model.trunc.cone)
     instance, covered = trunc.instance(xi)
     assert trunc.symbols and trunc.verified and covered and instance._mult == model.algebra._mult
     assert model.axioms == check_cdga(model.algebra)
     _verify_algebra_map(square, model.algebra,
-                        tuple(model.algebra.element(row) for row in model.base_rows))
+                        tuple(model.algebra.element(row) for row in model.trunc.base_rows))
 
 
 def test_check_cdga_runs_once_per_truncation(monkeypatch):
@@ -210,6 +210,34 @@ def test_check_cdga_runs_once_per_truncation(monkeypatch):
         assert model.axioms.all_pass
         assert len(checks) == len(maps) == 1
     assert checks[0][0] is truncate_cone(cone_model(pd)).generic
+
+
+@pytest.mark.parametrize("name", ["s2xs3", "s2xs3*s2"])
+def test_build_cxi_over_parameters_is_an_instance_of_c_xi(name, monkeypatch):
+    """xi = sum_k p_k e_(t_k) over one `Parameters`: C(xi) is C(Xi) with
+    the symbols renamed, takes its report unchecked, and its (S1, S1) row
+    at a point is the row that `build_cxi` gives at that point."""
+    import itertools
+
+    import cdga_config.twisted as twisted
+    from cdga_config.linalg import Parameters, _at_point
+
+    pd = _betti_inputs(name)[0]
+    trunc = truncate_cone(cone_model(pd))
+    checks = _count_calls(monkeypatch, twisted, "check_cdga")
+    maps = _count_calls(monkeypatch, twisted, "_verify_algebra_map")
+    params = Parameters([f"p{k}" for k in range(len(trunc.symbols))])
+    model = build_cxi(pd, pd.square.element(
+        {t: params.symbol(k) for k, t in enumerate(trunc.symbols)}))
+    assert model.trunc is trunc and model.axioms is trunc.axioms
+    assert checks == [] and maps == []
+    s1 = trunc.s1_index
+    points = itertools.islice(itertools.product([0, 1, -1, F(-2, 5)], repeat=len(trunc.symbols)),
+                              0, None, 3)
+    for point in points:
+        at = build_cxi(pd, pd.square.element(dict(zip(trunc.symbols, point))))
+        assert _at_point(model.algebra._mult[s1][s1], dict(enumerate(point))) == \
+            at.algebra._mult[s1][s1], point
 
 
 def test_a_broken_shared_row_fails_the_family_and_keeps_the_numeric_witness(monkeypatch):
@@ -336,7 +364,7 @@ def test_cxi_betti_equals_a_fresh_cohomology(name):
     for model in models:
         assert model.algebra.basis is trunc.algebra.basis
         assert model.algebra._diff is trunc.algebra._diff
-        assert model.truncation_betti is trunc.betti
+        assert model.trunc is trunc
         fresh = cohomology(model.algebra)
         top = model.algebra.basis.max_degree()
         for k in [None, *range(top + 2)]:
@@ -462,7 +490,7 @@ def test_c_of_x_scales_to_cq0(s2xs3):
     direct = build_cxi(
         s2xs3, s2xs3.square.from_label_coeffs({"y⊗xy": q})
     )
-    assert model.s1_square().coeffs == model.truncation.project(model.cone.include_base(
+    assert model.s1_square().coeffs == model.trunc.quotient.project(model.trunc.cone.include_base(
         s2xs3.square.from_label_coeffs({"y⊗xy": q})
     )).coeffs
     assert same_structure(model.algebra, direct.algebra)
@@ -507,7 +535,7 @@ def test_equivalence_ideal_s3(s3):
     ideal = equivalence_ideal(s3)
     # every degree 2n-3 = 3 element is a cocycle: empty complement
     assert ideal.cocycle_complement == ()
-    cone = ideal.cone
+    cone = ideal.truncation.cone
     y_y = cone.include_base(s3.square.from_label_coeffs({"y⊗y": F(1)}))
     s_y = cone.algebra.from_label_coeffs({"Sy": 1})
     assert ideal.contains(y_y)
