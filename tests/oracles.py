@@ -229,6 +229,28 @@ def oracle_betti(space):
     return out
 
 
+def oracle_subcomplex_betti(sub):
+    """Betti numbers of a `Subcomplex`, keyed by the degrees it spans: the
+    rank of its rref rows of degree k, minus the `dense_rank`s of the
+    d-images of its rows of degrees k and k-1, each image written densely
+    in the ambient basis of the degree above."""
+    space = sub.ambient
+    basis = space.basis
+    dims, ranks = {}, {}
+    for k, rows in sub.bases.items():
+        tpos = {g: r for r, g in enumerate(basis.degree_indices(k + 1))}
+        images = []
+        for row in rows:
+            image = [Fraction(0)] * len(tpos)
+            for i, c in zip(basis.degree_indices(k), row):
+                for j, v in space.d_basis(i).items():
+                    image[tpos[j]] += c * v
+            images.append(image)
+        dims[k] = dense_rank(rows)
+        ranks[k] = dense_rank(images)
+    return {k: dims[k] - ranks[k] - ranks.get(k - 1, 0) for k in dims}
+
+
 def naive_check_cdga(algebra):
     """The CDGA axiom report computed one `Element` product at a time.
 

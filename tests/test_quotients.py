@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from cdga_config.algebra import DGAlgebra, GradedBasis, cocycle_vectors, cohomology
-from cdga_config.cone import cone_model
+from cdga_config.cone import cone_model, even_model
 from cdga_config.errors import StructureError
 from cdga_config.poincare import diagonal_class
 from cdga_config.presets import PRESET_NAMES, preset_pd
@@ -166,21 +166,28 @@ def test_equivalence_ideal_matches_oracle(s2xs3):
     _check_against_oracle(cone.algebra, vectors, ideal.subcomplex, quotient, seed="equivalence")
 
 
+def _random_closed_generators(space, rng, count):
+    """`count` seeded random homogeneous vectors in positive degrees, each
+    followed by its d-image when that is nonzero, so their span is closed
+    under d (d^2 = 0)."""
+    degrees = [k for k in space.basis.degrees_present() if k > 0]
+    generators = []
+    for _ in range(count):
+        idx = space.basis.degree_indices(rng.choice(degrees))
+        picks = rng.sample(idx, min(2, len(idx)))
+        v = space.element({i: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                           for i in picks})
+        generators += [v, v.d()] if not v.d().is_zero() else [v]
+    return generators
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_random_subspaces_of_a_cone_match_oracle(seed):
     # seeded random homogeneous vectors in positive degrees of the cone of
     # s2 (x) s3, closed under d (d^2 = 0, so adding each d(v) suffices); the
     # ideal they generate is then a proper differential ideal
     space = cone_model(product_pd(preset_pd("s2"), preset_pd("s3"))).algebra
-    rng = random.Random(seed)
-    degrees = [k for k in space.basis.degrees_present() if k > 0]
-    generators = []
-    for _ in range(3):
-        idx = space.basis.degree_indices(rng.choice(degrees))
-        picks = rng.sample(idx, min(2, len(idx)))
-        v = space.element({i: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
-                           for i in picks})
-        generators += [v, v.d()] if not v.d().is_zero() else [v]
+    generators = _random_closed_generators(space, random.Random(seed), 3)
     _check_against_oracle(space, generators, Subcomplex(space, generators), seed=seed)
     vectors = ideal_span(space, generators)
     quotient = quotient_dga(space, vectors)
@@ -201,3 +208,43 @@ def test_cocycles_and_cohomology_match_oracle(left, right):
         entry = report.degrees[k]
         assert [r.vector(idx) for r in entry.representatives] == reps, k
         assert [c.vector(idx) for c in entry.coboundaries] == cobs, k
+
+
+@pytest.mark.parametrize("left, right", [("s2", "s3"), ("cp2", "s3"), ("s2xs3", "s2"),
+                                         ("s3", "s3")])
+def test_random_subcomplex_betti_matches_oracle(left, right):
+    # seeded random d-closed spans of the cone of a product and the ideals
+    # they generate; most of them carry cohomology
+    space = cone_model(product_pd(preset_pd(left), preset_pd(right))).algebra
+    rng = random.Random(f"{left}{right}")
+    acyclic = []
+    for count in (1, 2, 3, 4) * 2:
+        generators = _random_closed_generators(space, rng, count)
+        for sub in (Subcomplex(space, generators),
+                    Subcomplex(space, ideal_span(space, generators))):
+            expected = oracles.oracle_subcomplex_betti(sub)
+            assert sub.betti() == expected, [str(g) for g in generators]
+            assert sub.is_acyclic() == (not any(expected.values()))
+            acyclic.append(sub.is_acyclic())
+    assert not all(acyclic)
+
+
+def _preset_ideals(pd):
+    """The top ideal (even n), the truncation ideal and the equivalence
+    ideal (odd n, 1-connected) of a duality algebra of positive dimension."""
+    cone = cone_model(pd)
+    ideals = [truncate_cone(cone).quotient.subspace]
+    if pd.n % 2 == 0:
+        ideals.append(even_model(pd).ideal)
+    elif pd.algebra.simply_connected:
+        ideals.append(equivalence_ideal(pd).subcomplex)
+    return ideals
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if n != "point"])
+def test_preset_ideal_betti_matches_oracle(name):
+    # the point has formal dimension 0, so none of these ideals exist
+    for sub in _preset_ideals(preset_pd(name)):
+        expected = oracles.oracle_subcomplex_betti(sub)
+        assert sub.betti() == expected
+        assert not any(expected.values())
