@@ -12,7 +12,8 @@ pair as witness.
 Axiom verification covers every basis tuple whose products can be
 nonzero, walking degree blocks on the raw product and differential tables
 (see `check_cdga`); failures are report entries, never exceptions.
-Cohomology is computed degree by degree with deterministic representatives.
+Cohomology is computed degree by degree with deterministic representatives,
+by the elimination that also counts a subcomplex's Betti numbers.
 """
 
 from __future__ import annotations
@@ -343,17 +344,6 @@ class DGAlgebra:
         """Differential of a coefficient dict in basis coordinates."""
         return _combine(x, self._diff)
 
-    def diff_block(self, k: int) -> SparseMatrix:
-        """Matrix of d from degree k to degree k+1 in basis coordinates."""
-        src = self.basis.degree_indices(k)
-        tgt = self.basis.degree_indices(k + 1)
-        pos = {g: r for r, g in enumerate(tgt)}
-        data = {}
-        for c, i in enumerate(src):
-            for j, v in self._diff[i].items():
-                data[(pos[j], c)] = v
-        return SparseMatrix(len(tgt), len(src), data)
-
     def mult_entries(self) -> list[tuple[int, int, int, Scalar]]:
         """The products e_i * e_j with i <= j, in sorted order."""
         out = []
@@ -593,12 +583,41 @@ class CohomologyReport:
         return [self.betti(k) for k in range(up_to + 1)]
 
 
+def _diff_block(diff: Sequence[Mapping[int, Scalar]], src: Sequence[int],
+                tgt: Sequence[int]) -> SparseMatrix:
+    """Matrix of d from the basis elements `src` to the span of `tgt`, where
+    `diff[i]` is d of basis element i (the `DGAlgebra._diff` layout)."""
+    pos = {g: r for r, g in enumerate(tgt)}
+    data = {}
+    for c, i in enumerate(src):
+        for j, v in diff[i].items():
+            data[(pos[j], c)] = v
+    return SparseMatrix(len(tgt), len(src), data)
+
+
+def _coboundaries_and_cocycles(diff: Sequence[Mapping[int, Scalar]],
+                               indices: Mapping[int, Sequence[int]]) -> dict[int, tuple]:
+    """Per degree k of a cochain complex given by its rows of d (the
+    `DGAlgebra._diff` layout) and each degree's basis indices: the rref
+    rows spanning the coboundaries and a kernel basis of the cocycles, in
+    degree-k block coordinates. b_k is the number of cocycles less the rows."""
+    blocks = {k: _diff_block(diff, idx, indices.get(k + 1, ())) for k, idx in indices.items()}
+    out = {}
+    for k in sorted(indices):
+        # coboundaries: the span of the columns of the incoming block;
+        # cocycles: the kernel of the outgoing one
+        images = blocks[k - 1].transpose().dense_rows() if k - 1 in blocks else []
+        out[k] = (row_space_basis(images, len(indices[k])), kernel_basis(blocks[k]))
+    return out
+
+
 def cohomology(space: DGAlgebra) -> CohomologyReport:
     """Cohomology of a finite cochain complex with deterministic
     representatives, reduced against the coboundary basis.
 
     `space` is any DGAlgebra: algebras, cones and quotient algebras all
-    qualify. Raises NotAComplex when d squared is nonzero.
+    qualify. Raises NotAComplex when d squared is nonzero. The cocycles of
+    `_coboundaries_and_cocycles` are reduced modulo its coboundaries.
     """
     basis = space.basis
     i = _first_not_squaring_to_zero(space._diff)
@@ -607,26 +626,15 @@ def cohomology(space: DGAlgebra) -> CohomologyReport:
         witness_terms = ", ".join(f"{c}*{basis.labels[k]}" for k, c in sorted(dd_coeffs.items()))
         raise NotAComplex(basis.degrees[i], (basis.labels[i], witness_terms))
 
-    degrees = basis.degrees_present()
-    report: dict[int, DegreeCohomology] = {}
-    if not degrees:
-        return CohomologyReport(space, report)
-
-    outgoing = space.diff_block(-1)
-    for k in range(0, basis.max_degree() + 1):
-        incoming, outgoing = outgoing, space.diff_block(k)
+    # a degree without basis elements has no cohomology
+    report = {k: DegreeCohomology(0, (), ()) for k in range(max(basis.degrees, default=-1) + 1)}
+    per_degree = _coboundaries_and_cocycles(space._diff, basis._by_degree)
+    for k, (cob_rows, cocycles) in per_degree.items():
         idx = basis.degree_indices(k)
-        if not idx:
-            report[k] = DegreeCohomology(0, (), ())
-            continue
         dim = len(idx)
-
-        # coboundaries: the span of the columns of the incoming block;
-        # cocycles: the kernel of the outgoing one
-        cob_rows = row_space_basis(incoming.transpose().dense_rows(), dim)
         residues = _residues(cob_rows, range(dim))
         reduced = []
-        for v in kernel_basis(outgoing):
+        for v in cocycles:
             # the off-pivot part plus each pivot entry times its residue
             rep = _combine({p: v[p] for p in residues if v[p]}, residues,
                            {c: x for c, x in enumerate(v) if x and c not in residues})
@@ -646,4 +654,5 @@ def cohomology(space: DGAlgebra) -> CohomologyReport:
 
 def cocycle_vectors(space: DGAlgebra, k: int) -> list[list[Scalar]]:
     """Basis of the degree-k cocycles in degree-block coordinates."""
-    return kernel_basis(space.diff_block(k))
+    idx = space.basis.degree_indices
+    return kernel_basis(_diff_block(space._diff, idx(k), idx(k + 1)))

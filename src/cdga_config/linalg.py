@@ -1,10 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream (cohomology, dual bases, quotients, the obstruction
-solver) reduces to the four operations here: reduced row echelon form,
-kernel bases, linear solves and quotient data. Matrices are small (a few
-hundred columns per degree at most), so rational Gauss-Jordan elimination
-on dense rows is the tool; no floats anywhere.
+solver) reduces to one elimination, reduced row echelon form, and what is
+read off it: kernel bases, row-space bases and their residue tables,
+linear solves, inverses and quotient data. A rank is the number of pivots
+of `rref`; Betti numbers are counted where cohomology is computed
+(`algebra._coboundaries_and_cocycles`). Matrices are small (a few hundred
+columns per degree at most), so rational Gauss-Jordan elimination on dense
+rows is the tool; no floats anywhere.
 
 Every stored scalar is exact and canonical (`Scalar`): an `int` when it is
 integral and a `Fraction` only otherwise, never a `float` or a `bool`.
@@ -257,10 +260,6 @@ def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int], int]:
     return SparseMatrix.from_rows(rows, m.cols), pivots, len(pivots)
 
 
-def rank(m: SparseMatrix) -> int:
-    return rref(m)[2]
-
-
 def kernel_basis(m: SparseMatrix) -> list[list[Scalar]]:
     """Basis of the right kernel {v : m v = 0}, one vector per free column.
 
@@ -268,17 +267,16 @@ def kernel_basis(m: SparseMatrix) -> list[list[Scalar]]:
     pivot (i, p); vectors are ordered by increasing free column, so the
     kernel of a zero matrix is the standard basis.
     """
-    reduced, pivots, _ = rref(m)
+    reduced, pivots = _rref_dense(m.dense_rows(), m.cols)
     pivot_set = set(pivots)
     free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
     for j in free:
         vec = [0] * m.cols
         vec[j] = 1
-        for i, p in enumerate(pivots):
-            coeff = reduced.entry(i, j)
-            if coeff:
-                vec[p] = -coeff
+        for row, p in zip(reduced, pivots):
+            if row[j]:
+                vec[p] = -row[j]
         basis.append(vec)
     return basis
 
@@ -365,27 +363,6 @@ def quotient_data(
             data[(position[j], p)] = v
     reps = [[1 if i == j else 0 for i in range(ambient_dim)] for j in keep]
     return reps, SparseMatrix(len(keep), ambient_dim, data)
-
-
-def betti_numbers(
-    dims: dict[int, int], differentials: dict[int, SparseMatrix]
-) -> dict[int, int]:
-    """Betti numbers of a cochain complex given per-degree dimensions and
-    the degree +1 differential blocks (differentials[k]: deg k -> deg k+1).
-
-    betti[k] = dim ker(d_k) - rank(d_{k-1}); missing blocks count as zero
-    maps. Degrees with dimension zero are reported as zero.
-    """
-    ranks = {k: rank(m) for k, m in differentials.items() if m.rows and m.cols}
-    out = {}
-    for k, dim in dims.items():
-        if dim == 0:
-            out[k] = 0
-            continue
-        rk_out = ranks.get(k, 0)
-        rk_in = ranks.get(k - 1, 0)
-        out[k] = dim - rk_out - rk_in
-    return out
 
 
 # --- polynomials and rational functions ----------------------------------------

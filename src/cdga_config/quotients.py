@@ -1,5 +1,5 @@
 """Quotients of graded algebras by homogeneous subspaces, and graded
-subcomplexes with their own cohomology.
+subcomplexes whose Betti numbers come from `cohomology`'s elimination.
 
 Every quotient in the pipeline (by the diagonal ideal, by the acyclic
 ideal of the even-dimensional model, by the top truncation, by the
@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import Coeffs, DGAlgebra, Element, GradedBasis, cohomology
-from .errors import StructureError
-from .linalg import Scalar, SparseMatrix, _combine, _residues, betti_numbers, row_space_basis
+from .algebra import (Coeffs, DGAlgebra, Element, GradedBasis, _coboundaries_and_cocycles,
+                      cohomology)
+from .errors import MixedParents, StructureError
+from .linalg import Scalar, _combine, _residues, row_space_basis
 
 
 def _by_degree(coeffs: Coeffs, degrees: Sequence[int]) -> dict[int, Coeffs]:
@@ -39,11 +40,15 @@ class Subcomplex:
     `_residue[i]` is the canonical representative of e_i modulo the
     subspace, so the representative of any coefficient dict is its
     `_combine` through the table. Construction verifies d-closure by
-    reducing each d-image; `betti` then measures the subcomplex itself, so
-    `is_acyclic` certifies acyclicity of differential ideals.
+    reducing each d-image and keeps d on the subcomplex's own basis, its
+    rref rows numbered in degree order (`_indices`), as rows in the
+    `DGAlgebra._diff` layout. `betti` then measures the subcomplex itself,
+    so `is_acyclic` certifies acyclicity of differential ideals.
     """
 
     def __init__(self, ambient: DGAlgebra, vectors: Sequence[Element]):
+        if any(v.parent is not ambient for v in vectors):
+            raise MixedParents("vectors do not belong to the ambient algebra")
         self.ambient = ambient
         degrees = ambient.basis.degrees
         by_degree: dict[int, list[list[Scalar]]] = {}
@@ -53,17 +58,21 @@ class Subcomplex:
                 by_degree.setdefault(k, []).append([part.get(i, 0) for i in idx])
         self.bases: dict[int, list[list[Scalar]]] = {}
         self._pivots: dict[int, list[int]] = {}
+        self._indices: dict[int, range] = {}
+        size = 0
         self._residue: list[Coeffs] = [{i: 1} for i in range(ambient.dim())]
         for k, vecs in sorted(by_degree.items()):
             idx = ambient.basis.degree_indices(k)
             rows = row_space_basis(vecs, len(idx))
             if rows:
                 self.bases[k] = rows
+                self._indices[k] = range(size, size + len(rows))
+                size += len(rows)
                 residues = _residues(rows, idx)
                 self._pivots[k] = list(residues)
                 for pivot, residue in residues.items():
                     self._residue[pivot] = residue
-        self._diff_blocks: dict[int, SparseMatrix] = {}
+        self._diff: list[Coeffs] = []
         self._verify_closed()
 
     def dims(self) -> dict[int, int]:
@@ -76,25 +85,22 @@ class Subcomplex:
 
     def _verify_closed(self):
         """d of every basis row must reduce to zero; its coordinates in the
-        degree k+1 rows are then its entries at their pivots."""
+        degree k+1 rows, its row of `_diff`, are then its entries at their pivots."""
         amb = self.ambient
         for k in self.bases:
-            target = self._pivots.get(k + 1, [])
-            cols = []
+            position = dict(zip(self._pivots.get(k + 1, ()), self._indices.get(k + 1, ())))
             for gen in self._generators(k):
                 image = amb.d_coeffs(gen)
                 if _combine(image, self._residue):
                     raise StructureError(
                         f"subspace is not closed under the differential in degree {k}"
                     )
-                cols.append([image.get(t, 0) for t in target])
-            self._diff_blocks[k] = SparseMatrix.from_columns(cols, len(target))
+                self._diff.append({j: image[t] for t, j in position.items() if t in image})
 
     def betti(self) -> dict[int, int]:
-        dims = self.dims()
-        blocks = {k: m for k, m in self._diff_blocks.items() if m.rows or m.cols}
-        out = betti_numbers({k: dims.get(k, 0) for k in dims}, blocks)
-        return {k: b for k, b in out.items()}
+        """dim ker d_k - rank d_(k-1) in every degree k the subcomplex spans."""
+        per_degree = _coboundaries_and_cocycles(self._diff, self._indices)
+        return {k: len(cocycles) - len(cob_rows) for k, (cob_rows, cocycles) in per_degree.items()}
 
     def is_acyclic(self) -> bool:
         return all(b == 0 for b in self.betti().values())
@@ -135,12 +141,12 @@ class QuotientDGA:
 
     def project(self, elem: Element) -> Element:
         if elem.parent is not self.ambient:
-            raise StructureError("element does not live in the ambient algebra")
+            raise MixedParents("element does not live in the ambient algebra")
         return Element(self.algebra, _combine(elem.coeffs, self._images))
 
     def lift(self, elem: Element) -> Element:
         if elem.parent is not self.algebra:
-            raise StructureError("element does not live in the quotient")
+            raise MixedParents("element does not live in the quotient")
         return Element(self.ambient, {self.kept[q]: c for q, c in elem.coeffs.items()})
 
     def betti(self, up_to: Optional[int] = None) -> list[int]:
@@ -204,6 +210,8 @@ def quotient_dga(ambient: DGAlgebra, vectors: Sequence[Element], *, name: str = 
 def ideal_span(ambient: DGAlgebra, generators: Sequence[Element]) -> list[Element]:
     """Spanning set of the ideal generated by `generators`: every product
     of a basis element with a generator, plus the generators themselves."""
+    if any(g.parent is not ambient for g in generators):
+        raise MixedParents("generators do not belong to the ambient algebra")
     out = list(generators)
     for g in generators:
         for rows in ambient._mult:

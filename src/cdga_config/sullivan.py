@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .algebra import Element
+from .algebra import Element, same_structure
 from .errors import IncompatibleTables, StructureError
 from .io import TableDocument
 from .linalg import (Parameters, Poly, RationalFunction, Scalar, SparseMatrix, _accumulate,
@@ -554,8 +554,6 @@ ObstructionResult = Union[Exists, Obstructed, Unresolved]
 
 
 def _compatible(t1: GeneratorTable, t2: GeneratorTable) -> None:
-    from .algebra import same_structure
-
     if t1.degree_cap != t2.degree_cap:
         raise IncompatibleTables("degree caps differ")
     if tuple(t1.gens) != tuple(t2.gens):

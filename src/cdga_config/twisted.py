@@ -36,7 +36,7 @@ from .errors import (
     ZeroFormalDimension,
 )
 from .linalg import (Parameters, Scalar, SparseMatrix, _at_point, _combine, invert,
-                     quotient_data, row_space_basis, solve)
+                     kernel_basis, quotient_data, row_space_basis, solve)
 from .poincare import PDAlgebra, diagonal_class
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -414,8 +414,6 @@ def phi(pd: PDAlgebra) -> PhiMap:
         raise PhiNotBijective(kind, f"matrix is {matrix.rows}x{matrix.cols}")
     inverse = invert(matrix) if matrix.rows else SparseMatrix(0, 0)
     if inverse is None:
-        from .linalg import kernel_basis
-
         null = kernel_basis(matrix)
         witness = None
         if null:

@@ -454,8 +454,10 @@ def oracle_decide_xi_equivalence(pd, xi, xi2):
     """(w, eta, difference_in_ideal, quotients_isomorphic) with
     xi - xi2 = w . diag + d(eta), or None when the difference is not of
     that form. The system [z . diag | d e_i] is built for this pair, with
-    the package's cocycle basis so that w is written in the same z."""
-    from cdga_config.algebra import Element, cocycle_vectors
+    the cocycle basis of `oracle_cocycles`, which is the package's (see
+    `test_cocycles_and_cohomology_match_oracle`), so that w is written in
+    the same z."""
+    from cdga_config.algebra import Element
     from cdga_config.poincare import diagonal_class
     from cdga_config.twisted import equivalence_ideal
 
@@ -464,7 +466,7 @@ def oracle_decide_xi_equivalence(pd, xi, xi2):
     diag = diagonal_class(pd).element
     columns, parts = [], []
     idx_mid = square.basis.degree_indices(n - 2)
-    for vec in cocycle_vectors(square, n - 2):
+    for vec in oracle_cocycles(square, n - 2):
         z = Element(square, {i: c for i, c in zip(idx_mid, vec) if c})
         columns.append(square.multiply(z, diag).vector(idx_tgt))
         parts.append(("w", z))

@@ -5,7 +5,7 @@ import pytest
 
 from cdga_config.algebra import DGAlgebra, GradedBasis, cocycle_vectors, cohomology
 from cdga_config.cone import cone_model, even_model
-from cdga_config.errors import StructureError
+from cdga_config.errors import MixedParents, StructureError
 from cdga_config.poincare import diagonal_class
 from cdga_config.presets import PRESET_NAMES, preset_pd
 from cdga_config.products import product_pd
@@ -26,6 +26,33 @@ def test_subcomplex_rejects_non_closed_span():
     alg = two_stage_algebra()
     with pytest.raises(StructureError):
         Subcomplex(alg, [alg.from_label_coeffs({"a": 1})])
+
+
+def test_subcomplex_rejects_vectors_of_another_algebra(s2, cp2):
+    x2 = cp2.algebra.from_label_coeffs({"x^2": 1})
+    with pytest.raises(MixedParents):
+        Subcomplex(s2.algebra, [x2])
+
+
+def test_ideal_span_rejects_generators_of_another_algebra(cp2):
+    # x^2 has index 2 in cp2, which in its square is x(x)1
+    x2 = cp2.algebra.from_label_coeffs({"x^2": 1})
+    with pytest.raises(MixedParents):
+        ideal_span(cp2.square, [x2])
+
+
+def test_quotient_rejects_vectors_of_another_algebra(cp2):
+    x2 = cp2.algebra.from_label_coeffs({"x^2": 1})
+    with pytest.raises(MixedParents):
+        quotient_dga(cp2.square, [x2])
+
+
+def test_projection_and_lift_reject_elements_of_another_algebra(cp2):
+    q = quotient_by_diagonal(cp2)
+    with pytest.raises(MixedParents):
+        q.project(cp2.algebra.from_label_coeffs({"x^2": 1}))
+    with pytest.raises(MixedParents):
+        q.lift(q.ambient.one())
 
 
 def test_subcomplex_acyclic_two_stage():
