@@ -210,9 +210,8 @@ def _random_closed_generators(space, rng, count):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_random_subspaces_of_a_cone_match_oracle(seed):
-    # seeded random homogeneous vectors in positive degrees of the cone of
-    # s2 (x) s3, closed under d (d^2 = 0, so adding each d(v) suffices); the
-    # ideal they generate is then a proper differential ideal
+    # d-closed spans in positive degrees of the cone of s2 (x) s3; the ideal
+    # they generate is then a proper differential ideal
     space = cone_model(product_pd(preset_pd("s2"), preset_pd("s3"))).algebra
     generators = _random_closed_generators(space, random.Random(seed), 3)
     _check_against_oracle(space, generators, Subcomplex(space, generators), seed=seed)
