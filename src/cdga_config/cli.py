@@ -13,11 +13,16 @@ identical inputs produce byte-identical output; --json emits only the
 machine-readable mirror. Exit statuses: 0 success, 1 parse error,
 2 mathematical check failure, 3 precondition violation; a closed stdout
 (its reader exited first) also ends with 1, without a traceback.
+
+The argument parser is built once per process, on the first `main` call,
+and holds nothing of any call: each call parses afresh, and its command
+is looked up by name among the `cmd_*` functions of this module.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,7 +45,7 @@ from .errors import (
 )
 from .io import load_algebra_file, parse_coeff, parse_element, write_pd_file
 from .poincare import PDAlgebra, check_pd, diagonal_class
-from .presets import PRESET_NAMES, preset_path
+from .presets import PRESET_NAMES, _input_file, preset_path
 from .products import diagonal_correspondence, product_pd
 from .sullivan import classify_example
 from .twisted import build_cxi, c_of_x, quotient_by_diagonal
@@ -53,10 +58,7 @@ EXIT_CLOSED_STDOUT = 1
 
 
 def _resolve_path(argument: str) -> Path:
-    p = Path(argument)
-    if p.is_file():
-        return p
-    return preset_path(argument)
+    return _input_file(argument) or preset_path(argument)
 
 
 def _load_checked(argument: str) -> tuple[PDAlgebra, dict]:
@@ -328,17 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common],
                        help="run the CDGA axiom and duality checks on a file")
     p.add_argument("file", help=f"algebra file or preset ({', '.join(PRESET_NAMES)})")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("diagonal", parents=[common],
                        help="diagonal class, dual basis, cone delta-table")
     p.add_argument("file")
-    p.set_defaults(func=cmd_diagonal)
 
     p = sub.add_parser("betti-fm2", parents=[common],
                        help="Betti table of the quotient model against the cone")
     p.add_argument("file")
-    p.set_defaults(func=cmd_betti_fm2)
 
     p = sub.add_parser("cxi", parents=[common],
                        help="build a twisted model C(xi) or C(x) and verify it")
@@ -346,20 +345,22 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--xi", help="element expression in the tensor square, degree 2n-2")
     group.add_argument("--x", help="cocycle expression in the algebra, degree n-2")
-    p.set_defaults(func=cmd_cxi)
 
     p = sub.add_parser("classify-example", parents=[common],
                        help="pairwise obstruction verdicts for the twisted family")
     p.add_argument("--q", required=True, help="comma-separated rational twists")
-    p.set_defaults(func=cmd_classify_example)
 
     p = sub.add_parser("product", parents=[common],
                        help="tensor product of two duality algebras + diagonal correspondence")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--out", help="path for the emitted product algebra file")
-    p.set_defaults(func=cmd_product)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def main(argv=None) -> int:
@@ -379,9 +380,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; keep 0 for --help/--version
         # and fold usage errors into the parse-error status
@@ -392,7 +392,8 @@ def _run(argv) -> int:
         for name, value in vars(args).items():
             if isinstance(value, list):
                 raise ParseError(f"--{name} expects a value, got '--'")
-        return args.func(args)
+        # by name at call time, so a rebound `cmd_*` is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _CheckFailed as failed:
         report = {"command": args.command, "version": __version__, **failed.fragment, "ok": False}
         _emit(report, _axiom_lines(failed.fragment) + ["result: FAIL"], args.json)

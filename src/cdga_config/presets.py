@@ -25,6 +25,7 @@ checks of its own when it is not.
 
 from __future__ import annotations
 
+import os
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
@@ -40,16 +41,46 @@ _TABLE_KEY = ("table", "s2xs3_table")
 
 _cache: dict[Union[str, tuple[str, str]], Union[PDAlgebra, TableDocument]] = {}
 
+# the packaged data directory, resolved once at import
+_DATA = Path(str(resources.files("cdga_config").joinpath("data")))
+
+
+def _preset_base(name: str) -> str:
+    return name[:-5] if name.endswith(".json") else name
+
 
 def preset_path(name: str) -> Path:
-    base = name[:-5] if name.endswith(".json") else name
+    base = _preset_base(name)
     if base not in PRESET_NAMES:
         raise ParseError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return Path(str(resources.files("cdga_config").joinpath("data", f"{base}.json")))
+    return _DATA / f"{base}.json"
 
 
 def table_preset_path() -> Path:
-    return Path(str(resources.files("cdga_config").joinpath("data", "s2xs3_table.json")))
+    return _DATA / "s2xs3_table.json"
+
+
+def _input_file(argument: str, relative_to: Optional[Path] = None) -> Optional[Path]:
+    """The file that `argument` names, or None when it names a preset.
+
+    An existing file wins over a preset of the same name. A path that names
+    no file is a ParseError: an argument with a path separator, or one that
+    exists but is not a file (a directory, say) and is no preset name. A
+    bare name that is neither is left to `preset_path`, which reports it as
+    an unknown preset. With `relative_to` the path is read against it.
+    """
+    candidate = Path(argument) if relative_to is None else relative_to / argument
+    if candidate.is_file():
+        return candidate
+    shown = argument if relative_to is None else str(candidate)
+    bare = not any(sep and sep in argument for sep in (os.sep, os.altsep))
+    if bare and _preset_base(argument) in PRESET_NAMES:
+        return None
+    if argument and candidate.exists():
+        raise ParseError(f"not a file: {shown!r}")
+    if not bare:
+        raise ParseError(f"no such file: {shown!r}")
+    return None
 
 
 def preset_table() -> TableDocument:
@@ -62,7 +93,7 @@ def preset_table() -> TableDocument:
 
 
 def preset_pd(name: str) -> PDAlgebra:
-    base = name[:-5] if name.endswith(".json") else name
+    base = _preset_base(name)
     if base in _cache:
         return _cache[base]
     algebra, n, epsilon, _ = load_algebra_file(preset_path(base))
@@ -72,7 +103,8 @@ def preset_pd(name: str) -> PDAlgebra:
 
 
 def resolve_pd(argument: str, relative_to: Optional[Path] = None) -> PDAlgebra:
-    """A file path if one exists on disk, otherwise a preset name.
+    """A file path if one exists on disk, otherwise a preset name; a path
+    that names no file is a ParseError (`_input_file`).
 
     Without `relative_to` (a path given to the command line) the path is
     taken as it is, so a relative one is read from the current directory.
@@ -82,8 +114,8 @@ def resolve_pd(argument: str, relative_to: Optional[Path] = None) -> PDAlgebra:
     from. Files are verified on every load; presets are verified once and
     cached.
     """
-    candidate = Path(argument) if relative_to is None else relative_to / argument
-    if candidate.is_file():
-        algebra, n, epsilon, _ = load_algebra_file(candidate)
+    path = _input_file(argument, relative_to)
+    if path is not None:
+        algebra, n, epsilon, _ = load_algebra_file(path)
         return check_pd(algebra, n, epsilon)
     return preset_pd(argument)

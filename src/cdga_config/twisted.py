@@ -19,6 +19,7 @@ from .algebra import (
     Coeffs,
     DGAlgebra,
     Element,
+    _diff_block,
     check_cdga,
     cohomology,
     cocycle_vectors,
@@ -543,9 +544,9 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
         z = Element(square, {i: c for i, c in zip(idx_mid, vec) if c})
         matrix_columns.append(square.multiply(z, diag).vector(idx_tgt))
         columns.append(("diag", z))
-    for i in idx_s:
-        matrix_columns.append(square.d(square.basis_element(i)).vector(idx_tgt))
-        columns.append(("exact", square.basis_element(i)))
+    d_block = _diff_block(square._diff, idx_s, idx_tgt)
+    matrix_columns += [d_block.column(c) for c in range(d_block.cols)]
+    columns += [("exact", square.basis_element(i)) for i in idx_s]
 
     trunc = truncate_cone(cone)
     projected = (trunc.quotient.project(Element(alg, gen)).coeffs

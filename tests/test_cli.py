@@ -314,9 +314,96 @@ def test_table_document_is_not_a_preset(capsys):
     assert "unknown preset 's2xs3_table'" in err
 
 
+@pytest.mark.parametrize("argument, message", [
+    ("{tmp}/nope/missing.json", "no such file: '{tmp}/nope/missing.json'"),
+    ("./s2xs3", "no such file: './s2xs3'"),
+    ("sub", "not a file: 'sub'"),
+    ("{tmp}", "not a file: '{tmp}'"),
+], ids=["missing-path", "dot-slash-preset-name", "bare-directory", "absolute-directory"])
+def test_a_path_that_names_no_file_is_not_reported_as_a_preset(argument, message, tmp_path,
+                                                                monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_cli(capsys, "check", argument.format(tmp=tmp_path))
+    assert code == 1 and out == ""
+    assert err == f"parse error: {message.format(tmp=tmp_path)}\n"
+
+
+def test_a_directory_named_as_a_preset_does_not_hide_the_preset(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s2").mkdir()
+    code, out, _ = run_cli(capsys, "check", "s2")
+    assert code == 0 and "all checks pass" in out
+
+
+@pytest.mark.parametrize("algebra, message", [
+    ("nope/missing.json", "no such file: '{dir}/nope/missing.json'"),
+    ("sub", "not a file: '{dir}/sub'"),
+], ids=["missing-path", "directory"])
+def test_a_table_document_algebra_path_that_names_no_file(algebra, message, tmp_path):
+    from cdga_config.errors import ParseError
+    from cdga_config.io import parse_table_file
+    from cdga_config.presets import table_preset_path
+
+    (tmp_path / "sub").mkdir()
+    document = json.loads(table_preset_path().read_text(encoding="utf-8"))
+    document["algebra"] = algebra
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        parse_table_file(path)
+    assert str(info.value) == message.format(dir=tmp_path)
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# --- the parser, built once per process -------------------------------------------
+
+
+def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys):
+    import argparse
+
+    monkeypatch.chdir(tmp_path)
+    main(["check", "point"])
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    calls = [["check", p] for p in ("s2", "s3", "cp2", "s2xs3")]
+    calls += [["diagonal", p] for p in ("s2", "s3", "cp2")]
+    calls += [["betti-fm2", p] for p in ("s2", "s3", "s2xs3")]
+    calls += [["cxi", "s2xs3", "--xi=0"], ["cxi", "s2xs3", "--x=y"], ["cxi", "s3", "--xi=0"],
+              ["cxi", "s5", "--xi=0", "--json"]]
+    calls += [["classify-example", q] for q in ("--q=1,2", "--q=0,1", "--q=3")]
+    calls += [["product", a, "s3", "--out", "p.json"] for a in ("s2", "s3", "point")]
+    assert len(calls) == 20
+    assert [main(argv) for argv in calls] == [0] * 20
+    assert main(["--help"]) == 0
+    assert main(["cxi", "s2xs3"]) == 1
+    capsys.readouterr()
+    assert built == []
+
+
+def test_commands_are_dispatched_by_name(monkeypatch, capsys):
+    from cdga_config import cli
+
+    seen = []
+
+    def fake(args):
+        seen.append((args.command, args.file, args.json))
+        return 7
+
+    monkeypatch.setattr(cli, "cmd_check", fake)
+    assert main(["check", "s2"]) == 7
+    assert seen == [("check", "s2", False)]
+    assert capsys.readouterr().out == ""
 
 
 # --- classify-example -------------------------------------------------------------

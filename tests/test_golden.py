@@ -130,6 +130,55 @@ def test_cxi_report_is_golden_when_the_generic_model_fails(name, argv, status, c
     assert checked == ([] if status else ["C(0)" if "--xi=0" in argv else "C(xi)"])
 
 
+GOLDEN_BY_NAME = {name: (argv, status) for name, argv, status in CASES}
+# golden calls of four commands, interleaved with a usage error, a parse
+# error and a usage error from --x after --xi
+INTERLEAVED = [
+    ("cxi_s2xs3_xi", None),
+    ("usage", ["cxi", "s2xs3"]),
+    ("product_s2_s3", None),
+    ("parse", ["check", "no-such-preset"]),
+    ("check_s2xs3_fractional_leibniz", None),
+    ("x-after-xi", ["cxi", "s2xs3", "--xi=0", "--x=y"]),
+    ("classify-example", None),
+    ("cxi_s2xs3_x", None),
+    ("usage", ["cxi", "s2xs3"]),
+    ("check_s3xs4", None),
+]
+
+
+def _call(name, argv):
+    """(exit status, stdout, stderr) of one `cli.main` call."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = argv if argv is not None else GOLDEN_BY_NAME[name][0] + ["--json"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_calls_in_one_process_answer_as_when_run_alone(tmp_path, monkeypatch):
+    """Each call, made alone (with no parser and no preset cached), and
+    made after the others in one process, gives the same status, stdout
+    and stderr; the golden ones give their goldens."""
+    from cdga_config import cli, presets
+
+    monkeypatch.chdir(tmp_path)
+    alone = []
+    for name, argv in INTERLEAVED:
+        cli._parser.cache_clear()
+        monkeypatch.setattr(presets, "_cache", {})
+        alone.append(_call(name, argv))
+    together = [_call(name, argv) for name, argv in INTERLEAVED]
+    assert together == alone
+    for (name, argv), (status, out, err) in zip(INTERLEAVED, together):
+        if argv is None:
+            assert (status, err) == (GOLDEN_BY_NAME[name][1], "")
+            assert _normalise(out) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        else:
+            assert status == 1 and out == ""
+            assert err.startswith("usage: " if name != "parse" else "parse error: ")
+
+
 def _write_goldens() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, status in CASES:
