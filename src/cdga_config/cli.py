@@ -45,7 +45,7 @@ from .errors import (
 )
 from .io import load_algebra_file, parse_coeff, parse_element, write_pd_file
 from .poincare import PDAlgebra, check_pd, diagonal_class
-from .presets import PRESET_NAMES, _input_file, preset_path
+from .presets import PRESET_NAMES, _resolve_path
 from .products import diagonal_correspondence, product_pd
 from .sullivan import classify_example
 from .twisted import build_cxi, c_of_x, quotient_by_diagonal
@@ -55,10 +55,6 @@ EXIT_PARSE = 1
 EXIT_CHECK = 2
 EXIT_PRECONDITION = 3
 EXIT_CLOSED_STDOUT = 1
-
-
-def _resolve_path(argument: str) -> Path:
-    return _input_file(argument) or preset_path(argument)
 
 
 def _load_checked(argument: str) -> tuple[PDAlgebra, dict]:

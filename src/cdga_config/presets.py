@@ -60,27 +60,27 @@ def table_preset_path() -> Path:
     return _DATA / "s2xs3_table.json"
 
 
-def _input_file(argument: str, relative_to: Optional[Path] = None) -> Optional[Path]:
-    """The file that `argument` names, or None when it names a preset.
+def _resolve_path(argument: str, relative_to: Optional[Path] = None) -> Path:
+    """The file that `argument` names, or else the packaged file of the
+    preset it names.
 
     An existing file wins over a preset of the same name. A path that names
     no file is a ParseError: an argument with a path separator, or one that
-    exists but is not a file (a directory, say) and is no preset name. A
-    bare name that is neither is left to `preset_path`, which reports it as
-    an unknown preset. With `relative_to` the path is read against it.
+    exists but is not a file (a directory, say) and is no preset name. Any
+    other bare name is looked up by `preset_path`, which reports an unknown
+    preset. With `relative_to` the path is read against it.
     """
     candidate = Path(argument) if relative_to is None else relative_to / argument
     if candidate.is_file():
         return candidate
-    shown = argument if relative_to is None else str(candidate)
     bare = not any(sep and sep in argument for sep in (os.sep, os.altsep))
-    if bare and _preset_base(argument) in PRESET_NAMES:
-        return None
-    if argument and candidate.exists():
-        raise ParseError(f"not a file: {shown!r}")
-    if not bare:
-        raise ParseError(f"no such file: {shown!r}")
-    return None
+    if not (bare and _preset_base(argument) in PRESET_NAMES):
+        shown = argument if relative_to is None else str(candidate)
+        if argument and candidate.exists():
+            raise ParseError(f"not a file: {shown!r}")
+        if not bare:
+            raise ParseError(f"no such file: {shown!r}")
+    return preset_path(argument)
 
 
 def preset_table() -> TableDocument:
@@ -104,7 +104,7 @@ def preset_pd(name: str) -> PDAlgebra:
 
 def resolve_pd(argument: str, relative_to: Optional[Path] = None) -> PDAlgebra:
     """A file path if one exists on disk, otherwise a preset name; a path
-    that names no file is a ParseError (`_input_file`).
+    that names no file is a ParseError (`_resolve_path`).
 
     Without `relative_to` (a path given to the command line) the path is
     taken as it is, so a relative one is read from the current directory.
@@ -114,8 +114,8 @@ def resolve_pd(argument: str, relative_to: Optional[Path] = None) -> PDAlgebra:
     from. Files are verified on every load; presets are verified once and
     cached.
     """
-    path = _input_file(argument, relative_to)
-    if path is not None:
-        algebra, n, epsilon, _ = load_algebra_file(path)
-        return check_pd(algebra, n, epsilon)
-    return preset_pd(argument)
+    path = _resolve_path(argument, relative_to)
+    if path.parent == _DATA and path.stem in PRESET_NAMES:
+        return preset_pd(path.stem)
+    algebra, n, epsilon, _ = load_algebra_file(path)
+    return check_pd(algebra, n, epsilon)

@@ -20,11 +20,9 @@ import contextlib
 import dataclasses
 import io
 import json
-import os
 import shutil
 import subprocess
 import sys
-import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -83,10 +81,6 @@ def _outputs():
         # the 256-dim factor square: the largest shuffle and quotients
         ("product2-report",
          _cli("product", "s2xs3", "s3xs4", "--out", "product2.json", "--json"), 0),
-        # the golden CLI calls after a usage error: all in one process,
-        # which builds its parser once, and one process each
-        ("cli-inprocess", _program("golden_calls", "inprocess"), 0),
-        ("cli-fresh", _program("golden_calls", "fresh"), 0),
     ]
 
 
@@ -97,32 +91,6 @@ def warm_cli(first: list[str], second: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(first) == 0
     sys.exit(cli.main(second))
-
-
-def golden_calls(mode: str) -> None:
-    """A usage error, then every golden call of `tests/test_golden.py`
-    with --json, in its order, in a temporary directory: all through
-    `cli.main` in this process ("inprocess"), or each in a fresh process
-    ("fresh") that imports the same package. Prints each call's exit
-    status, stdout and stderr."""
-    from cdga_config import cli
-    from test_golden import CASES
-
-    calls = [("usage", ["cxi", "s2xs3"])] + [(name, argv + ["--json"]) for name, argv, _ in CASES]
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)
-        for name, argv in calls:
-            if mode == "fresh":
-                proc = subprocess.run(_cli(*argv), env=env, capture_output=True, text=True)
-                status, out, err = proc.returncode, proc.stdout, proc.stderr
-            else:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    status = cli.main(argv)
-                out, err = out.getvalue(), err.getvalue()
-            print(json.dumps({"call": name, "status": status, "stdout": out, "stderr": err},
-                             ensure_ascii=False))
 
 
 def _twist(pd, q, r):
