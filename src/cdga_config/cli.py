@@ -16,7 +16,10 @@ machine-readable mirror. Exit statuses: 0 success, 1 parse error,
 
 The argument parser is built once per process, on the first `main` call,
 and holds nothing of any call: each call parses afresh, and its command
-is looked up by name among the `cmd_*` functions of this module.
+is looked up by name among the `cmd_*` functions of this module. A command
+returns its report fields and text lines; `_run` adds `command` and
+`version`, emits the report, and returns 0 or 2 by its `ok`, or the
+`exit_status` that the type of a raised error carries (see `errors`).
 """
 
 from __future__ import annotations
@@ -32,17 +35,7 @@ from pathlib import Path
 from . import __version__
 from .algebra import Element, check_cdga, cohomology
 from .cone import cone_model
-from .errors import (
-    CdgaError,
-    EvenDimensionNonzeroXi,
-    ExpressionParseError,
-    NotACocycle,
-    OddDimension,
-    ParseError,
-    PDFailure,
-    WrongDegree,
-    ZeroFormalDimension,
-)
+from .errors import CdgaError, ExpressionParseError, ParseError, PDFailure
 from .io import load_algebra_file, parse_coeff, parse_element, write_pd_file
 from .poincare import PDAlgebra, check_pd, diagonal_class
 from .presets import PRESET_NAMES, _resolve_path
@@ -50,11 +43,13 @@ from .products import diagonal_correspondence, product_pd
 from .sullivan import classify_example
 from .twisted import build_cxi, c_of_x, quotient_by_diagonal
 
-EXIT_OK = 0
-EXIT_PARSE = 1
-EXIT_CHECK = 2
-EXIT_PRECONDITION = 3
 EXIT_CLOSED_STDOUT = 1
+# the stderr prefix of an error, by its exit status
+_ERROR_PREFIX = {1: "parse error", 2: "check failed", 3: "precondition violated"}
+
+
+def _axiom_items(axioms) -> list[dict]:
+    return [{"axiom": c.axiom, "ok": c.ok, "witness": c.witness} for c in axioms.checks]
 
 
 def _load_checked(argument: str) -> tuple[PDAlgebra, dict]:
@@ -67,9 +62,7 @@ def _load_checked(argument: str) -> tuple[PDAlgebra, dict]:
         "input": str(path),
         "algebra": algebra.name or path.stem,
         "formal_dimension": n,
-        "axioms": [
-            {"axiom": c.axiom, "ok": c.ok, "witness": c.witness} for c in axioms.checks
-        ],
+        "axioms": _axiom_items(axioms),
     }
     if not axioms.all_pass:
         fragment["poincare_duality"] = {"ok": False, "detail": "skipped: axioms failed"}
@@ -89,7 +82,7 @@ def _load_checked(argument: str) -> tuple[PDAlgebra, dict]:
 
 
 class _CheckFailed(Exception):
-    """An input failed its axiom or duality check; `main` reports the
+    """An input failed its axiom or duality check; `_run` reports the
     fragment with exit status 2."""
 
     def __init__(self, fragment: dict):
@@ -122,22 +115,18 @@ def _axiom_lines(fragment: dict) -> list[str]:
     return lines
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, list[str]]:
     pd, fragment = _load_checked(args.file)
-    report = {"command": "check", "version": __version__, **fragment, "ok": True}
-    _emit(report, _axiom_lines(fragment) + ["result: all checks pass"], args.json)
-    return EXIT_OK
+    return {**fragment, "ok": True}, _axiom_lines(fragment) + ["result: all checks pass"]
 
 
-def cmd_diagonal(args) -> int:
+def cmd_diagonal(args) -> tuple[dict, list[str]]:
     pd, fragment = _load_checked(args.file)
     diag = diagonal_class(pd)
     duals = pd.dual_basis
     cone = cone_model(pd)
     delta_lines = [(label, str(elem)) for label, elem in cone.delta_table()]
     report = {
-        "command": "diagonal",
-        "version": __version__,
         **fragment,
         "diagonal_class": str(diag),
         "dual_basis": {
@@ -152,11 +141,10 @@ def cmd_diagonal(args) -> int:
     lines.append("differential of the cone suspensions:")
     for label, value in delta_lines:
         lines.append(f"  delta({label}) = {value}")
-    _emit(report, lines, args.json)
-    return EXIT_OK
+    return report, lines
 
 
-def cmd_betti_fm2(args) -> int:
+def cmd_betti_fm2(args) -> tuple[dict, list[str]]:
     pd, fragment = _load_checked(args.file)
     cone = cone_model(pd)
     top = cone.algebra.basis.max_degree()
@@ -170,8 +158,6 @@ def cmd_betti_fm2(args) -> int:
                      "cone": cone_betti[k], "agree": agree})
     all_agree = all(r["agree"] for r in rows)
     report = {
-        "command": "betti-fm2",
-        "version": __version__,
         **fragment,
         "betti": rows,
         "agree": all_agree,
@@ -182,11 +168,10 @@ def cmd_betti_fm2(args) -> int:
         verdict = "AGREE" if r["agree"] else "DISAGREE"
         lines.append(f"{r['degree']:>6}  {r['quotient']:>14}  {r['cone']:>10}  {verdict}")
     lines.append(f"result: {'AGREE in all degrees' if all_agree else 'DISAGREEMENT FOUND'}")
-    _emit(report, lines, args.json)
-    return EXIT_OK if all_agree else EXIT_CHECK
+    return report, lines
 
 
-def cmd_cxi(args) -> int:
+def cmd_cxi(args) -> tuple[dict, list[str]]:
     pd, fragment = _load_checked(args.file)
     if args.xi is not None:
         xi = parse_element(pd.square, args.xi)
@@ -204,15 +189,11 @@ def cmd_cxi(args) -> int:
     products = [(labels[i], labels[j], str(Element(alg, {k: c for _, _, k, c in entries})))
                 for (i, j), entries in groupby(alg.mult_entries(), key=lambda e: e[:2])]
     report = {
-        "command": "cxi",
-        "version": __version__,
         **fragment,
         **source,
         "dimension": alg.dim(),
         "s1_square": str(model.s1_square()),
-        "axioms": [
-            {"axiom": c.axiom, "ok": c.ok, "witness": c.witness} for c in model.axioms.checks
-        ],
+        "axioms": _axiom_items(model.axioms),
         "products": [{"left": l, "right": r, "value": v} for l, r, v in products],
         "betti": betti,
         "ok": model.axioms.all_pass,
@@ -226,11 +207,10 @@ def cmd_cxi(args) -> int:
     for c in model.axioms.checks:
         lines.append(f"  {c.axiom}: {'pass' if c.ok else 'FAIL'}")
     lines.append(f"betti: {betti}")
-    _emit(report, lines, args.json)
-    return EXIT_OK if model.axioms.all_pass else EXIT_CHECK
+    return report, lines
 
 
-def cmd_classify_example(args) -> int:
+def cmd_classify_example(args) -> tuple[dict, list[str]]:
     if not args.q.strip():
         raise ExpressionParseError("--q expects at least one value")
     parts = args.q.split(",")
@@ -249,8 +229,6 @@ def cmd_classify_example(args) -> int:
             if result.verdict == "obstructed" and trace_pair is None:
                 trace_pair = (i, j, result)
     report = {
-        "command": "classify-example",
-        "version": __version__,
         "q_values": [str(v) for v in values],
         "matrix": verdicts,
         "ok": True,
@@ -272,22 +250,21 @@ def cmd_classify_example(args) -> int:
             lines.append(f"  {entry}")
         lines.append(f"residual at q={values[i]} vs q={values[j]}: stage {result.at_generator} "
                      f"ends in 0 = {result.residual_constant}, so no isomorphism exists")
-    _emit(report, lines, args.json)
-    return EXIT_OK
+    return report, lines
 
 
-def cmd_product(args) -> int:
+def cmd_product(args) -> tuple[dict, list[str]]:
+    if args.out == "":
+        raise ParseError("--out expects a path, got ''")
     pd_a, frag_a = _load_checked(args.file_a)
     pd_b, frag_b = _load_checked(args.file_b)
     product = product_pd(pd_a, pd_b)
     correspondence = diagonal_correspondence(pd_a, pd_b)
-    out_path = Path(args.out) if args.out else Path(
+    out_path = Path(args.out) if args.out is not None else Path(
         f"product_{frag_a['algebra']}_{frag_b['algebra']}.json"
     )
     write_pd_file(product, out_path)
     report = {
-        "command": "product",
-        "version": __version__,
         "inputs": [frag_a["input"], frag_b["input"]],
         "product": product.algebra.name,
         "formal_dimension": product.n,
@@ -308,8 +285,7 @@ def cmd_product(args) -> int:
         f"quotient betti (product square): {correspondence.quotient_betti_product}",
         f"degreewise agreement: {'AGREE' if correspondence.betti_agree else 'DISAGREE'}",
     ]
-    _emit(report, lines, args.json)
-    return EXIT_OK if report["ok"] else EXIT_CHECK
+    return report, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,7 +357,7 @@ def _run(argv) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage problems; keep 0 for --help/--version
         # and fold usage errors into the parse-error status
-        return 0 if exc.code in (0, None) else EXIT_PARSE
+        return 0 if exc.code in (0, None) else ParseError.exit_status
     try:
         # argparse hands an option written with the value "--" (as in
         # `--xi=--`) an empty list instead; no option here takes a list
@@ -389,21 +365,15 @@ def _run(argv) -> int:
             if isinstance(value, list):
                 raise ParseError(f"--{name} expects a value, got '--'")
         # by name at call time, so a rebound `cmd_*` is the one that runs
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        report, lines = globals()["cmd_" + args.command.replace("-", "_")](args)
     except _CheckFailed as failed:
-        report = {"command": args.command, "version": __version__, **failed.fragment, "ok": False}
-        _emit(report, _axiom_lines(failed.fragment) + ["result: FAIL"], args.json)
-        return EXIT_CHECK
-    except (ParseError, ExpressionParseError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OddDimension, EvenDimensionNonzeroXi, WrongDegree, NotACocycle,
-            ZeroFormalDimension) as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        report = {**failed.fragment, "ok": False}
+        lines = _axiom_lines(failed.fragment) + ["result: FAIL"]
     except CdgaError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
+        print(f"{_ERROR_PREFIX[exc.exit_status]}: {exc}", file=sys.stderr)
+        return exc.exit_status
+    _emit({"command": args.command, "version": __version__, **report}, lines, args.json)
+    return 0 if report["ok"] else CdgaError.exit_status
 
 
 if __name__ == "__main__":

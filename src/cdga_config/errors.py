@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto stable exit statuses: parse problems are exit 1,
-failed mathematical checks are exit 2, violated preconditions are exit 3.
+Each type carries the CLI's exit status for it as `exit_status`: 1 for a
+parse error (`ParseError` and its subclasses), 3 for a violated precondition
+(`PreconditionError` and its subclasses), 2 for every other, a failed check.
 """
 
 from __future__ import annotations
@@ -10,9 +11,19 @@ from __future__ import annotations
 class CdgaError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_status = 2
+
 
 class ParseError(CdgaError):
     """An input file or expression could not be parsed or validated."""
+
+    exit_status = 1
+
+
+class PreconditionError(CdgaError):
+    """An operation was asked of input outside the domain it requires."""
+
+    exit_status = 3
 
 
 class ExpressionParseError(ParseError):
@@ -67,27 +78,27 @@ class ModuleMapViolation(CdgaError):
     """The shriek map failed its module-map identity; indicates a sign bug."""
 
 
-class OddDimension(CdgaError):
+class OddDimension(PreconditionError):
     """The even-dimensional pipeline was invoked with odd formal dimension."""
 
 
-class ZeroFormalDimension(CdgaError):
+class ZeroFormalDimension(PreconditionError):
     """A construction that needs formal dimension at least 1 was requested
     in formal dimension 0: a cone model, where the suspended unit would sit
     in degree -1, or the quotient of the square by the diagonal class,
     which is then the unit."""
 
 
-class EvenDimensionNonzeroXi(CdgaError):
+class EvenDimensionNonzeroXi(PreconditionError):
     """A nonzero twisting class was requested in even formal dimension,
     where the square of the suspended unit is forced to vanish."""
 
 
-class WrongDegree(CdgaError):
+class WrongDegree(PreconditionError):
     """An element does not live in the degree the operation requires."""
 
 
-class NotACocycle(CdgaError):
+class NotACocycle(PreconditionError):
     """An element required to be closed has nonzero differential."""
 
 

@@ -331,7 +331,6 @@ class PhiMap:
     matrix: SparseMatrix
     inverse: SparseMatrix
     domain_representatives: tuple[Element, ...]
-    target_dimension: int
     _target_reps: tuple[Element, ...]
     _target_cobs: tuple[Element, ...]
     _target_projection: SparseMatrix
@@ -423,7 +422,7 @@ def phi(pd: PDAlgebra) -> PhiMap:
             ]
             witness = " + ".join(parts)
         raise PhiNotBijective("NotInjective", witness)
-    return PhiMap(pd, matrix, inverse, tuple(dom_reps), matrix.rows,
+    return PhiMap(pd, matrix, inverse, tuple(dom_reps),
                   tuple(tgt_reps), tuple(tgt_cobs), projection)
 
 

@@ -56,9 +56,9 @@ def _outputs():
          _program("warm_cli", ["classify-example", "--q=0,5,-2/9", "--json"],
                   ["classify-example", "--q=0,3,-2/5", "--json"]), 0),
         ("cxi", _cli("cxi", "s2xs3", "--xi=1/2*(y(x)xy)", "--json"), 0),
-        # the same call on a warm truncation: its generic model C(Xi) was
-        # built and checked by an earlier call with another twist, so this
-        # C(xi) is verified as an instance of it
+        # the same call made after another in the same process, which
+        # prints the bytes it prints when run alone; each call loads a
+        # fresh algebra, so it builds and checks a C(Xi) of its own
         ("cxi-warm", _program("warm_cli", ["cxi", "s2xs3", "--xi=-3*(xy(x)y) + 2/5*(y(x)xy)",
                                            "--json"],
                               ["cxi", "s2xs3", "--xi=1/2*(y(x)xy)", "--json"]), 0),

@@ -135,7 +135,7 @@ def test_criterion_6_phi_isomorphism(capsys):
         assert dense_matmul(ph.matrix, ph.inverse) == SparseMatrix.identity(ph.matrix.rows).dense_rows()
     pd = preset_pd("s2xs3")
     ph = phi(pd)
-    assert ph.dimension == 1 and ph.target_dimension == 1
+    assert ph.dimension == 1 and ph.matrix.rows == 1
     (rep,) = ph.domain_representatives
     assert str(rep) == "y"
     image = pd.square.from_label_coeffs({f"y{TENSOR}xy": F(1)})

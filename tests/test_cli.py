@@ -2,6 +2,7 @@ import json
 import runpy
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -392,18 +393,63 @@ def test_the_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys):
 
 
 def test_commands_are_dispatched_by_name(monkeypatch, capsys):
-    from cdga_config import cli
+    from cdga_config import __version__, cli
 
     seen = []
 
     def fake(args):
         seen.append((args.command, args.file, args.json))
-        return 7
+        return {"ok": len(seen) == 1, "fake": 7}, ["fake line"]
 
     monkeypatch.setattr(cli, "cmd_check", fake)
-    assert main(["check", "s2"]) == 7
-    assert seen == [("check", "s2", False)]
-    assert capsys.readouterr().out == ""
+    assert main(["check", "s2"]) == 0
+    assert capsys.readouterr().out == "fake line\n"
+    # `_run` adds the envelope, and a report that is not ok exits 2
+    assert main(["check", "s3", "--json"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "check", "version": __version__, "ok": False, "fake": 7}
+    assert seen == [("check", "s2", False), ("check", "s3", True)]
+
+
+def _error_types():
+    from cdga_config import errors
+
+    return [t for t in vars(errors).values()
+            if isinstance(t, type) and issubclass(t, errors.CdgaError)]
+
+
+def test_each_error_type_carries_the_exit_status_the_readme_states():
+    from cdga_config.errors import ParseError, PreconditionError
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    preconditions = {"OddDimension", "ZeroFormalDimension", "EvenDimensionNonzeroXi",
+                     "WrongDegree", "NotACocycle"}
+    for name in preconditions | {"ParseError", "PreconditionError", "CdgaError"}:
+        assert f"`{name}`" in readme
+    types = _error_types()
+    assert {t.__name__ for t in types if issubclass(t, PreconditionError)} == \
+        preconditions | {"PreconditionError"}
+    for t in types:
+        want = 1 if issubclass(t, ParseError) else 3 if issubclass(t, PreconditionError) else 2
+        assert t.exit_status == want, t.__name__
+
+
+@pytest.mark.parametrize("error, status, prefix", [
+    ("ExpressionParseError", 1, "parse error: "),
+    ("StructureError", 2, "check failed: "),
+    ("NotACocycle", 3, "precondition violated: "),
+])
+def test_a_raised_error_exits_with_its_status(monkeypatch, capsys, error, status, prefix):
+    from cdga_config import cli, errors
+
+    def fake(args):
+        raise getattr(errors, error)("raised")
+
+    monkeypatch.setattr(cli, "cmd_check", fake)
+    for json_flag in ([], ["--json"]):
+        assert main(["check", "s2", *json_flag]) == status
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"{prefix}raised\n")
 
 
 # --- classify-example -------------------------------------------------------------
@@ -500,6 +546,17 @@ def test_product_unwritable_out_is_parse_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"parse error: cannot write {out_path}: ")
     assert not out_path.exists()
+
+
+def test_product_empty_out_is_parse_error(tmp_path, capsys, monkeypatch):
+    """An empty `--out=` names no file: it is a parse error, as an empty
+    `--xi=` is, and writes nothing, not the default file."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "product", "s3", "s3", "--out=")
+    assert code == 1
+    assert out == ""
+    assert err == "parse error: --out expects a path, got ''\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_product_with_point_echoes_factor(tmp_path, capsys):

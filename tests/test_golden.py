@@ -1,7 +1,9 @@
-"""Committed `--json` reports of every command on every shipped preset.
+"""Committed `--json` reports of every command on every shipped preset,
+and the text reports of one case per command and of two failed checks.
 
 Each case runs `cli.main` in-process and compares its standard output byte
-for byte with `tests/golden/<case>.json`. One field is normalised first:
+for byte with `tests/golden/<case>.json`, or without `--json` with
+`tests/golden/<case>.txt`. One field is normalised first:
 reports embed the absolute path of the preset file in `"input"` (and in
 `"inputs"` for `product`), which depends on where the package is installed,
 so the preset data directory is replaced by `<presets>` in that text, and
@@ -100,6 +102,21 @@ def test_json_report_matches_golden(name, argv, status, capsys, tmp_path, monkey
         assert written == files[1].read_text(encoding="utf-8")
 
 
+# the text report of one case per command, and of two failed checks
+TEXT_CASES = [case for case in CASES if case[0] in (
+    "check_s2xs3", "diagonal_s2xs3", "betti-fm2_s2xs3", "cxi_s2xs3_xi", "classify-example",
+    "product_s2_s3", "check_s2xs3_fractional_leibniz", "check_e5_2_leibniz")]
+
+
+@pytest.mark.parametrize("name, argv, status", TEXT_CASES, ids=[c[0] for c in TEXT_CASES])
+def test_text_report_matches_golden(name, argv, status, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == status
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _normalise(captured.out) == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
 CXI_CASES = [case for case in CASES if case[0].startswith("cxi_")]
 
 
@@ -179,26 +196,35 @@ def test_calls_in_one_process_answer_as_when_run_alone(tmp_path, monkeypatch):
             assert err.startswith("usage: " if name != "parse" else "parse error: ")
 
 
+def _golden_output(name, argv, status) -> str:
+    """Normalised stdout of one call, made in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                got = main(argv)
+            if got != status:
+                raise SystemExit(f"{name}: exit {got}, expected {status}")
+            files = _golden_files(name)
+            if argv[-1] == "--json" and len(files) > 1:
+                files[1].write_text(Path(PRODUCT_OUT).read_text(encoding="utf-8"),
+                                    encoding="utf-8")
+        finally:
+            os.chdir(cwd)
+    return _normalise(buf.getvalue())
+
+
 def _write_goldens() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, status in CASES:
-        with tempfile.TemporaryDirectory() as tmp:
-            cwd = os.getcwd()
-            os.chdir(tmp)
-            try:
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    got = main(argv + ["--json"])
-                if got != status:
-                    raise SystemExit(f"{name}: exit {got}, expected {status}")
-                files = _golden_files(name)
-                files[0].write_text(_normalise(buf.getvalue()), encoding="utf-8")
-                if len(files) > 1:
-                    files[1].write_text(Path(PRODUCT_OUT).read_text(encoding="utf-8"),
-                                        encoding="utf-8")
-            finally:
-                os.chdir(cwd)
+        _golden_files(name)[0].write_text(_golden_output(name, argv + ["--json"], status),
+                                          encoding="utf-8")
+    for name, argv, status in TEXT_CASES:
+        (GOLDEN / f"{name}.txt").write_text(_golden_output(name, argv, status),
+                                            encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -441,7 +441,7 @@ def test_diagonal_ideal_dimensions_s2xs3(s2xs3):
 
 def test_phi_s2xs3(s2xs3):
     ph = phi(s2xs3)
-    assert ph.dimension == 1 and ph.target_dimension == 1
+    assert ph.dimension == 1 and ph.matrix.rows == 1
     # the image of [y] is the class of y (x) omega = y (x) xy
     (rep,) = ph.domain_representatives
     assert str(rep) == "y"
@@ -452,7 +452,7 @@ def test_phi_s2xs3(s2xs3):
 
 def test_phi_s3_zero_map(s3):
     ph = phi(s3)
-    assert ph.dimension == 0 and ph.target_dimension == 0
+    assert ph.dimension == 0 and ph.matrix.rows == 0
 
 
 def test_phi_s3xs4_square_invertible(s3xs4):
