@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .cone import EvenModel, MappingCone, cone_model, even_model, mapping_cone
 from .dgmodule import DGModule, ModuleMap, ring_as_module, suspend
-from .linalg import Scalar, SparseMatrix, kernel_basis, quotient_data, rref, solve
+from .linalg import Scalar, kernel_basis, rref, solve
 from .poincare import DiagonalClass, PDAlgebra, check_pd, diagonal_class, dual_basis, shriek_map
 from .products import CorrespondenceReport, TensorAlgebra, diagonal_correspondence, product_pd, tensor
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
-from .linalg import (RationalFunction, Scalar, SparseMatrix, _accumulate, _combine, _exact,
+from .linalg import (RationalFunction, Scalar, _accumulate, _columns, _combine, _exact,
                      _first_not_squaring_to_zero, _negated, _residues, kernel_basis,
                      row_space_basis)
 
@@ -583,31 +583,21 @@ class CohomologyReport:
         return [self.betti(k) for k in range(up_to + 1)]
 
 
-def _diff_block(diff: Sequence[Mapping[int, Scalar]], src: Sequence[int],
-                tgt: Sequence[int]) -> SparseMatrix:
-    """Matrix of d from the basis elements `src` to the span of `tgt`, where
-    `diff[i]` is d of basis element i (the `DGAlgebra._diff` layout)."""
-    pos = {g: r for r, g in enumerate(tgt)}
-    data = {}
-    for c, i in enumerate(src):
-        for j, v in diff[i].items():
-            data[(pos[j], c)] = v
-    return SparseMatrix(len(tgt), len(src), data)
-
-
 def _coboundaries_and_cocycles(diff: Sequence[Mapping[int, Scalar]],
                                indices: Mapping[int, Sequence[int]]) -> dict[int, tuple]:
     """Per degree k of a cochain complex given by its rows of d (the
     `DGAlgebra._diff` layout) and each degree's basis indices: the rref
     rows spanning the coboundaries and a kernel basis of the cocycles, in
     degree-k block coordinates. b_k is the number of cocycles less the rows."""
-    blocks = {k: _diff_block(diff, idx, indices.get(k + 1, ())) for k, idx in indices.items()}
+    # the block of d out of degree k, one column per basis element
+    blocks = {k: _columns([diff[i] for i in idx], indices.get(k + 1, ()))
+              for k, idx in indices.items()}
     out = {}
-    for k in sorted(indices):
+    for k, idx in sorted(indices.items()):
         # coboundaries: the span of the columns of the incoming block;
         # cocycles: the kernel of the outgoing one
-        images = blocks[k - 1].transpose().dense_rows() if k - 1 in blocks else []
-        out[k] = (row_space_basis(images, len(indices[k])), kernel_basis(blocks[k]))
+        images = list(zip(*blocks[k - 1])) if k - 1 in blocks else []
+        out[k] = (row_space_basis(images, len(idx)), kernel_basis(blocks[k], len(idx)))
     return out
 
 
@@ -655,4 +645,4 @@ def cohomology(space: DGAlgebra) -> CohomologyReport:
 def cocycle_vectors(space: DGAlgebra, k: int) -> list[list[Scalar]]:
     """Basis of the degree-k cocycles in degree-block coordinates."""
     idx = space.basis.degree_indices
-    return kernel_basis(_diff_block(space._diff, idx(k), idx(k + 1)))
+    return kernel_basis(_columns([space._diff[i] for i in idx(k)], idx(k + 1)), len(idx(k)))

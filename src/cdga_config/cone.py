@@ -29,7 +29,7 @@ from .errors import (AxiomFailure, MixedParents, NotAModuleMap, OddDimension, St
                      ZeroFormalDimension)
 from .linalg import _combine, _first_not_squaring_to_zero, _first_uncommuting
 from .poincare import PDAlgebra, shriek_map
-from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
+from .quotients import QuotientDGA, ideal_span, quotient_dga
 
 
 class MappingCone:
@@ -186,11 +186,11 @@ def cone_model(pd: PDAlgebra) -> MappingCone:
 @dataclass
 class EvenModel:
     """Quotient of the cone by the acyclic ideal (omega (x) omega, S omega),
-    for even formal dimension, with the induced inclusion of the square."""
+    for even formal dimension, with the induced inclusion of the square.
+    The ideal is `quotient.subspace`."""
 
     cone: MappingCone
     quotient: QuotientDGA
-    ideal: Subcomplex
     inclusion_images: tuple[Element, ...]
 
     def betti(self, up_to: Optional[int] = None) -> list[int]:
@@ -234,7 +234,7 @@ def even_model(pd: PDAlgebra) -> EvenModel:
         for t in range(square.dim())
     )
     _verify_algebra_map(square, quotient.algebra, images)
-    return EvenModel(cone, quotient, quotient.subspace, images)
+    return EvenModel(cone, quotient, images)
 
 
 def _verify_algebra_map(source: DGAlgebra, target: DGAlgebra, images: Sequence[Element]) -> None:

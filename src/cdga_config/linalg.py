@@ -1,13 +1,21 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything downstream (cohomology, dual bases, quotients, the obstruction
 solver) reduces to one elimination, reduced row echelon form, and what is
 read off it: kernel bases, row-space bases and their residue tables,
-linear solves, inverses and quotient data. A rank is the number of pivots
-of `rref`; Betti numbers are counted where cohomology is computed
+linear solves and inverses. A rank is the number of pivots of `rref`;
+Betti numbers are counted where cohomology is computed
 (`algebra._coboundaries_and_cocycles`). Matrices are small (a few hundred
 columns per degree at most), so rational Gauss-Jordan elimination on dense
 rows is the tool; no floats anywhere.
+
+There are two forms and no matrix class. An elimination (`rref`,
+`kernel_basis`, `solve`, `invert`, `row_space_basis`) takes a matrix as
+its dense rows with the column count passed alongside, so a matrix
+without rows keeps its shape; `_columns` lays sparse vectors out as the
+columns of one. A linear map is sparse image rows, one dict per basis
+element, applied by `_combine`; a quotient projection is the `_residues`
+table of its subspace's rref rows.
 
 Every stored scalar is exact and canonical (`Scalar`): an `int` when it is
 integral and a `Fraction` only otherwise, never a `float` or a `bool`.
@@ -21,14 +29,14 @@ and is normalised back (`_divide`). `str` of a scalar is the same in both
 forms, so printed output does not depend on which one is stored.
 
 All functions are pure and deterministic: identical input produces
-identical pivots, kernel vectors and quotient representatives.
+identical pivots, kernel vectors and residue tables.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Scalar = int | Fraction
 
@@ -116,105 +124,6 @@ def _first_uncommuting(src_op, tgt_op, rows) -> Optional[int]:
     return None
 
 
-class SparseMatrix:
-    """Immutable sparse rational matrix.
-
-    Entries are stored as a mapping (row, col) -> nonzero scalar; zero
-    entries are never stored, and `entries()` lists positions in sorted
-    order so two equal matrices have identical printed forms.
-    """
-
-    __slots__ = ("rows", "cols", "_data")
-
-    def __init__(self, rows: int, cols: int, data: dict[tuple[int, int], Scalar] | None = None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        clean: dict[tuple[int, int], Scalar] = {}
-        for (r, c), v in (data or {}).items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) outside a {rows}x{cols} matrix")
-            v = _exact(v)
-            if v:
-                clean[(r, c)] = v
-        self._data = clean
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]], cols: int | None = None) -> "SparseMatrix":
-        nrows = len(rows)
-        ncols = cols if cols is not None else (len(rows[0]) if rows else 0)
-        data = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    data[(i, j)] = v
-        return cls(nrows, ncols, data)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Scalar]], rows: int | None = None) -> "SparseMatrix":
-        ncols = len(columns)
-        nrows = rows if rows is not None else (len(columns[0]) if columns else 0)
-        data = {}
-        for j, col in enumerate(columns):
-            if len(col) != nrows:
-                raise ValueError("ragged columns")
-            for i, v in enumerate(col):
-                if v:
-                    data[(i, j)] = v
-        return cls(nrows, ncols, data)
-
-    @classmethod
-    def identity(cls, n: int) -> "SparseMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    def entries(self) -> list[tuple[int, int, Scalar]]:
-        return [(r, c, self._data[(r, c)]) for (r, c) in sorted(self._data)]
-
-    def entry(self, r: int, c: int) -> Scalar:
-        return self._data.get((r, c), 0)
-
-    def dense_rows(self) -> list[list[Scalar]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self._data.items():
-            out[r][c] = v
-        return out
-
-    def column(self, j: int) -> list[Scalar]:
-        return [self.entry(i, j) for i in range(self.rows)]
-
-    def apply(self, vector: Sequence[Scalar]) -> list[Scalar]:
-        if len(vector) != self.cols:
-            raise ValueError("vector length does not match column count")
-        out = [0] * self.rows
-        for (r, c), v in self._data.items():
-            if vector[c]:
-                out[r] += v * vector[c]
-        return [_exact(v) for v in out]
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self._data.items()})
-
-    def is_zero(self) -> bool:
-        return not self._data
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparseMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self._data.items()))))
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols}, {len(self._data)} entries)"
-
-
 def _rref_dense(rows: list[list[Scalar]], ncols: int) -> tuple[list[list[Scalar]], list[int]]:
     """In-place reduced row echelon form; returns (rows, pivot columns).
     Rows of canonical scalars stay canonical."""
@@ -251,28 +160,52 @@ def _rref_dense(rows: list[list[Scalar]], ncols: int) -> tuple[list[list[Scalar]
     return rows, pivots
 
 
-def rref(m: SparseMatrix) -> tuple[SparseMatrix, list[int], int]:
-    """Reduced row echelon form of m over exact rationals.
+def _dense(rows: Iterable[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
+    """New rows of canonical scalars; every row must have `ncols` entries."""
+    out = [list(map(_exact, row)) for row in rows]
+    for row in out:
+        if len(row) != ncols:
+            raise ValueError("row length does not match the column count")
+    return out
 
-    Returns (rref matrix, pivot columns, rank).
-    """
-    rows, pivots = _rref_dense(m.dense_rows(), m.cols)
-    return SparseMatrix.from_rows(rows, m.cols), pivots, len(pivots)
+
+def _columns(vectors: Sequence[Mapping], keys: Sequence) -> list[list[Scalar]]:
+    """Dense rows of the matrix whose column j is the sparse vector
+    `vectors[j]` read at `keys`: row r holds the entries at keys[r], and
+    entries at other keys are left out. With no keys there are no rows,
+    so the caller passes len(vectors) as the column count."""
+    rows = [[0] * len(vectors) for _ in keys]
+    row_at = dict(zip(keys, rows))
+    for c, vec in enumerate(vectors):
+        for key, v in vec.items():
+            row = row_at.get(key)
+            if row is not None:
+                row[c] = v
+    return rows
 
 
-def kernel_basis(m: SparseMatrix) -> list[list[Scalar]]:
-    """Basis of the right kernel {v : m v = 0}, one vector per free column.
+def rref(rows: Sequence[Sequence[Scalar]], ncols: int) -> tuple[list[list[Scalar]], list[int]]:
+    """Reduced row echelon form over exact rationals of the matrix with
+    the given rows and `ncols` columns: (new rows, pivot columns). The
+    rank is the number of pivots."""
+    return _rref_dense(_dense(rows, ncols), ncols)
+
+
+def kernel_basis(rows: Sequence[Sequence[Scalar]], ncols: int) -> list[list[Scalar]]:
+    """Basis of the right kernel {v : m v = 0} of the matrix m with the
+    given rows and `ncols` columns, one vector per free column.
 
     Vector k for free column j has k[j] = 1 and k[p] = -R[i][j] for each
     pivot (i, p); vectors are ordered by increasing free column, so the
-    kernel of a zero matrix is the standard basis.
+    kernel of a zero matrix, or of one without rows, is the standard basis.
     """
-    reduced, pivots = _rref_dense(m.dense_rows(), m.cols)
+    reduced, pivots = _rref_dense(_dense(rows, ncols), ncols)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
     basis = []
-    for j in free:
-        vec = [0] * m.cols
+    for j in range(ncols):
+        if j in pivot_set:
+            continue
+        vec = [0] * ncols
         vec[j] = 1
         for row, p in zip(reduced, pivots):
             if row[j]:
@@ -281,52 +214,39 @@ def kernel_basis(m: SparseMatrix) -> list[list[Scalar]]:
     return basis
 
 
-def solve(m: SparseMatrix, b: Sequence[Scalar]) -> Optional[list[Scalar]]:
-    """Some x with m x = b, free coordinates set to zero; None if b is not
-    in the image of m."""
-    if len(b) != m.rows:
+def solve(rows: Sequence[Sequence[Scalar]], b: Sequence[Scalar], ncols: int) -> Optional[list[Scalar]]:
+    """Some x with m x = b, free coordinates set to zero, where m has the
+    given rows and `ncols` columns; None if b is not in the image of m."""
+    if len(b) != len(rows):
         raise ValueError("right-hand side length does not match row count")
-    rows = m.dense_rows()
-    for i, v in enumerate(b):
-        rows[i].append(_exact(v))
-    rows, pivots = _rref_dense(rows, m.cols + 1)
-    if m.cols in pivots:
+    augmented = _dense(rows, ncols)
+    for row, v in zip(augmented, b):
+        row.append(_exact(v))
+    augmented, pivots = _rref_dense(augmented, ncols + 1)
+    if ncols in pivots:
         return None
-    x = [0] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = rows[i][m.cols]
+    x = [0] * ncols
+    for row, p in zip(augmented, pivots):
+        x[p] = row[ncols]
     return x
 
 
-def invert(m: SparseMatrix) -> Optional[SparseMatrix]:
-    """Inverse of a square matrix, or None if singular."""
-    if m.rows != m.cols:
-        return None
-    n = m.rows
-    rows = m.dense_rows()
-    for i in range(n):
-        rows[i].extend(1 if j == i else 0 for j in range(n))
-    rows, pivots = _rref_dense(rows, 2 * n)
+def invert(rows: Sequence[Sequence[Scalar]]) -> Optional[list[list[Scalar]]]:
+    """Rows of the inverse of the square matrix with the given rows, or
+    None if it is singular."""
+    n = len(rows)
+    augmented = _dense(rows, n)
+    for i, row in enumerate(augmented):
+        row.extend(1 if j == i else 0 for j in range(n))
+    augmented, pivots = _rref_dense(augmented, 2 * n)
     if pivots[:n] != list(range(n)):
         return None
-    data = {}
-    for i in range(n):
-        for j in range(n):
-            v = rows[i][n + j]
-            if v:
-                data[(i, j)] = v
-    return SparseMatrix(n, n, data)
+    return [row[n:] for row in augmented]
 
 
 def row_space_basis(vectors: Iterable[Sequence[Scalar]], ambient_dim: int) -> list[list[Scalar]]:
     """Canonical (rref) basis of the span of the given vectors."""
-    rows = [list(map(_exact, v)) for v in vectors]
-    for v in rows:
-        if len(v) != ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-    if not rows:
-        return []
-    rows, pivots = _rref_dense(rows, ambient_dim)
+    rows, pivots = _rref_dense(_dense(vectors, ambient_dim), ambient_dim)
     return rows[: len(pivots)]
 
 
@@ -342,27 +262,6 @@ def _residues(rows: Sequence[Sequence[Scalar]], keys: Sequence) -> dict:
         p = next(c for c, v in enumerate(row) if v)
         out[keys[p]] = {keys[c]: -v for c, v in enumerate(row) if v and c != p}
     return out
-
-
-def quotient_data(
-    subspace: Sequence[Sequence[Scalar]], ambient_dim: int
-) -> tuple[list[list[Scalar]], SparseMatrix]:
-    """Representatives and projection for ambient / span(subspace).
-
-    Representatives are the standard basis vectors at the lexicographically
-    earliest non-pivot coordinates of the subspace rref, so quotient output
-    is reproducible. The projection matrix vanishes exactly on the subspace
-    span and restricts to the identity on the representatives.
-    """
-    residues = _residues(row_space_basis(subspace, ambient_dim), range(ambient_dim))
-    keep = [j for j in range(ambient_dim) if j not in residues]
-    position = {j: q for q, j in enumerate(keep)}
-    data = {(q, j): 1 for q, j in enumerate(keep)}
-    for p, residue in residues.items():
-        for j, v in residue.items():
-            data[(position[j], p)] = v
-    reps = [[1 if i == j else 0 for i in range(ambient_dim)] for j in keep]
-    return reps, SparseMatrix(len(keep), ambient_dim, data)
 
 
 # --- polynomials and rational functions ----------------------------------------

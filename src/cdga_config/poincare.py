@@ -20,7 +20,7 @@ from typing import Mapping, Optional
 from .algebra import DGAlgebra, Element
 from .dgmodule import DGModule, ModuleMap, ring_as_module, suspend
 from .errors import ModuleMapViolation, NotAModuleMap, PDFailure, StructureError
-from .linalg import Scalar, SparseMatrix, _accumulate, _combine, _divide, _exact, invert, kernel_basis
+from .linalg import Scalar, _accumulate, _columns, _combine, _divide, _exact, invert, kernel_basis
 from .products import TensorAlgebra, tensor
 
 
@@ -37,9 +37,9 @@ class PDAlgebra:
         self.algebra = algebra
         self.n = n
         self.epsilon = {i: _exact(c) for i, c in epsilon.items() if c}
-        # per degree k, the inverse of the degree k pairing matrix (None if
-        # singular), filled by `_pairing_inverse`
-        self._pairing_inverses: dict[int, Optional[SparseMatrix]] = {}
+        # per degree k, the rows of the inverse of the degree k pairing
+        # matrix (None if singular), filled by `_pairing_inverse`
+        self._pairing_inverses: dict[int, Optional[list[list[Scalar]]]] = {}
         # the cone of the shriek map, filled by `cone.cone_model`
         self._cone_model = None
 
@@ -65,25 +65,17 @@ class PDAlgebra:
                 return Element(self.algebra, {i: _divide(1, v)})
         raise PDFailure("NoOrientationClass")
 
-    def _pairing_matrix(self, k: int) -> SparseMatrix:
-        """eps(a_i . a_j) for a_i of degree k (rows) and a_j of degree n-k."""
+    def _pairing_matrix(self, k: int) -> list[list[Scalar]]:
+        """Rows of eps(a_i . a_j) with one column per a_i of degree k and
+        one row per a_j of degree n-k."""
         alg = self.algebra
-        rows_idx = alg.basis.degree_indices(k)
         cols_idx = alg.basis.degree_indices(self.n - k)
-        return SparseMatrix(
-            len(rows_idx),
-            len(cols_idx),
-            {
-                (r, c): v
-                for r, i in enumerate(rows_idx)
-                for c, j in enumerate(cols_idx)
-                if (v := self.pairing(alg.basis_element(i), alg.basis_element(j)))
-            },
-        )
+        return _columns([{j: self.pairing(alg.basis_element(i), alg.basis_element(j))
+                          for j in cols_idx} for i in alg.basis.degree_indices(k)], cols_idx)
 
-    def _pairing_inverse(self, k: int) -> Optional[SparseMatrix]:
-        """Inverse of the degree k pairing matrix, None if it is singular;
-        inverted once per degree."""
+    def _pairing_inverse(self, k: int) -> Optional[list[list[Scalar]]]:
+        """Rows of the inverse of the degree k pairing matrix, None if it
+        is singular; inverted once per degree."""
         if k not in self._pairing_inverses:
             self._pairing_inverses[k] = invert(self._pairing_matrix(k))
         return self._pairing_inverses[k]
@@ -98,10 +90,8 @@ class PDAlgebra:
             if inverse is None:
                 raise PDFailure("DegenerateAt", k)
             cols_idx = alg.basis.degree_indices(self.n - k)
-            for r, i in enumerate(alg.basis.degree_indices(k)):
-                duals[i] = Element(
-                    alg, {j: inverse.entry(c, r) for c, j in enumerate(cols_idx)}
-                )
+            for i, row in zip(alg.basis.degree_indices(k), inverse):
+                duals[i] = Element(alg, dict(zip(cols_idx, row)))
         return tuple(duals)  # type: ignore[arg-type]
 
     @cached_property
@@ -158,7 +148,7 @@ def check_pd(
                 f"dim A^{k} = {len(rows_idx)} but dim A^{n - k} = {len(cols_idx)}",
             )
         if pd._pairing_inverse(k) is None:
-            null = kernel_basis(pd._pairing_matrix(k).transpose())
+            null = kernel_basis(pd._pairing_matrix(k), len(rows_idx))
             witness = None
             if null:
                 witness = str(

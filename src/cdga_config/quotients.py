@@ -37,6 +37,7 @@ class Subcomplex:
     """A graded subspace of an algebra's underlying complex, with the
     restricted differential.
 
+    `bases[k]` holds the degree-k rref rows as ambient coefficient dicts.
     `_residue[i]` is the canonical representative of e_i modulo the
     subspace, so the representative of any coefficient dict is its
     `_combine` through the table. Construction verifies d-closure by
@@ -56,7 +57,7 @@ class Subcomplex:
             for k, part in _by_degree(v.coeffs, degrees).items():
                 idx = ambient.basis.degree_indices(k)
                 by_degree.setdefault(k, []).append([part.get(i, 0) for i in idx])
-        self.bases: dict[int, list[list[Scalar]]] = {}
+        self.bases: dict[int, list[Coeffs]] = {}
         self._pivots: dict[int, list[int]] = {}
         self._indices: dict[int, range] = {}
         size = 0
@@ -65,7 +66,7 @@ class Subcomplex:
             idx = ambient.basis.degree_indices(k)
             rows = row_space_basis(vecs, len(idx))
             if rows:
-                self.bases[k] = rows
+                self.bases[k] = [{i: v for i, v in zip(idx, row) if v} for row in rows]
                 self._indices[k] = range(size, size + len(rows))
                 size += len(rows)
                 residues = _residues(rows, idx)
@@ -78,18 +79,13 @@ class Subcomplex:
     def dims(self) -> dict[int, int]:
         return {k: len(rows) for k, rows in self.bases.items()}
 
-    def _generators(self, k: int) -> list[Coeffs]:
-        """The degree-k rref rows as ambient coefficient dicts."""
-        idx = self.ambient.basis.degree_indices(k)
-        return [{i: v for i, v in zip(idx, row) if v} for row in self.bases[k]]
-
     def _verify_closed(self):
         """d of every basis row must reduce to zero; its coordinates in the
         degree k+1 rows, its row of `_diff`, are then its entries at their pivots."""
         amb = self.ambient
-        for k in self.bases:
+        for k, gens in self.bases.items():
             position = dict(zip(self._pivots.get(k + 1, ()), self._indices.get(k + 1, ())))
-            for gen in self._generators(k):
+            for gen in gens:
                 image = amb.d_coeffs(gen)
                 if _combine(image, self._residue):
                     raise StructureError(
@@ -115,8 +111,8 @@ class Subcomplex:
     def closed_under_multiplication(self) -> bool:
         """Whether multiplying by every ambient basis element stays inside."""
         mult = self.ambient._mult
-        for k in self.bases:
-            for gen in self._generators(k):
+        for gens in self.bases.values():
+            for gen in gens:
                 for rows in mult:
                     if _combine(_combine(gen, rows), self._residue):
                         return False

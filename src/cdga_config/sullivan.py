@@ -34,8 +34,8 @@ from typing import Optional, Sequence, Union
 from .algebra import Element, same_structure
 from .errors import IncompatibleTables, StructureError
 from .io import TableDocument
-from .linalg import (Parameters, Poly, RationalFunction, Scalar, SparseMatrix, _accumulate,
-                     _at_point, _divide, _exact, invert)
+from .linalg import (Parameters, Poly, RationalFunction, Scalar, _accumulate, _at_point,
+                     _columns, _divide, _exact, invert)
 from .presets import preset_table
 from .products import TensorAlgebra
 from .twisted import TwistedModel, _same_but_square
@@ -753,13 +753,9 @@ def _verify_witness(t1: GeneratorTable, t2: GeneratorTable,
     degrees = sorted({d for _, d in t1.gens})
     for deg in degrees:
         gens_here = [g for g in range(len(t1.gens)) if t1.gen_degree(g) == deg]
-        data = {}
-        for col, g in enumerate(gens_here):
-            for row, g2 in enumerate(gens_here):
-                coeff = images[g].get((t2.base.unit, (g2,)), 0)
-                if coeff:
-                    data[(row, col)] = coeff
-        if invert(SparseMatrix(len(gens_here), len(gens_here), data)) is None:
+        # the linear part: the coefficient of each generator in each image
+        linear = _columns([images[g] for g in gens_here], [(t2.base.unit, (g,)) for g in gens_here])
+        if invert(linear) is None:
             return False
     return True
 

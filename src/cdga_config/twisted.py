@@ -19,7 +19,6 @@ from .algebra import (
     Coeffs,
     DGAlgebra,
     Element,
-    _diff_block,
     check_cdga,
     cohomology,
     cocycle_vectors,
@@ -36,8 +35,8 @@ from .errors import (
     WrongDegree,
     ZeroFormalDimension,
 )
-from .linalg import (Parameters, Scalar, SparseMatrix, _at_point, _combine, invert,
-                     kernel_basis, quotient_data, row_space_basis, solve)
+from .linalg import (Parameters, Scalar, _at_point, _columns, _combine, _residues, invert,
+                     kernel_basis, row_space_basis, solve)
 from .poincare import PDAlgebra, diagonal_class
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -325,15 +324,20 @@ def quotient_by_diagonal(pd: PDAlgebra) -> QuotientDGA:
 @dataclass
 class PhiMap:
     """Matrix data of [a] -> [a (x) omega] from H^(n-2)(A) to
-    H^(2n-2)(A (x) A) / (diagonal classes), in the chosen bases."""
+    H^(2n-2)(A (x) A) / (diagonal classes), in the chosen bases.
+
+    `matrix` and `inverse` are dense rows. `_target_projection[j]` is the
+    class of the j-th representative of H^(2n-2)(A (x) A) in quotient
+    coordinates, the residue table of the diagonal classes re-keyed to the
+    kept coordinates (as `quotient_dga` builds its `_images`)."""
 
     pd: PDAlgebra
-    matrix: SparseMatrix
-    inverse: SparseMatrix
+    matrix: list[list[Scalar]]
+    inverse: list[list[Scalar]]
     domain_representatives: tuple[Element, ...]
     _target_reps: tuple[Element, ...]
     _target_cobs: tuple[Element, ...]
-    _target_projection: SparseMatrix
+    _target_projection: list[Coeffs]
 
     @property
     def dimension(self) -> int:
@@ -345,7 +349,8 @@ class PhiMap:
         coords = _class_coordinates(
             self.pd.square, 2 * self.pd.n - 2, elem, self._target_reps, self._target_cobs
         )
-        return self._target_projection.apply(coords)
+        image = _combine(dict(enumerate(coords)), self._target_projection)
+        return [image.get(q, 0) for q in range(self.dimension)]
 
 
 def _class_coordinates(space, k: int, vec_elem: Element,
@@ -353,9 +358,8 @@ def _class_coordinates(space, k: int, vec_elem: Element,
     """Coordinates of a cocycle's class in the chosen representative basis,
     solved against representatives + coboundaries."""
     idx = space.basis.degree_indices(k)
-    columns = [r.vector(idx) for r in reps] + [c.vector(idx) for c in cobs]
-    target = vec_elem.vector(idx)
-    coeffs = solve(SparseMatrix.from_columns(columns, len(idx)), target)
+    columns = [r.coeffs for r in reps] + [c.coeffs for c in cobs]
+    coeffs = solve(_columns(columns, idx), vec_elem.vector(idx), len(columns))
     if coeffs is None:
         raise StructureError("element is not a cocycle in the expected class space")
     return coeffs[: len(reps)]
@@ -398,7 +402,11 @@ def phi(pd: PDAlgebra) -> PhiMap:
         coords = _class_coordinates(square, deg_tgt, product, tgt_reps, tgt_cobs)
         if any(coords):
             ideal_rows.append(coords)
-    _, projection = quotient_data(ideal_rows, len(tgt_reps))
+    residues = _residues(row_space_basis(ideal_rows, len(tgt_reps)), range(len(tgt_reps)))
+    kept = [j for j in range(len(tgt_reps)) if j not in residues]
+    kept_pos = {j: q for q, j in enumerate(kept)}
+    projection = [{kept_pos[t]: c for t, c in residues.get(j, {j: 1}).items()}
+                  for j in range(len(tgt_reps))]
 
     columns = []
     for rep in dom_reps:
@@ -406,15 +414,15 @@ def phi(pd: PDAlgebra) -> PhiMap:
         if not square.d(image).is_zero():
             raise StructureError("a (x) omega failed to be a cocycle")
         coords = _class_coordinates(square, deg_tgt, image, tgt_reps, tgt_cobs)
-        columns.append(projection.apply(coords))
+        columns.append(_combine(dict(enumerate(coords)), projection))
 
-    matrix = SparseMatrix.from_columns(columns, projection.rows)
-    if matrix.rows != matrix.cols:
-        kind = "NotSurjective" if matrix.rows > matrix.cols else "NotInjective"
-        raise PhiNotBijective(kind, f"matrix is {matrix.rows}x{matrix.cols}")
-    inverse = invert(matrix) if matrix.rows else SparseMatrix(0, 0)
+    matrix = _columns(columns, range(len(kept)))
+    if len(kept) != len(dom_reps):
+        kind = "NotSurjective" if len(kept) > len(dom_reps) else "NotInjective"
+        raise PhiNotBijective(kind, f"matrix is {len(kept)}x{len(dom_reps)}")
+    inverse = invert(matrix)
     if inverse is None:
-        null = kernel_basis(matrix)
+        null = kernel_basis(matrix, len(dom_reps))
         witness = None
         if null:
             parts = [
@@ -449,11 +457,12 @@ class EquivalenceIdeal:
     of it depends on the twists; `equivalence_ideal` builds it all at once.
 
     `truncation` is the cone's truncation, with C(Xi), that the rest is
-    formed on. `matrix` is [z . diag | d e_i] over (A (x) A)^(2n-2), with
-    one column per cocycle z of degree n-2 and one per basis element e_i
-    of degree 2n-3. `columns` names, per column, the part of the witness
-    its coefficient scales ("diag" for w, "exact" for eta) and the element
-    it scales. `generators` are the rref rows of I projected into the
+    formed on. `matrix` is [z . diag | d e_i] over (A (x) A)^(2n-2), as
+    dense rows, with one column per cocycle z of degree n-2 and one per
+    basis element e_i of degree 2n-3. `columns` names, per column, the
+    part of the witness its coefficient scales ("diag" for w, "exact" for
+    eta) and the element it scales; its length is the column count, which
+    a system without rows keeps. `generators` are the rref rows of I projected into the
     truncation, the zero ones dropped. `quotient` is C(Xi)/I, the quotient
     of the truncation's generic model by them. It is None when C(Xi) is
     not verified or its quotient failed a check; every comparison then
@@ -466,7 +475,7 @@ class EquivalenceIdeal:
     diagonal_multiples: tuple[Element, ...]   # (a (x) b) diag for positive a (x) b
     positive_suspensions: tuple[Element, ...] # S a for a of positive degree
     truncation: TruncatedCone
-    matrix: SparseMatrix
+    matrix: tuple[tuple[Scalar, ...], ...]
     columns: tuple[tuple[str, Element], ...]
     generators: tuple[Coeffs, ...]
     quotient: Optional[QuotientDGA]
@@ -503,10 +512,8 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
     deg_s = 2 * n - 3
     idx_s = square.basis.degree_indices(deg_s)
     cocycles = row_space_basis(cocycle_vectors(square, deg_s), len(idx_s))
-    reps, _ = quotient_data(cocycles, len(idx_s))
-    complement = tuple(
-        Element(square, {i: c for i, c in zip(idx_s, vec) if c}) for vec in reps
-    )
+    pivots = _residues(cocycles, idx_s)
+    complement = tuple(square.basis_element(i) for i in idx_s if i not in pivots)
     complement_images = tuple(square.d(s) for s in complement)
 
     diag = diagonal_class(pd).element
@@ -535,21 +542,20 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
     if not sub.is_acyclic():
         raise StructureError("equivalence ideal is not acyclic")
 
-    idx_tgt = square.basis.degree_indices(2 * n - 2)
-    matrix_columns: list[list[Scalar]] = []
+    matrix_columns: list[Coeffs] = []
     columns: list[tuple[str, Element]] = []
     idx_mid = square.basis.degree_indices(n - 2)
     for vec in cocycle_vectors(square, n - 2):
         z = Element(square, {i: c for i, c in zip(idx_mid, vec) if c})
-        matrix_columns.append(square.multiply(z, diag).vector(idx_tgt))
+        matrix_columns.append(square.multiply(z, diag).coeffs)
         columns.append(("diag", z))
-    d_block = _diff_block(square._diff, idx_s, idx_tgt)
-    matrix_columns += [d_block.column(c) for c in range(d_block.cols)]
+    matrix_columns += [square._diff[i] for i in idx_s]
     columns += [("exact", square.basis_element(i)) for i in idx_s]
+    matrix = _columns(matrix_columns, square.basis.degree_indices(2 * n - 2))
 
     trunc = truncate_cone(cone)
     projected = (trunc.quotient.project(Element(alg, gen)).coeffs
-                 for k in sub.bases for gen in sub._generators(k))
+                 for gens in sub.bases.values() for gen in gens)
     generators = tuple(g for g in projected if g)
     quotient = None
     if trunc.verified:
@@ -564,7 +570,7 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
         diagonal_multiples=tuple(cone.include_base(m) for m in diagonal_multiples),
         positive_suspensions=tuple(positive_suspensions),
         truncation=trunc,
-        matrix=SparseMatrix.from_columns(matrix_columns, len(idx_tgt)),
+        matrix=tuple(map(tuple, matrix)),
         columns=tuple(columns),
         generators=generators,
         quotient=quotient,
@@ -624,7 +630,8 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
 
     ideal = equivalence_ideal(pd)
     difference = xi - xi2
-    coeffs = solve(ideal.matrix, difference.vector(square.basis.degree_indices(want)))
+    coeffs = solve(ideal.matrix, difference.vector(square.basis.degree_indices(want)),
+                   len(ideal.columns))
     if coeffs is None:
         return NotDecidedHere(
             "the twists define different classes modulo the diagonal ideal"

@@ -231,13 +231,15 @@ def oracle_betti(space):
 
 def oracle_subcomplex_betti(sub):
     """Betti numbers of a `Subcomplex`, keyed by the degrees it spans: the
-    rank of its rref rows of degree k, minus the `dense_rank`s of the
-    d-images of its rows of degrees k and k-1, each image written densely
-    in the ambient basis of the degree above."""
+    rank of its rref rows of degree k, written densely in the ambient basis
+    of degree k, minus the `dense_rank`s of the d-images of its rows of
+    degrees k and k-1, each image written densely in the ambient basis of
+    the degree above."""
     space = sub.ambient
     basis = space.basis
     dims, ranks = {}, {}
-    for k, rows in sub.bases.items():
+    for k, gens in sub.bases.items():
+        rows = [[gen.get(i, 0) for i in basis.degree_indices(k)] for gen in gens]
         tpos = {g: r for r, g in enumerate(basis.degree_indices(k + 1))}
         images = []
         for row in rows:
@@ -421,11 +423,17 @@ def naive_tensor_mult(t):
     return mult
 
 
+def dense_identity(n):
+    """The n x n identity matrix as dense rows."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def dense_matmul(a, b):
-    """The product of two SparseMatrix values as dense rational rows."""
-    left, right = a.dense_rows(), b.dense_rows()
-    return [[sum((Fraction(row[k]) * right[k][j] for k in range(len(right))), Fraction(0))
-             for j in range(b.cols)] for row in left]
+    """The product of two matrices given as dense rows, as dense rational
+    rows; `b` has at least one row or `a` has none."""
+    ncols = len(b[0]) if b else 0
+    return [[sum((Fraction(row[k]) * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(ncols)] for row in a]
 
 
 def oracle_quotients_match(pd, xi, xi2):
@@ -440,8 +448,8 @@ def oracle_quotients_match(pd, xi, xi2):
     for twist in (xi, xi2):
         model = build_cxi(pd, twist)
         projected = []
-        for k in ideal.subcomplex.bases:
-            for gen in ideal.subcomplex._generators(k):
+        for gens in ideal.subcomplex.bases.values():
+            for gen in gens:
                 image = model.trunc.quotient.project(Element(ideal.truncation.cone.algebra, gen))
                 if not image.is_zero():
                     projected.append(Element(model.algebra, image.coeffs))

@@ -7,107 +7,123 @@ from hypothesis import strategies as st
 
 from cdga_config.algebra import _coboundaries_and_cocycles
 from cdga_config.linalg import (
-    SparseMatrix,
+    _combine,
+    _residues,
     invert,
     kernel_basis,
-    quotient_data,
+    row_space_basis,
     rref,
     solve,
 )
 
-from oracles import (dense_kernel_basis, dense_matmul, dense_rank, dense_rref_basis, dense_solve,
-                     pivot_coordinates)
+from oracles import (dense_identity, dense_kernel_basis, dense_matmul, dense_rank,
+                     dense_rref_basis, dense_solve, pivot_coordinates)
 
 
 def mat(rows):
-    return SparseMatrix.from_rows([[F(v) for v in r] for r in rows])
+    return [[F(v) for v in r] for r in rows]
+
+
+def apply(rows, vec):
+    return [sum((a * b for a, b in zip(row, vec)), F(0)) for row in rows]
+
+
+def projection(subspace, n):
+    """The class of each e_j of Q^n modulo span(subspace), in quotient
+    coordinates, and the kept coordinates, as `quotient_dga` re-keys the
+    residue table."""
+    residues = _residues(row_space_basis(subspace, n), range(n))
+    kept = [j for j in range(n) if j not in residues]
+    position = {j: q for q, j in enumerate(kept)}
+    return [{position[t]: c for t, c in residues.get(j, {j: 1}).items()}
+            for j in range(n)], kept
 
 
 # --- worked examples ---------------------------------------------------------
 
 
 def test_rref_identity():
-    m = SparseMatrix.identity(2)
-    reduced, pivots, rk = rref(m)
+    m = dense_identity(2)
+    reduced, pivots = rref(m, 2)
     assert reduced == m
     assert pivots == [0, 1]
-    assert rk == 2
 
 
 def test_rref_zero():
-    m = SparseMatrix(3, 3)
-    reduced, pivots, rk = rref(m)
-    assert reduced.is_zero()
+    reduced, pivots = rref([[0] * 3 for _ in range(3)], 3)
+    assert reduced == [[0] * 3 for _ in range(3)]
     assert pivots == []
-    assert rk == 0
 
 
 def test_rref_rank_one():
-    reduced, pivots, rk = rref(mat([[1, 2], [2, 4]]))
+    reduced, pivots = rref(mat([[1, 2], [2, 4]]), 2)
     assert reduced == mat([[1, 2], [0, 0]])
     assert pivots == [0]
-    assert rk == 1
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(SparseMatrix.identity(4)) == []
+    assert kernel_basis(dense_identity(4), 4) == []
 
 
 def test_kernel_zero_matrix_standard_basis():
-    vecs = kernel_basis(SparseMatrix(2, 3))
-    assert vecs == [
+    assert kernel_basis([[0] * 3 for _ in range(2)], 3) == [
         [F(1), F(0), F(0)],
         [F(0), F(1), F(0)],
         [F(0), F(0), F(1)],
     ]
+    # a matrix without rows keeps its column count
+    assert kernel_basis([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_kernel_single_row():
-    (vec,) = kernel_basis(mat([[1, 1]]))
+    (vec,) = kernel_basis(mat([[1, 1]]), 2)
     # 1-dimensional kernel spanned by (1, -1) up to scale
     assert vec[0] == -vec[1] != 0
 
 
 def test_solve_identity():
     b = [F(3), F(-2)]
-    assert solve(SparseMatrix.identity(2), b) == b
+    assert solve(dense_identity(2), b, 2) == b
 
 
 def test_solve_inconsistent():
-    assert solve(SparseMatrix(2, 2), [F(1), F(0)]) is None
+    assert solve([[0, 0], [0, 0]], [F(1), F(0)], 2) is None
 
 
 def test_solve_scalar():
-    assert solve(mat([[2]]), [F(1)]) == [F(1, 2)]
+    assert solve(mat([[2]]), [F(1)], 1) == [F(1, 2)]
 
 
 def test_quotient_empty_subspace():
-    reps, proj = quotient_data([], 3)
-    assert reps == [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    assert proj == SparseMatrix.identity(3)
+    # every coordinate is its own representative
+    assert _residues(row_space_basis([], 3), range(3)) == {}
+    images, kept = projection([], 3)
+    assert kept == [0, 1, 2]
+    assert images == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_quotient_full_subspace():
-    reps, proj = quotient_data([[F(1), F(0)], [F(0), F(1)]], 2)
-    assert reps == []
-    assert proj.rows == 0 and proj.cols == 2
+    assert _residues(row_space_basis(mat([[1, 0], [0, 1]]), 2), range(2)) == {0: {}, 1: {}}
+    images, kept = projection(mat([[1, 0], [0, 1]]), 2)
+    assert kept == [] and images == [{}, {}]
 
 
 def test_quotient_line_in_plane():
-    reps, proj = quotient_data([[F(1), F(1)]], 2)
-    assert len(reps) == 1
-    assert rref(proj)[2] == 1
+    assert _residues(row_space_basis(mat([[1, 1]]), 2), range(2)) == {0: {1: -1}}
+    images, kept = projection(mat([[1, 1]]), 2)
+    assert kept == [1]
     # projection vanishes exactly on the subspace generator
-    assert proj.apply([F(1), F(1)]) == [F(0)]
+    assert _combine({0: 1, 1: 1}, images) == {}
     # projection restricted to the representative is the identity
-    assert proj.apply(reps[0]) == [F(1)]
+    assert _combine({1: 1}, images) == {0: 1}
 
 
 def test_invert_and_singular():
     m = mat([[1, 1], [0, 2]])
     inv = invert(m)
-    assert dense_matmul(inv, m) == SparseMatrix.identity(2).dense_rows()
+    assert dense_matmul(inv, m) == dense_identity(2)
     assert invert(mat([[1, 2], [2, 4]])) is None
+    assert invert([]) == []
 
 
 def test_oracles_import_no_package_linear_algebra():
@@ -121,7 +137,7 @@ def test_oracles_import_no_package_linear_algebra():
              for alias in node.names}
     assert "cdga_config.linalg" not in modules
     assert not names & {"linalg", "cohomology", "cocycle_vectors", "row_space_basis",
-                        "kernel_basis", "quotient_data"}
+                        "kernel_basis"}
 
 
 def test_betti_numbers_two_term_acyclic():
@@ -138,6 +154,7 @@ entries = st.integers(min_value=-4, max_value=4).map(F)
 
 @st.composite
 def matrices(draw, max_dim=5):
+    """(rows, column count) of a nonempty matrix."""
     rows = draw(st.integers(min_value=1, max_value=max_dim))
     cols = draw(st.integers(min_value=1, max_value=max_dim))
     data = draw(
@@ -147,59 +164,58 @@ def matrices(draw, max_dim=5):
             max_size=rows,
         )
     )
-    return SparseMatrix.from_rows(data)
+    return data, cols
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rref_idempotent(m):
-    reduced, pivots, rk = rref(m)
-    again, pivots2, rk2 = rref(reduced)
+    reduced, pivots = rref(*m)
+    again, pivots2 = rref(reduced, m[1])
     assert again == reduced
-    assert pivots2 == pivots and rk2 == rk
+    assert pivots2 == pivots
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_nullity(m):
-    assert rref(m)[2] + len(kernel_basis(m)) == m.cols
+    assert len(rref(*m)[1]) + len(kernel_basis(*m)) == m[1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_matches_dense_oracle(m):
-    assert rref(m)[2] == dense_rank(m.dense_rows())
+    assert len(rref(*m)[1]) == dense_rank(m[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
-    for vec in kernel_basis(m):
-        assert all(v == 0 for v in m.apply(vec))
+    for vec in kernel_basis(*m):
+        assert all(v == 0 for v in apply(m[0], vec))
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.lists(entries, min_size=5, max_size=5))
 def test_solve_produces_solutions(m, coeffs):
     # build a guaranteed-consistent right-hand side
-    x = coeffs[: m.cols]
-    b = m.apply(x)
-    sol = solve(m, b)
+    rows, cols = m
+    b = apply(rows, coeffs[:cols])
+    sol = solve(rows, b, cols)
     assert sol is not None
-    assert m.apply(sol) == b
+    assert apply(rows, sol) == b
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(entries, min_size=4, max_size=4), min_size=0, max_size=3))
 def test_quotient_projection_properties(subspace):
-    reps, proj = quotient_data([list(map(F, v)) for v in subspace], 4)
+    images, kept = projection(subspace, 4)
     for v in subspace:
-        assert all(c == 0 for c in proj.apply(list(map(F, v))))
+        assert _combine(dict(enumerate(v)), images) == {}
     # projection restricted to representatives is the identity matrix
-    for q, rep in enumerate(reps):
-        image = proj.apply(rep)
-        assert image[q] == 1 and all(c == 0 for i, c in enumerate(image) if i != q)
-    assert len(reps) == 4 - dense_rank(subspace or [[0, 0, 0, 0]])
+    for q, j in enumerate(kept):
+        assert _combine({j: 1}, images) == {q: 1}
+    assert len(kept) == 4 - dense_rank(subspace or [[0, 0, 0, 0]])
 
 
 # --- mixed int and Fraction entries against the Fraction-only oracles --------
@@ -232,20 +248,19 @@ def canonical(values):
 @given(mixed_systems())
 def test_mixed_entries_agree_with_fraction_oracles(system):
     data, b = system
-    m = SparseMatrix.from_rows(data)
-    assert canonical(v for _, _, v in m.entries())
+    ncols = len(data[0])
 
-    reduced, pivots, rk = rref(m)
-    assert pivots == pivot_coordinates(data, m.cols) and rk == len(pivots)
-    assert reduced.dense_rows()[:rk] == dense_rref_basis(data, m.cols)
-    assert canonical(v for _, _, v in reduced.entries())
+    reduced, pivots = rref(data, ncols)
+    assert pivots == pivot_coordinates(data, ncols)
+    assert reduced[:len(pivots)] == dense_rref_basis(data, ncols)
+    assert all(canonical(row) for row in reduced)
 
-    kernel = kernel_basis(m)
-    assert kernel == dense_kernel_basis(data, m.cols)
+    kernel = kernel_basis(data, ncols)
+    assert kernel == dense_kernel_basis(data, ncols)
     assert all(canonical(vec) for vec in kernel)
 
-    columns = [[row[c] for row in data] for c in range(m.cols)]
-    x = solve(m, b)
+    columns = [[row[c] for row in data] for c in range(ncols)]
+    x = solve(data, b, ncols)
     assert x == dense_solve(columns, b)
     assert x is None or canonical(x)
 
@@ -254,15 +269,15 @@ def test_mixed_entries_agree_with_fraction_oracles(system):
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: mixed_rows(n, n)))
 def test_mixed_inverse_agrees_with_fraction_oracle(data):
     n = len(data)
-    inverse = invert(SparseMatrix.from_rows(data))
+    inverse = invert(data)
     if dense_rank(data) < n:
         assert inverse is None
         return
     columns = [[row[c] for row in data] for c in range(n)]
     for j in range(n):
         unit = [1 if i == j else 0 for i in range(n)]
-        assert inverse.column(j) == dense_solve(columns, unit)
-    assert canonical(v for _, _, v in inverse.entries())
+        assert [row[j] for row in inverse] == dense_solve(columns, unit)
+    assert all(canonical(row) for row in inverse)
 
 
 # --- polynomials and rational functions in a family's parameters ---------------------

@@ -261,7 +261,7 @@ def _preset_ideals(pd):
     cone = cone_model(pd)
     ideals = [truncate_cone(cone).quotient.subspace]
     if pd.n % 2 == 0:
-        ideals.append(even_model(pd).ideal)
+        ideals.append(even_model(pd).quotient.subspace)
     elif pd.algebra.simply_connected:
         ideals.append(equivalence_ideal(pd).subcomplex)
     return ideals

@@ -16,7 +16,6 @@ from cdga_config.errors import (
     OddDimension,
     WrongDegree,
 )
-from cdga_config.linalg import SparseMatrix
 from cdga_config.presets import preset_pd
 from cdga_config.twisted import (
     EquivalentWitness,
@@ -30,7 +29,7 @@ from cdga_config.twisted import (
     truncate_cone,
 )
 
-from oracles import (dense_matmul, oracle_betti, oracle_decide_xi_equivalence,
+from oracles import (dense_identity, dense_matmul, oracle_betti, oracle_decide_xi_equivalence,
                      oracle_quotients_match)
 
 ODD = ["s3", "s5", "s2xs3", "s3xs4"]
@@ -441,23 +440,23 @@ def test_diagonal_ideal_dimensions_s2xs3(s2xs3):
 
 def test_phi_s2xs3(s2xs3):
     ph = phi(s2xs3)
-    assert ph.dimension == 1 and ph.matrix.rows == 1
+    assert ph.dimension == 1 and len(ph.matrix) == 1
     # the image of [y] is the class of y (x) omega = y (x) xy
     (rep,) = ph.domain_representatives
     assert str(rep) == "y"
     image = s2xs3.square.from_label_coeffs({"y⊗xy": F(1)})
-    assert ph.matrix.column(0) == ph.target_class_coordinates(image)
-    assert dense_matmul(ph.matrix, ph.inverse) == SparseMatrix.identity(1).dense_rows()
+    assert [row[0] for row in ph.matrix] == ph.target_class_coordinates(image)
+    assert dense_matmul(ph.matrix, ph.inverse) == dense_identity(1)
 
 
 def test_phi_s3_zero_map(s3):
     ph = phi(s3)
-    assert ph.dimension == 0 and ph.matrix.rows == 0
+    assert ph.dimension == 0 and len(ph.matrix) == 0
 
 
 def test_phi_s3xs4_square_invertible(s3xs4):
     ph = phi(s3xs4)
-    assert ph.matrix.rows == ph.matrix.cols
+    assert all(len(row) == len(ph.matrix) for row in ph.matrix)
     # the degree n-2 = 5 line is empty for this preset, so both sides vanish
     assert ph.dimension == 0
 
@@ -470,8 +469,10 @@ def test_phi_rejects_even(s2):
 @pytest.mark.parametrize("name", ODD)
 def test_phi_bijective_on_every_odd_preset(name):
     ph = phi(preset_pd(name))
-    assert ph.matrix.rows == ph.matrix.cols == ph.dimension
-    assert dense_matmul(ph.matrix, ph.inverse) == SparseMatrix.identity(ph.dimension).dense_rows()
+    # on s3 and s5 both are empty: H^(n-2) of an odd sphere is zero
+    assert len(ph.matrix) == len(ph.inverse) == ph.dimension
+    assert all(len(row) == ph.dimension for row in ph.matrix + ph.inverse)
+    assert dense_matmul(ph.matrix, ph.inverse) == dense_identity(ph.dimension)
 
 
 # --- twists attached to cohomology classes ------------------------------------------
@@ -576,6 +577,19 @@ def test_decide_equal_twists_trivial_witness(s2xs3):
     assert isinstance(witness, EquivalentWitness)
     assert witness.w.is_zero() and witness.eta.is_zero()
     assert witness.quotients_isomorphic
+
+
+@pytest.mark.parametrize("name, rows, cols", [("s3", 0, 2), ("s5", 0, 0), ("s3xs4", 0, 2)])
+def test_decide_zero_twists_on_a_system_without_rows(name, rows, cols):
+    # (A (x) A)^(2n-2) is zero on these presets: the system has no rows but
+    # keeps its columns, and its one solution is w = eta = 0
+    pd = preset_pd(name)
+    zero = pd.square.zero()
+    witness = decide_xi_equivalence(pd, zero, zero)
+    assert isinstance(witness, EquivalentWitness)
+    assert witness.w.is_zero() and witness.eta.is_zero()
+    ideal = equivalence_ideal(pd)
+    assert (len(ideal.matrix), len(ideal.columns)) == (rows, cols)
 
 
 def test_decide_diagonal_pair_s2xs3(s2xs3):
