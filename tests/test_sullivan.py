@@ -621,6 +621,73 @@ def test_affine_system_stays_fully_reduced():
     assert system.determined == dict(enumerate(x)) and not system.rows
 
 
+def _pivot_rows(system):
+    """Each pivot of the solver's table with the unknowns its row holds
+    besides the pivot."""
+    return {pivot: set(row) - {pivot} for pivot, (row, _, _) in system.rows.items()}
+
+
+_small_equations = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=1, max_size=6),
+    st.lists(st.fractions(-3, 3, max_denominator=3), min_size=n, max_size=n),
+    st.lists(st.one_of(st.none(), st.integers(-2, 2)), min_size=6, max_size=6),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_equations)
+def test_affine_system_matches_the_stacked_rref(case):
+    from cdga_config.linalg import rref, solve
+    from cdga_config.sullivan import AffineSystem, InconsistentSystem
+
+    # each equation's constant is its value at x, or a free draw that may
+    # make the stacked system inconsistent
+    n, rows, x, free_consts = case
+    consts = [sum(c * v for c, v in zip(row, x)) if free is None else F(free)
+              for row, free in zip(rows, free_consts)]
+    system = AffineSystem()
+    seen = []
+    for k, (row, const) in enumerate(zip(rows, consts)):
+        stacked = rows[:k + 1]
+        solution = solve(stacked, consts[:k + 1], n)
+        coeffs = {v: F(c) for v, c in enumerate(row) if c}
+        if solution is None:
+            with pytest.raises(InconsistentSystem):
+                system.add(coeffs, const, f"e{k}")
+            return
+        newly = system.add(coeffs, const, f"e{k}")
+        seen += [v for v, _ in newly]
+        assert len(seen) == len(set(seen))
+        assert dict(newly).items() <= system.determined.items()
+
+        # determined exactly when e_v is a row of the rref, with the value
+        # every solution takes there
+        reduced, _ = rref(stacked, n)
+        units = {r.index(1) for r in reduced if sorted(r) == [0] * (n - 1) + [1]}
+        assert set(system.determined) == units == set(seen)
+        for v, value in system.determined.items():
+            assert value == solution[v]
+
+        table = _pivot_rows(system)
+        pivots = set(table) | set(system.determined)
+        for held in table.values():
+            assert held and not held & pivots
+
+
+def test_diagonal_family_guard_is_q1():
+    from cdga_config.io import parse_table_file
+    from cdga_config.linalg import Parameters
+    from cdga_config.sullivan import _staged_solve
+
+    document = parse_table_file(table_preset_path())
+    params = Parameters(("q1",))
+    table = document.table({"q": params.symbol(0), "r": 0})
+    assert _staged_solve(table, table).rendered().verdict == "exists"
+    # the pairs that fall back to the numeric solve: q1 = 0
+    assert [guard.render(params.names) for guard in params.guards] == ["q1"]
+
+
 # --- the family decided in one symbolic solve -------------------------------------
 
 
