@@ -24,8 +24,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
 from .linalg import (RationalFunction, Scalar, _accumulate, _columns, _combine, _exact,
-                     _first_not_squaring_to_zero, _negated, _residues, kernel_basis,
-                     row_space_basis)
+                     _first_not_squaring_to_zero, _negated, _reduce, _residues,
+                     kernel_basis, row_space_basis)
 
 Coeffs = dict[int, Scalar]
 
@@ -625,9 +625,7 @@ def cohomology(space: DGAlgebra) -> CohomologyReport:
         residues = _residues(cob_rows, range(dim))
         reduced = []
         for v in cocycles:
-            # the off-pivot part plus each pivot entry times its residue
-            rep = _combine({p: v[p] for p in residues if v[p]}, residues,
-                           {c: x for c, x in enumerate(v) if x and c not in residues})
+            rep = _reduce({c: x for c, x in enumerate(v) if x}, residues)
             reduced.append([rep.get(c, 0) for c in range(dim)])
         rep_rows = row_space_basis([r for r in reduced if any(r)], dim)
 

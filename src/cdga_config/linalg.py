@@ -14,8 +14,15 @@ There are two forms and no matrix class. An elimination (`rref`,
 its dense rows with the column count passed alongside, so a matrix
 without rows keeps its shape; `_columns` lays sparse vectors out as the
 columns of one. A linear map is sparse image rows, one dict per basis
-element, applied by `_combine`; a quotient projection is the `_residues`
-table of its subspace's rref rows.
+element, applied by `_combine`.
+
+Reduction modulo a row space has one form too, the residue table that
+`_residues` reads off rref rows: each pivot maps to the canonical
+representative of its basis vector, and every other basis vector is its
+own. `_reduce` reduces a sparse vector through it (cohomology
+representatives, subcomplex membership, the obstruction solver's
+equations), and `_projection` turns it into a quotient map (quotient
+algebras, φ's target).
 
 Every stored scalar is exact and canonical (`Scalar`): an `int` when it is
 integral and a `Fraction` only otherwise, never a `float` or a `bool`.
@@ -262,6 +269,29 @@ def _residues(rows: Sequence[Sequence[Scalar]], keys: Sequence) -> dict:
         p = next(c for c, v in enumerate(row) if v)
         out[keys[p]] = {keys[c]: -v for c, v in enumerate(row) if v and c != p}
     return out
+
+
+def _reduce(vector: Mapping, residues: Mapping) -> dict:
+    """The canonical representative of the sparse `vector` modulo the row
+    space with the residue table `residues`, as a new dict: the entries
+    off the pivots, plus each pivot entry times its residue, the pivots
+    taken in the vector's order. No entry of `vector` is tested for zero,
+    so reducing over a family's parameters records no guard of its own."""
+    out, pivots = {}, {}
+    for key, c in vector.items():
+        (pivots if key in residues else out)[key] = c
+    return _combine(pivots, residues, out) if pivots else out
+
+
+def _projection(residues: Mapping, keys: Sequence) -> tuple[list, list[dict]]:
+    """The quotient map of the span of `keys` modulo the row space with the
+    residue table `residues`: (the kept keys, those that are not pivots;
+    the image row of each key, in the positions of the kept keys)."""
+    kept = [key for key in keys if key not in residues]
+    position = {key: q for q, key in enumerate(kept)}
+    images = [{position[t]: c for t, c in residues[key].items()} if key in residues
+              else {position[key]: 1} for key in keys]
+    return kept, images
 
 
 # --- polynomials and rational functions ----------------------------------------

@@ -4,14 +4,15 @@ subcomplexes whose Betti numbers come from `cohomology`'s elimination.
 Every quotient in the pipeline (by the diagonal ideal, by the acyclic
 ideal of the even-dimensional model, by the top truncation, by the
 equivalence ideal) goes through `quotient_dga`. A subspace keeps its
-per-degree rref rows and one residue table built from them: row i is the
-canonical representative of e_i modulo the subspace, which is e_i itself
-at a non-pivot coordinate and minus the rest of its rref row at a pivot.
-Reducing, testing membership, projecting, and building the quotient's
-products and differential are each one `linalg._combine` through that
-table. Representatives are the ambient basis vectors at the non-pivot
-coordinates of the per-degree rref, so quotient bases keep their ambient
-labels and all reports stay deterministic.
+per-degree rref rows and their `linalg._residues` table, keyed by pivot:
+each pivot's entry is the canonical representative of e_pivot modulo the
+subspace, minus the rest of its rref row; every other e_i is its own.
+Reducing and testing membership are `linalg._reduce` through that table,
+and the quotient map is its `linalg._projection`, through which the
+quotient's products and differential are combined. Representatives are
+the ambient basis vectors at the non-pivot coordinates of the per-degree
+rref, so quotient bases keep their ambient labels and all reports stay
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 from .algebra import (Coeffs, DGAlgebra, Element, GradedBasis, _coboundaries_and_cocycles,
                       cohomology)
 from .errors import MixedParents, StructureError
-from .linalg import Scalar, _combine, _residues, row_space_basis
+from .linalg import Scalar, _combine, _projection, _reduce, _residues, row_space_basis
 
 
 def _by_degree(coeffs: Coeffs, degrees: Sequence[int]) -> dict[int, Coeffs]:
@@ -38,9 +39,10 @@ class Subcomplex:
     restricted differential.
 
     `bases[k]` holds the degree-k rref rows as ambient coefficient dicts.
-    `_residue[i]` is the canonical representative of e_i modulo the
+    `_residues` is their residue table over every degree: each pivot maps
+    to the canonical representative of its basis vector modulo the
     subspace, so the representative of any coefficient dict is its
-    `_combine` through the table. Construction verifies d-closure by
+    `_reduce` through the table. Construction verifies d-closure by
     reducing each d-image and keeps d on the subcomplex's own basis, its
     rref rows numbered in degree order (`_indices`), as rows in the
     `DGAlgebra._diff` layout. `betti` then measures the subcomplex itself,
@@ -61,7 +63,7 @@ class Subcomplex:
         self._pivots: dict[int, list[int]] = {}
         self._indices: dict[int, range] = {}
         size = 0
-        self._residue: list[Coeffs] = [{i: 1} for i in range(ambient.dim())]
+        self._residues: dict[int, Coeffs] = {}
         for k, vecs in sorted(by_degree.items()):
             idx = ambient.basis.degree_indices(k)
             rows = row_space_basis(vecs, len(idx))
@@ -71,8 +73,7 @@ class Subcomplex:
                 size += len(rows)
                 residues = _residues(rows, idx)
                 self._pivots[k] = list(residues)
-                for pivot, residue in residues.items():
-                    self._residue[pivot] = residue
+                self._residues.update(residues)
         self._diff: list[Coeffs] = []
         self._verify_closed()
 
@@ -87,7 +88,7 @@ class Subcomplex:
             position = dict(zip(self._pivots.get(k + 1, ()), self._indices.get(k + 1, ())))
             for gen in gens:
                 image = amb.d_coeffs(gen)
-                if _combine(image, self._residue):
+                if _reduce(image, self._residues):
                     raise StructureError(
                         f"subspace is not closed under the differential in degree {k}"
                     )
@@ -102,11 +103,11 @@ class Subcomplex:
         return all(b == 0 for b in self.betti().values())
 
     def contains(self, elem: Element) -> bool:
-        return not _combine(elem.coeffs, self._residue)
+        return not _reduce(elem.coeffs, self._residues)
 
     def reduce(self, elem: Element) -> Element:
         """Canonical representative of elem modulo the subspace."""
-        return Element(elem.parent, _combine(elem.coeffs, self._residue))
+        return Element(elem.parent, _reduce(elem.coeffs, self._residues))
 
     def closed_under_multiplication(self) -> bool:
         """Whether multiplying by every ambient basis element stays inside."""
@@ -114,7 +115,7 @@ class Subcomplex:
         for gens in self.bases.values():
             for gen in gens:
                 for rows in mult:
-                    if _combine(_combine(gen, rows), self._residue):
+                    if _reduce(_combine(gen, rows), self._residues):
                         return False
         return True
 
@@ -155,18 +156,17 @@ def quotient_dga(ambient: DGAlgebra, vectors: Sequence[Element], *, name: str = 
     The span must be a differential ideal for the quotient to carry a
     well-defined CDGA structure; both closure properties are verified
     explicitly (d of every spanning vector lands in the span, and so does
-    the product with every ambient basis element). The kept basis is the
-    indices that are their own residue; re-keying the subspace's residue
-    table to quotient positions gives the class of every ambient basis
-    element, and the products and d of kept basis elements are their
-    ambient rows combined through it.
+    the product with every ambient basis element). The kept basis and the
+    class of every ambient basis element are the `_projection` of the
+    subspace's residue table, and the products and d of kept basis
+    elements are their ambient rows combined through it.
     """
     sub = Subcomplex(ambient, vectors)
 
     if not sub.closed_under_multiplication():
         raise StructureError("subspace is not closed under multiplication by the algebra")
 
-    kept = [i for i, row in enumerate(sub._residue) if i in row]
+    kept, images = _projection(sub._residues, range(ambient.dim()))
     if ambient.unit not in kept:
         raise StructureError("the unit was quotiented away; the subspace is not a proper ideal")
 
@@ -174,8 +174,6 @@ def quotient_dga(ambient: DGAlgebra, vectors: Sequence[Element], *, name: str = 
     q_basis = GradedBasis(
         [amb_basis.labels[g] for g in kept], [amb_basis.degrees[g] for g in kept]
     )
-    kept_pos = {g: q for q, g in enumerate(kept)}
-    images = [{kept_pos[i]: c for i, c in row.items()} for row in sub._residue]
 
     mult_entries = []
     for qi, gi in enumerate(kept):
@@ -193,7 +191,7 @@ def quotient_dga(ambient: DGAlgebra, vectors: Sequence[Element], *, name: str = 
         top = max(q_basis.degrees)
     quotient = DGAlgebra(
         q_basis,
-        kept_pos[ambient.unit],
+        kept.index(ambient.unit),
         mult_entries,
         diff_entries,
         name=name or (ambient.name + "/~"),

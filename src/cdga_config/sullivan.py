@@ -35,7 +35,7 @@ from .algebra import Element, same_structure
 from .errors import IncompatibleTables, StructureError
 from .io import TableDocument
 from .linalg import (Parameters, Poly, RationalFunction, Scalar, _accumulate, _at_point,
-                     _columns, _divide, _exact, invert)
+                     _columns, _divide, _exact, _reduce, invert)
 from .presets import preset_table
 from .products import TensorAlgebra
 from .twisted import TwistedModel, _same_but_square
@@ -55,89 +55,61 @@ class InconsistentSystem(Exception):
 
 
 class AffineSystem:
-    """Incrementally reduced affine system  sum coeffs . x = const.
+    """Incrementally reduced affine system  sum coeffs . x = const, kept as
+    a residue table over the unknowns (see `linalg._residues`).
 
-    Rows are keyed by pivot variable and kept fully reduced: each row holds
-    its pivot with coefficient 1, no other row's pivot and no determined
-    variable. So a variable is determined exactly when its row has no
-    other support, and reducing an equation subtracts each pivot row it
-    touches once, in any order. Inserting an equation that reduces to
-    0 = c with c nonzero raises InconsistentSystem; that is a proof of
-    unsolvability.
+    Each pivot v has `residues[v]` and `consts[v]`, with
+    x_v = consts[v] + sum of residues[v][w] * x_w, and the table is kept
+    fully reduced: no residue holds a pivot. So an equation is reduced by
+    `linalg._reduce` through the table, its constant moved by the pivots'
+    `consts`, and an unknown is determined exactly when its residue is
+    empty; `determined` maps those unknowns to their values. Inserting an
+    equation that reduces to 0 = c with c nonzero raises
+    InconsistentSystem; that is a proof of unsolvability.
     """
 
     def __init__(self):
-        self.rows: dict[int, tuple[dict[int, Scalar], Scalar, str]] = {}
+        self.residues: dict[int, dict[int, Scalar]] = {}
+        self.consts: dict[int, Scalar] = {}
         self.determined: dict[int, Scalar] = {}
-
-    def _reduce(self, coeffs: dict[int, Scalar], const: Scalar):
-        determined, rows = self.determined, self.rows
-        out: dict[int, Scalar] = {}
-        for v, c in coeffs.items():
-            value = determined.get(v)
-            if value is None:
-                out[v] = c
-            else:
-                const -= c * value
-        # a pivot row holds no other pivot, so subtracting it changes no
-        # other pivot's coefficient and removes its own
-        for v in [v for v in out if v in rows]:
-            rc, rconst, _ = rows[v]
-            factor = out[v]
-            negated = -factor
-            _accumulate(out, ((w, negated * c) for w, c in rc.items()))
-            const -= factor * rconst
-        return out, _exact(const)
-
-    def _promote_determined(self, changed: list[int]) -> list[tuple[int, Scalar]]:
-        """Move the rows left with no other support into `determined` and
-        substitute them, round by round. Only a row that has just changed
-        can be such a row; `changed` lists those pivots in the order of
-        `rows`, and so does each round's list of rewritten rows."""
-        new = []
-        fresh = [pivot for pivot in changed if len(self.rows[pivot][0]) == 1]
-        while fresh:
-            for pivot in fresh:
-                const = self.rows.pop(pivot)[1]
-                self.determined[pivot] = const
-                new.append((pivot, const))
-            changed = []
-            for pivot, (coeffs, const, prov) in self.rows.items():
-                held = [(v, coeffs.pop(v)) for v in fresh if v in coeffs]
-                if held:
-                    for v, c in held:
-                        const -= c * self.determined[v]
-                    self.rows[pivot] = (coeffs, _exact(const), prov)
-                    changed.append(pivot)
-            fresh = [pivot for pivot in changed if len(self.rows[pivot][0]) == 1]
-        return new
 
     def add(self, coeffs: dict[int, Scalar], const: Scalar, provenance: str
             ) -> list[tuple[int, Scalar]]:
         """Insert one equation; returns newly determined (var, value) pairs."""
-        coeffs, const = self._reduce(coeffs, const)
+        residues, consts = self.residues, self.consts
+        # determined unknowns, whose residues are empty, are substituted first
+        for v in sorted((v for v in coeffs if v in residues), key=lambda v: bool(residues[v])):
+            const -= coeffs[v] * consts[v]
+        coeffs, const = _reduce(coeffs, residues), _exact(const)
         if not coeffs:
             if const:
                 raise InconsistentSystem(const, provenance)
             return []
         pivot = min(coeffs)
-        p = coeffs[pivot]
-        if p != 1:
+        p = coeffs.pop(pivot)
+        # x_pivot = const / p - sum of (c / p) x_w
+        if p == 1:
+            residue = {w: -c for w, c in coeffs.items()}
+        else:
             # a -1 pivot only flips signs; any other needs a true division
             inv = -1 if p == -1 else _divide(1, p)
-            coeffs = {v: _exact(c * inv) for v, c in coeffs.items()}
+            residue = {w: _exact(-c * inv) for w, c in coeffs.items()}
             const = _exact(const * inv)
-        # eliminate the new pivot from existing rows
-        changed = []
-        for other_pivot, (rc, rconst, prov) in self.rows.items():
-            factor = rc.get(pivot)
+        # substitute the new pivot into the residues that hold it
+        newly = []
+        for v, held in residues.items():
+            factor = held.get(pivot)
             if factor:
-                negated = -factor
-                _accumulate(rc, ((w, negated * c) for w, c in coeffs.items()))
-                self.rows[other_pivot] = (rc, _exact(rconst - factor * const), prov)
-                changed.append(other_pivot)
-        self.rows[pivot] = (coeffs, const, provenance)
-        return self._promote_determined(changed + [pivot])
+                del held[pivot]
+                _accumulate(held, ((w, factor * c) for w, c in residue.items()))
+                consts[v] = _exact(consts[v] + factor * const)
+                if not held:
+                    newly.append((v, consts[v]))
+        residues[pivot], consts[pivot] = residue, const
+        if not residue:
+            newly.append((pivot, const))
+        self.determined.update(newly)
+        return newly
 
 
 # --- generator tables --------------------------------------------------------
@@ -707,19 +679,13 @@ def _staged_solve(t1: GeneratorTable, t2: GeneratorTable
         return Unresolved(trace=_render(trace), residual=residual)
 
     # assemble a concrete witness: free diagonal unknowns default to 1,
-    # other free unknowns to 0, pivot rows then fix the rest
-    assignment = dict(system.determined)
-    for var in var_names:
-        if var in assignment or var in system.rows:
-            continue
-        assignment[var] = 1 if var in unknowns.diagonal else 0
-    for pivot, (coeffs, const, _) in sorted(system.rows.items(), reverse=True):
-        value = const
-        for v, c in coeffs.items():
-            if v == pivot:
-                continue
-            value -= c * assignment[v]
-        assignment[pivot] = _exact(value)
+    # other free unknowns to 0, and the table fixes the pivots
+    residues = system.residues
+    assignment = {var: 1 if var in unknowns.diagonal else 0
+                  for var in var_names if var not in residues}
+    for v, residue in residues.items():
+        assignment[v] = _exact(sum((c * assignment[w] for w, c in residue.items()),
+                                   system.consts[v]))
 
     numeric_images: list[FreeElt] = []
     for g in range(ngen):

@@ -35,8 +35,8 @@ from .errors import (
     WrongDegree,
     ZeroFormalDimension,
 )
-from .linalg import (Parameters, Scalar, _at_point, _columns, _combine, _residues, invert,
-                     kernel_basis, row_space_basis, solve)
+from .linalg import (Parameters, Scalar, _at_point, _columns, _combine, _projection, _residues,
+                     invert, kernel_basis, row_space_basis, solve)
 from .poincare import PDAlgebra, diagonal_class
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -328,8 +328,8 @@ class PhiMap:
 
     `matrix` and `inverse` are dense rows. `_target_projection[j]` is the
     class of the j-th representative of H^(2n-2)(A (x) A) in quotient
-    coordinates, the residue table of the diagonal classes re-keyed to the
-    kept coordinates (as `quotient_dga` builds its `_images`)."""
+    coordinates: the `linalg._projection` of the residue table of the
+    diagonal classes, as `quotient_dga` builds its `_images`."""
 
     pd: PDAlgebra
     matrix: list[list[Scalar]]
@@ -365,6 +365,18 @@ def _class_coordinates(space, k: int, vec_elem: Element,
     return coeffs[: len(reps)]
 
 
+def _cocycles_times_diagonal(pd: PDAlgebra, diag: Element) -> list[tuple[Element, Element]]:
+    """The pairs (z, z . diag), z running over the basis of the cocycles of
+    degree n-2 of A (x) A that `cocycle_vectors` gives."""
+    square = pd.square
+    idx = square.basis.degree_indices(pd.n - 2)
+    pairs = []
+    for vec in cocycle_vectors(square, pd.n - 2):
+        z = Element(square, {i: c for i, c in zip(idx, vec) if c})
+        pairs.append((z, square.multiply(z, diag)))
+    return pairs
+
+
 def phi(pd: PDAlgebra) -> PhiMap:
     """The linear map [a] -> [a (x) omega] into the cohomology quotient by
     the diagonal ideal, verified square and invertible.
@@ -391,22 +403,16 @@ def phi(pd: PDAlgebra) -> PhiMap:
     tgt_cobs = h_sq.coboundaries if h_sq else ()
 
     # image of the diagonal ideal inside H^(2n-2)
-    diag = diagonal_class(pd).element
     ideal_rows = []
-    idx_mid = square.basis.degree_indices(deg_dom)
-    for vec in cocycle_vectors(square, deg_dom):
-        z = Element(square, {i: c for i, c in zip(idx_mid, vec) if c})
-        product = square.multiply(z, diag)
+    for _, product in _cocycles_times_diagonal(pd, diagonal_class(pd).element):
         if product.is_zero():
             continue
         coords = _class_coordinates(square, deg_tgt, product, tgt_reps, tgt_cobs)
         if any(coords):
             ideal_rows.append(coords)
-    residues = _residues(row_space_basis(ideal_rows, len(tgt_reps)), range(len(tgt_reps)))
-    kept = [j for j in range(len(tgt_reps)) if j not in residues]
-    kept_pos = {j: q for q, j in enumerate(kept)}
-    projection = [{kept_pos[t]: c for t, c in residues.get(j, {j: 1}).items()}
-                  for j in range(len(tgt_reps))]
+    dim_tgt = len(tgt_reps)
+    kept, projection = _projection(_residues(row_space_basis(ideal_rows, dim_tgt), range(dim_tgt)),
+                                   range(dim_tgt))
 
     columns = []
     for rep in dom_reps:
@@ -542,16 +548,11 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
     if not sub.is_acyclic():
         raise StructureError("equivalence ideal is not acyclic")
 
-    matrix_columns: list[Coeffs] = []
-    columns: list[tuple[str, Element]] = []
-    idx_mid = square.basis.degree_indices(n - 2)
-    for vec in cocycle_vectors(square, n - 2):
-        z = Element(square, {i: c for i, c in zip(idx_mid, vec) if c})
-        matrix_columns.append(square.multiply(z, diag).coeffs)
-        columns.append(("diag", z))
-    matrix_columns += [square._diff[i] for i in idx_s]
-    columns += [("exact", square.basis_element(i)) for i in idx_s]
-    matrix = _columns(matrix_columns, square.basis.degree_indices(2 * n - 2))
+    pairs = _cocycles_times_diagonal(pd, diag)
+    matrix = _columns([product.coeffs for _, product in pairs] + [square._diff[i] for i in idx_s],
+                      square.basis.degree_indices(2 * n - 2))
+    columns = ([("diag", z) for z, _ in pairs]
+               + [("exact", square.basis_element(i)) for i in idx_s])
 
     trunc = truncate_cone(cone)
     projected = (trunc.quotient.project(Element(alg, gen)).coeffs

@@ -3,10 +3,10 @@
     PYTHONPATH=src PYTHONHASHSEED=1 python tests/hashseed_outputs.py OUTDIR
 
 Run it from the repository root (the reports name the paths they were
-given) once per seed, then compare the files of two seeds with `cmp`. The
-warm and cold runs of one call, and the routes of one computation
-(instance, checked, sweep), must give equal files under one seed too; the
-workflow's hash-seed step compares those pairs.
+given) once per seed, then compare the directories of two seeds with
+`diff -r`. The warm and cold runs of one call, and the routes of one
+computation (instance, checked, sweep), must give equal files under one
+seed too; the workflow's hash-seed step compares those pairs.
 
 Dict, set and guard iteration must not leak into any report or written
 file. Each output is written by a fresh Python process, so a "cold" output

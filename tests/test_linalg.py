@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from cdga_config.algebra import _coboundaries_and_cocycles
 from cdga_config.linalg import (
     _combine,
+    _projection,
+    _reduce,
     _residues,
     invert,
     kernel_basis,
@@ -30,13 +32,9 @@ def apply(rows, vec):
 
 def projection(subspace, n):
     """The class of each e_j of Q^n modulo span(subspace), in quotient
-    coordinates, and the kept coordinates, as `quotient_dga` re-keys the
-    residue table."""
-    residues = _residues(row_space_basis(subspace, n), range(n))
-    kept = [j for j in range(n) if j not in residues]
-    position = {j: q for q, j in enumerate(kept)}
-    return [{position[t]: c for t, c in residues.get(j, {j: 1}).items()}
-            for j in range(n)], kept
+    coordinates, and the kept coordinates, as `quotient_dga` builds them."""
+    kept, images = _projection(_residues(row_space_basis(subspace, n), range(n)), range(n))
+    return images, kept
 
 
 # --- worked examples ---------------------------------------------------------
@@ -114,6 +112,8 @@ def test_quotient_line_in_plane():
     assert kept == [1]
     # projection vanishes exactly on the subspace generator
     assert _combine({0: 1, 1: 1}, images) == {}
+    assert _reduce({0: 1, 1: 1}, {0: {1: -1}}) == {}
+    assert _reduce({0: 2, 1: 1}, {0: {1: -1}}) == {1: -1}
     # projection restricted to the representative is the identity
     assert _combine({1: 1}, images) == {0: 1}
 
@@ -209,12 +209,17 @@ def test_solve_produces_solutions(m, coeffs):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(entries, min_size=4, max_size=4), min_size=0, max_size=3))
 def test_quotient_projection_properties(subspace):
+    residues = _residues(row_space_basis(subspace, 4), range(4))
     images, kept = projection(subspace, 4)
     for v in subspace:
         assert _combine(dict(enumerate(v)), images) == {}
+        assert _reduce({c: x for c, x in enumerate(v) if x}, residues) == {}
     # projection restricted to representatives is the identity matrix
     for q, j in enumerate(kept):
         assert _combine({j: 1}, images) == {q: 1}
+    # the class of e_j is its reduction, read at the kept coordinates
+    for j in range(4):
+        assert images[j] == {kept.index(t): c for t, c in _reduce({j: 1}, residues).items()}
     assert len(kept) == 4 - dense_rank(subspace or [[0, 0, 0, 0]])
 
 

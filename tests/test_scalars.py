@@ -120,13 +120,14 @@ def test_integral_sums_and_products_are_stored_as_ints():
 def test_affine_system_keeps_rows_canonical():
     system = AffineSystem()
     system.add({0: 1, 1: F(1, 2), 2: F(1, 2)}, F(1, 2), "a")
-    # eliminating x1 leaves x0 + x2 = 1/4 in row a: 1/2 - (1/2)(-1) = 1
+    # substituting x1 = 1/2 + x2 leaves x0 = 1/4 - x2: the coefficient of
+    # x2 in equation a becomes 1/2 - (1/2)(-1) = 1
     system.add({1: 1, 2: -1}, F(1, 2), "b")
-    assert system.rows[0][0] == {0: 1, 2: 1}
-    assert_canonical(system.rows[0][0].values(), "row a")
+    assert system.residues[0] == {2: -1}
+    assert_canonical([*system.residues[0].values(), system.consts[0]], "residue a")
     system.add({2: -2}, F(-4), "c")
-    for coeffs, const, _ in system.rows.values():
-        assert_canonical([*coeffs.values(), const], "row")
+    for v, residue in system.residues.items():
+        assert_canonical([*residue.values(), system.consts[v]], "residue")
     assert_canonical(system.determined.values(), "determined")
     assert system.determined == {0: F(-7, 4), 1: F(5, 2), 2: 2}
 

@@ -606,11 +606,11 @@ def test_affine_system_stays_fully_reduced():
     for coeffs in equations:
         const = sum(c * x[v] for v, c in coeffs.items())
         newly.append(system.add(coeffs, const, "pinned"))
-        pivots = set(system.rows)
-        for pivot, (row, _, _) in system.rows.items():
-            assert row[pivot] == 1
-            assert not (set(row) - {pivot}) & pivots
-            assert not set(row) & set(system.determined)
+        # no residue holds a pivot, determined unknowns included
+        for residue in system.residues.values():
+            assert not set(residue) & set(system.residues)
+        assert system.determined == {v: system.consts[v]
+                                     for v, residue in system.residues.items() if not residue}
     assert newly == [
         [], [], [], [],
         [(1, F(-1)), (3, F(1, 2)), (5, F(-2))],
@@ -618,13 +618,7 @@ def test_affine_system_stays_fully_reduced():
         [(0, F(2)), (2, F(3)), (4, F(5)), (6, F(1, 3))],
         [],
     ]
-    assert system.determined == dict(enumerate(x)) and not system.rows
-
-
-def _pivot_rows(system):
-    """Each pivot of the solver's table with the unknowns its row holds
-    besides the pivot."""
-    return {pivot: set(row) - {pivot} for pivot, (row, _, _) in system.rows.items()}
+    assert system.determined == dict(enumerate(x)) and not any(system.residues.values())
 
 
 _small_equations = st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -669,10 +663,9 @@ def test_affine_system_matches_the_stacked_rref(case):
         for v, value in system.determined.items():
             assert value == solution[v]
 
-        table = _pivot_rows(system)
-        pivots = set(table) | set(system.determined)
-        for held in table.values():
-            assert held and not held & pivots
+        # fully reduced: no residue holds a pivot
+        for residue in system.residues.values():
+            assert not set(residue) & set(system.residues)
 
 
 def test_diagonal_family_guard_is_q1():
@@ -949,9 +942,9 @@ def test_promotion_rewrites_only_rows_that_held_a_determined_variable():
     system = AffineSystem()
     system.add({0: 1, 2: 1}, 1, "a")
     system.add({1: 1, 3: 1}, 2, "b")
-    untouched = system.rows[1]
-    # eliminating x2 from row 0 determines x0; row 1 holds neither
-    # variable and is left as it was
+    untouched = system.residues[1]
+    # substituting x2 into the residue of x0 determines x0; the residue of
+    # x1 holds neither unknown and is left as it was
     assert system.add({2: 1}, 4, "c") == [(0, -3), (2, 4)]
-    assert system.rows[1] is untouched
-    assert list(system.rows) == [1]
+    assert system.residues[1] is untouched
+    assert [v for v, residue in system.residues.items() if residue] == [1]
