@@ -58,6 +58,8 @@ def _cases():
         ("cxi_s2xs3_x", ["cxi", "s2xs3", "--x=-5/3*y"], 0),
         ("classify-example", ["classify-example", "--q=0,1,-1/2,7/3"], 0),
         ("classify-example_fractional", ["classify-example", "--q=2,-1/3,5/7"], 0),
+        # two equal values: their off-diagonal pairs fall back to the numeric solve
+        ("classify-example_equal", ["classify-example", "--q=3,3,-2/5"], 0),
         ("check_s2xs3_fractional", ["check", FRACTIONAL], 0),
         ("diagonal_s2xs3_fractional", ["diagonal", FRACTIONAL], 0),
         ("betti-fm2_s2xs3_fractional", ["betti-fm2", FRACTIONAL], 0),

@@ -2,7 +2,7 @@ import ast
 from fractions import Fraction as F
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdga_config.algebra import _coboundaries_and_cocycles
@@ -353,3 +353,38 @@ def test_value_at_and_divide_agree_with_fraction_arithmetic(terms, point, a, b):
     assert canonical([value])
     if b:
         assert _divide(a, b) == F(a) / F(b) and canonical([_divide(a, b)])
+
+
+def _fraction_value(poly, values):
+    """A `Poly`'s value at a point, summed in `Fraction` arithmetic."""
+    from math import prod
+
+    return sum((F(c) * prod(F(values[v]) for v in key) for key, c in poly.terms.items()), F(0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(_poly_keys, mixed_entries, max_size=3),
+       st.dictionaries(_poly_keys, mixed_entries, min_size=1, max_size=3),
+       st.lists(mixed_entries, min_size=3, max_size=3))
+def test_rational_function_value_at_divides_its_numerator_by_its_denominator(num, den, point):
+    """At a point of scalars where the denominator does not vanish, the
+    value is the numerator's value over the denominator's, canonical."""
+    from math import prod
+
+    from cdga_config.linalg import Parameters, RationalFunction
+
+    params = Parameters(("a", "b", "c"))
+    symbols = [params.symbol(k) for k in range(3)]
+
+    def built(terms):
+        return sum((c * prod((symbols[v] for v in key), start=1) for key, c in terms.items()), 0)
+
+    divisor = built(den)
+    assume(divisor != 0)
+    f = built(num) / divisor
+    assume(type(f) is RationalFunction)
+    values = dict(enumerate(point))
+    assume(_fraction_value(f.den, values))
+    value = f.value_at(values)
+    assert value == _fraction_value(f.num, values) / _fraction_value(f.den, values)
+    assert canonical([value])
