@@ -28,7 +28,7 @@ from .errors import (EvenDimensionNonzeroXi, ExpressionParseError, ParseError, S
 from .linalg import _ONE, Parameters, RationalFunction, Scalar, _accumulate, _divide, _exact
 from .poincare import PDAlgebra
 from .products import TENSOR
-from .twisted import build_cxi, truncate_cone
+from .twisted import TwistedModel, build_cxi, truncate_cone
 
 _NUMBER_RE = re.compile(r"^[-+]?\d+(/\d+)?$")
 
@@ -455,8 +455,10 @@ class TableDocument:
     per parameter (the constant terms of a differential summed, the labels
     of xi and of the evaluation looked up in the tensor square and in the
     truncation that every C(xi) shares). Nothing built at values is kept:
-    each call builds its own table, with dicts and caches of its own, and
-    its own C(xi) target, checked by `twisted.build_cxi`.
+    each call builds its own table, with dicts and caches of its own.
+    `target(values)` builds C(xi) at the values, checked by
+    `twisted.build_cxi`; `table` evaluates into the one it is given, or
+    else builds its own.
 
     `symbolic` is the table with each parameter a symbol of one
     `linalg.Parameters`. Its target C(xi(q, r)) is built by
@@ -495,18 +497,38 @@ class TableDocument:
     blank: GeneratorTable
     family_verdicts: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def table(self, values: Mapping[str, Scalar]):
-        missing = [p for p in self.parameters if p not in values]
-        if missing:
-            raise ParseError(f"{self.source}: values required for parameters {missing}")
-        values = {name: _exact(value) for name, value in values.items()}
+    def table(self, values: Mapping[str, Scalar], target: Optional[TwistedModel] = None):
+        """The table at `values`. At rational values it evaluates into
+        C(xi) at those values: `target` when given, which must be the
+        model that `target(values)` built (its xi is compared with xi at
+        the values), else one built here by `target(values)`."""
+        values = self._canonical(values)
         if not all(isinstance(values[p], Scalar) for p in self.parameters):
             return self._build(values, None)
-        xi = self.pd.square.element(_at_values(self.xi, values))
-        table = self._build(values, build_cxi(self.pd, xi))
+        if target is None:
+            target = self.target(values)
+        elif target.xi != self._xi(values):
+            raise StructureError(f"{self.source}: the target given is not C(xi) at these values")
+        table = self._build(values, target)
         # the one place that sets it (see `GeneratorTable._built_from`)
         object.__setattr__(table, "_built_from", (self, values))
         return table
+
+    def target(self, values: Mapping[str, object]) -> TwistedModel:
+        """C(xi) at `values`, the table's target there, built and checked
+        by `twisted.build_cxi`."""
+        return build_cxi(self.pd, self._xi(self._canonical(values)))
+
+    def _canonical(self, values: Mapping[str, object]) -> dict[str, object]:
+        """The values in canonical form (`linalg._exact`); a declared
+        parameter without a value is a ParseError."""
+        missing = [p for p in self.parameters if p not in values]
+        if missing:
+            raise ParseError(f"{self.source}: values required for parameters {missing}")
+        return {name: _exact(value) for name, value in values.items()}
+
+    def _xi(self, values: Mapping[str, object]) -> Element:
+        return self.pd.square.element(_at_values(self.xi, values))
 
     def _build(self, values: Mapping[str, object], target) -> GeneratorTable:
         """The table at `values`, evaluating into `target` (none when it
@@ -526,7 +548,7 @@ class TableDocument:
         params = Parameters(self.parameters)
         values = {name: params.symbol(k) for k, name in enumerate(self.parameters)}
         try:
-            target = build_cxi(self.pd, self.pd.square.element(_at_values(self.xi, values)))
+            target = self.target(values)
         except (EvenDimensionNonzeroXi, WrongDegree):
             return None
         table = self._build(values, target)

@@ -379,10 +379,11 @@ class Poly:
             _accumulate(out, ((tuple(rest), coeff),))
         return Poly._of(out)
 
-    def value_at(self, values: dict[int, Scalar]) -> Scalar:
+    def pair_at(self, values: dict[int, Scalar]) -> tuple[int, int]:
         """The value when `values` assigns every variable a scalar, for a
-        polynomial with scalar coefficients: summed over the integers as
-        one numerator over one denominator, and divided once."""
+        polynomial with scalar coefficients, as an integer pair (num, den)
+        with den > 0, summed over the integers and not reduced: the value
+        is num/den, and it is zero exactly when num == 0."""
         num, den = 0, 1
         for key, coeff in self.terms.items():
             n, d = coeff.numerator, coeff.denominator
@@ -390,7 +391,12 @@ class Poly:
                 value = values[v]
                 n, d = n * value.numerator, d * value.denominator
             num, den = num * d + n * den, den * d
-        return _divide(num, den)
+        return num, den
+
+    def value_at(self, values: dict[int, Scalar]) -> Scalar:
+        """The value when `values` assigns every variable a scalar, for a
+        polynomial with scalar coefficients: `pair_at` divided once."""
+        return _divide(*self.pair_at(values))
 
     def affine(self) -> Optional[tuple[Scalar, dict[int, Scalar]]]:
         """(constant, linear coefficients), or None when degree >= 2."""
@@ -569,13 +575,16 @@ class RationalFunction:
 
     def value_at(self, values: dict[int, Scalar]) -> Scalar:
         """The value when `values` assigns every symbol, at a point where
-        the denominator does not vanish. A value may itself be a
-        `RationalFunction` (of another `Parameters`): the numerator and
-        the denominator are then evaluated by ring arithmetic and divided
-        once, and that division records its guard as any division by a
-        `RationalFunction` does."""
+        the denominator does not vanish. At a point of scalars the
+        numerator's and the denominator's integer pairs (`Poly.pair_at`)
+        a/b and c/d give the value as one division, (a*d)/(b*c). A value
+        may itself be a `RationalFunction` (of another `Parameters`): the
+        numerator and the denominator are then evaluated by ring
+        arithmetic and divided once, and that division records its guard
+        as any division by a `RationalFunction` does."""
         if all(type(v) is not RationalFunction for v in values.values()):
-            return _divide(self.num.value_at(values), self.den.value_at(values))
+            (a, b), (c, d) = self.num.pair_at(values), self.den.pair_at(values)
+            return _divide(a * d, b * c)
         num, den = (_exact(sum(c * prod(values[v] for v in key) for key, c in poly.terms.items()))
                     for poly in (self.num, self.den))
         if type(num) is RationalFunction or type(den) is RationalFunction:

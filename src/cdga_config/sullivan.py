@@ -750,8 +750,14 @@ def classify_example(q_values: Sequence) -> list[list[ObstructionResult]]:
     """Pairwise obstruction verdicts for the one-parameter family: the
     diagonal must come out Exists and every off-diagonal pair Obstructed.
 
-    Each value's table is built, on every call, with its checked C(q,0)
-    target. Two solves run with q kept symbolic (no target; see
+    Each value is put into canonical form once (`linalg._exact`, so it
+    may be anything `Fraction` takes), and that form is both the value of
+    its table and its coordinate at the family's points. Each value's
+    C(q,0) is built once per call, in order, by the document
+    (`io.TableDocument.target`, checked by `twisted.build_cxi`). A value's
+    generator table is built only when one of its pairs takes
+    `iso_obstruction`, at most once per call, on that value's C(q,0).
+    Two solves run with q kept symbolic (no target; see
     `linalg.Parameters`): the table in q1 against itself, whose verdict
     serves the diagonal pairs, and the table in q1 against the table in
     q2, whose verdict serves the off-diagonal pairs. The two have their
@@ -769,16 +775,24 @@ def classify_example(q_values: Sequence) -> list[list[ObstructionResult]]:
     included, and each off-diagonal pair of equal values.
     """
     document = preset_table()
-    tables = [document.table({"q": q, "r": 0}) for q in q_values]
+    qs = [_exact(q) for q in q_values]
+    targets = [document.target({"q": q, "r": 0}) for q in qs]
     diagonal = _family_verdict(document, ("q1",))
-    off_diagonal = _family_verdict(document, ("q1", "q2")) if len(q_values) > 1 else None
+    off_diagonal = _family_verdict(document, ("q1", "q2")) if len(qs) > 1 else None
+    tables: dict[int, GeneratorTable] = {}
+
+    def table(i: int) -> GeneratorTable:
+        if i not in tables:
+            tables[i] = document.table({"q": qs[i], "r": 0}, targets[i])
+        return tables[i]
+
     matrix = []
-    for i, (q, t_row) in enumerate(zip(q_values, tables)):
+    for i, q in enumerate(qs):
         row = []
-        for j, (r, t_col) in enumerate(zip(q_values, tables)):
+        for j, r in enumerate(qs):
             family, point = (diagonal, {0: q}) if i == j else (off_diagonal, {0: q, 1: r})
             result = None if family is None else family.at(point)
-            row.append(result or iso_obstruction(t_row, t_col))
+            row.append(result or iso_obstruction(table(i), table(j)))
         matrix.append(row)
     return matrix
 
@@ -813,7 +827,10 @@ class _FamilyVerdict:
     no rational function in place; a part that holds one is a slot: the
     positions of its numerator and denominator among the polynomials `at`
     evaluates. At each point, `at` evaluates every guard, then each
-    distinct numerator and denominator once, copies the prebuilt
+    distinct numerator and denominator once, each as an unreduced integer
+    pair (`Poly.pair_at`): a guard vanishes there when its pair's
+    numerator is 0, and a slot whose numerator is a/b and denominator c/d
+    there is the one division (a*d)/(b*c). It then copies the prebuilt
     containers and fills in the slots, so every result has containers of
     its own.
     """
@@ -860,14 +877,17 @@ class _FamilyVerdict:
     def at(self, point: dict[int, Scalar]) -> Optional[ObstructionResult]:
         """The verdict at `point` (symbol id -> value), or None when the
         point needs a solve of its own."""
-        evaluated = []
+        pairs = []
         for k, poly in enumerate(self._polys):
-            value = poly.value_at(point)
-            if k < self._guards and not value:
+            pair = poly.pair_at(point)
+            if k < self._guards and not pair[0]:
                 return None
-            evaluated.append(value)
+            pairs.append(pair)
 
-        quotients = {slot: _divide(evaluated[slot[0]], evaluated[slot[1]]) for slot in self._slots}
+        quotients = {}
+        for slot in self._slots:
+            (a, b), (c, d) = pairs[slot[0]], pairs[slot[1]]
+            quotients[slot] = _divide(a * d, b * c)
 
         def value(slot):
             return quotients[slot] if type(slot) is tuple else slot

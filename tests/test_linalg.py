@@ -349,8 +349,14 @@ def test_value_at_and_divide_agree_with_fraction_arithmetic(terms, point, a, b):
     poly = Poly(terms)
     values = dict(enumerate(point))
     value = poly.value_at(values)
-    assert value == sum(F(c) * prod(F(values[v]) for v in key) for key, c in terms.items())
+    exact = sum(F(c) * prod(F(values[v]) for v in key) for key, c in terms.items())
+    assert value == exact
     assert canonical([value])
+    # the unreduced integer pair: a positive denominator, the same value,
+    # and zero exactly when the numerator is
+    num, den = poly.pair_at(values)
+    assert type(num) is int and type(den) is int and den > 0
+    assert F(num, den) == exact and (num == 0) is (exact == 0)
     if b:
         assert _divide(a, b) == F(a) / F(b) and canonical([_divide(a, b)])
 

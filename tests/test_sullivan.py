@@ -318,6 +318,55 @@ def test_classify_example_builds_each_value_s_target(monkeypatch):
     assert built == [square.from_label_coeffs({f"y{TENSOR}xy": q}) for q in qs]
 
 
+def _spy_targets_and_tables(monkeypatch):
+    """The models `io.build_cxi` returns, and the tables the document
+    builds at rational values, in the order they are built."""
+    import cdga_config.io as io
+
+    models, tables = [], []
+    build_cxi, build = io.build_cxi, io.TableDocument._build
+    monkeypatch.setattr(io, "build_cxi",
+                        lambda pd, xi: models.append(build_cxi(pd, xi)) or models[-1])
+
+    def building(self, values, target):
+        table = build(self, values, target)
+        if target is not None:
+            tables.append(table)
+        return table
+
+    monkeypatch.setattr(io.TableDocument, "_build", building)
+    return models, tables
+
+
+def test_classify_example_builds_a_table_only_for_a_numeric_solve(monkeypatch):
+    models, tables = _spy_targets_and_tables(monkeypatch)
+    # no pair falls back: each value gets its C(q, 0) and no table
+    classify_example([F(2), F(-1, 3), F(5, 7), F(-4)])
+    assert len(models) == 4 and tables == []
+    # only the pairs of the two 3s fall back, so only their tables are
+    # built, each on its value's C(q, 0)
+    models.clear()
+    classify_example([F(3), F(3), F(-2, 5)])
+    assert len(models) == 3 and len(tables) == 2
+    assert all(table.target is model for table, model in zip(tables, models))
+
+
+def test_a_table_given_another_value_s_target_is_refused():
+    document = preset_table()
+    target = document.target({"q": 3, "r": 0})
+    assert document.table({"q": F(6, 2), "r": 0}, target).target is target
+    with pytest.raises(StructureError, match="not C\\(xi\\) at these values"):
+        document.table({"q": 2, "r": 0}, target)
+
+
+def test_classify_example_puts_each_value_into_canonical_form():
+    # anything `Fraction` takes, as `s2xs3_table` does
+    assert classify_example([0.5, 1.0]) == classify_example([F(1, 2), 1])
+    assert classify_example(["1/2", 3]) == classify_example([F(1, 2), 3])
+    # the numeric solves of a zero and of equal values too
+    assert classify_example([0.0, 2.0, 2]) == classify_example([0, 2, 2])
+
+
 # --- the obstruction solver -----------------------------------------------------
 
 
