@@ -15,8 +15,9 @@ with that table's `check_table` report (`io.TableDocument.symbolic` and
 takes that report. Nothing that depends on a value is cached: each
 twist, each C(xi) and each table at given parameter values is built
 afresh (`classify_example` builds each value's C(q, 0) once per call,
-and a table on it only for a pair that takes the numeric solve). `check_cdga` and the check of the map from the tensor
-square run once per truncation, on C(Xi); each C(xi), the document's
+and a table on it only for a pair that takes the numeric solve).
+`check_cdga` and the check of the map from the tensor square run once
+per truncation, on C(Xi); each C(xi), the document's
 C(xi(q, r)) over its parameters included, is built by `twisted.build_cxi`
 and gets the entry checks of `DGAlgebra.with_square` and an exact check
 that it is C(Xi) at xi (`twisted.TruncatedCone.instance`), or the full

@@ -52,8 +52,8 @@ def _outputs():
         # a zero q: its pairs take the numeric solve, each table building
         # its own unknowns; cold, then after an earlier call in the process
         ("classify-numeric", _cli("classify-example", "--q=0,3,-2/5", "--json"), 0),
-        # two equal values and no zero: only the pairs of the two 3s take
-        # the numeric solve, each from the table of its two values
+        # two equal values and no zero: only the two pairs of the equal
+        # values take the numeric solve, on the tables of those values
         ("classify-equal", _cli("classify-example", "--q=3,3,-2/5", "--json"), 0),
         ("classify-numeric-warm",
          _program("warm_cli", ["classify-example", "--q=0,5,-2/9", "--json"],
