@@ -24,8 +24,8 @@ from .algebra import (
 from .cone import EvenModel, MappingCone, cone_model, even_model, mapping_cone
 from .dgmodule import DGModule, ModuleMap, ring_as_module, suspend
 from .linalg import Scalar, kernel_basis, rref, solve
-from .poincare import DiagonalClass, PDAlgebra, check_pd, diagonal_class, dual_basis, shriek_map
-from .products import CorrespondenceReport, TensorAlgebra, diagonal_correspondence, product_pd, tensor
+from .poincare import PDAlgebra, check_pd, shriek_map
+from .products import CorrespondenceReport, TensorAlgebra, diagonal_correspondence, product_pd
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 from .sullivan import (
     GeneratorTable,

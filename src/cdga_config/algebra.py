@@ -413,16 +413,6 @@ class AxiomReport:
     def failed(self) -> list[AxiomCheck]:
         return [c for c in self.checks if not c.ok]
 
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "pass" if c.ok else "FAIL"
-            line = f"{c.axiom}: {status}"
-            if c.witness:
-                line += f"  [{c.witness}]"
-            out.append(line)
-        return out
-
 
 def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, covered_r, covered_m):
     """The first failing tuple of each action axiom of a ring on a module.

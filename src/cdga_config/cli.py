@@ -37,9 +37,9 @@ from .algebra import Element, check_cdga, cohomology
 from .cone import cone_model
 from .errors import CdgaError, ExpressionParseError, ParseError, PDFailure
 from .io import load_algebra_file, parse_coeff, parse_element, write_pd_file
-from .poincare import PDAlgebra, check_pd, diagonal_class
+from .poincare import PDAlgebra, check_pd
 from .presets import PRESET_NAMES, _resolve_path
-from .products import diagonal_correspondence, product_pd
+from .products import diagonal_correspondence
 from .sullivan import classify_example
 from .twisted import build_cxi, c_of_x, quotient_by_diagonal
 
@@ -122,7 +122,7 @@ def cmd_check(args) -> tuple[dict, list[str]]:
 
 def cmd_diagonal(args) -> tuple[dict, list[str]]:
     pd, fragment = _load_checked(args.file)
-    diag = diagonal_class(pd)
+    diag = pd.diagonal
     duals = pd.dual_basis
     cone = cone_model(pd)
     delta_lines = [(label, str(elem)) for label, elem in cone.delta_table()]
@@ -258,8 +258,8 @@ def cmd_product(args) -> tuple[dict, list[str]]:
         raise ParseError("--out expects a path, got ''")
     pd_a, frag_a = _load_checked(args.file_a)
     pd_b, frag_b = _load_checked(args.file_b)
-    product = product_pd(pd_a, pd_b)
     correspondence = diagonal_correspondence(pd_a, pd_b)
+    product = correspondence.product
     out_path = Path(args.out) if args.out is not None else Path(
         f"product_{frag_a['algebra']}_{frag_b['algebra']}.json"
     )

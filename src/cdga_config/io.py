@@ -653,7 +653,7 @@ def parse_table_file(path: str | Path) -> TableDocument:
                                  f"not |{label}| + 1 = {degree + 1}")
             terms.append((coeff, table.product(*factors)))
         differentials.append(_linear(terms))
-    # every C(xi) has the truncation's basis (`twisted.TruncatedCone.twist`)
+    # every C(xi) has the truncation's basis (`twisted.TruncatedCone.instance`)
     target = truncate_cone(cone_model(pd)).algebra
     return TableDocument(source, declared, pd, _resolve(square, xi),
                          tuple(_resolve(target, terms) for terms in evaluation),

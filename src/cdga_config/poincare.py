@@ -13,7 +13,6 @@ suspension sign rules, never written down by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -21,7 +20,7 @@ from .algebra import DGAlgebra, Element
 from .dgmodule import DGModule, ModuleMap, ring_as_module, suspend
 from .errors import ModuleMapViolation, NotAModuleMap, PDFailure, StructureError
 from .linalg import Scalar, _accumulate, _columns, _combine, _divide, _exact, invert, kernel_basis
-from .products import TensorAlgebra, tensor
+from .products import TensorAlgebra
 
 
 class PDAlgebra:
@@ -29,8 +28,9 @@ class PDAlgebra:
 
     Built through `check_pd`; carries the formal dimension n, the
     orientation functional on degree n, the normalized top class omega with
-    eps(omega) = 1, and the dual basis solved per complementary-degree
-    block as one exact linear system.
+    eps(omega) = 1, the dual basis solved per complementary-degree
+    block as one exact linear system, the tensor square and the diagonal
+    class in it.
     """
 
     def __init__(self, algebra: DGAlgebra, n: int, epsilon: dict[int, Scalar]):
@@ -97,7 +97,20 @@ class PDAlgebra:
     @cached_property
     def square(self) -> TensorAlgebra:
         """The tensor square A (x) A, cached so diagonal data share a parent."""
-        return tensor(self.algebra, self.algebra, name=f"{self.algebra.name or 'A'}²")
+        return TensorAlgebra(self.algebra, self.algebra, name=f"{self.algebra.name or 'A'}²")
+
+    @cached_property
+    def diagonal(self) -> Element:
+        """The diagonal class diag = sum_i (-1)^|a_i| a_i (x) a_i* in
+        (A (x) A)^n, formed once."""
+        square = self.square
+        degs = self.algebra.basis.degrees
+        coeffs: dict[int, Scalar] = {}
+        for i, dual in enumerate(self.dual_basis):
+            sign = (-1) ** degs[i]
+            _accumulate(coeffs, ((square.pair_index(i, j), sign * c)
+                                 for j, c in dual.coeffs.items()))
+        return Element(square, coeffs)
 
     def __repr__(self) -> str:
         return f"PDAlgebra({self.algebra.name or '?'}, n={self.n})"
@@ -160,32 +173,6 @@ def check_pd(
     return pd
 
 
-def dual_basis(pd: PDAlgebra) -> tuple[Element, ...]:
-    return pd.dual_basis
-
-
-@dataclass(frozen=True)
-class DiagonalClass:
-    """The diagonal class as an element of the tensor square."""
-
-    element: Element
-
-    def __str__(self) -> str:
-        return str(self.element)
-
-
-def diagonal_class(pd: PDAlgebra) -> DiagonalClass:
-    """diag = sum_i (-1)^|a_i| a_i (x) a_i* in (A (x) A)^n."""
-    square = pd.square
-    degs = pd.algebra.basis.degrees
-    coeffs: dict[int, Scalar] = {}
-    for i in range(pd.algebra.dim()):
-        sign = (-1) ** degs[i]
-        _accumulate(coeffs, ((square.pair_index(i, j), sign * c)
-                             for j, c in pd.dual_basis[i].coeffs.items()))
-    return DiagonalClass(Element(square, coeffs))
-
-
 def algebra_as_square_module(pd: PDAlgebra) -> DGModule:
     """A as a module over A (x) A through the multiplication map:
     (e_i (x) e_j) . e_m = e_i e_j e_m."""
@@ -213,7 +200,7 @@ def shriek_map(pd: PDAlgebra) -> ModuleMap:
     square = pd.square
     source = desuspended_module(pd)
     target = ring_as_module(square)
-    diag = diagonal_class(pd).element.coeffs
+    diag = pd.diagonal.coeffs
     unit = pd.algebra.unit
     images = [Element(target, square.multiply_coeffs(diag, {square.pair_index(unit, a): 1}))
               for a in range(pd.algebra.dim())]

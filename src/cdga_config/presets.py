@@ -4,9 +4,10 @@ What is cached per process, in `_cache`: the verified duality structure of
 each preset, by name, and the packaged generator table document, parsed
 once, under a key that no preset name reaches. Data derived from a
 preset's algebra hang off it and are shared with it: the tensor square,
-the cone, its truncation with the generic model C(Xi) (every twist at
-once, `twisted.TruncatedCone`) and the equivalence ideal, the one owner
-of the system matrix, the projected generators and C(Xi)/I
+the diagonal class in it (`PDAlgebra.diagonal`), the cone, its
+truncation with the generic model C(Xi) (every twist at once,
+`twisted.TruncatedCone`) and the equivalence ideal, the one owner of the
+system matrix, the projected generators and C(Xi)/I
 (`twisted.EquivalenceIdeal`). The table
 document keeps the two family verdicts of `sullivan.classify_example`,
 which depend on the document alone, and its table over the parameters

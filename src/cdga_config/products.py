@@ -12,12 +12,15 @@ list 1(x)top before top(x)1, matching the usual diagonal-class notation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Optional
 
 from .algebra import DGAlgebra, Element, GradedBasis
 from .errors import CorrespondenceFailure, StructureError
 from .linalg import Scalar, _combine, _divide
+
+if TYPE_CHECKING:
+    from .poincare import PDAlgebra
 
 TENSOR = "⊗"
 
@@ -118,10 +121,6 @@ class TensorAlgebra(DGAlgebra):
         return Element(self, out)
 
 
-def tensor(a: DGAlgebra, b: DGAlgebra, *, name: str = "") -> TensorAlgebra:
-    return TensorAlgebra(a, b, name=name)
-
-
 def _is_unit_algebra(a: DGAlgebra) -> bool:
     return a.dim() == 1 and a.basis.degrees[0] == 0
 
@@ -139,7 +138,7 @@ def product_pd(c, b):
         return b
     if _is_unit_algebra(b.algebra):
         return c
-    ta = tensor(c.algebra, b.algebra)
+    ta = TensorAlgebra(c.algebra, b.algebra)
     n = c.n + b.n
     epsilon = {}
     for t in ta.basis.degree_indices(n):
@@ -158,12 +157,16 @@ class CorrespondenceReport:
     `sign` relates the shuffled tensor of the factor diagonals to the
     product diagonal: shuffle(diag_C (x) diag_B) = sign * diag_{C x B}.
     The sign is determined empirically per pair, never assumed.
+    `product` is the product duality algebra the comparison was made on,
+    as `product_pd` built it: the other factor when one factor is the
+    unit algebra.
     """
 
     sign: Scalar
     shuffle_multiplicative: bool
     quotient_betti_factors: list[int]
     quotient_betti_product: list[int]
+    product: PDAlgebra = field(compare=False, repr=False)
 
     @property
     def betti_agree(self) -> bool:
@@ -199,7 +202,6 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
     rational multiple of the product diagonal, and StructureError when the
     shuffle is not a signed permutation of the basis.
     """
-    from .poincare import diagonal_class
     from .quotients import ideal_span, quotient_dga
     from .twisted import quotient_by_diagonal
 
@@ -213,22 +215,17 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
             shuffle_multiplicative=True,
             quotient_betti_factors=betti,
             quotient_betti_product=list(betti),
+            product=survivor,
         )
 
     a = product_pd(c, b)
     cc = c.square
     bb = b.square
-    cc_bb = tensor(cc, bb)
+    cc_bb = TensorAlgebra(cc, bb)
     aa = a.square
 
-    diag_c = diagonal_class(c).element
-    diag_b = diagonal_class(b).element
-    diag_a = diagonal_class(a).element
-
-    # re-express the factor diagonals inside (C(x)C)(x)(B(x)B)
-    cc_elem = Element(cc, diag_c.coeffs)
-    bb_elem = Element(bb, diag_b.coeffs)
-    tensor_of_diagonals = cc_bb.tensor_elements(cc_elem, bb_elem)
+    diag_a = a.diagonal
+    tensor_of_diagonals = cc_bb.tensor_elements(c.diagonal, b.diagonal)
 
     rows = _shuffle_rows(cc_bb, aa)
     # each row must be one entry of 1 or -1, e_t -> eps_t f_sigma(t), with
@@ -267,4 +264,5 @@ def diagonal_correspondence(c, b) -> CorrespondenceReport:
         shuffle_multiplicative=multiplicative,
         quotient_betti_factors=q_factors.betti(top),
         quotient_betti_product=q_product.betti(top),
+        product=a,
     )

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .linalg import (Parameters, Scalar, _at_point, _columns, _combine, _projection, _residues,
                      invert, kernel_basis, row_space_basis, solve)
-from .poincare import PDAlgebra, diagonal_class
+from .poincare import PDAlgebra
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
 
@@ -312,9 +312,8 @@ def quotient_by_diagonal(pd: PDAlgebra) -> QuotientDGA:
         unit = square.basis.labels[square.unit]
         raise ZeroFormalDimension(f"formal dimension 0: the diagonal class is the unit {unit}, "
                                   "so the quotient by it would be zero")
-    diag = diagonal_class(pd).element
     return quotient_dga(
-        square, ideal_span(square, [diag]), name=f"{square.name}/(diag)"
+        square, ideal_span(square, [pd.diagonal]), name=f"{square.name}/(diag)"
     )
 
 
@@ -365,7 +364,7 @@ def _class_coordinates(space, k: int, vec_elem: Element,
     return coeffs[: len(reps)]
 
 
-def _cocycles_times_diagonal(pd: PDAlgebra, diag: Element) -> list[tuple[Element, Element]]:
+def _cocycles_times_diagonal(pd: PDAlgebra) -> list[tuple[Element, Element]]:
     """The pairs (z, z . diag), z running over the basis of the cocycles of
     degree n-2 of A (x) A that `cocycle_vectors` gives."""
     square = pd.square
@@ -373,7 +372,7 @@ def _cocycles_times_diagonal(pd: PDAlgebra, diag: Element) -> list[tuple[Element
     pairs = []
     for vec in cocycle_vectors(square, pd.n - 2):
         z = Element(square, {i: c for i, c in zip(idx, vec) if c})
-        pairs.append((z, square.multiply(z, diag)))
+        pairs.append((z, square.multiply(z, pd.diagonal)))
     return pairs
 
 
@@ -404,7 +403,7 @@ def phi(pd: PDAlgebra) -> PhiMap:
 
     # image of the diagonal ideal inside H^(2n-2)
     ideal_rows = []
-    for _, product in _cocycles_times_diagonal(pd, diagonal_class(pd).element):
+    for _, product in _cocycles_times_diagonal(pd):
         if product.is_zero():
             continue
         coords = _class_coordinates(square, deg_tgt, product, tgt_reps, tgt_cobs)
@@ -522,14 +521,13 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
     complement = tuple(square.basis_element(i) for i in idx_s if i not in pivots)
     complement_images = tuple(square.d(s) for s in complement)
 
-    diag = diagonal_class(pd).element
     diagonal_multiples = []
     for t in range(square.dim()):
         if square.basis.degrees[t] == 0:
             continue
-        product = square.multiply(square.basis_element(t), diag)
+        product = square.multiply(square.basis_element(t), pd.diagonal)
         if not product.is_zero():
-            diagonal_multiples.append(product)
+            diagonal_multiples.append(cone.include_base(product))
 
     positive_suspensions = []
     for b in range(pd.algebra.dim()):
@@ -539,7 +537,7 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
     vectors = (
         [cone.include_base(s) for s in complement]
         + [cone.include_base(ds) for ds in complement_images if not ds.is_zero()]
-        + [cone.include_base(m) for m in diagonal_multiples]
+        + diagonal_multiples
         + positive_suspensions
     )
     sub = Subcomplex(alg, vectors)
@@ -548,7 +546,7 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
     if not sub.is_acyclic():
         raise StructureError("equivalence ideal is not acyclic")
 
-    pairs = _cocycles_times_diagonal(pd, diag)
+    pairs = _cocycles_times_diagonal(pd)
     matrix = _columns([product.coeffs for _, product in pairs] + [square._diff[i] for i in idx_s],
                       square.basis.degree_indices(2 * n - 2))
     columns = ([("diag", z) for z, _ in pairs]
@@ -568,7 +566,7 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
         subcomplex=sub,
         cocycle_complement=complement,
         complement_images=complement_images,
-        diagonal_multiples=tuple(cone.include_base(m) for m in diagonal_multiples),
+        diagonal_multiples=tuple(diagonal_multiples),
         positive_suspensions=tuple(positive_suspensions),
         truncation=trunc,
         matrix=tuple(map(tuple, matrix)),
@@ -647,7 +645,7 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
             w = w + elem.scale(c)
         else:
             eta = eta + elem.scale(c)
-    if square.multiply(w, diagonal_class(pd).element) + square.d(eta) != difference:
+    if square.multiply(w, pd.diagonal) + square.d(eta) != difference:
         raise StructureError("decomposition verification failed")
 
     in_ideal = ideal.contains(ideal.truncation.cone.include_base(difference))

@@ -6,7 +6,8 @@ Run it from the repository root (the reports name the paths they were
 given) once per seed, then compare the directories of two seeds with
 `diff -r`. The warm and cold runs of one call, and the routes of one
 computation (instance, checked, sweep), must give equal files under one
-seed too; the workflow's hash-seed step compares those pairs.
+seed too: the script compares those pairs (`_EQUAL`) and exits 1, naming
+the pair, when two differ.
 
 Dict, set and guard iteration must not leak into any report or written
 file. Each output is written by a fresh Python process, so a "cold" output
@@ -87,6 +88,19 @@ def _outputs():
     ]
 
 
+# pairs of outputs that must be equal under one seed: warm against cold
+# runs, and the instance, checked and sweep routes against each other
+_EQUAL = [
+    ("classify-warm", "classify-family"),
+    ("classify-numeric-warm", "classify-numeric"),
+    ("cxi-warm", "cxi"),
+    ("decide-cold", "decide-warm"),
+    ("route-instance", "route-checked"),
+    ("table-instance", "table-sweep"),
+    ("table-instance", "table-checked"),
+]
+
+
 def warm_cli(first: list[str], second: list[str]) -> None:
     """Run the CLI on `first`, quietly, then exit with its run on `second`."""
     from cdga_config import cli
@@ -150,7 +164,9 @@ def route(which: str) -> None:
     _print_decisions(pd)
     model = build_cxi(pd, _twist(pd, -3, "2/5"))
     top = model.algebra.basis.max_degree()
-    print(json.dumps({"axioms": model.axioms.lines(),
+    axioms = [f"{c.axiom}: {'pass' if c.ok else 'FAIL'}" + (f"  [{c.witness}]" if c.witness else "")
+              for c in model.axioms.checks]
+    print(json.dumps({"axioms": axioms,
                       "mult": [[i, j, k, str(c)] for i, j, k, c in model.algebra.mult_entries()],
                       "betti": model.betti(top),
                       "fresh_betti": cohomology(model.algebra).betti_vector(top)},
@@ -186,7 +202,11 @@ def main(outdir: str) -> int:
             return 1
     for written in ("product.json", "product2.json"):
         shutil.move(written, out / written)
-    return 0
+    differ = [(a, b) for a, b in _EQUAL
+              if (out / f"{a}.json").read_bytes() != (out / f"{b}.json").read_bytes()]
+    for a, b in differ:
+        print(f"{a}.json and {b}.json differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

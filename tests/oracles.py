@@ -466,12 +466,11 @@ def oracle_decide_xi_equivalence(pd, xi, xi2):
     `test_cocycles_and_cohomology_match_oracle`), so that w is written in
     the same z."""
     from cdga_config.algebra import Element
-    from cdga_config.poincare import diagonal_class
     from cdga_config.twisted import equivalence_ideal
 
     square, n = pd.square, pd.n
     idx_tgt = square.basis.degree_indices(2 * n - 2)
-    diag = diagonal_class(pd).element
+    diag = pd.diagonal
     columns, parts = [], []
     idx_mid = square.basis.degree_indices(n - 2)
     for vec in oracle_cocycles(square, n - 2):

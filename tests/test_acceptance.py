@@ -16,7 +16,7 @@ from cdga_config.algebra import Element, check_cdga, cohomology
 from cdga_config.cli import main
 from cdga_config.cone import cone_model, even_model
 from cdga_config.errors import EvenDimensionNonzeroXi
-from cdga_config.poincare import desuspended_module, diagonal_class
+from cdga_config.poincare import desuspended_module
 from cdga_config.presets import preset_pd
 from cdga_config.products import diagonal_correspondence
 from cdga_config.sullivan import Exists, Obstructed, check_table, classify_example, iso_obstruction, s2xs3_table
@@ -154,7 +154,7 @@ def test_criterion_7_equivalence_ideal(capsys):
     xi2 = square.from_label_coeffs({f"xy{TENSOR}y": F(-1)})
     witness = decide_xi_equivalence(pd, xi, xi2)
     assert isinstance(witness, EquivalentWitness)
-    diag = diagonal_class(pd).element
+    diag = pd.diagonal
     assert square.multiply(witness.w, diag) + square.d(witness.eta) == xi - xi2
     y_one = square.tensor_elements(pd.algebra.from_label_coeffs({"y": 1}), pd.algebra.one())
     assert xi - xi2 == square.multiply(y_one, diag)

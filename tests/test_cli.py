@@ -539,6 +539,29 @@ def test_product_s2_s3(tmp_path, capsys, monkeypatch):
     assert same_structure(preset_pd("s2xs3").algebra, pd.algebra, relabel)
 
 
+def test_product_builds_the_product_algebra_once(tmp_path, capsys, monkeypatch):
+    """`product` writes the product that the diagonal correspondence was
+    checked on, so it builds and duality-checks it once."""
+    from cdga_config import cli, products
+
+    built = []
+    original = products.product_pd
+
+    def counting(c, b):
+        built.append(original(c, b))
+        return built[-1]
+
+    # wherever the name is bound, so that a call from either module counts
+    for module in (products, cli):
+        if getattr(module, "product_pd", None) is original:
+            monkeypatch.setattr(module, "product_pd", counting)
+    out_path = tmp_path / "prod.json"
+    code, _, _ = run_cli(capsys, "product", "s2", "s3", "--out", str(out_path))
+    assert code == 0
+    assert len(built) == 1
+    assert load_algebra_file(out_path)[0].basis.labels == built[0].algebra.basis.labels
+
+
 def test_product_unwritable_out_is_parse_error(tmp_path, capsys):
     out_path = tmp_path / "missing" / "dir" / "x.json"
     code, out, err = run_cli(capsys, "product", "s2", "s3", "--out", str(out_path))

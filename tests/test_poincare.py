@@ -1,20 +1,29 @@
 import random
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
 from cdga_config.algebra import DGAlgebra, Element, GradedBasis
+from cdga_config.cone import cone_model
 from cdga_config.errors import PDFailure
+from cdga_config.io import load_algebra_file
 from cdga_config.linalg import invert, kernel_basis
 from cdga_config.poincare import (
+    PDAlgebra,
     algebra_as_square_module,
     check_pd,
     desuspended_module,
-    diagonal_class,
-    dual_basis,
     shriek_map,
 )
-from cdga_config.presets import PRESET_NAMES, preset_pd
+from cdga_config.presets import PRESET_NAMES, preset_path, preset_pd
+from cdga_config.twisted import (
+    EquivalentWitness,
+    decide_xi_equivalence,
+    equivalence_ideal,
+    phi,
+    quotient_by_diagonal,
+)
 
 ALL = list(PRESET_NAMES)
 NONTRIVIAL = [n for n in ALL if n != "point"]
@@ -69,16 +78,16 @@ def test_check_pd_orientation_not_closed():
 
 
 def test_dual_basis_s2(s2):
-    duals = dual_basis(s2)
+    duals = s2.dual_basis
     assert [str(d) for d in duals] == ["x", "1"]
 
 
 def test_dual_basis_s3(s3):
-    assert [str(d) for d in dual_basis(s3)] == ["y", "1"]
+    assert [str(d) for d in s3.dual_basis] == ["y", "1"]
 
 
 def test_dual_basis_s2xs3_delta_table(s2xs3):
-    duals = dual_basis(s2xs3)
+    duals = s2xs3.dual_basis
     assert [str(d) for d in duals] == ["xy", "y", "x", "1"]
     # the defining Kronecker identity, verified directly
     alg = s2xs3.algebra
@@ -91,7 +100,7 @@ def test_dual_basis_s2xs3_delta_table(s2xs3):
 @pytest.mark.parametrize("name", ALL)
 def test_dual_basis_kronecker_all_presets(name):
     pd = preset_pd(name)
-    duals = dual_basis(pd)
+    duals = pd.dual_basis
     alg = pd.algebra
     for i in range(alg.dim()):
         for j in range(alg.dim()):
@@ -103,28 +112,57 @@ def test_dual_basis_kronecker_all_presets(name):
 
 
 def test_diagonal_s2xs3_expected_form(s2xs3):
-    assert str(diagonal_class(s2xs3)) == "1⊗xy + x⊗y - y⊗x - xy⊗1"
+    assert str(s2xs3.diagonal) == "1⊗xy + x⊗y - y⊗x - xy⊗1"
 
 
 def test_diagonal_s3(s3):
-    assert str(diagonal_class(s3)) == "1⊗y - y⊗1"
+    assert str(s3.diagonal) == "1⊗y - y⊗1"
 
 
 def test_diagonal_s2(s2):
-    assert str(diagonal_class(s2)) == "1⊗x + x⊗1"
+    assert str(s2.diagonal) == "1⊗x + x⊗1"
+
+
+def test_the_diagonal_is_formed_once_per_duality_structure(monkeypatch):
+    """Every construction on one duality structure reads its one cached
+    diagonal class."""
+    formed = []
+    original = PDAlgebra.diagonal.func
+
+    def counting(pd):
+        formed.append(pd)
+        return original(pd)
+
+    prop = cached_property(counting)
+    prop.__set_name__(PDAlgebra, "diagonal")
+    monkeypatch.setattr(PDAlgebra, "diagonal", prop)
+    algebra, n, epsilon, _ = load_algebra_file(preset_path("s2xs3"))
+    pd = check_pd(algebra, n, epsilon)
+    cone_model(pd)
+    quotient_by_diagonal(pd)
+    phi(pd)
+    equivalence_ideal(pd)
+
+    def twist(q, r):
+        return pd.square.from_label_coeffs({"y⊗xy": F(q), "xy⊗y": F(r)})
+
+    for xi, xi2 in ((twist("1/2", 0), twist("-3/2", -2)), (twist(0, 1), twist("7/3", "10/3"))):
+        assert isinstance(decide_xi_equivalence(pd, xi, xi2), EquivalentWitness)
+    assert formed == [pd]
+    assert pd.diagonal is pd.diagonal
 
 
 @pytest.mark.parametrize("name", NONTRIVIAL)
 def test_diagonal_is_cocycle(name):
     pd = preset_pd(name)
-    diag = diagonal_class(pd).element
+    diag = pd.diagonal
     assert pd.square.d(diag).is_zero()
 
 
 @pytest.mark.parametrize("name", NONTRIVIAL)
 def test_twist_symmetry(name):
     pd = preset_pd(name)
-    diag = diagonal_class(pd).element
+    diag = pd.diagonal
     assert pd.square.twist(diag) == diag.scale((-1) ** pd.n)
 
 
@@ -132,7 +170,7 @@ def test_twist_symmetry(name):
 def test_multiplication_into_diagonal_is_injective(name):
     pd = preset_pd(name)
     square = pd.square
-    diag = diagonal_class(pd).element
+    diag = pd.diagonal
     alg = pd.algebra
     for k in alg.basis.degrees_present():
         idx = alg.basis.degree_indices(k)
@@ -153,7 +191,7 @@ def test_top_degree_identity(name):
     # (a (x) 1) . diag = a (x) omega + omega (x) a for a of degree n-2
     pd = preset_pd(name)
     square = pd.square
-    diag = diagonal_class(pd).element
+    diag = pd.diagonal
     alg = pd.algebra
     for i in alg.basis.degree_indices(pd.n - 2):
         a = alg.basis_element(i)
@@ -236,10 +274,10 @@ def test_diagonal_class_basis_independent(name):
     # of basis and push it back to the original coordinates
     pd = preset_pd(name)
     rng = random.Random(11)
-    reference = diagonal_class(pd).element
+    reference = pd.diagonal
     for _ in range(3):
         changed, new_to_old = _change_fixing_unit(pd, rng)
-        diag2 = diagonal_class(changed).element
+        diag2 = changed.diagonal
         pushed = pd.square.zero()
         for t, c in diag2.coeffs.items():
             i, j = changed.square.factors_of(t)
@@ -277,7 +315,7 @@ def test_shriek_of_unit_is_diagonal(name):
     pd = preset_pd(name)
     f = shriek_map(pd)
     unit_idx = pd.algebra.unit
-    assert f.images[unit_idx].coeffs == diagonal_class(pd).element.coeffs
+    assert f.images[unit_idx].coeffs == pd.diagonal.coeffs
 
 
 @pytest.mark.parametrize("name", NONTRIVIAL)

@@ -5,9 +5,8 @@ import pytest
 from cdga_config import products
 from cdga_config.algebra import DGAlgebra, check_cdga, same_structure
 from cdga_config.errors import StructureError
-from cdga_config.poincare import dual_basis
 from cdga_config.presets import PRESET_NAMES, preset_pd
-from cdga_config.products import diagonal_correspondence, product_pd, tensor
+from cdga_config.products import TensorAlgebra, diagonal_correspondence, product_pd
 
 import oracles
 
@@ -19,7 +18,7 @@ PAIR_PRESETS = ["s2", "s3", "s4", "s5", "cp2"]
 def test_tensor_with_unit_factor(point=None):
     point = preset_pd("point")
     s2 = preset_pd("s2")
-    t = tensor(s2.algebra, point.algebra)
+    t = TensorAlgebra(s2.algebra, point.algebra)
     # isomorphic copy of the left factor with relabeled basis
     relabel = {"1": f"1{TENSOR}1", "x": f"x{TENSOR}1"}
     assert same_structure(s2.algebra, t, relabel)
@@ -35,13 +34,13 @@ def _squared():
 @pytest.mark.parametrize("spec", _squared())
 def test_tensor_squares_match_the_all_pairs_loop(spec):
     pd = preset_pd(spec) if isinstance(spec, str) else product_pd(*map(preset_pd, spec))
-    t = tensor(pd.algebra, pd.algebra)
+    t = TensorAlgebra(pd.algebra, pd.algebra)
     reference = DGAlgebra(t.basis, t.unit, oracles.naive_tensor_mult(t))
     assert t.mult_entries() == reference.mult_entries()
 
 
 def test_tensor_koszul_signs(s3):
-    square = tensor(s3.algebra, s3.algebra)
+    square = TensorAlgebra(s3.algebra, s3.algebra)
     y1 = square.from_label_coeffs({f"y{TENSOR}1": F(1)})
     oney = square.from_label_coeffs({f"1{TENSOR}y": F(1)})
     assert (y1 * y1).is_zero()
@@ -49,7 +48,7 @@ def test_tensor_koszul_signs(s3):
 
 
 def test_tensor_s2_s3_is_the_product_preset(s2, s3, s2xs3):
-    t = tensor(s2.algebra, s3.algebra)
+    t = TensorAlgebra(s2.algebra, s3.algebra)
     relabel = {
         "1": f"1{TENSOR}1",
         "x": f"x{TENSOR}1",
@@ -61,7 +60,7 @@ def test_tensor_s2_s3_is_the_product_preset(s2, s3, s2xs3):
 
 @pytest.mark.parametrize("left,right", [("s2", "s3"), ("s3", "s3"), ("cp2", "s2")])
 def test_tensor_passes_axioms(left, right):
-    t = tensor(preset_pd(left).algebra, preset_pd(right).algebra)
+    t = TensorAlgebra(preset_pd(left).algebra, preset_pd(right).algebra)
     assert check_cdga(t).all_pass
 
 
@@ -71,8 +70,8 @@ def test_tensor_passes_axioms(left, right):
 )
 def test_tensor_associative_up_to_relabeling(names):
     a, b, c = (preset_pd(n).algebra for n in names)
-    left = tensor(tensor(a, b), c)
-    right = tensor(a, tensor(b, c))
+    left = TensorAlgebra(TensorAlgebra(a, b), c)
+    right = TensorAlgebra(a, TensorAlgebra(b, c))
     relabel = {}
     for i in range(a.dim()):
         for j in range(b.dim()):
@@ -112,7 +111,7 @@ def test_dual_basis_of_product_is_signed_tensor_of_duals(left, right):
     c, b = preset_pd(left), preset_pd(right)
     product = product_pd(c, b)
     t = product.algebra
-    duals_c, duals_b = dual_basis(c), dual_basis(b)
+    duals_c, duals_b = c.dual_basis, b.dual_basis
     for idx in range(t.dim()):
         i, j = t.factors_of(idx)
         expected = t.tensor_elements(duals_c[i], duals_b[j])
@@ -137,6 +136,7 @@ def test_correspondence_s3_s3(s3):
     report = diagonal_correspondence(s3, s3)
     assert report.betti_agree
     assert report.shuffle_multiplicative
+    assert report.product.n == 6 and report.product.algebra.left is s3.algebra
 
 
 def test_correspondence_point_trivial(s2):
@@ -144,6 +144,7 @@ def test_correspondence_point_trivial(s2):
     report = diagonal_correspondence(s2, point)
     assert report.sign == 1
     assert report.betti_agree
+    assert report.product is s2
 
 
 PRESET_PAIRS = [(a, b) for i, a in enumerate(PAIR_PRESETS) for b in PAIR_PRESETS[i:]]

@@ -6,7 +6,6 @@ import pytest
 from cdga_config.algebra import DGAlgebra, GradedBasis, cocycle_vectors, cohomology
 from cdga_config.cone import cone_model, even_model
 from cdga_config.errors import MixedParents, StructureError
-from cdga_config.poincare import diagonal_class
 from cdga_config.presets import PRESET_NAMES, preset_pd
 from cdga_config.products import product_pd
 from cdga_config.quotients import Subcomplex, ideal_span, quotient_dga
@@ -66,7 +65,7 @@ def test_subcomplex_acyclic_two_stage():
 
 def test_subcomplex_reduce_is_canonical(s2xs3):
     square = s2xs3.square
-    diag = diagonal_class(s2xs3).element
+    diag = s2xs3.diagonal
     sub = Subcomplex(square, ideal_span(square, [diag]))
     reduced = sub.reduce(diag)
     assert reduced.is_zero()
@@ -97,7 +96,7 @@ def test_quotient_projection_section_identities(s2xs3):
         e = q.algebra.basis_element(i)
         assert q.project(q.lift(e)) == e
     # projection kills exactly the ideal
-    diag = diagonal_class(s2xs3).element
+    diag = s2xs3.diagonal
     assert q.project(q.ambient.multiply(
         q.ambient.basis_element(3), diag)).is_zero()
 
@@ -108,7 +107,7 @@ def test_quotient_product_well_defined(s2xs3):
     from cdga_config.twisted import quotient_by_diagonal
 
     q = quotient_by_diagonal(s2xs3)
-    diag = diagonal_class(s2xs3).element
+    diag = s2xs3.diagonal
     amb = q.ambient
     idx5 = [i for i, g in enumerate(q.kept) if amb.basis.degrees[g] == 5]
     assert idx5
@@ -162,7 +161,7 @@ def _check_against_oracle(space, vectors, sub, quotient=None, seed=0):
 def test_diagonal_ideal_matches_oracle(name):
     pd = preset_pd(name)
     square = pd.square
-    vectors = ideal_span(square, [diagonal_class(pd).element])
+    vectors = ideal_span(square, [pd.diagonal])
     # the diagonal of the point is its unit, so that ideal has no quotient
     quotient = quotient_by_diagonal(pd) if name != "point" else None
     sub = quotient.subspace if quotient is not None else Subcomplex(square, vectors)

@@ -39,8 +39,8 @@ def test_the_library_example_gives_the_values_in_its_comments():
     namespace = _run(block)
     comments = _comments(block)
     diagonal = "1⊗xy + x⊗y - y⊗x - xy⊗1"
-    assert comments["diag = cc.diagonal_class(pd)"] == diagonal
-    assert str(namespace["diag"].element) == diagonal
+    assert comments["diag = pd.diagonal"] == diagonal
+    assert str(namespace["diag"]) == diagonal
     assert comments["cone = cc.cone_model(pd)"].startswith("20-dimensional CDGA")
     assert namespace["cone"].algebra.dim() == 20
     betti = "cc.quotient_by_diagonal(pd).betti(10)"

@@ -8,7 +8,7 @@ import pytest
 from cdga_config.cone import cone_model
 from cdga_config.io import parse_element
 from cdga_config.linalg import _accumulate
-from cdga_config.poincare import diagonal_class, shriek_map
+from cdga_config.poincare import shriek_map
 from cdga_config.presets import PRESET_NAMES, preset_pd
 from cdga_config.products import diagonal_correspondence
 from cdga_config.sullivan import (AffineSystem, Exists, Obstructed, Poly, check_table,
@@ -50,7 +50,7 @@ def test_preset_constructions_store_canonical_scalars(name):
     for k in pd.algebra.basis.degrees_present():
         assert_canonical(matrix_scalars(pd._pairing_inverse(k)), "pairing inverse")
     assert_canonical(algebra_scalars(pd.square), "square")
-    assert_canonical(element_scalars([diagonal_class(pd).element]), "diagonal class")
+    assert_canonical(element_scalars([pd.diagonal]), "diagonal class")
 
     f = shriek_map(pd)
     assert_canonical(element_scalars(f.images), "shriek images")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 from fractions import Fraction as F
 
@@ -543,6 +544,41 @@ def test_poly_arithmetic():
     assert p.affine() is None
     assert (p.substitute({1: F(1)})).affine() == (F(2), {0: F(1)})
     assert not (p - p)
+
+
+def test_reordering_generators_takes_the_koszul_sign(s3):
+    """A product of free generators in any order is the sorted monomial
+    times (-1) to the number of inversions among odd generators; an odd
+    generator squares to zero and anticommutes with the odd y (x) 1."""
+    degrees = (1, 2, 3, 1)
+    table = GeneratorTable(base=s3.square, gens=tuple(zip("abce", degrees)),
+                           differentials=({},) * 4, target=None, evaluation=(), degree_cap=9)
+    unit = s3.square.unit
+
+    def koszul_sign(order):
+        """0 when an odd generator repeats."""
+        odd = [g for g in order if degrees[g] % 2]
+        if len(set(odd)) < len(odd):
+            return 0
+        inversions = sum(1 for i, j in itertools.combinations(range(len(order)), 2)
+                         if order[i] > order[j] and degrees[order[i]] % 2 and degrees[order[j]] % 2)
+        return (-1) ** inversions
+
+    for length in (2, 3):
+        for order in itertools.product(range(4), repeat=length):
+            sign = koszul_sign(order)
+            ordered = table.product(*map(table.gen_elt, sorted(order)))
+            assert ordered == ({(unit, tuple(sorted(order))): 1} if sign else {}), order
+            assert table.product(*map(table.gen_elt, order)) == {
+                mono: sign * c for mono, c in ordered.items()}, order
+    for g in (0, 2, 3):
+        assert table.product(table.gen_elt(g), table.gen_elt(g)) == {}
+    y_one = table.base_elt(s3.square.basis.index(f"y{TENSOR}1"))
+    for g, degree in enumerate(degrees):
+        sign = (-1) ** (degree * 3)
+        assert table.mul(table.gen_elt(g), y_one) == {
+            mono: sign * c for mono, c in table.mul(y_one, table.gen_elt(g)).items()}
+    assert table.mul(table.gen_elt(0), y_one) != table.mul(y_one, table.gen_elt(0))
 
 
 # --- the per-table memo of D on monomials -----------------------------------------

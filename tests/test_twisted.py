@@ -512,7 +512,7 @@ def test_c_of_x_rejects_non_cocycle():
     # the presets are formal, so fabricate a stand-in with d(a) = b; c_of_x
     # only touches n, the square and omega before the cocycle check fires
     from cdga_config.algebra import DGAlgebra, GradedBasis
-    from cdga_config.products import tensor
+    from cdga_config.products import TensorAlgebra
 
     basis = GradedBasis(["1", "a", "b"], [0, 3, 4])
     algebra = DGAlgebra(basis, 0, [(0, i, i, 1) for i in range(3)],
@@ -523,7 +523,7 @@ def test_c_of_x_rejects_non_cocycle():
 
     stub = Stub()
     stub.algebra = algebra
-    stub.square = tensor(algebra, algebra)
+    stub.square = TensorAlgebra(algebra, algebra)
     stub.omega = algebra.from_label_coeffs({"b": 1})
     with pytest.raises(NotACocycle):
         c_of_x(stub, algebra.from_label_coeffs({"a": 1}))
@@ -598,19 +598,13 @@ def test_decide_diagonal_pair_s2xs3(s2xs3):
     xi2 = square.from_label_coeffs({"xy⊗y": F(-1)})
     witness = decide_xi_equivalence(s2xs3, xi, xi2)
     assert isinstance(witness, EquivalentWitness)
-    diag_mult = square.multiply(witness.w, __diag(s2xs3))
+    diag_mult = square.multiply(witness.w, s2xs3.diagonal)
     assert diag_mult + square.d(witness.eta) == xi - xi2
     # the difference is exactly (y (x) 1) . diag
     y_one = square.tensor_elements(s2xs3.algebra.from_label_coeffs({"y": 1}), s2xs3.algebra.one())
-    assert xi - xi2 == square.multiply(y_one, __diag(s2xs3))
+    assert xi - xi2 == square.multiply(y_one, s2xs3.diagonal)
     assert witness.difference_in_ideal
     assert witness.quotients_isomorphic
-
-
-def __diag(pd):
-    from cdga_config.poincare import diagonal_class
-
-    return diagonal_class(pd).element
 
 
 def test_decide_distinct_classes_not_decided(s2xs3):
@@ -650,7 +644,7 @@ def _twist_pairs(draw):
                             for t in square.basis.degree_indices(pd.n - 2)})
         eta = square.element({t: draw(_COEFFICIENTS)
                               for t in square.basis.degree_indices(2 * pd.n - 3)})
-        xi2 = xi + square.multiply(w, __diag(pd)) + square.d(eta)
+        xi2 = xi + square.multiply(w, pd.diagonal) + square.d(eta)
     else:
         t = draw(_COEFFICIENTS.filter(bool))
         xi2 = xi + square.from_label_coeffs({"y⊗xy": t})
@@ -841,3 +835,27 @@ def test_fattened_sphere_has_the_invariants_of_s5(factor):
         fattened = product_pd(fattened, preset_pd(factor))
         sphere = product_pd(sphere, preset_pd(factor))
     assert _fm2_betti(fattened) == _fm2_betti(sphere)
+
+
+def test_a_twist_by_a_coboundary_is_decided_with_a_nonzero_eta():
+    """On E(5, 2), whose square has a nonzero d in degree 7, deciding 0
+    against de needs eta != 0: 0 - de = w . diag + d(eta) exactly, with
+    the per-twist route's w and eta."""
+    from cdga_config.presets import resolve_pd
+
+    pd = resolve_pd(E5_2)
+    square = pd.square
+    found = {}
+    for e in square.basis.degree_indices(7):
+        xi, xi2 = square.zero(), square.d(square.basis_element(e))
+        if xi2.is_zero():
+            continue
+        got = decide_xi_equivalence(pd, xi, xi2)
+        assert isinstance(got, EquivalentWitness)
+        assert square.multiply(got.w, pd.diagonal) + square.d(got.eta) == xi - xi2
+        assert not got.eta.is_zero()
+        assert got.difference_in_ideal and got.quotients_isomorphic
+        assert (got.w, got.eta) == oracle_decide_xi_equivalence(pd, xi, xi2)[:2]
+        found[square.basis.labels[e]] = (str(got.w), str(got.eta))
+    assert found == {"u⊗o": ("0", "-u⊗o"), "w⊗o": ("0", "-w⊗o"),
+                     "o⊗u": ("1⊗v", "-u⊗o"), "o⊗w": ("1⊗t", "-w⊗o")}
