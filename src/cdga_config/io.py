@@ -5,6 +5,8 @@ products with exact rational string coefficients ("p" or "p/q" with q
 nonzero, never floats), a sparse differential, an orientation functional
 on the top degree and a simply-connected flag. Omitted products are zero;
 products of the unit are implied by naming it and injected automatically.
+Both loaders read every field through `_field` and every basis label
+through `_label`, so a rejected document names its source and JSON path.
 
 Element expressions use rational coefficients, '*', '+', '-', the tensor
 symbol (ASCII fallback: "(x)" inside a parenthesized label) and
@@ -80,10 +82,24 @@ def parse_coeff(text: str) -> Scalar:
 # --- algebra files -----------------------------------------------------------
 
 
-def _require(data: dict, key: str, source: str):
-    if key not in data:
-        raise ParseError(f"{source}: missing field {key!r}")
-    return data[key]
+def _field(obj, key: str, source: str, path: str = ""):
+    """Field `key` of the JSON object at `path` (by default the top level,
+    whose fields are named `'key'`); a ParseError names the path when
+    `obj` is not an object or lacks the key."""
+    if key not in _of_type(obj, dict, path, source):
+        raise ParseError(f"{source}: missing field {f'{path}.{key}' if path else repr(key)}")
+    return obj[key]
+
+
+def _label(basis: GradedBasis, value, path: str, source: str) -> int:
+    """The index of the basis label at `path` (a JSON string); an unknown
+    label is a ParseError naming the path and the label."""
+    label = _string(value, path, source)
+    try:
+        return basis.index(label)
+    except StructureError:
+        raise ParseError(f"{source}: {path} names no basis element: "
+                         f"{json.dumps(label, ensure_ascii=False)}") from None
 
 
 def _of_type(value, kind: type, path: str, source: str):
@@ -101,12 +117,12 @@ def _string(value, path: str, source: str) -> str:
     return value
 
 
-def _coefficient(value, path: str, source: str, names=()) -> _Coeff:
-    """The coefficient string at `path` (see `_coeff_term`); a ParseError
-    names the path."""
+def _parsed(parse, value, path: str, source: str, names=()):
+    """`parse(text, names)` of the JSON string at `path` (`_coeff_term` or
+    `_element_terms`); a ParseError names the path."""
     text = _string(value, path, source)
     try:
-        return _coeff_term(text, names)
+        return parse(text, names)
     except ParseError as exc:
         raise ParseError(f"{source}: {path}: {exc}") from None
 
@@ -127,49 +143,37 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     if not isinstance(data, dict):
         raise ParseError(f"{source}: top level must be an object")
     name = _string(data.get("name", ""), "name", source)
-    n = _integer(_require(data, "formal_dimension", source), "formal_dimension", source)
+    n = _integer(_field(data, "formal_dimension", source), "formal_dimension", source)
     if n < 0:
         raise ParseError(f"{source}: formal_dimension must be a non-negative integer")
-    basis_items = _require(data, "basis", source)
+    basis_items = _field(data, "basis", source)
     if not isinstance(basis_items, list) or not basis_items:
         raise ParseError(f"{source}: basis must be a non-empty list")
-    pairs = []
+    degrees = {}
     for pos, item in enumerate(basis_items):
-        try:
-            label, degree = item["label"], item["degree"]
-        except (KeyError, TypeError):
-            raise ParseError(f"{source}: each basis item needs a label and a degree") from None
-        pairs.append((_string(label, f"basis[{pos}].label", source),
-                      _integer(degree, f"basis[{pos}].degree", source)))
-    try:
-        basis = GradedBasis.build(pairs)
-    except StructureError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
-
-    unit_label = _string(_require(data, "unit", source), "unit", source)
-    try:
-        unit = basis.index(unit_label)
-    except StructureError as exc:
-        raise ParseError(f"{source}: {exc}") from exc
+        at = f"basis[{pos}]"
+        label = _string(_field(item, "label", source, at), f"{at}.label", source)
+        degree = _integer(_field(item, "degree", source, at), f"{at}.degree", source)
+        if degree < 0:
+            raise ParseError(f"{source}: {at}.degree must be non-negative, got {degree}")
+        if label in degrees:
+            raise ParseError(f"{source}: {at}.label repeats an earlier label: "
+                             f"{json.dumps(label, ensure_ascii=False)}")
+        degrees[label] = degree
+    basis = GradedBasis.build(degrees.items())
+    unit = _label(basis, _field(data, "unit", source), "unit", source)
 
     mult = []
     for pos, entry in enumerate(_of_type(data.get("products", []), list, "products", source)):
-        try:
-            left = basis.index(_string(entry["left"], f"products[{pos}].left", source))
-            right = basis.index(_string(entry["right"], f"products[{pos}].right", source))
-            result = entry["result"]
-        except (KeyError, TypeError):
-            raise ParseError(f"{source}: malformed product entry") from None
-        except StructureError as exc:
-            raise ParseError(f"{source}: {exc}") from exc
-        for k, term in enumerate(_of_type(result, list, f"products[{pos}].result", source)):
-            try:
-                target = basis.index(_string(term["label"], f"products[{pos}].result[{k}].label",
-                                             source))
-                text = term["coeff"]
-            except (KeyError, TypeError, StructureError) as exc:
-                raise ParseError(f"{source}: malformed product term: {exc}") from None
-            coeff, _ = _coefficient(text, f"products[{pos}].result[{k}].coeff", source)
+        at = f"products[{pos}]"
+        left = _label(basis, _field(entry, "left", source, at), f"{at}.left", source)
+        right = _label(basis, _field(entry, "right", source, at), f"{at}.right", source)
+        result = _of_type(_field(entry, "result", source, at), list, f"{at}.result", source)
+        for k, term in enumerate(result):
+            here = f"{at}.result[{k}]"
+            target = _label(basis, _field(term, "label", source, here), f"{here}.label", source)
+            coeff, _ = _parsed(_coeff_term, _field(term, "coeff", source, here), f"{here}.coeff",
+                               source)
             mult.append((left, right, target, coeff))
     # the unit multiplies as the identity; these rows are implied
     for i in range(len(basis)):
@@ -178,18 +182,13 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     diff = []
     for pos, entry in enumerate(_of_type(data.get("differential", []), list, "differential",
                                          source)):
-        try:
-            src = basis.index(_string(entry["from"], f"differential[{pos}].from", source))
-            dst = basis.index(_string(entry["to"], f"differential[{pos}].to", source))
-            text = entry["coeff"]
-        except (KeyError, TypeError, StructureError) as exc:
-            raise ParseError(f"{source}: malformed differential entry: {exc}") from None
-        coeff, _ = _coefficient(text, f"differential[{pos}].coeff", source)
+        at = f"differential[{pos}]"
+        src = _label(basis, _field(entry, "from", source, at), f"{at}.from", source)
+        dst = _label(basis, _field(entry, "to", source, at), f"{at}.to", source)
+        coeff, _ = _parsed(_coeff_term, _field(entry, "coeff", source, at), f"{at}.coeff", source)
         diff.append((src, dst, coeff))
 
-    flags = data.get("flags", {})
-    if not isinstance(flags, dict):
-        raise ParseError(f"{source}: flags must be an object, got {json.dumps(flags)}")
+    flags = _of_type(data.get("flags", {}), dict, "flags", source)
     simply_connected = flags.get("simply_connected", False)
     if type(simply_connected) is not bool:
         raise ParseError(f"{source}: flags.simply_connected must be a boolean, "
@@ -203,16 +202,13 @@ def load_algebra_data(data: dict, source: str = "<data>") -> tuple[DGAlgebra, in
     except StructureError as exc:
         raise ParseError(f"{source}: {exc}") from exc
 
-    orientation = _require(data, "orientation", source)
+    orientation = _field(data, "orientation", source)
     if not isinstance(orientation, dict) or not orientation:
         raise ParseError(f"{source}: orientation must be a non-empty object")
     epsilon = {}
     for label, coeff in orientation.items():
-        try:
-            idx = basis.index(label)
-        except StructureError as exc:
-            raise ParseError(f"{source}: bad orientation entry: {exc}") from None
-        epsilon[idx], _ = _coefficient(coeff, f"orientation[{json.dumps(label)}]", source)
+        idx = _label(basis, label, "orientation", source)
+        epsilon[idx], _ = _parsed(_coeff_term, coeff, f"orientation[{json.dumps(label)}]", source)
         if basis.degrees[idx] != n:
             raise ParseError(f"{source}: orientation entry {label!r} is not in degree {n}")
     return algebra, n, epsilon, {"simply_connected": simply_connected}
@@ -420,13 +416,17 @@ def _at_values(linear: _Linear, values: Mapping[str, object]) -> dict:
     return total
 
 
-def _resolve(algebra: DGAlgebra, terms: list[_Term]) -> _Linear:
+def _resolve(algebra: DGAlgebra, terms: list[_Term], path=None, source="") -> _Linear:
     """The element with these terms, its labels looked up in the
-    algebra's basis (None is the unit)."""
+    algebra's basis (None is the unit). An unknown label is a ParseError
+    naming `path` in the document `source` (`_label`), or, with no path
+    (an expression given on the command line), an ExpressionParseError."""
     resolved = []
     for coeff, label in terms:
         if label is None:
             idx = algebra.unit
+        elif path is not None:
+            idx = _label(algebra.basis, label, path, source)
         else:
             try:
                 idx = algebra.basis.index(label)
@@ -583,33 +583,32 @@ def parse_table_file(path: str | Path) -> TableDocument:
     for pos, name in enumerate(declared):
         _string(name, f"parameters[{pos}]", source)
 
-    pd = resolve_pd(_string(_require(data, "algebra", source), "algebra", source),
+    pd = resolve_pd(_string(_field(data, "algebra", source), "algebra", source),
                     relative_to=path.parent)
     square = pd.square
-    xi = _element_terms(_string(_require(data, "xi", source), "xi", source), declared)
+    xi = _parsed(_element_terms, _field(data, "xi", source), "xi", source, declared)
+    xi = _resolve(square, xi, "xi", source)
 
-    cap = _integer(_require(data, "degree_cap", source), "degree_cap", source)
+    cap = _integer(_field(data, "degree_cap", source), "degree_cap", source)
     gens = []
-    for pos, item in enumerate(_of_type(_require(data, "generators", source), list,
+    for pos, item in enumerate(_of_type(_field(data, "generators", source), list,
                                         "generators", source)):
-        try:
-            label, degree = item["label"], item["degree"]
-        except (KeyError, TypeError):
-            raise ParseError(f"{source}: each generator needs a label and a degree") from None
-        at = f"generators[{pos}].degree"
-        degree = _integer(degree, at, source)
+        at = f"generators[{pos}]"
+        label = _string(_field(item, "label", source, at), f"{at}.label", source)
+        degree = _integer(_field(item, "degree", source, at), f"{at}.degree", source)
         if not 0 < degree <= cap:
-            raise ParseError(f"{source}: {at} must lie in 1..degree_cap = {cap}, got {degree}")
-        gens.append((_string(label, f"generators[{pos}].label", source), degree))
+            raise ParseError(f"{source}: {at}.degree must lie in 1..degree_cap = {cap}, "
+                             f"got {degree}")
+        gens.append((label, degree))
     gen_index = {label: g for g, (label, _) in enumerate(gens)}
 
-    values = _of_type(_require(data, "evaluation", source), dict, "evaluation", source)
+    values = _of_type(_field(data, "evaluation", source), dict, "evaluation", source)
     evaluation = []
     for label, _ in gens:
         at = f"evaluation[{json.dumps(label)}]"
         if label not in values:
             raise ParseError(f"{source}: missing field {at}")
-        evaluation.append(_element_terms(_string(values[label], at, source), declared))
+        evaluation.append((at, _parsed(_element_terms, values[label], at, source, declared)))
 
     # a table without differentials multiplies the terms' factors
     table = GeneratorTable(
@@ -623,7 +622,7 @@ def parse_table_file(path: str | Path) -> TableDocument:
     )
 
     differentials = []
-    table_diffs = _of_type(_require(data, "differentials", source), dict, "differentials", source)
+    table_diffs = _of_type(_field(data, "differentials", source), dict, "differentials", source)
     for label in table_diffs:
         if label not in gen_index:
             raise ParseError(f"{source}: differentials[{json.dumps(label)}] names no generator")
@@ -632,7 +631,8 @@ def parse_table_file(path: str | Path) -> TableDocument:
         terms = []
         for pos, term in enumerate(_of_type(table_diffs.get(label, []), list, at, source)):
             term = _of_type(term, dict, f"{at}[{pos}]", source)
-            coeff = _coefficient(term.get("coeff", "1"), f"{at}[{pos}].coeff", source, declared)
+            coeff = _parsed(_coeff_term, term.get("coeff", "1"), f"{at}[{pos}].coeff", source,
+                            declared)
             factors = []
             for k, g in enumerate(_of_type(term.get("gens", []), list, f"{at}[{pos}].gens", source)):
                 if type(g) is not str or g not in gen_index:
@@ -640,12 +640,9 @@ def parse_table_file(path: str | Path) -> TableDocument:
                                      f"got {json.dumps(g)}")
                 factors.append(table.gen_elt(gen_index[g]))
             base = _string(term.get("base", ""), f"{at}[{pos}].base", source)
-            base_label = base.replace("(x)", TENSOR)
-            if base_label:
-                try:
-                    factors.append(table.base_elt(square.basis.index(base_label)))
-                except StructureError as exc:
-                    raise ParseError(f"{source}: {exc}") from None
+            if base:
+                factors.append(table.base_elt(_label(square.basis, base.replace("(x)", TENSOR),
+                                                     f"{at}[{pos}].base", source)))
             # each factor is a single monomial
             term_degree = sum(table.monomial_degree(mono) for factor in factors for mono in factor)
             if term_degree != degree + 1:
@@ -655,8 +652,8 @@ def parse_table_file(path: str | Path) -> TableDocument:
         differentials.append(_linear(terms))
     # every C(xi) has the truncation's basis (`twisted.TruncatedCone.instance`)
     target = truncate_cone(cone_model(pd)).algebra
-    return TableDocument(source, declared, pd, _resolve(square, xi),
-                         tuple(_resolve(target, terms) for terms in evaluation),
+    return TableDocument(source, declared, pd, xi,
+                         tuple(_resolve(target, terms, at, source) for at, terms in evaluation),
                          tuple(differentials), table)
 
 

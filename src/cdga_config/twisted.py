@@ -87,19 +87,20 @@ class TruncatedCone:
         return self.quotient.algebra
 
     def instance(self, xi: Element) -> tuple[DGAlgebra, bool]:
-        """C(xi), the truncation with (S1)^2 the projection of xi
-        (`DGAlgebra.with_square`, unchecked beyond the entries of that
-        row), and whether it is the verified C(Xi) at X_t = xi_t. xi's
-        coefficients are rationals, or rational functions of one
-        `Parameters`. The comparison is exact: C(xi) has C(Xi)'s basis,
-        unit and rows of d, every product row but (S1, S1) is equal to
-        C(Xi)'s (the same object, as both come from `with_square` on the
-        truncation; `_same_but_square`), and its (S1, S1) row is C(Xi)'s
-        evaluated at xi."""
+        """C(xi), the truncation with (S1)^2 the image of xi under
+        `base_rows` (`DGAlgebra.with_square`, unchecked beyond the
+        entries of that row), and whether it is the verified C(Xi) at
+        X_t = xi_t. xi's coefficients are rationals, or rational
+        functions of one `Parameters`. The comparison is exact: C(xi) has
+        C(Xi)'s basis, unit and rows of d, every product row but (S1, S1)
+        is equal to C(Xi)'s (the same object, as both come from
+        `with_square` on the truncation; `_same_but_square`), and its
+        (S1, S1) row is C(Xi)'s evaluated at xi."""
+        if xi.parent is not self.cone.ring:
+            raise StructureError("element does not live in the ring")
         name = f"C({'0' if xi.is_zero() else 'xi'}) over {self.cone.pd.algebra.name or 'A'}"
         generic, s1 = self.generic, self.s1_index
-        model = self.algebra.with_square(
-            s1, self.quotient.project(self.cone.include_base(xi)).coeffs, name=name)
+        model = self.algebra.with_square(s1, _combine(xi.coeffs, self.base_rows), name=name)
         return model, (self.verified and _same_but_square(model, generic, s1)
                        and model._mult[s1][s1] == self.at(generic._mult[s1][s1], xi))
 
@@ -188,8 +189,8 @@ class TwistedModel:
     algebra and the cone, the index of S1, and the shared `base_rows`
     that realise the map from the tensor square (projection on the
     algebra part, zero on the suspension), verified multiplicative by
-    `build_cxi`; and the Betti vector, which is this model's (see
-    `betti`).
+    `build_cxi`, which give (S1)^2 as the image of xi (see `instance`);
+    and the Betti vector, which is this model's (see `betti`).
     """
 
     trunc: TruncatedCone

@@ -1,4 +1,5 @@
-"""Write the outputs that must not depend on the hash seed, one file each.
+"""Write the outputs that must not depend on the hash seed, one file each,
+with what the output's process wrote to stdout and then to stderr.
 
     PYTHONPATH=src PYTHONHASHSEED=1 python tests/hashseed_outputs.py OUTDIR
 
@@ -85,6 +86,11 @@ def _outputs():
         # the 256-dim factor square: the largest shuffle and quotients
         ("product2-report",
          _cli("product", "s2xs3", "s3xs4", "--out", "product2.json", "--json"), 0),
+        # two rejected documents, whose messages name the file and the
+        # JSON path: an unknown label in a product entry, and an unknown
+        # base in a differential term of a generator table
+        ("reject-algebra", _cli("check", "tests/data/unknown_product_label.json"), 1),
+        ("reject-table", _program("table_document", "tests/data/unknown_base_table.json"), 1),
     ]
 
 
@@ -108,6 +114,18 @@ def warm_cli(first: list[str], second: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(first) == 0
     sys.exit(cli.main(second))
+
+
+def table_document(path: str) -> None:
+    """Parse the table document at `path`; a rejected one exits 1 with
+    its message on stderr, as the CLI prints a parse error."""
+    from cdga_config.errors import ParseError
+    from cdga_config.io import parse_table_file
+
+    try:
+        parse_table_file(path)
+    except ParseError as exc:
+        sys.exit(f"parse error: {exc}")
 
 
 def _twist(pd, q, r):
@@ -196,7 +214,7 @@ def main(outdir: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, command, status in _outputs():
         with open(out / f"{name}.json", "wb") as sink:
-            code = subprocess.run(command, stdout=sink).returncode
+            code = subprocess.run(command, stdout=sink, stderr=subprocess.STDOUT).returncode
         if code != status:
             print(f"{name}: exit status {code}, expected {status}", file=sys.stderr)
             return 1

@@ -1,8 +1,9 @@
 """Fuzzing of the input boundary: whatever coefficient, expression or
 document structure a user supplies, `cli.main` ends with one of the
 documented exit statuses (0 success, 1 parse error, 2 failed check,
-3 precondition) and never lets an exception escape. Calls run in-process;
-no subprocess per example."""
+3 precondition) and never lets an exception escape, and a malformed entry
+of an algebra or table document is a parse error that names its JSON
+path. Calls run in-process; no subprocess per example."""
 
 import contextlib
 import io
@@ -13,14 +14,22 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdga_config.cli import main
-from cdga_config.presets import PRESET_NAMES, preset_path
+from cdga_config.errors import ParseError
+from cdga_config.io import parse_table_file
+from cdga_config.presets import PRESET_NAMES, preset_path, table_preset_path
 
 STATUSES = {0, 1, 2, 3}
 
 
 def run_quietly(argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+    return run_capturing(argv)[0]
+
+
+def run_capturing(argv) -> tuple[int, str]:
+    """The exit status of `main(argv)` and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
 
 
 # --- coefficients in preset documents ------------------------------------------
@@ -107,11 +116,12 @@ WITH_DIFFERENTIAL = {
 }
 STRUCTURED = {"s2xs3": DOCUMENTS["s2xs3"], "l3": WITH_DIFFERENTIAL}
 
-# (owner, field): a top-level field, or a field of the first product or
-# differential entry
+# (owner, field): a top-level field, a field of the first product or
+# differential entry, or (field None) that entry itself
+ENTRY_KEYS = {"products": ("left", "right", "result"), "differential": ("from", "to", "coeff")}
 FIELDS = ([(None, key) for key in WITH_DIFFERENTIAL]
-          + [("products", key) for key in ("left", "right", "result")]
-          + [("differential", key) for key in ("from", "to", "coeff")])
+          + [(owner, key) for owner, keys in ENTRY_KEYS.items() for key in keys]
+          + [(owner, None) for owner in ENTRY_KEYS])
 DROP = object()
 replacements = st.one_of(
     st.just(DROP), st.none(), st.booleans(), st.integers(-3, 3),
@@ -147,9 +157,20 @@ def with_repeated_field(doc, owner, key, value) -> str:
 @example(name="l3", field=("products", "result"), value=7, repeat=False)
 @example(name="l3", field=(None, "formal_dimension"), value=4, repeat=True)
 @example(name="s2xs3", field=("products", "left"), value="x", repeat=True)
+@example(name="s2xs3", field=("products", "left"), value=DROP, repeat=False)
+@example(name="l3", field=("products", "right"), value=DROP, repeat=False)
+@example(name="s2xs3", field=("products", "result"), value=DROP, repeat=False)
+@example(name="l3", field=("differential", "from"), value=DROP, repeat=False)
+@example(name="l3", field=("differential", "to"), value=DROP, repeat=False)
+@example(name="l3", field=("differential", "coeff"), value=DROP, repeat=False)
+@example(name="s2xs3", field=("products", None), value="x", repeat=False)
+@example(name="l3", field=("differential", None), value=[1], repeat=False)
 def test_mutated_structure_ends_in_a_documented_status(workdir, name, field, value, repeat):
-    """The field is replaced, dropped, or, with `repeat`, written a second
-    time after the original: a repeated key is always a parse error."""
+    """The field, or the first entry itself, is replaced, dropped, or,
+    with `repeat`, written a second time after the original: a repeated
+    key is always a parse error. A dropped field of the first product or
+    differential entry is a parse error that names the field's path, and
+    an entry replaced by anything else is one that names the entry."""
     doc = json.loads(json.dumps(STRUCTURED[name]))
     owner, key = field
     if owner is not None:
@@ -163,12 +184,21 @@ def test_mutated_structure_ends_in_a_documented_status(workdir, name, field, val
         path.write_text(with_repeated_field(doc, owner, key, value), encoding="utf-8")
         assert run_quietly(["check", str(path)]) == 1
         return
-    if value is DROP:
+    if key is None and value is DROP:
+        del doc[owner][0]
+    elif key is None:
+        doc[owner][0] = value
+    elif value is DROP:
         target.pop(key, None)
     else:
         target[key] = value
     path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
-    assert run_quietly(["check", str(path)]) in STATUSES
+    status, err = run_capturing(["check", str(path)])
+    assert status in STATUSES
+    if owner is not None and key is not None and value is DROP:
+        assert status == 1 and f"missing field {owner}[0].{key}" in err
+    elif owner is not None and key is None and value is not DROP:
+        assert status == 1 and f"{owner}[0]" in err
 
 
 # --- basis items and orientation keys ----------------------------------------------
@@ -222,3 +252,36 @@ def test_renamed_orientation_keys_end_in_a_documented_status(workdir, name, comm
     new = data.draw(st.one_of(st.sampled_from(labels), st.text(max_size=3)))
     doc["orientation"] = {new if k == old else k: v for k, v in doc["orientation"].items()}
     assert run_on_document(workdir, doc, command) in STATUSES
+
+
+# --- generators of a table document ------------------------------------------------
+
+TABLE = json.loads(table_preset_path().read_text(encoding="utf-8"))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(item=st.integers(0, len(TABLE["generators"]) - 1),
+       key=st.sampled_from(["label", "degree", None]), value=replacements)
+@example(item=0, key="label", value=DROP)
+@example(item=6, key="degree", value=DROP)
+@example(item=3, key=None, value=4)
+def test_a_mutated_generator_is_named_by_its_path(workdir, item, key, value):
+    """A generator of the packaged table document loses its label or its
+    degree (`key`), or is replaced by something else (`key` None): the
+    parse error names the document and the generator's path."""
+    doc = json.loads(json.dumps(TABLE))
+    at = f"generators[{item}]"
+    if key is None:
+        assume(value is not DROP)
+        doc["generators"][item] = value
+    else:
+        del doc["generators"][item][key]
+    path = workdir / "table-edit.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        parse_table_file(path)
+    if key is None:
+        assert str(info.value).startswith(f"{path}: ") and at in str(info.value)
+    else:
+        assert str(info.value) == f"{path}: missing field {at}.{key}"

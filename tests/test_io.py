@@ -367,3 +367,126 @@ def test_table_loader_rejects_a_repeated_key(tmp_path, first, repeated, key):
         load_table_file(doc, {"q": F(1), "r": F(0)})
     assert str(info.value) == f"{doc}: repeated key {json.dumps(key)}"
 
+
+
+def entries_doc():
+    """A document with one product entry, one result term and one
+    differential entry, at whose fields the cases below aim."""
+    return minimal_doc(
+        formal_dimension=3,
+        basis=[{"label": "1", "degree": 0}, {"label": "a", "degree": 1},
+               {"label": "b", "degree": 2}, {"label": "ab", "degree": 3}],
+        products=[{"left": "a", "right": "b", "result": [{"label": "ab", "coeff": "1"}]}],
+        differential=[{"from": "a", "to": "b", "coeff": "1"}],
+        orientation={"ab": "1"}, flags={"simply_connected": False})
+
+
+def test_the_entries_document_loads():
+    algebra, n, _, _ = load_algebra_data(entries_doc(), "doc")
+    assert n == 3 and algebra.dim() == 4
+
+
+_DROP = object()
+
+
+def _set(path, value):
+    """An edit that sets the item at `path` (keys and indices) to `value`,
+    or deletes it when `value` is `_DROP`."""
+    def edit(doc):
+        *parents, last = path
+        for step in parents:
+            doc = doc[step]
+        if value is _DROP:
+            del doc[last]
+        else:
+            doc[last] = value
+    return edit
+
+
+_REJECTED_ALGEBRA_DOCUMENTS = {
+    "basis-item": (_set(["basis", 1], 5), "basis[1] must be an object, got 5"),
+    "basis-label-missing": (_set(["basis", 1, "label"], _DROP), "missing field basis[1].label"),
+    "basis-degree-missing": (_set(["basis", 2, "degree"], _DROP),
+                             "missing field basis[2].degree"),
+    "negative-degree": (_set(["basis", 1, "degree"], -1),
+                        "basis[1].degree must be non-negative, got -1"),
+    "repeated-label": (_set(["basis", 2, "label"], "a"),
+                       'basis[2].label repeats an earlier label: "a"'),
+    "product-entry": (_set(["products", 0], "a*b"), 'products[0] must be an object, got "a*b"'),
+    "product-left-missing": (_set(["products", 0, "left"], _DROP),
+                             "missing field products[0].left"),
+    "product-right-missing": (_set(["products", 0, "right"], _DROP),
+                              "missing field products[0].right"),
+    "product-result-missing": (_set(["products", 0, "result"], _DROP),
+                               "missing field products[0].result"),
+    "result-term": (_set(["products", 0, "result", 0], 5),
+                    "products[0].result[0] must be an object, got 5"),
+    "result-label-missing": (_set(["products", 0, "result", 0, "label"], _DROP),
+                             "missing field products[0].result[0].label"),
+    "result-coeff-missing": (_set(["products", 0, "result", 0, "coeff"], _DROP),
+                             "missing field products[0].result[0].coeff"),
+    "differential-entry": (_set(["differential", 0], ["a", "b"]),
+                           'differential[0] must be an object, got ["a", "b"]'),
+    "differential-from-missing": (_set(["differential", 0, "from"], _DROP),
+                                  "missing field differential[0].from"),
+    "differential-to-missing": (_set(["differential", 0, "to"], _DROP),
+                                "missing field differential[0].to"),
+    "differential-coeff-missing": (_set(["differential", 0, "coeff"], _DROP),
+                                   "missing field differential[0].coeff"),
+    "unknown-unit": (_set(["unit"], "one"), 'unit names no basis element: "one"'),
+    "unknown-left": (_set(["products", 0, "left"], "c"),
+                     'products[0].left names no basis element: "c"'),
+    "unknown-right": (_set(["products", 0, "right"], "c"),
+                      'products[0].right names no basis element: "c"'),
+    "unknown-result-label": (_set(["products", 0, "result", 0, "label"], "a⊗b"),
+                             'products[0].result[0].label names no basis element: "a⊗b"'),
+    "unknown-from": (_set(["differential", 0, "from"], "c"),
+                     'differential[0].from names no basis element: "c"'),
+    "unknown-to": (_set(["differential", 0, "to"], "c"),
+                   'differential[0].to names no basis element: "c"'),
+    "unknown-orientation-key": (_set(["orientation"], {"c": "1"}),
+                                'orientation names no basis element: "c"'),
+}
+
+
+@pytest.mark.parametrize("edit, message", _REJECTED_ALGEBRA_DOCUMENTS.values(),
+                         ids=_REJECTED_ALGEBRA_DOCUMENTS.keys())
+def test_a_rejected_algebra_document_names_the_json_path(edit, message):
+    doc = entries_doc()
+    edit(doc)
+    with pytest.raises(ParseError) as info:
+        load_algebra_data(doc, "doc")
+    assert str(info.value) == f"doc: {message}"
+
+
+_REJECTED_TABLE_DOCUMENTS = {
+    "generator": (_set(["generators", 3], 6), "generators[3] must be an object, got 6"),
+    "generator-label-missing": (_set(["generators", 0, "label"], _DROP),
+                                "missing field generators[0].label"),
+    "generator-degree-missing": (_set(["generators", 6, "degree"], _DROP),
+                                 "missing field generators[6].degree"),
+    "unknown-base": (_set(["differentials", "h", 0, "base"], "1(x)z"),
+                     'differentials["h"][0].base names no basis element: "1⊗z"'),
+    "unknown-xi-label": (_set(["xi"], "q*(y(x)xy) + r*(y(x)z)"),
+                         'xi names no basis element: "y⊗z"'),
+    "unknown-evaluation-label": (_set(["evaluation", "h"], "2*(Sz)"),
+                                 'evaluation["h"] names no basis element: "Sz"'),
+    "malformed-xi": (_set(["xi"], "q*(y(x)xy"), "xi: unbalanced parenthesis at position 2"),
+    "malformed-evaluation": (_set(["evaluation", "u"], "1/0*(S1)"),
+                             "evaluation[\"u\"]: zero denominator in '1/0'"),
+}
+
+
+@pytest.mark.parametrize("edit, message", _REJECTED_TABLE_DOCUMENTS.values(),
+                         ids=_REJECTED_TABLE_DOCUMENTS.keys())
+def test_a_rejected_table_document_names_the_json_path(tmp_path, edit, message):
+    from cdga_config.io import parse_table_file
+    from cdga_config.presets import table_preset_path
+
+    data = json.loads(table_preset_path().read_text(encoding="utf-8"))
+    edit(data)
+    doc = tmp_path / "table.json"
+    doc.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        parse_table_file(doc)
+    assert str(info.value) == f"{doc}: {message}"

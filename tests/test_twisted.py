@@ -105,6 +105,24 @@ def test_truncation_preserves_betti(name):
     assert cohomology(trunc.algebra).betti_vector(top) == cohomology(cone.algebra).betti_vector(top)
 
 
+@pytest.mark.parametrize("name", ["s2", "s4", "cp2", "s2*s2"])
+def test_the_even_model_is_the_even_truncation(name):
+    """In even formal dimension the quotient of `even_model` and that of
+    `truncate_cone` are one algebra: the same kept cone elements, labels,
+    product rows and rows of d."""
+    from cdga_config.cone import even_model
+    from cdga_config.products import product_pd
+
+    s2 = preset_pd("s2")
+    pd = product_pd(s2, s2) if name == "s2*s2" else preset_pd(name)
+    even = even_model(pd).quotient
+    trunc = truncate_cone(cone_model(pd)).quotient
+    assert even.kept == trunc.kept
+    assert even.algebra.basis.labels == trunc.algebra.basis.labels
+    assert even.algebra._mult == trunc.algebra._mult
+    assert even.algebra._diff == trunc.algebra._diff
+
+
 # --- the twisted family ---------------------------------------------------------
 
 
