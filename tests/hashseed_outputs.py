@@ -80,6 +80,9 @@ def _outputs():
         ("check-e5_2", _cli("check", "tests/data/e5_2.json", "--json"), 0),
         ("betti-e5_2", _cli("betti-fm2", "tests/data/e5_2.json", "--json"), 0),
         ("check-e5_2-leibniz", _cli("check", "tests/data/e5_2_leibniz.json", "--json"), 2),
+        # cp2 (x) cp2 with one product of two non-generators doubled, which
+        # exits 2 with the associativity witness of the sweep over every tuple
+        ("check-doubled", _cli("check", "tests/data/cp2xcp2_doubled.json", "--json"), 2),
         ("diagonal", _cli("diagonal", "cp2", "--json"), 0),
         # a relative --out keeps `written_to` the same under both seeds
         ("product-report", _cli("product", "s2xs3", "cp2", "--out", "product.json", "--json"), 0),

@@ -39,6 +39,9 @@ FRACTIONAL_LEIBNIZ = str(DATA / "s2xs3_fractional_leibniz.json")
 # flips the sign of v*w, which breaks the Leibniz rule at (u, w)
 E5_2 = str(DATA / "e5_2.json")
 E5_2_LEIBNIZ = str(DATA / "e5_2_leibniz.json")
+# the product cp2 (x) cp2 with x^2(x)1 * 1(x)x^2 doubled: a product of two
+# basis elements that are not generators, which breaks associativity
+DOUBLED = str(DATA / "cp2xcp2_doubled.json")
 PRODUCT_OUT = "product.json"
 
 def _cases():
@@ -74,6 +77,7 @@ def _cases():
         ("cxi_e5_2", ["cxi", E5_2, "--xi=0"], 0),
         ("check_e5_2_leibniz", ["check", E5_2_LEIBNIZ], 2),
         ("product_e5_2_s2", ["product", E5_2, "s2", "--out", PRODUCT_OUT], 0),
+        ("check_cp2xcp2_doubled", ["check", DOUBLED], 2),
     ]
     return cases
 
