@@ -18,6 +18,7 @@ from .algebra import (
     DGAlgebra,
     Element,
     GradedBasis,
+    betti_vector,
     check_cdga,
     cohomology,
 )

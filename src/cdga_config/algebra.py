@@ -9,11 +9,13 @@ sign again. The one commutativity failure that survives this is a nonzero
 square of an odd generator, which `check_cdga` reports with the offending
 pair as witness.
 
-Axiom verification covers every basis tuple whose products can be
-nonzero, walking degree blocks on the raw product and differential tables
-(see `check_cdga`); failures are report entries, never exceptions.
-Cohomology is computed degree by degree with deterministic representatives,
-by the elimination that also counts a subcomplex's Betti numbers.
+Axiom verification walks degree blocks on the raw product and
+differential tables, over a generating set where its lemma applies and
+else over every basis tuple whose products can be nonzero (see
+`check_cdga`); failures are report entries, never exceptions. Betti
+numbers are read off the ranks of the blocks of d (`betti_vector`), and
+cohomology with deterministic representatives is computed degree by degree
+for the callers that read them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import MixedParents, NotAComplex, StructureError
 from .linalg import (RationalFunction, Scalar, _accumulate, _columns, _combine, _exact,
                      _first_not_squaring_to_zero, _negated, _reduce, _residues,
-                     kernel_basis, row_space_basis)
+                     kernel_basis, row_space_basis, rref)
 
 Coeffs = dict[int, Scalar]
 
@@ -330,8 +332,7 @@ class DGAlgebra:
             for j, b in y.items():
                 row = rows[j]
                 if row:
-                    ab = a * b
-                    _accumulate(out, ((k, ab * c) for k, c in row.items()))
+                    _accumulate(out, row.items(), a * b)
         return out
 
     def d_basis(self, i: int) -> Coeffs:
@@ -414,7 +415,7 @@ class AxiomReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, covered_r, covered_m):
+def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, first, covered_m):
     """The first failing tuple of each action axiom of a ring on a module.
 
     The ring has products `rows[i][j]` = e_i e_j (as `DGAlgebra._mult`),
@@ -431,6 +432,14 @@ def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, covered_r, covered_
 
     A ring acting on itself has `act` = `rows` and `diff` = `rdiff`.
 
+    `first` lists, in increasing order, the ring indices visited as r1 of
+    an associativity triple and as r of a Leibniz pair; r2 and m range
+    over every index. A caller that lists every ring index, or every
+    one but a covered unit (see below), gets the first failures of a sweep
+    over all tuples. `check_cdga` lists a generating set instead, shows by
+    its lemma that the tuples left out cannot fail when the restricted
+    ones pass, and sweeps again with every index when they do not.
+
     Associativity and Leibniz pass over tuples whose two sides are equal,
     so each first failure is the one a sweep over all tuples finds. Both
     sides are zero:
@@ -446,30 +455,32 @@ def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, covered_r, covered_
     - on a Leibniz pair with e_r . e_m = 0, d e_r = 0 and d e_m = 0.
 
     Both sides are equal on a tuple with a unit factor once the unit row
-    passed. The caller passes the unit as `covered_r` only if the ring's
-    unit row is {r: 1} for every r, and as `covered_m` only if the module
-    is the ring itself; else as -1, which matches no index. With the
-    module's unit check passed as well, a triple with the unit as r1 or r2
-    has both sides e_r2 . e_m or e_r1 . e_m (e_r1 * 1 = 1 * e_r1: the
-    algebra constructor derives one from the other with sign +1), and one
-    ending in the unit has both sides e_r1 e_r2. A Leibniz pair with a
-    unit factor has both sides d(e_m) or d(e_r) only if d(1) = 0 as well.
+    passed. The caller leaves the unit out of `first` only if the ring's
+    unit row is {r: 1} for every r and d(1) = 0; r2 then passes over the
+    unit as well. It passes the unit as `covered_m` only if the module is
+    the ring itself; else -1, which matches no index. With the module's
+    unit check passed as well, a triple with the unit as r1 or r2 has both
+    sides e_r2 . e_m or e_r1 . e_m (e_r1 * 1 = 1 * e_r1: the algebra
+    constructor derives one from the other with sign +1), and one ending
+    in the unit has both sides e_r1 e_r2. A Leibniz pair with a unit
+    factor has both sides d(e_m) or d(e_r) only if d(1) = 0 as well. When
+    the module's unit check fails, every index is visited in every
+    position.
     """
     n = len(degs)
     top, low = (degs[-1], degs[0]) if degs else (0, 0)
     unit_failure = next((m for m in range(n) if act[unit][m] != {m: 1}), None)
     if unit_failure is not None:
-        covered_r = covered_m = -1
+        first, covered_m = range(len(rows)), -1
+    covered_r = -1 if unit in first else unit
     # act_t[m][r] = e_r . e_m: the action on e_m as a map of the ring
     act_t = [list(column) for column in zip(*act)]
     # partners[t]: the module indices m with e_t . e_m != 0
     partners = [[m for m, row in enumerate(act_rows) if row] for act_rows in act]
 
     def associativity():
-        for r1, products in enumerate(rows):
-            if r1 == covered_r:
-                continue
-            act1 = act[r1]
+        for r1 in first:
+            products, act1 = rows[r1], act[r1]
             # bisect_right(degs, d) is the number of indices of degree at most d
             for r2 in range(bisect_right(rdegs, top - rdegs[r1] - low)):
                 if r2 == covered_r:
@@ -488,12 +499,10 @@ def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, covered_r, covered_
         return None
 
     def leibniz():
-        skip_r, skip_m = (-1, -1) if rdiff[unit] else (covered_r, covered_m)
+        skip_m = -1 if rdiff[unit] else covered_m
         negated = _negated(diff)
-        for r, act_r in enumerate(act):
-            if r == skip_r:
-                continue
-            dr = rdiff[r]
+        for r in first:
+            act_r, dr = act[r], rdiff[r]
             signed = negated if rdegs[r] % 2 else diff
             for m in range(bisect_right(degs, top - 1 - rdegs[r])):
                 if m == skip_m or not act_r[m] and not dr and not diff[m]:
@@ -506,8 +515,47 @@ def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, covered_r, covered_
     return unit_failure, associativity(), _first_not_squaring_to_zero(diff), leibniz()
 
 
+def _generating_set(a: DGAlgebra) -> Optional[list[int]]:
+    """The generating set S of `check_cdga`'s lemma, in increasing index
+    order, or None when A^0 is not Q.1 or d(1) != 0.
+
+    S is chosen greedily by degree: a basis element e_i of degree k > 0
+    joins S when the products e_s e_j with s already in S and
+    |e_j| = k - |e_s| > 0 do not span it. A product with one term
+    c e_t covers e_t directly; the rows with more terms, read modulo the
+    covered elements, go through one `rref`, and the elements of degree k
+    that are neither covered nor pivots join S. A row that holds a
+    `RationalFunction` is left out of the test, so the products of
+    rational rows span A^k, over Q and over the field of rational
+    functions alike, and so at every point of a family.
+    """
+    basis, mult, degs = a.basis, a._mult, a.basis.degrees
+    if basis.degree_indices(0) != (a.unit,) or a._diff[a.unit]:
+        return None
+    gens: list[int] = []
+    for k in basis.degrees_present()[1:]:
+        covered, rows = set(), []
+        for s in gens:
+            products = mult[s]
+            for j in basis.degree_indices(k - degs[s]):
+                row = products[j]
+                if len(row) == 1:
+                    (t, c), = row.items()
+                    if type(c) is not RationalFunction:
+                        covered.add(t)
+                elif row and all(type(c) is not RationalFunction for c in row.values()):
+                    rows.append(row)
+        rest = [i for i in basis.degree_indices(k) if i not in covered]
+        if rows and rest:
+            pivots = set(rref([[row.get(i, 0) for i in rest] for row in rows], len(rest))[1])
+            rest = [i for c, i in enumerate(rest) if c not in pivots]
+        gens += rest
+    return gens
+
+
 def check_cdga(a: DGAlgebra) -> AxiomReport:
-    """CDGA axiom check over every basis tuple whose terms can be nonzero.
+    """CDGA axiom check, on a generating set where its lemma applies and
+    else over every basis tuple whose terms can be nonzero.
 
     Verifies the unit, graded commutativity, associativity, d squared zero
     and the Leibniz rule; each failing axiom reports its first failing
@@ -515,22 +563,63 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     table of basis products and the rows of d, without building elements.
 
     All but graded commutativity are the axioms of A as a dg-module over
-    itself, checked by `_action_sweep` on A's own tables with the unit
-    covering every position; its docstring gives the argument for the
-    tuples it passes over. Graded commutativity needs no sweep: the
-    constructor derives the product of (e_j, e_i) from the one of
-    (e_i, e_j) with the Koszul sign, so for i < j the comparison is an
-    identity. Only a pair (e_i, e_i) with |e_i| odd can fail, and it fails
-    exactly when e_i^2 != 0; only those squares are compared.
+    itself, checked by `_action_sweep` on A's own tables; its docstring
+    gives the argument for the tuples it passes over. Graded commutativity
+    needs no sweep: the constructor derives the product of (e_j, e_i) from
+    the one of (e_i, e_j) with the Koszul sign, so for i < j the
+    comparison is an identity. Only a pair (e_i, e_i) with |e_i| odd can
+    fail, and it fails exactly when e_i^2 != 0; only those squares are
+    compared.
+
+    The generator lemma. Premises: A^0 = Q.1, d(1) = 0, the unit row
+    passed (1 e_x = e_x, and e_x 1 = e_x by construction), and S is a set
+    of basis elements of positive degree such that for every k > 0, A^k
+    is spanned by the products e_s e_j with s in S and |e_j| = k - |e_s|,
+    e_j the unit included (`_generating_set`). Then
+
+    - if (e_s e_x) e_y = e_s (e_x e_y) for every s in S and all x, y, A is
+      associative;
+    - if A is associative and d(e_s e_x) = d(e_s) e_x + (-1)^|e_s| e_s d(e_x)
+      for every s in S and all x, the Leibniz rule holds on every pair.
+
+    Proof, by induction on |a| for a in A, both sides being linear in a.
+    For |a| = 0, a = c.1 and both identities hold by the unit and
+    d(1) = 0. For |a| > 0, a is a sum of terms s a' with s in S and
+    |a'| < |a|, so it suffices to take a = s a'. Associativity:
+    ((s a') x) y = (s (a' x)) y = s ((a' x) y) = s (a' (x y)) = (s a')(x y),
+    using the hypothesis on s three times and the induction on a' once.
+    Leibniz: d((s a') x) = d(s (a' x)) = ds a' x + (-1)^|s| s d(a' x), and
+    d(a' x) = da' x + (-1)^|a'| a' dx by induction; this is
+    (ds a' + (-1)^|s| s da') x + (-1)^(|s|+|a'|) s a' dx
+    = d(s a') x + (-1)^|a| (s a') dx, by associativity and the rule on s.
+
+    So `check_cdga` sweeps associativity and Leibniz with r1 and r in S
+    only. It falls back to the sweep over every index when A^0 != Q.1 or
+    d(1) != 0 (no S is formed), when the unit row fails, or when any
+    restricted tuple fails. A restricted sweep that passes thus shows what
+    the full sweep would, and every failure is reported by the full sweep:
+    every report and every witness is the full sweep's.
 
     Entries may be symbolic: with a `linalg.RationalFunction` entry the
     sweep runs over the field of rational functions, where a comparison
     passes only if it holds identically in the symbols
-    (`twisted.TruncatedCone` checks a whole family this way).
+    (`twisted.TruncatedCone` checks a whole family this way). S is formed
+    from rational rows only, so the lemma holds over that field too.
     """
     labels, degs, pair, drows = a.basis.labels, a.basis.degrees, a._mult, a._diff
-    unit, assoc, dd, leibniz = _action_sweep(pair, pair, drows, drows, degs, degs,
-                                             a.unit, a.unit, a.unit)
+    n = len(degs)
+
+    def sweep(first):
+        return _action_sweep(pair, pair, drows, drows, degs, degs, a.unit, first, a.unit)
+
+    gens = _generating_set(a)
+    found = None if gens is None else sweep(gens)
+    # the lemma stands only if the unit and every restricted tuple passed;
+    # d squared is checked on every index by either sweep
+    if found is None or (found[0], found[1], found[3]) != (None, None, None):
+        # the unit's tuples are covered only when d(1) = 0
+        found = sweep(range(n) if drows[a.unit] else [r for r in range(n) if r != a.unit])
+    unit, assoc, dd, leibniz = found
 
     def witness(index_tuple):
         return None if index_tuple is None else f"({', '.join(labels[i] for i in index_tuple)})"
@@ -591,20 +680,58 @@ def _coboundaries_and_cocycles(diff: Sequence[Mapping[int, Scalar]],
     return out
 
 
-def cohomology(space: DGAlgebra) -> CohomologyReport:
-    """Cohomology of a finite cochain complex with deterministic
-    representatives, reduced against the coboundary basis.
+def _betti_numbers(diff: Sequence[Mapping[int, Scalar]],
+                   indices: Mapping[int, Sequence[int]]) -> dict[int, int]:
+    """b_k = dim C^k - rank d_k - rank d_(k-1) in every degree k of a
+    cochain complex given by its rows of d (the `DGAlgebra._diff` layout)
+    and each degree's basis indices, with one `rref` per block of d: the
+    nonzero rows of d out of degree k, read at the indices of degree k+1.
+    When d squares to zero this is dim ker d_k - dim im d_(k-1)."""
+    ranks = {}
+    for k, idx in indices.items():
+        images = [diff[i] for i in idx if diff[i]]
+        target = indices.get(k + 1, ())
+        ranks[k] = len(rref([[row.get(t, 0) for t in target] for row in images],
+                            len(target))[1]) if images else 0
+    return {k: len(idx) - ranks[k] - ranks.get(k - 1, 0) for k, idx in sorted(indices.items())}
 
-    `space` is any DGAlgebra: algebras, cones and quotient algebras all
-    qualify. Raises NotAComplex when d squared is nonzero. The cocycles of
-    `_coboundaries_and_cocycles` are reduced modulo its coboundaries.
-    """
+
+def _require_complex(space: DGAlgebra) -> None:
+    """Raise NotAComplex, with the first basis element whose d^2 is
+    nonzero, unless d squares to zero."""
     basis = space.basis
     i = _first_not_squaring_to_zero(space._diff)
     if i is not None:
         dd_coeffs = space.d_coeffs(space._diff[i])
         witness_terms = ", ".join(f"{c}*{basis.labels[k]}" for k, c in sorted(dd_coeffs.items()))
         raise NotAComplex(basis.degrees[i], (basis.labels[i], witness_terms))
+
+
+def betti_vector(space: DGAlgebra, up_to: Optional[int] = None) -> list[int]:
+    """The Betti numbers of `space` in degrees 0 to `up_to` (by default its
+    top degree), read off the ranks of d (`_betti_numbers`): the vector
+    `cohomology(space).betti_vector(up_to)` gives, without cocycles or
+    representatives. Raises NotAComplex when d squared is nonzero."""
+    _require_complex(space)
+    basis = space.basis
+    betti = _betti_numbers(space._diff, basis._by_degree)
+    if up_to is None:
+        up_to = basis.max_degree()
+    return [betti.get(k, 0) for k in range(up_to + 1)]
+
+
+def cohomology(space: DGAlgebra) -> CohomologyReport:
+    """Cohomology of a finite cochain complex with deterministic
+    representatives, reduced against the coboundary basis, for callers
+    that read the representatives; `betti_vector` gives the Betti numbers
+    alone.
+
+    `space` is any DGAlgebra: algebras, cones and quotient algebras all
+    qualify. Raises NotAComplex when d squared is nonzero. The cocycles of
+    `_coboundaries_and_cocycles` are reduced modulo its coboundaries.
+    """
+    basis = space.basis
+    _require_complex(space)
 
     # a degree without basis elements has no cohomology
     report = {k: DegreeCohomology(0, (), ()) for k in range(max(basis.degrees, default=-1) + 1)}

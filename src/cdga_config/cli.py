@@ -33,7 +33,7 @@ from itertools import groupby
 from pathlib import Path
 
 from . import __version__
-from .algebra import Element, check_cdga, cohomology
+from .algebra import Element, betti_vector, check_cdga
 from .cone import cone_model
 from .errors import CdgaError, ExpressionParseError, ParseError, PDFailure
 from .io import load_algebra_file, parse_coeff, parse_element, write_pd_file
@@ -148,7 +148,7 @@ def cmd_betti_fm2(args) -> tuple[dict, list[str]]:
     pd, fragment = _load_checked(args.file)
     cone = cone_model(pd)
     top = cone.algebra.basis.max_degree()
-    cone_betti = cohomology(cone.algebra).betti_vector(top)
+    cone_betti = betti_vector(cone.algebra, top)
     quotient = quotient_by_diagonal(pd)
     quotient_betti = quotient.betti(top)
     rows = []

@@ -100,11 +100,14 @@ class DGModule:
         ring = self.ring
         act, diff, unit = self._action, self._diff, ring.unit
         rows = ring._mult
-        covered_r = unit if all(row == {r: 1} for r, row in enumerate(rows[unit])) else -1
+        # every ring index, less the unit where its tuples are covered
+        every = range(len(rows))
+        if all(row == {r: 1} for r, row in enumerate(rows[unit])) and not ring._diff[unit]:
+            every = [r for r in every if r != unit]
         covered_m = unit if act == rows and diff == ring._diff else -1
         unit_failure, assoc, dd, leibniz = _action_sweep(
             rows, act, ring._diff, diff, ring.basis.degrees, self.basis.degrees,
-            unit, covered_r, covered_m)
+            unit, every, covered_m)
         rlabels, labels = ring.basis.labels, self.basis.labels
         if unit_failure is not None:
             raise StructureError(f"unit does not act as identity on {labels[unit_failure]}")

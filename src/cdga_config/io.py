@@ -401,7 +401,7 @@ def _linear(terms: Iterable[tuple[_Coeff, dict]]) -> _Linear:
     coefficients' parameters."""
     out: _Linear = {}
     for (factor, name), coeffs in terms:
-        _accumulate(out.setdefault(name, {}), ((k, factor * c) for k, c in coeffs.items()))
+        _accumulate(out.setdefault(name, {}), coeffs.items(), factor)
     return out
 
 
@@ -411,8 +411,7 @@ def _at_values(linear: _Linear, values: Mapping[str, object]) -> dict:
     total = dict(linear.get(None, ()))
     for name, coeffs in linear.items():
         if name is not None:
-            value = values[name]
-            _accumulate(total, ((k, value * c) for k, c in coeffs.items()))
+            _accumulate(total, coeffs.items(), values[name])
     return total
 
 
@@ -591,6 +590,7 @@ def parse_table_file(path: str | Path) -> TableDocument:
 
     cap = _integer(_field(data, "degree_cap", source), "degree_cap", source)
     gens = []
+    gen_index = {}
     for pos, item in enumerate(_of_type(_field(data, "generators", source), list,
                                         "generators", source)):
         at = f"generators[{pos}]"
@@ -599,8 +599,11 @@ def parse_table_file(path: str | Path) -> TableDocument:
         if not 0 < degree <= cap:
             raise ParseError(f"{source}: {at}.degree must lie in 1..degree_cap = {cap}, "
                              f"got {degree}")
+        if label in gen_index:
+            raise ParseError(f"{source}: {at}.label repeats an earlier label: "
+                             f"{json.dumps(label, ensure_ascii=False)}")
+        gen_index[label] = len(gens)
         gens.append((label, degree))
-    gen_index = {label: g for g, (label, _) in enumerate(gens)}
 
     values = _of_type(_field(data, "evaluation", source), dict, "evaluation", source)
     evaluation = []

@@ -4,8 +4,8 @@ Everything downstream (cohomology, dual bases, quotients, the obstruction
 solver) reduces to one elimination, reduced row echelon form, and what is
 read off it: kernel bases, row-space bases and their residue tables,
 linear solves and inverses. A rank is the number of pivots of `rref`;
-Betti numbers are counted where cohomology is computed
-(`algebra._coboundaries_and_cocycles`). Matrices are small (a few hundred
+Betti numbers are read off the ranks of the blocks of d
+(`algebra._betti_numbers`). Matrices are small (a few hundred
 columns per degree at most), so rational Gauss-Jordan elimination on dense
 rows is the tool; no floats anywhere.
 
@@ -77,12 +77,17 @@ def _divide(a: Scalar, b: Scalar) -> Scalar:
 # the public API does not wrap the innermost loops of the package.
 
 
-def _accumulate(out: dict, terms: Iterable[tuple[object, object]]) -> dict:
-    """Add (key, value) terms into the sparse dict `out` in place, dropping
-    keys whose value cancels to zero; returns `out`. Values may be any
-    exact ring elements, such as scalars or solver polynomials; an
-    integral Fraction is stored as its int (see `Scalar`)."""
+def _accumulate(out: dict, terms: Iterable[tuple[object, object]], factor=1) -> dict:
+    """Add `factor` times each (key, value) term into the sparse dict `out`
+    in place, dropping keys whose value cancels to zero; returns `out`.
+    `factor * row` is `_accumulate(out, row.items(), factor)`, with no
+    scaled term built apart. Values and the factor may be any exact ring
+    elements, such as scalars or solver polynomials; an integral Fraction
+    is stored as its int (see `Scalar`)."""
+    scaled = factor != 1
     for key, value in terms:
+        if scaled:
+            value = factor * value
         old = out.get(key)
         if old is not None:
             value = old + value
@@ -106,7 +111,7 @@ def _combine(coeffs: dict, rows, out: Optional[dict] = None) -> dict:
     for m, c in coeffs.items():
         row = rows[m]
         if row:
-            _accumulate(out, ((t, c * v) for t, v in row.items()))
+            _accumulate(out, row.items(), c)
     return out
 
 

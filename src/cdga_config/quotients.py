@@ -1,5 +1,6 @@
 """Quotients of graded algebras by homogeneous subspaces, and graded
-subcomplexes whose Betti numbers come from `cohomology`'s elimination.
+subcomplexes whose Betti numbers are read off the ranks of d
+(`algebra._betti_numbers`).
 
 Every quotient in the pipeline (by the diagonal ideal, by the acyclic
 ideal of the even-dimensional model, by the top truncation, by the
@@ -20,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import (Coeffs, DGAlgebra, Element, GradedBasis, _coboundaries_and_cocycles,
-                      cohomology)
+from .algebra import Coeffs, DGAlgebra, Element, GradedBasis, _betti_numbers, betti_vector
 from .errors import MixedParents, StructureError
 from .linalg import Scalar, _combine, _projection, _reduce, _residues, row_space_basis
 
@@ -95,9 +95,8 @@ class Subcomplex:
                 self._diff.append({j: image[t] for t, j in position.items() if t in image})
 
     def betti(self) -> dict[int, int]:
-        """dim ker d_k - rank d_(k-1) in every degree k the subcomplex spans."""
-        per_degree = _coboundaries_and_cocycles(self._diff, self._indices)
-        return {k: len(cocycles) - len(cob_rows) for k, (cob_rows, cocycles) in per_degree.items()}
+        """dim - rank d_k - rank d_(k-1) in every degree k the subcomplex spans."""
+        return _betti_numbers(self._diff, self._indices)
 
     def is_acyclic(self) -> bool:
         return all(b == 0 for b in self.betti().values())
@@ -147,7 +146,7 @@ class QuotientDGA:
         return Element(self.ambient, {self.kept[q]: c for q, c in elem.coeffs.items()})
 
     def betti(self, up_to: Optional[int] = None) -> list[int]:
-        return cohomology(self.algebra).betti_vector(up_to)
+        return betti_vector(self.algebra, up_to)
 
 
 def quotient_dga(ambient: DGAlgebra, vectors: Sequence[Element], *, name: str = "") -> QuotientDGA:

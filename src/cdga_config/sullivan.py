@@ -101,7 +101,7 @@ class AffineSystem:
             factor = held.get(pivot)
             if factor:
                 del held[pivot]
-                _accumulate(held, ((w, factor * c) for w, c in residue.items()))
+                _accumulate(held, residue.items(), factor)
                 consts[v] = _exact(consts[v] + factor * const)
                 if not held:
                     newly.append((v, consts[v]))
@@ -276,7 +276,7 @@ class GeneratorTable:
         base, table differentials on the generators."""
         out: FreeElt = {}
         for mono, c in x.items():
-            _accumulate(out, ((k, c * v) for k, v in self.monomial_d(mono).items()))
+            _accumulate(out, self.monomial_d(mono).items(), c)
         return out
 
     def monomial_d(self, mono: Monomial) -> FreeElt:
@@ -296,7 +296,7 @@ class GeneratorTable:
             right: FreeElt = {(self.base.unit, gens[p + 1:]): 1}
             term = self.mul(self.mul(left, self.differentials[g]), right)
             s = sign * (-1) ** sum(self.gen_degree(h) for h in gens[:p])
-            _accumulate(out, ((k, s * v) for k, v in term.items()))
+            _accumulate(out, term.items(), s)
         return out
 
     def apply_images(self, x: FreeElt, images: Sequence[FreeElt], lift=None) -> FreeElt:
@@ -350,7 +350,7 @@ class GeneratorTable:
         for image in self._unknowns.images:
             half: FreeElt = {}
             for mono, unknown in image.items():
-                _accumulate(half, ((k, unknown * -v) for k, v in self.monomial_d(mono).items()))
+                _accumulate(half, self.monomial_d(mono).items(), -unknown)
             halves.append(half)
         return halves
 

@@ -19,6 +19,7 @@ from .algebra import (
     Coeffs,
     DGAlgebra,
     Element,
+    betti_vector,
     check_cdga,
     cohomology,
     cocycle_vectors,
@@ -149,8 +150,8 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     if not quotient.subspace.is_acyclic():
         raise StructureError("the truncated part is not acyclic")
     top = alg.basis.max_degree()
-    cone_betti = cohomology(alg).betti_vector(top)
-    betti = cohomology(quotient.algebra).betti_vector(top)
+    cone_betti = betti_vector(alg, top)
+    betti = betti_vector(quotient.algebra, top)
     if betti != cone_betti:
         raise StructureError("truncation does not preserve cohomology")
     ring = cone.ring
@@ -207,17 +208,18 @@ class TwistedModel:
 
     def betti(self, up_to: Optional[int] = None) -> list[int]:
         """The Betti numbers of `algebra` in degrees 0 to `up_to` (by
-        default its top degree), as `cohomology(algebra).betti_vector`
+        default its top degree), as the rank route `betti_vector(algebra)`
         gives them, read from the truncation's vector.
 
         Why they are the truncation's. `build_cxi` makes `algebra` by
         `DGAlgebra.with_square` on the truncation, so its basis and its
         rows of d are the truncation's own objects; only the (S1, S1)
-        product differs. `cohomology` reads the degrees of the basis and
-        the rows of d, and no product: its d^2 test and every block it
-        reduces are the truncation's, so each Betti number is. d^2 = 0
-        held there, in the two `cohomology` calls of `truncate_cone`, and
-        `check_cdga` tested it again on C(Xi), which shares these rows.
+        product differs. `betti_vector` reads the degrees of the basis and
+        the rows of d, and no product: its d^2 test and every block of d
+        whose rank it takes are the truncation's, so each Betti number is.
+        d^2 = 0 held there, in the two `betti_vector` calls of
+        `truncate_cone`, and `check_cdga` tested it again on C(Xi), which
+        shares these rows.
         The truncation's vector reaches the cone's top degree, which no
         basis element of the truncation exceeds; above it every Betti
         number is 0.

@@ -1,17 +1,23 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import cdga_config.algebra as algebra_module
 from cdga_config.algebra import (
     DGAlgebra,
     Element,
     GradedBasis,
+    _action_sweep,
+    _generating_set,
+    betti_vector,
     check_cdga,
     cohomology,
     same_structure,
 )
 from cdga_config.errors import MixedParents, NotAComplex, StructureError
+from cdga_config.linalg import RationalFunction
 from cdga_config.presets import PRESET_NAMES, preset_pd
 from cdga_config.products import TensorAlgebra
 
@@ -574,3 +580,200 @@ def test_with_square_refuses_to_replace_a_nonzero_row(cp2):
     assert cp2.algebra._mult[x][x]
     with pytest.raises(StructureError, match="the product x\\*x is already nonzero"):
         cp2.algebra.with_square(x, {}, name="bad")
+
+
+# --- the generator lemma: restricted sweeps against the full sweep ------------
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _full_report(alg):
+    """`check_cdga`'s report from the sweep over every index: the lemma is
+    switched off by forming no generating set."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra_module, "_generating_set", lambda a: None)
+        return check_cdga(alg)
+
+
+def _restricted_sweep(alg):
+    """The failures that the sweep over the generating set finds: the
+    unit, associativity, d squared and Leibniz, as `_action_sweep` gives
+    them."""
+    pair, drows, degs = alg._mult, alg._diff, alg.basis.degrees
+    return _action_sweep(pair, pair, drows, drows, degs, degs, alg.unit,
+                         _generating_set(alg), alg.unit)
+
+
+def _lemma_inputs():
+    """Every preset, its cone and its C(Xi) or C(0); the E(5, 2) fixtures
+    and the cone of E(5, 2); the 72-dim cone of s2xs3 (x) s2."""
+    from cdga_config.cone import cone_model
+    from cdga_config.io import load_algebra_file
+    from cdga_config.poincare import check_pd
+    from cdga_config.products import product_pd
+    from cdga_config.twisted import truncate_cone
+
+    out = []
+    for name in PRESET_NAMES:
+        pd = preset_pd(name)
+        out.append(pd.algebra)
+        if pd.n:
+            cone = cone_model(pd)
+            out += [cone.algebra, truncate_cone(cone).generic]
+    for fixture in ("e5_2.json", "e5_2_leibniz.json"):
+        out.append(load_algebra_file(DATA / fixture)[0])
+    e5_2 = check_pd(*load_algebra_file(DATA / "e5_2.json")[:3])
+    out.append(cone_model(e5_2).algebra)
+    out.append(cone_model(product_pd(preset_pd("s2xs3"), preset_pd("s2"))).algebra)
+    return out
+
+
+def test_the_restricted_sweep_gives_the_full_sweeps_report():
+    inputs = _lemma_inputs()
+    assert max(alg.dim() for alg in inputs) == 72
+    restricted = 0
+    for alg in inputs:
+        report = check_cdga(alg)
+        assert report == _full_report(alg), alg.name
+        gens = _generating_set(alg)
+        assert gens is not None, alg.name
+        unit, assoc, _, leibniz = _restricted_sweep(alg)
+        if report.all_pass:
+            # the lemma, not the fallback, gave this report
+            assert (unit, assoc, leibniz) == (None, None, None), alg.name
+            restricted += 1
+    # only the E(5, 2) copy that breaks the Leibniz rule fails
+    assert restricted == len(inputs) - 1
+
+
+def test_the_generating_set_spans_every_positive_degree():
+    from cdga_config.cone import cone_model
+
+    from oracles import dense_rank
+
+    for alg in (preset_pd("s2xs3").algebra, cone_model(preset_pd("cp2")).algebra,
+                _cxi_algebra()):
+        gens = _generating_set(alg)
+        degs = alg.basis.degrees
+        assert all(degs[s] > 0 for s in gens)
+        for k in alg.basis.degrees_present()[1:]:
+            idx = alg.basis.degree_indices(k)
+            vectors = [{s: 1} for s in gens if degs[s] == k]
+            vectors += [alg._mult[s][j] for s in gens for j in alg.basis.degree_indices(k - degs[s])
+                        if degs[s] < k]
+            rows = [[v.get(i, 0) for i in idx] for v in vectors if
+                    all(type(c) is not RationalFunction for c in v.values())]
+            assert dense_rank(rows) == len(idx), (alg.name, k)
+    # a generator of degree 2 of cp2: x alone generates the truncated polynomials
+    assert [preset_pd("cp2").algebra.basis.labels[s]
+            for s in _generating_set(preset_pd("cp2").algebra)] == ["x"]
+
+
+def _ladder_cone(a, b):
+    from cdga_config.cone import cone_model
+    from cdga_config.products import product_pd
+
+    return cone_model(product_pd(preset_pd(a), preset_pd(b))).algebra
+
+
+def _fails_as_the_full_sweep(broken):
+    """The report of `broken` fails and is the full sweep's, and the
+    restricted sweep or the d squared check fails on it as well."""
+    report = check_cdga(broken)
+    assert not report.all_pass
+    assert report == _full_report(broken)
+    assert any(found is not None for found in _restricted_sweep(broken))
+    return report
+
+
+def test_a_doubled_product_of_two_non_generators_fails_as_in_the_full_sweep():
+    alg = _ladder_cone("s2xs3", "cp2")
+    gens = set(_generating_set(alg))
+    n = alg.dim()
+    products = [(i, j) for i in range(n) for j in range(i, n)
+                if alg._mult[i][j] and not {i, j} & gens and alg.unit not in (i, j)]
+    rng = random.Random(156)
+    for i, j in rng.sample(products, 12):
+        # the constructor derives (j, i) with the Koszul sign
+        mult = [(a, b, c, 2 * v if (a, b) == (i, j) else v) for a, b, c, v in alg.mult_entries()]
+        report = _fails_as_the_full_sweep(_rebuild(alg, mult=mult))
+        assert not report.checks[2].ok, (alg.basis.labels[i], alg.basis.labels[j])
+
+
+def test_a_changed_differential_on_a_non_generator_fails_as_in_the_full_sweep():
+    # the 72-dim cone keeps this short: each failing report below takes
+    # the full sweep twice, once as the fallback and once as the reference
+    alg = _ladder_cone("s2xs3", "s2")
+    gens = set(_generating_set(alg))
+    degs = alg.basis.degrees
+    sources = [i for i in range(alg.dim())
+               if i not in gens and i != alg.unit and alg.basis.degree_indices(degs[i] + 1)]
+    rng = random.Random(2015)
+    failing = set()
+    for _ in range(20):
+        i = rng.choice(sources)
+        t = rng.choice(alg.basis.degree_indices(degs[i] + 1))
+        delta = F(rng.choice([-2, -1, 1, 2, 3]), rng.choice([1, 2]))
+        report = _fails_as_the_full_sweep(_rebuild(alg, diff=alg.diff_entries() + [(i, t, delta)]))
+        failing.update(c.axiom for c in report.failed())
+    assert "leibniz" in failing
+
+
+def test_the_fallback_fixture_fails_associativity_at_todays_witness():
+    from cdga_config.io import load_algebra_file
+
+    alg = load_algebra_file(DATA / "cp2xcp2_doubled.json")[0]
+    assert _generating_set(alg) is not None
+    assert _witnesses(alg) == {"associativity": "(1⊗x, 1⊗x, x^2⊗1)"}
+    assert check_cdga(alg) == _full_report(alg)
+
+
+def test_no_generating_set_without_a_one_dimensional_unit_degree_or_with_d_of_1():
+    assert _generating_set(_dual_numbers()) is None
+    basis = GradedBasis(["1", "a", "b", "ab"], [0, 1, 1, 2])
+    mult = [(0, 0, 0, 1), (0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (1, 2, 3, 1)]
+    assert _generating_set(DGAlgebra(basis, 0, mult, [(0, 1, 1)], top_degree=2)) is None
+    assert _generating_set(DGAlgebra(basis, 0, mult, top_degree=2)) == [1, 2]
+
+
+# --- Betti numbers from ranks ---------------------------------------------------
+
+
+def _betti_inputs():
+    """The inputs of the lemma test, and the truncation and the quotient by
+    the diagonal of every preset but `point`, and E(5, 2)'s truncation."""
+    from cdga_config.cone import cone_model
+    from cdga_config.io import load_algebra_file
+    from cdga_config.poincare import check_pd
+    from cdga_config.twisted import quotient_by_diagonal, truncate_cone
+
+    out = _lemma_inputs()
+    for name in PRESET_NAMES:
+        pd = preset_pd(name)
+        if pd.n:
+            trunc = truncate_cone(cone_model(pd))
+            out += [trunc.algebra, quotient_by_diagonal(pd).algebra]
+    e5_2 = check_pd(*load_algebra_file(DATA / "e5_2.json")[:3])
+    out.append(truncate_cone(cone_model(e5_2)).algebra)
+    return out
+
+
+def test_betti_numbers_from_ranks_equal_the_dense_oracle_and_cohomology():
+    for alg in _betti_inputs():
+        betti = betti_vector(alg)
+        assert betti == oracle_betti(alg) == cohomology(alg).betti_vector(), alg.name
+        top = alg.basis.max_degree()
+        assert betti_vector(alg, top + 3) == cohomology(alg).betti_vector(top + 3) == betti + [0] * 3
+        assert betti_vector(alg, 1) == (betti + [0])[:2]
+
+
+def test_betti_numbers_from_ranks_raise_not_a_complex_as_cohomology_does():
+    basis = GradedBasis(["1", "a", "b", "c"], [0, 1, 2, 3])
+    alg = DGAlgebra(basis, 0, [(0, i, i, 1) for i in range(4)], [(1, 2, 1), (2, 3, 1)],
+                    top_degree=3)
+    with pytest.raises(NotAComplex) as ranks:
+        betti_vector(alg)
+    with pytest.raises(NotAComplex) as full:
+        cohomology(alg)
+    assert str(ranks.value) == str(full.value)

@@ -262,21 +262,29 @@ TABLE = json.loads(table_preset_path().read_text(encoding="utf-8"))
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(item=st.integers(0, len(TABLE["generators"]) - 1),
-       key=st.sampled_from(["label", "degree", None]), value=replacements)
+       key=st.sampled_from(["label", "degree", "copy", None]), value=replacements)
 @example(item=0, key="label", value=DROP)
 @example(item=6, key="degree", value=DROP)
 @example(item=3, key=None, value=4)
+@example(item=0, key="copy", value=DROP)
 def test_a_mutated_generator_is_named_by_its_path(workdir, item, key, value):
     """A generator of the packaged table document loses its label or its
-    degree (`key`), or is replaced by something else (`key` None): the
-    parse error names the document and the generator's path."""
+    degree (`key`), is appended again as a copy (`key` "copy"), or is
+    replaced by something else (`key` None): the parse error names the
+    document and the path of the generator, or of the copy's label."""
     doc = json.loads(json.dumps(TABLE))
     at = f"generators[{item}]"
     if key is None:
         assume(value is not DROP)
         doc["generators"][item] = value
+    elif key == "copy":
+        doc["generators"].append(dict(doc["generators"][item]))
+        label = json.dumps(TABLE["generators"][item]["label"], ensure_ascii=False)
+        message = (f"generators[{len(TABLE['generators'])}].label repeats an earlier label: "
+                   f"{label}")
     else:
         del doc["generators"][item][key]
+        message = f"missing field {at}.{key}"
     path = workdir / "table-edit.json"
     path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
     with pytest.raises(ParseError) as info:
@@ -284,4 +292,4 @@ def test_a_mutated_generator_is_named_by_its_path(workdir, item, key, value):
     if key is None:
         assert str(info.value).startswith(f"{path}: ") and at in str(info.value)
     else:
-        assert str(info.value) == f"{path}: missing field {at}.{key}"
+        assert str(info.value) == f"{path}: {message}"

@@ -403,6 +403,15 @@ def _set(path, value):
     return edit
 
 
+def _append(path, value):
+    """An edit that appends `value` to the list at `path` (keys and indices)."""
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc.append(value)
+    return edit
+
+
 _REJECTED_ALGEBRA_DOCUMENTS = {
     "basis-item": (_set(["basis", 1], 5), "basis[1] must be an object, got 5"),
     "basis-label-missing": (_set(["basis", 1, "label"], _DROP), "missing field basis[1].label"),
@@ -465,6 +474,8 @@ _REJECTED_TABLE_DOCUMENTS = {
                                 "missing field generators[0].label"),
     "generator-degree-missing": (_set(["generators", 6, "degree"], _DROP),
                                  "missing field generators[6].degree"),
+    "repeated-generator-label": (_append(["generators"], {"label": "u", "degree": 4}),
+                                 'generators[7].label repeats an earlier label: "u"'),
     "unknown-base": (_set(["differentials", "h", 0, "base"], "1(x)z"),
                      'differentials["h"][0].base names no basis element: "1⊗z"'),
     "unknown-xi-label": (_set(["xi"], "q*(y(x)xy) + r*(y(x)z)"),
