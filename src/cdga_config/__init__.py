@@ -2,10 +2,11 @@
 
 Given a Poincare duality algebra over the rationals, the package builds
 and verifies the diagonal class, the mapping cone of the shriek map with
-its semi-trivial product, the even-dimensional quotient model, the twisted
-family on the truncated cone for odd dimensions, quotient-by-diagonal
-models, tensor products with their diagonal correspondence, and the staged
-obstruction solver that separates the twisted family pairwise.
+its semi-trivial product, the truncated cone with the twisted family on
+it (for even dimensions only C(0), the even-dimensional model),
+quotient-by-diagonal models, tensor products with their diagonal
+correspondence, and the staged obstruction solver that separates the
+twisted family pairwise.
 
 All arithmetic is exact; nothing here touches floating point.
 """
@@ -22,7 +23,7 @@ from .algebra import (
     check_cdga,
     cohomology,
 )
-from .cone import EvenModel, MappingCone, cone_model, even_model, mapping_cone
+from .cone import MappingCone, cone_model, even_model, mapping_cone
 from .dgmodule import DGModule, ModuleMap, ring_as_module, suspend
 from .linalg import Scalar, kernel_basis, rref, solve
 from .poincare import PDAlgebra, check_pd, shriek_map

@@ -1,5 +1,5 @@
 """Mapping cones with the semi-trivial product, and the even-dimensional
-quotient model.
+model, C(0) on the cone's truncation (`twisted`).
 
 For a module map f: B -> R (target the ring itself), the cone is R + sB
 with differential delta(a, sb) = (d a + f(b), -s db) and the product
@@ -20,16 +20,16 @@ never trusting a single hand-written exponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import DGAlgebra, Element, GradedBasis, check_cdga
 from .dgmodule import ModuleMap, suspend
-from .errors import (AxiomFailure, MixedParents, NotAModuleMap, OddDimension, StructureError,
-                     ZeroFormalDimension)
-from .linalg import _combine, _first_not_squaring_to_zero, _first_uncommuting
+from .errors import AxiomFailure, NotAModuleMap, OddDimension, StructureError, ZeroFormalDimension
+from .linalg import _first_not_squaring_to_zero
 from .poincare import PDAlgebra, shriek_map
-from .quotients import QuotientDGA, ideal_span, quotient_dga
+
+if TYPE_CHECKING:
+    from .twisted import TwistedModel
 
 
 class MappingCone:
@@ -183,76 +183,15 @@ def cone_model(pd: PDAlgebra) -> MappingCone:
     return cone
 
 
-@dataclass
-class EvenModel:
-    """Quotient of the cone by the acyclic ideal (omega (x) omega, S omega),
-    for even formal dimension, with the induced inclusion of the square.
-    The ideal is `quotient.subspace`."""
-
-    cone: MappingCone
-    quotient: QuotientDGA
-    inclusion_images: tuple[Element, ...]
-
-    def betti(self, up_to: Optional[int] = None) -> list[int]:
-        return self.quotient.betti(up_to)
-
-
-def top_ideal_generators(cone: MappingCone) -> list[Element]:
-    """The two generators omega (x) omega and S(omega) inside the cone."""
-    pd = cone.pd
-    if pd is None:
-        raise StructureError("cone does not carry Poincare duality data")
-    square = pd.square
-    omega = pd.omega
-    omega_omega = cone.include_base(square.tensor_elements(omega, omega))
-    s_omega = Element(
-        cone.algebra,
-        {cone.susp_to_cone[b]: c for b, c in omega.coeffs.items()},
-    )
-    return [omega_omega, s_omega]
-
-
-def even_model(pd: PDAlgebra) -> EvenModel:
-    """Quotient model for even formal dimension.
-
-    Verifies that the ideal generated by omega (x) omega and S(omega) is a
-    differential ideal and acyclic, quotients the cone by it, and checks
-    that a (x) b -> class of (a (x) b, 0) is a CDGA map.
+def even_model(pd: PDAlgebra) -> TwistedModel:
+    """The model for even formal dimension: C(0) on the truncation, built
+    and checked by `twisted.build_cxi`. For 1-connected input the
+    truncated span is the acyclic ideal (omega (x) omega, S omega). On
+    other input, such as the torus, it need not be acyclic, and this
+    raises `StructureError`, as `cxi --xi 0` does.
     """
+    from .twisted import build_cxi
+
     if pd.n % 2 != 0:
         raise OddDimension(f"formal dimension {pd.n} is odd")
-    cone = cone_model(pd)
-    generators = top_ideal_generators(cone)
-    vectors = ideal_span(cone.algebra, generators)
-    quotient = quotient_dga(cone.algebra, vectors, name=f"{cone.algebra.name}/I")
-    if not quotient.subspace.is_acyclic():
-        raise StructureError("the top ideal is not acyclic")
-
-    square = pd.square
-    images = tuple(
-        quotient.project(cone.include_base(square.basis_element(t)))
-        for t in range(square.dim())
-    )
-    _verify_algebra_map(square, quotient.algebra, images)
-    return EvenModel(cone, quotient, images)
-
-
-def _verify_algebra_map(source: DGAlgebra, target: DGAlgebra, images: Sequence[Element]) -> None:
-    """Check unit, multiplicativity and the cochain property on all basis
-    pairs of a map given by images of basis elements, working on the raw
-    coefficient dicts."""
-    if images[source.unit] != target.one():
-        raise StructureError("map does not preserve the unit")
-    if any(x.parent is not target for x in images):
-        raise MixedParents("images do not belong to the target algebra")
-    rows = [x.coeffs for x in images]
-
-    i = _first_uncommuting(source._diff, target._diff, rows)
-    if i is not None:
-        raise StructureError(f"map does not commute with d at {source.basis.labels[i]}")
-    for i, products in enumerate(source._mult):
-        for j in range(i, len(products)):
-            if _combine(products[j], rows) != target.multiply_coeffs(rows[i], rows[j]):
-                raise StructureError(
-                    f"map is not multiplicative at ({source.basis.labels[i]}, {source.basis.labels[j]})"
-                )
+    return build_cxi(pd, pd.square.zero())

@@ -2,9 +2,9 @@
 subcomplexes whose Betti numbers are read off the ranks of d
 (`algebra._betti_numbers`).
 
-Every quotient in the pipeline (by the diagonal ideal, by the acyclic
-ideal of the even-dimensional model, by the top truncation, by the
-equivalence ideal) goes through `quotient_dga`. A subspace keeps its
+Every quotient in the pipeline (by the diagonal ideal, by the top
+truncation, which for even dimensions is the even-dimensional model, by
+the equivalence ideal) goes through `quotient_dga`. A subspace keeps its
 per-degree rref rows and their `linalg._residues` table, keyed by pivot:
 each pivot's entry is the canonical representative of e_pivot modulo the
 subspace, minus the rest of its rref row; every other e_i is its own.

@@ -1,12 +1,13 @@
-"""Odd-dimensional machinery: truncation of the cone, the twisted family
-C(xi), the quotient-by-diagonal model, the comparison isomorphism on
-cohomology, and the equivalence ideal.
+"""Truncation of the cone, the twisted family C(xi), the
+quotient-by-diagonal model, the comparison isomorphism on cohomology, and
+the equivalence ideal.
 
 The truncation keeps (A (x) A)^(<2n-1) plus the suspensions S a with
 |a| < n. On it, products of two suspensions vanish for degree reasons with
 one exception: (S1)^2 lands in degree 2n-2 and can be set to any xi there
 when n is odd. For even n graded commutativity forces (S1)^2 = 0, so a
-nonzero xi is rejected.
+nonzero xi is rejected, and C(0) is the even-dimensional model
+(`cone.even_model`).
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from .algebra import (
     cocycle_vectors,
     same_structure,
 )
-from .cone import MappingCone, _verify_algebra_map, cone_model
+from .cone import MappingCone, cone_model
 from .errors import (
     AxiomFailure,
     EvenDimensionNonzeroXi,
+    MixedParents,
     NotACocycle,
     OddDimension,
     PhiNotBijective,
@@ -36,8 +38,8 @@ from .errors import (
     WrongDegree,
     ZeroFormalDimension,
 )
-from .linalg import (Parameters, Scalar, _at_point, _columns, _combine, _projection, _residues,
-                     invert, kernel_basis, row_space_basis, solve)
+from .linalg import (Parameters, Scalar, _at_point, _columns, _combine, _first_uncommuting,
+                     _projection, _residues, invert, kernel_basis, row_space_basis, solve)
 from .poincare import PDAlgebra
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -57,11 +59,11 @@ class TruncatedCone:
     (of a `linalg.Parameters`) for each basis element e_t of
     (A (x) A)^(2n-2), listed in `symbols`, so that C(xi) is this model at
     X_t = xi_t. In even formal dimension the family is {0}: there are no
-    symbols, and the model is C(0). `axioms` is the report of
-    `check_cdga` on it. `verified` says that the report passed and that
-    the map from the tensor square given by `base_rows` passed
-    `_verify_algebra_map` into it. Every C(xi) that is an instance of it
-    takes its report (see `instance` and `build_cxi`).
+    symbols, and the model is C(0), which `cone.even_model` returns.
+    `axioms` is the report of `check_cdga` on it. `verified` says that
+    the report passed and that the map from the tensor square given by
+    `base_rows` passed `_verify_algebra_map` into it. Every C(xi) that is
+    an instance of it takes its report (see `instance` and `build_cxi`).
 
     `betti` is the truncation's Betti vector in degrees 0 to the cone's
     top degree, computed once by `truncate_cone` for its check that the
@@ -178,6 +180,26 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
                           tuple(betti))
     cone._truncation = trunc
     return trunc
+
+
+def _verify_algebra_map(source: DGAlgebra, target: DGAlgebra, images: Sequence[Element]) -> None:
+    """Check the parent of the images, then unit, multiplicativity and the
+    cochain property on all basis pairs of a map given by images of basis
+    elements, working on the raw coefficient dicts."""
+    if any(x.parent is not target for x in images):
+        raise MixedParents("images do not belong to the target algebra")
+    if images[source.unit] != target.one():
+        raise StructureError("map does not preserve the unit")
+    rows = [x.coeffs for x in images]
+    i = _first_uncommuting(source._diff, target._diff, rows)
+    if i is not None:
+        raise StructureError(f"map does not commute with d at {source.basis.labels[i]}")
+    for i, products in enumerate(source._mult):
+        for j in range(i, len(products)):
+            if _combine(products[j], rows) != target.multiply_coeffs(rows[i], rows[j]):
+                raise StructureError(
+                    f"map is not multiplicative at ({source.basis.labels[i]}, {source.basis.labels[j]})"
+                )
 
 
 @dataclass

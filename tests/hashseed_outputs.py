@@ -83,6 +83,9 @@ def _outputs():
         # cp2 (x) cp2 with one product of two non-generators doubled, which
         # exits 2 with the associativity witness of the sweep over every tuple
         ("check-doubled", _cli("check", "tests/data/cp2xcp2_doubled.json", "--json"), 2),
+        # the torus is not 1-connected: the part of its cone that C(0), its
+        # even-dimensional model, truncates is not acyclic, which exits 2
+        ("cxi-t2", _cli("cxi", "tests/data/t2.json", "--xi", "0"), 2),
         ("diagonal", _cli("diagonal", "cp2", "--json"), 0),
         # a relative --out keeps `written_to` the same under both seeds
         ("product-report", _cli("product", "s2xs3", "cp2", "--out", "product.json", "--json"), 0),

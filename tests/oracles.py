@@ -15,7 +15,9 @@ and the signed-permutation test of `diagonal_correspondence`.
 pair of product basis elements, against the sparse loop of
 `TensorAlgebra`. `oracle_check_table` keeps the per-value sweep of
 `check_table`, run on every table, against the symbolic report that
-`check_table` gives a table document's instances. `oracle_decide_xi_equivalence` and
+`check_table` gives a table document's instances. `top_ideal_generators`
+builds the generators of the even model's reference ideal the same way.
+`oracle_decide_xi_equivalence` and
 `oracle_quotients_match` keep the per-twist route of deciding two twists:
 they set up the system afresh and solve it with `dense_solve`, and form
 each C(xi)/I with the package's `build_cxi` and `quotient_dga`.
@@ -513,3 +515,29 @@ def oracle_check_table(table):
         checks.append(TableCheck(label, not dd, table.element_str(dd) if dd else None,
                                  ev_ok, ev_wit))
     return TableReport(tuple(checks))
+
+
+def oracle_fm2_betti(pd):
+    """The Betti numbers of F(M, 2) in degrees 0 to 2n, in closed form
+    from those of A alone: b_k = [t^k](P^2 - t^n P), P the Poincare
+    polynomial of `oracle_betti(pd.algebra)`. The shriek map
+    a -> diag.(1 (x) a) is injective on cohomology, so the long exact
+    sequence of the cone splits into H(A (x) A) minus a copy of H(A)
+    shifted up by n."""
+    poly = oracle_betti(pd.algebra)
+    out = [0] * (2 * pd.n + 1)
+    for i, a in enumerate(poly):
+        for j, b in enumerate(poly):
+            out[i + j] += a * b
+        out[pd.n + i] -= a
+    return out
+
+
+def top_ideal_generators(cone):
+    """omega (x) omega and S omega inside the cone of a duality algebra,
+    the generators of the ideal that the paper quotients the cone by in
+    even formal dimension, built with the package's `Element` arithmetic."""
+    pd = cone.pd
+    omega_omega = cone.include_base(pd.square.tensor_elements(pd.omega, pd.omega))
+    s_omega = cone.algebra.element({cone.susp_to_cone[b]: c for b, c in pd.omega.coeffs.items()})
+    return [omega_omega, s_omega]

@@ -1,15 +1,17 @@
+from pathlib import Path
+
 import pytest
 
 from cdga_config.algebra import Element, GradedBasis, check_cdga, cohomology
-from cdga_config.cone import cone_model, even_model, mapping_cone, top_ideal_generators
+from cdga_config.cone import cone_model, even_model, mapping_cone
 from cdga_config.dgmodule import DGModule, ModuleMap, ring_as_module
-from cdga_config.errors import NotAModuleMap, OddDimension, StructureError
+from cdga_config.errors import MixedParents, NotAModuleMap, OddDimension, StructureError
 from cdga_config.poincare import desuspended_module
 from cdga_config.presets import preset_pd
 from cdga_config.quotients import ideal_span, quotient_dga
-from cdga_config.twisted import quotient_by_diagonal
+from cdga_config.twisted import quotient_by_diagonal, truncate_cone
 
-from oracles import oracle_betti
+from oracles import oracle_betti, top_ideal_generators
 
 PRESETS = ["s2", "s3", "s4", "s5", "cp2", "s2xs3", "s3xs4"]
 
@@ -177,7 +179,7 @@ def test_even_model_spheres(name, expected):
     model = even_model(pd)
     top = len(expected) - 1
     assert model.betti(top) == expected
-    assert oracle_betti(model.quotient.algebra)[: top + 1] == expected
+    assert oracle_betti(model.trunc.quotient.algebra)[: top + 1] == expected
 
 
 def test_even_model_rejects_odd(s3):
@@ -185,22 +187,44 @@ def test_even_model_rejects_odd(s3):
         even_model(s3)
 
 
-@pytest.mark.parametrize("name", ["s2", "s4", "cp2"])
+T2 = str(Path(__file__).parent / "data" / "t2.json")
+
+
+def test_even_model_of_the_torus_is_not_acyclic():
+    """The torus passes its checks, but it is not 1-connected: the span of
+    degree >= 2n-1 in its cone is not acyclic, so `even_model` raises the
+    error that `cxi --xi 0` reports, with exit status 2."""
+    from cdga_config.cli import main
+    from cdga_config.presets import resolve_pd
+
+    assert main(["check", T2]) == 0
+    with pytest.raises(StructureError, match="^the truncated part is not acyclic$"):
+        even_model(resolve_pd(T2))
+    assert main(["cxi", T2, "--xi", "0"]) == 2
+
+
+@pytest.mark.parametrize("name", ["s2", "s4", "cp2", "s2*s2"])
 def test_top_ideal_is_acyclic_differential_ideal(name):
-    pd = preset_pd(name)
+    """For 1-connected input of even formal dimension, the ideal
+    (omega (x) omega, S omega) is acyclic and is the span of everything
+    of degree >= 2n-1 that the truncation quotients by; the quotient keeps
+    the cone's cohomology."""
+    from cdga_config.products import product_pd
+
+    s2 = preset_pd("s2")
+    pd = product_pd(s2, s2) if name == "s2*s2" else preset_pd(name)
     cone = cone_model(pd)
-    generators = top_ideal_generators(cone)
-    quotient = quotient_dga(cone.algebra, ideal_span(cone.algebra, generators))
+    quotient = quotient_dga(cone.algebra, ideal_span(cone.algebra, top_ideal_generators(cone)))
     assert quotient.subspace.is_acyclic()
-    # quotient keeps the full cohomology
+    assert quotient.subspace.bases == truncate_cone(cone).quotient.subspace.bases
     top = cone.algebra.basis.max_degree()
     assert quotient.betti(top) == cohomology(cone.algebra).betti_vector(top)
 
 
 def test_even_model_quotient_matches_cone_cohomology(cp2):
     model = even_model(cp2)
-    top = model.cone.algebra.basis.max_degree()
-    assert model.betti(top) == cohomology(model.cone.algebra).betti_vector(top)
+    top = model.trunc.cone.algebra.basis.max_degree()
+    assert model.betti(top) == cohomology(model.trunc.cone.algebra).betti_vector(top)
 
 
 @pytest.mark.parametrize("doubled, message", [
@@ -209,8 +233,7 @@ def test_even_model_quotient_matches_cone_cohomology(cp2):
     ("y⊗y", "map is not multiplicative at (1⊗x, y⊗y)"),
 ])
 def test_verify_algebra_map_pins_multiplicativity_error(s2xs3, doubled, message):
-    from cdga_config.cone import _verify_algebra_map
-    from cdga_config.errors import StructureError
+    from cdga_config.twisted import _verify_algebra_map
 
     cone = cone_model(s2xs3)
     square = s2xs3.square
@@ -228,8 +251,7 @@ def test_verify_algebra_map_pins_multiplicativity_error(s2xs3, doubled, message)
     ("Sy", "map does not commute with d at Sy"),
 ])
 def test_verify_algebra_map_pins_cochain_error(s2xs3, doubled, message):
-    from cdga_config.cone import _verify_algebra_map
-    from cdga_config.errors import StructureError
+    from cdga_config.twisted import _verify_algebra_map
 
     alg = cone_model(s2xs3).algebra
     images = [alg.basis_element(i) for i in range(alg.dim())]
@@ -239,3 +261,13 @@ def test_verify_algebra_map_pins_cochain_error(s2xs3, doubled, message):
     with pytest.raises(StructureError) as info:
         _verify_algebra_map(alg, alg, images)
     assert str(info.value) == message
+
+
+def test_verify_algebra_map_checks_the_parent_before_the_unit(s2, s3):
+    """Images that live in another algebra are `MixedParents`, even where
+    the unit's image differs from the target's unit only by its parent."""
+    from cdga_config.twisted import _verify_algebra_map
+
+    images = [s3.square.basis_element(t) for t in range(s3.square.dim())]
+    with pytest.raises(MixedParents, match="images do not belong to the target algebra"):
+        _verify_algebra_map(s3.square, s2.square, images)

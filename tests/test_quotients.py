@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from cdga_config.algebra import DGAlgebra, GradedBasis, cocycle_vectors, cohomology
-from cdga_config.cone import cone_model, even_model
+from cdga_config.cone import cone_model
 from cdga_config.errors import MixedParents, StructureError
 from cdga_config.presets import PRESET_NAMES, preset_pd
 from cdga_config.products import product_pd
@@ -260,7 +260,8 @@ def _preset_ideals(pd):
     cone = cone_model(pd)
     ideals = [truncate_cone(cone).quotient.subspace]
     if pd.n % 2 == 0:
-        ideals.append(even_model(pd).quotient.subspace)
+        ideals.append(quotient_dga(cone.algebra, ideal_span(
+            cone.algebra, oracles.top_ideal_generators(cone))).subspace)
     elif pd.algebra.simply_connected:
         ideals.append(equivalence_ideal(pd).subcomplex)
     return ideals

@@ -30,7 +30,7 @@ from cdga_config.twisted import (
 )
 
 from oracles import (dense_identity, dense_matmul, oracle_betti, oracle_decide_xi_equivalence,
-                     oracle_quotients_match)
+                     oracle_fm2_betti, oracle_quotients_match, top_ideal_generators)
 
 ODD = ["s3", "s5", "s2xs3", "s3xs4"]
 ALL = ["s2", "s3", "s4", "s5", "cp2", "s2xs3", "s3xs4"]
@@ -107,20 +107,24 @@ def test_truncation_preserves_betti(name):
 
 @pytest.mark.parametrize("name", ["s2", "s4", "cp2", "s2*s2"])
 def test_the_even_model_is_the_even_truncation(name):
-    """In even formal dimension the quotient of `even_model` and that of
-    `truncate_cone` are one algebra: the same kept cone elements, labels,
-    product rows and rows of d."""
+    """In even formal dimension, for 1-connected input, the quotient of
+    the cone by the ideal (omega (x) omega, S omega), built here as the
+    reference, and the truncation that `even_model` is C(0) on are one
+    algebra: the same kept cone elements, labels, product rows and rows
+    of d. C(0) has the truncation's basis, rows of d and products."""
     from cdga_config.cone import even_model
     from cdga_config.products import product_pd
+    from cdga_config.quotients import ideal_span, quotient_dga
 
     s2 = preset_pd("s2")
     pd = product_pd(s2, s2) if name == "s2*s2" else preset_pd(name)
-    even = even_model(pd).quotient
-    trunc = truncate_cone(cone_model(pd)).quotient
-    assert even.kept == trunc.kept
-    assert even.algebra.basis.labels == trunc.algebra.basis.labels
-    assert even.algebra._mult == trunc.algebra._mult
-    assert even.algebra._diff == trunc.algebra._diff
+    model = even_model(pd)
+    cone, trunc = model.trunc.cone, model.trunc.quotient
+    reference = quotient_dga(cone.algebra, ideal_span(cone.algebra, top_ideal_generators(cone)))
+    assert reference.kept == trunc.kept
+    assert reference.algebra.basis.labels == trunc.algebra.basis.labels
+    assert reference.algebra._mult == trunc.algebra._mult == model.algebra._mult
+    assert reference.algebra._diff == trunc.algebra._diff == model.algebra._diff
 
 
 # --- the twisted family ---------------------------------------------------------
@@ -200,7 +204,7 @@ _COEFFICIENTS = st.one_of(
 @given(name=st.sampled_from(["s2xs3", "s2*s5"]), data=st.data())
 def test_build_cxi_family_report_is_the_numeric_report(name, data):
     from cdga_config.algebra import check_cdga
-    from cdga_config.cone import _verify_algebra_map
+    from cdga_config.twisted import _verify_algebra_map
 
     pd = _shared_pd(name)
     square = pd.square
@@ -853,6 +857,27 @@ def test_fattened_sphere_has_the_invariants_of_s5(factor):
         fattened = product_pd(fattened, preset_pd(factor))
         sphere = product_pd(sphere, preset_pd(factor))
     assert _fm2_betti(fattened) == _fm2_betti(sphere)
+
+
+@pytest.mark.parametrize("name", ALL + ["e5_2", "e5_2*s2"])
+def test_fm2_betti_equals_the_closed_form(name):
+    """The cone, the quotient by the diagonal and C(0), which for even n
+    is `even_model`, have the Betti numbers b_k = [t^k](P^2 - t^n P) of
+    F(M, 2), P the Poincare polynomial of A."""
+    from cdga_config.cone import even_model
+    from cdga_config.presets import resolve_pd
+    from cdga_config.products import product_pd
+
+    if name.startswith("e5_2"):
+        pd = resolve_pd(E5_2)
+        if name == "e5_2*s2":
+            pd = product_pd(pd, preset_pd("s2"))
+    else:
+        pd = preset_pd(name)
+    want = oracle_fm2_betti(pd)
+    assert _fm2_betti(pd) == (want, want, want)
+    if pd.n % 2 == 0:
+        assert even_model(pd).betti(2 * pd.n) == want
 
 
 def test_a_twist_by_a_coboundary_is_decided_with_a_nonzero_eta():
