@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import MixedParents, NotAComplex, StructureError
 from .linalg import (RationalFunction, Scalar, _accumulate, _columns, _combine, _exact,
-                     _first_not_squaring_to_zero, _negated, _reduce, _residues,
-                     kernel_basis, row_space_basis, rref)
+                     _first_not_squaring_to_zero, _first_uncommuting, _negated, _reduce,
+                     _residues, kernel_basis, row_space_basis, rref)
 
 Coeffs = dict[int, Scalar]
 
@@ -635,6 +635,66 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
         ("leibniz", witness(leibniz)),
     )
     return AxiomReport(tuple(AxiomCheck(axiom, w is None, w) for axiom, w in checks))
+
+
+@dataclass(frozen=True)
+class AlgebraMap:
+    """The linear map f: source -> target, f(e_i) = `rows[i]` of e_i's degree.
+
+    The map lemma: let source and target be associative and unital, with
+    A^0 = Q.1 in the source and f(1) = 1. If f(e_s x) = f(e_s) f(x) for s in
+    `check_cdga`'s S and every x, f is multiplicative, by induction on |a|:
+    f((s a) x) = f(s (a x)) = f(s) f(a) f(x) = f(s a) f(x). A (x) A is
+    associative, as `cone_model`'s `check_cdga` swept the cone, whose rule
+    (i) copies the square's products verbatim; each caller's target, C(Xi)
+    or C(xi), has just passed `check_cdga`.
+    """
+
+    source: DGAlgebra
+    target: DGAlgebra
+    rows: tuple[Coeffs, ...]
+
+    def __post_init__(self):
+        basis, tdegs = self.source.basis, self.target.basis.degrees
+        if len(self.rows) != len(basis):
+            raise StructureError("one image per source basis element is required")
+        for label, d, row in zip(basis.labels, basis.degrees, self.rows):
+            if any(not 0 <= k < len(tdegs) or tdegs[k] != d for k in row):
+                raise StructureError(f"image of {label} is not of degree {d}")
+
+    def __call__(self, x: Element) -> Element:
+        if x.parent is not self.source:
+            raise MixedParents("element does not live in the source algebra")
+        return Element(self.target, _combine(x.coeffs, self.rows))
+
+    def then(self, g: "AlgebraMap") -> "AlgebraMap":
+        """g after this map; g checks that it starts at this map's target."""
+        return AlgebraMap(self.source, g.target,
+                          tuple(g(Element(self.target, row)).coeffs for row in self.rows))
+
+    def verify(self) -> None:
+        """Check the unit, f d = d f, then products on the map lemma's pairs
+        (s, x) or, with no S or a failing pair, on every pair i <= j for the
+        witness (j < i follows by both tables' Koszul signs, as f keeps
+        degrees); raise StructureError at the first failure."""
+        source, target, rows = self.source, self.target, self.rows
+        labels, mult = source.basis.labels, source._mult
+        if rows[source.unit] != {target.unit: 1}:
+            raise StructureError("map does not preserve the unit")
+        i = _first_uncommuting(source._diff, target._diff, rows)
+        if i is not None:
+            raise StructureError(f"map does not commute with d at {labels[i]}")
+
+        def first_failure(pairs):
+            return next(((i, j) for i, j in pairs if _combine(mult[i][j], rows)
+                         != target.multiply_coeffs(rows[i], rows[j])), None)
+
+        n, gens = len(rows), _generating_set(source)
+        if gens is None or first_failure((s, x) for s in gens for x in range(n)):
+            failure = first_failure((i, j) for i in range(n) for j in range(i, n))
+            if failure is not None:
+                raise StructureError("map is not multiplicative at "
+                                     f"({labels[failure[0]]}, {labels[failure[1]]})")
 
 
 # --- cohomology ------------------------------------------------------------

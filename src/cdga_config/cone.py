@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .algebra import DGAlgebra, Element, GradedBasis, check_cdga
+from .algebra import AlgebraMap, DGAlgebra, Element, GradedBasis, check_cdga
 from .dgmodule import ModuleMap, suspend
 from .errors import AxiomFailure, NotAModuleMap, OddDimension, StructureError, ZeroFormalDimension
 from .linalg import _first_not_squaring_to_zero
@@ -35,8 +35,8 @@ if TYPE_CHECKING:
 class MappingCone:
     """Cone of a module map f: B -> R as a CDGA with bookkeeping maps.
 
-    `algebra` is the cone itself; `ring_to_cone[i]` and `susp_to_cone[b]`
-    locate the R-part and the suspended part inside the cone basis.
+    `algebra` is the cone itself; the `AlgebraMap` `inclusion`, r -> (r, 0),
+    and `susp_to_cone[b]` locate the R-part and the suspended part in it.
 
     Two caches hang off the cone: `_truncation`, the `TruncatedCone` that
     `twisted.truncate_cone` builds, and `_equivalence_ideal`, the
@@ -101,7 +101,7 @@ class MappingCone:
             diff += ((ring_to_cone[i], ring_to_cone[j], c) for j, c in row.items())
         for b, row in enumerate(susp._diff):
             cb = susp_to_cone[b]
-            diff += ((cb, ring_to_cone[j], c) for j, c in f.images[b].coeffs.items())
+            diff += ((cb, ring_to_cone[j], c) for j, c in f.rows[b].items())
             diff += ((cb, susp_to_cone[t], c) for t, c in row.items())
 
         try:
@@ -126,20 +126,13 @@ class MappingCone:
         self.algebra = algebra
         self.ring = ring
         self.source = source
-        self.map = f
-        self.ring_to_cone = tuple(ring_to_cone)
+        self.inclusion = AlgebraMap(ring, algebra, tuple({pos: 1} for pos in ring_to_cone))
         self.susp_to_cone = tuple(susp_to_cone)
         self.pd = pd
         # the truncation of this cone, filled by `twisted.truncate_cone`,
         # and its equivalence ideal, filled by `twisted.equivalence_ideal`
         self._truncation = None
         self._equivalence_ideal = None
-
-    def include_base(self, x: Element) -> Element:
-        """The inclusion R -> cone, r -> (r, 0)."""
-        if x.parent is not self.ring:
-            raise StructureError("element does not live in the ring")
-        return Element(self.algebra, {self.ring_to_cone[i]: c for i, c in x.coeffs.items()})
 
     def delta_table(self) -> list[tuple[str, Element]]:
         """(suspension label, delta of it) for every suspension generator."""

@@ -9,10 +9,10 @@ Cone differentials and the module action on desuspended algebras are never
 entered by hand; they are produced by applying these rules to a plain
 action. A module keeps the rows it is given: the ring acting on itself
 shares the ring's product table, and a suspension shares every row whose
-sign is +1. Every `ModuleMap` checks on construction that it commutes with
-d and with the action on all basis pairs, which is how each shriek map is
-verified; `DGModule.verify` checks the module axioms themselves on demand,
-with `check_cdga`'s sweep (`algebra._action_sweep`).
+sign is +1. A `ModuleMap` has image rows as an `algebra.AlgebraMap` does
+but need not be multiplicative; it checks on construction that it commutes
+with d and with the action on all basis pairs, verifying each shriek map;
+`DGModule.verify` checks the module axioms on demand, with `check_cdga`'s sweep.
 """
 
 from __future__ import annotations
@@ -83,9 +83,6 @@ class DGModule:
     def element(self, coeffs) -> Element:
         return Element(self, coeffs)
 
-    def zero(self) -> Element:
-        return Element(self, {})
-
     def d_basis(self, i: int) -> Coeffs:
         return dict(self._diff[i])
 
@@ -149,27 +146,22 @@ def suspend(module: DGModule, k: int, label: Optional[Callable[[str], str]] = No
 
 
 class ModuleMap:
-    """Degree-zero morphism of dg-modules over the same ring.
+    """Degree-zero morphism of dg-modules over the same ring, e_i -> `rows[i]`,
+    verified at construction to commute with the differentials and with the
+    ring action on every (ring basis, source basis) pair."""
 
-    Verified at construction to commute with the differentials and with the
-    ring action on every (ring basis, source basis) pair.
-    """
-
-    def __init__(self, source: DGModule, target: DGModule, images: Sequence[Element]):
+    def __init__(self, source: DGModule, target: DGModule, rows: Sequence[Coeffs]):
         if source.ring is not target.ring:
             raise NotAModuleMap("source and target have different ground rings")
-        if len(images) != source.dim():
+        if len(rows) != source.dim():
             raise NotAModuleMap("one image per source basis element is required")
-        for i, img in enumerate(images):
-            if img.parent is not target:
-                raise NotAModuleMap("image does not live in the target module")
-            if not img.is_zero() and img.degree() != source.basis.degrees[i]:
-                raise NotAModuleMap(
-                    f"image of {source.basis.labels[i]} is not of degree {source.basis.degrees[i]}"
-                )
+        tdegs = target.basis.degrees
+        for label, d, row in zip(source.basis.labels, source.basis.degrees, rows):
+            if any(not 0 <= k < len(tdegs) or tdegs[k] != d for k in row):
+                raise NotAModuleMap(f"image of {label} is not of degree {d}")
         self.source = source
         self.target = target
-        self.images = tuple(images)
+        self.rows = tuple(rows)
         self.verify()
 
     def verify(self) -> None:
@@ -177,8 +169,7 @@ class ModuleMap:
         f(e_r . e_i) = e_r . f(e_i) on every (ring, source) basis pair, on
         the rows of the images, the actions and the differentials; raises
         NotAModuleMap at the first failure, in that order."""
-        src, tgt, ring = self.source, self.target, self.source.ring
-        rows = [img.coeffs for img in self.images]
+        src, tgt, ring, rows = self.source, self.target, self.source.ring, self.rows
         i = _first_uncommuting(src._diff, tgt._diff, rows)
         if i is not None:
             raise NotAModuleMap(f"does not commute with d at {src.basis.labels[i]}")

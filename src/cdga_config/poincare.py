@@ -202,9 +202,9 @@ def shriek_map(pd: PDAlgebra) -> ModuleMap:
     target = ring_as_module(square)
     diag = pd.diagonal.coeffs
     unit = pd.algebra.unit
-    images = [Element(target, square.multiply_coeffs(diag, {square.pair_index(unit, a): 1}))
-              for a in range(pd.algebra.dim())]
+    rows = [square.multiply_coeffs(diag, {square.pair_index(unit, a): 1})
+            for a in range(pd.algebra.dim())]
     try:
-        return ModuleMap(source, target, images)
+        return ModuleMap(source, target, rows)
     except NotAModuleMap as exc:
         raise ModuleMapViolation(str(exc)) from exc

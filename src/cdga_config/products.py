@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from .algebra import DGAlgebra, Element, GradedBasis
+from .algebra import AlgebraMap, DGAlgebra, Element, GradedBasis
 from .errors import CorrespondenceFailure, StructureError
 from .linalg import Scalar, _combine, _divide
 
@@ -109,16 +109,14 @@ class TensorAlgebra(DGAlgebra):
                 coeffs[self._pair_index[(i, j)]] = a * b
         return Element(self, coeffs)
 
-    def twist(self, x: Element) -> Element:
-        """The twist a (x) b -> (-1)^(|a||b|) b (x) a (needs left == right)."""
+    @property
+    def swap(self) -> AlgebraMap:
+        """The map a (x) b -> (-1)^(|a||b|) b (x) a (needs left == right)."""
         if self.left is not self.right:
-            raise StructureError("twist needs both factors equal")
+            raise StructureError("swap needs both factors equal")
         degs = self.left.basis.degrees
-        out = {}
-        for t, c in x.coeffs.items():
-            i, j = self._pairs[t]
-            out[self._pair_index[(j, i)]] = c * (-1) ** (degs[i] * degs[j])
-        return Element(self, out)
+        return AlgebraMap(self, self, tuple({self._pair_index[(j, i)]: (-1) ** (degs[i] * degs[j])}
+                                            for i, j in self._pairs))
 
 
 def _is_unit_algebra(a: DGAlgebra) -> bool:

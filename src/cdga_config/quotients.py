@@ -9,11 +9,11 @@ per-degree rref rows and their `linalg._residues` table, keyed by pivot:
 each pivot's entry is the canonical representative of e_pivot modulo the
 subspace, minus the rest of its rref row; every other e_i is its own.
 Reducing and testing membership are `linalg._reduce` through that table,
-and the quotient map is its `linalg._projection`, through which the
-quotient's products and differential are combined. Representatives are
-the ambient basis vectors at the non-pivot coordinates of the per-degree
-rref, so quotient bases keep their ambient labels and all reports stay
-deterministic.
+and the rows of the quotient map, an `algebra.AlgebraMap`, are its
+`linalg._projection`, through which the quotient's products and
+differential are combined. Representatives are the ambient basis
+vectors at the non-pivot coordinates of the per-degree rref, so quotient
+bases keep their ambient labels and all reports stay deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import Coeffs, DGAlgebra, Element, GradedBasis, _betti_numbers, betti_vector
+from .algebra import (AlgebraMap, Coeffs, DGAlgebra, Element, GradedBasis, _betti_numbers,
+                      betti_vector)
 from .errors import MixedParents, StructureError
 from .linalg import Scalar, _combine, _projection, _reduce, _residues, row_space_basis
 
@@ -121,29 +122,15 @@ class Subcomplex:
 
 @dataclass
 class QuotientDGA:
-    """A quotient algebra together with projection and section maps.
-
-    `kept` lists the ambient basis indices whose classes form the quotient
-    basis; sections send a quotient basis element to that ambient basis
-    element, and `project` is the canonical projection vanishing exactly on
-    the subspace. `_images[i]` is the class of e_i in quotient coordinates.
-    """
+    """A quotient algebra with its projection, the `AlgebraMap` that
+    vanishes exactly on the subspace and sends e_i to its class in the
+    quotient basis, the classes of the ambient basis elements `kept`."""
 
     ambient: DGAlgebra
     algebra: DGAlgebra
     kept: tuple[int, ...]
     subspace: Subcomplex
-    _images: list[Coeffs]
-
-    def project(self, elem: Element) -> Element:
-        if elem.parent is not self.ambient:
-            raise MixedParents("element does not live in the ambient algebra")
-        return Element(self.algebra, _combine(elem.coeffs, self._images))
-
-    def lift(self, elem: Element) -> Element:
-        if elem.parent is not self.algebra:
-            raise MixedParents("element does not live in the quotient")
-        return Element(self.ambient, {self.kept[q]: c for q, c in elem.coeffs.items()})
+    projection: AlgebraMap
 
     def betti(self, up_to: Optional[int] = None) -> list[int]:
         return betti_vector(self.algebra, up_to)
@@ -197,7 +184,8 @@ def quotient_dga(ambient: DGAlgebra, vectors: Sequence[Element], *, name: str = 
         top_degree=top,
         simply_connected=False,
     )
-    return QuotientDGA(ambient, quotient, tuple(kept), sub, images)
+    return QuotientDGA(ambient, quotient, tuple(kept), sub,
+                       AlgebraMap(ambient, quotient, tuple(images)))
 
 
 def ideal_span(ambient: DGAlgebra, generators: Sequence[Element]) -> list[Element]:

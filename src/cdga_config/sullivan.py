@@ -854,15 +854,15 @@ class _FamilyVerdict:
                                 for name, v in verdict.assignment.items()}
             self._assignment_slots = [(name, self._slot(v)) for name, v in verdict.assignment.items()
                                       if type(v) is RationalFunction]
-            self._images, self._image_slots = {}, []
+            self._generator_images, self._image_slots = {}, []
             for g, image in enumerate(verdict.images):
                 label = table.gen_label(g)
                 if any(type(c) is RationalFunction for c in image.values()):
-                    self._images[label] = None
+                    self._generator_images[label] = None
                     self._image_slots.append(
                         (label, {mono: self._slot(c) for mono, c in image.items()}))
                 else:
-                    self._images[label] = table.element_str(image)
+                    self._generator_images[label] = table.element_str(image)
 
     def _slot(self, value):
         """A scalar as it is; a rational function as the positions of its
@@ -906,7 +906,7 @@ class _FamilyVerdict:
         assignment = dict(self._assignment)
         for name, slot in self._assignment_slots:
             assignment[name] = quotients[slot]
-        images = dict(self._images)
+        images = dict(self._generator_images)
         for label, image in self._image_slots:
             images[label] = verdict.table.element_str({mono: value(c) for mono, c in image.items()})
         return Exists(assignment=assignment, generator_images=images)

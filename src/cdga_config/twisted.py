@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algebra import (
+    AlgebraMap,
     AxiomReport,
     Coeffs,
     DGAlgebra,
@@ -30,7 +31,6 @@ from .cone import MappingCone, cone_model
 from .errors import (
     AxiomFailure,
     EvenDimensionNonzeroXi,
-    MixedParents,
     NotACocycle,
     OddDimension,
     PhiNotBijective,
@@ -38,8 +38,8 @@ from .errors import (
     WrongDegree,
     ZeroFormalDimension,
 )
-from .linalg import (Parameters, Scalar, _at_point, _columns, _combine, _first_uncommuting,
-                     _projection, _residues, invert, kernel_basis, row_space_basis, solve)
+from .linalg import (Parameters, Scalar, _at_point, _columns, _combine, _projection, _residues,
+                     invert, kernel_basis, row_space_basis, solve)
 from .poincare import PDAlgebra
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 
@@ -49,10 +49,8 @@ class TruncatedCone:
     """The cone modulo everything of degree >= 2n-1, with its projection,
     and C(Xi), the whole family C(xi) as one model on it.
 
-    `base_rows[t]` holds the coefficients, in the truncation's basis, of
-    the image of the tensor-square basis element e_t under the inclusion
-    into the cone followed by the projection. They do not depend on xi,
-    so every C(xi) built on this truncation shares them.
+    `base_rows`, the rows of `cone.inclusion.then(quotient.projection)`,
+    do not depend on xi: every C(xi) built on this truncation shares them.
 
     `generic` is C(Xi): the truncation with (S1)^2 = sum_t X_t *
     base_rows[t], S1 the basis element `s1_index`, with one symbol X_t
@@ -61,9 +59,8 @@ class TruncatedCone:
     X_t = xi_t. In even formal dimension the family is {0}: there are no
     symbols, and the model is C(0), which `cone.even_model` returns.
     `axioms` is the report of `check_cdga` on it. `verified` says that
-    the report passed and that the map from the tensor square given by
-    `base_rows` passed `_verify_algebra_map` into it. Every C(xi) that is
-    an instance of it takes its report (see `instance` and `build_cxi`).
+    it passed and so did `AlgebraMap.verify` of `base_rows` into it. Every
+    C(xi) that is an instance of it takes its report (see `instance`).
 
     `betti` is the truncation's Betti vector in degrees 0 to the cone's
     top degree, computed once by `truncate_cone` for its check that the
@@ -156,9 +153,7 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     betti = betti_vector(quotient.algebra, top)
     if betti != cone_betti:
         raise StructureError("truncation does not preserve cohomology")
-    ring = cone.ring
-    base_rows = tuple(quotient.project(cone.include_base(ring.basis_element(t))).coeffs
-                      for t in range(ring.dim()))
+    base_rows = cone.inclusion.then(quotient.projection).rows
     try:
         s1_index = quotient.kept.index(cone.susp_to_cone[pd.algebra.unit])
     except ValueError:
@@ -173,7 +168,7 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     verified = axioms.all_pass
     if verified:
         try:
-            _verify_algebra_map(square, generic, tuple(Element(generic, r) for r in base_rows))
+            AlgebraMap(square, generic, base_rows).verify()
         except StructureError:
             verified = False
     trunc = TruncatedCone(cone, quotient, base_rows, generic, s1_index, symbols, axioms, verified,
@@ -182,38 +177,14 @@ def truncate_cone(cone: MappingCone) -> TruncatedCone:
     return trunc
 
 
-def _verify_algebra_map(source: DGAlgebra, target: DGAlgebra, images: Sequence[Element]) -> None:
-    """Check the parent of the images, then unit, multiplicativity and the
-    cochain property on all basis pairs of a map given by images of basis
-    elements, working on the raw coefficient dicts."""
-    if any(x.parent is not target for x in images):
-        raise MixedParents("images do not belong to the target algebra")
-    if images[source.unit] != target.one():
-        raise StructureError("map does not preserve the unit")
-    rows = [x.coeffs for x in images]
-    i = _first_uncommuting(source._diff, target._diff, rows)
-    if i is not None:
-        raise StructureError(f"map does not commute with d at {source.basis.labels[i]}")
-    for i, products in enumerate(source._mult):
-        for j in range(i, len(products)):
-            if _combine(products[j], rows) != target.multiply_coeffs(rows[i], rows[j]):
-                raise StructureError(
-                    f"map is not multiplicative at ({source.basis.labels[i]}, {source.basis.labels[j]})"
-                )
-
-
 @dataclass
 class TwistedModel:
     """The truncation `trunc` with the product twisted so that
     (S1)^2 = xi, and the report `axioms` that `build_cxi` gave it.
 
-    `algebra` carries the twisted product. Everything C(xi) shares with
-    its truncation is read from `trunc`, its one owner: the duality
-    algebra and the cone, the index of S1, and the shared `base_rows`
-    that realise the map from the tensor square (projection on the
-    algebra part, zero on the suspension), verified multiplicative by
-    `build_cxi`, which give (S1)^2 as the image of xi (see `instance`);
-    and the Betti vector, which is this model's (see `betti`).
+    `algebra` carries the twisted product; all else C(xi) shares with its
+    truncation is read from `trunc`, its one owner: S1, the `base_rows`
+    that give (S1)^2 as the image of xi, and the Betti vector (`betti`).
     """
 
     trunc: TruncatedCone
@@ -270,7 +241,7 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     model C(Xi) of the truncation (`TruncatedCone`), and per xi by an exact
     instance check (`TruncatedCone.instance`). When C(Xi) failed a check or
     the model is not an instance of it, `check_cdga` and
-    `_verify_algebra_map` run on this model itself, over the parameters
+    `AlgebraMap.verify` run on this model itself, over the parameters
     for a family, so a failure raises the same `AxiomFailure` or
     `StructureError`, witness included, as when every C(xi) was checked
     on its own.
@@ -280,16 +251,15 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     polynomials of degree 1 in the X_t; the instance check shows that the
     tables of C(xi) are ev of those of C(Xi), entry by entry (a missing
     entry is 0). Every comparison that `check_cdga` and
-    `_verify_algebra_map` make, over all basis tuples, sets two sparse
+    `AlgebraMap.verify` make, over all basis tuples, sets two sparse
     vectors side by side, each a sum of products of table entries times
     integers; there is no division. ev is a ring homomorphism, so each
     side computed on C(xi) is ev of the same side computed on C(Xi). For
     a family, ev may send X_t to xi_t(q, r) in Q[q, r] (or its field of
-    fractions), and it is still a ring homomorphism. Both
-    checks passed on C(Xi), so each pair of sides is equal in Q[X], and
-    hence at xi. The tuples `check_cdga` passes over cannot fail on any
-    algebra, so every comparison of the sweep over all tuples holds on
-    C(xi), and its report is C(Xi)'s, every axiom passing.
+    fractions), and it is still a ring homomorphism. Both checks passed
+    on C(Xi), so by their lemmas every comparison of their sweeps over all
+    tuples holds there, in Q[X], and hence at xi: C(xi)'s report is
+    C(Xi)'s, every axiom passing.
     """
     _check_twist(pd, xi)
     trunc = truncate_cone(cone_model(pd))
@@ -299,7 +269,7 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
     report = check_cdga(twisted)
     if not report.all_pass:
         raise AxiomFailure(report)
-    _verify_algebra_map(pd.square, twisted, tuple(Element(twisted, r) for r in trunc.base_rows))
+    AlgebraMap(pd.square, twisted, trunc.base_rows).verify()
     return TwistedModel(trunc, xi, twisted, report)
 
 
@@ -353,7 +323,7 @@ class PhiMap:
     `matrix` and `inverse` are dense rows. `_target_projection[j]` is the
     class of the j-th representative of H^(2n-2)(A (x) A) in quotient
     coordinates: the `linalg._projection` of the residue table of the
-    diagonal classes, as `quotient_dga` builds its `_images`."""
+    diagonal classes, as `quotient_dga` builds its projection."""
 
     pd: PDAlgebra
     matrix: list[list[Scalar]]
@@ -552,7 +522,7 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
             continue
         product = square.multiply(square.basis_element(t), pd.diagonal)
         if not product.is_zero():
-            diagonal_multiples.append(cone.include_base(product))
+            diagonal_multiples.append(cone.inclusion(product))
 
     positive_suspensions = []
     for b in range(pd.algebra.dim()):
@@ -560,8 +530,8 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
             positive_suspensions.append(alg.basis_element(cone.susp_to_cone[b]))
 
     vectors = (
-        [cone.include_base(s) for s in complement]
-        + [cone.include_base(ds) for ds in complement_images if not ds.is_zero()]
+        [cone.inclusion(s) for s in complement]
+        + [cone.inclusion(ds) for ds in complement_images if not ds.is_zero()]
         + diagonal_multiples
         + positive_suspensions
     )
@@ -578,7 +548,7 @@ def equivalence_ideal(pd: PDAlgebra) -> EquivalenceIdeal:
                + [("exact", square.basis_element(i)) for i in idx_s])
 
     trunc = truncate_cone(cone)
-    projected = (trunc.quotient.project(Element(alg, gen)).coeffs
+    projected = (_combine(gen, trunc.quotient.projection.rows)
                  for gens in sub.bases.values() for gen in gens)
     generators = tuple(g for g in projected if g)
     quotient = None
@@ -673,7 +643,7 @@ def decide_xi_equivalence(pd: PDAlgebra, xi: Element, xi2: Element):
     if square.multiply(w, pd.diagonal) + square.d(eta) != difference:
         raise StructureError("decomposition verification failed")
 
-    in_ideal = ideal.contains(ideal.truncation.cone.include_base(difference))
+    in_ideal = ideal.contains(ideal.truncation.cone.inclusion(difference))
     iso = _quotients_by_ideal_match(pd, ideal, xi, xi2)
     return EquivalentWitness(w=w, eta=eta, difference_in_ideal=in_ideal,
                              quotients_isomorphic=iso)

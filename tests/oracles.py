@@ -11,6 +11,8 @@ rref rows as the package does. `naive_check_cdga`,
 package's `Element` arithmetic, one product at a time, to cross-check the
 row-based loops of `check_cdga`, `DGModule.verify` and `ModuleMap.verify`
 and the signed-permutation test of `diagonal_correspondence`.
+`naive_verify_algebra_map` checks a map of CDGAs the same way, on every
+pair i <= j, against the generating-set sweep of `AlgebraMap.verify`.
 `naive_tensor_mult` restates the tensor product's Koszul rule over every
 pair of product basis elements, against the sparse loop of
 `TensorAlgebra`. `oracle_check_table` keeps the per-value sweep of
@@ -387,6 +389,36 @@ def naive_verify_module_map(source, target, images):
                     f"does not commute with the action at ({ring.basis.labels[r]}, {labels[i]})")
 
 
+def naive_verify_algebra_map(source, target, images):
+    """The check of a map of CDGAs given by `Element` images, one product
+    at a time over every basis pair i <= j: the parent of the images, the
+    unit, d on every basis element, then products, raising the first
+    StructureError that `AlgebraMap.verify` raises. It checks no degrees."""
+    from cdga_config.algebra import Element
+    from cdga_config.errors import MixedParents, StructureError
+
+    if any(x.parent is not target for x in images):
+        raise MixedParents("images do not belong to the target algebra")
+    if images[source.unit] != target.one():
+        raise StructureError("map does not preserve the unit")
+
+    def apply(x):
+        out = Element(target, {})
+        for i, c in x.coeffs.items():
+            out = out + images[i].scale(c)
+        return out
+
+    labels = source.basis.labels
+    e = [source.basis_element(i) for i in range(source.dim())]
+    for i, x in enumerate(e):
+        if apply(source.d(x)) != target.d(images[i]):
+            raise StructureError(f"map does not commute with d at {labels[i]}")
+    for i in range(len(e)):
+        for j in range(i, len(e)):
+            if apply(e[i] * e[j]) != images[i] * images[j]:
+                raise StructureError(f"map is not multiplicative at ({labels[i]}, {labels[j]})")
+
+
 def oracle_shuffle_multiplicative(source, target, rows):
     """Whether the linear map with basis images `rows` (coefficient dicts
     in `target`) satisfies f(e_i e_j) = f(e_i) f(e_j) on every pair of
@@ -452,7 +484,7 @@ def oracle_quotients_match(pd, xi, xi2):
         projected = []
         for gens in ideal.subcomplex.bases.values():
             for gen in gens:
-                image = model.trunc.quotient.project(Element(ideal.truncation.cone.algebra, gen))
+                image = model.trunc.quotient.projection(Element(ideal.truncation.cone.algebra, gen))
                 if not image.is_zero():
                     projected.append(Element(model.algebra, image.coeffs))
         quotients.append(quotient_dga(model.algebra, projected,
@@ -491,7 +523,7 @@ def oracle_decide_xi_equivalence(pd, xi, xi2):
         found[part] = found[part] + elem.scale(c)
     ideal = equivalence_ideal(pd)
     return (found["w"], found["eta"],
-            ideal.contains(ideal.truncation.cone.include_base(difference)),
+            ideal.contains(ideal.truncation.cone.inclusion(difference)),
             oracle_quotients_match(pd, xi, xi2))
 
 
@@ -538,6 +570,6 @@ def top_ideal_generators(cone):
     the generators of the ideal that the paper quotients the cone by in
     even formal dimension, built with the package's `Element` arithmetic."""
     pd = cone.pd
-    omega_omega = cone.include_base(pd.square.tensor_elements(pd.omega, pd.omega))
+    omega_omega = cone.inclusion(pd.square.tensor_elements(pd.omega, pd.omega))
     s_omega = cone.algebra.element({cone.susp_to_cone[b]: c for b, c in pd.omega.coeffs.items()})
     return [omega_omega, s_omega]

@@ -197,7 +197,7 @@ def test_criterion_10_sign_convention_consistency(capsys):
         rdeg = ring.basis.degrees
         bdeg = source.basis.degrees
         for r in range(ring.dim()):
-            er = alg.basis_element(cone.ring_to_cone[r])
+            er = cone.inclusion(ring.basis_element(r))
             for b in range(source.dim()):
                 sb = alg.basis_element(cone.susp_to_cone[b])
                 direct = sb * er

@@ -163,7 +163,7 @@ def test_diagonal_is_cocycle(name):
 def test_twist_symmetry(name):
     pd = preset_pd(name)
     diag = pd.diagonal
-    assert pd.square.twist(diag) == diag.scale((-1) ** pd.n)
+    assert pd.square.swap(diag) == diag.scale((-1) ** pd.n)
 
 
 @pytest.mark.parametrize("name", NONTRIVIAL)
@@ -304,10 +304,10 @@ def test_shriek_s2xs3_values(s2xs3):
     x_idx = labels.index("s^-5(x)")
     xy_idx = labels.index("s^-5(xy)")
     sq = s2xs3.square
-    assert f.images[x_idx].coeffs == sq.from_label_coeffs(
+    assert f.rows[x_idx] == sq.from_label_coeffs(
         {"x⊗xy": F(1), "xy⊗x": F(-1)}
     ).coeffs
-    assert f.images[xy_idx].coeffs == sq.from_label_coeffs({"xy⊗xy": F(-1)}).coeffs
+    assert f.rows[xy_idx] == sq.from_label_coeffs({"xy⊗xy": F(-1)}).coeffs
 
 
 @pytest.mark.parametrize("name", NONTRIVIAL)
@@ -315,7 +315,7 @@ def test_shriek_of_unit_is_diagonal(name):
     pd = preset_pd(name)
     f = shriek_map(pd)
     unit_idx = pd.algebra.unit
-    assert f.images[unit_idx].coeffs == pd.diagonal.coeffs
+    assert f.rows[unit_idx] == pd.diagonal.coeffs
 
 
 @pytest.mark.parametrize("name", NONTRIVIAL)

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from cdga_config import products
-from cdga_config.algebra import DGAlgebra, check_cdga, same_structure
+from cdga_config.algebra import AlgebraMap, DGAlgebra, check_cdga, same_structure
 from cdga_config.errors import StructureError
+from cdga_config.io import load_algebra_file
+from cdga_config.poincare import check_pd
 from cdga_config.presets import PRESET_NAMES, preset_pd
 from cdga_config.products import TensorAlgebra, diagonal_correspondence, product_pd
 
@@ -209,3 +212,52 @@ def test_shuffle_check_rejects_a_map_that_is_not_a_signed_permutation(monkeypatc
     _record_shuffle(monkeypatch, edit)
     with pytest.raises(StructureError, match="not a signed permutation"):
         diagonal_correspondence(s2, s3)
+
+
+# --- the swap of a tensor square ----------------------------------------------
+
+# the fattened sphere E(5, 2), and its copy that breaks the Leibniz rule
+SWAP_INPUTS = [name for name in PRESET_NAMES if name != "point"] + ["e5_2", "e5_2_leibniz"]
+
+
+def _swap_pd(name):
+    if name.startswith("e5_2"):
+        return check_pd(*load_algebra_file(Path(__file__).parent / "data" / f"{name}.json")[:3])
+    return preset_pd(name)
+
+
+def _swap_images(square, rows):
+    return [square.element(row) for row in rows]
+
+
+@pytest.mark.parametrize("name", SWAP_INPUTS)
+def test_swap_is_an_involutive_algebra_map_that_fixes_the_diagonal_up_to_sign(name):
+    pd = _swap_pd(name)
+    square, swap = pd.square, pd.square.swap
+    swap.verify()
+    assert oracles.naive_verify_algebra_map(square, square, _swap_images(square, swap.rows)) is None
+    assert swap.then(swap).rows == tuple({t: 1} for t in range(square.dim()))
+    assert swap(pd.diagonal) == pd.diagonal.scale((-1) ** pd.n)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("s2xs3", "map is not multiplicative at (1⊗x, y⊗y)"),
+    ("s3xs4", "map is not multiplicative at (1⊗x, x⊗y)"),
+    ("e5_2", "map does not commute with d at u⊗t"),
+])
+def test_a_swap_with_one_odd_sign_flipped_fails(name, message):
+    """The first row e_i (x) e_j with i != j, both of odd degree, negated:
+    `verify` and the check over every pair give the same witness."""
+    pd = _swap_pd(name)
+    square = pd.square
+    odd = {i for i, d in enumerate(pd.algebra.basis.degrees) if d % 2}
+    t = next(t for t in range(square.dim())
+             if (pair := square.factors_of(t))[0] != pair[1] and set(pair) <= odd)
+    rows = tuple({k: -c for k, c in row.items()} if s == t else row
+                 for s, row in enumerate(square.swap.rows))
+    with pytest.raises(StructureError) as info:
+        AlgebraMap(square, square, rows).verify()
+    assert str(info.value) == message
+    with pytest.raises(StructureError) as info:
+        oracles.naive_verify_algebra_map(square, square, _swap_images(square, rows))
+    assert str(info.value) == message

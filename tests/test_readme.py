@@ -25,8 +25,9 @@ def _comments(block):
     return {code.strip(): comment.strip() for code, comment in pairs}
 
 
-def test_readme_has_two_python_examples():
-    assert len(_python_blocks()) == 2
+def test_readme_has_three_python_examples():
+    """The table example, the library example and the map example."""
+    assert len(_python_blocks()) == 3
 
 
 def test_the_table_example_loads_a_checked_table():
@@ -48,3 +49,14 @@ def test_the_library_example_gives_the_values_in_its_comments():
     assert eval(betti, namespace) == [1, 0, 2, 2, 1, 3, 1, 1, 1, 0, 0]
     assert comments["result.verdict"] == '"obstructed"'
     assert namespace["result"].verdict == "obstructed"
+
+
+def test_the_map_example_gives_the_values_in_its_comments():
+    block = _python_blocks()[2]
+    namespace = _run(block)
+    comments = _comments(block)
+    image = "str(to_truncation(pd.diagonal))"
+    assert comments[image] == "1⊗xy + x⊗y - y⊗x - xy⊗1" == eval(image, namespace)
+    swapped = "swap(pd.diagonal) == pd.diagonal.scale(-1)"
+    assert comments[swapped].startswith("True:") and eval(swapped, namespace) is True
+    assert namespace["to_truncation"].target is namespace["quotient"].algebra

@@ -53,7 +53,7 @@ def test_preset_constructions_store_canonical_scalars(name):
     assert_canonical(element_scalars([pd.diagonal]), "diagonal class")
 
     f = shriek_map(pd)
-    assert_canonical(element_scalars(f.images), "shriek images")
+    assert_canonical((v for row in f.rows for v in row.values()), "shriek images")
     for r in range(f.source.ring.dim()):
         for m in range(f.source.dim()):
             assert_canonical(f.source.act_basis(r, m).values(), "module action")
@@ -66,7 +66,7 @@ def test_preset_constructions_store_canonical_scalars(name):
     assert_canonical(algebra_scalars(trunc.algebra), "truncation")
     for rows in trunc.quotient.subspace.bases.values():
         assert_canonical((v for row in rows for v in row.values()), "truncated subspace")
-    for row in trunc.quotient._images:
+    for row in trunc.quotient.projection.rows:
         assert_canonical(row.values(), "projection")
 
 

@@ -55,7 +55,7 @@ def test_evaluate_sends_base_elements_to_their_projections(s3xs4):
     t = s2xs3_table(F(1, 2), 3)
     model = t.target
     for b in range(t.base.dim()):
-        image = model.trunc.quotient.project(model.trunc.cone.include_base(t.base.basis_element(b)))
+        image = model.trunc.quotient.projection(model.trunc.cone.inclusion(t.base.basis_element(b)))
         assert t.evaluate({(b, ()): F(2, 3)}).coeffs == image.scale(F(2, 3)).coeffs
     t = dataclasses.replace(t, base=s3xs4.square)
     with pytest.raises(StructureError, match="table base is not the ring"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdga_config.algebra import cohomology
+from cdga_config.algebra import AlgebraMap, cohomology
 from cdga_config.cone import cone_model
 from cdga_config.errors import (
     EvenDimensionNonzeroXi,
@@ -29,8 +29,9 @@ from cdga_config.twisted import (
     truncate_cone,
 )
 
-from oracles import (dense_identity, dense_matmul, oracle_betti, oracle_decide_xi_equivalence,
-                     oracle_fm2_betti, oracle_quotients_match, top_ideal_generators)
+from oracles import (dense_identity, dense_matmul, naive_verify_algebra_map, oracle_betti,
+                     oracle_decide_xi_equivalence, oracle_fm2_betti, oracle_quotients_match,
+                     top_ideal_generators)
 
 ODD = ["s3", "s5", "s2xs3", "s3xs4"]
 ALL = ["s2", "s3", "s4", "s5", "cp2", "s2xs3", "s3xs4"]
@@ -78,7 +79,7 @@ def test_cxi_shares_every_row_of_the_truncation_but_the_square_of_s1(name, scale
     xi = square.element({k: scale * (p + 1) for p, k in enumerate(idx)})
     model = build_cxi(pd, xi)
     semi, s1 = model.trunc.quotient.algebra, model.trunc.s1_index
-    square_row = model.trunc.quotient.project(model.trunc.cone.include_base(xi)).coeffs
+    square_row = model.trunc.quotient.projection(model.trunc.cone.inclusion(xi)).coeffs
     # the table as the entries constructor builds it from the truncation's
     entries = semi.mult_entries() + [(s1, s1, k, c) for k, c in square_row.items()]
     built = DGAlgebra(semi.basis, semi.unit, entries, semi.diff_entries(),
@@ -137,8 +138,8 @@ def test_build_cxi_random_twists_pass_axioms(name):
     for _ in range(10):
         model = build_cxi(pd, random_xi(pd, rng))
         assert model.axioms.all_pass
-        assert model.s1_square().coeffs == model.trunc.quotient.project(
-            model.trunc.cone.include_base(model.xi)).coeffs
+        assert model.s1_square().coeffs == model.trunc.quotient.projection(
+            model.trunc.cone.inclusion(model.xi)).coeffs
 
 
 def test_build_cxi_even_rejects_nonzero(s2):
@@ -204,7 +205,6 @@ _COEFFICIENTS = st.one_of(
 @given(name=st.sampled_from(["s2xs3", "s2*s5"]), data=st.data())
 def test_build_cxi_family_report_is_the_numeric_report(name, data):
     from cdga_config.algebra import check_cdga
-    from cdga_config.twisted import _verify_algebra_map
 
     pd = _shared_pd(name)
     square = pd.square
@@ -215,8 +215,62 @@ def test_build_cxi_family_report_is_the_numeric_report(name, data):
     instance, covered = trunc.instance(xi)
     assert trunc.symbols and trunc.verified and covered and instance._mult == model.algebra._mult
     assert model.axioms == check_cdga(model.algebra)
-    _verify_algebra_map(square, model.algebra,
-                        tuple(model.algebra.element(row) for row in model.trunc.base_rows))
+    AlgebraMap(square, model.algebra, model.trunc.base_rows).verify()
+
+
+@functools.cache
+def _square_maps():
+    """(square, C(Xi) or C(0), base_rows) for every preset but `point` and
+    for s2xs3 (x) s2, whose cone has dimension 72."""
+    from cdga_config.presets import PRESET_NAMES
+    from cdga_config.products import product_pd
+
+    pds = [preset_pd(name) for name in PRESET_NAMES if name != "point"]
+    out = []
+    for pd in pds + [product_pd(preset_pd("s2xs3"), preset_pd("s2"))]:
+        trunc = truncate_cone(cone_model(pd))
+        out.append((pd.square, trunc.generic, trunc.base_rows, trunc.cone.algebra.dim()))
+    return out
+
+
+def _map_failure(source, target, rows):
+    """The messages of `AlgebraMap.verify` and of the check over every
+    pair, each None when it passes."""
+    from cdga_config.errors import StructureError
+
+    messages = []
+    for check in (lambda: AlgebraMap(source, target, rows).verify(),
+                  lambda: naive_verify_algebra_map(source, target,
+                                                   [target.element(r) for r in rows])):
+        try:
+            check()
+            messages.append(None)
+        except StructureError as exc:
+            messages.append(str(exc))
+    return messages
+
+
+def test_the_map_into_each_truncation_passes_both_checks():
+    maps = _square_maps()
+    assert max(dim for *_, dim in maps) == 72
+    for source, target, rows, _ in maps:
+        assert _map_failure(source, target, rows) == [None, None], target.name
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_doubled_image_of_a_non_generator_fails_both_checks_alike(seed):
+    """The image of one basis element of positive degree outside the
+    square's generating set, with a nonzero image, doubled: both checks
+    give one message."""
+    from cdga_config.algebra import _generating_set
+
+    candidates = [(source, target, rows, t) for source, target, rows, _ in _square_maps()
+                  for t in range(source.dim()) if rows[t] and source.basis.degrees[t]
+                  and t not in _generating_set(source)]
+    source, target, rows, t = random.Random(seed).choice(candidates)
+    rows = tuple({k: 2 * c for k, c in row.items()} if i == t else row for i, row in enumerate(rows))
+    verify, naive = _map_failure(source, target, rows)
+    assert verify == naive and verify is not None, source.basis.labels[t]
 
 
 def test_check_cdga_runs_once_per_truncation(monkeypatch):
@@ -224,7 +278,7 @@ def test_check_cdga_runs_once_per_truncation(monkeypatch):
 
     pd = _fresh_s2xs3()
     checks = _count_calls(monkeypatch, twisted, "check_cdga")
-    maps = _count_calls(monkeypatch, twisted, "_verify_algebra_map")
+    maps = _count_calls(monkeypatch, AlgebraMap, "verify")
     square = pd.square
     for q, r in [(1, 0), (F(-2, 3), 5), (0, 0), (7, F(1, 2))]:
         model = build_cxi(pd, square.from_label_coeffs({"y⊗xy": q, "xy⊗y": r}))
@@ -246,7 +300,7 @@ def test_build_cxi_over_parameters_is_an_instance_of_c_xi(name, monkeypatch):
     pd = _betti_inputs(name)[0]
     trunc = truncate_cone(cone_model(pd))
     checks = _count_calls(monkeypatch, twisted, "check_cdga")
-    maps = _count_calls(monkeypatch, twisted, "_verify_algebra_map")
+    maps = _count_calls(monkeypatch, AlgebraMap, "verify")
     params = Parameters([f"p{k}" for k in range(len(trunc.symbols))])
     model = build_cxi(pd, pd.square.element(
         {t: params.symbol(k) for k, t in enumerate(trunc.symbols)}))
@@ -285,7 +339,7 @@ def test_a_broken_shared_row_fails_the_family_and_keeps_the_numeric_witness(monk
         build_cxi(pd, xi)
     trunc = truncate_cone(cone_model(pd))
     assert not trunc.verified and not trunc.axioms.all_pass
-    square_row = trunc.quotient.project(trunc.cone.include_base(xi)).coeffs
+    square_row = trunc.quotient.projection(trunc.cone.inclusion(xi)).coeffs
     numeric = check_cdga(trunc.algebra.with_square(trunc.s1_index, square_row, name="C"))
     assert not numeric.all_pass and caught.value.report == numeric
 
@@ -513,7 +567,7 @@ def test_c_of_x_scales_to_cq0(s2xs3):
     direct = build_cxi(
         s2xs3, s2xs3.square.from_label_coeffs({"y⊗xy": q})
     )
-    assert model.s1_square().coeffs == model.trunc.quotient.project(model.trunc.cone.include_base(
+    assert model.s1_square().coeffs == model.trunc.quotient.projection(model.trunc.cone.inclusion(
         s2xs3.square.from_label_coeffs({"y⊗xy": q})
     )).coeffs
     assert same_structure(model.algebra, direct.algebra)
@@ -559,7 +613,7 @@ def test_equivalence_ideal_s3(s3):
     # every degree 2n-3 = 3 element is a cocycle: empty complement
     assert ideal.cocycle_complement == ()
     cone = ideal.truncation.cone
-    y_y = cone.include_base(s3.square.from_label_coeffs({"y⊗y": F(1)}))
+    y_y = cone.inclusion(s3.square.from_label_coeffs({"y⊗y": F(1)}))
     s_y = cone.algebra.from_label_coeffs({"Sy": 1})
     assert ideal.contains(y_y)
     assert ideal.contains(s_y)
