@@ -19,6 +19,7 @@ from .algebra import (
     DGAlgebra,
     Element,
     GradedBasis,
+    TensorAlgebra,
     betti_vector,
     check_cdga,
     cohomology,
@@ -27,7 +28,7 @@ from .cone import MappingCone, cone_model, even_model, mapping_cone
 from .dgmodule import DGModule, ModuleMap, ring_as_module, suspend
 from .linalg import Scalar, kernel_basis, rref, solve
 from .poincare import PDAlgebra, check_pd, shriek_map
-from .products import CorrespondenceReport, TensorAlgebra, diagonal_correspondence, product_pd
+from .products import CorrespondenceReport, diagonal_correspondence, product_pd
 from .quotients import QuotientDGA, Subcomplex, ideal_span, quotient_dga
 from .sullivan import (
     GeneratorTable,

@@ -16,6 +16,14 @@ else over every basis tuple whose products can be nonzero (see
 numbers are read off the ranks of the blocks of d (`betti_vector`), and
 cohomology with deterministic representatives is computed degree by degree
 for the callers that read them.
+
+The tensor product of two algebras (`TensorAlgebra`) multiplies by
+
+    (a (x) b) . (a' (x) b') = (-1)^(|a'| |b|)  a a' (x) b b'
+
+and differentiates by d(a (x) b) = da (x) b + (-1)^|a| a (x) db. Basis
+pairs are ordered by (degree, left index, right index) so printed elements
+list 1(x)top before top(x)1, matching the usual diagonal-class notation.
 """
 
 from __future__ import annotations
@@ -415,7 +423,7 @@ class AxiomReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, first, covered_m):
+def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, covered_m):
     """The first failing tuple of each action axiom of a ring on a module.
 
     The ring has products `rows[i][j]` = e_i e_j (as `DGAlgebra._mult`),
@@ -432,13 +440,14 @@ def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, first, covered_m):
 
     A ring acting on itself has `act` = `rows` and `diff` = `rdiff`.
 
-    `first` lists, in increasing order, the ring indices visited as r1 of
-    an associativity triple and as r of a Leibniz pair; r2 and m range
-    over every index. A caller that lists every ring index, or every
-    one but a covered unit (see below), gets the first failures of a sweep
-    over all tuples. `check_cdga` lists a generating set instead, shows by
-    its lemma that the tuples left out cannot fail when the restricted
-    ones pass, and sweeps again with every index when they do not.
+    The unit and d squared come back as found, associativity and Leibniz
+    as sweeps of `first`: the ring indices, in increasing order, visited
+    as r1 of a triple and as r of a pair; r2 and m range over every index.
+    A caller that lists every ring index, or every one but a covered unit
+    (see below), gets the first failures of a sweep over all tuples.
+    `check_cdga` lists a generating set first, shows by its lemma that the
+    tuples left out cannot fail when the restricted ones pass, and sweeps
+    again with every index when they do not.
 
     Associativity and Leibniz pass over tuples whose two sides are equal,
     so each first failure is the one a sweep over all tuples finds. Both
@@ -471,14 +480,19 @@ def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, first, covered_m):
     top, low = (degs[-1], degs[0]) if degs else (0, 0)
     unit_failure = next((m for m in range(n) if act[unit][m] != {m: 1}), None)
     if unit_failure is not None:
-        first, covered_m = range(len(rows)), -1
-    covered_r = -1 if unit in first else unit
+        covered_m = -1
     # act_t[m][r] = e_r . e_m: the action on e_m as a map of the ring
     act_t = [list(column) for column in zip(*act)]
     # partners[t]: the module indices m with e_t . e_m != 0
     partners = [[m for m, row in enumerate(act_rows) if row] for act_rows in act]
+    negated = _negated(diff)
 
-    def associativity():
+    def visited(first):
+        return range(len(rows)) if unit_failure is not None else first
+
+    def associativity(first):
+        first = visited(first)
+        covered_r = -1 if unit in first else unit
         for r1 in first:
             products, act1 = rows[r1], act[r1]
             # bisect_right(degs, d) is the number of indices of degree at most d
@@ -498,10 +512,9 @@ def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, first, covered_m):
                         return r1, r2, m
         return None
 
-    def leibniz():
+    def leibniz(first):
         skip_m = -1 if rdiff[unit] else covered_m
-        negated = _negated(diff)
-        for r in first:
+        for r in visited(first):
             act_r, dr = act[r], rdiff[r]
             signed = negated if rdegs[r] % 2 else diff
             for m in range(bisect_right(degs, top - 1 - rdegs[r])):
@@ -512,7 +525,7 @@ def _action_sweep(rows, act, rdiff, diff, rdegs, degs, unit, first, covered_m):
                     return r, m
         return None
 
-    return unit_failure, associativity(), _first_not_squaring_to_zero(diff), leibniz()
+    return unit_failure, associativity, _first_not_squaring_to_zero(diff), leibniz
 
 
 def _generating_set(a: DGAlgebra) -> Optional[list[int]]:
@@ -594,11 +607,13 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     = d(s a') x + (-1)^|a| (s a') dx, by associativity and the rule on s.
 
     So `check_cdga` sweeps associativity and Leibniz with r1 and r in S
-    only. It falls back to the sweep over every index when A^0 != Q.1 or
-    d(1) != 0 (no S is formed), when the unit row fails, or when any
-    restricted tuple fails. A restricted sweep that passes thus shows what
-    the full sweep would, and every failure is reported by the full sweep:
-    every report and every witness is the full sweep's.
+    only. It sweeps both over every index when A^0 != Q.1 or d(1) != 0
+    (no S is formed), when the unit row fails, or when a restricted
+    associativity triple fails; when only a restricted Leibniz pair fails,
+    A is associative by the lemma, and Leibniz alone is swept over every
+    index. A restricted sweep that passes thus shows what the full sweep
+    would, and every failure is reported by the full sweep: every report
+    and every witness is the full sweep's.
 
     Entries may be symbolic: with a `linalg.RationalFunction` entry the
     sweep runs over the field of rational functions, where a comparison
@@ -609,17 +624,18 @@ def check_cdga(a: DGAlgebra) -> AxiomReport:
     labels, degs, pair, drows = a.basis.labels, a.basis.degrees, a._mult, a._diff
     n = len(degs)
 
-    def sweep(first):
-        return _action_sweep(pair, pair, drows, drows, degs, degs, a.unit, first, a.unit)
-
-    gens = _generating_set(a)
-    found = None if gens is None else sweep(gens)
-    # the lemma stands only if the unit and every restricted tuple passed;
-    # d squared is checked on every index by either sweep
-    if found is None or (found[0], found[1], found[3]) != (None, None, None):
-        # the unit's tuples are covered only when d(1) = 0
-        found = sweep(range(n) if drows[a.unit] else [r for r in range(n) if r != a.unit])
-    unit, assoc, dd, leibniz = found
+    unit, sweep_assoc, dd, sweep_leibniz = _action_sweep(pair, pair, drows, drows, degs, degs,
+                                                         a.unit, a.unit)
+    # the unit's tuples are covered only when d(1) = 0
+    every = range(n) if drows[a.unit] else [r for r in range(n) if r != a.unit]
+    gens = None if unit is not None else _generating_set(a)
+    assoc = None if gens is None else sweep_assoc(gens)
+    if gens is None or assoc is not None:
+        # the Leibniz half of the lemma needs associativity
+        assoc, leibniz = sweep_assoc(every), sweep_leibniz(every)
+    else:
+        # A is associative by the lemma; Leibniz holds if it passed on S
+        leibniz = sweep_leibniz(gens) and sweep_leibniz(every)
 
     def witness(index_tuple):
         return None if index_tuple is None else f"({', '.join(labels[i] for i in index_tuple)})"
@@ -695,6 +711,106 @@ class AlgebraMap:
             if failure is not None:
                 raise StructureError("map is not multiplicative at "
                                      f"({labels[failure[0]]}, {labels[failure[1]]})")
+
+
+# --- tensor products ---------------------------------------------------------
+
+
+TENSOR = "⊗"
+
+
+def _wrap(label: str) -> str:
+    return f"({label})" if TENSOR in label else label
+
+
+def tensor_label(la: str, lb: str) -> str:
+    return f"{_wrap(la)}{TENSOR}{_wrap(lb)}"
+
+
+class TensorAlgebra(DGAlgebra):
+    """Koszul-signed tensor product of two DGAlgebras.
+
+    Keeps factor bookkeeping: `pair_index(i, j)` is the basis index of
+    e_i (x) e_j and `factors_of` inverts it.
+    """
+
+    def __init__(self, left: DGAlgebra, right: DGAlgebra, *, name: str = ""):
+        self.left = left
+        self.right = right
+        ldeg, rdeg = left.basis.degrees, right.basis.degrees
+        pairs = sorted(
+            ((i, j) for i in range(left.dim()) for j in range(right.dim())),
+            key=lambda p: (ldeg[p[0]] + rdeg[p[1]], p[0], p[1]),
+        )
+        self._pairs = tuple(pairs)
+        self._pair_index = {p: t for t, p in enumerate(pairs)}
+        labels = [tensor_label(left.basis.labels[i], right.basis.labels[j]) for i, j in pairs]
+        degrees = [ldeg[i] + rdeg[j] for i, j in pairs]
+        basis = GradedBasis(labels, degrees)
+
+        top = None
+        if left.top_degree is not None and right.top_degree is not None:
+            top = left.top_degree + right.top_degree
+
+        # only pairs whose factor products are both nonzero contribute
+        index = self._pair_index
+        lpairs = [(i, i2, row) for i, rows in enumerate(left._mult)
+                  for i2, row in enumerate(rows) if row]
+        rpairs = [(j, j2, row) for j, rows in enumerate(right._mult)
+                  for j2, row in enumerate(rows) if row]
+        mult = []
+        for i, i2, lrow in lpairs:
+            for j, j2, rrow in rpairs:
+                t1, t2 = index[(i, j)], index[(i2, j2)]
+                if t2 < t1:
+                    continue
+                sign = (-1) ** (ldeg[i2] * rdeg[j])
+                for k, a in lrow.items():
+                    for l, b in rrow.items():
+                        mult.append((t1, t2, index[(k, l)], sign * a * b))
+
+        diff = []
+        for t, (i, j) in enumerate(pairs):
+            for k, c in left._diff[i].items():
+                diff.append((t, self._pair_index[(k, j)], c))
+            sign = (-1) ** ldeg[i]
+            for l, c in right._diff[j].items():
+                diff.append((t, self._pair_index[(i, l)], sign * c))
+
+        super().__init__(
+            basis,
+            self._pair_index[(left.unit, right.unit)],
+            mult,
+            diff,
+            name=name or f"{left.name or '?'}{TENSOR}{right.name or '?'}",
+            top_degree=top,
+            simply_connected=left.simply_connected and right.simply_connected,
+        )
+
+    def pair_index(self, i: int, j: int) -> int:
+        return self._pair_index[(i, j)]
+
+    def factors_of(self, t: int) -> tuple[int, int]:
+        return self._pairs[t]
+
+    def tensor_elements(self, x: Element, y: Element) -> Element:
+        """The element x (x) y (bilinear, no signs: signs live in products)."""
+        if x.parent is not self.left or y.parent is not self.right:
+            raise StructureError("factors live in the wrong algebras")
+        coeffs = {}
+        for i, a in x.coeffs.items():
+            for j, b in y.coeffs.items():
+                coeffs[self._pair_index[(i, j)]] = a * b
+        return Element(self, coeffs)
+
+    @property
+    def swap(self) -> AlgebraMap:
+        """The map a (x) b -> (-1)^(|a||b|) b (x) a (needs left == right)."""
+        if self.left is not self.right:
+            raise StructureError("swap needs both factors equal")
+        degs = self.left.basis.degrees
+        return AlgebraMap(self, self, tuple({self._pair_index[(j, i)]: (-1) ** (degs[i] * degs[j])}
+                                            for i, j in self._pairs))
 
 
 # --- cohomology ------------------------------------------------------------

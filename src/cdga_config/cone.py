@@ -28,6 +28,8 @@ from .errors import AxiomFailure, NotAModuleMap, OddDimension, StructureError, Z
 from .linalg import _first_not_squaring_to_zero
 from .poincare import PDAlgebra, shriek_map
 
+# the package's one import cycle: `twisted` builds on the cone, and
+# `even_model`, which callers reach as `cone.even_model`, on `twisted`
 if TYPE_CHECKING:
     from .twisted import TwistedModel
 

@@ -102,9 +102,9 @@ class DGModule:
         if all(row == {r: 1} for r, row in enumerate(rows[unit])) and not ring._diff[unit]:
             every = [r for r in every if r != unit]
         covered_m = unit if act == rows and diff == ring._diff else -1
-        unit_failure, assoc, dd, leibniz = _action_sweep(
-            rows, act, ring._diff, diff, ring.basis.degrees, self.basis.degrees,
-            unit, every, covered_m)
+        unit_failure, sweep_assoc, dd, sweep_leibniz = _action_sweep(
+            rows, act, ring._diff, diff, ring.basis.degrees, self.basis.degrees, unit, covered_m)
+        assoc, leibniz = sweep_assoc(every), sweep_leibniz(every)
         rlabels, labels = ring.basis.labels, self.basis.labels
         if unit_failure is not None:
             raise StructureError(f"unit does not act as identity on {labels[unit_failure]}")

@@ -6,7 +6,8 @@ nonzero, never floats), a sparse differential, an orientation functional
 on the top degree and a simply-connected flag. Omitted products are zero;
 products of the unit are implied by naming it and injected automatically.
 Both loaders read every field through `_field` and every basis label
-through `_label`, so a rejected document names its source and JSON path.
+through `_label`, so a rejected document names its source and JSON path
+(table documents too: `sullivan.parse_table_file`).
 
 Element expressions use rational coefficients, '*', '+', '-', the tensor
 symbol (ASCII fallback: "(x)" inside a parenthesized label) and
@@ -15,22 +16,15 @@ parenthesized labels, e.g.  "1*(y(x)xy) - 2*(xy(x)y)".
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
-from .algebra import DGAlgebra, Element, GradedBasis
-from .cone import cone_model
-from .errors import (EvenDimensionNonzeroXi, ExpressionParseError, ParseError, StructureError,
-                     WrongDegree)
-from .linalg import _ONE, Parameters, RationalFunction, Scalar, _accumulate, _divide, _exact
+from .algebra import TENSOR, DGAlgebra, Element, GradedBasis
+from .errors import ExpressionParseError, ParseError, StructureError
+from .linalg import Scalar, _accumulate, _divide, _exact
 from .poincare import PDAlgebra
-from .products import TENSOR
-from .twisted import TwistedModel, build_cxi, truncate_cone
 
 _NUMBER_RE = re.compile(r"^[-+]?\d+(/\d+)?$")
 
@@ -435,232 +429,3 @@ def _resolve(algebra: DGAlgebra, terms: list[_Term], path=None, source="") -> _L
                 ) from None
         resolved.append((coeff, {idx: 1}))
     return _linear(resolved)
-
-
-# --- generator table files ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TableDocument:
-    """A generator table document, read and checked once. `table(values)`
-    builds the table at values of the declared parameters.
-
-    A value is a rational or a `linalg.RationalFunction`. The evaluation
-    target C(xi) is a model over the rationals, so it is built, and the
-    evaluation with it, only when every value is a rational; otherwise the
-    table has no target. What does not depend on the values is done once,
-    by `parse_table_file`: xi, each evaluation element and each
-    differential is kept as its constant part and one coefficient dict
-    per parameter (the constant terms of a differential summed, the labels
-    of xi and of the evaluation looked up in the tensor square and in the
-    truncation that every C(xi) shares). Nothing built at values is kept:
-    each call builds its own table, with dicts and caches of its own.
-    `target(values)` builds C(xi) at the values, checked by
-    `twisted.build_cxi`; `table` evaluates into the one it is given, or
-    else builds its own.
-
-    `symbolic` is the table with each parameter a symbol of one
-    `linalg.Parameters`. Its target C(xi(q, r)) is built by
-    `twisted.build_cxi`, as an instance of the truncation's C(Xi) that
-    takes C(Xi)'s report (or, when C(Xi) is not verified, with the full
-    checks run over the parameters). `report` is
-    `sullivan.check_table` of it, run once, when first asked for. For a
-    table that `table` built at rational values, `check_table` compares
-    the table exactly with `symbolic` at those values and, when they agree
-    and `report` passed, returns `report`. Why that report is the table's:
-    both checks of `check_table` compare sums of products of table
-    entries; there is no division. Evaluation at a point is a ring
-    homomorphism of Q[q, r] (the symbolic entries are polynomials, or
-    there is no `symbolic`), so each side computed on the table is the
-    symbolic side evaluated there, and an identity that held
-    symbolically holds at every point. Guards do not matter here: a zero
-    test only drops an entry that is already zero.
-
-    `family_verdicts` is the one memo: `sullivan.classify_example` keeps
-    there, by the names of its symbols, the verdicts of its two solves
-    with the parameters symbolic, ("q1",) and ("q1", "q2"). They depend on
-    the document alone, so whoever holds the document (`presets.preset_table`
-    for the packaged one) solves each once.
-    """
-
-    source: str
-    parameters: list[str]
-    pd: PDAlgebra
-    xi: _Linear
-    # per generator, in the basis of the truncation
-    evaluation: tuple[_Linear, ...]
-    # per generator, in the free algebra's monomials
-    differentials: tuple[_Linear, ...]
-    # the generators, cap and name with no differentials and no target:
-    # the template `table` copies, each copy with caches of its own
-    blank: GeneratorTable
-    family_verdicts: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def table(self, values: Mapping[str, Scalar], target: Optional[TwistedModel] = None):
-        """The table at `values`. At rational values it evaluates into
-        C(xi) at those values: `target` when given, which must be the
-        model that `target(values)` built (its xi is compared with xi at
-        the values), else one built here by `target(values)`."""
-        values = self._canonical(values)
-        if not all(isinstance(values[p], Scalar) for p in self.parameters):
-            return self._build(values, None)
-        if target is None:
-            target = self.target(values)
-        elif target.xi != self._xi(values):
-            raise StructureError(f"{self.source}: the target given is not C(xi) at these values")
-        table = self._build(values, target)
-        # the one place that sets it (see `GeneratorTable._built_from`)
-        object.__setattr__(table, "_built_from", (self, values))
-        return table
-
-    def target(self, values: Mapping[str, object]) -> TwistedModel:
-        """C(xi) at `values`, the table's target there, built and checked
-        by `twisted.build_cxi`."""
-        return build_cxi(self.pd, self._xi(self._canonical(values)))
-
-    def _canonical(self, values: Mapping[str, object]) -> dict[str, object]:
-        """The values in canonical form (`linalg._exact`); a declared
-        parameter without a value is a ParseError."""
-        missing = [p for p in self.parameters if p not in values]
-        if missing:
-            raise ParseError(f"{self.source}: values required for parameters {missing}")
-        return {name: _exact(value) for name, value in values.items()}
-
-    def _xi(self, values: Mapping[str, object]) -> Element:
-        return self.pd.square.element(_at_values(self.xi, values))
-
-    def _build(self, values: Mapping[str, object], target) -> GeneratorTable:
-        """The table at `values`, evaluating into `target` (none when it
-        is None)."""
-        evaluation = () if target is None else tuple(
-            target.algebra.element(_at_values(image, values)) for image in self.evaluation)
-        return dataclasses.replace(
-            self.blank, differentials=tuple(_at_values(d, values) for d in self.differentials),
-            target=target, evaluation=evaluation)
-
-    @cached_property
-    def symbolic(self) -> Optional[GeneratorTable]:
-        """The table with each parameter a symbol, or None when xi over
-        the symbols fails `build_cxi`'s preconditions (a term whose
-        coefficient vanishes at some values may have the wrong degree) or
-        an entry has a non-constant denominator."""
-        params = Parameters(self.parameters)
-        values = {name: params.symbol(k) for k, name in enumerate(self.parameters)}
-        try:
-            target = self.target(values)
-        except (EvenDimensionNonzeroXi, WrongDegree):
-            return None
-        table = self._build(values, target)
-        s1 = target.trunc.s1_index
-        rows = (*table.differentials, *(image.coeffs for image in table.evaluation),
-                target.algebra._mult[s1][s1])
-        if any(type(c) is RationalFunction and c.den != _ONE for row in rows for c in row.values()):
-            return None
-        return table
-
-    @cached_property
-    def report(self) -> Optional[TableReport]:
-        """`sullivan.check_table` of `symbolic`, or None without one."""
-        from .sullivan import check_table
-
-        return None if self.symbolic is None else check_table(self.symbolic)
-
-
-def parse_table_file(path: str | Path) -> TableDocument:
-    """Read and check a generator table document (see `TableDocument`).
-    The evaluation's labels are looked up in the truncation of the
-    algebra's cone, which this builds (`twisted.truncate_cone`)."""
-    from .sullivan import GeneratorTable
-    from .presets import resolve_pd
-
-    path = Path(path)
-    data = _read_json(path)
-    source = str(path)
-    if not isinstance(data, dict):
-        raise ParseError(f"{source}: top level must be an object")
-    declared = _of_type(data.get("parameters", []), list, "parameters", source)
-    for pos, name in enumerate(declared):
-        _string(name, f"parameters[{pos}]", source)
-
-    pd = resolve_pd(_string(_field(data, "algebra", source), "algebra", source),
-                    relative_to=path.parent)
-    square = pd.square
-    xi = _parsed(_element_terms, _field(data, "xi", source), "xi", source, declared)
-    xi = _resolve(square, xi, "xi", source)
-
-    cap = _integer(_field(data, "degree_cap", source), "degree_cap", source)
-    gens = []
-    gen_index = {}
-    for pos, item in enumerate(_of_type(_field(data, "generators", source), list,
-                                        "generators", source)):
-        at = f"generators[{pos}]"
-        label = _string(_field(item, "label", source, at), f"{at}.label", source)
-        degree = _integer(_field(item, "degree", source, at), f"{at}.degree", source)
-        if not 0 < degree <= cap:
-            raise ParseError(f"{source}: {at}.degree must lie in 1..degree_cap = {cap}, "
-                             f"got {degree}")
-        if label in gen_index:
-            raise ParseError(f"{source}: {at}.label repeats an earlier label: "
-                             f"{json.dumps(label, ensure_ascii=False)}")
-        gen_index[label] = len(gens)
-        gens.append((label, degree))
-
-    values = _of_type(_field(data, "evaluation", source), dict, "evaluation", source)
-    evaluation = []
-    for label, _ in gens:
-        at = f"evaluation[{json.dumps(label)}]"
-        if label not in values:
-            raise ParseError(f"{source}: missing field {at}")
-        evaluation.append((at, _parsed(_element_terms, values[label], at, source, declared)))
-
-    # a table without differentials multiplies the terms' factors
-    table = GeneratorTable(
-        base=square,
-        gens=tuple(gens),
-        differentials=tuple({} for _ in gens),
-        target=None,
-        evaluation=(),
-        degree_cap=cap,
-        name=_string(data.get("name", path.stem), "name", source),
-    )
-
-    differentials = []
-    table_diffs = _of_type(_field(data, "differentials", source), dict, "differentials", source)
-    for label in table_diffs:
-        if label not in gen_index:
-            raise ParseError(f"{source}: differentials[{json.dumps(label)}] names no generator")
-    for label, degree in gens:
-        at = f"differentials[{json.dumps(label)}]"
-        terms = []
-        for pos, term in enumerate(_of_type(table_diffs.get(label, []), list, at, source)):
-            term = _of_type(term, dict, f"{at}[{pos}]", source)
-            coeff = _parsed(_coeff_term, term.get("coeff", "1"), f"{at}[{pos}].coeff", source,
-                            declared)
-            factors = []
-            for k, g in enumerate(_of_type(term.get("gens", []), list, f"{at}[{pos}].gens", source)):
-                if type(g) is not str or g not in gen_index:
-                    raise ParseError(f"{source}: {at}[{pos}].gens[{k}] is not a generator, "
-                                     f"got {json.dumps(g)}")
-                factors.append(table.gen_elt(gen_index[g]))
-            base = _string(term.get("base", ""), f"{at}[{pos}].base", source)
-            if base:
-                factors.append(table.base_elt(_label(square.basis, base.replace("(x)", TENSOR),
-                                                     f"{at}[{pos}].base", source)))
-            # each factor is a single monomial
-            term_degree = sum(table.monomial_degree(mono) for factor in factors for mono in factor)
-            if term_degree != degree + 1:
-                raise ParseError(f"{source}: {at}[{pos}] has degree {term_degree}, "
-                                 f"not |{label}| + 1 = {degree + 1}")
-            terms.append((coeff, table.product(*factors)))
-        differentials.append(_linear(terms))
-    # every C(xi) has the truncation's basis (`twisted.TruncatedCone.instance`)
-    target = truncate_cone(cone_model(pd)).algebra
-    return TableDocument(source, declared, pd, xi,
-                         tuple(_resolve(target, terms, at, source) for at, terms in evaluation),
-                         tuple(differentials), table)
-
-
-def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]] = None):
-    """Load a generator table document; `parameters` must supply a value
-    for every name the file declares (see `TableDocument`)."""
-    return parse_table_file(path).table(parameters or {})

@@ -16,11 +16,10 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .algebra import DGAlgebra, Element
+from .algebra import DGAlgebra, Element, TensorAlgebra
 from .dgmodule import DGModule, ModuleMap, ring_as_module, suspend
 from .errors import ModuleMapViolation, NotAModuleMap, PDFailure, StructureError
 from .linalg import Scalar, _accumulate, _columns, _combine, _divide, _exact, invert, kernel_basis
-from .products import TensorAlgebra
 
 
 class PDAlgebra:

@@ -1,29 +1,27 @@
 """Built-in example algebras, loaded from the packaged JSON files.
 
 What is cached per process, in `_cache`: the verified duality structure of
-each preset, by name, and the packaged generator table document, parsed
-once, under a key that no preset name reaches. Data derived from a
-preset's algebra hang off it and are shared with it: the tensor square,
-the diagonal class in it (`PDAlgebra.diagonal`), the cone, its
-truncation with the generic model C(Xi) (every twist at once,
-`twisted.TruncatedCone`) and the equivalence ideal, the one owner of the
-system matrix, the projected generators and C(Xi)/I
-(`twisted.EquivalenceIdeal`). The table
-document keeps the two family verdicts of `sullivan.classify_example`,
-which depend on the document alone, and its table over the parameters
-with that table's `check_table` report (`io.TableDocument.symbolic` and
-`.report`): each table at given values that is an exact instance of it
-takes that report. Nothing that depends on a value is cached: each
-twist, each C(xi) and each table at given parameter values is built
-afresh (`classify_example` builds each value's C(q, 0) once per call,
-and a table on it only for a pair that takes the numeric solve).
-`check_cdga` and the check of the map from the tensor square run once
-per truncation, on C(Xi); each C(xi), the document's
-C(xi(q, r)) over its parameters included, is built by `twisted.build_cxi`
-and gets the entry checks of `DGAlgebra.with_square` and an exact check
-that it is C(Xi) at xi (`twisted.TruncatedCone.instance`), or the full
-checks of its own when it is not.
-`_cache.clear()` drops all of it together.
+each preset, by name, and the packaged generator table document
+(`sullivan.preset_table`), parsed once, under a key that no preset name
+reaches. Data derived from a preset's algebra hang off it and are shared
+with it: the tensor square, the diagonal class in it
+(`PDAlgebra.diagonal`), the cone, its truncation with the generic model
+C(Xi) (every twist at once, `twisted.TruncatedCone`) and the equivalence
+ideal, the one owner of the system matrix, the projected generators and
+C(Xi)/I (`twisted.EquivalenceIdeal`). The table document keeps the two
+family verdicts of `sullivan.classify_example` and its table over the
+parameters with that table's report, which `sullivan.check_table` gives
+to each table at given values that is an exact instance of it. Nothing
+that depends on a value is cached: each twist, each C(xi) and each table
+at given parameter values is built afresh (`classify_example` builds
+each value's C(q, 0) once per call, and a table on it only for a pair
+that takes the numeric solve). `check_cdga` and the check of the map
+from the tensor square run once per truncation, on C(Xi); each C(xi),
+the document's C(xi(q, r)) over its parameters included, is built by
+`twisted.build_cxi` and gets the entry checks of `DGAlgebra.with_square`
+and an exact check that it is C(Xi) at xi
+(`twisted.TruncatedCone.instance`), or the full checks of its own when
+it is not. `_cache.clear()` drops all of it together.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import ParseError
-from .io import TableDocument, load_algebra_file, parse_table_file
+from .io import load_algebra_file
 from .poincare import PDAlgebra, check_pd
 
 PRESET_NAMES = ("point", "s2", "s3", "s4", "s5", "cp2", "s2xs3", "s3xs4")
@@ -42,7 +40,7 @@ PRESET_NAMES = ("point", "s2", "s3", "s4", "s5", "cp2", "s2xs3", "s3xs4")
 # a tuple, so that no preset name (a string) looks the document up
 _TABLE_KEY = ("table", "s2xs3_table")
 
-_cache: dict[Union[str, tuple[str, str]], Union[PDAlgebra, TableDocument]] = {}
+_cache: dict[Union[str, tuple[str, str]], object] = {}
 
 # the packaged data directory, resolved once at import
 _DATA = Path(str(resources.files("cdga_config").joinpath("data")))
@@ -84,15 +82,6 @@ def _resolve_path(argument: str, relative_to: Optional[Path] = None) -> Path:
         if not bare:
             raise ParseError(f"no such file: {shown!r}")
     return preset_path(argument)
-
-
-def preset_table() -> TableDocument:
-    """The packaged table document `s2xs3_table.json`, parsed once per
-    process; it refers to the cached s2xs3 preset."""
-    document = _cache.get(_TABLE_KEY)
-    if document is None:
-        document = _cache[_TABLE_KEY] = parse_table_file(table_preset_path())
-    return document
 
 
 def preset_pd(name: str) -> PDAlgebra:

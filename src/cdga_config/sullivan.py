@@ -23,22 +23,29 @@ map exists at all, which is the Obstructed verdict.
 The same solver runs on tables whose coefficients are rational functions
 of a family's parameters; `classify_example` decides its whole family that
 way and evaluates the verdict at each pair of values.
+Tables come from table documents (`TableDocument`), read and checked
+once by `parse_table_file` with the field readers of `io`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from pathlib import Path
+from typing import Mapping, Optional, Sequence, Union
 
-from .algebra import Element, same_structure
-from .errors import IncompatibleTables, StructureError
-from .io import TableDocument
-from .linalg import (Parameters, Poly, RationalFunction, Scalar, _accumulate, _at_point,
+from . import presets
+from .algebra import TENSOR, Element, TensorAlgebra, same_structure
+from .cone import cone_model
+from .errors import (EvenDimensionNonzeroXi, IncompatibleTables, ParseError, StructureError,
+                     WrongDegree)
+from .io import (_Linear, _at_values, _coeff_term, _element_terms, _field, _integer, _label,
+                 _linear, _of_type, _parsed, _read_json, _resolve, _string)
+from .linalg import (_ONE, Parameters, Poly, RationalFunction, Scalar, _accumulate, _at_point,
                      _columns, _divide, _exact, _reduce, invert)
-from .presets import preset_table
-from .products import TensorAlgebra
-from .twisted import TwistedModel, _same_but_square
+from .poincare import PDAlgebra
+from .twisted import TwistedModel, _same_but_square, build_cxi, truncate_cone
 
 Monomial = tuple[int, tuple[int, ...]]
 FreeElt = dict  # Monomial -> coefficient (a Scalar or RationalFunction, or a Poly in the solver)
@@ -158,11 +165,11 @@ class GeneratorTable:
     _text: dict[Monomial, str] = field(default_factory=dict, init=False, repr=False,
                                        compare=False)
     # the document and the rational values that `TableDocument.table`
-    # built this table at, set there and nowhere else; `check_table` may
-    # take the document's report for the table (`_document_report`). A
-    # copy made with `dataclasses.replace` was built by no document.
+    # built this table at; `check_table` may take the document's report
+    # for the table (`_document_report`). A `dataclasses.replace` copy
+    # keeps it, and is compared with the document's table as it stands.
     _built_from: Optional[tuple[TableDocument, dict[str, Scalar]]] = field(
-        default=None, init=False, repr=False, compare=False)
+        default=None, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.differentials) != len(self.gens):
@@ -440,11 +447,14 @@ def check_table(table: GeneratorTable) -> TableReport:
     `check_table` of that symbolic table run once, passed, the table
     gets that report. Why it is the table's: both checks compare sums of
     products of table entries; there is no division. Evaluation at a
-    point is a ring homomorphism, so a symbolic identity holds at every
-    point. Guards do not matter here: a zero test only drops an entry
-    that is already zero. Every other table (the symbolic report failed,
-    the table differs from the symbolic one at its values, or it was
-    built by no document) is swept generator by generator here.
+    point is a ring homomorphism of Q[q, r] (the symbolic entries are
+    polynomials), so each side computed on the table is the symbolic side
+    evaluated there, and a symbolic identity holds at every point. Guards
+    do not matter here: a zero test only drops an entry that is already
+    zero. A `dataclasses.replace` copy keeps its document and is compared
+    alike. Every other table (the symbolic report failed, the table
+    differs from the symbolic one at its values, or no document built it)
+    is swept generator by generator here.
     """
     report = _document_report(table)
     if report is not None:
@@ -495,6 +505,216 @@ def _document_report(table: GeneratorTable) -> Optional[TableReport]:
             and table.differentials == tuple(_at_point(d, point) for d in symbolic.differentials)):
         return document.report
     return None
+
+
+# --- table documents ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TableDocument:
+    """A generator table document, read and checked once by
+    `parse_table_file`. `table(values)` builds the table at values of the
+    declared parameters.
+
+    A value is a rational or a `linalg.RationalFunction`. The evaluation
+    target C(xi) is a model over the rationals, so it is built, and the
+    evaluation with it, only when every value is a rational; otherwise the
+    table has no target. What does not depend on the values is done once:
+    xi, each evaluation element and each differential is kept as its
+    constant part and one coefficient dict per parameter (the constant
+    terms of a differential summed, the labels of xi and of the evaluation
+    looked up in the tensor square and in the truncation that every C(xi)
+    shares). Nothing built at values is kept: each call builds its own
+    table, with dicts and caches of its own. `target(values)` builds C(xi)
+    at the values, checked by `twisted.build_cxi`; `table` evaluates into
+    the one it is given, or else builds its own.
+
+    `symbolic` is the table with each parameter a symbol of one
+    `linalg.Parameters`, into the C(xi(q, r)) that `twisted.build_cxi`
+    builds as an instance of the truncation's C(Xi). `report` is
+    `check_table` of it, run once, when first asked for; `check_table`
+    says why a table that `table` built at rational values may take it.
+
+    `family_verdicts` is the one memo: `classify_example` keeps there, by
+    the names of its symbols, the verdicts of its two solves with the
+    parameters symbolic, ("q1",) and ("q1", "q2"). They depend on the
+    document alone, so whoever holds the document (`preset_table` for the
+    packaged one) solves each once.
+    """
+
+    source: str
+    parameters: list[str]
+    pd: PDAlgebra
+    xi: _Linear
+    # per generator, in the basis of the truncation
+    evaluation: tuple[_Linear, ...]
+    # per generator, in the free algebra's monomials
+    differentials: tuple[_Linear, ...]
+    # the generators, cap and name with no differentials and no target:
+    # the template `table` copies, each copy with caches of its own
+    blank: GeneratorTable
+    family_verdicts: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def table(self, values: Mapping[str, Scalar], target: Optional[TwistedModel] = None):
+        """The table at `values`. At rational values it evaluates into
+        C(xi) at those values: `target` when given, which must be the
+        model that `target(values)` built (its xi is compared with xi at
+        the values), else one built here, and records `_built_from`."""
+        values = self._canonical(values)
+        if not all(isinstance(values[p], Scalar) for p in self.parameters):
+            return self._build(values, None)
+        if target is None:
+            target = self.target(values)
+        elif target.xi != self._xi(values):
+            raise StructureError(f"{self.source}: the target given is not C(xi) at these values")
+        return self._build(values, target, (self, values))
+
+    def target(self, values: Mapping[str, object]) -> TwistedModel:
+        """C(xi) at `values`, the table's target there, built and checked
+        by `twisted.build_cxi`."""
+        return build_cxi(self.pd, self._xi(self._canonical(values)))
+
+    def _canonical(self, values: Mapping[str, object]) -> dict[str, object]:
+        """The values in canonical form (`linalg._exact`); a declared
+        parameter without a value is a ParseError."""
+        missing = [p for p in self.parameters if p not in values]
+        if missing:
+            raise ParseError(f"{self.source}: values required for parameters {missing}")
+        return {name: _exact(value) for name, value in values.items()}
+
+    def _xi(self, values: Mapping[str, object]) -> Element:
+        return self.pd.square.element(_at_values(self.xi, values))
+
+    def _build(self, values: Mapping[str, object], target, built_from=None) -> GeneratorTable:
+        """The table at `values`, evaluating into `target` (none when it
+        is None), with `built_from` as its `_built_from`."""
+        evaluation = () if target is None else tuple(
+            target.algebra.element(_at_values(image, values)) for image in self.evaluation)
+        return replace(
+            self.blank, differentials=tuple(_at_values(d, values) for d in self.differentials),
+            target=target, evaluation=evaluation, _built_from=built_from)
+
+    @cached_property
+    def symbolic(self) -> Optional[GeneratorTable]:
+        """The table with each parameter a symbol, or None when xi over
+        the symbols fails `build_cxi`'s preconditions (a term whose
+        coefficient vanishes at some values may have the wrong degree) or
+        an entry has a non-constant denominator."""
+        params = Parameters(self.parameters)
+        values = {name: params.symbol(k) for k, name in enumerate(self.parameters)}
+        try:
+            target = self.target(values)
+        except (EvenDimensionNonzeroXi, WrongDegree):
+            return None
+        table = self._build(values, target)
+        s1 = target.trunc.s1_index
+        rows = (*table.differentials, *(image.coeffs for image in table.evaluation),
+                target.algebra._mult[s1][s1])
+        if any(type(c) is RationalFunction and c.den != _ONE for row in rows for c in row.values()):
+            return None
+        return table
+
+    @cached_property
+    def report(self) -> Optional[TableReport]:
+        """`check_table` of `symbolic`, or None without one."""
+        return None if self.symbolic is None else check_table(self.symbolic)
+
+
+def parse_table_file(path: str | Path) -> TableDocument:
+    """Read and check a generator table document (see `TableDocument`).
+    The evaluation's labels are looked up in the truncation of the
+    algebra's cone, which this builds (`twisted.truncate_cone`)."""
+    path = Path(path)
+    data = _read_json(path)
+    source = str(path)
+    if not isinstance(data, dict):
+        raise ParseError(f"{source}: top level must be an object")
+    declared = _of_type(data.get("parameters", []), list, "parameters", source)
+    for pos, name in enumerate(declared):
+        _string(name, f"parameters[{pos}]", source)
+
+    pd = presets.resolve_pd(_string(_field(data, "algebra", source), "algebra", source),
+                    relative_to=path.parent)
+    square = pd.square
+    xi = _parsed(_element_terms, _field(data, "xi", source), "xi", source, declared)
+    xi = _resolve(square, xi, "xi", source)
+
+    cap = _integer(_field(data, "degree_cap", source), "degree_cap", source)
+    gens = []
+    gen_index = {}
+    for pos, item in enumerate(_of_type(_field(data, "generators", source), list,
+                                        "generators", source)):
+        at = f"generators[{pos}]"
+        label = _string(_field(item, "label", source, at), f"{at}.label", source)
+        degree = _integer(_field(item, "degree", source, at), f"{at}.degree", source)
+        if not 0 < degree <= cap:
+            raise ParseError(f"{source}: {at}.degree must lie in 1..degree_cap = {cap}, "
+                             f"got {degree}")
+        if label in gen_index:
+            raise ParseError(f"{source}: {at}.label repeats an earlier label: "
+                             f"{json.dumps(label, ensure_ascii=False)}")
+        gen_index[label] = len(gens)
+        gens.append((label, degree))
+
+    values = _of_type(_field(data, "evaluation", source), dict, "evaluation", source)
+    evaluation = []
+    for label, _ in gens:
+        at = f"evaluation[{json.dumps(label)}]"
+        if label not in values:
+            raise ParseError(f"{source}: missing field {at}")
+        evaluation.append((at, _parsed(_element_terms, values[label], at, source, declared)))
+
+    # a table without differentials multiplies the terms' factors
+    table = GeneratorTable(
+        base=square,
+        gens=tuple(gens),
+        differentials=tuple({} for _ in gens),
+        target=None,
+        evaluation=(),
+        degree_cap=cap,
+        name=_string(data.get("name", path.stem), "name", source),
+    )
+
+    differentials = []
+    table_diffs = _of_type(_field(data, "differentials", source), dict, "differentials", source)
+    for label in table_diffs:
+        if label not in gen_index:
+            raise ParseError(f"{source}: differentials[{json.dumps(label)}] names no generator")
+    for label, degree in gens:
+        at = f"differentials[{json.dumps(label)}]"
+        terms = []
+        for pos, term in enumerate(_of_type(table_diffs.get(label, []), list, at, source)):
+            term = _of_type(term, dict, f"{at}[{pos}]", source)
+            coeff = _parsed(_coeff_term, term.get("coeff", "1"), f"{at}[{pos}].coeff", source,
+                            declared)
+            factors = []
+            for k, g in enumerate(_of_type(term.get("gens", []), list, f"{at}[{pos}].gens", source)):
+                if type(g) is not str or g not in gen_index:
+                    raise ParseError(f"{source}: {at}[{pos}].gens[{k}] is not a generator, "
+                                     f"got {json.dumps(g)}")
+                factors.append(table.gen_elt(gen_index[g]))
+            base = _string(term.get("base", ""), f"{at}[{pos}].base", source)
+            if base:
+                factors.append(table.base_elt(_label(square.basis, base.replace("(x)", TENSOR),
+                                                     f"{at}[{pos}].base", source)))
+            # each factor is a single monomial
+            term_degree = sum(table.monomial_degree(mono) for factor in factors for mono in factor)
+            if term_degree != degree + 1:
+                raise ParseError(f"{source}: {at}[{pos}] has degree {term_degree}, "
+                                 f"not |{label}| + 1 = {degree + 1}")
+            terms.append((coeff, table.product(*factors)))
+        differentials.append(_linear(terms))
+    # every C(xi) has the truncation's basis (`twisted.TruncatedCone.instance`)
+    target = truncate_cone(cone_model(pd)).algebra
+    return TableDocument(source, declared, pd, xi,
+                         tuple(_resolve(target, terms, at, source) for at, terms in evaluation),
+                         tuple(differentials), table)
+
+
+def load_table_file(path: str | Path, parameters: Optional[Mapping[str, Scalar]] = None):
+    """Load a generator table document; `parameters` must supply a value
+    for every name the file declares (see `TableDocument`)."""
+    return parse_table_file(path).table(parameters or {})
 
 
 # --- the staged obstruction solver ---------------------------------------------
@@ -729,15 +949,24 @@ def _verify_witness(t1: GeneratorTable, t2: GeneratorTable,
 # --- the worked family over the five-dimensional product preset -----------------
 
 
+def preset_table() -> TableDocument:
+    """The packaged table document `s2xs3_table.json`, parsed once per
+    process; it is kept in `presets._cache` and refers to the cached s2xs3
+    preset, so that clearing the cache drops both."""
+    document = presets._cache.get(presets._TABLE_KEY)
+    if document is None:
+        document = presets._cache[presets._TABLE_KEY] = parse_table_file(
+            presets.table_preset_path())
+    return document
+
+
 def s2xs3_table(q, r) -> GeneratorTable:
     """Generator table for the twisted model with (S1)^2 = q(y(x)xy) + r(xy(x)y)
     over the degree-five product preset: the packaged table document
-    `s2xs3_table.json` (`presets.preset_table`, parsed once per process)
+    `s2xs3_table.json` (`preset_table`, parsed once per process)
     with its parameters set to q and r. The table and its target C(q, r)
-    are built on every call, C(q, r) checked by `twisted.build_cxi`.
-    `check_table` gives the table the document's report, `check_table`
-    of the table over q and r, run once per process, after an exact check
-    that the table is that one at (q, r).
+    are built on every call, C(q, r) checked by `twisted.build_cxi`;
+    `check_table` gives the table the document's report.
 
     The top generator h kills u^2 plus the twisting class: its differential
     carries -q, -r so that the evaluation is a cochain map onto the model
@@ -754,22 +983,20 @@ def classify_example(q_values: Sequence) -> list[list[ObstructionResult]]:
     may be anything `Fraction` takes), and that form is both the value of
     its table and its coordinate at the family's points. Each value's
     C(q,0) is built once per call, in order, by the document
-    (`io.TableDocument.target`, checked by `twisted.build_cxi`). A value's
+    (`TableDocument.target`, checked by `twisted.build_cxi`). A value's
     generator table is built only when one of its pairs takes
     `iso_obstruction`, at most once per call, on that value's C(q,0).
     Two solves run with q kept symbolic (no target; see
     `linalg.Parameters`): the table in q1 against itself, whose verdict
     serves the diagonal pairs, and the table in q1 against the table in
     q2, whose verdict serves the off-diagonal pairs. The two have their
-    own symbols, so their guards stay apart. Both verdicts depend on the
-    table document alone, so they are kept with it
-    (`TableDocument.family_verdicts`): the document comes from
-    `presets.preset_table`, and only the first call in a process parses it
-    and runs the two solves. A pair takes its family's verdict evaluated
-    at (q_i) or (q_i, q_j) when no guard of that family vanishes there
-    and, for an Obstructed verdict, the residual does not either
-    (`_FamilyVerdict`). Then each of the pair's zero tests comes out as in
-    the symbolic solve, so the evaluated verdict is the one
+    own symbols, so their guards stay apart. Both are kept with the
+    document (`TableDocument.family_verdicts`, `preset_table`), so only
+    the first call in a process runs them. A pair takes its family's
+    verdict evaluated at (q_i) or (q_i, q_j) when no guard of that family
+    vanishes there and, for an Obstructed verdict, the residual does not
+    either (`_FamilyVerdict`). Then each of the pair's zero tests comes
+    out as in the symbolic solve, so the evaluated verdict is the one
     `iso_obstruction` returns. Every other pair gets `iso_obstruction`
     itself: on `s2xs3_table.json` that is each pair with a zero, (0, 0)
     included, and each off-diagonal pair of equal values.

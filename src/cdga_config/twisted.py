@@ -228,7 +228,7 @@ def build_cxi(pd: PDAlgebra, xi: Element) -> TwistedModel:
 
     The coefficients of xi are rationals, or rational functions of the
     symbols of one `linalg.Parameters`: then the model is the whole family
-    C(xi(p)) at once (`io.TableDocument.symbolic` builds its target so).
+    C(xi(p)) at once (`sullivan.TableDocument.symbolic` builds its target so).
     Order of checks: a nonzero xi in even dimension is rejected first (the
     square of the odd-degree element S1 vanishes by graded commutativity),
     then the degree of xi is validated. Only the (S1, S1) product depends

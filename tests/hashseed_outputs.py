@@ -3,9 +3,11 @@ with what the output's process wrote to stdout and then to stderr.
 
     PYTHONPATH=src PYTHONHASHSEED=1 python tests/hashseed_outputs.py OUTDIR
 
-Run it from the repository root (the reports name the paths they were
-given) once per seed, then compare the directories of two seeds with
-`diff -r`. The warm and cold runs of one call, and the routes of one
+Run it from the repository root once per seed, then compare the
+directories of two seeds with `diff -r`. The reports name the paths they
+were given; the preset data directory and `tests/data` are written as
+`<presets>` and `<data>`, as the goldens write them, so the directories
+of two checkouts compare with `diff -r` as well. The warm and cold runs of one call, and the routes of one
 computation (instance, checked, sweep), must give equal files under one
 seed too: the script compares those pairs (`_EQUAL`) and exits 1, naming
 the pair, when two differ.
@@ -126,7 +128,7 @@ def table_document(path: str) -> None:
     """Parse the table document at `path`; a rejected one exits 1 with
     its message on stderr, as the CLI prints a parse error."""
     from cdga_config.errors import ParseError
-    from cdga_config.io import parse_table_file
+    from cdga_config.sullivan import parse_table_file
 
     try:
         parse_table_file(path)
@@ -211,16 +213,21 @@ def table(which: str) -> None:
     for q in (0, 3, F(-2, 5)):
         built = s2xs3_table(q, 0)
         if which == "sweep":
-            built = dataclasses.replace(built)
+            built = dataclasses.replace(built, _built_from=None)
         print(json.dumps(check_table(built).lines(), ensure_ascii=False))
 
 
 def main(outdir: str) -> int:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
+    from cdga_config.presets import preset_path
+
+    presets = str(preset_path("point").parent).encode()
     for name, command, status in _outputs():
-        with open(out / f"{name}.json", "wb") as sink:
-            code = subprocess.run(command, stdout=sink, stderr=subprocess.STDOUT).returncode
+        run = subprocess.run(command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+        (out / f"{name}.json").write_bytes(
+            run.stdout.replace(presets, b"<presets>").replace(b"tests/data", b"<data>"))
+        code = run.returncode
         if code != status:
             print(f"{name}: exit status {code}, expected {status}", file=sys.stderr)
             return 1

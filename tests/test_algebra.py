@@ -9,6 +9,7 @@ from cdga_config.algebra import (
     DGAlgebra,
     Element,
     GradedBasis,
+    TensorAlgebra,
     _action_sweep,
     _generating_set,
     betti_vector,
@@ -19,7 +20,6 @@ from cdga_config.algebra import (
 from cdga_config.errors import MixedParents, NotAComplex, StructureError
 from cdga_config.linalg import RationalFunction
 from cdga_config.presets import PRESET_NAMES, preset_pd
-from cdga_config.products import TensorAlgebra
 
 from oracles import oracle_betti
 
@@ -600,9 +600,10 @@ def _restricted_sweep(alg):
     """The failures that the sweep over the generating set finds: the
     unit, associativity, d squared and Leibniz, as `_action_sweep` gives
     them."""
-    pair, drows, degs = alg._mult, alg._diff, alg.basis.degrees
-    return _action_sweep(pair, pair, drows, drows, degs, degs, alg.unit,
-                         _generating_set(alg), alg.unit)
+    pair, drows, degs, gens = alg._mult, alg._diff, alg.basis.degrees, _generating_set(alg)
+    unit, assoc, dd, leibniz = _action_sweep(pair, pair, drows, drows, degs, degs, alg.unit,
+                                             alg.unit)
+    return unit, assoc(gens), dd, leibniz(gens)
 
 
 def _lemma_inputs():

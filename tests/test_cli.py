@@ -343,7 +343,7 @@ def test_a_directory_named_as_a_preset_does_not_hide_the_preset(tmp_path, monkey
 ], ids=["missing-path", "directory"])
 def test_a_table_document_algebra_path_that_names_no_file(algebra, message, tmp_path):
     from cdga_config.errors import ParseError
-    from cdga_config.io import parse_table_file
+    from cdga_config.sullivan import parse_table_file
     from cdga_config.presets import table_preset_path
 
     (tmp_path / "sub").mkdir()

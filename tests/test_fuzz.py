@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cdga_config.cli import main
 from cdga_config.errors import ParseError
-from cdga_config.io import parse_table_file
+from cdga_config.sullivan import parse_table_file
 from cdga_config.presets import PRESET_NAMES, preset_path, table_preset_path
 
 STATUSES = {0, 1, 2, 3}

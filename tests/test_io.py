@@ -164,7 +164,7 @@ def test_parse_element_errors(s2xs3):
     (lambda d: d.update(degree_cap=8.5), "degree_cap"),
 ], ids=["generator-float", "generator-bool", "cap-float"])
 def test_table_loader_rejects_non_integer_degrees(tmp_path, edit, path):
-    from cdga_config.io import load_table_file
+    from cdga_config.sullivan import load_table_file
     from cdga_config.presets import table_preset_path
 
     data = json.loads(table_preset_path().read_text(encoding="utf-8"))
@@ -219,7 +219,7 @@ def test_algebra_lists_must_be_json_arrays(slot, path, value):
 
 @pytest.mark.parametrize("value", [5, None], ids=["int", "null"])
 def test_table_generators_must_be_a_json_array(tmp_path, value):
-    from cdga_config.io import load_table_file
+    from cdga_config.sullivan import load_table_file
     from cdga_config.presets import table_preset_path
 
     data = json.loads(table_preset_path().read_text(encoding="utf-8"))
@@ -239,7 +239,7 @@ def test_bad_coefficient_string_names_the_json_path():
 
 @pytest.mark.parametrize("value", [1, 1.0, True, None], ids=["int", "float", "true", "null"])
 def test_table_coefficients_must_be_json_strings(tmp_path, value):
-    from cdga_config.io import load_table_file
+    from cdga_config.sullivan import load_table_file
     from cdga_config.presets import table_preset_path
 
     data = json.loads(table_preset_path().read_text(encoding="utf-8"))
@@ -253,7 +253,7 @@ def test_table_coefficients_must_be_json_strings(tmp_path, value):
 
 
 def test_a_symbolic_parameter_value_builds_a_table_without_target():
-    from cdga_config.io import parse_table_file
+    from cdga_config.sullivan import parse_table_file
     from cdga_config.linalg import Parameters
     from cdga_config.presets import table_preset_path
 
@@ -297,7 +297,7 @@ def _edit_h_term(data, term):
         "generator-list", "parameter-object", "unknown-differential-key", "zero-denominator",
         "generator-degree-zero", "generator-above-cap", "term-degree"])
 def test_table_loader_names_the_json_path(tmp_path, edit, message):
-    from cdga_config.io import load_table_file
+    from cdga_config.sullivan import load_table_file
     from cdga_config.presets import table_preset_path
 
     data = json.loads(table_preset_path().read_text(encoding="utf-8"))
@@ -339,7 +339,7 @@ def test_labels_must_be_json_strings(overrides, path, value):
     (lambda d: d.update(name=7), "name", 7),
 ], ids=["algebra", "xi", "generator-label", "evaluation", "base", "name"])
 def test_table_labels_and_expressions_must_be_json_strings(tmp_path, edit, path, value):
-    from cdga_config.io import load_table_file
+    from cdga_config.sullivan import load_table_file
     from cdga_config.presets import table_preset_path
 
     data = json.loads(table_preset_path().read_text(encoding="utf-8"))
@@ -356,7 +356,7 @@ def test_table_labels_and_expressions_must_be_json_strings(tmp_path, edit, path,
     ('"label": "u", "degree": 4', '"label": "u", "degree": 4, "label": "w"', "label"),
 ], ids=["top-level", "generator"])
 def test_table_loader_rejects_a_repeated_key(tmp_path, first, repeated, key):
-    from cdga_config.io import load_table_file
+    from cdga_config.sullivan import load_table_file
     from cdga_config.presets import table_preset_path
 
     text = json.dumps(json.loads(table_preset_path().read_text(encoding="utf-8")))
@@ -491,7 +491,7 @@ _REJECTED_TABLE_DOCUMENTS = {
 @pytest.mark.parametrize("edit, message", _REJECTED_TABLE_DOCUMENTS.values(),
                          ids=_REJECTED_TABLE_DOCUMENTS.keys())
 def test_a_rejected_table_document_names_the_json_path(tmp_path, edit, message):
-    from cdga_config.io import parse_table_file
+    from cdga_config.sullivan import parse_table_file
     from cdga_config.presets import table_preset_path
 
     data = json.loads(table_preset_path().read_text(encoding="utf-8"))

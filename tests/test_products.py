@@ -4,12 +4,12 @@ from pathlib import Path
 import pytest
 
 from cdga_config import products
-from cdga_config.algebra import AlgebraMap, DGAlgebra, check_cdga, same_structure
+from cdga_config.algebra import AlgebraMap, DGAlgebra, TensorAlgebra, check_cdga, same_structure
 from cdga_config.errors import StructureError
 from cdga_config.io import load_algebra_file
 from cdga_config.poincare import check_pd
 from cdga_config.presets import PRESET_NAMES, preset_pd
-from cdga_config.products import TensorAlgebra, diagonal_correspondence, product_pd
+from cdga_config.products import diagonal_correspondence, product_pd
 
 import oracles
 

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from cdga_config.cone import cone_model
 from cdga_config.errors import CdgaError, IncompatibleTables, StructureError
-from cdga_config.io import load_table_file
 from cdga_config.linalg import _accumulate
-from cdga_config.presets import preset_pd, preset_table, table_preset_path
+from cdga_config.presets import preset_pd, table_preset_path
 from cdga_config.sullivan import (
     Exists,
     GeneratorTable,
@@ -20,6 +19,9 @@ from cdga_config.sullivan import (
     check_table,
     classify_example,
     iso_obstruction,
+    load_table_file,
+    parse_table_file,
+    preset_table,
     s2xs3_table,
 )
 
@@ -142,6 +144,25 @@ def test_a_changed_copy_is_swept_on_its_own():
     assert report.checks[-1].cochain_witness == oracle_check_table(copy).checks[-1].cochain_witness
 
 
+def test_a_copy_keeps_its_document_and_its_report_only_while_unchanged(monkeypatch):
+    table = s2xs3_table(F(-2, 5), 0)
+    document = preset_table()
+    assert document.report.all_pass
+    swept = _count_sweeps(monkeypatch)
+    # an unchanged copy is the symbolic table at its values: no sweep
+    copy = dataclasses.replace(table)
+    assert copy._built_from is table._built_from
+    assert check_table(copy) is document.report and swept == []
+    # one differential term changed: swept at its values
+    top = dict(table.differentials[-1])
+    term = next(iter(top))
+    top[term] = 2 * top[term]
+    changed = dataclasses.replace(table, differentials=table.differentials[:-1] + (top,))
+    report = check_table(changed)
+    assert swept == [changed] * len(changed.gens)
+    assert report is not document.report and report == oracle_check_table(changed)
+
+
 def _change_differential(table):
     table.differentials[-1][(table.base.basis.index(f"y{TENSOR}y"), ())] = F(5)
 
@@ -219,8 +240,6 @@ def test_a_table_changed_in_place_is_swept_on_its_own(change):
 
 
 def _table_document(tmp_path, **changes):
-    from cdga_config.io import parse_table_file
-
     data = json.loads(table_preset_path().read_text(encoding="utf-8"))
     data.update(changes)
     doc = tmp_path / "table.json"
@@ -253,7 +272,6 @@ def test_a_document_without_a_symbolic_twist_sweeps_each_table(tmp_path):
 def test_the_symbolic_table_of_an_unverified_family_gets_the_full_checks(monkeypatch,
                                                                           cold_presets):
     import cdga_config.twisted as twisted
-    from cdga_config.io import parse_table_file
     from cdga_config.linalg import RationalFunction
     from cdga_config.twisted import truncate_cone
 
@@ -302,17 +320,17 @@ def test_a_warm_job_sweeps_no_table_and_each_document_once(monkeypatch, cold_pre
     assert check_table(s2xs3_table(qs[2], 0)) is document.report
     assert swept == [] and derived == []
     # a copy built by no document is swept
-    copy = dataclasses.replace(s2xs3_table(qs[2], 0))
+    copy = dataclasses.replace(s2xs3_table(qs[2], 0), _built_from=None)
     assert check_table(copy) == document.report
     assert swept == [copy] * len(copy.gens)
 
 
 def test_classify_example_builds_each_value_s_target(monkeypatch):
-    import cdga_config.io as io
+    import cdga_config.sullivan as sullivan
 
     built = []
-    original = io.build_cxi
-    monkeypatch.setattr(io, "build_cxi", lambda pd, xi: built.append(xi) or original(pd, xi))
+    original = sullivan.build_cxi
+    monkeypatch.setattr(sullivan, "build_cxi", lambda pd, xi: built.append(xi) or original(pd, xi))
     qs = [F(2), F(0), F(-1, 3)]
     classify_example(qs)
     square = preset_pd("s2xs3").square
@@ -320,22 +338,22 @@ def test_classify_example_builds_each_value_s_target(monkeypatch):
 
 
 def _spy_targets_and_tables(monkeypatch):
-    """The models `io.build_cxi` returns, and the tables the document
+    """The models `sullivan.build_cxi` returns, and the tables the document
     builds at rational values, in the order they are built."""
-    import cdga_config.io as io
+    import cdga_config.sullivan as sullivan
 
     models, tables = [], []
-    build_cxi, build = io.build_cxi, io.TableDocument._build
-    monkeypatch.setattr(io, "build_cxi",
+    build_cxi, build = sullivan.build_cxi, sullivan.TableDocument._build
+    monkeypatch.setattr(sullivan, "build_cxi",
                         lambda pd, xi: models.append(build_cxi(pd, xi)) or models[-1])
 
-    def building(self, values, target):
-        table = build(self, values, target)
+    def building(self, values, target, built_from=None):
+        table = build(self, values, target, built_from)
         if target is not None:
             tables.append(table)
         return table
 
-    monkeypatch.setattr(io.TableDocument, "_build", building)
+    monkeypatch.setattr(sullivan.TableDocument, "_build", building)
     return models, tables
 
 
@@ -651,8 +669,6 @@ def test_solved_table_is_freed():
 
 
 def test_tables_of_one_document_number_their_unknowns_alike():
-    from cdga_config.io import parse_table_file
-
     document = parse_table_file(table_preset_path())
     t1, t2 = document.table({"q": 1, "r": 0}), document.table({"q": F(2, 3), "r": 5})
     # each table builds its own unknowns, and they agree, so one solve can
@@ -754,7 +770,6 @@ def test_affine_system_matches_the_stacked_rref(case):
 
 
 def test_diagonal_family_guard_is_q1():
-    from cdga_config.io import parse_table_file
     from cdga_config.linalg import Parameters
     from cdga_config.sullivan import _staged_solve
 
@@ -770,7 +785,6 @@ def test_diagonal_family_guard_is_q1():
 
 
 def _generic_solve():
-    from cdga_config.io import parse_table_file
     from cdga_config.linalg import Parameters
     from cdga_config.sullivan import _staged_solve
 
@@ -845,11 +859,11 @@ def cold_presets():
 
 
 def _count_parses(monkeypatch):
-    from cdga_config import presets
+    from cdga_config import sullivan
 
     calls = []
-    original = presets.parse_table_file
-    monkeypatch.setattr(presets, "parse_table_file",
+    original = sullivan.parse_table_file
+    monkeypatch.setattr(sullivan, "parse_table_file",
                         lambda path: calls.append(path) or original(path))
     return calls
 
@@ -943,8 +957,6 @@ def test_the_table_document_is_not_a_preset_after_classify_example(cold_presets,
 
 
 def test_the_document_memo_holds_the_two_family_verdicts_only(cold_presets):
-    from cdga_config.presets import preset_table
-
     for qs in ([F(1), F(2)], [F(-1, 3), F(0), F(5)], [F(7), F(2, 9)]):
         classify_example(qs)
     assert list(preset_table().family_verdicts) == [("q1",), ("q1", "q2")]
@@ -996,14 +1008,14 @@ def test_clearing_the_preset_cache_parses_and_solves_again(monkeypatch, cold_pre
     from cdga_config import presets
 
     classify_example([F(1), F(2)])
-    document = presets.preset_table()
+    document = preset_table()
     parses = _count_parses(monkeypatch)
     family_runs = _count_family_solves(monkeypatch)
     presets._cache.clear()
     classify_example([F(1), F(2)])
     assert len(parses) == 1
     assert family_runs == [(("q1",), True), (("q1", "q2"), False)]
-    assert presets.preset_table() is not document
+    assert preset_table() is not document
 
 
 _family_values = st.one_of(

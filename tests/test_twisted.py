@@ -588,7 +588,7 @@ def test_c_of_x_rejects_non_cocycle():
     # the presets are formal, so fabricate a stand-in with d(a) = b; c_of_x
     # only touches n, the square and omega before the cocycle check fires
     from cdga_config.algebra import DGAlgebra, GradedBasis
-    from cdga_config.products import TensorAlgebra
+    from cdga_config.algebra import TensorAlgebra
 
     basis = GradedBasis(["1", "a", "b"], [0, 3, 4])
     algebra = DGAlgebra(basis, 0, [(0, i, i, 1) for i in range(3)],
